@@ -26,7 +26,7 @@ from .errors import (
     PoleInRange,
     SeriesDivergence,
 )
-from .numerics import CumulativeIntegral, IvpProblem, find_root, integrate
+from .numerics import CumulativeIntegral, IvpProblem, integrate
 
 CASE_IDS = ("harmonic", "time_quadrature", "case1", "case2", "case3",
             "case4_riccati", "case5_power", "case6", "case7")
@@ -539,7 +539,11 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5,
 
 def case5_power(g0, n, A, omega=1.0, alpha=0.0):
     """g = g0*x^n, f = 0 (n integer > 1): implicit solution
-    x (1 + g0 x^(n-1))^(-1/(n-1)) = A sin(theta), solved for x pointwise."""
+    x (1 + g0 x^(n-1))^(-1/(n-1)) = A sin(theta) on the branch through x = 0.
+
+    With m = n-1 and T = A sin(theta), raising the law to the m-th power
+    gives x^m / (1 + g0 x^m) = T^m, so x = T (1 - g0 T^m)^(-1/m) in closed
+    form; no real x exists where 1 - g0 T^m <= 0."""
     n = _check_natural(n)
     g0, A = float(g0), float(A)
     omega, alpha = float(omega), float(alpha)
@@ -547,57 +551,14 @@ def case5_power(g0, n, A, omega=1.0, alpha=0.0):
     osc = DeformedOscillator("0", "%r*x^%d" % (g0, n), omega, alpha=alpha)
     m = n - 1
 
-    def W(x):
-        G = g0 * x ** m
-        if 1.0 + G <= 0.0:
-            raise NoRealRoot("1 + g0*x^(n-1) <= 0 at x = %r" % (x,))
-        return x * (1.0 + G) ** (-1.0 / m)
-
-    def Wp(x):
-        G = g0 * x ** m
-        return (1.0 + G) ** (-float(n) / m)
-
-    last = [0.0]
-
     def x_of_t(t):
         target = A * math.sin(w * t + al)
-        if g0 == 0.0:
-            return target
-        # Newton on the monotone branch through x = 0, seeded from the
-        # previous evaluation
-        x = last[0]
-        ok = False
-        for _ in range(80):
-            try:
-                r = W(x) - target
-                d = Wp(x)
-            except (NoRealRoot, ZeroDivisionError, OverflowError):
-                x = 0.5 * x
-                continue
-            if abs(r) <= 1e-14 * (1.0 + abs(target)):
-                ok = True
-                break
-            if d <= 0.0 or not math.isfinite(d) or abs(x) > 1e12:
-                break
-            x -= r / d
-        if not ok:
-            # safeguarded bracket expansion
-            found = None
-            for width in (0.5, 1.0, 2.0, 4.0, 8.0):
-                lo, hi = -width, width
-                try:
-                    found = find_root(lambda xx: W(xx) - target, lo, hi,
-                                      tol=1e-15)
-                    break
-                except Exception:
-                    continue
-            if found is None:
-                raise NoRealRoot(
-                    "implicit relation has no real solution at t = %r "
-                    "(target %r)" % (t, target))
-            x = found
-        last[0] = x
-        return x
+        base = 1.0 - g0 * target ** m
+        if base <= 0.0:
+            raise NoRealRoot(
+                "implicit relation has no real solution at t = %r "
+                "(target %r)" % (t, target))
+        return target * base ** (-1.0 / m)
 
     def v_of_t(t):
         xq = x_of_t(t)

@@ -31,6 +31,7 @@ from .deform import (
     integrate_first_integral,
 )
 from .errors import (
+    CotangentPole,
     ExprSyntaxError,
     OscdeformError,
     UnboundNameError,
@@ -272,22 +273,31 @@ def cmd_solve(cfg):
                              params=cfg.params or None)
     grid = np.linspace(cfg.t0, cfg.t1, cfg.samples)
 
-    if cfg.method == "second-order":
-        form = generate_ode(osc)
-        v0 = cfg.v0
-        if v0 is None:
-            v0 = first_integral_velocity(osc, cfg.t0, cfg.x0)
+    try:
+        if cfg.method == "second-order":
+            form = generate_ode(osc)
+            v0 = cfg.v0
+            if v0 is None:
+                v0 = first_integral_velocity(osc, cfg.t0, cfg.x0)
 
-        def rhs(t, y):
-            return [y[1], explicit_acceleration(form, (t, y[0], y[1]))]
+            def rhs(t, y):
+                return [y[1], explicit_acceleration(form, (t, y[0], y[1]))]
 
-        traj = integrate(IvpProblem(rhs, "system", cfg.t0, (cfg.x0, v0),
-                                    cfg.t1, rtol=cfg.rtol, atol=cfg.atol),
-                         t_eval=grid)
-    else:
-        traj = integrate_first_integral(osc, cfg.t0, cfg.x0, cfg.t1,
-                                        t_eval=grid, v0=cfg.v0,
-                                        rtol=cfg.rtol, atol=cfg.atol)
+            traj = integrate(IvpProblem(rhs, "system", cfg.t0, (cfg.x0, v0),
+                                        cfg.t1, rtol=cfg.rtol, atol=cfg.atol),
+                             t_eval=grid)
+        else:
+            traj = integrate_first_integral(osc, cfg.t0, cfg.x0, cfg.t1,
+                                            t_eval=grid, v0=cfg.v0,
+                                            rtol=cfg.rtol, atol=cfg.atol)
+    except CotangentPole as exc:
+        # without v0 the velocity comes from the first integral, which is
+        # singular at a pole start (the defaults t0 = 0, alpha = 0 are one)
+        if cfg.v0 is not None:
+            raise
+        raise UsageError("--t0 sits on a cotangent pole of the first "
+                         "integral: give --v0, or move --t0 or --alpha off "
+                         "the pole (%s)" % exc)
     _write_csv(cfg.out, ["t", "x", "v"],
                [(s.t, s.x, s.v) for s in traj.states])
     return 0

@@ -24,10 +24,9 @@ from . import exprdsl
 from .errors import (
     CotangentPole,
     DegenerateParameters,
-    ImplicitNoRoot,
-    ImplicitRelation,
     NoCrossing,
     NonSmoothPoint,
+    OscdeformError,
     SingularCoefficient,
     UnboundNameError,
     ZeroDenominator,
@@ -56,6 +55,7 @@ from .numerics import (
     Trajectory,
     find_root,
     integrate,
+    solve_scalar,
 )
 
 _ALLOWED_VARS = {"t", "x", "v"}
@@ -183,28 +183,7 @@ def explicit_acceleration(form, state, eps_sing=1e-12):
     return -(form.coeff_xd(t, x, v) * v + form.remainder(t, x, v)) / c0
 
 
-def first_integral_rhs(osc, state, delta=1e-9, allow_implicit=False):
-    """Slope field of the first integral: omega*cot(theta)*(x+g) - f.
-
-    For v-independent deformations this is the explicit xd.  When f or g
-    depend on v the relation is implicit in v; pass allow_implicit=True to
-    evaluate it at the state's own v (for fixed-point/Newton iteration), or
-    use first_integral_velocity to solve it.
-    """
-    t, x, v = state
-    if (osc.f_depends_v or osc.g_depends_v) and not allow_implicit:
-        raise ImplicitRelation(
-            "f or g depends on v; solve v = rhs(v) via first_integral_velocity")
-    th = osc.theta(t)
-    s = math.sin(th)
-    if abs(s) < delta:
-        raise CotangentPole("sin(omega*t+alpha) = %r at t = %r" % (s, t))
-    return (osc.omega * math.cos(th) / s * (x + osc.val("g", t, x, v))
-            - osc.val("f", t, x, v))
-
-
-def first_integral_velocity(osc, t, x, v_guess=None, delta=1e-9,
-                            tol=1e-13, max_iter=60):
+def first_integral_velocity(osc, t, x, v_guess=None, delta=1e-9, tol=1e-13):
     """Velocity selected by the first integral at (t, x).
 
     Solves G(v) = (v+f)*sin(theta) - omega*cos(theta)*(x+g) = 0.  For
@@ -233,35 +212,9 @@ def first_integral_velocity(osc, t, x, v_guess=None, delta=1e-9,
     def Gp(v):
         return (1.0 + osc.val("f_v", t, x, v)) * s - w * c * osc.val("g_v", t, x, v)
 
-    v = 0.0 if v_guess is None else float(v_guess)
     scale = abs(w * c * x) + abs(s) + 1.0
-    for _ in range(max_iter):
-        gv = G(v)
-        if abs(gv) <= tol * scale * (1.0 + abs(v)):
-            return v
-        d = Gp(v)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        step = gv / d
-        v_new = v - step
-        if not math.isfinite(v_new):
-            break
-        if abs(step) <= 1e-16 * (1.0 + abs(v)):
-            return v_new
-        v = v_new
-    else:
-        if abs(G(v)) <= 1e-9 * scale * (1.0 + abs(v)):
-            return v
-
-    # bisection fallback on an expanding bracket around the guess
-    center = 0.0 if v_guess is None else float(v_guess)
-    for half_width in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0):
-        lo, hi = center - half_width, center + half_width
-        try:
-            return find_root(G, lo, hi, tol=1e-14)
-        except Exception:
-            continue
-    raise ImplicitNoRoot("no v solves the first integral at t=%r, x=%r" % (t, x))
+    return solve_scalar(G, Gp, 0.0 if v_guess is None else v_guess,
+                        tol * scale)
 
 
 def phase_function(osc, state):
@@ -365,7 +318,7 @@ def crossing_times(osc, traj, refine_tol=1e-13):
             try:
                 t_star = find_root(F, float(ts[i]), float(ts[i + 1]),
                                    tol=refine_tol)
-            except Exception:
+            except OscdeformError:
                 continue
             if abs(F(t_star)) <= 1e-6 * scale:
                 out.append(t_star)
@@ -386,21 +339,7 @@ def _solve_position(osc, t, target, x_start):
     def hp(x):
         return 1.0 + osc.val("g_x", t, x, 0.0)
 
-    x = float(x_start)
-    for _ in range(60):
-        hx = h(x)
-        if abs(hx) <= 1e-14 * (1.0 + abs(x)):
-            return x
-        d = hp(x)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        x -= hx / d
-    for width in (0.5, 1.0, 2.0, 8.0, 32.0):
-        try:
-            return find_root(h, x_start - width, x_start + width, tol=1e-15)
-        except Exception:
-            continue
-    raise ImplicitNoRoot("cannot solve x + g = target at t = %r" % t)
+    return solve_scalar(h, hp, x_start, 1e-14)
 
 
 def _solve_velocity(osc, t, x, target, v_start):
@@ -414,21 +353,7 @@ def _solve_velocity(osc, t, x, target, v_start):
     def rp(v):
         return 1.0 + osc.val("f_v", t, x, v)
 
-    v = float(v_start)
-    for _ in range(60):
-        rv = r(v)
-        if abs(rv) <= 1e-14 * (1.0 + abs(v)):
-            return v
-        d = rp(v)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        v -= rv / d
-    for width in (0.5, 1.0, 2.0, 8.0, 32.0):
-        try:
-            return find_root(r, v_start - width, v_start + width, tol=1e-15)
-        except Exception:
-            continue
-    raise ImplicitNoRoot("cannot solve v + f = target at t = %r" % t)
+    return solve_scalar(r, rp, v_start, 1e-14)
 
 
 def _poles_inside(osc, t0, t1, margin):

@@ -46,11 +46,6 @@ class SingularCoefficient(OscdeformError):
     """The generated equation cannot be solved for the acceleration here."""
 
 
-class ImplicitRelation(OscdeformError):
-    """f or g depends on the velocity: the first integral only defines v
-    implicitly and must be root-solved."""
-
-
 class ZeroDenominator(OscdeformError):
     """Phase function undefined: (v+f)^2 + omega^2 (x+g)^2 = 0."""
 
@@ -92,8 +87,9 @@ class NoSignChange(OscdeformError):
     """Root bracket endpoints have the same sign."""
 
 
-class MaxDepth(OscdeformError):
-    """Adaptive quadrature exceeded its recursion budget."""
+class ImplicitNoRoot(OscdeformError):
+    """An implicit relation has no root near the starting guess: Newton
+    stalled and no bracket around the guess changes sign."""
 
 
 class StepSizeUnderflow(OscdeformError):
@@ -124,7 +120,3 @@ class NegativeAlpha(OscdeformError):
 
 class ApproxOutOfRegime(OscdeformError):
     """Approximate beam solution requested outside beta = 2*alpha/3."""
-
-
-class ImplicitNoRoot(OscdeformError):
-    """Implicit beam relation has no root for the requested amplitude."""

@@ -4,6 +4,8 @@ and finite-difference residual scanning.
 The solver is scipy's DOP853 (8th-order embedded Runge-Kutta) wrapped into
 project types.  Quadrature and root finding are small self-contained
 routines so tolerances and failure modes stay explicit and reproducible.
+The implicit relations met by integrate_first_integral are inverted
+pointwise by one safeguarded scalar solver, solve_scalar.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
-    MaxDepth,
+    EvalDomainError,
+    ImplicitNoRoot,
     NonFiniteState,
     NoSignChange,
     StepSizeUnderflow,
@@ -157,39 +160,6 @@ def integrate(problem, t_eval=None, dense=False):
 
 # --- quadrature ---------------------------------------------------------------
 
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, fa, b, fb, whole, m, fm, tol, depth):
-    if depth <= 0:
-        raise MaxDepth("adaptive quadrature recursion limit on [%g, %g]" % (a, b))
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return (_adaptive(f, a, fa, m, fm, left, lm, flm, half, depth - 1)
-            + _adaptive(f, m, fm, b, fb, right, rm, frm, half, depth - 1))
-
-
-def quad(f, a, b, tol=1e-11, max_depth=50):
-    """Definite integral of f over [a, b] by adaptive Simpson's rule."""
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    if b < a:
-        return -quad(f, b, a, tol=tol, max_depth=max_depth)
-    fa = f(a)
-    fb = f(b)
-    m, fm, whole = _simpson(f, a, fa, b, fb)
-    return _adaptive(f, a, fa, b, fb, whole, m, fm, tol, max_depth)
-
-
 class CumulativeIntegral:
     """Smooth evaluator of F(t) = integral of f from origin to t.
 
@@ -307,6 +277,40 @@ def find_root(f, lo, hi, tol=1e-12, fprime=None, max_iter=200):
         x = nxt
         fx = f(x)
     return x
+
+
+_BRACKET_WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0)
+
+
+def solve_scalar(h, dh, guess, tol):
+    """Root of h near guess, for inverting an implicit relation pointwise.
+
+    Newton steps from guess stop once |h(x)| <= tol*(1 + |x|).  When Newton
+    stalls (zero or non-finite derivative, non-finite iterate, 60 steps
+    spent) the root is bracketed instead: find_root runs on the first of a
+    fixed set of widening brackets centred on guess whose ends change sign.
+    A bracket whose ends have the same sign or leave the domain of h is
+    skipped; any other error of h or dh propagates.  Raises ImplicitNoRoot
+    when no bracket changes sign.
+    """
+    x = guess = float(guess)
+    for _ in range(60):
+        hx = h(x)
+        if abs(hx) <= tol * (1.0 + abs(x)):
+            return x
+        d = dh(x)
+        if d == 0.0 or not math.isfinite(d):
+            break
+        x_new = x - hx / d
+        if not math.isfinite(x_new):
+            break
+        x = x_new
+    for width in _BRACKET_WIDTHS:
+        try:
+            return find_root(h, guess - width, guess + width, tol=1e-15)
+        except (NoSignChange, EvalDomainError):
+            continue
+    raise ImplicitNoRoot("no root within %g of %r" % (_BRACKET_WIDTHS[-1], guess))
 
 
 # --- finite-difference residual scanning ------------------------------------------

@@ -244,6 +244,32 @@ def test_case5_no_real_root():
         sol(math.pi / 2)
 
 
+def test_case5_satisfies_the_implicit_law():
+    # x (1 + g0 x^m)^(-1/m) = A sin(theta) with m = n-1, on the branch
+    # through x = 0, for both signs of g0 and of the target
+    for g0 in (0.25, 1.0, -0.7):
+        for n in (2, 3, 4):
+            m = n - 1
+            sol = catalog.case5_power(g0, n, 0.8, 1.3, 0.3)
+            for t in np.linspace(0.0, 5.0, 41):
+                x = sol(t)
+                target = 0.8 * math.sin(1.3 * t + 0.3)
+                assert 1.0 + g0 * x ** m > 0.0
+                law = x * (1.0 + g0 * x ** m) ** (-1.0 / m)
+                assert law == pytest.approx(target, rel=1e-14, abs=1e-15)
+    # 1 + g0*target < 0 here, yet the root x = -0.6 exists
+    sol = catalog.case5_power(1.0, 2, 1.5, 1.0, 0.0)
+    assert sol(1.5 * math.pi) == pytest.approx(-0.6, rel=1e-14)
+
+
+def test_case5_evaluator_is_pure():
+    sol = catalog.case5_power(0.25, 2, 0.8, 1.0, 0.3)
+    ts = np.linspace(0.2, 0.2 + 2 * math.pi, 200)
+    forward = [sol(t) for t in ts]
+    backward = [sol(t) for t in ts[::-1]][::-1]
+    assert forward == backward
+
+
 def test_case6_printed_value():
     sol = catalog.case6(1.0, 0.0, 1.0, 0.0)
     assert sol(math.pi / 4) == pytest.approx(4.0 / 3.0, rel=1e-14)

@@ -184,6 +184,16 @@ def test_exit_one_on_usage_errors(capsys):
     assert "unknown suite" in err
 
 
+def test_solve_pole_start_without_v0_is_a_usage_error(capsys):
+    # the defaults t0 = 0, alpha = 0 start on a cotangent pole, where the
+    # first integral cannot supply the initial velocity
+    for method in ("first-integral", "second-order"):
+        assert cli.main(["solve", "--f", "0", "--g", "0",
+                         "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--v0" in err
+
+
 def test_exit_two_on_numerical_failure(capsys):
     # constant f does not vanish at the cotangent pole, so the crossing
     # velocity diverges and the driver refuses to continue

@@ -12,7 +12,6 @@ from oscdeform.deform import (
     energy,
     energy_rate,
     explicit_acceleration,
-    first_integral_rhs,
     first_integral_velocity,
     fit_alpha,
     generate_ode,
@@ -28,7 +27,6 @@ from oscdeform.deform import (
 from oscdeform.errors import (
     CotangentPole,
     DegenerateParameters,
-    ImplicitRelation,
     NoCrossing,
     NonSmoothPoint,
     SingularCoefficient,
@@ -78,7 +76,7 @@ def test_generate_ode_quadratic_velocity_shift_residual():
     form = generate_ode(osc)
 
     def rhs(t, x):
-        return first_integral_rhs(osc, (t, x, 0.0))
+        return first_integral_velocity(osc, t, x)
 
     prob = IvpProblem(rhs, "first", 0.4, 0.6, 2.6)
     traj = integrate(prob, dense=True)
@@ -113,30 +111,29 @@ def test_explicit_acceleration_velocity_deformation_fd_oracle():
     assert a == pytest.approx(a_fd, abs=1e-5)
 
 
-def test_first_integral_rhs_trivial_and_case1():
+def test_first_integral_velocity_trivial_and_case1():
     osc = DeformedOscillator("0", "0", 1.0)
-    assert first_integral_rhs(osc, (math.pi / 2, 1.0, 0.0)) == pytest.approx(0.0)
+    assert first_integral_velocity(osc, math.pi / 2, 1.0) == pytest.approx(0.0)
 
     osc1 = DeformedOscillator("sin(t)", "0", 1.0)
     A = 2.0
     for t in np.linspace(0.3, 2.8, 15):
         x = (A - t) * math.sin(t)
         want = -math.sin(t) + (A - t) * math.cos(t)
-        assert first_integral_rhs(osc1, (t, x, 0.0)) == pytest.approx(
+        assert first_integral_velocity(osc1, t, x) == pytest.approx(
             want, abs=1e-10)
 
 
-def test_first_integral_rhs_guards():
+def test_first_integral_velocity_guards():
     osc = DeformedOscillator("0", "0", 1.0)
     with pytest.raises(CotangentPole):
-        first_integral_rhs(osc, (math.pi, 1.0, 0.0))
+        first_integral_velocity(osc, math.pi, 1.0)
+    # a v-dependent f makes the relation implicit: the returned v is a
+    # fixed point of v = omega*cot(theta)*(x+g) - f(v)
     osc_v = DeformedOscillator("-0.75*v + 1.0", "0", 1.0)
-    with pytest.raises(ImplicitRelation):
-        first_integral_rhs(osc_v, (0.5, 1.0, 0.0))
-    # allow_implicit evaluates at the supplied v
-    val = first_integral_rhs(osc_v, (0.5, 1.0, 2.0), allow_implicit=True)
-    assert val == pytest.approx(
-        math.cos(0.5) / math.sin(0.5) * 1.0 - (-0.75 * 2.0 + 1.0))
+    v = first_integral_velocity(osc_v, 0.5, 1.0)
+    assert v == pytest.approx(
+        math.cos(0.5) / math.sin(0.5) * 1.0 - (-0.75 * v + 1.0), abs=1e-13)
 
 
 def test_first_integral_velocity_velocity_shift():
@@ -269,6 +266,20 @@ def test_crossing_times_deformed_at_poles():
     assert len(found) == len(poles)
     for got, want in zip(found, poles):
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_crossing_times_propagates_foreign_errors():
+    # library failures during refinement skip a crossing; a programming
+    # error inside the trajectory's interpolant must not be swallowed
+    osc = DeformedOscillator("0", "0", 1.0)
+    states = [(t, math.sin(t), math.cos(t)) for t in np.linspace(2.0, 4.0, 9)]
+
+    def x_of_t(t):
+        raise TypeError("broken interpolant")
+
+    traj = Trajectory(states, meta={"x_of_t": x_of_t, "v_of_t": math.cos})
+    with pytest.raises(TypeError):
+        crossing_times(osc, traj)
 
 
 def test_crossing_times_no_crossing():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oscdeform.errors import (
-    MaxDepth,
+    EvalDomainError,
+    ImplicitNoRoot,
     NonFiniteState,
     NoSignChange,
     StepSizeUnderflow,
@@ -17,8 +18,8 @@ from oscdeform.numerics import (
     fd_derivatives,
     find_root,
     integrate,
-    quad,
     residual_scan,
+    solve_scalar,
     trajectory_residual,
 )
 
@@ -125,37 +126,6 @@ def test_integrate_blowup_raises():
             integrate(prob)
 
 
-def test_quad_basic_values():
-    assert quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-11)
-    assert quad(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert quad(math.sin, math.pi, 0.0) == pytest.approx(-2.0, abs=1e-11)
-    assert quad(math.sin, 1.0, 1.0) == 0.0
-
-
-def test_quad_random_polynomials_vs_antiderivative():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        coeffs = rng.uniform(-2, 2, size=6)
-
-        def p(x, c=coeffs):
-            return sum(ck * x ** k for k, ck in enumerate(c))
-
-        def P(x, c=coeffs):
-            return sum(ck * x ** (k + 1) / (k + 1) for k, ck in enumerate(c))
-
-        a, b = sorted(rng.uniform(-2, 2, size=2))
-        if b - a < 0.1:
-            continue
-        assert quad(p, a, b, tol=1e-12) == pytest.approx(P(b) - P(a), abs=1e-11)
-
-
-def test_quad_max_depth():
-    # integrand rough enough that a tiny depth cannot resolve it
-    with pytest.raises(MaxDepth):
-        quad(lambda x: math.sin(1.0 / (x + 1e-4)), 0.0, 1.0, tol=1e-13,
-             max_depth=3)
-
-
 def test_cumulative_integral_matches_antiderivative():
     F = CumulativeIntegral(math.cos, 0.0)
     for t in np.linspace(-3.0, 5.0, 41):
@@ -234,3 +204,51 @@ def test_trajectory_residual_uses_velocity_channel():
     worst = trajectory_residual(form, math.sin, math.cos,
                                 np.linspace(0.2, 6.0, 40))
     assert worst < 1e-9
+
+
+def test_solve_scalar_newton_converges():
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return x ** 3 - 2.0
+
+    root = solve_scalar(h, lambda x: 3.0 * x * x, 1.0, 1e-14)
+    assert abs(root ** 3 - 2.0) <= 1e-14 * (1.0 + root)
+    assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
+    assert len(calls) < 10            # quadratic convergence, no bracketing
+
+
+def test_solve_scalar_falls_back_to_brackets():
+    # a zero derivative stalls Newton at once; around the guess 0 the
+    # brackets of half-width 0.5 and 1 have no sign change and the one of
+    # half-width 2 ends where h is undefined, so the root comes from the
+    # next one
+    def h(x):
+        if -2.5 < x < -1.5:
+            raise EvalDomainError("outside the domain")
+        return x - 3.0
+
+    assert solve_scalar(h, lambda x: 0.0, 0.0, 1e-14) == 3.0
+
+
+def test_solve_scalar_no_root_is_typed():
+    with pytest.raises(ImplicitNoRoot):
+        solve_scalar(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.3, 1e-14)
+
+
+def test_solve_scalar_propagates_foreign_errors():
+    def h(x):
+        raise TypeError("not a number")
+
+    with pytest.raises(TypeError):
+        solve_scalar(h, lambda x: 1.0, 0.0, 1e-14)
+
+    def h_bracket(x):
+        if x != 0.0:
+            raise TypeError("only the guess evaluates")
+        return 1.0
+
+    # the bracket fallback does not swallow it either
+    with pytest.raises(TypeError):
+        solve_scalar(h_bracket, lambda x: 0.0, 0.0, 1e-14)
