@@ -440,7 +440,7 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
 
 # --- Gauss hypergeometric series -------------------------------------------------------
 
-def hyp2f1(a, b, c, z, rtol=1e-12, max_terms=10000):
+def hyp2f1(a, b, c, z, rtol=1e-12):
     """Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1."""
     if abs(z) >= 1.0:
         raise ValueError("series requires |z| < 1, got z = %r" % (z,))
@@ -448,7 +448,7 @@ def hyp2f1(a, b, c, z, rtol=1e-12, max_terms=10000):
         raise ValueError("c must not be a non-positive integer")
     term = 1.0
     total = 1.0
-    for k in range(max_terms):
+    for k in range(10000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
         if term == 0.0:
@@ -457,16 +457,15 @@ def hyp2f1(a, b, c, z, rtol=1e-12, max_terms=10000):
         nxt = abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
         if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 0.3 * rtol * abs(total):
             return total
-    raise NoConvergence("2F1 series did not converge in %d terms" % max_terms)
+    raise NoConvergence("2F1 series did not converge in %d terms" % (k + 1))
 
 
-def hyp2f1_deriv(a, b, c, z, rtol=1e-12):
+def hyp2f1_deriv(a, b, c, z):
     """d/dz 2F1(a,b;c;z) = (a b / c) 2F1(a+1, b+1; c+1; z)."""
-    return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z, rtol=rtol)
+    return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
 
 
-def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5,
-                 eps_hyp=1e-3):
+def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     """Hypergeometric-series path for the quadratic-shift case.
 
     The substitution x = ud/(mu*u), tau = -omega*cos(theta) maps the first
@@ -506,6 +505,7 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5,
         return (hyp2f1(a + 0.5, b + 0.5, 1.5, z)
                 + 2.0 * z * hyp2f1_deriv(a + 0.5, b + 0.5, 1.5, z))
 
+    eps_hyp = 1e-3           # the series is not used this close to |w| = 1
     th0 = w_freq * t0 + al
     s0 = math.sin(th0)
     w0 = -math.cos(th0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -45,34 +46,21 @@ class UsageError(Exception):
     pass
 
 
-_DEFAULTS = {
-    "f": "0",
-    "g": "0",
-    "omega": "1",
-    "alpha": None,
-    "t0": 0.0,
-    "t1": 2.0 * math.pi,
-    "samples": 101,
-    "rtol": 1e-10,
-    "atol": 1e-12,
-    "out": None,
-    "format": "csv",
-    "x0": 0.5,
-    "v0": None,
-    "method": "first-integral",
-    "case": None,
-    "mode": "direct",
-    "alpha_coef": None,
-    "beta_coef": None,
-    "suite": None,
-}
+def _checked(convert, ok, expected):
+    """An argparse type: convert(text), accepted only when ok(value)."""
+    def parse(text):
+        try:
+            if ok(convert(text)):
+                return convert(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected %s, got %r"
+                                         % (expected, text))
+    return parse
 
-_FIELD_TYPES = {
-    "f": str, "g": str, "omega": str, "alpha": float, "t0": float,
-    "t1": float, "samples": int, "rtol": float, "atol": float, "out": str,
-    "format": str, "x0": float, "v0": float, "method": str, "case": str,
-    "mode": str, "alpha_coef": float, "beta_coef": float, "suite": str,
-}
+
+_positive = _checked(float, lambda x: x > 0.0, "a positive number")
+_samples = _checked(int, lambda n: n >= 2, "an integer >= 2")
 
 
 def _parse_kv(text):
@@ -82,9 +70,29 @@ def _parse_kv(text):
     return key.strip(), value.strip()
 
 
+def _parse_params(items):
+    """Bind 'NAME=VALUE' items to floats; a later item wins."""
+    params = {}
+    for item in items:
+        key, value = _parse_kv(item)
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise UsageError("parameter %s must be numeric, got %r"
+                             % (key, value))
+    return params
+
+
+def _need(params, name):
+    if name not in params:
+        raise UsageError("missing required parameter %s "
+                         "(use --param %s=VALUE)" % (name, name))
+    return params[name]
+
+
 def _load_config_file(path):
-    """Flat key=value file; keys 'param.NAME' feed the parameter table."""
-    plain, params = {}, {}
+    """Flat key=value file as flag defaults; keys 'param.NAME' feed --param."""
+    values, params = {}, []
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -97,78 +105,62 @@ def _load_config_file(path):
         key, value = _parse_kv(line)
         key = key.replace("-", "_")
         if key.startswith("param."):
-            params[key[len("param."):]] = value
+            params.append("%s=%s" % (key[len("param."):], value))
         else:
-            plain[key] = value
-    return plain, params
+            values[key] = value
+    values["param"] = params
+    return values
 
 
-class RunConfig:
-    """Resolved options for one invocation: flags > config file > defaults."""
+_COMMANDS = {
+    "derive": "print the generated ODE",
+    "solve": "integrate and export CSV",
+    "verify": "run a named check suite",
+    "rcd": "travelling-wave profile CSV",
+    "beam": "cantilever beam trajectory CSV",
+    "catalog": "closed-form solution CSV",
+}
 
-    def __init__(self, command, values, params):
-        self.command = command
-        self.params = params
-        for key, value in values.items():
-            setattr(self, key, value)
-        if self.samples < 2:
-            raise UsageError("samples must be >= 2")
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise UsageError("tolerances must be positive")
-        if self.format != "csv":
-            raise UsageError("unsupported output format %r" % self.format)
+_GRID = "solve rcd beam catalog"
 
-    @classmethod
-    def from_args(cls, args):
-        file_plain, file_params = {}, {}
-        if getattr(args, "config", None):
-            file_plain, file_params = _load_config_file(args.config)
-
-        values = {}
-        for key, typ in _FIELD_TYPES.items():
-            flag = getattr(args, key, None)
-            if flag is not None:
-                values[key] = flag
-            elif key in file_plain:
-                try:
-                    values[key] = typ(file_plain[key])
-                except ValueError:
-                    raise UsageError("bad config value for %s: %r"
-                                     % (key, file_plain[key]))
-            else:
-                values[key] = _DEFAULTS[key]
-
-        params = {}
-        for key, value in file_params.items():
-            params[key] = value
-        for item in getattr(args, "param", None) or []:
-            key, value = _parse_kv(item)
-            params[key] = value
-        for key in list(params):
-            try:
-                params[key] = float(params[key])
-            except ValueError:
-                raise UsageError("parameter %s must be numeric, got %r"
-                                 % (key, params[key]))
-        return cls(args.command, values, params)
-
-    def param(self, name, default=None):
-        if name in self.params:
-            return self.params[name]
-        if default is None:
-            raise UsageError("missing required parameter %s "
-                             "(use --param %s=VALUE)" % (name, name))
-        return default
-
-    def omega_value(self):
-        try:
-            w = float(self.omega)
-        except ValueError:
-            raise UsageError("this command needs a numeric --omega, got %r"
-                             % self.omega)
-        if not w > 0.0:
-            raise UsageError("omega must be positive")
-        return w
+# (flag, the subcommands that read it, its argparse declaration)
+_FLAGS = [
+    ("--config", " ".join(_COMMANDS),
+     dict(metavar="FILE", help="flat key=value config file")),
+    ("--param", "derive solve rcd beam catalog",
+     dict(action="append", default=[], metavar="K=V",
+          help="bind a named parameter (repeatable)")),
+    ("--f", "derive solve catalog",
+     dict(default="0", help="deformation f(t, x, v)")),
+    ("--g", "derive solve catalog",
+     dict(default="0", help="deformation g(t, x, v)")),
+    ("--omega", "derive",
+     dict(default="1", help="base frequency: a number or an expression in t")),
+    ("--omega", _GRID,
+     dict(type=_positive, default=1.0, help="base frequency")),
+    ("--alpha", "derive rcd catalog",
+     dict(type=float, default=0.0, help="phase constant")),
+    ("--alpha", "solve",
+     dict(type=float, help="phase constant (default: fitted to --x0 and "
+                           "--v0 when --v0 is given, else 0)")),
+    ("--t0", _GRID, dict(type=float, default=0.0)),
+    ("--t1", _GRID, dict(type=float, default=2.0 * math.pi)),
+    ("--samples", _GRID, dict(type=_samples, default=101)),
+    ("--out", _GRID, dict(help="output path (default: stdout)")),
+    ("--rtol", "solve beam", dict(type=_positive, default=1e-10)),
+    ("--atol", "solve beam", dict(type=_positive, default=1e-12)),
+    ("--x0", "solve beam catalog", dict(type=float, default=0.5)),
+    ("--v0", "solve", dict(type=float)),
+    ("--v0", "beam", dict(type=float, default=0.0)),
+    ("--method", "solve", dict(choices=["first-integral", "second-order"],
+                               default="first-integral")),
+    ("--suite", "verify", dict(help="suite name, or 'all'")),
+    ("--alpha-coef", "beam", dict(type=float)),
+    ("--beta-coef", "beam", dict(type=float)),
+    ("--mode", "beam", dict(choices=["approx", "direct"], default="direct")),
+    ("--case", "catalog",
+     dict(help="one of: %s" % ", ".join(catalog.CASE_IDS))),
+]
 
 
 def build_parser():
@@ -176,43 +168,45 @@ def build_parser():
         prog="oscdeform",
         description="Generalized Lienard equations from deformed oscillators")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--f", help="deformation f(t, x, v)")
-        p.add_argument("--g", help="deformation g(t, x, v)")
-        p.add_argument("--omega", help="base frequency (real, or an "
-                                       "expression in t for derive)")
-        p.add_argument("--alpha", type=float, help="phase constant")
-        p.add_argument("--param", action="append", metavar="K=V",
-                       help="bind a named parameter (repeatable)")
-        p.add_argument("--t0", type=float)
-        p.add_argument("--t1", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--rtol", type=float)
-        p.add_argument("--atol", type=float)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv"])
-        p.add_argument("--config", help="flat key=value config file")
-        return p
-
-    common(sub.add_parser("derive", help="print the generated ODE"))
-    p = common(sub.add_parser("solve", help="integrate and export CSV"))
-    p.add_argument("--x0", type=float)
-    p.add_argument("--v0", type=float)
-    p.add_argument("--method", choices=["first-integral", "second-order"])
-    p = common(sub.add_parser("verify", help="run a named check suite"))
-    p.add_argument("--suite", help="suite name, or 'all'")
-    common(sub.add_parser("rcd", help="travelling-wave profile CSV"))
-    p = common(sub.add_parser("beam", help="cantilever beam trajectory CSV"))
-    p.add_argument("--alpha-coef", dest="alpha_coef", type=float)
-    p.add_argument("--beta-coef", dest="beta_coef", type=float)
-    p.add_argument("--mode", choices=["approx", "direct"])
-    p.add_argument("--x0", type=float)
-    p.add_argument("--v0", type=float)
-    p = common(sub.add_parser("catalog", help="closed-form solution CSV"))
-    p.add_argument("--case", help="one of: %s" % ", ".join(catalog.CASE_IDS))
-    p.add_argument("--x0", type=float)
+    for name, help in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for flag, readers, declaration in _FLAGS:
+            if name in readers.split():
+                p.add_argument(flag, **declaration)
     return parser
+
+
+def subcommands(parser):
+    """The subcommand parsers of a build_parser() parser, by name."""
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def parse_args(argv=None):
+    """Parsed flags; precedence is flags > config file > declared defaults.
+
+    Config values become the subcommand's defaults, so argparse converts them
+    with each flag's own type.  Keys for flags the subcommand does not
+    declare are ignored, so one file can serve several commands.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        values = _load_config_file(args.config)
+        p = subcommands(parser)[args.command]
+        declared = {a.dest for a in p._actions
+                    if a.default is not argparse.SUPPRESS}
+        p.set_defaults(**{k: v for k, v in values.items() if k in declared})
+        args = parser.parse_args(argv)
+        # argparse checks choices only for values given on the command line
+        for a in p._actions:
+            if a.choices and getattr(args, a.dest) not in a.choices:
+                p.error("argument %s: invalid choice: %r"
+                        % (a.option_strings[0], getattr(args, a.dest)))
+    if hasattr(args, "param"):
+        args.param = _parse_params(args.param)
+    return args
 
 
 def _write_csv(out_path, header, rows):
@@ -230,25 +224,24 @@ def _write_csv(out_path, header, rows):
             fh.close()
 
 
-def cmd_derive(cfg):
-    alpha = 0.0 if cfg.alpha is None else cfg.alpha
+def cmd_derive(args):
     try:
-        w = float(cfg.omega)
+        w = float(args.omega)
         time_varying = False
     except ValueError:
         time_varying = True
 
     if time_varying:
-        form = generate_ode_time_varying(cfg.f, cfg.g, cfg.omega,
-                                         params=cfg.params or None)
+        form = generate_ode_time_varying(args.f, args.g, args.omega,
+                                         params=args.param or None)
         integral = ("xd = omega(t)*cot(Phi(t) + alpha)*(x + g) - f,  "
-                    "Phi(t) = integral of omega;  omega(t) = %s" % cfg.omega)
+                    "Phi(t) = integral of omega;  omega(t) = %s" % args.omega)
     else:
-        osc = DeformedOscillator(cfg.f, cfg.g, w, alpha=alpha,
-                                 params=cfg.params or None)
+        osc = DeformedOscillator(args.f, args.g, w, alpha=args.alpha,
+                                 params=args.param or None)
         form = generate_ode(osc)
         integral = ("(xd + f) = omega*cot(omega*t + alpha)*(x + g)"
-                    "   with omega = %.17g, alpha = %.17g" % (w, alpha))
+                    "   with omega = %.17g, alpha = %.17g" % (w, args.alpha))
     print("generated ODE:")
     print("  (%s) * xdd + (%s) * xd + (%s) = 0"
           % (to_str(form.exprs["coeff_xdd"]),
@@ -256,58 +249,58 @@ def cmd_derive(cfg):
              to_str(form.exprs["remainder"])))
     print("first integral:")
     print("  %s" % integral)
-    print("  f = %s" % cfg.f)
-    print("  g = %s" % cfg.g)
+    print("  f = %s" % args.f)
+    print("  g = %s" % args.g)
     return 0
 
 
-def cmd_solve(cfg):
-    w = cfg.omega_value()
-    if cfg.alpha is None and cfg.v0 is not None:
-        osc = DeformedOscillator(cfg.f, cfg.g, w, alpha=0.0,
-                                 params=cfg.params or None)
-        alpha = fit_alpha(osc, (cfg.t0, cfg.x0, cfg.v0))
+def cmd_solve(args):
+    if args.alpha is None and args.v0 is not None:
+        osc = DeformedOscillator(args.f, args.g, args.omega, alpha=0.0,
+                                 params=args.param or None)
+        alpha = fit_alpha(osc, (args.t0, args.x0, args.v0))
     else:
-        alpha = 0.0 if cfg.alpha is None else cfg.alpha
-    osc = DeformedOscillator(cfg.f, cfg.g, w, alpha=alpha,
-                             params=cfg.params or None)
-    grid = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+        alpha = 0.0 if args.alpha is None else args.alpha
+    osc = DeformedOscillator(args.f, args.g, args.omega, alpha=alpha,
+                             params=args.param or None)
+    grid = np.linspace(args.t0, args.t1, args.samples)
 
     try:
-        if cfg.method == "second-order":
+        if args.method == "second-order":
             form = generate_ode(osc)
-            v0 = cfg.v0
+            v0 = args.v0
             if v0 is None:
-                v0 = first_integral_velocity(osc, cfg.t0, cfg.x0)
+                v0 = first_integral_velocity(osc, args.t0, args.x0)
 
             def rhs(t, y):
                 return [y[1], explicit_acceleration(form, (t, y[0], y[1]))]
 
-            traj = integrate(IvpProblem(rhs, "system", cfg.t0, (cfg.x0, v0),
-                                        cfg.t1, rtol=cfg.rtol, atol=cfg.atol),
+            traj = integrate(IvpProblem(rhs, "system", args.t0,
+                                        (args.x0, v0), args.t1,
+                                        rtol=args.rtol, atol=args.atol),
                              t_eval=grid)
         else:
-            traj = integrate_first_integral(osc, cfg.t0, cfg.x0, cfg.t1,
-                                            t_eval=grid, v0=cfg.v0,
-                                            rtol=cfg.rtol, atol=cfg.atol)
+            traj = integrate_first_integral(osc, args.t0, args.x0, args.t1,
+                                            t_eval=grid, v0=args.v0,
+                                            rtol=args.rtol, atol=args.atol)
     except CotangentPole as exc:
         # without v0 the velocity comes from the first integral, which is
         # singular at a pole start (the defaults t0 = 0, alpha = 0 are one)
-        if cfg.v0 is not None:
+        if args.v0 is not None:
             raise
         raise UsageError("--t0 sits on a cotangent pole of the first "
                          "integral: give --v0, or move --t0 or --alpha off "
                          "the pole (%s)" % exc)
-    _write_csv(cfg.out, ["t", "x", "v"],
+    _write_csv(args.out, ["t", "x", "v"],
                [(s.t, s.x, s.v) for s in traj.states])
     return 0
 
 
-def cmd_verify(cfg):
-    if not cfg.suite:
+def cmd_verify(args):
+    if not args.suite:
         raise UsageError("verify needs --suite NAME (or --suite all)")
-    names = (sorted(verify_mod.SUITES) if cfg.suite == "all"
-             else [cfg.suite])
+    names = (sorted(verify_mod.SUITES) if args.suite == "all"
+             else [args.suite])
     for name in names:
         if name not in verify_mod.SUITES:
             raise UsageError("unknown suite %r; available: %s"
@@ -321,82 +314,76 @@ def cmd_verify(cfg):
     return 3 if failed else 0
 
 
-def cmd_rcd(cfg):
+def cmd_rcd(args):
+    p = args.param
     params = {
-        "beta": cfg.param("beta"),
-        "gamma": cfg.param("gamma"),
-        "delta": cfg.param("delta"),
-        "A": cfg.param("A"),
-        "omega": cfg.param("omega", cfg.omega_value()),
-        "alpha": cfg.param("alpha",
-                           0.0 if cfg.alpha is None else cfg.alpha),
+        "beta": _need(p, "beta"),
+        "gamma": _need(p, "gamma"),
+        "delta": _need(p, "delta"),
+        "A": _need(p, "A"),
+        "omega": p.get("omega", args.omega),
+        "alpha": p.get("alpha", args.alpha),
     }
-    if "xi_ref" in cfg.params:
-        params["xi_ref"] = cfg.params["xi_ref"]
+    if "xi_ref" in p:
+        params["xi_ref"] = p["xi_ref"]
     wave = apps.rcd_travelling_wave(params)
-    xi = np.linspace(cfg.t0, cfg.t1, cfg.samples)
-    _write_csv(cfg.out, ["xi", "u"], [(x, wave(float(x))) for x in xi])
+    xi = np.linspace(args.t0, args.t1, args.samples)
+    _write_csv(args.out, ["xi", "u"], [(x, wave(float(x))) for x in xi])
     return 0
 
 
-def cmd_beam(cfg):
-    if cfg.alpha_coef is None or cfg.beta_coef is None:
+def cmd_beam(args):
+    if args.alpha_coef is None or args.beta_coef is None:
         raise UsageError("beam needs --alpha-coef and --beta-coef")
-    model = apps.BeamModel(cfg.alpha_coef, cfg.beta_coef,
-                           omega=cfg.omega_value(),
-                           c1=cfg.param("c1", 0.0))
-    u0 = 0.05 if cfg.x0 is None else cfg.x0
-    v0 = 0.0 if cfg.v0 is None else cfg.v0
-    grid = np.linspace(cfg.t0, cfg.t1, cfg.samples)
-    traj = apps.beam_solve(model, cfg.mode, (u0, v0), (cfg.t0, cfg.t1),
-                           t_eval=grid, rtol=cfg.rtol, atol=cfg.atol)
-    _write_csv(cfg.out, ["t", "u", "v"],
+    model = apps.BeamModel(args.alpha_coef, args.beta_coef, omega=args.omega,
+                           c1=args.param.get("c1", 0.0))
+    grid = np.linspace(args.t0, args.t1, args.samples)
+    traj = apps.beam_solve(model, args.mode, (args.x0, args.v0),
+                           (args.t0, args.t1), t_eval=grid,
+                           rtol=args.rtol, atol=args.atol)
+    _write_csv(args.out, ["t", "u", "v"],
                [(s.t, s.x, s.v) for s in traj.states])
     return 0
 
 
-def _catalog_solution(cfg):
-    w = cfg.omega_value()
-    al = 0.0 if cfg.alpha is None else cfg.alpha
-    case = cfg.case
+def _catalog_solution(args):
+    w, al, p = args.omega, args.alpha, args.param
+    need = functools.partial(_need, p)
+    case = args.case
     if case == "harmonic":
-        return catalog.harmonic(cfg.param("A"), w, al)
+        return catalog.harmonic(need("A"), w, al)
     if case == "time_quadrature":
-        return catalog.time_quadrature(cfg.f, cfg.g, cfg.param("A"), w, al)
+        return catalog.time_quadrature(args.f, args.g, need("A"), w, al)
     if case == "case1":
-        return catalog.case1(cfg.param("f0"), cfg.param("A"), w, al)
+        return catalog.case1(need("f0"), need("A"), w, al)
     if case == "case2":
-        return catalog.case2(cfg.param("g0"), cfg.param("n"),
-                             cfg.param("A"), w, al)
+        return catalog.case2(need("g0"), need("n"), need("A"), w, al)
     if case == "case3":
-        return catalog.case3(cfg.param("beta"), cfg.param("gamma"),
-                             cfg.param("delta"), cfg.param("n"),
-                             cfg.param("A"), w, al)
+        return catalog.case3(need("beta"), need("gamma"), need("delta"),
+                             need("n"), need("A"), w, al)
     if case == "case4_riccati":
-        return catalog.case4_riccati(cfg.param("mu"), cfg.param("nu", 0.0),
-                                     w, al, t0=cfg.t0,
-                                     x0=0.5 if cfg.x0 is None else cfg.x0)
+        return catalog.case4_riccati(need("mu"), p.get("nu", 0.0), w, al,
+                                     t0=args.t0, x0=args.x0)
     if case == "case5_power":
-        return catalog.case5_power(cfg.param("g0"), cfg.param("n"),
-                                   cfg.param("A"), w, al)
+        return catalog.case5_power(need("g0"), need("n"), need("A"), w, al)
     if case == "case6":
-        return catalog.case6(cfg.param("b"), cfg.param("c1", 0.0), w, al)
+        return catalog.case6(need("b"), p.get("c1", 0.0), w, al)
     if case == "case7":
-        return catalog.case7(cfg.param("c"), cfg.param("A"), w, al)
+        return catalog.case7(need("c"), need("A"), w, al)
     raise UsageError("unknown case %r; available: %s"
                      % (case, ", ".join(catalog.CASE_IDS)))
 
 
-def cmd_catalog(cfg):
-    if not cfg.case:
+def cmd_catalog(args):
+    if not args.case:
         raise UsageError("catalog needs --case NAME")
-    sol = _catalog_solution(cfg)
-    grid = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+    sol = _catalog_solution(args)
+    grid = np.linspace(args.t0, args.t1, args.samples)
     rows = []
     for t in grid:
         t = float(t)
         rows.append((t, sol(t), sol.v_evaluator(t)))
-    _write_csv(cfg.out, ["t", "x", "v"], rows)
+    _write_csv(args.out, ["t", "x", "v"], rows)
     return 0
 
 
@@ -411,26 +398,19 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
+        return _DISPATCH[args.command](args)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
-    try:
-        cfg = RunConfig.from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        # argparse exits 0 after --help and 2 on a bad command line
+        return 0 if exc.code == 0 else 1
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (ExprSyntaxError, UnknownFunctionError, UnboundNameError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 1
-    except OscdeformError as exc:
-        print("numerical failure: %s: %s"
-              % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (OscdeformError, ValueError, ArithmeticError) as exc:
         print("numerical failure: %s: %s"
               % (type(exc).__name__, exc), file=sys.stderr)
         return 2

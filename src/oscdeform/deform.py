@@ -9,7 +9,7 @@ cotangent produces a generalized Lienard-type second-order ODE whose
 coefficients are assembled here symbolically from f, g and their partial
 derivatives.  The module also provides the phase (generating) function,
 the deformed energy and its exact rate law, crossing-time extraction, the
-time-varying-frequency generalization, and a quadratic-damping family with
+time-varying-frequency ODE generation, and a quadratic-damping family with
 a complex tanh phase law.
 """
 
@@ -49,7 +49,6 @@ from .exprdsl import (
     substitute_params,
 )
 from .numerics import (
-    CumulativeIntegral,
     IvpProblem,
     PhaseState,
     Trajectory,
@@ -59,6 +58,9 @@ from .numerics import (
 )
 
 _ALLOWED_VARS = {"t", "x", "v"}
+
+# |sin(omega*t + alpha)| below which the explicit slope field is refused
+_POLE_GUARD = 1e-9
 
 
 def _expr_fn(e):
@@ -107,12 +109,6 @@ class DeformedOscillator:
                                   "g_t", "g_x", "g_v")}
         self.f_depends_v = depends_on(f, "v")
         self.g_depends_v = depends_on(g, "v")
-
-    def with_alpha(self, alpha):
-        osc = DeformedOscillator.__new__(DeformedOscillator)
-        osc.__dict__.update(self.__dict__)
-        osc.alpha = float(alpha)
-        return osc
 
     def theta(self, t):
         return self.omega * t + self.alpha
@@ -173,17 +169,17 @@ def generate_ode(osc):
     return OdeForm(coeff_xdd, coeff_xd, remainder)
 
 
-def explicit_acceleration(form, state, eps_sing=1e-12):
+def explicit_acceleration(form, state):
     """Solve the form for xdd at a phase-space point."""
     t, x, v = state
     c0 = form.coeff_xdd(t, x, v)
-    if abs(c0) <= eps_sing:
+    if abs(c0) <= 1e-12:
         raise SingularCoefficient(
             "coefficient of xdd is %r at t=%r, x=%r, v=%r" % (c0, t, x, v))
     return -(form.coeff_xd(t, x, v) * v + form.remainder(t, x, v)) / c0
 
 
-def first_integral_velocity(osc, t, x, v_guess=None, delta=1e-9, tol=1e-13):
+def first_integral_velocity(osc, t, x, v_guess=None):
     """Velocity selected by the first integral at (t, x).
 
     Solves G(v) = (v+f)*sin(theta) - omega*cos(theta)*(x+g) = 0.  For
@@ -197,11 +193,11 @@ def first_integral_velocity(osc, t, x, v_guess=None, delta=1e-9, tol=1e-13):
     w = osc.omega
 
     if not (osc.f_depends_v or osc.g_depends_v):
-        if abs(s) < delta:
+        if abs(s) < _POLE_GUARD:
             raise CotangentPole("sin(omega*t+alpha) = %r at t = %r" % (s, t))
         return w * c / s * (x + osc.val("g", t, x, 0.0)) - osc.val("f", t, x, 0.0)
 
-    if abs(s) < delta and not osc.g_depends_v:
+    if abs(s) < _POLE_GUARD and not osc.g_depends_v:
         raise CotangentPole(
             "implicit velocity is singular at the pole when g is v-independent")
 
@@ -214,7 +210,7 @@ def first_integral_velocity(osc, t, x, v_guess=None, delta=1e-9, tol=1e-13):
 
     scale = abs(w * c * x) + abs(s) + 1.0
     return solve_scalar(G, Gp, 0.0 if v_guess is None else v_guess,
-                        tol * scale)
+                        1e-13 * scale)
 
 
 def phase_function(osc, state):
@@ -237,7 +233,7 @@ def energy(osc, state):
     return (v + fa) ** 2 + osc.omega ** 2 * (x + ga) ** 2
 
 
-def energy_rate(osc, state, a=None, delta=1e-9):
+def energy_rate(osc, state, a=None):
     """Exact dH/dt along solutions: 2*omega^2*(x+g)*(dg/dt - f)/sin^2(theta).
 
     dg/dt is the total derivative g_t + g_x*v + g_v*a; the acceleration is
@@ -246,7 +242,7 @@ def energy_rate(osc, state, a=None, delta=1e-9):
     t, x, v = state
     th = osc.theta(t)
     s = math.sin(th)
-    if abs(s) < delta:
+    if abs(s) < _POLE_GUARD:
         raise CotangentPole("sin(omega*t+alpha) = %r at t = %r" % (s, t))
     gdot = osc.val("g_t", t, x, v) + osc.val("g_x", t, x, v) * v
     if osc.g_depends_v:
@@ -278,7 +274,7 @@ def fit_alpha(osc, state):
 
 # --- crossings -----------------------------------------------------------------
 
-def crossing_times(osc, traj, refine_tol=1e-13):
+def crossing_times(osc, traj):
     """Times where x + g(t,x,v) = 0 along a trajectory.
 
     Sign changes of the sampled deformed coordinate are refined by root
@@ -317,7 +313,7 @@ def crossing_times(osc, traj, refine_tol=1e-13):
         if s0 * s1 < 0.0:
             try:
                 t_star = find_root(F, float(ts[i]), float(ts[i + 1]),
-                                   tol=refine_tol)
+                                   tol=1e-13)
             except OscdeformError:
                 continue
             if abs(F(t_star)) <= 1e-6 * scale:
@@ -402,7 +398,7 @@ def _cheb_interp(ts, Y):
     return ev
 
 
-def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed, n=47):
+def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed):
     """Continue the deformed amplitude y = (x+g)/sin(theta) through the
     cotangent pole inside (a, b).
 
@@ -417,12 +413,13 @@ def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed, n=47):
     is collocated on Chebyshev nodes spanning the whole window with the
     left-edge value pinned, which recovers the re-expanding mode from the
     region where it is numerically visible.  Returns a polynomial
-    interpolant for y on [a, b].  Raises NonSmoothPoint when no smooth
+    interpolant for y on [a, b] through 48 nodes or, when a node lands on
+    the pole, a few more.  Raises NonSmoothPoint when no smooth
     crossing exists (the numerator does not vanish at the pole).
     """
     w = osc.omega
     for bump in range(4):
-        ts, D = _cheb_nodes_diff(n + bump, a, b)
+        ts, D = _cheb_nodes_diff(47 + bump, a, b)
         svec = np.array([math.sin(osc.theta(t)) for t in ts])
         # a node sitting on the pole would contribute a zero row; node 0 is
         # exempt because its row is replaced by the boundary condition
@@ -506,7 +503,7 @@ def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed, n=47):
 
 
 def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
-                             rtol=1e-10, atol=1e-12, pole_delta=None):
+                             rtol=1e-10, atol=1e-12):
     """Integrate dx/dt given by the first integral from (t0, x0) to t1 > t0.
 
     The slope field has cotangent poles at t_n = (n*pi - alpha)/omega, where
@@ -522,7 +519,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     if not t1 > t0:
         raise ValueError("driver requires t1 > t0")
     w = osc.omega
-    delta = pole_delta if pole_delta is not None else 1e-6 / w
+    delta = 1e-6 / w
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 257)
     t_eval = np.asarray(t_eval, dtype=float)
@@ -722,53 +719,6 @@ def generate_ode_time_varying(f, g, omega, params=None):
                         mul(f, fmg)),
                     mul(lam, mul(f, xpg)))
     return OdeForm(coeff_xdd, coeff_xd, remainder)
-
-
-class TimeVaryingDeformation:
-    """First-integral machinery for t-only deformations with omega(t).
-
-    Phi(t) = integral of omega from t_ref accumulates by smooth fixed-order
-    quadrature, so the slope field (and anything finite-differenced from it)
-    is smooth in t.
-    """
-
-    def __init__(self, f, g, omega, alpha=0.0, t_ref=0.0, params=None):
-        self.f = _t_only(f, "f")
-        self.g = _t_only(g, "g")
-        self.omega = _t_only(omega, "omega")
-        if params:
-            self.f = substitute_params(self.f, params)
-            self.g = substitute_params(self.g, params)
-            self.omega = substitute_params(self.omega, params)
-        for e in (self.f, self.g, self.omega):
-            free = parameters(e)
-            if free:
-                raise UnboundNameError(sorted(free)[0])
-        self.alpha = float(alpha)
-        self.t_ref = float(t_ref)
-        self._f = _expr_fn(self.f)
-        self._g = _expr_fn(self.g)
-        self._w = _expr_fn(self.omega)
-        self.phi = CumulativeIntegral(lambda t: self._w(t, 0.0, 0.0),
-                                      self.t_ref)
-
-    def omega_at(self, t):
-        return self._w(t, 0.0, 0.0)
-
-    def theta(self, t):
-        return self.phi(t) + self.alpha
-
-    def rhs(self, t, x, delta=1e-9):
-        th = self.theta(t)
-        s = math.sin(th)
-        if abs(s) < delta:
-            raise CotangentPole("sin(Phi(t)+alpha) = %r at t = %r" % (s, t))
-        w = self.omega_at(t)
-        return (w * math.cos(th) / s * (x + self._g(t, 0.0, 0.0))
-                - self._f(t, 0.0, 0.0))
-
-    def form(self):
-        return generate_ode_time_varying(self.f, self.g, self.omega)
 
 
 # --- quadratic-damping family with tanh phase law ------------------------------------

@@ -160,6 +160,10 @@ def integrate(problem, t_eval=None, dense=False):
 
 # --- quadrature ---------------------------------------------------------------
 
+_PANEL_WIDTH = 0.25
+_PANEL_NODES = 24
+
+
 class CumulativeIntegral:
     """Smooth evaluator of F(t) = integral of f from origin to t.
 
@@ -171,15 +175,15 @@ class CumulativeIntegral:
     differences.
     """
 
-    def __init__(self, f, origin, cell=0.25, nodes=24):
+    def __init__(self, f, origin):
         self.f = f
         self.origin = float(origin)
-        self.cell = float(cell)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-        self._gl_x = gl_x
-        self._gl_w = gl_w
-        self._fwd = [0.0]   # _fwd[k] = F(origin + k*cell)
-        self._bwd = [0.0]   # _bwd[k] = F(origin - k*cell)
+        # plain floats, so F(t) is a float and not a numpy scalar
+        gl_x, gl_w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+        self._gl_x = gl_x.tolist()
+        self._gl_w = gl_w.tolist()
+        self._fwd = [0.0]   # _fwd[k] = F(origin + k*_PANEL_WIDTH)
+        self._bwd = [0.0]   # _bwd[k] = F(origin - k*_PANEL_WIDTH)
 
     def _panel(self, a, b):
         c = 0.5 * (a + b)
@@ -191,23 +195,25 @@ class CumulativeIntegral:
 
     def __call__(self, t):
         t = float(t)
-        s = (t - self.origin) / self.cell
+        s = (t - self.origin) / _PANEL_WIDTH
         if s >= 0:
             k = int(math.floor(s))
             while len(self._fwd) <= k:
-                a = self.origin + (len(self._fwd) - 1) * self.cell
-                self._fwd.append(self._fwd[-1] + self._panel(a, a + self.cell))
+                a = self.origin + (len(self._fwd) - 1) * _PANEL_WIDTH
+                self._fwd.append(self._fwd[-1]
+                                 + self._panel(a, a + _PANEL_WIDTH))
             base = self._fwd[k]
-            edge = self.origin + k * self.cell
+            edge = self.origin + k * _PANEL_WIDTH
         else:
             # full panels strictly between t and the origin, so the rule
             # never samples beyond t (where f may be singular)
             kk = int(math.floor(-s))
             while len(self._bwd) <= kk:
-                b = self.origin - (len(self._bwd) - 1) * self.cell
-                self._bwd.append(self._bwd[-1] - self._panel(b - self.cell, b))
+                b = self.origin - (len(self._bwd) - 1) * _PANEL_WIDTH
+                self._bwd.append(self._bwd[-1]
+                                 - self._panel(b - _PANEL_WIDTH, b))
             base = self._bwd[kk]
-            edge = self.origin - kk * self.cell
+            edge = self.origin - kk * _PANEL_WIDTH
         if t == edge:
             return base
         return base + self._panel(edge, t)
@@ -215,12 +221,11 @@ class CumulativeIntegral:
 
 # --- root finding ---------------------------------------------------------------
 
-def find_root(f, lo, hi, tol=1e-12, fprime=None, max_iter=200):
+def find_root(f, lo, hi, tol=1e-12):
     """Root of f on a sign-changing bracket [lo, hi].
 
-    Newton steps (when fprime is given) are accepted only while they stay
-    inside the current bracket and shrink |f|; otherwise the step falls back
-    to Illinois-damped regula falsi with a bisection safeguard.
+    Illinois-damped regula falsi with a bisection safeguard; stops once the
+    bracket is narrower than tol*(1+|x|), or after 200 steps.
     """
     lo = float(lo)
     hi = float(hi)
@@ -243,7 +248,7 @@ def find_root(f, lo, hi, tol=1e-12, fprime=None, max_iter=200):
     x = 0.5 * (lo + hi)
     fx = f(x)
     side = 0
-    for _ in range(max_iter):
+    for _ in range(200):
         if fx == 0.0:
             return x
         if (hi - lo) <= tol * (1.0 + abs(x)):
@@ -260,18 +265,11 @@ def find_root(f, lo, hi, tol=1e-12, fprime=None, max_iter=200):
                 fhi *= 0.5
             side = -1
         nxt = None
-        if fprime is not None:
-            d = fprime(x)
-            if d != 0.0 and math.isfinite(d):
-                cand = x - fx / d
-                if lo < cand < hi:
-                    nxt = cand
-        if nxt is None:
-            denom = fhi - flo
-            if denom != 0.0:
-                cand = (lo * fhi - hi * flo) / denom
-                if lo < cand < hi:
-                    nxt = cand
+        denom = fhi - flo
+        if denom != 0.0:
+            cand = (lo * fhi - hi * flo) / denom
+            if lo < cand < hi:
+                nxt = cand
         if nxt is None or min(nxt - lo, hi - nxt) < 1e-3 * (hi - lo):
             nxt = 0.5 * (lo + hi)
         x = nxt

@@ -7,6 +7,8 @@ and agreement of each exporting subcommand with the library it fronts.
 
 import csv
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -125,6 +127,15 @@ def test_beam_modes_agree(tmp_path):
     assert diff < 1e-3
 
 
+def test_beam_starts_at_default_amplitude(tmp_path):
+    out = tmp_path / "beam.csv"
+    assert cli.main(["beam", "--alpha-coef", "0.04", "--beta-coef", "0.01",
+                     "--t1", "1", "--samples", "3", "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert header == ["t", "u", "v"]
+    assert (rows[0, 1], rows[0, 2]) == (0.5, 0.0)
+
+
 def test_catalog_csv_matches_evaluator(tmp_path):
     out = tmp_path / "case2.csv"
     code = cli.main(["catalog", "--case", "case2", "--param", "g0=0.3",
@@ -182,6 +193,11 @@ def test_exit_one_on_usage_errors(capsys):
     assert cli.main(["frobnicate"]) == 1
     err = capsys.readouterr().err
     assert "unknown suite" in err
+    # a subcommand accepts only the flags it reads
+    assert cli.main(["verify", "--suite", "hyp2f1", "--omega", "2"]) == 1
+    assert cli.main(["solve", "--f", "0", "--g", "0", "--x0", "0.4",
+                     "--v0", "1", "--format", "csv"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_pole_start_without_v0_is_a_usage_error(capsys):
@@ -202,6 +218,15 @@ def test_exit_two_on_numerical_failure(capsys):
                      "--x0", "0.4", "--v0", "0.2"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+    # the bracket of case3's root solve leaves the real branch at t = 0.2;
+    # the message shows plain numbers, not numpy scalar reprs
+    code = cli.main(["catalog", "--case", "case3", "--param", "beta=1",
+                     "--param", "gamma=0.3", "--param", "delta=0.5",
+                     "--param", "n=3", "--param", "A=1.3", "--t0", "0.2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "BranchViolation: bracket -0.24777" in err
+    assert "np." not in err and "numpy" not in err
 
 
 def test_exit_three_on_verification_failure(monkeypatch, capsys):
@@ -238,6 +263,43 @@ def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     _, rows = read_rows(out2)
     assert rows.shape == (7, 3)
 
+    # keys for flags that solve does not declare are ignored, so one file
+    # can serve several commands
+    shared = tmp_path / "shared.cfg"
+    shared.write_text(cfg.read_text() + "suite = all\nmode = approx\n")
+    out3 = tmp_path / "from_shared.csv"
+    assert cli.main(["solve", "--config", str(shared),
+                     "--out", str(out3)]) == 0
+    assert out3.read_bytes() == out1.read_bytes()
+
+    # a file value is converted by its flag's type like a command-line one
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + "samples = many\n")
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    assert "--samples" in capsys.readouterr().err
+    bad.write_text(cfg.read_text() + "method = bogus\n")
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     missing = cli.main(["solve", "--config", str(tmp_path / "absent.cfg")])
     assert missing == 1
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_readme_cli_reference_matches_parser():
+    # each subcommand's bullet in README's CLI reference names exactly the
+    # flags that subcommand declares, so the docs cannot drift from argparse
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    ref = text[text.index("## CLI reference"):]
+    ref = ref[:ref.index("\n## ")]
+    flag = re.compile(r"--[a-z][a-z0-9-]*")
+    declared = {name: {s for a in p._actions for s in a.option_strings}
+                - {"-h", "--help"}
+                for name, p in cli.subcommands(cli.build_parser()).items()}
+    documented = {}
+    for chunk in ref.split("\n- `")[1:]:
+        name, body = chunk.split("`", 1)
+        documented[name] = set(flag.findall(body.split("\n\n")[0]))
+    assert documented == declared
+    assert set(flag.findall(ref)) <= set().union(*declared.values())

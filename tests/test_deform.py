@@ -7,7 +7,6 @@ import pytest
 from oscdeform.deform import (
     DeformedOscillator,
     OdeForm,
-    TimeVaryingDeformation,
     crossing_times,
     energy,
     energy_rate,
@@ -229,7 +228,7 @@ def test_fit_alpha_consistency_and_quadrant():
         except ZeroDenominator:
             continue
         assert -math.pi < al <= math.pi
-        osc2 = osc.with_alpha(al)
+        osc2 = DeformedOscillator("0.1*x", "0.2*sin(t)", 1.3, alpha=al)
         th = osc2.theta(t)
         xg = x + osc2.val("g", t, x, v)
         vf = v + osc2.val("f", t, x, v)
@@ -329,12 +328,18 @@ def test_time_varying_reduces_to_constant_omega():
 
 
 def test_time_varying_residual_along_solution():
-    tv = TimeVaryingDeformation("sin(t)", "t/5", "1 + t/10", alpha=0.2)
-    form = tv.form()
+    form = generate_ode_time_varying("sin(t)", "t/5", "1 + t/10")
+
+    def slope(t, x):
+        # xd = omega(t)*cot(Phi(t) + alpha)*(x + g) - f with
+        # Phi(t) = t + t^2/20, the integral of omega from 0, and alpha = 0.2
+        th = t + t * t / 20.0 + 0.2
+        return ((1.0 + t / 10.0) * math.cos(th) / math.sin(th)
+                * (x + t / 5.0) - math.sin(t))
+
     # finite differences of a dense numerical solution need the integration
     # error well below the differencing noise floor
-    prob = IvpProblem(lambda t, x: tv.rhs(t, x), "first", 0.1, 0.7, 2.4,
-                      rtol=1e-12, atol=1e-14)
+    prob = IvpProblem(slope, "first", 0.1, 0.7, 2.4, rtol=1e-12, atol=1e-14)
     traj = integrate(prob, dense=True)
     worst = residual_scan(form, traj.meta["x_of_t"],
                           np.linspace(0.2, 2.3, 50))
