@@ -20,9 +20,7 @@ from .errors import (
     ApproxOutOfRegime,
     BracketZero,
     DomainViolation,
-    ImplicitNoRoot,
     NegativeAlpha,
-    NoSignChange,
     UnboundNameError,
 )
 from .exprdsl import (
@@ -46,8 +44,8 @@ from .numerics import (
     PhaseState,
     Trajectory,
     fd_derivatives,
-    find_root,
     integrate,
+    solve_scalar,
 )
 
 
@@ -74,8 +72,7 @@ def _u_fn(e):
 class RcdSystem:
     """Travelling-wave RCD coefficients.
 
-    D, B, Q may be expressions in u or plain callables.  The equivalent
-    phase-plane equation is
+    D, B, Q are callables of u.  The equivalent phase-plane equation is
 
         u'' + alpha(u) u'^2 + beta(u) u' + gamma(u) = 0
 
@@ -92,18 +89,12 @@ class RcdSystem:
             raise ValueError("Vf must be >= 0")
         if self.D0 <= 0.0:
             raise ValueError("D0 must be > 0")
-        self.D = self._wrap(D)
-        self.B = self._wrap(B)
-        self.Q = self._wrap(Q)
+        self.D = D
+        self.B = B
+        self.Q = Q
         self._alpha = alpha
         self._beta = beta
         self._gamma = gamma
-
-    @staticmethod
-    def _wrap(obj):
-        if callable(obj):
-            return obj
-        return _u_fn(_u_only(obj, "coefficient"))
 
     def _dlnD(self, u, h=1e-5):
         """(ln D)' by Richardson-extrapolated central differences."""
@@ -400,7 +391,7 @@ def _beam_rhs(model):
 def _beam_implicit_funcs(model):
     """F(u) = u exp(int_0^u rho) with rho = -g/(s(s+g)); F is odd, strictly
     increasing, and d ln F/du = 1/(u+g), so F(u(t)) = K sin(omega t + phi)
-    along solutions.  Also returns G = F/(u+g) (regular at u = 0)."""
+    along solutions.  Also returns G = F/(u+g) = dF/du (regular at u = 0)."""
     a = model.alpha_coef
     g_fn = beam_g(model)
 
@@ -475,13 +466,9 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
     phi = th0 - w * t0
 
     def u_at(t):
+        # F(u) ~ u near 0, so the target itself is a guess from t alone
         target = K * math.sin(w * t + phi)
-        R = abs(target) * (1.0 + 1e-9) + 1e-9
-        try:
-            return find_root(lambda uu: F(uu) - target, -R, R, tol=1e-14)
-        except NoSignChange:
-            raise ImplicitNoRoot(
-                "implicit beam relation has no root at t = %r" % (t,))
+        return solve_scalar(lambda u: F(u) - target, G, target, 1e-14)
 
     def v_at(t, u=None):
         if u is None:

@@ -313,9 +313,19 @@ def _signed_pow(base, p):
 
 # --- quadratic velocity shift (Riccati-type first integral) ----------------------------
 
+_DENSE_CHUNK = 0.25
+
+
 class _LazyDense:
-    """Piecewise dense solution of dx/dt = rhs(t, x) grown on demand from
-    (t0, x0) within the open interval (lo, hi)."""
+    """Piecewise dense solution of dx/dt = rhs(t, x) from (t0, x0) within
+    the open interval (lo, hi).
+
+    Each side of t0 is cut at the fixed breakpoints t0 +- k*_DENSE_CHUNK.
+    The dense pieces between them are integrated on demand, in order from
+    t0, and cached; no breakpoint lies within one chunk of lo or hi.  A
+    query beyond the last breakpoint integrates from it to t.  A value thus
+    depends on t alone, not on the order of earlier queries.
+    """
 
     def __init__(self, rhs, t0, x0, lo, hi, rtol=1e-12, atol=1e-14):
         self.rhs = rhs
@@ -325,8 +335,17 @@ class _LazyDense:
         self.hi = float(hi)
         self.rtol = rtol
         self.atol = atol
-        self._pieces = []      # (ta, tb, x_of_t) with ta < tb
-        self._front = {+1: (self.t0, self.x0), -1: (self.t0, self.x0)}
+        # per side: the breakpoint states, and the dense pieces between them
+        self._nodes = {+1: [(self.t0, self.x0)], -1: [(self.t0, self.x0)]}
+        self._pieces = {+1: [], -1: []}
+        self._full = {side: max(0, math.floor(dist / _DENSE_CHUNK) - 1)
+                      for side, dist in ((+1, self.hi - self.t0),
+                                         (-1, self.t0 - self.lo))}
+
+    def _dense(self, ta, xa, tb):
+        prob = IvpProblem(self.rhs, "first", ta, xa, tb,
+                          rtol=self.rtol, atol=self.atol)
+        return integrate(prob, t_eval=[ta, tb], dense=True).meta["x_of_t"]
 
     def __call__(self, t):
         t = float(t)
@@ -336,18 +355,22 @@ class _LazyDense:
                 % (t, self.lo, self.hi))
         if t == self.t0:
             return self.x0
-        for ta, tb, fn in self._pieces:
-            if ta <= t <= tb:
-                return fn(t)
         side = 1 if t > self.t0 else -1
-        ft, fx = self._front[side]
-        prob = IvpProblem(self.rhs, "first", ft, fx, t,
-                          rtol=self.rtol, atol=self.atol)
-        traj = integrate(prob, t_eval=[ft, t], dense=True)
-        fn = traj.meta["x_of_t"]
-        self._pieces.append((min(ft, t), max(ft, t), fn))
-        self._front[side] = (t, fn(t))
-        return fn(t)
+        nodes, pieces = self._nodes[side], self._pieces[side]
+        full = self._full[side]
+        k = min(int(abs(t - self.t0) // _DENSE_CHUNK), full)
+        while len(pieces) < min(k + 1, full):
+            ta, xa = nodes[-1]
+            tb = self.t0 + side * len(nodes) * _DENSE_CHUNK
+            piece = self._dense(ta, xa, tb)
+            pieces.append(piece)
+            nodes.append((tb, piece(tb)))
+        if k < full:
+            return pieces[k](t)
+        ta, xa = nodes[k]
+        if t == ta:
+            return xa
+        return self._dense(ta, xa, t)(t)
 
 
 def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):

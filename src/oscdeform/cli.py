@@ -227,11 +227,13 @@ def _write_csv(out_path, header, rows):
 def cmd_derive(args):
     try:
         w = float(args.omega)
-        time_varying = False
     except ValueError:
-        time_varying = True
+        w = None  # an expression in t
+    if w is not None and not 0.0 < w < math.inf:
+        raise UsageError("--omega must be a finite positive number or an "
+                         "expression in t, got %r" % args.omega)
 
-    if time_varying:
+    if w is None:
         form = generate_ode_time_varying(args.f, args.g, args.omega,
                                          params=args.param or None)
         integral = ("xd = omega(t)*cot(Phi(t) + alpha)*(x + g) - f,  "

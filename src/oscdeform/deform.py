@@ -32,7 +32,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .exprdsl import (
-    Expr,
     Num,
     Var,
     add,
@@ -120,25 +119,16 @@ class DeformedOscillator:
 class OdeForm:
     """Second-order form  coeff_xdd*xdd + coeff_xd*xd + remainder = 0.
 
-    Coefficients are functions of (t, x, v); they may be supplied as Expr
-    trees (kept for printing) or plain callables.
+    Coefficients are Expr trees in (t, x, v), kept in `exprs` for printing
+    and evaluated as functions of (t, x, v).
     """
 
     def __init__(self, coeff_xdd, coeff_xd, remainder):
-        self.exprs = {}
-        self.coeff_xdd = self._wrap("coeff_xdd", coeff_xdd)
-        self.coeff_xd = self._wrap("coeff_xd", coeff_xd)
-        self.remainder = self._wrap("remainder", remainder)
-
-    def _wrap(self, name, obj):
-        if isinstance(obj, Expr):
-            self.exprs[name] = obj
-            return _expr_fn(obj)
-        if callable(obj):
-            return obj
-        e = Num(float(obj))
-        self.exprs[name] = e
-        return _expr_fn(e)
+        self.exprs = {"coeff_xdd": coeff_xdd, "coeff_xd": coeff_xd,
+                      "remainder": remainder}
+        self.coeff_xdd = _expr_fn(coeff_xdd)
+        self.coeff_xd = _expr_fn(coeff_xd)
+        self.remainder = _expr_fn(remainder)
 
     def residual(self, t, x, v, a):
         return (self.coeff_xdd(t, x, v) * a

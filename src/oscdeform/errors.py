@@ -84,7 +84,8 @@ class NonSmoothPoint(OscdeformError):
 # --- numerics --------------------------------------------------------------
 
 class NoSignChange(OscdeformError):
-    """Root bracket endpoints have the same sign."""
+    """Root bracket end values do not have strictly opposite signs (the
+    same sign, or one of them is NaN)."""
 
 
 class ImplicitNoRoot(OscdeformError):

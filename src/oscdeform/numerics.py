@@ -2,9 +2,11 @@
 and finite-difference residual scanning.
 
 The solver is scipy's DOP853 (8th-order embedded Runge-Kutta) wrapped into
-project types.  Quadrature and root finding are small self-contained
-routines so tolerances and failure modes stay explicit and reproducible.
-The implicit relations met by integrate_first_integral are inverted
+project types.  Root finding on a bracket is Brent's method from scipy
+(brentq) behind a sign check that raises the typed NoSignChange.
+Quadrature is a small self-contained routine so its node placement stays
+explicit and reproducible.  Every implicit relation (the first integral's
+position and velocity, the beam's F(u) = K sin(omega*t + phi)) is inverted
 pointwise by one safeguarded scalar solver, solve_scalar.
 """
 
@@ -16,6 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import (
     EvalDomainError,
@@ -66,12 +69,11 @@ class Trajectory:
 class IvpProblem:
     """Initial-value problem description.
 
-    kind 'second':  rhs(t, x, v) -> xdd,   y0 = (x0, v0)
     kind 'first':   rhs(t, x)    -> xd,    y0 = x0 (scalar)
     kind 'system':  rhs(t, y)    -> dy,    y0 = (y0_0, y0_1)  (2 components)
     """
 
-    KINDS = ("first", "second", "system")
+    KINDS = ("first", "system")
 
     def __init__(self, rhs, kind, t0, y0, t1, rtol=1e-10, atol=1e-12):
         if kind not in self.KINDS:
@@ -95,20 +97,6 @@ class IvpProblem:
         self.atol = float(atol)
 
 
-def _vector_field(problem):
-    rhs = problem.rhs
-    if problem.kind == "second":
-        def field(t, y):
-            return (y[1], rhs(t, y[0], y[1]))
-    elif problem.kind == "first":
-        def field(t, y):
-            return (rhs(t, y[0]),)
-    else:
-        def field(t, y):
-            return rhs(t, y)
-    return field
-
-
 def integrate(problem, t_eval=None, dense=False):
     """Integrate an IvpProblem with the DOP853 adaptive pair.
 
@@ -116,7 +104,12 @@ def integrate(problem, t_eval=None, dense=False):
     With dense=True the trajectory meta carries callables 'x_of_t' and
     'v_of_t' interpolating the solution over the integrated span.
     """
-    field = _vector_field(problem)
+    rhs = problem.rhs
+    if problem.kind == "first":
+        def field(t, y):
+            return (rhs(t, y[0]),)
+    else:
+        field = rhs
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
     sol = solve_ivp(field, (problem.t0, problem.t1), problem.y0,
@@ -130,17 +123,13 @@ def integrate(problem, t_eval=None, dense=False):
     if not np.all(np.isfinite(sol.y)):
         raise NonFiniteState("integration produced non-finite state")
 
-    rhs = problem.rhs
+    def x_of_t(t):
+        return float(sol.sol(t)[0])
+
     if problem.kind == "first":
-        def x_of_t(t):
-            return float(sol.sol(t)[0])
-
         def v_of_t(t):
-            return float(rhs(t, float(sol.sol(t)[0])))
+            return float(rhs(t, x_of_t(t)))
     else:
-        def x_of_t(t):
-            return float(sol.sol(t)[0])
-
         def v_of_t(t):
             return float(sol.sol(t)[1])
 
@@ -224,8 +213,9 @@ class CumulativeIntegral:
 def find_root(f, lo, hi, tol=1e-12):
     """Root of f on a sign-changing bracket [lo, hi].
 
-    Illinois-damped regula falsi with a bisection safeguard; stops once the
-    bracket is narrower than tol*(1+|x|), or after 200 steps.
+    Brent's method (scipy's brentq); stops once the bracket is narrower than
+    about tol*(1+|x|).  Raises NoSignChange unless f(lo) and f(hi) have
+    strictly opposite signs, so a NaN end is rejected.
     """
     lo = float(lo)
     hi = float(hi)
@@ -235,46 +225,11 @@ def find_root(f, lo, hi, tol=1e-12):
     fhi = f(hi)
     if fhi == 0.0:
         return hi
-    if (flo > 0) == (fhi > 0):
-        raise NoSignChange("f(%g)=%g and f(%g)=%g have the same sign"
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        raise NoSignChange("f(%g)=%g and f(%g)=%g do not change sign"
                            % (lo, flo, hi, fhi))
-    def secant(a, fa, b, fb):
-        if fb != fa:
-            c = (a * fb - b * fa) / (fb - fa)
-            if a <= c <= b:
-                return c
-        return 0.5 * (a + b)
-
-    x = 0.5 * (lo + hi)
-    fx = f(x)
-    side = 0
-    for _ in range(200):
-        if fx == 0.0:
-            return x
-        if (hi - lo) <= tol * (1.0 + abs(x)):
-            return secant(lo, flo, hi, fhi)
-        # tighten the bracket with the current point
-        if (fx > 0) == (fhi > 0):
-            hi, fhi = x, fx
-            if side == 1:
-                flo *= 0.5
-            side = 1
-        else:
-            lo, flo = x, fx
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-        nxt = None
-        denom = fhi - flo
-        if denom != 0.0:
-            cand = (lo * fhi - hi * flo) / denom
-            if lo < cand < hi:
-                nxt = cand
-        if nxt is None or min(nxt - lo, hi - nxt) < 1e-3 * (hi - lo):
-            nxt = 0.5 * (lo + hi)
-        x = nxt
-        fx = f(x)
-    return x
+    return brentq(f, lo, hi, xtol=tol, rtol=max(tol, 4.0 * math.ulp(1.0)),
+                  maxiter=200)
 
 
 _BRACKET_WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0)

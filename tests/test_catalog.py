@@ -270,6 +270,16 @@ def test_case5_evaluator_is_pure():
     assert forward == backward
 
 
+def test_case4_riccati_evaluator_is_pure():
+    # nu != 0 integrates lazily; a value must not depend on which
+    # earlier queries grew the cache
+    ts = np.linspace(0.16, 2.38, 60)
+    forward = catalog.case4_riccati(0.8, 0.5, 1.0, 0.3, t0=0.5, x0=0.4)
+    backward = catalog.case4_riccati(0.8, 0.5, 1.0, 0.3, t0=0.5, x0=0.4)
+    assert ([forward(t) for t in ts]
+            == [backward(t) for t in ts[::-1]][::-1])
+
+
 def test_case6_printed_value():
     sol = catalog.case6(1.0, 0.0, 1.0, 0.0)
     assert sol(math.pi / 4) == pytest.approx(4.0 / 3.0, rel=1e-14)

@@ -193,6 +193,10 @@ def test_exit_one_on_usage_errors(capsys):
     assert cli.main(["frobnicate"]) == 1
     err = capsys.readouterr().err
     assert "unknown suite" in err
+    # a numeric derive --omega must be a finite positive number
+    for omega in ("0", "-1", "nan", "inf"):
+        assert cli.main(["derive", "--omega", omega]) == 1
+        assert "--omega" in capsys.readouterr().err
     # a subcommand accepts only the flags it reads
     assert cli.main(["verify", "--suite", "hyp2f1", "--omega", "2"]) == 1
     assert cli.main(["solve", "--f", "0", "--g", "0", "--x0", "0.4",

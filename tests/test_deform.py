@@ -6,7 +6,6 @@ import pytest
 
 from oscdeform.deform import (
     DeformedOscillator,
-    OdeForm,
     crossing_times,
     energy,
     energy_rate,
@@ -368,10 +367,11 @@ def test_riccati_invariant_and_phase_law():
         w = 1.0
         E = riccati_invariant(b, w)
 
-        def rhs(t, x, v, b=b):
-            return -(b / w) * v * v / x + w * (b - w) * x
+        def rhs(t, y, b=b):
+            x, v = y
+            return (v, -(b / w) * v * v / x + w * (b - w) * x)
 
-        prob = IvpProblem(rhs, "second", 0.0, (1.0, 0.1), 1.5)
+        prob = IvpProblem(rhs, "system", 0.0, (1.0, 0.1), 1.5)
         traj = integrate(prob, t_eval=np.linspace(0.0, 1.5, 61))
         e0 = E(traj[0].x, traj[0].v)
         drift = max(abs(E(s.x, s.v) - e0) for s in traj)
@@ -381,10 +381,3 @@ def test_riccati_invariant_and_phase_law():
         X = riccati_phase_formula(b, w, al)
         worst = max(abs(riccati_phase(s, w) - X(s.t)) for s in traj)
         assert worst < 1e-6
-
-
-def test_ode_form_accepts_callables():
-    form = OdeForm(lambda t, x, v: 1.0, lambda t, x, v: 0.0,
-                   lambda t, x, v: x)
-    assert form.residual(0.0, 2.0, 0.5, -2.0) == 0.0
-    assert "coeff_xdd" not in form.exprs

@@ -52,20 +52,24 @@ def test_trajectory_arrays():
     assert traj.meta["k"] == 1
 
 
+def _oscillator(t, y):
+    """x'' = -x as a first-order system in y = (x, v)."""
+    return (y[1], -y[0])
+
+
 def test_ivp_problem_validation():
-    ok = lambda t, x, v: -x
     with pytest.raises(ValueError):
-        IvpProblem(ok, "secnd", 0.0, (1.0, 0.0), 1.0)
+        IvpProblem(_oscillator, "secnd", 0.0, (1.0, 0.0), 1.0)
     with pytest.raises(ValueError):
-        IvpProblem(ok, "second", 0.0, (1.0, 0.0), 0.0)
+        IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        IvpProblem(ok, "second", 0.0, (1.0, 0.0), 1.0, rtol=0.0)
+        IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0), 1.0, rtol=0.0)
     with pytest.raises(ValueError):
-        IvpProblem(ok, "second", 0.0, (1.0,), 1.0)
+        IvpProblem(_oscillator, "system", 0.0, (1.0,), 1.0)
 
 
 def test_integrate_harmonic_round_trip():
-    prob = IvpProblem(lambda t, x, v: -x, "second", 0.0, (1.0, 0.0), 2 * math.pi)
+    prob = IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0), 2 * math.pi)
     traj = integrate(prob, t_eval=np.linspace(0, 2 * math.pi, 33))
     assert traj[-1].x == pytest.approx(1.0, abs=1e-8)
     assert traj[-1].v == pytest.approx(0.0, abs=1e-8)
@@ -81,7 +85,7 @@ def test_integrate_exponential_first_order():
 
 def test_integrate_tolerance_controls_error():
     def run(rtol):
-        prob = IvpProblem(lambda t, x, v: -x, "second", 0.0, (1.0, 0.0),
+        prob = IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0),
                           20 * math.pi, rtol=rtol, atol=rtol * 1e-2)
         traj = integrate(prob, t_eval=[0.0, 20 * math.pi])
         return abs(traj[-1].x - 1.0)
@@ -102,7 +106,7 @@ def test_integrate_backwards_span_normalized():
 
 
 def test_integrate_dense_output():
-    prob = IvpProblem(lambda t, x, v: -x, "second", 0.0, (0.0, 1.0), 3.0)
+    prob = IvpProblem(_oscillator, "system", 0.0, (0.0, 1.0), 3.0)
     traj = integrate(prob, dense=True)
     x_of_t = traj.meta["x_of_t"]
     v_of_t = traj.meta["v_of_t"]
@@ -151,6 +155,28 @@ def test_find_root_basic():
     assert find_root(math.sin, 3.0, 4.0) == pytest.approx(math.pi, abs=1e-12)
     cubic = lambda x: x ** 3 - 2.0 * x - 5.0
     assert cubic(find_root(cubic, 2.0, 3.0)) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_find_root_converges_superlinearly():
+    # Brent's method needs 10 evaluations on each; a bisection-bound
+    # regula falsi needs 36-39
+    cases = ((lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 2.0945514815423265),
+             (lambda x: x * x - 2.0, 1.0, 2.0, math.sqrt(2.0)))
+    for f, lo, hi, exact in cases:
+        calls = []
+
+        def counted(x, f=f):
+            calls.append(x)
+            return f(x)
+
+        root = find_root(counted, lo, hi, tol=1e-12)
+        assert len(calls) <= 12
+        assert abs(root - exact) <= 1e-12 * (1.0 + abs(exact))
+
+
+def test_find_root_rejects_non_finite_end():
+    with pytest.raises(NoSignChange):
+        find_root(lambda x: math.nan if x == 0.0 else x, 0.0, 1.0)
 
 
 def test_find_root_endpoint_root_and_no_sign_change():
