@@ -59,8 +59,19 @@ def _checked(convert, ok, expected):
     return parse
 
 
-_positive = _checked(float, lambda x: x > 0.0, "a positive number")
+_positive = _checked(float, lambda x: 0.0 < x < math.inf,
+                     "a finite positive number")
 _samples = _checked(int, lambda n: n >= 2, "an integer >= 2")
+
+
+def _omega_or_expr(text):
+    """derive's --omega: a number is checked like _positive; any other text
+    is kept as an expression in t."""
+    try:
+        float(text)
+    except ValueError:
+        return text
+    return _positive(text)
 
 
 def _parse_kv(text):
@@ -135,7 +146,8 @@ _FLAGS = [
     ("--g", "derive solve catalog",
      dict(default="0", help="deformation g(t, x, v)")),
     ("--omega", "derive",
-     dict(default="1", help="base frequency: a number or an expression in t")),
+     dict(type=_omega_or_expr, default="1",
+          help="base frequency: a number or an expression in t")),
     ("--omega", _GRID,
      dict(type=_positive, default=1.0, help="base frequency")),
     ("--alpha", "derive rcd catalog",
@@ -225,25 +237,18 @@ def _write_csv(out_path, header, rows):
 
 
 def cmd_derive(args):
-    try:
-        w = float(args.omega)
-    except ValueError:
-        w = None  # an expression in t
-    if w is not None and not 0.0 < w < math.inf:
-        raise UsageError("--omega must be a finite positive number or an "
-                         "expression in t, got %r" % args.omega)
-
-    if w is None:
+    if isinstance(args.omega, str):  # an expression in t
         form = generate_ode_time_varying(args.f, args.g, args.omega,
                                          params=args.param or None)
         integral = ("xd = omega(t)*cot(Phi(t) + alpha)*(x + g) - f,  "
                     "Phi(t) = integral of omega;  omega(t) = %s" % args.omega)
     else:
-        osc = DeformedOscillator(args.f, args.g, w, alpha=args.alpha,
-                                 params=args.param or None)
+        osc = DeformedOscillator(args.f, args.g, args.omega,
+                                 alpha=args.alpha, params=args.param or None)
         form = generate_ode(osc)
         integral = ("(xd + f) = omega*cot(omega*t + alpha)*(x + g)"
-                    "   with omega = %.17g, alpha = %.17g" % (w, args.alpha))
+                    "   with omega = %.17g, alpha = %.17g"
+                    % (args.omega, args.alpha))
     print("generated ODE:")
     print("  (%s) * xdd + (%s) * xd + (%s) = 0"
           % (to_str(form.exprs["coeff_xdd"]),

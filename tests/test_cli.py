@@ -197,6 +197,16 @@ def test_exit_one_on_usage_errors(capsys):
     for omega in ("0", "-1", "nan", "inf"):
         assert cli.main(["derive", "--omega", omega]) == 1
         assert "--omega" in capsys.readouterr().err
+    # so must every other positive flag, infinity included
+    for argv in (["solve", "--f", "0", "--g", "0", "--t0", "0.5",
+                  "--samples", "3", "--omega", "inf"],
+                 ["catalog", "--case", "harmonic", "--param", "A=1",
+                  "--samples", "3", "--omega", "inf"],
+                 ["solve", "--f", "0", "--g", "0", "--t0", "0.5",
+                  "--samples", "3", "--rtol", "inf"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "expected a finite positive number" in err
     # a subcommand accepts only the flags it reads
     assert cli.main(["verify", "--suite", "hyp2f1", "--omega", "2"]) == 1
     assert cli.main(["solve", "--f", "0", "--g", "0", "--x0", "0.4",
