@@ -40,7 +40,6 @@ from .exprdsl import (
 )
 from .numerics import (
     CumulativeIntegral,
-    IvpProblem,
     PhaseState,
     Trajectory,
     fd_derivatives,
@@ -437,11 +436,14 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
     t_eval = np.asarray(t_eval, dtype=float)
 
     if mode == "direct":
-        prob = IvpProblem(_beam_rhs(model), "system", t0, (u0, v0), t1,
-                          rtol=rtol, atol=atol)
-        traj = integrate(prob, t_eval=t_eval, dense=True)
-        traj.meta["mode"] = "direct"
-        return traj
+        if np.any(t_eval < t0) or np.any(t_eval > t1):
+            raise ValueError("t_eval must lie within [t0, t1]")
+        x_of_t, v_of_t = integrate(_beam_rhs(model), t0, (u0, v0), t1,
+                                   rtol=rtol, atol=atol)
+        states = [PhaseState(t, x_of_t(t), v_of_t(t))
+                  for t in t_eval.tolist()]
+        return Trajectory(states, {"mode": "direct", "x_of_t": x_of_t,
+                                   "v_of_t": v_of_t})
 
     if mode != "approx":
         raise ValueError("mode must be 'approx' or 'direct'")

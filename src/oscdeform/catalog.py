@@ -26,7 +26,7 @@ from .errors import (
     PoleInRange,
     SeriesDivergence,
 )
-from .numerics import CumulativeIntegral, IvpProblem, integrate
+from .numerics import CumulativeIntegral, integrate
 
 CASE_IDS = ("harmonic", "time_quadrature", "case1", "case2", "case3",
             "case4_riccati", "case5_power", "case6", "case7")
@@ -314,6 +314,8 @@ def _signed_pow(base, p):
 # --- quadratic velocity shift (Riccati-type first integral) ----------------------------
 
 _DENSE_CHUNK = 0.25
+_DENSE_RTOL = 1e-12
+_DENSE_ATOL = 1e-14
 
 
 class _LazyDense:
@@ -327,14 +329,12 @@ class _LazyDense:
     depends on t alone, not on the order of earlier queries.
     """
 
-    def __init__(self, rhs, t0, x0, lo, hi, rtol=1e-12, atol=1e-14):
+    def __init__(self, rhs, t0, x0, lo, hi):
         self.rhs = rhs
         self.t0 = float(t0)
         self.x0 = float(x0)
         self.lo = float(lo)
         self.hi = float(hi)
-        self.rtol = rtol
-        self.atol = atol
         # per side: the breakpoint states, and the dense pieces between them
         self._nodes = {+1: [(self.t0, self.x0)], -1: [(self.t0, self.x0)]}
         self._pieces = {+1: [], -1: []}
@@ -343,9 +343,8 @@ class _LazyDense:
                                          (-1, self.t0 - self.lo))}
 
     def _dense(self, ta, xa, tb):
-        prob = IvpProblem(self.rhs, "first", ta, xa, tb,
-                          rtol=self.rtol, atol=self.atol)
-        return integrate(prob, t_eval=[ta, tb], dense=True).meta["x_of_t"]
+        return integrate(self.rhs, ta, xa, tb,
+                         rtol=_DENSE_RTOL, atol=_DENSE_ATOL)[0]
 
     def __call__(self, t):
         t = float(t)

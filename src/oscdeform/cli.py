@@ -39,7 +39,7 @@ from .errors import (
     UnknownFunctionError,
 )
 from .exprdsl import to_str
-from .numerics import IvpProblem, integrate
+from .numerics import integrate
 
 
 class UsageError(Exception):
@@ -282,14 +282,15 @@ def cmd_solve(args):
             def rhs(t, y):
                 return [y[1], explicit_acceleration(form, (t, y[0], y[1]))]
 
-            traj = integrate(IvpProblem(rhs, "system", args.t0,
-                                        (args.x0, v0), args.t1,
-                                        rtol=args.rtol, atol=args.atol),
-                             t_eval=grid)
+            x_of_t, v_of_t = integrate(rhs, args.t0, (args.x0, v0), args.t1,
+                                       rtol=args.rtol, atol=args.atol)
+            # rows in increasing t, also for a backward span
+            rows = [(t, x_of_t(t), v_of_t(t)) for t in np.sort(grid)]
         else:
             traj = integrate_first_integral(osc, args.t0, args.x0, args.t1,
                                             t_eval=grid, v0=args.v0,
                                             rtol=args.rtol, atol=args.atol)
+            rows = [(s.t, s.x, s.v) for s in traj.states]
     except CotangentPole as exc:
         # without v0 the velocity comes from the first integral, which is
         # singular at a pole start (the defaults t0 = 0, alpha = 0 are one)
@@ -298,8 +299,7 @@ def cmd_solve(args):
         raise UsageError("--t0 sits on a cotangent pole of the first "
                          "integral: give --v0, or move --t0 or --alpha off "
                          "the pole (%s)" % exc)
-    _write_csv(args.out, ["t", "x", "v"],
-               [(s.t, s.x, s.v) for s in traj.states])
+    _write_csv(args.out, ["t", "x", "v"], rows)
     return 0
 
 

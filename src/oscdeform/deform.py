@@ -48,7 +48,6 @@ from .exprdsl import (
     substitute_params,
 )
 from .numerics import (
-    IvpProblem,
     PhaseState,
     Trajectory,
     find_root,
@@ -550,9 +549,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
             last_v[0] = vv
             return vv
 
-        prob = IvpProblem(rhs, "first", t0, x0, t1, rtol=rtol, atol=atol)
-        traj = integrate(prob, t_eval=t_eval, dense=True)
-        x_dense = traj.meta["x_of_t"]
+        x_dense, = integrate(rhs, t0, x0, t1, rtol=rtol, atol=atol)
         vv = v0
         for t in t_eval:
             xq = x_dense(float(t))
@@ -608,32 +605,29 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     if start_pole is not None and t1 > t0 + 1e-13:
         wb = min(start_pole + half, t1)
         interp = _pole_transit(osc, t0, wb, start_pole, y0, x0, v0)
-        pieces.append((t0, wb, lambda tq, fn=interp: float(fn(tq))))
-        cur_t, cur_y = wb, float(interp(wb))
+        pieces.append((t0, wb, interp))
+        cur_t, cur_y = wb, interp(wb)
         poles_crossed.append(start_pole)
     for p in poles:
         wa, wb = max(p - half, t0), min(p + half, t1)
         if cur_t < wa - 1e-13:
-            prob = IvpProblem(y_rhs, "first", cur_t, cur_y, wa,
-                              rtol=rtol, atol=atol)
-            y_dense = integrate(prob, t_eval=None, dense=True).meta["x_of_t"]
+            y_dense, = integrate(y_rhs, cur_t, cur_y, wa,
+                                 rtol=rtol, atol=atol)
             pieces.append((cur_t, wa, y_dense))
-            cur_t, cur_y = wa, float(y_dense(wa))
+            cur_t, cur_y = wa, y_dense(wa)
         interp = _pole_transit(osc, cur_t, wb, p, cur_y,
                                x_cell[0], v_cell[0])
-        pieces.append((cur_t, wb, lambda tq, fn=interp: float(fn(tq))))
-        cur_t, cur_y = wb, float(interp(wb))
+        pieces.append((cur_t, wb, interp))
+        cur_t, cur_y = wb, interp(wb)
         poles_crossed.append(p)
     if cur_t < t1 - 1e-13 or not pieces:
-        prob = IvpProblem(y_rhs, "first", cur_t, cur_y, t1,
-                          rtol=rtol, atol=atol)
-        y_dense = integrate(prob, t_eval=None, dense=True).meta["x_of_t"]
+        y_dense, = integrate(y_rhs, cur_t, cur_y, t1, rtol=rtol, atol=atol)
         pieces.append((cur_t, t1, y_dense))
 
     def y_at(tq):
         for lo, hi, fn in pieces:
             if lo - 1e-12 <= tq <= hi + 1e-12:
-                return float(fn(min(max(tq, lo), hi)))
+                return fn(min(max(tq, lo), hi))
         raise ValueError("time %r outside the integrated span" % tq)
 
     for t in t_eval:

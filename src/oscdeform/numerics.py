@@ -1,13 +1,14 @@
 """Shared numerical kernels: IVP integration, quadrature, root finding,
 and finite-difference residual scanning.
 
-The solver is scipy's DOP853 (8th-order embedded Runge-Kutta) wrapped into
-project types.  Root finding on a bracket is Brent's method from scipy
-(brentq) behind a sign check that raises the typed NoSignChange.
-Quadrature is a small self-contained routine so its node placement stays
-explicit and reproducible.  Every implicit relation (the first integral's
-position and velocity, the beam's F(u) = K sin(omega*t + phi)) is inverted
-pointwise by one safeguarded scalar solver, solve_scalar.
+The solver is scipy's DOP853 (8th-order embedded Runge-Kutta); integrate
+returns its dense solution, one callable per component.  Root finding on a
+bracket is Brent's method from scipy (brentq) behind a sign check that
+raises the typed NoSignChange.  Quadrature is a small self-contained
+routine so its node placement stays explicit and reproducible.  Every
+implicit relation (the first integral's position and velocity, the beam's
+F(u) = K sin(omega*t + phi)) is inverted pointwise by one safeguarded
+scalar solver, solve_scalar.
 """
 
 from __future__ import annotations
@@ -66,55 +67,31 @@ class Trajectory:
         return np.array([s.v for s in self.states])
 
 
-class IvpProblem:
-    """Initial-value problem description.
+def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
+    """Integrate an initial-value problem from t0 to t1 with the DOP853
+    adaptive pair; t1 < t0 integrates backwards.
 
-    kind 'first':   rhs(t, x)    -> xd,    y0 = x0 (scalar)
-    kind 'system':  rhs(t, y)    -> dy,    y0 = (y0_0, y0_1)  (2 components)
+    y0 is a number, with rhs(t, x) -> dx/dt, or a pair, with
+    rhs(t, (x, v)) -> (dx/dt, dv/dt).  Returns the dense solution over the
+    span, one callable t -> float per component: (x_of_t,) or
+    (x_of_t, v_of_t).
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
+        raise ValueError("t-span must be finite and non-degenerate")
+    if not (rtol > 0 and atol > 0):
+        raise ValueError("tolerances must be positive")
+    if np.ndim(y0) == 0:
+        y0 = np.array([float(y0)])
 
-    KINDS = ("first", "system")
-
-    def __init__(self, rhs, kind, t0, y0, t1, rtol=1e-10, atol=1e-12):
-        if kind not in self.KINDS:
-            raise ValueError("kind must be one of %r" % (self.KINDS,))
-        if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
-            raise ValueError("t-span must be finite and non-degenerate")
-        if not (rtol > 0 and atol > 0):
-            raise ValueError("tolerances must be positive")
-        self.rhs = rhs
-        self.kind = kind
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        if kind == "first":
-            self.y0 = np.array([float(y0)])
-        else:
-            y0 = np.asarray(y0, dtype=float)
-            if y0.shape != (2,):
-                raise ValueError("y0 must have two components for kind %r" % kind)
-            self.y0 = y0
-        self.rtol = float(rtol)
-        self.atol = float(atol)
-
-
-def integrate(problem, t_eval=None, dense=False):
-    """Integrate an IvpProblem with the DOP853 adaptive pair.
-
-    Returns a Trajectory sampled at t_eval (or at the solver's own steps).
-    With dense=True the trajectory meta carries callables 'x_of_t' and
-    'v_of_t' interpolating the solution over the integrated span.
-    """
-    rhs = problem.rhs
-    if problem.kind == "first":
         def field(t, y):
             return (rhs(t, y[0]),)
     else:
+        y0 = np.asarray(y0, dtype=float)
+        if y0.shape != (2,):
+            raise ValueError("y0 must be a number or a pair")
         field = rhs
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-    sol = solve_ivp(field, (problem.t0, problem.t1), problem.y0,
-                    method="DOP853", rtol=problem.rtol, atol=problem.atol,
-                    t_eval=t_eval, dense_output=True)
+    sol = solve_ivp(field, (float(t0), float(t1)), y0, method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         msg = (sol.message or "").lower()
         if "step size" in msg:
@@ -123,28 +100,10 @@ def integrate(problem, t_eval=None, dense=False):
     if not np.all(np.isfinite(sol.y)):
         raise NonFiniteState("integration produced non-finite state")
 
-    def x_of_t(t):
-        return float(sol.sol(t)[0])
+    def component(i):
+        return lambda t: float(sol.sol(t)[i])
 
-    if problem.kind == "first":
-        def v_of_t(t):
-            return float(rhs(t, x_of_t(t)))
-    else:
-        def v_of_t(t):
-            return float(sol.sol(t)[1])
-
-    ts = sol.t
-    xs = [x_of_t(t) for t in ts]
-    vs = [v_of_t(t) for t in ts]
-    order = np.argsort(ts)
-    states = [PhaseState(float(ts[i]), xs[i], vs[i]) for i in order]
-    meta = {"method": "DOP853", "rtol": problem.rtol, "atol": problem.atol}
-    if dense:
-        meta["x_of_t"] = x_of_t
-        meta["v_of_t"] = v_of_t
-        meta["t_span"] = (min(problem.t0, problem.t1),
-                          max(problem.t0, problem.t1))
-    return Trajectory(states, meta)
+    return tuple(component(i) for i in range(len(y0)))
 
 
 # --- quadrature ---------------------------------------------------------------

@@ -214,6 +214,11 @@ def test_beam_direct_zero_alpha_is_harmonic():
                            t_eval=t, rtol=1e-12, atol=1e-14)
     for s in traj.states:
         assert abs(s.x - 0.08 * math.cos(1.3 * s.t)) < 1e-7
+    # samples outside the span are refused, not extrapolated
+    for outside in ([-0.1, 0.5], [0.5, 1.5]):
+        with pytest.raises(ValueError):
+            apps.beam_solve(model, "direct", (0.08, 0.0), (0.0, 1.0),
+                            t_eval=outside)
 
 
 def test_beam_approx_matches_direct():

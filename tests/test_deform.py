@@ -32,7 +32,6 @@ from oscdeform.errors import (
     ZeroDenominator,
 )
 from oscdeform.numerics import (
-    IvpProblem,
     PhaseState,
     Trajectory,
     integrate,
@@ -76,9 +75,8 @@ def test_generate_ode_quadratic_velocity_shift_residual():
     def rhs(t, x):
         return first_integral_velocity(osc, t, x)
 
-    prob = IvpProblem(rhs, "first", 0.4, 0.6, 2.6)
-    traj = integrate(prob, dense=True)
-    worst = trajectory_residual(form, traj.meta["x_of_t"], traj.meta["v_of_t"],
+    x_of_t, = integrate(rhs, 0.4, 0.6, 2.6)
+    worst = trajectory_residual(form, x_of_t, lambda t: rhs(t, x_of_t(t)),
                                 np.linspace(0.5, 2.5, 60))
     assert worst < 1e-8
 
@@ -338,10 +336,8 @@ def test_time_varying_residual_along_solution():
 
     # finite differences of a dense numerical solution need the integration
     # error well below the differencing noise floor
-    prob = IvpProblem(slope, "first", 0.1, 0.7, 2.4, rtol=1e-12, atol=1e-14)
-    traj = integrate(prob, dense=True)
-    worst = residual_scan(form, traj.meta["x_of_t"],
-                          np.linspace(0.2, 2.3, 50))
+    x_of_t, = integrate(slope, 0.1, 0.7, 2.4, rtol=1e-12, atol=1e-14)
+    worst = residual_scan(form, x_of_t, np.linspace(0.2, 2.3, 50))
     assert worst < 1e-7
 
 
@@ -371,8 +367,9 @@ def test_riccati_invariant_and_phase_law():
             x, v = y
             return (v, -(b / w) * v * v / x + w * (b - w) * x)
 
-        prob = IvpProblem(rhs, "system", 0.0, (1.0, 0.1), 1.5)
-        traj = integrate(prob, t_eval=np.linspace(0.0, 1.5, 61))
+        x_of_t, v_of_t = integrate(rhs, 0.0, (1.0, 0.1), 1.5)
+        traj = [PhaseState(t, x_of_t(t), v_of_t(t))
+                for t in np.linspace(0.0, 1.5, 61)]
         e0 = E(traj[0].x, traj[0].v)
         drift = max(abs(E(s.x, s.v) - e0) for s in traj)
         assert drift < 1e-7

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oscdeform.errors import (
     EvalDomainError,
@@ -12,7 +13,6 @@ from oscdeform.errors import (
 )
 from oscdeform.numerics import (
     CumulativeIntegral,
-    IvpProblem,
     PhaseState,
     Trajectory,
     fd_derivatives,
@@ -57,38 +57,56 @@ def _oscillator(t, y):
     return (y[1], -y[0])
 
 
-def test_ivp_problem_validation():
+def test_integrate_validation():
     with pytest.raises(ValueError):
-        IvpProblem(_oscillator, "secnd", 0.0, (1.0, 0.0), 1.0)
+        integrate(_oscillator, 0.0, (1.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0), 0.0)
+        integrate(_oscillator, 0.0, (1.0, 0.0), 1.0, rtol=0.0)
     with pytest.raises(ValueError):
-        IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0), 1.0, rtol=0.0)
+        integrate(_oscillator, 0.0, (1.0,), 1.0)
     with pytest.raises(ValueError):
-        IvpProblem(_oscillator, "system", 0.0, (1.0,), 1.0)
+        integrate(_oscillator, 0.0, (1.0, 0.0, 0.0), 1.0)
 
 
 def test_integrate_harmonic_round_trip():
-    prob = IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0), 2 * math.pi)
-    traj = integrate(prob, t_eval=np.linspace(0, 2 * math.pi, 33))
-    assert traj[-1].x == pytest.approx(1.0, abs=1e-8)
-    assert traj[-1].v == pytest.approx(0.0, abs=1e-8)
+    x_of_t, v_of_t = integrate(_oscillator, 0.0, (1.0, 0.0), 2 * math.pi)
+    assert x_of_t(2 * math.pi) == pytest.approx(1.0, abs=1e-8)
+    assert v_of_t(2 * math.pi) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_integrate_exponential_first_order():
-    prob = IvpProblem(lambda t, x: x, "first", 0.0, 1.0, 1.0)
-    traj = integrate(prob, t_eval=[0.0, 1.0])
-    assert traj[-1].x == pytest.approx(math.e, rel=1e-10)
-    # velocity column is rhs evaluated on the solution
-    assert traj[-1].v == pytest.approx(math.e, rel=1e-10)
+    x_of_t, = integrate(lambda t, x: x, 0.0, 1.0, 1.0)
+    assert x_of_t(1.0) == pytest.approx(math.e, rel=1e-10)
+
+
+def test_integrate_calls_rhs_only_inside_the_solver():
+    calls = [0]
+
+    def rhs(t, x):
+        calls[0] += 1
+        return -x + math.sin(t)
+
+    integrate(rhs, 0.0, 0.5, 4.0)
+    sol = solve_ivp(lambda t, y: (-y[0] + math.sin(t),), (0.0, 4.0), [0.5],
+                    method="DOP853", rtol=1e-10, atol=1e-12,
+                    dense_output=True)
+    assert calls[0] == sol.nfev
+
+
+def test_dense_solution_matches_solve_ivp_t_eval():
+    grid = np.linspace(0.0, 2 * math.pi, 33)
+    x_of_t, v_of_t = integrate(_oscillator, 0.0, (1.0, 0.0), 2 * math.pi)
+    sol = solve_ivp(_oscillator, (0.0, 2 * math.pi), [1.0, 0.0],
+                    method="DOP853", rtol=1e-10, atol=1e-12, t_eval=grid)
+    assert [x_of_t(t) for t in grid] == sol.y[0].tolist()
+    assert [v_of_t(t) for t in grid] == sol.y[1].tolist()
 
 
 def test_integrate_tolerance_controls_error():
     def run(rtol):
-        prob = IvpProblem(_oscillator, "system", 0.0, (1.0, 0.0),
-                          20 * math.pi, rtol=rtol, atol=rtol * 1e-2)
-        traj = integrate(prob, t_eval=[0.0, 20 * math.pi])
-        return abs(traj[-1].x - 1.0)
+        x_of_t, _ = integrate(_oscillator, 0.0, (1.0, 0.0), 20 * math.pi,
+                              rtol=rtol, atol=rtol * 1e-2)
+        return abs(x_of_t(20 * math.pi) - 1.0)
 
     loose = run(1e-5)
     tight = run(1e-11)
@@ -97,19 +115,13 @@ def test_integrate_tolerance_controls_error():
 
 
 def test_integrate_backwards_span_normalized():
-    prob = IvpProblem(lambda t, x: x, "first", 1.0, math.e, 0.0)
-    traj = integrate(prob, t_eval=[1.0, 0.5, 0.0])
-    ts = traj.t
-    assert all(ts[i] < ts[i + 1] for i in range(len(ts) - 1))
-    assert traj[0].t == 0.0
-    assert traj[0].x == pytest.approx(1.0, rel=1e-9)
+    x_of_t, = integrate(lambda t, x: x, 1.0, math.e, 0.0)
+    assert x_of_t(1.0) == math.e
+    assert x_of_t(0.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_integrate_dense_output():
-    prob = IvpProblem(_oscillator, "system", 0.0, (0.0, 1.0), 3.0)
-    traj = integrate(prob, dense=True)
-    x_of_t = traj.meta["x_of_t"]
-    v_of_t = traj.meta["v_of_t"]
+    x_of_t, v_of_t = integrate(_oscillator, 0.0, (0.0, 1.0), 3.0)
     for t in [0.3, 1.1, 2.9]:
         assert x_of_t(t) == pytest.approx(math.sin(t), abs=1e-9)
         assert v_of_t(t) == pytest.approx(math.cos(t), abs=1e-9)
@@ -117,17 +129,15 @@ def test_integrate_dense_output():
 
 def test_integrate_system_kind():
     # rotation written as a generic 2-component system
-    prob = IvpProblem(lambda t, y: (y[1], -y[0]), "system", 0.0, (1.0, 0.0),
-                      math.pi)
-    traj = integrate(prob, t_eval=[0.0, math.pi])
-    assert traj[-1].x == pytest.approx(-1.0, abs=1e-9)
+    x_of_t, _ = integrate(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0),
+                          math.pi)
+    assert x_of_t(math.pi) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_integrate_blowup_raises():
-    prob = IvpProblem(lambda t, x: x * x, "first", 0.0, 1.0, 2.0)
     with pytest.raises((StepSizeUnderflow, NonFiniteState)):
         with np.errstate(all="ignore"):
-            integrate(prob)
+            integrate(lambda t, x: x * x, 0.0, 1.0, 2.0)
 
 
 def test_cumulative_integral_matches_antiderivative():
