@@ -40,10 +40,9 @@ from .exprdsl import (
 )
 from .numerics import (
     CumulativeIntegral,
-    PhaseState,
-    Trajectory,
     fd_derivatives,
     integrate,
+    sample_trajectory,
     solve_scalar,
 )
 
@@ -426,24 +425,21 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
     solution F(u) = K sin(omega t + phi), which is exact when the cubic
     correction h matches the deformation series — hence gated to
     beta = 2*alpha/3 (and c1 = 0), the regime where that holds through u^3.
+
+    meta["x_of_t"] and meta["v_of_t"] give u and du/dt; their values depend
+    on t alone, and the states are their values at t_eval (see
+    sample_trajectory).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
     u0, v0 = float(ic[0]), float(ic[1])
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, 257)
-    t_eval = np.asarray(t_eval, dtype=float)
 
     if mode == "direct":
-        if np.any(t_eval < t0) or np.any(t_eval > t1):
-            raise ValueError("t_eval must lie within [t0, t1]")
         x_of_t, v_of_t = integrate(_beam_rhs(model), t0, (u0, v0), t1,
                                    rtol=rtol, atol=atol)
-        states = [PhaseState(t, x_of_t(t), v_of_t(t))
-                  for t in t_eval.tolist()]
-        return Trajectory(states, {"mode": "direct", "x_of_t": x_of_t,
-                                   "v_of_t": v_of_t})
+        return sample_trajectory(lambda t: (x_of_t(t), v_of_t(t)),
+                                 t0, t1, t_eval)
 
     if mode != "approx":
         raise ValueError("mode must be 'approx' or 'direct'")
@@ -462,26 +458,14 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
     th0 = math.atan2(F0, v0 * G0 / w)
     K = math.hypot(F0, v0 * G0 / w)
     if K == 0.0:
-        states = [PhaseState(float(t), 0.0, 0.0) for t in t_eval]
-        return Trajectory(states, {"mode": "approx", "K": 0.0,
-                                   "phi": 0.0})
+        return sample_trajectory(lambda t: (0.0, 0.0), t0, t1, t_eval)
     phi = th0 - w * t0
 
-    def u_at(t):
+    def state_at(t):
+        t = float(t)
         # F(u) ~ u near 0, so the target itself is a guess from t alone
         target = K * math.sin(w * t + phi)
-        return solve_scalar(lambda u: F(u) - target, G, target, 1e-14)
+        u = solve_scalar(lambda u: F(u) - target, G, target, 1e-14)
+        return u, w * K * math.cos(w * t + phi) / G(u)
 
-    def v_at(t, u=None):
-        if u is None:
-            u = u_at(t)
-        return w * K * math.cos(w * t + phi) / G(u)
-
-    states = []
-    for t in t_eval:
-        uq = u_at(float(t))
-        states.append(PhaseState(float(t), uq, v_at(float(t), uq)))
-    meta = {"mode": "approx", "K": K, "phi": phi,
-            "x_of_t": lambda tq: u_at(float(tq)),
-            "v_of_t": lambda tq: v_at(float(tq))}
-    return Trajectory(states, meta)
+    return sample_trajectory(state_at, t0, t1, t_eval)

@@ -38,7 +38,7 @@ from .errors import (
     UnboundNameError,
     UnknownFunctionError,
 )
-from .exprdsl import to_str
+from .exprdsl import Num, as_expr, differentiate, evaluate, to_str
 from .numerics import integrate
 
 
@@ -59,19 +59,42 @@ def _checked(convert, ok, expected):
     return parse
 
 
-_positive = _checked(float, lambda x: 0.0 < x < math.inf,
-                     "a finite positive number")
+def _finite_positive(x):
+    return 0.0 < x < math.inf
+
+
+_positive = _checked(float, _finite_positive, "a finite positive number")
 _samples = _checked(int, lambda n: n >= 2, "an integer >= 2")
 
 
-def _omega_or_expr(text):
-    """derive's --omega: a number is checked like _positive; any other text
-    is kept as an expression in t."""
+def _constant(text):
+    """float(text), or the value of an expression whose t-derivative folds
+    to the constant 0, such as "0*t"; ValueError for anything else."""
     try:
-        float(text)
+        return float(text)
+    except ValueError:
+        pass
+    try:
+        e = as_expr(text)
+        d = differentiate(e, "t")
+        if isinstance(d, Num) and d.value == 0.0:
+            return evaluate(e, {"t": 0.0})
+    except OscdeformError:
+        pass
+    raise ValueError("not a constant: %r" % text)
+
+
+def _omega_or_expr(text):
+    """derive's --omega: a constant (see _constant) is checked like
+    _positive; any other text is kept as an expression in t."""
+    try:
+        value = _constant(text)
     except ValueError:
         return text
-    return _positive(text)
+    if not _finite_positive(value):
+        raise argparse.ArgumentTypeError(
+            "expected a finite positive number, got %r" % text)
+    return value
 
 
 def _parse_kv(text):

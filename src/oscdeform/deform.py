@@ -48,10 +48,9 @@ from .exprdsl import (
     substitute_params,
 )
 from .numerics import (
-    PhaseState,
-    Trajectory,
     find_root,
     integrate,
+    sample_trajectory,
     solve_scalar,
 )
 
@@ -168,13 +167,14 @@ def explicit_acceleration(form, state):
     return -(form.coeff_xd(t, x, v) * v + form.remainder(t, x, v)) / c0
 
 
-def first_integral_velocity(osc, t, x, v_guess=None):
+def first_integral_velocity(osc, t, x, v_start=0.0):
     """Velocity selected by the first integral at (t, x).
 
     Solves G(v) = (v+f)*sin(theta) - omega*cos(theta)*(x+g) = 0.  For
     v-independent f, g this reduces to the explicit slope field (with the
     cotangent-pole guard); when g depends on v the scaled form stays regular
-    even at the poles of the cotangent.
+    even at the poles of the cotangent, and Newton starts from v_start, which
+    picks the root when the law has several.
     """
     th = osc.theta(t)
     s = math.sin(th)
@@ -198,8 +198,7 @@ def first_integral_velocity(osc, t, x, v_guess=None):
         return (1.0 + osc.val("f_v", t, x, v)) * s - w * c * osc.val("g_v", t, x, v)
 
     scale = abs(w * c * x) + abs(s) + 1.0
-    return solve_scalar(G, Gp, 0.0 if v_guess is None else v_guess,
-                        1e-13 * scale)
+    return solve_scalar(G, Gp, v_start, 1e-13 * scale)
 
 
 def phase_function(osc, state):
@@ -267,7 +266,7 @@ def crossing_times(osc, traj):
     """Times where x + g(t,x,v) = 0 along a trajectory.
 
     Sign changes of the sampled deformed coordinate are refined by root
-    finding on the (dense if available, else interpolated) trajectory; a
+    finding on the trajectory's dense pair meta["x_of_t"]/meta["v_of_t"]; a
     refined point only counts when the deformed coordinate is actually small
     there, which rejects sign flips through a divergence.
     """
@@ -276,15 +275,8 @@ def crossing_times(osc, traj):
     vs = traj.v
     if len(ts) < 2:
         raise NoCrossing("trajectory too short")
-
-    x_of_t = traj.meta.get("x_of_t")
-    v_of_t = traj.meta.get("v_of_t")
-    if x_of_t is None:
-        def x_of_t(tq):
-            return float(np.interp(tq, ts, xs))
-    if v_of_t is None:
-        def v_of_t(tq):
-            return float(np.interp(tq, ts, vs))
+    x_of_t = traj.meta["x_of_t"]
+    v_of_t = traj.meta["v_of_t"]
 
     def F(tq):
         xq = x_of_t(tq)
@@ -341,6 +333,16 @@ def _solve_velocity(osc, t, x, target, v_start):
     return solve_scalar(r, rp, v_start, 1e-14)
 
 
+def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
+    """dg/dt - f at the state (x, v) of deformed amplitude y at time t,
+    where s and c are sin and cos of theta(t): x solves x + g = y*s and v
+    solves v + f = omega*y*c.  Returns (dg/dt - f, x, v)."""
+    x = _solve_position(osc, t, y * s, x_start)
+    vv = _solve_velocity(osc, t, x, osc.omega * y * c, v_start)
+    return (osc.val("g_t", t, x, vv) + osc.val("g_x", t, x, vv) * vv
+            - osc.val("f", t, x, vv)), x, vv
+
+
 def _poles_inside(osc, t0, t1, margin):
     """Cotangent pole times (n*pi - alpha)/omega strictly inside (t0, t1)."""
     w, al = osc.omega, osc.alpha
@@ -387,7 +389,7 @@ def _cheb_interp(ts, Y):
     return ev
 
 
-def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed):
+def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     """Continue the deformed amplitude y = (x+g)/sin(theta) through the
     cotangent pole inside (a, b).
 
@@ -403,10 +405,10 @@ def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed):
     left-edge value pinned, which recovers the re-expanding mode from the
     region where it is numerically visible.  Returns a polynomial
     interpolant for y on [a, b] through 48 nodes or, when a node lands on
-    the pole, a few more.  Raises NonSmoothPoint when no smooth
-    crossing exists (the numerator does not vanish at the pole).
+    the pole, a few more.  The entry solves for x and v start from x_start
+    and v_start.  Raises NonSmoothPoint when no smooth crossing exists (the
+    numerator does not vanish at the pole).
     """
-    w = osc.omega
     for bump in range(4):
         ts, D = _cheb_nodes_diff(47 + bump, a, b)
         svec = np.array([math.sin(osc.theta(t)) for t in ts])
@@ -418,23 +420,19 @@ def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed):
     cvec = np.array([math.cos(osc.theta(t)) for t in ts])
     m = len(ts)
 
-    def numerator(i, y, xg, vg, t=None, sv=None, cv=None):
-        t = ts[i] if t is None else t
-        sv = svec[i] if sv is None else sv
-        cv = cvec[i] if cv is None else cv
-        x = _solve_position(osc, t, y * sv, xg)
-        vv = _solve_velocity(osc, t, x, w * y * cv, vg)
-        num = (osc.val("g_t", t, x, vv) + osc.val("g_x", t, x, vv) * vv
-               - osc.val("f", t, x, vv))
-        return num, x, vv
+    def numerator(i, y):
+        return _crossing_numerator(osc, ts[i], y, svec[i], cvec[i],
+                                   xs[i], vs[i])
 
-    num0, xg, vg = numerator(0, y_in, x_seed, v_seed)
+    # the entry solves start from the initial condition; later solves at
+    # a node start where that node's last iteration ended
+    xs = np.full(m, float(x_start))
+    vs = np.full(m, float(v_start))
+    num0, xs[:], vs[:] = numerator(0, y_in)
     if abs(svec[0]) > 1e-8:
         Y = y_in + (num0 / svec[0]) * (ts - ts[0])
     else:
         Y = np.full(m, float(y_in))
-    xs = np.full(m, xg)
-    vs = np.full(m, vg)
     scale = 1.0 + abs(y_in)
     fail = NonSmoothPoint(
         "no smooth continuation of the deformed amplitude y = (x+g)/sin "
@@ -445,7 +443,7 @@ def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed):
     for _ in range(30):
         N = np.empty(m)
         for i in range(m):
-            N[i], xs[i], vs[i] = numerator(i, Y[i], xs[i], vs[i])
+            N[i], xs[i], vs[i] = numerator(i, Y[i])
         F = svec * (D @ Y) - N
         F[0] = Y[0] - y_in
         if not np.all(np.isfinite(F)):
@@ -453,9 +451,8 @@ def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed):
         dN = np.empty(m)
         for i in range(m):
             h = 1e-7 * (1.0 + abs(Y[i]))
-            hi_, _, _ = numerator(i, Y[i] + h, xs[i], vs[i])
-            lo_, _, _ = numerator(i, Y[i] - h, xs[i], vs[i])
-            dN[i] = (hi_ - lo_) / (2.0 * h)
+            dN[i] = ((numerator(i, Y[i] + h)[0] - numerator(i, Y[i] - h)[0])
+                     / (2.0 * h))
         J = svec[:, None] * D - np.diag(dN)
         J[0, :] = 0.0
         J[0, 0] = 1.0
@@ -483,8 +480,8 @@ def _pole_transit(osc, a, b, pole, y_in, x_seed, v_seed):
     interp = _cheb_interp(ts, Y)
     # a smooth crossing requires the numerator to vanish with the sine
     k = int(np.argmin(np.abs(ts - pole)))
-    num_p, _, _ = numerator(k, float(interp(pole)), xs[k], vs[k],
-                            t=pole, sv=0.0, cv=math.cos(osc.theta(pole)))
+    num_p = _crossing_numerator(osc, pole, interp(pole), 0.0,
+                                math.cos(osc.theta(pole)), xs[k], vs[k])[0]
     n_scale = 1.0 + float(np.max(np.abs(N)))
     if abs(num_p) > 1e-6 * n_scale:
         raise fail
@@ -504,17 +501,18 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     quantity is ever divided by a small sine.  When g depends on v the
     scaled first integral is regular at the poles and no splitting is
     performed.
+
+    Every Newton solve for x starts from x0 and every one for v from v0
+    (by default the first integral's velocity at (t0, x0)), so a law with
+    several roots stays on the initial condition's branch.  When t0 sits on
+    a pole, v0 also pins the crossing amplitude.  meta["x_of_t"] and
+    meta["v_of_t"] are the dense solution; their values depend on t alone,
+    and the states are their values at t_eval (see sample_trajectory).
     """
     if not t1 > t0:
         raise ValueError("driver requires t1 > t0")
     w = osc.omega
     delta = 1e-6 / w
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, 257)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < t0) or np.any(t_eval > t1):
-        raise ValueError("t_eval must lie within [t0, t1]")
-    t_eval = np.unique(t_eval)
 
     start_pole = None
     if abs(math.sin(osc.theta(t0))) < 2.0 * w * delta:
@@ -533,73 +531,39 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         start_pole = (round(osc.theta(t0) / math.pi) * math.pi
                       - osc.alpha) / w
 
+    if osc.g_depends_v:
+        # regular at poles: integrate straight through
+        v_start = 0.0 if v0 is None else v0
+        x_dense, = integrate(
+            lambda t, x: first_integral_velocity(osc, t, x, v_start),
+            t0, x0, t1, rtol=rtol, atol=atol)
+
+        def state_at(tq):
+            x = x_dense(tq)
+            return x, first_integral_velocity(osc, float(tq), x, v_start)
+
+        return sample_trajectory(state_at, t0, t1, t_eval,
+                                 {"alpha": osc.alpha, "poles_crossed": []})
+
     if v0 is None:
         v0 = first_integral_velocity(osc, t0, x0)
-
-    states = []
-    poles_crossed = []
-
-    if osc.g_depends_v:
-        # regular at poles: integrate straight through with a warm-started
-        # implicit velocity solve
-        last_v = [v0]
-
-        def rhs(t, x):
-            vv = first_integral_velocity(osc, t, x, v_guess=last_v[0])
-            last_v[0] = vv
-            return vv
-
-        x_dense, = integrate(rhs, t0, x0, t1, rtol=rtol, atol=atol)
-        vv = v0
-        for t in t_eval:
-            xq = x_dense(float(t))
-            vv = first_integral_velocity(osc, float(t), xq, v_guess=vv)
-            states.append(PhaseState(float(t), xq, vv))
-        ts_arr = np.array([s.t for s in states])
-        vs_arr = np.array([s.v for s in states])
-
-        def v_dense(tq):
-            guess = float(np.interp(tq, ts_arr, vs_arr))
-            return first_integral_velocity(osc, float(tq), x_dense(float(tq)),
-                                           v_guess=guess)
-
-        meta = {"alpha": osc.alpha, "poles_crossed": [],
-                "method": "first-integral/implicit",
-                "x_of_t": x_dense, "v_of_t": v_dense}
-        return Trajectory(states, meta)
 
     # v-independent g: march the deformed amplitude between poles and hand
     # each pole window to the collocation transit
     poles = _poles_inside(osc, t0, t1, 2.0 * delta)
     half = 0.3 / w           # collocation half-width around each pole
 
-    x_cell = [float(x0)]
-    v_cell = [float(v0)]
-
-    def x_from_y(t, y, guess=None):
-        x = _solve_position(osc, t, y * math.sin(osc.theta(t)),
-                            x_cell[0] if guess is None else guess)
-        x_cell[0] = x
-        return x
-
-    def v_from(t, x, y):
-        vv = _solve_velocity(osc, t, x, w * y * math.cos(osc.theta(t)),
-                             v_cell[0])
-        v_cell[0] = vv
-        return vv
-
     def y_rhs(t, y):
-        x = x_from_y(t, y)
-        vv = v_from(t, x, y)
-        num = (osc.val("g_t", t, x, vv) + osc.val("g_x", t, x, vv) * vv
-               - osc.val("f", t, x, vv))
-        return num / math.sin(osc.theta(t))
+        s, c = math.sin(osc.theta(t)), math.cos(osc.theta(t))
+        num, _, _ = _crossing_numerator(osc, t, y, s, c, x0, v0)
+        return num / s
 
     if start_pole is None:
-        y0 = (x0 + osc.val("g", t0, x0, v0)) / math.sin(osc.theta(t0))
+        y0 = (x0 + osc.val("g", t0, x0, 0.0)) / math.sin(osc.theta(t0))
     else:
         y0 = (v0 + osc.val("f", t0, x0, v0)) / (w * math.cos(osc.theta(t0)))
     pieces = []              # (lo, hi, y callable)
+    poles_crossed = []
 
     cur_t, cur_y = t0, y0
     if start_pole is not None and t1 > t0 + 1e-13:
@@ -615,8 +579,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                                  rtol=rtol, atol=atol)
             pieces.append((cur_t, wa, y_dense))
             cur_t, cur_y = wa, y_dense(wa)
-        interp = _pole_transit(osc, cur_t, wb, p, cur_y,
-                               x_cell[0], v_cell[0])
+        interp = _pole_transit(osc, cur_t, wb, p, cur_y, x0, v0)
         pieces.append((cur_t, wb, interp))
         cur_t, cur_y = wb, interp(wb)
         poles_crossed.append(p)
@@ -630,31 +593,15 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                 return fn(min(max(tq, lo), hi))
         raise ValueError("time %r outside the integrated span" % tq)
 
-    for t in t_eval:
-        yq = y_at(float(t))
-        xq = x_from_y(float(t), yq)
-        states.append(PhaseState(float(t), xq, v_from(float(t), xq, yq)))
-
-    ts_arr = np.array([s.t for s in states])
-    xs_arr = np.array([s.x for s in states])
-    vs_arr = np.array([s.v for s in states])
-
-    def x_of_t(tq):
+    def state_at(tq):
         tq = float(tq)
-        return _solve_position(osc, tq, y_at(tq) * math.sin(osc.theta(tq)),
-                               float(np.interp(tq, ts_arr, xs_arr)))
+        y, th = y_at(tq), osc.theta(tq)
+        x = _solve_position(osc, tq, y * math.sin(th), x0)
+        return x, _solve_velocity(osc, tq, x, w * y * math.cos(th), v0)
 
-    def v_of_t(tq):
-        tq = float(tq)
-        xq = x_of_t(tq)
-        return _solve_velocity(osc, tq, xq,
-                               w * y_at(tq) * math.cos(osc.theta(tq)),
-                               float(np.interp(tq, ts_arr, vs_arr)))
-
-    meta = {"alpha": osc.alpha, "poles_crossed": poles_crossed,
-            "method": "first-integral/amplitude-frame",
-            "x_of_t": x_of_t, "v_of_t": v_of_t}
-    return Trajectory(states, meta)
+    return sample_trajectory(state_at, t0, t1, t_eval,
+                             {"alpha": osc.alpha,
+                              "poles_crossed": poles_crossed})
 
 
 # --- time-varying frequency --------------------------------------------------------

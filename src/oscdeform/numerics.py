@@ -1,14 +1,15 @@
-"""Shared numerical kernels: IVP integration, quadrature, root finding,
-and finite-difference residual scanning.
+"""Shared numerical kernels: IVP integration, trajectory sampling,
+quadrature, root finding, and finite-difference residual scanning.
 
 The solver is scipy's DOP853 (8th-order embedded Runge-Kutta); integrate
-returns its dense solution, one callable per component.  Root finding on a
-bracket is Brent's method from scipy (brentq) behind a sign check that
-raises the typed NoSignChange.  Quadrature is a small self-contained
-routine so its node placement stays explicit and reproducible.  Every
-implicit relation (the first integral's position and velocity, the beam's
-F(u) = K sin(omega*t + phi)) is inverted pointwise by one safeguarded
-scalar solver, solve_scalar.
+returns its dense solution, one callable per component.  Every
+Trajectory is built by sample_trajectory from a pure state_at(t).
+Root finding on a bracket is Brent's method from scipy (brentq) behind a
+sign check that raises the typed NoSignChange.  Quadrature is a small
+self-contained routine so its node placement stays explicit and
+reproducible.  Every implicit relation (the first integral's position
+and velocity, the beam's F(u) = K sin(omega*t + phi)) is inverted
+pointwise by one safeguarded scalar solver, solve_scalar.
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ class Trajectory:
     @property
     def v(self):
         return np.array([s.v for s in self.states])
+
+
+def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
+    """Trajectory of the pure state_at(t) -> (x, v) sampled at t_eval.
+
+    t_eval defaults to 257 points on [t0, t1]; a time outside [t0, t1]
+    raises ValueError, and the times are sorted and deduplicated.  meta
+    gains the projections of state_at as "x_of_t" and "v_of_t".
+    """
+    if t_eval is None:
+        t_eval = np.linspace(t0, t1, 257)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if np.any(t_eval < t0) or np.any(t_eval > t1):
+        raise ValueError("t_eval must lie within [t0, t1]")
+    states = [PhaseState(t, *state_at(t)) for t in np.unique(t_eval).tolist()]
+    return Trajectory(states, dict(meta or {},
+                                   x_of_t=lambda t: state_at(t)[0],
+                                   v_of_t=lambda t: state_at(t)[1]))
 
 
 def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):

@@ -205,25 +205,19 @@ def suite_energy():
     return out
 
 
-def _crossings_near_poles(h, omega, alpha, n_list, width=0.35):
-    """Refined roots of h near each t_n = (n*pi - alpha)/omega."""
-    roots = []
-    for n in n_list:
-        tn = (n * math.pi - alpha) / omega
-        roots.append(find_root(h, tn - width / omega, tn + width / omega))
-    return roots
-
-
 def _isochrony_checks(label, make_h, omega, alpha, n_list):
-    """Crossing times sit at (n*pi-alpha)/omega for a 10x amplitude ratio,
-    and their spacing does not move with amplitude."""
+    """Crossing times, the roots of h near each pole (n*pi-alpha)/omega,
+    sit at those poles for a 10x amplitude ratio, and their spacing does
+    not move with amplitude."""
     spacings = []
     worst_t = 0.0
     for scale in (1.0, 10.0):
         h = make_h(scale)
-        roots = _crossings_near_poles(h, omega, alpha, n_list)
-        for n, r in zip(n_list, roots):
-            worst_t = max(worst_t, abs(r - (n * math.pi - alpha) / omega))
+        roots = []
+        for n in n_list:
+            tn = (n * math.pi - alpha) / omega
+            roots.append(find_root(h, tn - 0.35 / omega, tn + 0.35 / omega))
+            worst_t = max(worst_t, abs(roots[-1] - tn))
         spacings.append(np.diff(roots))
     spacing_gap = float(np.max(np.abs(spacings[0] - spacings[1])))
     return [_check("isochrony/%s/crossing-times" % label, worst_t, 1e-6),

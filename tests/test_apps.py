@@ -289,6 +289,18 @@ def test_beam_approx_gates():
                         (0.0, 1.0))
 
 
+def test_beam_t_eval_is_checked_sorted_and_deduplicated():
+    model = apps.BeamModel(3.0, 2.0)
+    # approx at rest (K = 0) included
+    for mode, ic in (("direct", (0.05, 0.0)), ("approx", (0.05, 0.0)),
+                     ("approx", (0.0, 0.0))):
+        traj = apps.beam_solve(model, mode, ic, (0.0, 1.0),
+                               t_eval=[0.5, 0.2, 0.5])
+        assert traj.t.tolist() == [0.2, 0.5]
+        with pytest.raises(ValueError):
+            apps.beam_solve(model, mode, ic, (0.0, 1.0), t_eval=[0.5, 1.5])
+
+
 def test_beam_model_validation():
     with pytest.raises(ValueError):
         apps.BeamModel(3.0, 2.0, omega=0.0)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from oscdeform import catalog, cli, verify
 from oscdeform.apps import rcd_travelling_wave
@@ -169,6 +170,21 @@ def test_derive_time_varying_omega(capsys):
     text = capsys.readouterr().out
     assert "Phi(t)" in text
     assert "omega(t) = 1 + 0.5*cos(t)" in text
+
+
+@pytest.mark.parametrize("omega, code, text", [
+    ("0*t", 1, "argument --omega: expected a finite positive number"),
+    ("-2 + 0*t", 1, "argument --omega: expected a finite positive number"),
+    # a t-derivative that folds to 0 makes the expression a number
+    ("1 + 0*t", 0, "with omega = 1, alpha = 0"),
+    ("1 + 0.1*sin(t)", 0, "omega(t) = 1 + 0.1*sin(t)"),
+])
+def test_derive_omega_constant_in_t_is_a_number(capsys, omega, code, text):
+    assert cli.main(["derive", "--omega", omega]) == code
+    out, err = capsys.readouterr()
+    assert text in (err if code else out)
+    if code == 0:
+        assert "generated ODE:" in out
 
 
 def test_verify_suite_reports_pass(capsys):

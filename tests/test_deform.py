@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oscdeform import apps
 from oscdeform.deform import (
     DeformedOscillator,
     crossing_times,
@@ -148,7 +149,7 @@ def test_first_integral_velocity_regular_at_pole_for_velocity_g():
     # where the velocity is -x/c
     c = 0.5
     osc = DeformedOscillator("0", "0.5*v", 1.0)
-    v = first_integral_velocity(osc, math.pi, 0.8, v_guess=-1.0)
+    v = first_integral_velocity(osc, math.pi, 0.8)
     assert v == pytest.approx(-0.8 / c, rel=1e-12)
     # but v-independent g still refuses the pole
     osc2 = DeformedOscillator("-0.75*v", "0", 1.0)
@@ -281,8 +282,10 @@ def test_crossing_times_propagates_foreign_errors():
 def test_crossing_times_no_crossing():
     osc = DeformedOscillator("0", "0", 1.0)
     states = [(t, 2.0 + math.sin(t), math.cos(t)) for t in np.linspace(0, 6, 50)]
+    traj = Trajectory(states, meta={"x_of_t": lambda t: 2.0 + math.sin(t),
+                                    "v_of_t": math.cos})
     with pytest.raises(NoCrossing):
-        crossing_times(osc, Trajectory(states))
+        crossing_times(osc, traj)
 
 
 def test_integrate_first_integral_harmonic_exact():
@@ -296,6 +299,78 @@ def test_integrate_first_integral_harmonic_exact():
     assert worst < 1e-9
     worst_v = max(abs(s.v - 1.3 * A * math.cos(1.3 * s.t + 0.2)) for s in traj)
     assert worst_v < 1e-8
+
+
+_BEAM = apps.BeamModel(3.0, 2.0, omega=1.0, c1=0.0)
+
+# every producer of a Trajectory: (t0, t1, trajectory sampled at t_eval)
+_PRODUCERS = {
+    "amplitude-frame g=0.2x^2": (0.3, 4.0, lambda ts: integrate_first_integral(
+        DeformedOscillator("0", "0.2*x^2", 5.0), 0.3, 0.4, 4.0, t_eval=ts)),
+    "amplitude-frame f=-0.75v+0.8": (
+        0.3, 6.0, lambda ts: integrate_first_integral(
+            DeformedOscillator("-0.75*v + 0.8", "0", 1.0), 0.3, 0.4, 6.0,
+            t_eval=ts)),
+    "implicit g=0.15v": (0.0, 2.8, lambda ts: integrate_first_integral(
+        DeformedOscillator("0", "0.15*v", 1.0, alpha=0.3), 0.0, 0.4, 2.8,
+        t_eval=ts, v0=0.5)),
+    "beam direct": (0.0, 2 * math.pi, lambda ts: apps.beam_solve(
+        _BEAM, "direct", (0.05, 0.0), (0.0, 2 * math.pi), t_eval=ts)),
+    "beam approx": (0.0, 2 * math.pi, lambda ts: apps.beam_solve(
+        _BEAM, "approx", (0.05, 0.0), (0.0, 2 * math.pi), t_eval=ts)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCERS))
+def test_trajectory_values_depend_on_t_alone(name):
+    t0, t1, produce = _PRODUCERS[name]
+    coarse = produce(np.linspace(t0, t1, 101))
+    fine = produce(np.linspace(t0, t1, 201))
+    # the shared times of the two grids carry the same states
+    on_fine = {s.t: s for s in fine}
+    assert [on_fine[s.t] for s in coarse] == coarse.states
+    # the dense pair gives the same values queried forward and backward,
+    # and the states are its values
+    x_of_t, v_of_t = coarse.meta["x_of_t"], coarse.meta["v_of_t"]
+    ts = coarse.t.tolist()
+    forward = [(x_of_t(t), v_of_t(t)) for t in ts]
+    backward = [(x_of_t(t), v_of_t(t)) for t in reversed(ts)][::-1]
+    assert forward == backward
+    assert forward == [(s.x, s.v) for s in coarse]
+
+
+def test_amplitude_frame_stays_on_the_initial_branch():
+    # x + 0.2x^2 = c has a root on each side of the fold x = -2.5; the
+    # trajectory from x0 = -4 must keep the left one, not the root -1
+    # nearest the target
+    osc = DeformedOscillator("0", "0.2*x^2", 5.0)
+    traj = integrate_first_integral(osc, 0.3, -4.0, 0.5)
+    assert traj.states[0].x == -4.0
+    assert np.all(traj.x < -2.5)
+
+
+def test_pole_start_stays_on_the_initial_branch():
+    # theta(t0) = pi and x0 = -5 is the left root of x + 0.2x^2 = 0; with
+    # f = 1 and v0 = -0.5 the crossing numerator g_x*v - f vanishes there,
+    # while on the right root x = 0 it is -1 and the crossing is not smooth
+    osc = DeformedOscillator("1", "0.2*x^2", 5.0)
+    traj = integrate_first_integral(osc, math.pi / 5.0, -5.0, 0.8, v0=-0.5)
+    assert traj.states[0].x == -5.0
+    assert traj.meta["poles_crossed"] == [pytest.approx(math.pi / 5.0)]
+    assert np.all(traj.x < -2.5)
+
+
+def test_implicit_path_stays_on_the_branch_of_v0():
+    # with g = 0.1v^2 the velocity law 0.1c v^2 - s v + c x = 0 has two
+    # roots, near 0.4 and 9.9 at (t0, x0); v0 picks the second
+    osc = DeformedOscillator("0", "0.1*v^2", 1.0, alpha=0.3)
+    t0, x0 = 0.5, 0.4
+    low = first_integral_velocity(osc, t0, x0)
+    v0 = first_integral_velocity(osc, t0, x0, 10.0)
+    assert low < 1.0 < 9.0 < v0
+    traj = integrate_first_integral(osc, t0, x0, 0.55, v0=v0)
+    assert (traj.states[0].x, traj.states[0].v) == (x0, v0)
+    assert np.all(traj.v > 5.0)
 
 
 def test_integrate_first_integral_rejects_pole_start():
