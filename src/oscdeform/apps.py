@@ -10,10 +10,7 @@ g(u) built from asinh reproduces the velocity-squared coefficient.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
-
-import numpy as np
 
 from . import exprdsl
 from .errors import (
@@ -21,50 +18,28 @@ from .errors import (
     BracketZero,
     DomainViolation,
     NegativeAlpha,
-    UnboundNameError,
 )
 from .exprdsl import (
     Num,
     Var,
     add,
-    as_expr,
+    bind,
     differentiate,
     div,
     evaluate,
+    function,
     mul,
     neg,
-    parameters,
     sub,
-    substitute_params,
-    variables,
 )
 from .numerics import (
     CumulativeIntegral,
     fd_derivatives,
     integrate,
+    residual_scan,
     sample_trajectory,
     solve_scalar,
 )
-
-
-def _u_only(e, name, params=None):
-    e = as_expr(e)
-    if params:
-        e = substitute_params(e, params)
-    free = parameters(e)
-    if free:
-        raise UnboundNameError(sorted(free)[0])
-    extra = variables(e) - {"u"}
-    if extra:
-        raise ValueError("%s must depend on u only; got variables %s"
-                         % (name, sorted(extra)))
-    return e
-
-
-def _u_fn(e):
-    def fn(u):
-        return evaluate(e, {"u": float(u)})
-    return fn
 
 
 class RcdSystem:
@@ -101,9 +76,7 @@ class RcdSystem:
             if d <= 0.0:
                 raise DomainViolation("D(u) <= 0 at u = %r" % (x,))
             return math.log(d)
-        c1 = (ln_d(u + h) - ln_d(u - h)) / (2.0 * h)
-        c2 = (ln_d(u + h / 2.0) - ln_d(u - h / 2.0)) / h
-        return (4.0 * c2 - c1) / 3.0
+        return fd_derivatives(ln_d, u, h)[1]
 
     def alpha(self, u):
         if self._alpha is not None:
@@ -120,6 +93,11 @@ class RcdSystem:
             return self._gamma(u)
         return self.Q(u) / self.D(u)
 
+    def residual(self, xi, u, up, upp):
+        """u'' + alpha(u) u'^2 + beta(u) u' + gamma(u) at one point."""
+        return (upp + self.alpha(u) * up * up + self.beta(u) * up
+                + self.gamma(u))
+
 
 def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0, params=None):
     """Build the RCD coefficient triple generated by a deformation pair.
@@ -134,8 +112,8 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0, params=None):
     Q = gamma*D.  Evaluations where u+g vanishes raise DomainViolation.
     """
     omega = float(omega)
-    f = _u_only(f, "f", params)
-    g = _u_only(g, "g", params)
+    f = bind(f, ("u",), params)
+    g = bind(g, ("u",), params)
     fp = differentiate(f, "u")
     gp = differentiate(g, "u")
     u = Var("u")
@@ -145,10 +123,10 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0, params=None):
     beta_e = sub(fp, div(mul(f, sub(gp, Num(1.0))), upg))
     gamma_e = add(mul(Num(omega * omega), upg), div(mul(f, f), upg))
 
-    upg_fn = _u_fn(upg)
+    upg_fn = function(upg, ("u",))
 
     def guarded(e):
-        raw = _u_fn(e)
+        raw = function(e, ("u",))
 
         def fn(uq):
             if abs(upg_fn(uq)) < 1e-300:
@@ -293,17 +271,8 @@ def rcd_travelling_wave(params, force_quadrature=False):
 
 def rcd_residual(sys, u_of_xi, xi_samples, h=1e-3):
     """Max absolute residual of u'' + alpha(u)u'^2 + beta(u)u' + gamma(u)
-    along a profile, with derivatives by Richardson-extrapolated central
-    differences."""
-    worst = 0.0
-    for xi in np.asarray(xi_samples, dtype=float):
-        u, up, upp = fd_derivatives(u_of_xi, float(xi), h)
-        r = upp + sys.alpha(u) * up * up + sys.beta(u) * up + sys.gamma(u)
-        if not math.isfinite(r):
-            warnings.warn("non-finite residual at xi = %r" % (xi,))
-            return float("inf")
-        worst = max(worst, abs(r))
-    return worst
+    along a profile (see RcdSystem.residual and numerics.residual_scan)."""
+    return residual_scan(sys, u_of_xi, xi_samples, h)
 
 
 # --- cantilever beam ---------------------------------------------------------------
@@ -339,8 +308,7 @@ def beam_g_expr(model):
 
 
 def beam_g(model):
-    e = beam_g_expr(model)
-    return _u_fn(e)
+    return function(beam_g_expr(model), ("u",))
 
 
 def beam_h_expr(model):

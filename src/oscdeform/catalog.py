@@ -14,7 +14,7 @@ import math
 import warnings
 
 from .deform import DeformedOscillator, generate_ode
-from .exprdsl import depends_on
+from .exprdsl import bind
 from .errors import (
     BranchViolation,
     CotangentPole,
@@ -97,16 +97,13 @@ def harmonic(A, omega=1.0, alpha=0.0):
 
 # --- t-only deformations: general quadrature and the two analytic specials ---------
 
-def _time_quadrature_solution(case_id, params, f, g, A, omega, alpha, t_ref):
-    """Shared builder: x = sin(theta)*[A + I(t)] with
+def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
+    """General t-only deformation solved by quadrature:
+    x = sin(theta)*[A + I(t)] with
     I = integral of (omega*cos(theta)*g - f*sin(theta))/sin^2(theta)."""
-    osc = DeformedOscillator(f, g, omega, alpha=alpha)
-    for name, e in (("f", osc.f), ("g", osc.g)):
-        for var in ("x", "v"):
-            if depends_on(e, var):
-                raise ValueError(
-                    "time-quadrature solutions need t-only deformations; "
-                    "%s depends on %s" % (name, var))
+    osc = DeformedOscillator(bind(f, ("t",)), bind(g, ("t",)), omega,
+                             alpha=alpha)
+    A = float(A)
     w, al = osc.omega, osc.alpha
     if t_ref is None:
         t_ref = (math.pi / 2.0 - al) / w
@@ -159,16 +156,9 @@ def _time_quadrature_solution(case_id, params, f, g, A, omega, alpha, t_ref):
                 + w * c / s * osc.val("g", t, 0.0, 0.0)
                 - osc.val("f", t, 0.0, 0.0))
 
-    params = dict(params)
-    params.update({"A": A, "omega": w, "alpha": al, "t_ref": t_ref})
-    return CatalogSolution(case_id, params, x_of_t, v_of_t,
-                           osc=osc, form=generate_ode(osc))
-
-
-def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
-    """General t-only deformation solved by quadrature."""
-    return _time_quadrature_solution("time_quadrature", {}, f, g,
-                                     float(A), omega, alpha, t_ref)
+    return CatalogSolution("time_quadrature",
+                           {"A": A, "omega": w, "alpha": al, "t_ref": t_ref},
+                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
 
 
 def case1(f0, A, omega=1.0, alpha=0.0):

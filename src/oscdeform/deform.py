@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from . import exprdsl
 from .errors import (
     CotangentPole,
     DegenerateParameters,
@@ -28,24 +27,20 @@ from .errors import (
     NonSmoothPoint,
     OscdeformError,
     SingularCoefficient,
-    UnboundNameError,
     ZeroDenominator,
 )
 from .exprdsl import (
     Num,
     Var,
     add,
-    as_expr,
+    bind,
     depends_on,
     differentiate,
     div,
-    evaluate,
+    function,
     mul,
-    neg,
-    parameters,
     powe,
     sub,
-    substitute_params,
 )
 from .numerics import (
     find_root,
@@ -54,16 +49,11 @@ from .numerics import (
     solve_scalar,
 )
 
-_ALLOWED_VARS = {"t", "x", "v"}
+# the variables of a deformation and of a generated coefficient
+_TXV = ("t", "x", "v")
 
 # |sin(omega*t + alpha)| below which the explicit slope field is refused
 _POLE_GUARD = 1e-9
-
-
-def _expr_fn(e):
-    def fn(t, x, v, _e=e):
-        return evaluate(_e, {"t": t, "x": x, "v": v})
-    return fn
 
 
 class DeformedOscillator:
@@ -76,19 +66,8 @@ class DeformedOscillator:
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
-        f = as_expr(f)
-        g = as_expr(g)
-        if params:
-            f = substitute_params(f, params)
-            g = substitute_params(g, params)
-        for e in (f, g):
-            extra = exprdsl.variables(e) - _ALLOWED_VARS
-            if extra:
-                raise ValueError("deformations may reference only t, x, v; "
-                                 "got %s" % sorted(extra))
-            free = parameters(e)
-            if free:
-                raise UnboundNameError(sorted(free)[0])
+        f = bind(f, _TXV, params)
+        g = bind(g, _TXV, params)
         if not omega > 0:
             raise ValueError("omega must be positive")
         self.f = f
@@ -101,7 +80,7 @@ class DeformedOscillator:
         self.g_t = differentiate(g, "t")
         self.g_x = differentiate(g, "x")
         self.g_v = differentiate(g, "v")
-        self._fns = {name: _expr_fn(getattr(self, name))
+        self._fns = {name: function(getattr(self, name), _TXV)
                      for name in ("f", "g", "f_t", "f_x", "f_v",
                                   "g_t", "g_x", "g_v")}
         self.f_depends_v = depends_on(f, "v")
@@ -124,9 +103,9 @@ class OdeForm:
     def __init__(self, coeff_xdd, coeff_xd, remainder):
         self.exprs = {"coeff_xdd": coeff_xdd, "coeff_xd": coeff_xd,
                       "remainder": remainder}
-        self.coeff_xdd = _expr_fn(coeff_xdd)
-        self.coeff_xd = _expr_fn(coeff_xd)
-        self.remainder = _expr_fn(remainder)
+        self.coeff_xdd = function(coeff_xdd, _TXV)
+        self.coeff_xd = function(coeff_xd, _TXV)
+        self.remainder = function(remainder, _TXV)
 
     def residual(self, t, x, v, a):
         return (self.coeff_xdd(t, x, v) * a
@@ -162,8 +141,11 @@ def explicit_acceleration(form, state):
     t, x, v = state
     c0 = form.coeff_xdd(t, x, v)
     if abs(c0) <= 1e-12:
+        # plain floats: the solver hands in numpy scalars, whose repr
+        # would read np.float64(...)
         raise SingularCoefficient(
-            "coefficient of xdd is %r at t=%r, x=%r, v=%r" % (c0, t, x, v))
+            "coefficient of xdd is %r at t=%r, x=%r, v=%r"
+            % (float(c0), float(t), float(x), float(v)))
     return -(form.coeff_xd(t, x, v) * v + form.remainder(t, x, v)) / c0
 
 
@@ -606,15 +588,6 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
 
 # --- time-varying frequency --------------------------------------------------------
 
-def _t_only(e, name):
-    e = as_expr(e)
-    extra = exprdsl.variables(e) - {"t"}
-    if extra:
-        raise ValueError("%s must depend on t only; got variables %s"
-                         % (name, sorted(extra)))
-    return e
-
-
 def generate_ode_time_varying(f, g, omega, params=None):
     """Second-order form for t-dependent deformations with frequency omega(t).
 
@@ -624,17 +597,7 @@ def generate_ode_time_varying(f, g, omega, params=None):
         (x+g)*xdd + [(f - g') - (omega'/omega)(x+g)]*xd + f'(x+g)
           + omega^2 (x+g)^2 + f(f - g') - (omega'/omega) f (x+g) = 0.
     """
-    f = _t_only(f, "f")
-    g = _t_only(g, "g")
-    omega = _t_only(omega, "omega")
-    if params:
-        f = substitute_params(f, params)
-        g = substitute_params(g, params)
-        omega = substitute_params(omega, params)
-    for e in (f, g, omega):
-        free = parameters(e)
-        if free:
-            raise UnboundNameError(sorted(free)[0])
+    f, g, omega = (bind(e, ("t",), params) for e in (f, g, omega))
     fp = differentiate(f, "t")
     gp = differentiate(g, "t")
     wp = differentiate(omega, "t")

@@ -24,10 +24,14 @@ class UnknownFunctionError(ExprSyntaxError):
 
 
 class UnboundNameError(OscdeformError):
-    """Evaluation hit a variable or parameter with no binding."""
+    """An expression uses a name with no binding: a parameter left free, or
+    a variable outside the ones allowed where the expression is used."""
 
-    def __init__(self, name):
-        super().__init__("unbound name: %s" % name)
+    def __init__(self, name, allowed=None):
+        message = "unbound name: %s" % name
+        if allowed is not None:
+            message += " (this expression may use only %s)" % ", ".join(allowed)
+        super().__init__(message)
         self.name = name
 
 

@@ -9,6 +9,9 @@ Grammar (whitespace insignificant)::
 
 The identifiers ``t``, ``x``, ``v``, ``u`` are variables; any other
 identifier is a named parameter that must be bound before evaluation.
+Every user expression enters the library through ``bind``, which
+substitutes parameters and checks which variables it uses, and is
+evaluated through ``function``.
 Function names are fixed: sin, cos, tan, cot, exp, ln, sqrt, abs, asinh,
 sinh, cosh, tanh.
 
@@ -569,27 +572,15 @@ def to_str(e):
     raise TypeError("not an Expr node: %r" % (e,))
 
 
-# --- tree queries --------------------------------------------------------------
+# --- the expression boundary ---------------------------------------------------
 
 def _walk(e):
     yield e
-    if isinstance(e, (Neg,)):
-        yield from _walk(e.arg)
-    elif isinstance(e, Call):
+    if isinstance(e, (Neg, Call)):
         yield from _walk(e.arg)
     elif isinstance(e, _Binary):
         yield from _walk(e.left)
         yield from _walk(e.right)
-
-
-def variables(e):
-    """Set of variable names referenced by e."""
-    return {n.name for n in _walk(e) if isinstance(n, Var)}
-
-
-def parameters(e):
-    """Set of parameter names referenced by e."""
-    return {n.name for n in _walk(e) if isinstance(n, Param)}
 
 
 def depends_on(e, name):
@@ -597,16 +588,45 @@ def depends_on(e, name):
     return any(isinstance(n, Var) and n.name == name for n in _walk(e))
 
 
-def substitute_params(e, values):
+def _substitute(e, values):
     """Replace parameter nodes found in `values` by numeric constants."""
     if isinstance(e, Param) and e.name in values:
         return Num(values[e.name])
     if isinstance(e, (Num, Var, Param)):
         return e
     if isinstance(e, Neg):
-        return Neg(substitute_params(e.arg, values))
+        return Neg(_substitute(e.arg, values))
     if isinstance(e, Call):
-        return Call(e.fn, substitute_params(e.arg, values))
+        return Call(e.fn, _substitute(e.arg, values))
     cls = type(e)
-    return cls(substitute_params(e.left, values),
-               substitute_params(e.right, values))
+    return cls(_substitute(e.left, values), _substitute(e.right, values))
+
+
+def bind(e, allowed, params=None):
+    """The expression e (text, a number or an Expr) with `params` substituted
+    and checked for use: UnboundNameError names the first parameter left
+    free, or the first variable outside `allowed` (with the allowed ones)."""
+    e = as_expr(e)
+    if params:
+        e = _substitute(e, params)
+    for n in _walk(e):
+        if isinstance(n, Param):
+            raise UnboundNameError(n.name)
+        if isinstance(n, Var) and n.name not in allowed:
+            raise UnboundNameError(n.name, allowed)
+    return e
+
+
+# the argument lists of function(); each writes its bindings dict out
+# literally, which costs less per call than building it with zip
+_SIGNATURES = {
+    ("t", "x", "v"): lambda e: lambda t, x, v: evaluate(
+        e, {"t": t, "x": x, "v": v}),
+    ("u",): lambda e: lambda u: evaluate(e, {"u": u}),
+}
+
+
+def function(e, names):
+    """e as a positional function of the variables `names`, ("t", "x", "v")
+    or ("u",): function(e, ("u",))(0.5) is evaluate(e, {"u": 0.5})."""
+    return _SIGNATURES[tuple(names)](e)

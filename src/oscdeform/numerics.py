@@ -260,22 +260,30 @@ def fd_derivatives(x_of_t, t, h):
     return x0, (4.0 * v_h2 - v_h) / 3.0, (4.0 * a_h2 - a_h) / 3.0
 
 
+def max_abs(values):
+    """Largest |value|, or inf as soon as a value is not finite: max() would
+    keep its running maximum past a NaN, and a NaN must fail a check."""
+    worst = 0.0
+    for r in values:
+        if not math.isfinite(r):
+            return math.inf
+        worst = max(worst, abs(r))
+    return worst
+
+
 def residual_scan(form, x_of_t, t_samples, h=1e-3):
     """Max |form.residual(t, x, xd, xdd)| over samples, with xd and xdd from
-    Richardson-extrapolated central differences of x_of_t."""
-    worst = 0.0
-    bad = []
-    for t in np.asarray(t_samples, dtype=float):
-        x0, v, a = fd_derivatives(x_of_t, float(t), h)
-        r = form.residual(float(t), x0, v, a)
+    Richardson-extrapolated central differences of x_of_t; inf, with a
+    warning, at the first non-finite residual."""
+    def residual(t):
+        x0, v, a = fd_derivatives(x_of_t, t, h)
+        r = form.residual(t, x0, v, a)
         if not math.isfinite(r):
-            bad.append(float(t))
-            worst = math.inf
-            continue
-        worst = max(worst, abs(r))
-    if bad:
-        warnings.warn("non-finite residual at t = %s" % (bad,))
-    return worst
+            warnings.warn("non-finite residual at t = %r" % (t,))
+        return r
+
+    return max_abs(residual(t)
+                   for t in np.asarray(t_samples, dtype=float).tolist())
 
 
 def trajectory_residual(form, x_of_t, v_of_t, t_samples, h=5e-3):
@@ -285,12 +293,11 @@ def trajectory_residual(form, x_of_t, v_of_t, t_samples, h=5e-3):
     Differencing v (already one derivative) instead of x twice keeps the
     round-off amplification one power of h lower.
     """
-    worst = 0.0
-    for t in np.asarray(t_samples, dtype=float):
-        t = float(t)
+    def residual(t):
         a_h = (v_of_t(t + h) - v_of_t(t - h)) / (2.0 * h)
         a_h2 = (v_of_t(t + 0.5 * h) - v_of_t(t - 0.5 * h)) / h
         a = (4.0 * a_h2 - a_h) / 3.0
-        r = form.residual(t, x_of_t(t), v_of_t(t), a)
-        worst = max(worst, abs(r))
-    return worst
+        return form.residual(t, x_of_t(t), v_of_t(t), a)
+
+    return max_abs(residual(t)
+                   for t in np.asarray(t_samples, dtype=float).tolist())

@@ -33,6 +33,7 @@ from .numerics import (
     fd_derivatives,
     find_root,
     integrate,
+    max_abs,
     residual_scan,
     trajectory_residual,
 )
@@ -121,7 +122,7 @@ def suite_catalog():
         grid = np.linspace(lo, hi, 90)
         traj = integrate_first_integral(sol.osc, lo, sol(lo), hi,
                                         t_eval=grid)
-        gap = max(abs(traj.x[i] - sol(traj.t[i])) for i in range(len(traj)))
+        gap = max_abs(s.x - sol(s.t) for s in traj.states)
         out.append(_check("catalog/%s/rk-match" % sol.case_id, gap, 1e-6))
     return out
 
@@ -141,13 +142,13 @@ def suite_phase():
     out = []
     rng = np.random.default_rng(20240825)
     osc = DeformedOscillator("0.2*x", "0.1*sin(t)", 1.0, alpha=0.3)
-    worst = 0.0
+    gaps = []
     for _ in range(1000):
         t = float(rng.uniform(-3.0, 3.0))
         x = float(rng.uniform(-2.0, 2.0))
         v = float(rng.uniform(-2.0, 2.0))
-        worst = max(worst, abs(abs(phase_function(osc, (t, x, v))) - 1.0))
-    out.append(_check("phase/modulus", worst, 1e-12))
+        gaps.append(abs(phase_function(osc, (t, x, v))) - 1.0)
+    out.append(_check("phase/modulus", max_abs(gaps), 1e-12))
 
     for f_src, g_src in PHASE_PAIRS:
         posc = DeformedOscillator(f_src, g_src, 1.0, alpha=0.3)
@@ -176,7 +177,7 @@ def suite_energy():
                                         t_eval=np.linspace(t0, t1, 300),
                                         rtol=1e-12, atol=1e-14)
         h = [energy(osc, (s.t, s.x, s.v)) for s in traj.states]
-        return max(abs(hi - h[0]) for hi in h)
+        return max_abs(hi - h[0] for hi in h)
 
     out.append(_check("energy/drift/harmonic",
                       drift(DeformedOscillator("0", "0", 1.0, alpha=0.3)),
@@ -195,12 +196,12 @@ def suite_energy():
     def h_of_t(tq):
         return energy(osc, (tq, x_of_t(tq), v_of_t(tq)))
 
-    worst = 0.0
-    for t in _off_pole(osc, t0 + 0.05, t1 - 0.05, 60):
-        t = float(t)
+    def rate_gap(t):
         _, dh, _ = fd_derivatives(h_of_t, t, 1e-3)
-        rate = energy_rate(osc, (t, x_of_t(t), v_of_t(t)))
-        worst = max(worst, abs(dh - rate))
+        return dh - energy_rate(osc, (t, x_of_t(t), v_of_t(t)))
+
+    worst = max_abs(rate_gap(t)
+                    for t in _off_pole(osc, t0 + 0.05, t1 - 0.05, 60).tolist())
     out.append(_check("energy/rate/generic", worst, 1e-6))
     return out
 
@@ -210,15 +211,16 @@ def _isochrony_checks(label, make_h, omega, alpha, n_list):
     sit at those poles for a 10x amplitude ratio, and their spacing does
     not move with amplitude."""
     spacings = []
-    worst_t = 0.0
+    offsets = []
     for scale in (1.0, 10.0):
         h = make_h(scale)
         roots = []
         for n in n_list:
             tn = (n * math.pi - alpha) / omega
             roots.append(find_root(h, tn - 0.35 / omega, tn + 0.35 / omega))
-            worst_t = max(worst_t, abs(roots[-1] - tn))
+            offsets.append(roots[-1] - tn)
         spacings.append(np.diff(roots))
+    worst_t = max_abs(offsets)
     spacing_gap = float(np.max(np.abs(spacings[0] - spacings[1])))
     return [_check("isochrony/%s/crossing-times" % label, worst_t, 1e-6),
             _check("isochrony/%s/amplitude-independence" % label,
@@ -258,25 +260,24 @@ def suite_hyp2f1():
     """Closed-form identities of the series evaluator, and agreement of the
     two case-4 solution paths (direct quadrature vs hypergeometric)."""
     out = []
-    worst1 = worst2 = 0.0
+    gaps1, gaps2 = [], []
     for z in (0.1, 0.25, 0.5, 0.9):
         a = 0.7
         got = catalog.hyp2f1(a, 1.3, 1.3, z)
         want = (1.0 - z) ** (-a)
-        worst1 = max(worst1, abs(got - want) / abs(want))
+        gaps1.append((got - want) / abs(want))
         got = catalog.hyp2f1(1.0, 1.0, 2.0, z)
         want = -math.log1p(-z) / z
-        worst2 = max(worst2, abs(got - want) / abs(want))
-    out.append(_check("hyp2f1/binomial-identity", worst1, 1e-12))
-    out.append(_check("hyp2f1/log-identity", worst2, 1e-12))
+        gaps2.append((got - want) / abs(want))
+    out.append(_check("hyp2f1/binomial-identity", max_abs(gaps1), 1e-12))
+    out.append(_check("hyp2f1/log-identity", max_abs(gaps2), 1e-12))
 
     mu, nu, w, al, t0, x0 = 0.8, 0.5, 1.0, 0.3, 0.5, 0.4
     direct = catalog.case4_riccati(mu, nu, w, al, t0=t0, x0=x0)
     series = catalog.case4_series(mu, nu, w, al, t0, x0)
-    worst = 0.0
-    for t in np.linspace(0.16, 2.38, 60):
-        if abs(math.cos(w * t + al)) <= 0.9:
-            worst = max(worst, abs(series(float(t)) - direct(float(t))))
+    worst = max_abs(series(t) - direct(t)
+                    for t in np.linspace(0.16, 2.38, 60).tolist()
+                    if abs(math.cos(w * t + al)) <= 0.9)
     out.append(_check("hyp2f1/case4-two-paths", worst, 1e-6))
     return out
 
@@ -301,11 +302,9 @@ def suite_riccati():
 
         al = riccati_fit_alpha(b, w, (0.0, x0, v0))
         X = riccati_phase_formula(b, w, al)
-        gap = 0.0
-        for t in grid[::4]:
-            t = float(t)
-            got = riccati_phase((t, x_of_t(t), v_of_t(t)), w)
-            gap = max(gap, abs(got - X(t)))
+        # the phase values are complex: reduce their moduli
+        gap = max_abs(abs(riccati_phase((t, x_of_t(t), v_of_t(t)), w) - X(t))
+                      for t in grid[::4].tolist())
         out.append(_check("riccati/phase-law/b=%g" % b, gap, 1e-6))
     return out
 
@@ -330,17 +329,15 @@ def suite_rcd():
 
     closed = apps.rcd_travelling_wave(p1)
     quad = apps.rcd_travelling_wave(p1, force_quadrature=True)
-    gap = max(abs(closed(x) - quad(x)) for x in np.linspace(0.1, 2.0, 40))
+    gap = max_abs(closed(x) - quad(x) for x in np.linspace(0.1, 2.0, 40))
     out.append(_check("rcd/closed-vs-quadrature", gap, 1e-9))
 
     bare = apps.RcdSystem(sys2.D, sys2.B, sys2.Q, Vf=sys2.Vf, D0=sys2.D0)
     rng = np.random.default_rng(20240825)
-    worst = 0.0
-    for u in 0.2 + 2.5 * rng.random(100):
-        worst = max(worst,
-                    abs(bare.alpha(u) - sys2.alpha(u)),
-                    abs(bare.beta(u) - sys2.beta(u)),
-                    abs(bare.gamma(u) - sys2.gamma(u)))
+    worst = max_abs(gap for u in 0.2 + 2.5 * rng.random(100)
+                    for gap in (bare.alpha(u) - sys2.alpha(u),
+                                bare.beta(u) - sys2.beta(u),
+                                bare.gamma(u) - sys2.gamma(u)))
     out.append(_check("rcd/inverse-consistency", worst, 1e-9))
     return out
 
@@ -354,13 +351,12 @@ def suite_beam():
     gp = differentiate(ge, "u")
     a = model.alpha_coef
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for u in 0.5 * rng.random(100):
-        u = float(u)
+    gaps = []
+    for u in (0.5 * rng.random(100)).tolist():
         g = evaluate(ge, {"u": u})
         lhs = a * u / (1.0 + a * u * u)
-        worst = max(worst, abs(lhs + evaluate(gp, {"u": u}) / (u + g)))
-    out.append(_check("beam/deformation-ode", worst, 1e-9))
+        gaps.append(lhs + evaluate(gp, {"u": u}) / (u + g))
+    out.append(_check("beam/deformation-ode", max_abs(gaps), 1e-9))
 
     sc = apps.beam_series_compare(model, order=3)
     out.append(_check("beam/cubic-coefficients-symbolic",
@@ -383,8 +379,8 @@ def suite_beam():
                              t_eval=t, rtol=1e-12, atol=1e-14)
     approx = apps.beam_solve(model, "approx", (0.05, 0.0), (0.0, t[-1]),
                              t_eval=t)
-    gap = max(max(abs(p.x - q.x), abs(p.v - q.v))
-              for p, q in zip(approx.states, direct.states))
+    gap = max_abs(d for p, q in zip(approx.states, direct.states)
+                  for d in (p.x - q.x, p.v - q.v))
     out.append(_check("beam/approx-vs-direct", gap, 1e-3))
     return out
 

@@ -11,6 +11,7 @@ from oscdeform.errors import (
     BracketZero,
     DomainViolation,
     NegativeAlpha,
+    UnboundNameError,
 )
 from oscdeform.exprdsl import differentiate, evaluate
 from oscdeform.numerics import find_root
@@ -66,7 +67,7 @@ def test_rcd_input_validation():
         apps.RcdSystem(lambda u: 1.0, lambda u: 0.0, lambda u: u, Vf=-1.0)
     with pytest.raises(ValueError):
         apps.RcdSystem(lambda u: 1.0, lambda u: 0.0, lambda u: u, D0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundNameError):
         apps.rcd_from_fg("x^2", "0", omega=1.0)
     sys = apps.rcd_from_fg("u^2", "0", omega=1.0)
     with pytest.raises(DomainViolation):
@@ -127,6 +128,18 @@ def test_rcd_equilibrium_profile():
     assert sys.gamma(0.0) == 0.0
     xi = np.linspace(0.1, 2.0, 11)
     assert apps.rcd_residual(sys, lambda x: 0.0, xi) == 0.0
+
+
+def test_rcd_residual_is_the_system_residual_scanned():
+    sys = apps.rcd_power_family(2.0, 0.3, 0.6, omega=1.0)
+    u, up, upp = 1.2, -0.4, 0.7
+    assert sys.residual(0.0, u, up, upp) == (
+        upp + sys.alpha(u) * up * up + sys.beta(u) * up + sys.gamma(u))
+    # a NaN sample fails the scan instead of being skipped
+    with pytest.warns(UserWarning):
+        bad = apps.rcd_residual(sys, lambda x: math.nan if x > 1.0 else x,
+                                np.linspace(0.5, 1.5, 11))
+    assert bad == math.inf
 
 
 def test_rcd_wrong_profile_fails():

@@ -16,6 +16,7 @@ from oscdeform.errors import (
     NonSmoothPoint,
     NoRealRoot,
     PoleInRange,
+    UnboundNameError,
 )
 from oscdeform.numerics import fd_derivatives, residual_scan
 
@@ -347,7 +348,7 @@ def test_hyp2f1_input_validation():
 
 
 def test_time_quadrature_rejects_state_dependence():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundNameError):
         catalog.time_quadrature("x", "0", 1.0)
     with pytest.raises(CotangentPole):
         catalog.time_quadrature("0", "0", 1.0, 1.0, 0.0, t_ref=math.pi)

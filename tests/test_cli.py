@@ -259,6 +259,33 @@ def test_exit_two_on_numerical_failure(capsys):
     assert "np." not in err and "numpy" not in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["derive", "--omega", "x"], "x"),
+    (["derive", "--f", "u"], "u"),
+    (["solve", "--g", "u"], "u"),
+    (["catalog", "--case", "time_quadrature", "--f", "x", "--param", "A=1"],
+     "x"),
+    (["derive", "--g", "y"], "y"),
+])
+def test_exit_one_on_a_name_the_expression_may_not_use(capsys, argv, name):
+    # a variable outside the allowed ones is a parse error, like a free
+    # parameter (y is one), not a numerical failure
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: unbound name: %s" % name)
+
+
+def test_singular_coefficient_message_shows_plain_numbers(capsys):
+    code = cli.main(["solve", "--f", "0.25*sin(t+0.3)",
+                     "--g", "0.1*sin(t+0.3)^2", "--alpha", "0.3",
+                     "--t0", "0.5", "--t1", "6", "--method", "second-order",
+                     "--samples", "201"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "SingularCoefficient" in err
+    assert "np.float64" not in err
+
+
 def test_exit_three_on_verification_failure(monkeypatch, capsys):
     def failing_suite():
         return [verify.Check("stub/always-fails", 1.0, 1e-6, False)]

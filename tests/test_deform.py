@@ -44,7 +44,7 @@ from oscdeform.numerics import (
 def test_oscillator_validation():
     with pytest.raises(ValueError):
         DeformedOscillator("0", "0", -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundNameError):
         DeformedOscillator("u^2", "0", 1.0)
     with pytest.raises(UnboundNameError):
         DeformedOscillator("m*x", "0", 1.0)
@@ -417,7 +417,7 @@ def test_time_varying_residual_along_solution():
 
 
 def test_time_varying_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundNameError):
         generate_ode_time_varying("x", "0", "1")
     with pytest.raises(UnboundNameError):
         generate_ode_time_varying("q*t", "0", "1")

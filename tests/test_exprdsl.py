@@ -18,14 +18,13 @@ from oscdeform.exprdsl import (
     Param,
     Pow,
     Var,
+    bind,
     depends_on,
     differentiate,
     evaluate,
-    parameters,
+    function,
     parse,
-    substitute_params,
     to_str,
-    variables,
 )
 
 
@@ -57,8 +56,16 @@ def test_unary_minus_binds_before_power():
 
 def test_variables_vs_parameters():
     e = parse("mu*x^2 + nu - v*sin(t)")
-    assert variables(e) == {"x", "v", "t"}
-    assert parameters(e) == {"mu", "nu"}
+    params = {"mu": 1.0, "nu": 2.0}
+    bound = bind(e, ("t", "x", "v"), params)
+    assert evaluate(bound, {"t": 0.0, "x": 1.0, "v": 1.0}) == 3.0
+    with pytest.raises(UnboundNameError) as info:
+        bind(e, ("t", "x", "v"))
+    assert info.value.name == "mu"
+    with pytest.raises(UnboundNameError) as info:
+        bind(e, ("t", "x"), params)
+    assert info.value.name == "v"
+    assert "may use only t, x" in str(info.value)
     assert depends_on(e, "x")
     assert not depends_on(e, "u")
 
@@ -251,12 +258,23 @@ def test_print_round_trip_random_trees():
 
 def test_substitute_params():
     e = parse("mu*x^2 + nu*v")
-    e2 = substitute_params(e, {"mu": 2.0, "nu": -1.5})
-    assert parameters(e2) == set()
+    e2 = bind(e, ("x", "v"), {"mu": 2.0, "nu": -1.5})
     assert evaluate(e2, {"x": 3.0, "v": 2.0}) == 2.0 * 9.0 - 1.5 * 2.0
-    # partial substitution leaves the rest alone
-    e3 = substitute_params(e, {"mu": 2.0})
-    assert parameters(e3) == {"nu"}
+    # partial substitution leaves nu free, which bind reports
+    with pytest.raises(UnboundNameError) as info:
+        bind(e, ("x", "v"), {"mu": 2.0})
+    assert info.value.name == "nu"
+    # text and numbers are accepted as well as trees
+    assert evaluate(bind("1.5", ("u",)), {}) == 1.5
+    assert evaluate(bind(2, ("u",)), {}) == 2.0
+
+
+def test_function_is_evaluate_with_positional_variables():
+    e = parse("x*sin(t) - v^2")
+    fn = function(e, ("t", "x", "v"))
+    assert fn(0.3, 2.0, 1.5) == evaluate(e, {"t": 0.3, "x": 2.0, "v": 1.5})
+    g = function(parse("u^3 - u"), ("u",))
+    assert g(2.0) == 6.0
 
 
 def test_str_dunder_is_printer():

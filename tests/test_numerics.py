@@ -18,6 +18,7 @@ from oscdeform.numerics import (
     fd_derivatives,
     find_root,
     integrate,
+    max_abs,
     residual_scan,
     solve_scalar,
     trajectory_residual,
@@ -230,6 +231,24 @@ def test_residual_scan_reports_non_finite():
     with pytest.warns(UserWarning):
         worst = residual_scan(form, math.sin, [0.5, 1.0, 1.5])
     assert math.isinf(worst)
+
+
+def test_max_abs_is_inf_once_a_value_is_not_finite():
+    assert max_abs([0.5, -2.0, 1.0]) == 2.0
+    assert max_abs([]) == 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        assert max_abs([1.0, bad, 3.0]) == math.inf
+
+
+def test_trajectory_residual_is_inf_on_a_nan_sample():
+    # max(worst, nan) keeps worst, which hid a NaN state in a passing value
+    form = _Form(lambda t, x, v, a: a + x)
+
+    def x_of_t(t):
+        return math.nan if t == 1.0 else math.sin(t)
+
+    worst = trajectory_residual(form, x_of_t, math.cos, [0.5, 1.0, 1.5])
+    assert worst == math.inf
 
 
 def test_trajectory_residual_uses_velocity_channel():
