@@ -26,7 +26,6 @@ from .exprdsl import (
     bind,
     differentiate,
     div,
-    evaluate,
     function,
     mul,
     neg,
@@ -337,8 +336,8 @@ def beam_series_compare(model, order=6):
             fact *= k
             ge = differentiate(ge, "u")
             he = differentiate(he, "u")
-        g_coeffs.append(evaluate(ge, {"u": 0.0}) / fact)
-        h_coeffs.append(evaluate(he, {"u": 0.0}) / fact)
+        g_coeffs.append(function(ge, ("u",))(0.0) / fact)
+        h_coeffs.append(function(he, ("u",))(0.0) / fact)
     mism = max(abs(gc - hc) for gc, hc in zip(g_coeffs, h_coeffs))
     return SeriesComparison(tuple(g_coeffs), tuple(h_coeffs), mism)
 

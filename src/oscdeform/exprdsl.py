@@ -16,15 +16,23 @@ Function names are fixed: sin, cos, tan, cot, exp, ln, sqrt, abs, asinh,
 sinh, cosh, tanh.
 
 Trees are immutable; evaluation is plain IEEE-double arithmetic with domain
-errors raised (never silent NaN).  Differentiation is symbolic with constant
-folding (0*e -> 0, 1*e -> e and friends), which keeps the generated
-derivative trees small enough to evaluate thousands of times.
+errors raised (never silent NaN).  ``evaluate`` walks the tree and is the
+reference; ``function`` compiles an expression on its first call into one
+Python function that computes each distinct subexpression once, with the
+same operations in the same order and the same errors.  Differentiation is
+symbolic with constant folding (0*e -> 0, 1*e -> e and friends) and returns
+a graph: a subtree shared in its input is differentiated once, and its
+derivative is shared in the output, so repeated derivatives grow with the
+number of distinct subexpressions rather than the printed size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import types
+import weakref
 
 from .errors import (
     EvalDomainError,
@@ -437,7 +445,10 @@ def powe(a, b):
     if _num(b, 0.0):
         return Num(1.0)
     if _num(a) and _num(b) and float(b.value).is_integer() and b.value >= 0:
-        return Num(a.value ** b.value)
+        try:
+            return Num(a.value ** b.value)
+        except OverflowError:
+            pass  # kept unfolded: evaluating it raises "overflow in power"
     return Pow(a, b)
 
 
@@ -447,70 +458,83 @@ def differentiate(e, var):
     """Exact symbolic derivative of e with respect to a variable name."""
     if var not in VARIABLES:
         raise ValueError("not a variable: %r" % (var,))
-    return _diff(e, var)
+    return _diff(e, var, {})
 
 
-def _diff(e, var):
+def _diff(e, var, done):
+    """Derivative of e.  done maps id(node) to the derivative of each inner
+    node already differentiated in this call, so a subtree shared in the
+    input is differentiated once and its derivative is shared in the
+    output."""
     if isinstance(e, (Num, Param)):
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0) if e.name == var else Num(0.0)
+    key = id(e)
+    r = done.get(key)
+    if r is not None:
+        return r
     if isinstance(e, Neg):
-        return neg(_diff(e.arg, var))
-    if isinstance(e, Add):
-        return add(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Sub):
-        return sub(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Mul):
-        return add(mul(_diff(e.left, var), e.right),
-                   mul(e.left, _diff(e.right, var)))
-    if isinstance(e, Div):
-        return div(sub(mul(_diff(e.left, var), e.right),
-                       mul(e.left, _diff(e.right, var))),
-                   mul(e.right, e.right))
-    if isinstance(e, Pow):
-        da = _diff(e.left, var)
+        r = neg(_diff(e.arg, var, done))
+    elif isinstance(e, Add):
+        r = add(_diff(e.left, var, done), _diff(e.right, var, done))
+    elif isinstance(e, Sub):
+        r = sub(_diff(e.left, var, done), _diff(e.right, var, done))
+    elif isinstance(e, Mul):
+        r = add(mul(_diff(e.left, var, done), e.right),
+                mul(e.left, _diff(e.right, var, done)))
+    elif isinstance(e, Div):
+        r = div(sub(mul(_diff(e.left, var, done), e.right),
+                    mul(e.left, _diff(e.right, var, done))),
+                mul(e.right, e.right))
+    elif isinstance(e, Pow):
+        da = _diff(e.left, var, done)
         if isinstance(e.right, Num):
             c = e.right.value
-            return mul(mul(Num(c), powe(e.left, Num(c - 1.0))), da)
-        db = _diff(e.right, var)
-        # d(a^b) = a^b * (db*ln a + b*da/a)
-        return mul(Pow(e.left, e.right),
-                   add(mul(db, Call("ln", e.left)),
-                       mul(e.right, div(da, e.left))))
-    if isinstance(e, Call):
-        u = e.arg
-        du = _diff(u, var)
-        fn = e.fn
-        if fn == "sin":
-            outer = Call("cos", u)
-        elif fn == "cos":
-            outer = neg(Call("sin", u))
-        elif fn == "tan":
-            outer = add(Num(1.0), powe(Call("tan", u), Num(2.0)))
-        elif fn == "cot":
-            outer = neg(add(Num(1.0), powe(Call("cot", u), Num(2.0))))
-        elif fn == "exp":
-            outer = Call("exp", u)
-        elif fn == "ln":
-            return div(du, u)
-        elif fn == "sqrt":
-            return div(du, mul(Num(2.0), Call("sqrt", u)))
-        elif fn == "abs":
-            # u/|u| * du; undefined (division by zero) at u = 0
-            return div(mul(u, du), Call("abs", u))
-        elif fn == "asinh":
-            return div(du, Call("sqrt", add(Num(1.0), mul(u, u))))
-        elif fn == "sinh":
-            outer = Call("cosh", u)
-        elif fn == "cosh":
-            outer = Call("sinh", u)
-        elif fn == "tanh":
-            outer = sub(Num(1.0), powe(Call("tanh", u), Num(2.0)))
-        else:  # pragma: no cover - impossible by construction
-            raise TypeError("no derivative rule for %s" % fn)
-        return mul(outer, du)
-    raise TypeError("not an Expr node: %r" % (e,))
+            r = mul(mul(Num(c), powe(e.left, Num(c - 1.0))), da)
+        else:
+            db = _diff(e.right, var, done)
+            # d(a^b) = a^b * (db*ln a + b*da/a)
+            r = mul(e, add(mul(db, Call("ln", e.left)),
+                           mul(e.right, div(da, e.left))))
+    elif isinstance(e, Call):
+        r = _chain_rule(e.fn, e.arg, _diff(e.arg, var, done))
+    else:
+        raise TypeError("not an Expr node: %r" % (e,))
+    done[key] = r
+    return r
+
+
+def _chain_rule(fn, u, du):
+    """Derivative of fn(u), given the derivative du of u."""
+    if fn == "sin":
+        outer = Call("cos", u)
+    elif fn == "cos":
+        outer = neg(Call("sin", u))
+    elif fn == "tan":
+        outer = add(Num(1.0), powe(Call("tan", u), Num(2.0)))
+    elif fn == "cot":
+        outer = neg(add(Num(1.0), powe(Call("cot", u), Num(2.0))))
+    elif fn == "exp":
+        outer = Call("exp", u)
+    elif fn == "ln":
+        return div(du, u)
+    elif fn == "sqrt":
+        return div(du, mul(Num(2.0), Call("sqrt", u)))
+    elif fn == "abs":
+        # u/|u| * du; undefined (division by zero) at u = 0
+        return div(mul(u, du), Call("abs", u))
+    elif fn == "asinh":
+        return div(du, Call("sqrt", add(Num(1.0), mul(u, u))))
+    elif fn == "sinh":
+        outer = Call("cosh", u)
+    elif fn == "cosh":
+        outer = Call("sinh", u)
+    elif fn == "tanh":
+        outer = sub(Num(1.0), powe(Call("tanh", u), Num(2.0)))
+    else:  # pragma: no cover - impossible by construction
+        raise TypeError("no derivative rule for %s" % fn)
+    return mul(outer, du)
 
 
 # --- printing -----------------------------------------------------------------
@@ -617,16 +641,173 @@ def bind(e, allowed, params=None):
     return e
 
 
-# the argument lists of function(); each writes its bindings dict out
-# literally, which costs less per call than building it with zip
-_SIGNATURES = {
-    ("t", "x", "v"): lambda e: lambda t, x, v: evaluate(
-        e, {"t": t, "x": x, "v": v}),
-    ("u",): lambda e: lambda u: evaluate(e, {"u": u}),
-}
+# --- compilation ----------------------------------------------------------------
+
+class _Unreachable(Exception):
+    """Raised while generating code past a name that is never bound."""
+
+
+_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+class _Codegen:
+    """Python source for one Expr: a function of `names` that does
+    evaluate's operations in evaluate's order, each distinct subexpression
+    once.  A subexpression met again, as the same node or as an equal
+    structure, reuses the local that holds its value.
+
+    Only generated local names, the argument names, the names of FUNCTIONS
+    and repr of finite floats go into the source; every other constant and
+    every unbound name is passed in through the function's globals."""
+
+    def __init__(self, names, scope):
+        self.names = names
+        self.scope = scope
+        self.lines = []
+        self.by_id = {}   # id(node) -> text of its value in the code
+        self.by_key = {}  # structure -> local holding its value
+        self.nonzero = set()  # divisors already tested against 0
+
+    def source(self, e):
+        try:
+            self.emit("return %s" % self.operand(e))
+        except _Unreachable:
+            pass
+        return "def body(%s):\n%s\n" % (", ".join(self.names),
+                                       "\n".join(self.lines))
+
+    def emit(self, *lines):
+        self.lines.extend("    " + line for line in lines)
+
+    def outside(self, value):
+        """A global name through which value reaches the code."""
+        name = "_c%d" % len(self.scope)
+        self.scope[name] = value
+        return name
+
+    def local(self, key, lines):
+        """The local holding structure `key`; lines(name) is its code."""
+        name = self.by_key.get(key)
+        if name is None:
+            name = self.by_key[key] = "_%d" % len(self.by_key)
+            self.emit(*lines(name))
+        return name
+
+    def operand(self, e):
+        """Text of e's value, after emitting the code that computes it.
+        Like evaluate, it recurses once per level of the tree."""
+        text = self.by_id.get(id(e))
+        if text is not None:
+            return text
+        if isinstance(e, Num):
+            text = ("(%r)" % e.value if math.isfinite(e.value)
+                    else self.outside(e.value))
+        elif isinstance(e, Var) and e.name in self.names:
+            text = self.local(("float", e.name), lambda name: [
+                "%s = float(%s)" % (name, e.name)])
+        elif isinstance(e, (Var, Param)):
+            self.emit("raise UnboundNameError(%s)" % self.outside(e.name))
+            raise _Unreachable
+        elif isinstance(e, Neg):
+            a = self.operand(e.arg)
+            text = self.local(("-", a), lambda name: ["%s = -%s" % (name, a)])
+        elif isinstance(e, Pow):
+            base = self.operand(e.left)
+            k = _syntactic_int_exponent(e.right)
+            p = k if k is not None else self.operand(e.right)
+            text = self.local(("**", base, p), lambda name: _power_lines(
+                name, base, p, k is not None))
+        elif isinstance(e, Call):
+            z = self.operand(e.arg)
+            text = self.local((e.fn, z), lambda name: _guarded(
+                name, "%s(%s)" % (e.fn, z), e.fn, z))
+        elif isinstance(e, _Binary):
+            op = _OPERATORS[type(e)]
+            if op == "/":  # the divisor first, as evaluate does
+                b = self.operand(e.right)
+                if b not in self.nonzero:
+                    self.nonzero.add(b)
+                    self.emit("if %s == 0.0:" % b,
+                              '    raise EvalDomainError("division by zero")')
+                a = self.operand(e.left)
+            else:
+                a, b = self.operand(e.left), self.operand(e.right)
+            text = self.local((op, a, b), lambda name: [
+                "%s = %s %s %s" % (name, a, op, b)])
+        else:
+            raise TypeError("not an Expr node: %r" % (e,))
+        self.by_id[id(e)] = text
+        return text
+
+
+def _power_lines(name, base, p, integral):
+    """name = base ** p with evaluate's guards; an integral p is the int
+    exponent evaluate reads from the tree, which it never evaluates."""
+    lines = []
+    if not integral:
+        lines += ["if %s < 0.0:" % base,
+                  "    raise EvalDomainError("
+                  '"fractional power of negative base %%r" %% %s)' % base]
+    if not integral or p < 0:
+        negative = "" if integral else " and %s < 0.0" % p
+        lines += ["if %s == 0.0%s:" % (base, negative),
+                  '    raise EvalDomainError("zero raised to a negative power")']
+    return lines + _guarded(name, "%s ** %s" % (base, p), "power")
+
+
+def _guarded(name, expr, what, arg=None):
+    """Lines of name = expr, raising OverflowError (and, for a function
+    call, ValueError) as evaluate raises them."""
+    lines = ["try:",
+             "    %s = %s" % (name, expr),
+             "except OverflowError:",
+             '    raise EvalDomainError("overflow in %s") from None' % what]
+    if arg is not None:
+        lines += ["except ValueError:",
+                  '    raise EvalDomainError("domain error in %s(%%r)" %% %s)'
+                  " from None" % (what, arg)]
+    return lines
+
+
+_SCOPE = dict(FUNCTIONS, EvalDomainError=EvalDomainError,
+              UnboundNameError=UnboundNameError)
+
+
+@functools.lru_cache(maxsize=None)
+def _first_call_code(names):
+    """Code of a function of `names` that hands its arguments to the
+    first_call of its globals."""
+    if len(set(names)) != len(names) or not set(names) <= set(VARIABLES):
+        raise ValueError("not distinct variables: %r" % (names,))
+    scope = {}
+    args = ", ".join(names)
+    exec("def expression(%s):\n    return first_call(%s)\n" % (args, args),
+         scope)
+    return scope["expression"].__code__
 
 
 def function(e, names):
-    """e as a positional function of the variables `names`, ("t", "x", "v")
-    or ("u",): function(e, ("u",))(0.5) is evaluate(e, {"u": 0.5})."""
-    return _SIGNATURES[tuple(names)](e)
+    """e as a positional function of the variables `names`, distinct names
+    from VARIABLES: function(e, ("u",))(0.5) is evaluate(e, {"u": 0.5}),
+    the same float or the same error.
+
+    Building it costs little; its first call compiles e into one Python
+    function (see _Codegen) and then becomes that function, so later calls
+    run the compiled code directly."""
+    names = tuple(names)
+    fn = types.FunctionType(_first_call_code(names), {})
+    # fn holds its globals and they hold first_call, so first_call reaches
+    # fn weakly: a cycle would leave every function to the collector
+    ref = weakref.ref(fn)
+
+    def first_call(*args):
+        compiled = ref()
+        scope = compiled.__globals__
+        scope.update(_SCOPE)
+        exec(_Codegen(names, scope).source(e), scope)
+        compiled.__code__ = scope.pop("body").__code__
+        del scope["first_call"]
+        return compiled(*args)
+
+    fn.__globals__["first_call"] = first_call
+    return fn

@@ -9,7 +9,8 @@ sign check that raises the typed NoSignChange.  Quadrature is a small
 self-contained routine so its node placement stays explicit and
 reproducible.  Every implicit relation (the first integral's position
 and velocity, the beam's F(u) = K sin(omega*t + phi)) is inverted
-pointwise by one safeguarded scalar solver, solve_scalar.
+pointwise by one safeguarded scalar solver, solve_scalar.  scipy is
+imported by the first call that needs it, not with this module.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import warnings
 from collections import namedtuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     EvalDomainError,
@@ -109,6 +108,8 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
         if y0.shape != (2,):
             raise ValueError("y0 must be a number or a pair")
         field = rhs
+    # imported here: scipy.integrate is most of the library's import time
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(field, (float(t0), float(t1)), y0, method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
@@ -206,6 +207,7 @@ def find_root(f, lo, hi, tol=1e-12):
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         raise NoSignChange("f(%g)=%g and f(%g)=%g do not change sign"
                            % (lo, flo, hi, fhi))
+    from scipy.optimize import brentq
     return brentq(f, lo, hi, xtol=tol, rtol=max(tol, 4.0 * math.ulp(1.0)),
                   maxiter=200)
 

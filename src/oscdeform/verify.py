@@ -28,7 +28,7 @@ from .deform import (
     riccati_phase,
     riccati_phase_formula,
 )
-from .exprdsl import differentiate, evaluate
+from .exprdsl import differentiate, function
 from .numerics import (
     fd_derivatives,
     find_root,
@@ -348,21 +348,20 @@ def suite_beam():
     out = []
     model = apps.BeamModel(3.0, 2.0, omega=1.0, c1=0.0)
     ge = apps.beam_g_expr(model)
-    gp = differentiate(ge, "u")
+    g_fn = apps.beam_g(model)
+    gp_fn = function(differentiate(ge, "u"), ("u",))
     a = model.alpha_coef
     rng = np.random.default_rng(42)
     gaps = []
     for u in (0.5 * rng.random(100)).tolist():
-        g = evaluate(ge, {"u": u})
+        g = g_fn(u)
         lhs = a * u / (1.0 + a * u * u)
-        gaps.append(lhs + evaluate(gp, {"u": u}) / (u + g))
+        gaps.append(lhs + gp_fn(u) / (u + g))
     out.append(_check("beam/deformation-ode", max_abs(gaps), 1e-9))
 
     sc = apps.beam_series_compare(model, order=3)
     out.append(_check("beam/cubic-coefficients-symbolic",
                       abs(sc.g_coeffs[3] - sc.h_coeffs[3]), 1e-14))
-
-    g_fn = apps.beam_g(model)
 
     def cubic(h):
         return (g_fn(h) - g_fn(-h)) / (2.0 * h ** 3)

@@ -317,3 +317,43 @@ def test_beam_t_eval_is_checked_sorted_and_deduplicated():
 def test_beam_model_validation():
     with pytest.raises(ValueError):
         apps.BeamModel(3.0, 2.0, omega=0.0)
+
+
+def _distinct_nodes(e):
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, a) for a in ("arg", "left", "right")
+                         if hasattr(node, a))
+    return len(seen)
+
+
+def test_repeated_derivatives_share_subtrees():
+    # printed out as a tree, the 6th derivative has about 2.9 million nodes
+    ge = apps.beam_g_expr(apps.BeamModel(3.0, 2.0))
+    for _ in range(6):
+        ge = differentiate(ge, "u")
+    assert _distinct_nodes(ge) <= 10000
+
+
+@pytest.mark.parametrize("c1, g_hex, h_hex", [
+    (0.0,
+     ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
+      "0x0.0p+0", "0x1.3333333333332p+1", "0x0.0p+0"],
+     ["-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
+      "0x0.0p+0", "0x1.8000000000000p+1", "0x0.0p+0"]),
+    (0.4,
+     ["0x1.999999999999ap-2", "0x0.0p+0", "-0x1.3333333333334p-1",
+      "-0x1.0000000000000p+0", "0x1.5999999999999p+0",
+      "0x1.3333333333332p+1", "-0x1.b000000000000p+1"],
+     ["-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
+      "0x0.0p+0", "0x1.8000000000000p+1", "0x0.0p+0"]),
+])
+def test_beam_series_coefficients_are_bitwise_stable(c1, g_hex, h_hex):
+    # recorded from the tree-walking evaluator, signed zeros included
+    sc = apps.beam_series_compare(apps.BeamModel(3.0, 2.0, c1=c1), order=6)
+    assert [c.hex() for c in sc.g_coeffs] == g_hex
+    assert [c.hex() for c in sc.h_coeffs] == h_hex

@@ -360,3 +360,15 @@ def test_readme_cli_reference_matches_parser():
         documented[name] = set(flag.findall(body.split("\n\n")[0]))
     assert documented == declared
     assert set(flag.findall(ref)) <= set().union(*declared.values())
+
+
+def test_constant_power_beyond_the_double_range(capsys):
+    # derive prints f_x's 2^1100 unfolded; solve evaluates it and reports
+    # the typed overflow, not a bare OverflowError
+    assert cli.main(["derive", "--f", "2^1100*x", "--g", "0"]) == 0
+    assert "f = 2^1100*x" in capsys.readouterr().out
+    code = cli.main(["solve", "--f", "2^1100*x", "--g", "0", "--t0", "0.3",
+                     "--t1", "1", "--x0", "0.4", "--samples", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "numerical failure: EvalDomainError: overflow in power"

@@ -12,6 +12,7 @@ from oscdeform.errors import (
 from oscdeform.exprdsl import (
     Add,
     Call,
+    Div,
     Mul,
     Neg,
     Num,
@@ -280,3 +281,70 @@ def test_function_is_evaluate_with_positional_variables():
 def test_str_dunder_is_printer():
     e = parse("x + 2*v")
     assert str(e) == to_str(e)
+
+
+@pytest.mark.parametrize("text, names, args, message", [
+    ("1/x", ("x",), (0.0,), "division by zero"),
+    ("x^-1", ("x",), (0.0,), "zero raised to a negative power"),
+    ("x^(v - 2)", ("x", "v"), (0.0, 1.0), "zero raised to a negative power"),
+    ("x^0.5", ("x",), (-2.0,), "fractional power of negative base -2.0"),
+    ("x^400", ("x",), (1e10,), "overflow in power"),
+    ("x^v", ("x", "v"), (10.0, 400.0), "overflow in power"),
+    ("exp(x)", ("x",), (1000.0,), "overflow in exp"),
+    ("cosh(x)", ("x",), (1000.0,), "overflow in cosh"),
+    ("sin(x)", ("x",), (math.inf,), "domain error in sin(inf)"),
+    ("ln(x)", ("x",), (0.0,), "ln of non-positive value 0.0"),
+    ("sqrt(x)", ("x",), (-1.0,), "sqrt of negative value -1.0"),
+    ("cot(t)", ("t",), (0.0,), "cot pole at 0.0"),
+    # the first error in evaluation order wins: the divisor comes first
+    ("ln(x)/x", ("x",), (0.0,), "division by zero"),
+])
+def test_function_raises_each_domain_error_as_evaluate(text, names, args,
+                                                       message):
+    e = parse(text)
+    for call in (lambda: evaluate(e, dict(zip(names, args))),
+                 lambda: function(e, names)(*args)):
+        with pytest.raises(EvalDomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_function_raises_for_a_free_name_when_called_not_when_built():
+    fn = function(parse("mu*x"), ("x",))
+    with pytest.raises(UnboundNameError) as info:
+        fn(2.0)
+    assert info.value.name == "mu"
+    # a variable outside the signature is free in the same way
+    with pytest.raises(UnboundNameError) as info:
+        function(parse("u + x"), ("x",))(1.0)
+    assert info.value.name == "u"
+    # reached after a domain error, the name is never reached
+    with pytest.raises(EvalDomainError):
+        function(parse("1/x + mu"), ("x",))(0.0)
+
+
+def test_function_takes_only_distinct_variables():
+    for names in (("x", "x"), ("y",), ("t", "mu")):
+        with pytest.raises(ValueError):
+            function(parse("x"), names)
+
+
+def test_constant_power_beyond_the_double_range_stays_unfolded():
+    # folding 2^1099 would overflow; the node stays, and evaluating it
+    # raises the typed error
+    d = differentiate(parse("2^1100*x"), "x")
+    with pytest.raises(EvalDomainError, match="overflow in power"):
+        function(d, ("x",))(1.0)
+    assert to_str(differentiate(parse("x*2^1100"), "x")) == "2^1100"
+
+
+def test_function_shares_equal_subexpressions_only():
+    # equal structures share one value; the same operands in the other
+    # order are a different value
+    s = parse("sin(x)")
+    for e in (parse("(x - v) + (v - x)"), parse("x/v - v/x"),
+              parse("x^v + v^x"), parse("sin(x)*sin(x) + sin(x)^2"),
+              Add(Mul(s, s), Div(s, Add(s, s)))):
+        fn = function(e, ("t", "x", "v"))
+        for x, v in ((1.0, 3.0), (2.5, 0.75)):
+            assert fn(0.0, x, v) == evaluate(e, {"x": x, "v": v}), to_str(e)

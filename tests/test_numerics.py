@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,3 +306,15 @@ def test_solve_scalar_propagates_foreign_errors():
     # the bracket fallback does not swallow it either
     with pytest.raises(TypeError):
         solve_scalar(h_bracket, lambda x: 0.0, 0.0, 1e-14)
+
+
+def test_importing_the_library_loads_no_scipy_solver():
+    # scipy.integrate is most of the import time; integrate and find_root
+    # load it, and scipy.optimize, on their first call
+    code = ("import sys, oscdeform; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
