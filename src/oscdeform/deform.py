@@ -16,6 +16,7 @@ a complex tanh phase law.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -43,6 +44,8 @@ from .exprdsl import (
     sub,
 )
 from .numerics import (
+    cheb_interp,
+    cheb_nodes_diff,
     find_root,
     integrate,
     sample_trajectory,
@@ -91,6 +94,27 @@ class DeformedOscillator:
 
     def val(self, name, t, x, v):
         return self._fns[name](t, x, v)
+
+    # what only the amplitude-frame march uses is built on its first use,
+    # so an oscillator that never marches costs only its partials
+
+    @functools.cached_property
+    def g_depends_x(self):
+        return depends_on(self.g, "x")
+
+    @functools.cached_property
+    def numerator(self):
+        """dg/dt - f = g_t + g_x*v - f for v-independent g, as one
+        function of (t, x, v)."""
+        return function(sub(add(self.g_t, mul(self.g_x, Var("v"))), self.f),
+                        _TXV)
+
+    @functools.cached_property
+    def numerator_x(self):
+        """The x-partial g_tx + g_xx*v - f_x of numerator."""
+        g_tx = differentiate(self.g_t, "x")
+        g_xx = differentiate(self.g_x, "x")
+        return function(sub(add(g_tx, mul(g_xx, Var("v"))), self.f_x), _TXV)
 
 
 class OdeForm:
@@ -291,7 +315,11 @@ def crossing_times(osc, traj):
 # --- first-integral integration driver -------------------------------------------
 
 def _solve_position(osc, t, target, x_start):
-    """Solve x + g(t, x) = target near x_start (g v-independent here)."""
+    """Solve x + g(t, x) = target near x_start (g v-independent here);
+    when g is free of x the solution is target - g(t)."""
+    if not osc.g_depends_x:
+        return target - osc.val("g", t, 0.0, 0.0)
+
     def h(x):
         return x + osc.val("g", t, x, 0.0) - target
 
@@ -321,8 +349,22 @@ def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
     solves v + f = omega*y*c.  Returns (dg/dt - f, x, v)."""
     x = _solve_position(osc, t, y * s, x_start)
     vv = _solve_velocity(osc, t, x, osc.omega * y * c, v_start)
-    return (osc.val("g_t", t, x, vv) + osc.val("g_x", t, x, vv) * vv
-            - osc.val("f", t, x, vv)), x, vv
+    return osc.numerator(t, x, vv), x, vv
+
+
+def _numerator_slope(osc, t, s, c, x, v):
+    """d(dg/dt - f)/dy at the state (x, v) that _crossing_numerator found
+    for some amplitude y at time t, by implicit differentiation of
+    x + g = y*s and v + f = omega*y*c (g v-independent):
+
+        dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
+        dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
+    """
+    g_x = osc.val("g_x", t, x, v)
+    f_v = osc.val("f_v", t, x, v)
+    dx = s / (1.0 + g_x)
+    dv = (osc.omega * c - osc.val("f_x", t, x, v) * dx) / (1.0 + f_v)
+    return osc.numerator_x(t, x, v) * dx + (g_x - f_v) * dv
 
 
 def _poles_inside(osc, t0, t1, margin):
@@ -331,44 +373,6 @@ def _poles_inside(osc, t0, t1, margin):
     n_lo = math.ceil((w * (t0 + margin) + al) / math.pi)
     n_hi = math.floor((w * (t1 - margin) + al) / math.pi)
     return [(n * math.pi - al) / w for n in range(n_lo, n_hi + 1)]
-
-
-def _cheb_nodes_diff(n, a, b):
-    """Chebyshev extreme points mapped to [a, b] (ascending) and the
-    spectral differentiation matrix acting on values at those points."""
-    j = np.arange(n + 1)
-    xc = np.cos(math.pi * j / n)          # 1 ... -1
-    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
-    dx = xc[:, None] - xc[None, :] + np.eye(n + 1)
-    D = np.outer(c, 1.0 / c) / dx
-    D -= np.diag(D.sum(axis=1))
-    ts = a + (b - a) * (1.0 - xc) / 2.0   # ascending in t
-    return ts, D * (-2.0 / (b - a))
-
-
-def _cheb_interp(ts, Y):
-    """Barycentric interpolant through values Y at the Chebyshev extreme
-    points ts produced by _cheb_nodes_diff.
-
-    The weights for this node family are known in closed form, so the
-    evaluation is reproducible bit for bit; a generic weight computation
-    that reorders nodes for conditioning would make repeated runs differ
-    in the last ulp.
-    """
-    n = len(ts) - 1
-    wts = (-1.0) ** np.arange(n + 1)
-    wts[0] *= 0.5
-    wts[n] *= 0.5
-
-    def ev(tq):
-        d = tq - ts
-        hit = np.nonzero(d == 0.0)[0]
-        if hit.size:
-            return float(Y[hit[0]])
-        q = wts / d
-        return float((q @ Y) / q.sum())
-
-    return ev
 
 
 def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
@@ -385,14 +389,17 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
 
     is collocated on Chebyshev nodes spanning the whole window with the
     left-edge value pinned, which recovers the re-expanding mode from the
-    region where it is numerically visible.  Returns a polynomial
+    region where it is numerically visible.  The Newton Jacobian
+    sin(theta)*D - diag(dN/dy) is exact: dN/dy comes from implicit
+    differentiation at each node's solved state (see _numerator_slope),
+    so an iteration solves each node's x and v once.  Returns a polynomial
     interpolant for y on [a, b] through 48 nodes or, when a node lands on
     the pole, a few more.  The entry solves for x and v start from x_start
     and v_start.  Raises NonSmoothPoint when no smooth crossing exists (the
     numerator does not vanish at the pole).
     """
     for bump in range(4):
-        ts, D = _cheb_nodes_diff(47 + bump, a, b)
+        ts, D = cheb_nodes_diff(47 + bump, a, b)
         svec = np.array([math.sin(osc.theta(t)) for t in ts])
         # a node sitting on the pole would contribute a zero row; node 0 is
         # exempt because its row is replaced by the boundary condition
@@ -424,17 +431,15 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     converged = False
     for _ in range(30):
         N = np.empty(m)
-        for i in range(m):
-            N[i], xs[i], vs[i] = numerator(i, Y[i])
-        F = svec * (D @ Y) - N
-        F[0] = Y[0] - y_in
-        if not np.all(np.isfinite(F)):
-            raise fail
         dN = np.empty(m)
         for i in range(m):
-            h = 1e-7 * (1.0 + abs(Y[i]))
-            dN[i] = ((numerator(i, Y[i] + h)[0] - numerator(i, Y[i] - h)[0])
-                     / (2.0 * h))
+            N[i], xs[i], vs[i] = numerator(i, Y[i])
+            dN[i] = _numerator_slope(osc, ts[i], svec[i], cvec[i],
+                                     xs[i], vs[i])
+        F = svec * (D @ Y) - N
+        F[0] = Y[0] - y_in
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(dN))):
+            raise fail
         J = svec[:, None] * D - np.diag(dN)
         J[0, :] = 0.0
         J[0, 0] = 1.0
@@ -459,7 +464,7 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     if not converged:
         raise fail
 
-    interp = _cheb_interp(ts, Y)
+    interp = cheb_interp(ts, Y)
     # a smooth crossing requires the numerator to vanish with the sine
     k = int(np.argmin(np.abs(ts - pole)))
     num_p = _crossing_numerator(osc, pole, interp(pole), 0.0,
@@ -536,7 +541,8 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     half = 0.3 / w           # collocation half-width around each pole
 
     def y_rhs(t, y):
-        s, c = math.sin(osc.theta(t)), math.cos(osc.theta(t))
+        th = osc.theta(t)
+        s, c = math.sin(th), math.cos(th)
         num, _, _ = _crossing_numerator(osc, t, y, s, c, x0, v0)
         return num / s
 

@@ -1,5 +1,6 @@
 """Shared numerical kernels: IVP integration, trajectory sampling,
-quadrature, root finding, and finite-difference residual scanning.
+quadrature, root finding, Chebyshev collocation, and finite-difference
+residual scanning.
 
 The solver is scipy's DOP853 (8th-order embedded Runge-Kutta); integrate
 returns its dense solution, one callable per component.  Every
@@ -244,6 +245,48 @@ def solve_scalar(h, dh, guess, tol):
         except (NoSignChange, EvalDomainError):
             continue
     raise ImplicitNoRoot("no root within %g of %r" % (_BRACKET_WIDTHS[-1], guess))
+
+
+# --- Chebyshev collocation -------------------------------------------------------
+
+def cheb_nodes_diff(n, a, b):
+    """Chebyshev extreme points mapped to [a, b] (ascending) and the
+    spectral differentiation matrix acting on values at those points
+    (Trefethen, Spectral Methods in MATLAB, ch. 6: cheb.m, with the
+    diagonal from the negative row sums)."""
+    j = np.arange(n + 1)
+    xc = np.cos(math.pi * j / n)          # 1 ... -1
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    dx = xc[:, None] - xc[None, :] + np.eye(n + 1)
+    D = np.outer(c, 1.0 / c) / dx
+    D -= np.diag(D.sum(axis=1))
+    ts = a + (b - a) * (1.0 - xc) / 2.0   # ascending in t
+    return ts, D * (-2.0 / (b - a))
+
+
+def cheb_interp(ts, Y):
+    """Barycentric interpolant through values Y at the Chebyshev extreme
+    points ts produced by cheb_nodes_diff.
+
+    The weights for this node family are known in closed form, so the
+    evaluation is reproducible bit for bit; a generic weight computation
+    that reorders nodes for conditioning would make repeated runs differ
+    in the last ulp.
+    """
+    n = len(ts) - 1
+    wts = (-1.0) ** np.arange(n + 1)
+    wts[0] *= 0.5
+    wts[n] *= 0.5
+
+    def ev(tq):
+        d = tq - ts
+        hit = np.nonzero(d == 0.0)[0]
+        if hit.size:
+            return float(Y[hit[0]])
+        q = wts / d
+        return float((q @ Y) / q.sum())
+
+    return ev
 
 
 # --- finite-difference residual scanning ------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oscdeform import apps
+from oscdeform import apps, deform
 from oscdeform.deform import (
     DeformedOscillator,
     crossing_times,
@@ -35,6 +35,7 @@ from oscdeform.errors import (
 from oscdeform.numerics import (
     PhaseState,
     Trajectory,
+    cheb_nodes_diff,
     integrate,
     residual_scan,
     trajectory_residual,
@@ -385,6 +386,72 @@ def test_integrate_first_integral_nonsmooth_crossing():
     osc = DeformedOscillator("0", "sin(t)", 1.0)
     with pytest.raises(NonSmoothPoint):
         integrate_first_integral(osc, 0.5, 0.4, 0.5 + 2 * math.pi)
+
+
+_SLOPE_PAIRS = [
+    ("0", "0.2*x^2"),
+    ("0", "0.15*x^3"),
+    ("0.2*x", "0.1*sin(t + 0.3)^2"),
+    ("-0.3*x + 0.5*x^3", "0"),
+    ("-0.75*v + 0.8", "0"),          # f depends on v
+]
+
+
+@pytest.mark.parametrize("f_src,g_src", _SLOPE_PAIRS)
+def test_numerator_slope_matches_richardson_difference(f_src, g_src):
+    # the transit Jacobian's dN/dy, at the Chebyshev nodes of one pole
+    # window, against a Richardson central difference of the numerator
+    osc = DeformedOscillator(f_src, g_src, 2.0, alpha=0.3)
+    pole = (math.pi - 0.3) / 2.0
+    ts, _ = cheb_nodes_diff(47, pole - 0.15, pole + 0.15)
+    for y in (0.45, -0.7):
+        for t in ts.tolist():
+            s, c = math.sin(osc.theta(t)), math.cos(osc.theta(t))
+            _, x, v = deform._crossing_numerator(osc, t, y, s, c, 0.4, 0.0)
+            exact = deform._numerator_slope(osc, t, s, c, x, v)
+
+            def central(h):
+                return (deform._crossing_numerator(osc, t, y + h, s, c, x, v)[0]
+                        - deform._crossing_numerator(osc, t, y - h, s, c, x,
+                                                     v)[0]) / (2.0 * h)
+
+            fd = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+            assert abs(exact - fd) <= 1e-7 * (1.0 + abs(exact)), (t, y)
+
+
+@pytest.mark.parametrize("g_src", ["0", "0.1*sin(t + 0.3)^2"])
+def test_solve_position_is_closed_form_when_g_is_free_of_x(g_src,
+                                                           monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_scalar called")
+
+    # deform's binding of numerics.solve_scalar
+    monkeypatch.setattr(deform, "solve_scalar", refuse)
+    osc = DeformedOscillator("0.2*x", g_src, 1.0, alpha=0.3)
+    for t, target in ((0.5, 0.37), (2.0, -1.25), (2.8, 1e-17)):
+        assert (deform._solve_position(osc, t, target, 0.4)
+                == target - osc.val("g", t, 0.0, 0.0))
+    # f and g free of v: a march through a pole inverts nothing by Newton
+    traj = integrate_first_integral(osc, 0.5, 0.4, 4.0)
+    assert len(traj.meta["poles_crossed"]) == 1
+
+
+def test_pole_march_position_solves_per_pole(monkeypatch):
+    # a finite-difference transit Jacobian costs two more position solves
+    # per node and Newton iteration: 569 solves per pole against 281
+    calls = []
+    solve = deform._solve_position
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(deform, "_solve_position", counted)
+    osc = DeformedOscillator("0", "0.2*x^2", 5.0)
+    traj = integrate_first_integral(osc, 0.3, 0.4, 0.3 + 100 * math.pi / 5.0)
+    poles = len(traj.meta["poles_crossed"])
+    assert poles == 100
+    assert len(calls) <= 300 * poles
 
 
 def test_time_varying_reduces_to_constant_omega():

@@ -17,6 +17,8 @@ from oscdeform.numerics import (
     CumulativeIntegral,
     PhaseState,
     Trajectory,
+    cheb_interp,
+    cheb_nodes_diff,
     fd_derivatives,
     find_root,
     integrate,
@@ -207,6 +209,20 @@ def test_find_root_implicit_inversion_matches_algebraic():
         x_exact = y / (1.0 - g0 * y)
         x_root = find_root(lambda x: W(x) - y, 0.0, 10.0, tol=1e-15)
         assert x_root == pytest.approx(x_exact, abs=1e-12)
+
+
+def test_cheb_nodes_diff_differentiates_polynomials_exactly():
+    ts, D = cheb_nodes_diff(12, 0.5, 2.0)
+    assert (ts[0], ts[-1]) == (0.5, 2.0) and np.all(np.diff(ts) > 0)
+    assert np.max(np.abs(D @ ts ** 5 - 5.0 * ts ** 4)) < 1e-10
+
+
+def test_cheb_interp_reproduces_polynomials_and_hits_nodes():
+    ts, _ = cheb_nodes_diff(12, 0.5, 2.0)
+    Y = ts ** 7 - 3.0 * ts
+    p = cheb_interp(ts, Y)
+    assert [p(t) for t in ts.tolist()] == Y.tolist()
+    assert abs(p(1.234) - (1.234 ** 7 - 3.0 * 1.234)) < 1e-12
 
 
 def test_fd_derivatives_on_sine():
