@@ -177,7 +177,9 @@ _FLAGS = [
      dict(type=float, default=0.0, help="phase constant")),
     ("--alpha", "solve",
      dict(type=float, help="phase constant (default: fitted to --x0 and "
-                           "--v0 when --v0 is given, else 0)")),
+                           "--v0 when --v0 is given, else 0, or where 0 "
+                           "puts --t0 on a pole, fitted to a start at "
+                           "rest)")),
     ("--t0", _GRID, dict(type=float, default=0.0)),
     ("--t1", _GRID, dict(type=float, default=2.0 * math.pi)),
     ("--samples", _GRID, dict(type=_samples, default=101)),
@@ -319,6 +321,9 @@ def cmd_solve(args):
         # singular at a pole start (the defaults t0 = 0, alpha = 0 are one)
         if args.v0 is not None:
             raise
+        if args.alpha is None:
+            # neither given: start at rest, with alpha fitted, as --v0 0
+            return cmd_solve(argparse.Namespace(**dict(vars(args), v0=0.0)))
         raise UsageError("--t0 sits on a cotangent pole of the first "
                          "integral: give --v0, or move --t0 or --alpha off "
                          "the pole (%s)" % exc)

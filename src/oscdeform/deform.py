@@ -201,10 +201,19 @@ def first_integral_velocity(osc, t, x, v_start=0.0):
                 - w * c * (x + osc.val("g", t, x, v)))
 
     def Gp(v):
-        return (1.0 + osc.val("f_v", t, x, v)) * s - w * c * osc.val("g_v", t, x, v)
+        return _velocity_law_slope(osc, t, x, v)
 
     scale = abs(w * c * x) + abs(s) + 1.0
     return solve_scalar(G, Gp, v_start, 1e-13 * scale)
+
+
+def _velocity_law_slope(osc, t, x, v):
+    """G'(v) = (1+f_v)*sin(theta) - omega*cos(theta)*g_v, the v-derivative
+    of first_integral_velocity's G; where it vanishes, the root v(t, x)
+    folds and the velocity is not smooth."""
+    th = osc.theta(t)
+    return ((1.0 + osc.val("f_v", t, x, v)) * math.sin(th)
+            - osc.omega * math.cos(th) * osc.val("g_v", t, x, v))
 
 
 def phase_function(osc, state):
@@ -487,7 +496,8 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     x + g(t,x) = y*sin(theta) and v from v + f = omega*y*cos(theta), so no
     quantity is ever divided by a small sine.  When g depends on v the
     scaled first integral is regular at the poles and no splitting is
-    performed.
+    performed; a fold of the velocity law, where the v-derivative of G
+    leaves the sign it has at the start, raises NonSmoothPoint naming its t.
 
     Every Newton solve for x starts from x0 and every one for v from v0
     (by default the first integral's velocity at (t0, x0)), so a law with
@@ -519,11 +529,22 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                       - osc.alpha) / w
 
     if osc.g_depends_v:
-        # regular at poles: integrate straight through
+        # regular at poles: integrate straight through, up to a fold of the
+        # velocity law, where G'(v) leaves the sign it has at the start
         v_start = 0.0 if v0 is None else v0
-        x_dense, = integrate(
-            lambda t, x: first_integral_velocity(osc, t, x, v_start),
-            t0, x0, t1, rtol=rtol, atol=atol)
+        slope0 = _velocity_law_slope(
+            osc, t0, x0, first_integral_velocity(osc, t0, x0, v_start))
+
+        def x_rhs(t, x):
+            v = first_integral_velocity(osc, t, x, v_start)
+            if not _velocity_law_slope(osc, t, x, v) * slope0 > 0.0:
+                raise NonSmoothPoint(
+                    "the velocity law G(v) = (v+f)*sin(theta) - "
+                    "omega*cos(theta)*(x+g) = 0 folds at t = %r: G'(v) "
+                    "leaves the sign it has at the start" % float(t))
+            return v
+
+        x_dense, = integrate(x_rhs, t0, x0, t1, rtol=rtol, atol=atol)
 
         def state_at(tq):
             x = x_dense(tq)

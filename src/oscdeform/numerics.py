@@ -3,7 +3,11 @@ quadrature, root finding, Chebyshev collocation, and finite-difference
 residual scanning.
 
 The solver is scipy's DOP853 (8th-order embedded Runge-Kutta); integrate
-returns its dense solution, one callable per component.  Every
+returns its dense solution, one callable per component, which evaluates
+scipy's own DOP853 interpolant (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.6) in plain floats: the same operations in the same order, so
+every value is bitwise equal to scipy's OdeSolution, without a call into
+it per query (tests/test_numerics.py pins the two together).  Every
 Trajectory is built by sample_trajectory from a pure state_at(t).
 Root finding on a bracket is Brent's method from scipy (brentq) behind a
 sign check that raises the typed NoSignChange.  Quadrature is a small
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 import numpy as np
@@ -93,7 +98,10 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
     y0 is a number, with rhs(t, x) -> dx/dt, or a pair, with
     rhs(t, (x, v)) -> (dx/dt, dv/dt).  Returns the dense solution over the
     span, one callable t -> float per component: (x_of_t,) or
-    (x_of_t, v_of_t).
+    (x_of_t, v_of_t).  Each evaluates scipy's DOP853 interpolant on
+    floats, picking the segment and ordering the arithmetic as
+    OdeSolution does, so its value is bitwise equal to sol.sol(t)[i]; a
+    test in tests/test_numerics.py guards this against scipy changes.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise ValueError("t-span must be finite and non-degenerate")
@@ -121,8 +129,33 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
     if not np.all(np.isfinite(sol.y)):
         raise NonFiniteState("integration produced non-finite state")
 
+    # OdeSolution's segment rule: the lower index at a step time
+    ts = sol.sol.ts.tolist()
+    last = len(sol.sol.interpolants) - 1
+    if ts[-1] >= ts[0]:
+        def segment(t):
+            return min(max(bisect_left(ts, t) - 1, 0), last)
+    else:
+        ts.reverse()
+
+        def segment(t):
+            return last - min(max(bisect_right(ts, t) - 1, 0), last)
+
     def component(i):
-        return lambda t: float(sol.sol(t)[i])
+        pieces = [(float(p.t_old), float(p.h), float(p.y_old[i]),
+                   p.F[::-1, i].tolist()) for p in sol.sol.interpolants]
+
+        def at(t):
+            # Dop853DenseOutput's operations, in its order, on floats
+            t = float(t)
+            t_old, h, y_old, rows = pieces[segment(t)]
+            x = (t - t_old) / h
+            y = 0.0
+            for j, f in enumerate(rows):
+                y += f
+                y *= x if j % 2 == 0 else 1 - x
+            return y + y_old
+        return at
 
     return tuple(component(i) for i in range(len(y0)))
 

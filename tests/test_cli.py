@@ -231,13 +231,44 @@ def test_exit_one_on_usage_errors(capsys):
 
 
 def test_solve_pole_start_without_v0_is_a_usage_error(capsys):
-    # the defaults t0 = 0, alpha = 0 start on a cotangent pole, where the
-    # first integral cannot supply the initial velocity
+    # t0 = 0 with --alpha 0 starts on a cotangent pole, where the first
+    # integral cannot supply the initial velocity
     for method in ("first-integral", "second-order"):
-        assert cli.main(["solve", "--f", "0", "--g", "0",
+        assert cli.main(["solve", "--f", "0", "--g", "0", "--alpha", "0",
                          "--method", method]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--v0" in err
+
+
+def test_solve_with_no_flags_starts_at_rest(capsys):
+    # the default phase puts the default t0 on a pole; with neither --alpha
+    # nor --v0 given, solve starts at rest instead, exactly as --v0 0 does
+    for method in ("first-integral", "second-order"):
+        assert cli.main(["solve", "--method", method]) == 0
+        out = capsys.readouterr().out
+        assert cli.main(["solve", "--method", method, "--v0", "0"]) == 0
+        assert capsys.readouterr().out == out
+        rows = [[float(c) for c in line.split(",")]
+                for line in out.splitlines()[1:]]
+        assert len(rows) == 101 and rows[0] == [0.0, 0.5, rows[0][2]]
+        # x = 0.5*cos(t) for the undeformed oscillator started at rest
+        assert max(abs(x - 0.5 * math.cos(t)) for t, x, _ in rows) < 1e-9
+    proc = subprocess.run([sys.executable, "-m", "oscdeform", "solve"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_solve_stops_at_a_fold_of_the_velocity_law(capsys):
+    # g = 0.3*v, omega = 1.5: G'(v) = sin(theta) - 0.45*cos(theta) vanishes
+    # at tan(theta) = 0.45, where the velocity is undefined (as in case7)
+    code = cli.main(["solve", "--f", "0", "--g", "0.3*v", "--omega", "1.5",
+                     "--alpha", "0.2", "--t0", "0.1", "--t1", "1.5",
+                     "--x0", "0.3", "--samples", "101"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NonSmoothPoint" in err
+    t_fold = float(re.search(r"folds at t = ([-+.0-9e]+)", err).group(1))
+    assert abs(t_fold - (math.atan(0.45) - 0.2) / 1.5) < 1e-6
 
 
 def test_exit_two_on_numerical_failure(capsys):

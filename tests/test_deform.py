@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oscdeform import apps, deform
+from oscdeform import apps, catalog, deform
 from oscdeform.deform import (
     DeformedOscillator,
     crossing_times,
@@ -372,6 +373,23 @@ def test_implicit_path_stays_on_the_branch_of_v0():
     traj = integrate_first_integral(osc, t0, x0, 0.55, v0=v0)
     assert (traj.states[0].x, traj.states[0].v) == (x0, v0)
     assert np.all(traj.v > 5.0)
+
+
+def test_implicit_path_stops_at_a_fold_of_the_velocity_law():
+    # case7's g = c*v: G'(v) = sin(theta) - c*omega*cos(theta) vanishes
+    # where the closed form's velocity is undefined; the span up to just
+    # before that t integrates and matches the closed form
+    c, w, al, t0 = 0.3, 1.5, 0.2, 0.1
+    t_fold = (math.atan(c * w) - al) / w
+    osc = DeformedOscillator("0", "%r*v" % c, w, alpha=al)
+    with pytest.raises(NonSmoothPoint) as info:
+        integrate_first_integral(osc, t0, 0.3, 1.5)
+    named = float(re.search(r"folds at t = (\S+):", str(info.value)).group(1))
+    assert abs(named - t_fold) < 1e-6
+    exact = catalog.case7(c, 1.0, w, al)
+    sol = catalog.case7(c, 0.3 / exact(t0), w, al)
+    traj = integrate_first_integral(osc, t0, sol(t0), t_fold - 1e-3)
+    assert max(abs(s.x - sol(s.t)) for s in traj) < 1e-8
 
 
 def test_integrate_first_integral_rejects_pole_start():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.common import OdeSolution
 
 from oscdeform.errors import (
     EvalDomainError,
@@ -105,6 +106,49 @@ def test_dense_solution_matches_solve_ivp_t_eval():
                     method="DOP853", rtol=1e-10, atol=1e-12, t_eval=grid)
     assert [x_of_t(t) for t in grid] == sol.y[0].tolist()
     assert [v_of_t(t) for t in grid] == sol.y[1].tolist()
+
+
+# (rhs, t0, y0, t1): forward and backward spans, a number and a pair, a
+# span of one step, and a pair at rest at signed zeros
+_DENSE_CASES = {
+    "number forward": (lambda t, x: -x + math.sin(3.0 * t), 0.2, 0.7, 5.0),
+    "number backward": (lambda t, x: -x + math.sin(3.0 * t), 5.0, 0.7, 0.2),
+    "pair forward": (_oscillator, -1.0, (1.0, 0.3), 7.5),
+    "pair backward": (_oscillator, 7.5, (1.0, 0.3), -1.0),
+    "one step": (lambda t, x: 1.0, 0.0, 0.25, 1e-3),
+    "pair at rest": (_oscillator, 0.0, (-0.0, 0.0), -2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_CASES))
+def test_dense_solution_is_scipys_interpolant_bit_for_bit(name, monkeypatch):
+    rhs, t0, y0, t1 = _DENSE_CASES[name]
+    pair = np.ndim(y0) == 1
+    field = rhs if pair else (lambda t, y: (rhs(t, y[0]),))
+    sol = solve_ivp(field, (t0, t1), np.atleast_1d(np.asarray(y0, float)),
+                    method="DOP853", rtol=1e-10, atol=1e-12,
+                    dense_output=True)
+    if name == "one step":
+        assert len(sol.t) == 2
+    rng = np.random.default_rng(11)
+    # random times, every step time as a float and as a numpy scalar, and
+    # both ends
+    queries = (rng.uniform(min(t0, t1), max(t0, t1), 200).tolist()
+               + sol.t.tolist() + list(sol.t) + [t0, t1])
+    expected = [sol.sol(t).tolist() for t in queries]
+
+    def refuse(self, t):
+        raise AssertionError("OdeSolution called")
+
+    # evaluation is plain arithmetic on floats, not a call into scipy
+    monkeypatch.setattr(OdeSolution, "__call__", refuse)
+    dense = integrate(rhs, t0, y0, t1)
+    assert len(dense) == (2 if pair else 1)
+    for t, want in zip(queries, expected):
+        for fn, w in zip(dense, want):
+            got = fn(t)
+            assert type(got) is float
+            assert got == w and math.copysign(1.0, got) == math.copysign(1.0, w)
 
 
 def test_integrate_tolerance_controls_error():
