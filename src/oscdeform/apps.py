@@ -348,7 +348,9 @@ def _beam_rhs(model):
     def rhs(t, y):
         u, v = y
         den = 1.0 + a * u * u
-        acc = -(a * u / den) * v * v - w * w * (u + (b - a) * u ** 3 / den)
+        # u*u*u, not u**3, which raises OverflowError on a huge trial state
+        cubic = (b - a) * (u * u * u) / den
+        acc = -(a * u / den) * v * v - w * w * (u + cubic)
         return [v, acc]
     return rhs
 

@@ -37,6 +37,7 @@ from .errors import (
     OscdeformError,
     UnboundNameError,
     UnknownFunctionError,
+    ZeroDenominator,
 )
 from .exprdsl import Num, as_expr, differentiate, evaluate, to_str
 from .numerics import integrate
@@ -180,8 +181,11 @@ _FLAGS = [
                            "--v0 when --v0 is given, else 0, or where 0 "
                            "puts --t0 on a pole, fitted to a start at "
                            "rest)")),
-    ("--t0", _GRID, dict(type=float, default=0.0)),
-    ("--t1", _GRID, dict(type=float, default=2.0 * math.pi)),
+    ("--t0", "solve rcd beam", dict(type=float, default=0.0)),
+    ("--t1", "solve rcd beam", dict(type=float, default=2.0 * math.pi)),
+    # catalog's defaults depend on the case (see _catalog_span)
+    ("--t0", "catalog", dict(type=float)),
+    ("--t1", "catalog", dict(type=float)),
     ("--samples", _GRID, dict(type=_samples, default=101)),
     ("--out", _GRID, dict(help="output path (default: stdout)")),
     ("--rtol", "solve beam", dict(type=_positive, default=1e-10)),
@@ -323,7 +327,14 @@ def cmd_solve(args):
             raise
         if args.alpha is None:
             # neither given: start at rest, with alpha fitted, as --v0 0
-            return cmd_solve(argparse.Namespace(**dict(vars(args), v0=0.0)))
+            rest = argparse.Namespace(**dict(vars(args), v0=0.0))
+            try:
+                return cmd_solve(rest)
+            except ZeroDenominator:
+                raise UsageError(
+                    "--x0 %r at rest is the deformed equilibrium (x + g = 0 "
+                    "and v + f = 0), where no phase can be fitted: give "
+                    "--alpha or a non-zero --v0" % args.x0)
         raise UsageError("--t0 sits on a cotangent pole of the first "
                          "integral: give --v0, or move --t0 or --alpha off "
                          "the pole (%s)" % exc)
@@ -409,9 +420,27 @@ def _catalog_solution(args):
                      % (case, ", ".join(catalog.CASE_IDS)))
 
 
+# cases whose solution lives between two cotangent poles
+_ONE_POLE_INTERVAL = ("time_quadrature", "case4_riccati")
+
+
+def _catalog_span(args):
+    """Fill in --t0 and --t1: by default 0 and 2*pi, but for a case of
+    _ONE_POLE_INTERVAL given neither, theta from 0.1 to pi - 0.1."""
+    if (args.t0 is None and args.t1 is None
+            and args.case in _ONE_POLE_INTERVAL):
+        args.t0, args.t1 = ((th - args.alpha) / args.omega
+                            for th in (0.1, math.pi - 0.1))
+    if args.t0 is None:
+        args.t0 = 0.0
+    if args.t1 is None:
+        args.t1 = 2.0 * math.pi
+
+
 def cmd_catalog(args):
     if not args.case:
         raise UsageError("catalog needs --case NAME")
+    _catalog_span(args)
     sol = _catalog_solution(args)
     grid = np.linspace(args.t0, args.t1, args.samples)
     rows = []

@@ -165,8 +165,8 @@ def explicit_acceleration(form, state):
     t, x, v = state
     c0 = form.coeff_xdd(t, x, v)
     if abs(c0) <= 1e-12:
-        # plain floats: the solver hands in numpy scalars, whose repr
-        # would read np.float64(...)
+        # plain floats, so a numpy scalar's repr np.float64(...) never
+        # reaches the message
         raise SingularCoefficient(
             "coefficient of xdd is %r at t=%r, x=%r, v=%r"
             % (float(c0), float(t), float(x), float(v)))
@@ -541,7 +541,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                 raise NonSmoothPoint(
                     "the velocity law G(v) = (v+f)*sin(theta) - "
                     "omega*cos(theta)*(x+g) = 0 folds at t = %r: G'(v) "
-                    "leaves the sign it has at the start" % float(t))
+                    "leaves the sign it has at the start" % t)
             return v
 
         x_dense, = integrate(x_rhs, t0, x0, t1, rtol=rtol, atol=atol)

@@ -2,13 +2,16 @@
 quadrature, root finding, Chebyshev collocation, and finite-difference
 residual scanning.
 
-The solver is scipy's DOP853 (8th-order embedded Runge-Kutta); integrate
-returns its dense solution, one callable per component, which evaluates
-scipy's own DOP853 interpolant (Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.6) in plain floats: the same operations in the same order, so
-every value is bitwise equal to scipy's OdeSolution, without a call into
-it per query (tests/test_numerics.py pins the two together).  Every
-Trajectory is built by sample_trajectory from a pure state_at(t).
+The solver is DOP853 (8th-order embedded Runge-Kutta; Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.5-6), run by integrate itself in plain
+floats: scipy's algorithm step for step on scipy's tableau, with no numpy
+array per stage and no call into solve_ivp.  It returns the dense
+solution, one callable per component evaluating the DOP853 interpolant
+as scipy's OdeSolution does.  Its sums run in another order than
+numpy's, so values agree with scipy's to rounding, not bit for bit, with
+the same right-hand-side calls and steps (tests/test_numerics.py holds
+the two together).  Every Trajectory is built by sample_trajectory from
+a pure state_at(t).
 Root finding on a bracket is Brent's method from scipy (brentq) behind a
 sign check that raises the typed NoSignChange.  Quadrature is a small
 self-contained routine so its node placement stays explicit and
@@ -20,6 +23,7 @@ imported by the first call that needs it, not with this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -34,6 +38,12 @@ from .errors import (
     NoSignChange,
     StepSizeUnderflow,
 )
+
+# scipy's DOP853 step control
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_EPS = math.ulp(1.0)
 
 PhaseState = namedtuple("PhaseState", ["t", "x", "v"])
 PhaseState.__doc__ = "A point of phase space: time, position, velocity."
@@ -91,48 +101,173 @@ def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
                                    v_of_t=lambda t: state_at(t)[1]))
 
 
+@functools.cache
+def _dop853():
+    """The DOP853 tableau, read once from scipy.integrate.DOP853, as float
+    lists with the zero coefficients left out: the stages after the first
+    and the three extra dense-output stages as (c, [(j, a_j)]), and B, E3,
+    E5 and each row of D as [(j, coefficient)]."""
+    # imported here: scipy.integrate is most of the library's import time
+    from scipy.integrate import DOP853
+
+    def terms(row):
+        return [(j, float(a)) for j, a in enumerate(row) if a != 0.0]
+
+    def stages(A, C, first):
+        return [(float(c), terms(a[:s]))
+                for s, (a, c) in enumerate(zip(A, C), first)]
+
+    return (stages(DOP853.A[1:], DOP853.C[1:], 1),
+            stages(DOP853.A_EXTRA, DOP853.C_EXTRA, DOP853.n_stages + 1),
+            terms(DOP853.B), terms(DOP853.E3), terms(DOP853.E5),
+            [terms(row) for row in DOP853.D])
+
+
+def _dot(K, terms, i):
+    """Component i of sum_j a_j*K[j], summed in order from 0.0."""
+    acc = 0.0
+    for j, a in terms:
+        acc += K[j][i] * a
+    return acc
+
+
+def _advance(y, K, terms, h):
+    """y + (sum_j a_j*K[j])*h, componentwise: one Runge-Kutta stage or step."""
+    return tuple([yi + _dot(K, terms, i) * h for i, yi in enumerate(y)])
+
+
+def _rms(values):
+    """scipy's RMS norm: the 2-norm over the square root of the length."""
+    return math.sqrt(sum([v * v for v in values])) / len(values) ** 0.5
+
+
+def _initial_step(field, t0, y0, f0, t1, direction, rtol, atol):
+    """scipy's select_initial_step for DOP853's error order 7 (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.4); one call of field."""
+    interval = abs(t1 - t0)
+    scale = [atol + abs(yi) * rtol for yi in y0]
+    d0 = _rms([yi / si for yi, si in zip(y0, scale)])
+    d1 = _rms([fi / si for fi, si in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = field(t0 + h0 * direction,
+               tuple([yi + h0 * direction * fi for yi, fi in zip(y0, f0)]))
+    d2 = _rms([(a - b) / si for a, b, si in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        d = max(d1, d2)
+        # 0.01/0 is inf in numpy: d1 = 0 with a NaN d2
+        h1 = (0.01 / d) ** 0.125 if d else math.inf
+    return min(100 * h0, h1, interval)
+
+
 def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
     """Integrate an initial-value problem from t0 to t1 with the DOP853
     adaptive pair; t1 < t0 integrates backwards.
 
-    y0 is a number, with rhs(t, x) -> dx/dt, or a pair, with
-    rhs(t, (x, v)) -> (dx/dt, dv/dt).  Returns the dense solution over the
-    span, one callable t -> float per component: (x_of_t,) or
-    (x_of_t, v_of_t).  Each evaluates scipy's DOP853 interpolant on
-    floats, picking the segment and ordering the arithmetic as
-    OdeSolution does, so its value is bitwise equal to sol.sol(t)[i]; a
-    test in tests/test_numerics.py guards this against scipy changes.
+    y0 is a number, with rhs(t, x) -> dx/dt called on a float, or a pair,
+    with rhs(t, (x, v)) -> (dx/dt, dv/dt) called on a tuple of two floats.
+    Returns the dense solution over the span, one callable t -> float per
+    component: (x_of_t,) or (x_of_t, v_of_t).
+
+    The steps are scipy's DOP853 taken in plain floats (Hairer, Norsett &
+    Wanner, Solving ODEs I, sec. II.5-6): the same tableau, initial step,
+    step control, error norm and dense output, so rhs is called as often
+    as by solve_ivp(method="DOP853", dense_output=True), at the same stages
+    of the same steps.  Only the order of the sums differs from numpy's:
+    step sizes agree to the rounding of the error estimate and values to
+    rounding, not bit for bit (tests/test_numerics.py holds the two
+    together).  A step that would fall below ten spacings of t (or is
+    NaN) raises StepSizeUnderflow, and an accepted non-finite state
+    NonFiniteState.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise ValueError("t-span must be finite and non-degenerate")
     if not (rtol > 0 and atol > 0):
         raise ValueError("tolerances must be positive")
     if np.ndim(y0) == 0:
-        y0 = np.array([float(y0)])
+        y = (float(y0),)
 
         def field(t, y):
-            return (rhs(t, y[0]),)
+            return (float(rhs(t, y[0])),)
     else:
-        y0 = np.asarray(y0, dtype=float)
-        if y0.shape != (2,):
+        y = np.asarray(y0, dtype=float)
+        if y.shape != (2,):
             raise ValueError("y0 must be a number or a pair")
-        field = rhs
-    # imported here: scipy.integrate is most of the library's import time
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(field, (float(t0), float(t1)), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        msg = (sol.message or "").lower()
-        if "step size" in msg:
-            raise StepSizeUnderflow(sol.message)
-        raise NonFiniteState(sol.message or "integration failed")
-    if not np.all(np.isfinite(sol.y)):
-        raise NonFiniteState("integration produced non-finite state")
+        y = tuple(y.tolist())
+
+        def field(t, y):
+            a, b = rhs(t, y)
+            return (float(a), float(b))
+    if rtol < 100 * _EPS:
+        warnings.warn("rtol %r is too small; using %r" % (rtol, 100 * _EPS))
+        rtol = 100 * _EPS
+    stages, extra, B, E3, E5, D = _dop853()
+    t, t1 = float(t0), float(t1)
+    direction = 1.0 if t1 > t else -1.0
+    f = field(t, y)
+    h_abs = _initial_step(field, t, y, f, t1, direction, rtol, atol)
+    ts = [t]
+    steps = []              # (t_old, h, y_old, reversed F rows per component)
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:      # a NaN step size fails here too
+                raise StepSizeUnderflow(
+                    "required step size is less than spacing between "
+                    "numbers at t = %r" % t)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for c, a in stages:
+                K.append(field(t + c * h, _advance(y, K, a, h)))
+            y_new = _advance(y, K, B, h)
+            f_new = field(t + h, y_new)
+            K.append(f_new)
+            err5 = err3 = 0.0
+            for i, yi in enumerate(y):
+                # max() keeps a NaN of y_new, as np.maximum does
+                scale = atol + max(abs(y_new[i]), abs(yi)) * rtol
+                e5 = _dot(K, E5, i) / scale
+                e3 = _dot(K, E3, i) / scale
+                err5 += e5 * e5
+                err3 += e3 * e3
+            # squares of np.linalg.norm, as scipy takes them
+            r5, r3 = math.sqrt(err5), math.sqrt(err3)
+            err5, err3 = r5 * r5, r3 * r3
+            error = (h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * len(y))
+                     if err5 else 0.0)
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0 else
+                          min(_MAX_FACTOR, _SAFETY * error ** -0.125))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** -0.125)
+            rejected = True
+        if not all(map(math.isfinite, y_new)):
+            raise NonFiniteState("integration produced non-finite state at "
+                                 "t = %r" % t_new)
+        for c, a in extra:
+            K.append(field(t + c * h, _advance(y, K, a, h)))
+        rows = []
+        for i, yi in enumerate(y):
+            dy = y_new[i] - yi
+            F = [dy, h * f[i] - dy, 2 * dy - h * (f_new[i] + f[i])]
+            F += [h * _dot(K, d, i) for d in D]
+            rows.append(F[::-1])
+        steps.append((t, h, y, rows))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
 
     # OdeSolution's segment rule: the lower index at a step time
-    ts = sol.sol.ts.tolist()
-    last = len(sol.sol.interpolants) - 1
-    if ts[-1] >= ts[0]:
+    last = len(steps) - 1
+    if direction > 0:
         def segment(t):
             return min(max(bisect_left(ts, t) - 1, 0), last)
     else:
@@ -142,11 +277,11 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
             return last - min(max(bisect_right(ts, t) - 1, 0), last)
 
     def component(i):
-        pieces = [(float(p.t_old), float(p.h), float(p.y_old[i]),
-                   p.F[::-1, i].tolist()) for p in sol.sol.interpolants]
+        pieces = [(t_old, h, y_old[i], rows[i])
+                  for t_old, h, y_old, rows in steps]
 
         def at(t):
-            # Dop853DenseOutput's operations, in its order, on floats
+            # Dop853DenseOutput's Horner loop, on floats
             t = float(t)
             t_old, h, y_old, rows = pieces[segment(t)]
             x = (t - t_old) / h
@@ -157,7 +292,7 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
             return y + y_old
         return at
 
-    return tuple(component(i) for i in range(len(y0)))
+    return tuple(component(i) for i in range(len(y)))
 
 
 # --- quadrature ---------------------------------------------------------------

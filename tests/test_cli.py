@@ -258,6 +258,56 @@ def test_solve_with_no_flags_starts_at_rest(capsys):
     assert proc.returncode == 0, proc.stderr
 
 
+# each catalog case with only the parameters it requires
+_CATALOG_REQUIRED = {
+    "harmonic": ["A=1"],
+    "time_quadrature": ["A=1"],
+    "case1": ["f0=0.3", "A=1"],
+    "case2": ["g0=0.3", "n=2", "A=1"],
+    "case3": ["beta=1", "gamma=0.5", "delta=1", "n=2", "A=1"],
+    "case4_riccati": ["mu=0.8"],
+    "case5_power": ["g0=0.3", "n=2", "A=1"],
+    "case6": ["b=-0.5"],
+    "case7": ["c=0.3", "A=1"],
+}
+
+
+def test_every_subcommand_runs_with_only_its_required_inputs(capsys):
+    # the CLI's default settings run without error
+    assert sorted(_CATALOG_REQUIRED) == sorted(catalog.CASE_IDS)
+    runs = [["derive"], ["solve"], ["verify", "--suite", "all"],
+            ["rcd", "--param", "beta=1", "--param", "gamma=0.5",
+             "--param", "delta=1", "--param", "A=3"],
+            ["beam", "--alpha-coef", "3", "--beta-coef", "2"]]
+    for case, params in _CATALOG_REQUIRED.items():
+        runs.append(["catalog", "--case", case]
+                    + [a for p in params for a in ("--param", p)])
+    for argv in runs:
+        code = cli.main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
+    # a start at rest at x0 = 0 is the deformed equilibrium: no phase fits
+    assert cli.main(["solve", "--x0", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "equilibrium" in err and "--alpha" in err and "--v0" in err
+
+
+def test_catalog_default_span_of_a_one_pole_interval_case(capsys):
+    # time_quadrature and case4_riccati live between two poles: with
+    # neither --t0 nor --t1 they run on theta in [0.1, pi - 0.1]; a span
+    # given in full, or in part, keeps the old defaults 0 and 2*pi
+    argv = ["catalog", "--case", "case4_riccati", "--param", "mu=0.8",
+            "--omega", "2", "--alpha", "0.5", "--samples", "3"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [
+        (0.1 - 0.5) / 2, (math.pi / 2 - 0.5) / 2, (math.pi - 0.1 - 0.5) / 2]
+    assert cli.main(argv + ["--t0", "0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(lines[i].split(",")[0]) for i in (1, -1)] == [
+        0.1, 2 * math.pi]
+
+
 def test_solve_stops_at_a_fold_of_the_velocity_law(capsys):
     # g = 0.3*v, omega = 1.5: G'(v) = sin(theta) - 0.45*cos(theta) vanishes
     # at tan(theta) = 0.45, where the velocity is undefined (as in case7)

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.common import OdeSolution
 
@@ -12,6 +13,7 @@ from oscdeform.errors import (
     ImplicitNoRoot,
     NonFiniteState,
     NoSignChange,
+    OscdeformError,
     StepSizeUnderflow,
 )
 from oscdeform.numerics import (
@@ -99,13 +101,19 @@ def test_integrate_calls_rhs_only_inside_the_solver():
     assert calls[0] == sol.nfev
 
 
+def _close(got, want):
+    """Agreement with scipy's value to 1e-13*(1 + |value|): the sums of
+    the stages run in another order than numpy's, so not bit for bit."""
+    return abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+
 def test_dense_solution_matches_solve_ivp_t_eval():
     grid = np.linspace(0.0, 2 * math.pi, 33)
     x_of_t, v_of_t = integrate(_oscillator, 0.0, (1.0, 0.0), 2 * math.pi)
     sol = solve_ivp(_oscillator, (0.0, 2 * math.pi), [1.0, 0.0],
                     method="DOP853", rtol=1e-10, atol=1e-12, t_eval=grid)
-    assert [x_of_t(t) for t in grid] == sol.y[0].tolist()
-    assert [v_of_t(t) for t in grid] == sol.y[1].tolist()
+    for t, x, v in zip(grid.tolist(), sol.y[0].tolist(), sol.y[1].tolist()):
+        assert _close(x_of_t(t), x) and _close(v_of_t(t), v)
 
 
 # (rhs, t0, y0, t1): forward and backward spans, a number and a pair, a
@@ -122,12 +130,22 @@ _DENSE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(_DENSE_CASES))
 def test_dense_solution_is_scipys_interpolant_bit_for_bit(name, monkeypatch):
+    """integrate takes scipy's DOP853 steps: it calls rhs at the same stages
+    of the same steps as solve_ivp, so with the same nfev, and its dense
+    solution is scipy's to rounding, a float, with the sign of a zero
+    kept."""
     rhs, t0, y0, t1 = _DENSE_CASES[name]
     pair = np.ndim(y0) == 1
-    field = rhs if pair else (lambda t, y: (rhs(t, y[0]),))
+    scipy_times = []
+
+    def field(t, y):
+        scipy_times.append(float(t))
+        return rhs(t, y) if pair else (rhs(t, y[0]),)
+
     sol = solve_ivp(field, (t0, t1), np.atleast_1d(np.asarray(y0, float)),
                     method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True)
+    assert len(scipy_times) == sol.nfev
     if name == "one step":
         assert len(sol.t) == 2
     rng = np.random.default_rng(11)
@@ -137,18 +155,34 @@ def test_dense_solution_is_scipys_interpolant_bit_for_bit(name, monkeypatch):
                + sol.t.tolist() + list(sol.t) + [t0, t1])
     expected = [sol.sol(t).tolist() for t in queries]
 
-    def refuse(self, t):
-        raise AssertionError("OdeSolution called")
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy called")
 
-    # evaluation is plain arithmetic on floats, not a call into scipy
+    # neither the steps nor the evaluation call into scipy
     monkeypatch.setattr(OdeSolution, "__call__", refuse)
-    dense = integrate(rhs, t0, y0, t1)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    times = []
+
+    def counted(t, y):
+        times.append(t)
+        return rhs(t, y)
+
+    dense = integrate(counted, t0, y0, t1)
+    # the same rhs calls, so the same steps: every attempt makes 12 calls
+    # from its start and every accepted step 3 more, so a step accepted in
+    # one and rejected in the other would put calls a step apart.  A step
+    # size itself differs at about 1e-8: the error estimate is a sum that
+    # cancels to a few ulps, whose rounding depends on the summation order
+    assert len(times) == sol.nfev
+    assert all(abs(a - b) <= 1e-6 * (1.0 + abs(b))
+               for a, b in zip(times, scipy_times))
     assert len(dense) == (2 if pair else 1)
     for t, want in zip(queries, expected):
         for fn, w in zip(dense, want):
             got = fn(t)
             assert type(got) is float
-            assert got == w and math.copysign(1.0, got) == math.copysign(1.0, w)
+            assert _close(got, w)
+            assert math.copysign(1.0, got) == math.copysign(1.0, w)
 
 
 def test_integrate_tolerance_controls_error():
@@ -184,9 +218,50 @@ def test_integrate_system_kind():
 
 
 def test_integrate_blowup_raises():
+    # x = 1/(1 - t) leaves every float before t = 1
     with pytest.raises((StepSizeUnderflow, NonFiniteState)):
-        with np.errstate(all="ignore"):
-            integrate(lambda t, x: x * x, 0.0, 1.0, 2.0)
+        integrate(lambda t, x: x * x, 0.0, 1.0, 2.0)
+
+
+def test_integrate_hands_rhs_plain_floats(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy called")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(OdeSolution, "__call__", refuse)
+    seen = []
+
+    def number(t, x):
+        seen.append((t, x))
+        return -x
+
+    def pair(t, y):
+        seen.append((t, y))
+        return y[1], -y[0]
+
+    x_of_t, = integrate(number, np.float64(0.0), np.float64(0.5), 1.0)
+    assert seen and all(type(t) is float and type(x) is float
+                        for t, x in seen)
+    assert type(x_of_t(np.float64(0.5))) is float
+    seen.clear()
+    dense = integrate(pair, 0.0, np.array([1.0, 0.0]), -1.0)
+    assert seen and all(type(t) is float and type(y) is tuple and len(y) == 2
+                        and all(type(c) is float for c in y)
+                        for t, y in seen)
+    assert all(type(fn(-0.5)) is float for fn in dense)
+
+
+@pytest.mark.parametrize("start, x0", [(0.5, 1.0), (0.0, 0.0), (-1.0, 1.0)])
+def test_integrate_nan_rhs_is_typed(start, x0):
+    # NaN past t = start: every step across it is rejected until the step
+    # size underflows.  Past t0 from rest, the initial step's probe is NaN
+    # after a zero slope (numpy's 0.01/0 = inf); on all of the span the
+    # initial step itself is NaN, where scipy's solver loops forever
+    def rhs(t, x):
+        return math.nan if t > start else -x
+
+    with pytest.raises(OscdeformError):
+        integrate(rhs, 0.0, x0, 1.0)
 
 
 def test_cumulative_integral_matches_antiderivative():
