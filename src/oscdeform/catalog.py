@@ -78,6 +78,14 @@ def _pole_interval(omega, alpha, t_ref):
     return lo, hi
 
 
+def _check_domain(domain, t):
+    """Raise DomainViolation unless t lies in the open interval domain."""
+    lo, hi = domain
+    if not lo < t < hi:
+        raise DomainViolation(
+            "t = %r outside the solution interval (%r, %r)" % (t, lo, hi))
+
+
 # --- harmonic --------------------------------------------------------------------
 
 def harmonic(A, omega=1.0, alpha=0.0):
@@ -114,8 +122,8 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
     def integrand(t):
         th = w * t + al
         s = math.sin(th)
-        return (w * math.cos(th) * osc.val("g", t, 0.0, 0.0)
-                - osc.val("f", t, 0.0, 0.0) * s) / (s * s)
+        return (w * math.cos(th) * osc.g(t, 0.0, 0.0)
+                - osc.f(t, 0.0, 0.0) * s) / (s * s)
 
     I = CumulativeIntegral(integrand, t_ref)
     checked = {}
@@ -153,8 +161,7 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
             raise CotangentPole("velocity requested at a pole t = %r" % (t,))
         c = math.cos(th)
         return (w * c * (A + I(t))
-                + w * c / s * osc.val("g", t, 0.0, 0.0)
-                - osc.val("f", t, 0.0, 0.0))
+                + w * c / s * osc.g(t, 0.0, 0.0) - osc.f(t, 0.0, 0.0))
 
     return CatalogSolution("time_quadrature",
                            {"A": A, "omega": w, "alpha": al, "t_ref": t_ref},
@@ -255,12 +262,6 @@ def case3(beta, gamma, delta, n, A, omega=1.0, alpha=0.0, t_ref=None):
                 % (B, n, t))
         return B
 
-    def _check_domain(t):
-        if not domain[0] < t < domain[1]:
-            raise DomainViolation(
-                "t = %r outside the solution interval (%r, %r)"
-                % (t, domain[0], domain[1]))
-
     def _s_pow(s, p):
         if beta_integer:
             return s ** int(p) if float(p).is_integer() else s ** p
@@ -269,13 +270,13 @@ def case3(beta, gamma, delta, n, A, omega=1.0, alpha=0.0, t_ref=None):
         return s ** p
 
     def x_of_t(t):
-        _check_domain(t)
+        _check_domain(domain, t)
         s = math.sin(w * t + al)
         B = _bracket(t)
         return _s_pow(s, beta) * math.exp(gamma * t) * _signed_pow(B, 1.0 / (1 - n))
 
     def v_of_t(t):
-        _check_domain(t)
+        _check_domain(domain, t)
         th = w * t + al
         s = math.sin(th)
         B = _bracket(t)
@@ -338,10 +339,7 @@ class _LazyDense:
 
     def __call__(self, t):
         t = float(t)
-        if not self.lo < t < self.hi:
-            raise DomainViolation(
-                "t = %r outside the solution interval (%r, %r)"
-                % (t, self.lo, self.hi))
+        _check_domain((self.lo, self.hi), t)
         if t == self.t0:
             return self.x0
         side = 1 if t > self.t0 else -1
@@ -416,18 +414,12 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
             domain = (max(below) if below else -math.inf,
                       min(above) if above else math.inf)
 
-        def _check(t):
-            if not domain[0] < t < domain[1]:
-                raise DomainViolation(
-                    "t = %r outside the solution interval (%r, %r)"
-                    % (t, domain[0], domain[1]))
-
         def x_of_t(t):
-            _check(t)
+            _check_domain(domain, t)
             return math.sin(w * t + al) / D(t)
 
         def v_of_t(t):
-            _check(t)
+            _check_domain(domain, t)
             th = w * t + al
             xq = math.sin(th) / D(t)
             return w * math.cos(th) / D(t) - mu * xq * xq

@@ -8,9 +8,8 @@ for arbitrary C^1 deformations f(t,x,v), g(t,x,v).  Eliminating the
 cotangent produces a generalized Lienard-type second-order ODE whose
 coefficients are assembled here symbolically from f, g and their partial
 derivatives.  The module also provides the phase (generating) function,
-the deformed energy and its exact rate law, crossing-time extraction, the
-time-varying-frequency ODE generation, and a quadratic-damping family with
-a complex tanh phase law.
+the deformed energy and its exact rate law, the time-varying-frequency ODE
+generation, and a quadratic-damping family with a complex tanh phase law.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ import numpy as np
 from .errors import (
     CotangentPole,
     DegenerateParameters,
-    NoCrossing,
     NonSmoothPoint,
-    OscdeformError,
     SingularCoefficient,
     ZeroDenominator,
 )
@@ -46,7 +43,6 @@ from .exprdsl import (
 from .numerics import (
     cheb_interp,
     cheb_nodes_diff,
-    find_root,
     integrate,
     sample_trajectory,
     solve_scalar,
@@ -73,48 +69,45 @@ class DeformedOscillator:
         g = bind(g, _TXV, params)
         if not omega > 0:
             raise ValueError("omega must be positive")
-        self.f = f
-        self.g = g
         self.omega = float(omega)
         self.alpha = float(alpha)
-        self.f_t = differentiate(f, "t")
-        self.f_x = differentiate(f, "x")
-        self.f_v = differentiate(f, "v")
-        self.g_t = differentiate(g, "t")
-        self.g_x = differentiate(g, "x")
-        self.g_v = differentiate(g, "v")
-        self._fns = {name: function(getattr(self, name), _TXV)
-                     for name in ("f", "g", "f_t", "f_x", "f_v",
-                                  "g_t", "g_x", "g_v")}
+        self.exprs = {"f": f, "g": g,
+                      "f_t": differentiate(f, "t"),
+                      "f_x": differentiate(f, "x"),
+                      "f_v": differentiate(f, "v"),
+                      "g_t": differentiate(g, "t"),
+                      "g_x": differentiate(g, "x"),
+                      "g_v": differentiate(g, "v")}
+        for name, tree in self.exprs.items():
+            setattr(self, name, function(tree, _TXV))
         self.f_depends_v = depends_on(f, "v")
         self.g_depends_v = depends_on(g, "v")
 
     def theta(self, t):
         return self.omega * t + self.alpha
 
-    def val(self, name, t, x, v):
-        return self._fns[name](t, x, v)
-
     # what only the amplitude-frame march uses is built on its first use,
     # so an oscillator that never marches costs only its partials
 
     @functools.cached_property
     def g_depends_x(self):
-        return depends_on(self.g, "x")
+        return depends_on(self.exprs["g"], "x")
 
     @functools.cached_property
     def numerator(self):
         """dg/dt - f = g_t + g_x*v - f for v-independent g, as one
         function of (t, x, v)."""
-        return function(sub(add(self.g_t, mul(self.g_x, Var("v"))), self.f),
+        e = self.exprs
+        return function(sub(add(e["g_t"], mul(e["g_x"], Var("v"))), e["f"]),
                         _TXV)
 
     @functools.cached_property
     def numerator_x(self):
         """The x-partial g_tx + g_xx*v - f_x of numerator."""
-        g_tx = differentiate(self.g_t, "x")
-        g_xx = differentiate(self.g_x, "x")
-        return function(sub(add(g_tx, mul(g_xx, Var("v"))), self.f_x), _TXV)
+        e = self.exprs
+        g_tx = differentiate(e["g_t"], "x")
+        g_xx = differentiate(e["g_x"], "x")
+        return function(sub(add(g_tx, mul(g_xx, Var("v"))), e["f_x"]), _TXV)
 
 
 class OdeForm:
@@ -144,9 +137,10 @@ def generate_ode(osc):
     template; no simplification beyond constant folding is attempted.
     Correctness is established by residual checks, not by the printed shape.
     """
-    f, g = osc.f, osc.g
-    f_t, f_x, f_v = osc.f_t, osc.f_x, osc.f_v
-    g_t, g_x, g_v = osc.g_t, osc.g_x, osc.g_v
+    e = osc.exprs
+    f, g = e["f"], e["g"]
+    f_t, f_x, f_v = e["f_t"], e["f_x"], e["f_v"]
+    g_t, g_x, g_v = e["g_t"], e["g_x"], e["g_v"]
     x = Var("x")
     v = Var("v")
     xpg = add(x, g)
@@ -190,15 +184,14 @@ def first_integral_velocity(osc, t, x, v_start=0.0):
     if not (osc.f_depends_v or osc.g_depends_v):
         if abs(s) < _POLE_GUARD:
             raise CotangentPole("sin(omega*t+alpha) = %r at t = %r" % (s, t))
-        return w * c / s * (x + osc.val("g", t, x, 0.0)) - osc.val("f", t, x, 0.0)
+        return w * c / s * (x + osc.g(t, x, 0.0)) - osc.f(t, x, 0.0)
 
     if abs(s) < _POLE_GUARD and not osc.g_depends_v:
         raise CotangentPole(
             "implicit velocity is singular at the pole when g is v-independent")
 
     def G(v):
-        return ((v + osc.val("f", t, x, v)) * s
-                - w * c * (x + osc.val("g", t, x, v)))
+        return (v + osc.f(t, x, v)) * s - w * c * (x + osc.g(t, x, v))
 
     def Gp(v):
         return _velocity_law_slope(osc, t, x, v)
@@ -212,16 +205,16 @@ def _velocity_law_slope(osc, t, x, v):
     of first_integral_velocity's G; where it vanishes, the root v(t, x)
     folds and the velocity is not smooth."""
     th = osc.theta(t)
-    return ((1.0 + osc.val("f_v", t, x, v)) * math.sin(th)
-            - osc.omega * math.cos(th) * osc.val("g_v", t, x, v))
+    return ((1.0 + osc.f_v(t, x, v)) * math.sin(th)
+            - osc.omega * math.cos(th) * osc.g_v(t, x, v))
 
 
 def phase_function(osc, state):
     """Ratio a/conj(a) with a = (v+f) - i*omega*(x+g); unit modulus for real
     states and real deformations; equals exp(-2i(omega*t+alpha)) on solutions."""
     t, x, v = state
-    fa = osc.val("f", t, x, v)
-    ga = osc.val("g", t, x, v)
+    fa = osc.f(t, x, v)
+    ga = osc.g(t, x, v)
     amp = complex(v + fa, -osc.omega * (x + ga))
     if amp == 0:
         raise ZeroDenominator("(v+f) and omega*(x+g) both vanish")
@@ -231,8 +224,8 @@ def phase_function(osc, state):
 def energy(osc, state):
     """Deformed energy H = (v+f)^2 + omega^2 (x+g)^2 (non-negative)."""
     t, x, v = state
-    fa = osc.val("f", t, x, v)
-    ga = osc.val("g", t, x, v)
+    fa = osc.f(t, x, v)
+    ga = osc.g(t, x, v)
     return (v + fa) ** 2 + osc.omega ** 2 * (x + ga) ** 2
 
 
@@ -247,13 +240,13 @@ def energy_rate(osc, state, a=None):
     s = math.sin(th)
     if abs(s) < _POLE_GUARD:
         raise CotangentPole("sin(omega*t+alpha) = %r at t = %r" % (s, t))
-    gdot = osc.val("g_t", t, x, v) + osc.val("g_x", t, x, v) * v
+    gdot = osc.g_t(t, x, v) + osc.g_x(t, x, v) * v
     if osc.g_depends_v:
         if a is None:
             raise ValueError("acceleration required: g depends on v")
-        gdot += osc.val("g_v", t, x, v) * a
-    ga = osc.val("g", t, x, v)
-    fa = osc.val("f", t, x, v)
+        gdot += osc.g_v(t, x, v) * a
+    ga = osc.g(t, x, v)
+    fa = osc.f(t, x, v)
     return 2.0 * osc.omega ** 2 * (x + ga) * (gdot - fa) / (s * s)
 
 
@@ -262,8 +255,8 @@ def fit_alpha(osc, state):
     integral, normalized to (-pi, pi]; the branch makes sin(theta) carry the
     sign of x+g."""
     t, x, v = state
-    fa = osc.val("f", t, x, v)
-    ga = osc.val("g", t, x, v)
+    fa = osc.f(t, x, v)
+    ga = osc.g(t, x, v)
     num = osc.omega * (x + ga)
     den = v + fa
     if num == 0.0 and den == 0.0:
@@ -275,65 +268,19 @@ def fit_alpha(osc, state):
     return alpha
 
 
-# --- crossings -----------------------------------------------------------------
-
-def crossing_times(osc, traj):
-    """Times where x + g(t,x,v) = 0 along a trajectory.
-
-    Sign changes of the sampled deformed coordinate are refined by root
-    finding on the trajectory's dense pair meta["x_of_t"]/meta["v_of_t"]; a
-    refined point only counts when the deformed coordinate is actually small
-    there, which rejects sign flips through a divergence.
-    """
-    ts = traj.t
-    xs = traj.x
-    vs = traj.v
-    if len(ts) < 2:
-        raise NoCrossing("trajectory too short")
-    x_of_t = traj.meta["x_of_t"]
-    v_of_t = traj.meta["v_of_t"]
-
-    def F(tq):
-        xq = x_of_t(tq)
-        return xq + osc.val("g", tq, xq, v_of_t(tq))
-
-    samples = np.array([x + osc.val("g", t, x, v)
-                        for t, x, v in zip(ts, xs, vs)])
-    scale = 1.0 + float(np.max(np.abs(samples)))
-    out = []
-    for i in range(len(ts) - 1):
-        s0, s1 = samples[i], samples[i + 1]
-        if s0 == 0.0:
-            out.append(float(ts[i]))
-            continue
-        if s0 * s1 < 0.0:
-            try:
-                t_star = find_root(F, float(ts[i]), float(ts[i + 1]),
-                                   tol=1e-13)
-            except OscdeformError:
-                continue
-            if abs(F(t_star)) <= 1e-6 * scale:
-                out.append(t_star)
-    if samples[-1] == 0.0:
-        out.append(float(ts[-1]))
-    if not out:
-        raise NoCrossing("x+g never changes sign on the trajectory")
-    return out
-
-
 # --- first-integral integration driver -------------------------------------------
 
 def _solve_position(osc, t, target, x_start):
     """Solve x + g(t, x) = target near x_start (g v-independent here);
     when g is free of x the solution is target - g(t)."""
     if not osc.g_depends_x:
-        return target - osc.val("g", t, 0.0, 0.0)
+        return target - osc.g(t, 0.0, 0.0)
 
     def h(x):
-        return x + osc.val("g", t, x, 0.0) - target
+        return x + osc.g(t, x, 0.0) - target
 
     def hp(x):
-        return 1.0 + osc.val("g_x", t, x, 0.0)
+        return 1.0 + osc.g_x(t, x, 0.0)
 
     return solve_scalar(h, hp, x_start, 1e-14)
 
@@ -341,13 +288,13 @@ def _solve_position(osc, t, target, x_start):
 def _solve_velocity(osc, t, x, target, v_start):
     """Solve v + f(t, x, v) = target for the velocity."""
     if not osc.f_depends_v:
-        return target - osc.val("f", t, x, 0.0)
+        return target - osc.f(t, x, 0.0)
 
     def r(v):
-        return v + osc.val("f", t, x, v) - target
+        return v + osc.f(t, x, v) - target
 
     def rp(v):
-        return 1.0 + osc.val("f_v", t, x, v)
+        return 1.0 + osc.f_v(t, x, v)
 
     return solve_scalar(r, rp, v_start, 1e-14)
 
@@ -369,10 +316,10 @@ def _numerator_slope(osc, t, s, c, x, v):
         dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
         dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
     """
-    g_x = osc.val("g_x", t, x, v)
-    f_v = osc.val("f_v", t, x, v)
+    g_x = osc.g_x(t, x, v)
+    f_v = osc.f_v(t, x, v)
     dx = s / (1.0 + g_x)
-    dv = (osc.omega * c - osc.val("f_x", t, x, v) * dx) / (1.0 + f_v)
+    dv = (osc.omega * c - osc.f_x(t, x, v) * dx) / (1.0 + f_v)
     return osc.numerator_x(t, x, v) * dx + (g_x - f_v) * dv
 
 
@@ -522,7 +469,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         if v0 is None:
             raise CotangentPole("initial time sits on a cotangent pole; "
                                 "provide v0 to pin the crossing amplitude")
-        if abs(x0 + osc.val("g", t0, x0, v0)) > 1e-9 * (1.0 + abs(x0)):
+        if abs(x0 + osc.g(t0, x0, v0)) > 1e-9 * (1.0 + abs(x0)):
             raise CotangentPole("initial position is off the crossing "
                                 "x+g = 0 at a pole start")
         start_pole = (round(osc.theta(t0) / math.pi) * math.pi
@@ -568,19 +515,16 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         return num / s
 
     if start_pole is None:
-        y0 = (x0 + osc.val("g", t0, x0, 0.0)) / math.sin(osc.theta(t0))
+        y0 = (x0 + osc.g(t0, x0, 0.0)) / math.sin(osc.theta(t0))
     else:
-        y0 = (v0 + osc.val("f", t0, x0, v0)) / (w * math.cos(osc.theta(t0)))
+        y0 = (v0 + osc.f(t0, x0, v0)) / (w * math.cos(osc.theta(t0)))
+        if t1 > t0 + 1e-13:
+            # the start pole is the first transit window, which begins at t0
+            poles.insert(0, start_pole)
     pieces = []              # (lo, hi, y callable)
     poles_crossed = []
 
     cur_t, cur_y = t0, y0
-    if start_pole is not None and t1 > t0 + 1e-13:
-        wb = min(start_pole + half, t1)
-        interp = _pole_transit(osc, t0, wb, start_pole, y0, x0, v0)
-        pieces.append((t0, wb, interp))
-        cur_t, cur_y = wb, interp(wb)
-        poles_crossed.append(start_pole)
     for p in poles:
         wa, wb = max(p - half, t0), min(p + half, t1)
         if cur_t < wa - 1e-13:

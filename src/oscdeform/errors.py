@@ -105,10 +105,6 @@ class NonFiniteState(OscdeformError):
     """Integration produced a non-finite state."""
 
 
-class NoCrossing(OscdeformError):
-    """x + g never changes sign on the trajectory."""
-
-
 # --- applications ----------------------------------------------------------
 
 class DomainViolation(OscdeformError):

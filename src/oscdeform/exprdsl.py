@@ -57,6 +57,9 @@ class Expr:
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, to_str(self))
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Expr nodes are immutable")
+
 
 class Num(Expr):
     __slots__ = ("value",)
@@ -64,18 +67,12 @@ class Num(Expr):
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
 
 class _Named(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
 
 class Var(_Named):
@@ -94,9 +91,6 @@ class _Unary(Expr):
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
 
 class Neg(_Unary):
     __slots__ = ()
@@ -111,9 +105,6 @@ class Call(Expr):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
 
 class _Binary(Expr):
     __slots__ = ("left", "right")
@@ -121,9 +112,6 @@ class _Binary(Expr):
     def __init__(self, left, right):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
 
 class Add(_Binary):

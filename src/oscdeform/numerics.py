@@ -507,10 +507,8 @@ def trajectory_residual(form, x_of_t, v_of_t, t_samples, h=5e-3):
     round-off amplification one power of h lower.
     """
     def residual(t):
-        a_h = (v_of_t(t + h) - v_of_t(t - h)) / (2.0 * h)
-        a_h2 = (v_of_t(t + 0.5 * h) - v_of_t(t - 0.5 * h)) / h
-        a = (4.0 * a_h2 - a_h) / 3.0
-        return form.residual(t, x_of_t(t), v_of_t(t), a)
+        v, a, _ = fd_derivatives(v_of_t, t, h)
+        return form.residual(t, x_of_t(t), v, a)
 
     return max_abs(residual(t)
                    for t in np.asarray(t_samples, dtype=float).tolist())

@@ -25,6 +25,7 @@ from .deform import (
     phase_function,
     riccati_family,
     riccati_fit_alpha,
+    riccati_invariant,
     riccati_phase,
     riccati_phase_formula,
 )
@@ -234,7 +235,7 @@ def suite_isochrony():
         sol = catalog.case2(0.3, 3, 1.1 * scale, 1.0, 0.3)
 
         def h(t):
-            return sol(t) + sol.osc.val("g", t, 0.0, 0.0)
+            return sol(t) + sol.osc.g(t, 0.0, 0.0)
         return h
 
     out += _isochrony_checks("case2", h_case2, 1.0, 0.3, [1, 2])
@@ -284,7 +285,8 @@ def suite_hyp2f1():
 
 def suite_riccati():
     """The quadratic-damping family: generated-form residual along
-    integrated solutions, and the closed tanh phase law."""
+    integrated solutions, the closed tanh phase law, and the drift of the
+    conserved quantity."""
     out = []
     for b, x0, v0, t1 in ((2.0, 1.0, 0.4, 1.2), (0.5, 1.0, 0.2, 0.8)):
         w = 1.0
@@ -306,6 +308,11 @@ def suite_riccati():
         gap = max_abs(abs(riccati_phase((t, x_of_t(t), v_of_t(t)), w) - X(t))
                       for t in grid[::4].tolist())
         out.append(_check("riccati/phase-law/b=%g" % b, gap, 1e-6))
+
+        E = riccati_invariant(b, w)
+        e0 = E(x0, v0)
+        drift = max_abs(E(x_of_t(t), v_of_t(t)) - e0 for t in grid.tolist())
+        out.append(_check("riccati/invariant/b=%g" % b, drift, 1e-8))
     return out
 
 

@@ -88,9 +88,10 @@ def test_criterion_08_beam_deformation():
 
 
 def test_criterion_09_riccati_family():
-    # generated form residual < 1e-8 for both parameter sets and the
+    # generated form residual < 1e-8 for both parameter sets, the
     # closed-form phase matches the trajectory with fitted alpha to 1e-6
-    _run(9, "riccati-reducible family", ["riccati"], [4])
+    # and the conserved quantity drifts by less than 1e-8
+    _run(9, "riccati-reducible family", ["riccati"], [6])
 
 
 def test_criterion_10_cli_reproducible_and_exit_codes(tmp_path, monkeypatch,

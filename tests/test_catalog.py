@@ -27,8 +27,8 @@ def first_integral_gap(sol, t):
     x = sol(t)
     v = sol.v_evaluator(t)
     th = osc.theta(t)
-    lhs = (v + osc.val("f", t, x, v)) * math.sin(th)
-    rhs = osc.omega * math.cos(th) * (x + osc.val("g", t, x, v))
+    lhs = (v + osc.f(t, x, v)) * math.sin(th)
+    rhs = osc.omega * math.cos(th) * (x + osc.g(t, x, v))
     return abs(lhs - rhs)
 
 

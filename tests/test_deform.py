@@ -8,7 +8,6 @@ import pytest
 from oscdeform import apps, catalog, deform
 from oscdeform.deform import (
     DeformedOscillator,
-    crossing_times,
     energy,
     energy_rate,
     explicit_acceleration,
@@ -27,15 +26,14 @@ from oscdeform.deform import (
 from oscdeform.errors import (
     CotangentPole,
     DegenerateParameters,
-    NoCrossing,
     NonSmoothPoint,
     SingularCoefficient,
     UnboundNameError,
     ZeroDenominator,
 )
+from oscdeform.exprdsl import to_str
 from oscdeform.numerics import (
     PhaseState,
-    Trajectory,
     cheb_nodes_diff,
     integrate,
     residual_scan,
@@ -51,7 +49,8 @@ def test_oscillator_validation():
     with pytest.raises(UnboundNameError):
         DeformedOscillator("m*x", "0", 1.0)
     osc = DeformedOscillator("m*x", "0", 1.0, params={"m": 2.0})
-    assert osc.val("f", 0.0, 3.0, 0.0) == 6.0
+    assert osc.f(0.0, 3.0, 0.0) == 6.0
+    assert to_str(osc.exprs["f"]) == "2*x"
 
 
 def test_generate_ode_trivial_oscillator():
@@ -230,64 +229,14 @@ def test_fit_alpha_consistency_and_quadrant():
         assert -math.pi < al <= math.pi
         osc2 = DeformedOscillator("0.1*x", "0.2*sin(t)", 1.3, alpha=al)
         th = osc2.theta(t)
-        xg = x + osc2.val("g", t, x, v)
-        vf = v + osc2.val("f", t, x, v)
+        xg = x + osc2.g(t, x, v)
+        vf = v + osc2.f(t, x, v)
         # first integral holds at the fitted phase
         assert vf * math.sin(th) - 1.3 * math.cos(th) * xg == pytest.approx(
             0.0, abs=1e-12)
         # sin(theta) carries the sign of x+g
         if abs(xg) > 1e-12:
             assert math.copysign(1, math.sin(th)) == math.copysign(1, xg)
-
-
-def test_crossing_times_harmonic_analytic():
-    osc = DeformedOscillator("0", "0", math.pi)
-    ts = np.linspace(0.4, 3.6, 65)
-    states = [(t, math.sin(math.pi * t), math.pi * math.cos(math.pi * t))
-              for t in ts]
-    traj = Trajectory(states, meta={
-        "x_of_t": lambda t: math.sin(math.pi * t),
-        "v_of_t": lambda t: math.pi * math.cos(math.pi * t)})
-    found = crossing_times(osc, traj)
-    assert len(found) == 3
-    for got, want in zip(found, [1.0, 2.0, 3.0]):
-        assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_crossing_times_deformed_at_poles():
-    # g = g0*sin(t+alpha)^2: crossings of x+g sit at the cotangent poles
-    osc = DeformedOscillator("0", "0.2*sin(t + 0.3)^2", 1.0, alpha=0.3)
-    t0 = 0.5
-    traj = integrate_first_integral(osc, t0, 0.9, t0 + 2 * math.pi,
-                                    t_eval=np.linspace(t0, t0 + 2 * math.pi, 401))
-    found = crossing_times(osc, traj)
-    poles = [math.pi - 0.3, 2 * math.pi - 0.3]
-    assert len(found) == len(poles)
-    for got, want in zip(found, poles):
-        assert got == pytest.approx(want, abs=1e-8)
-
-
-def test_crossing_times_propagates_foreign_errors():
-    # library failures during refinement skip a crossing; a programming
-    # error inside the trajectory's interpolant must not be swallowed
-    osc = DeformedOscillator("0", "0", 1.0)
-    states = [(t, math.sin(t), math.cos(t)) for t in np.linspace(2.0, 4.0, 9)]
-
-    def x_of_t(t):
-        raise TypeError("broken interpolant")
-
-    traj = Trajectory(states, meta={"x_of_t": x_of_t, "v_of_t": math.cos})
-    with pytest.raises(TypeError):
-        crossing_times(osc, traj)
-
-
-def test_crossing_times_no_crossing():
-    osc = DeformedOscillator("0", "0", 1.0)
-    states = [(t, 2.0 + math.sin(t), math.cos(t)) for t in np.linspace(0, 6, 50)]
-    traj = Trajectory(states, meta={"x_of_t": lambda t: 2.0 + math.sin(t),
-                                    "v_of_t": math.cos})
-    with pytest.raises(NoCrossing):
-        crossing_times(osc, traj)
 
 
 def test_integrate_first_integral_harmonic_exact():
@@ -360,6 +309,19 @@ def test_pole_start_stays_on_the_initial_branch():
     assert traj.states[0].x == -5.0
     assert traj.meta["poles_crossed"] == [pytest.approx(math.pi / 5.0)]
     assert np.all(traj.x < -2.5)
+
+
+def test_pole_start_is_the_first_of_several_transits():
+    # case5 started on its pole t0 = pi - alpha crosses that pole and the
+    # next two, each once, and stays on the closed form throughout
+    sol = catalog.case5_power(0.25, 2, 0.8, 1.0, 0.3)
+    t0 = math.pi - 0.3
+    t1 = t0 + 2.5 * math.pi
+    traj = integrate_first_integral(sol.osc, t0, sol(t0), t1,
+                                    v0=sol.v_evaluator(t0), rtol=1e-12)
+    poles = traj.meta["poles_crossed"]
+    assert poles == [pytest.approx(t0 + k * math.pi) for k in range(3)]
+    assert max(abs(s.x - sol(s.t)) / (1.0 + abs(s.x)) for s in traj) < 1e-10
 
 
 def test_implicit_path_stays_on_the_branch_of_v0():
@@ -448,7 +410,7 @@ def test_solve_position_is_closed_form_when_g_is_free_of_x(g_src,
     osc = DeformedOscillator("0.2*x", g_src, 1.0, alpha=0.3)
     for t, target in ((0.5, 0.37), (2.0, -1.25), (2.8, 1e-17)):
         assert (deform._solve_position(osc, t, target, 0.4)
-                == target - osc.val("g", t, 0.0, 0.0))
+                == target - osc.g(t, 0.0, 0.0))
     # f and g free of v: a march through a pole inverts nothing by Newton
     traj = integrate_first_integral(osc, 0.5, 0.4, 4.0)
     assert len(traj.meta["poles_crossed"]) == 1
