@@ -13,12 +13,8 @@ import math
 from collections import namedtuple
 
 from . import exprdsl
-from .errors import (
-    ApproxOutOfRegime,
-    BracketZero,
-    DomainViolation,
-    NegativeAlpha,
-)
+from .catalog import power_law
+from .errors import ApproxOutOfRegime, DomainViolation, NegativeAlpha
 from .exprdsl import (
     Num,
     Var,
@@ -201,71 +197,24 @@ def rcd_power_family(beta, gamma, delta, omega=1.0, Vf=0.0, D0=1.0):
 
 
 def rcd_travelling_wave(params, force_quadrature=False):
-    """Travelling-wave profile for the power family:
+    """Travelling-wave profile for the power family, which is
+    catalog.case3 at n = 2:
 
         u(xi) = sin^beta(theta) e^(gamma xi) / B(xi),
         B = A + delta * int_{xi_ref}^xi sin^beta(theta) e^(gamma tau) dtau,
 
-    theta = omega*xi + alpha.  For beta = 1 the integral has the closed
-    antiderivative e^(gamma xi)(gamma sin(theta) - omega cos(theta))
-    /(gamma^2+omega^2), used unless force_quadrature is set.  Raises
+    theta = omega*xi + alpha.  For beta = 1 the integral has a closed
+    antiderivative, used unless force_quadrature is set.  Raises
     BracketZero where B vanishes and DomainViolation outside the
-    sin(theta) > 0 interval when beta is fractional.
+    sin(theta) > 0 interval when beta is fractional (see
+    catalog.power_law).
     """
-    beta = float(params["beta"])
-    gam = float(params["gamma"])
-    dlt = float(params["delta"])
-    A = float(params["A"])
     w = float(params.get("omega", 1.0))
     al = float(params.get("alpha", 0.0))
     xi_ref = float(params.get("xi_ref", (math.pi / 2.0 - al) / w))
-    beta_integer = beta.is_integer()
-
-    def s_pow(s, p):
-        if beta_integer:
-            return s ** int(p) if float(p).is_integer() else s ** p
-        if s <= 0.0:
-            raise DomainViolation(
-                "sin(omega*xi+alpha) <= 0 with fractional beta")
-        return s ** p
-
-    def integrand(xi):
-        return s_pow(math.sin(w * xi + al), beta) * math.exp(gam * xi)
-
-    if beta == 1.0 and not force_quadrature:
-        den = gam * gam + w * w
-
-        def anti(xi):
-            th = w * xi + al
-            return math.exp(gam * xi) * (gam * math.sin(th)
-                                         - w * math.cos(th)) / den
-
-        ref = anti(xi_ref)
-
-        def accumulated(xi):
-            return anti(xi) - ref
-        closed = True
-    else:
-        accum = CumulativeIntegral(integrand, xi_ref)
-
-        def accumulated(xi):
-            return accum(xi)
-        closed = False
-
-    def bracket(xi):
-        B = A + dlt * accumulated(xi)
-        if abs(B) < 1e-12 * (1.0 + abs(A)):
-            raise BracketZero("wave bracket vanishes at xi = %r" % (xi,))
-        return B
-
-    def u_of_xi(xi):
-        xi = float(xi)
-        s = math.sin(w * xi + al)
-        return s_pow(s, beta) * math.exp(gam * xi) / bracket(xi)
-
-    u_of_xi.params = dict(params)
-    u_of_xi.closed_form = closed
-    return u_of_xi
+    return power_law(float(params["beta"]), float(params["gamma"]),
+                     float(params["delta"]), 2, float(params["A"]), w, al,
+                     xi_ref, force_quadrature)[0]
 
 
 def rcd_residual(sys, u_of_xi, xi_samples, h=1e-3):

@@ -10,12 +10,14 @@ finite-difference.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 from .deform import DeformedOscillator, generate_ode
 from .exprdsl import bind
 from .errors import (
+    BracketZero,
     BranchViolation,
     CotangentPole,
     DegenerateParameters,
@@ -38,20 +40,23 @@ class CatalogSolution:
     evaluator(t) -> x and v_evaluator(t) -> xd are defined on `domain`
     (an open interval; poles and branch points excluded lazily by the
     evaluators).  osc/form expose the generating deformation and its
-    second-order equation for residual checks.
+    second-order equation for residual checks; form is generated on first
+    use.
     """
 
-    def __init__(self, case_id, params, evaluator, v_evaluator=None,
-                 domain=(-math.inf, math.inf), osc=None, form=None):
+    def __init__(self, case_id, evaluator, v_evaluator, osc,
+                 domain=(-math.inf, math.inf)):
         if case_id not in CASE_IDS:
             raise ValueError("unknown case_id %r" % (case_id,))
         self.case_id = case_id
-        self.params = dict(params)
         self.evaluator = evaluator
         self.v_evaluator = v_evaluator
-        self.domain = tuple(domain)
         self.osc = osc
-        self.form = form
+        self.domain = tuple(domain)
+
+    @functools.cached_property
+    def form(self):
+        return generate_ode(self.osc)
 
     def __call__(self, t):
         return self.evaluator(t)
@@ -99,8 +104,7 @@ def harmonic(A, omega=1.0, alpha=0.0):
     def v_of_t(t):
         return A * omega * math.cos(omega * t + alpha)
 
-    return CatalogSolution("harmonic", {"A": A, "omega": omega, "alpha": alpha},
-                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
+    return CatalogSolution("harmonic", x_of_t, v_of_t, osc)
 
 
 # --- t-only deformations: general quadrature and the two analytic specials ---------
@@ -163,9 +167,7 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
         return (w * c * (A + I(t))
                 + w * c / s * osc.g(t, 0.0, 0.0) - osc.f(t, 0.0, 0.0))
 
-    return CatalogSolution("time_quadrature",
-                           {"A": A, "omega": w, "alpha": al, "t_ref": t_ref},
-                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
+    return CatalogSolution("time_quadrature", x_of_t, v_of_t, osc)
 
 
 def case1(f0, A, omega=1.0, alpha=0.0):
@@ -181,9 +183,7 @@ def case1(f0, A, omega=1.0, alpha=0.0):
         th = omega * t + alpha
         return -f0 * math.sin(th) + (A - f0 * t) * omega * math.cos(th)
 
-    return CatalogSolution("case1",
-                           {"f0": f0, "A": A, "omega": omega, "alpha": alpha},
-                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
+    return CatalogSolution("case1", x_of_t, v_of_t, osc)
 
 
 def case2(g0, n, A, omega=1.0, alpha=0.0):
@@ -203,103 +203,110 @@ def case2(g0, n, A, omega=1.0, alpha=0.0):
         s = math.sin(th)
         return omega * math.cos(th) * (A + g0 * n * s ** (n - 1) / (n - 1))
 
-    return CatalogSolution("case2",
-                           {"g0": g0, "n": n, "A": A,
-                            "omega": omega, "alpha": alpha},
-                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
+    return CatalogSolution("case2", x_of_t, v_of_t, osc)
 
 
 # --- power-law deformation of x with linear damping -----------------------------------
 
-def case3(beta, gamma, delta, n, A, omega=1.0, alpha=0.0, t_ref=None):
-    """g = (beta-1)*x, f = -gamma*x + delta*x^n (n integer > 1):
+def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
+    """Evaluators of x = sin^beta(theta) e^(gamma*t) B(t)^(1/(1-n)) and its
+    velocity, the solution for g = (beta-1)*x, f = -gamma*x + delta*x^n:
 
-        x = sin^beta(theta) * e^(gamma*t) * B(t)^(1/(1-n)),
         B = A + (n-1)*delta*Int_{t_ref}^t sin^((n-1)beta)(theta) e^((n-1)gamma*tau) dtau.
 
-    For non-integer beta the solution lives on the interval where
-    sin(theta) > 0 (DomainViolation outside); the bracket B must stay
-    positive for n > 2 and non-zero for n = 2 (BranchViolation otherwise).
+    Returns (x_of_t, v_of_t, domain).  Where (n-1)*beta = 1 the integral has
+    the elementary antiderivative
+    e^(m gamma t)(m gamma sin(theta) - w cos(theta))/((m gamma)^2 + w^2),
+    m = n-1, used unless `quadrature` is set.  For non-integer beta the
+    domain is the interval around t_ref where sin(theta) > 0
+    (DomainViolation outside).  Raises BracketZero where |B| is below
+    1e-12*(1+|A|) and BranchViolation where B < 0 with n > 2.
     """
-    n = _check_natural(n)
-    beta = float(beta)
-    gamma, delta = float(gamma), float(delta)
-    A, omega, alpha = float(A), float(omega), float(alpha)
-    w, al = omega, alpha
-    osc = DeformedOscillator("%r*x + %r*x^%d" % (-gamma, delta, n),
-                             "%r*x" % (beta - 1.0), omega, alpha=alpha)
-    if t_ref is None:
-        t_ref = (math.pi / 2.0 - al) / w
-    beta_integer = float(beta).is_integer()
+    beta_integer = beta.is_integer()
     if beta_integer:
         domain = (-math.inf, math.inf)
     else:
-        lo, hi = _pole_interval(w, al, t_ref)
+        domain = _pole_interval(w, al, t_ref)
         if math.sin(w * t_ref + al) < 0.0:
             raise DomainViolation(
                 "fractional beta needs sin(omega*t_ref+alpha) > 0")
-        domain = (lo, hi)
+
+    def sin_pow(s, p):
+        if beta_integer:
+            return s ** int(p)
+        if s <= 0.0:
+            raise DomainViolation("sin(theta) <= 0 with fractional beta")
+        return s ** p
 
     m = n - 1
+    mb, mg, md = m * beta, m * gamma, m * delta
+    if mb == 1.0 and not quadrature:
+        den = mg * mg + w * w
 
-    def integrand(t):
-        s = math.sin(w * t + al)
-        if beta_integer:
-            sp = s ** (m * int(beta))
-        else:
-            if s <= 0.0:
-                raise DomainViolation("sin(theta) <= 0 with fractional beta")
-            sp = s ** (m * beta)
-        return sp * math.exp(m * gamma * t)
+        def anti(t):
+            th = w * t + al
+            return math.exp(mg * t) * (mg * math.sin(th)
+                                       - w * math.cos(th)) / den
 
-    I = CumulativeIntegral(integrand, t_ref)
+        ref = anti(t_ref)
 
-    def _bracket(t):
-        B = A + m * delta * I(t)
-        if B == 0.0 or (B < 0.0 and n != 2):
+        def accumulated(t):
+            return anti(t) - ref
+    else:
+        accumulated = CumulativeIntegral(
+            lambda t: sin_pow(math.sin(w * t + al), mb) * math.exp(mg * t),
+            t_ref)
+
+    def bracket(t):
+        B = A + md * accumulated(t)
+        if abs(B) < 1e-12 * (1.0 + abs(A)):
+            raise BracketZero("bracket vanishes at t = %r" % (t,))
+        if B < 0.0 and n != 2:
             raise BranchViolation(
                 "bracket %r is not on the real branch for n = %d at t = %r"
                 % (B, n, t))
         return B
 
-    def _s_pow(s, p):
-        if beta_integer:
-            return s ** int(p) if float(p).is_integer() else s ** p
-        if s < 0.0:
-            raise DomainViolation("sin(theta) < 0 with fractional beta")
-        return s ** p
+    p = 1.0 / (1 - n)
+
+    def scaled(q, B):
+        """q * B^(1/(1-n)); a division at n = 2, where B may be negative."""
+        return q / B if n == 2 else q * B ** p
 
     def x_of_t(t):
+        t = float(t)
         _check_domain(domain, t)
-        s = math.sin(w * t + al)
-        B = _bracket(t)
-        return _s_pow(s, beta) * math.exp(gamma * t) * _signed_pow(B, 1.0 / (1 - n))
+        B = bracket(t)
+        q = sin_pow(math.sin(w * t + al), beta) * math.exp(gamma * t)
+        return scaled(q, B)
 
     def v_of_t(t):
+        t = float(t)
         _check_domain(domain, t)
+        B = bracket(t)
         th = w * t + al
         s = math.sin(th)
-        B = _bracket(t)
-        xq = _s_pow(s, beta) * math.exp(gamma * t) * _signed_pow(B, 1.0 / (1 - n))
-        return (beta * w * math.cos(th) * _s_pow(s, beta - 1.0)
-                * math.exp(gamma * t) * _signed_pow(B, 1.0 / (1 - n))
-                + gamma * xq - delta * xq ** n)
+        e = math.exp(gamma * t)
+        xq = scaled(sin_pow(s, beta) * e, B)
+        dq = beta * w * math.cos(th) * sin_pow(s, beta - 1.0) * e
+        return scaled(dq, B) + gamma * xq - delta * xq ** n
 
-    return CatalogSolution("case3",
-                           {"beta": beta, "gamma": gamma, "delta": delta,
-                            "n": n, "A": A, "omega": w, "alpha": al,
-                            "t_ref": t_ref},
-                           x_of_t, v_of_t, domain=domain,
-                           osc=osc, form=generate_ode(osc))
+    return x_of_t, v_of_t, domain
 
 
-def _signed_pow(base, p):
-    """base**p for possibly negative base when p = -1 (the n=2 branch)."""
-    if base < 0.0:
-        if p == -1.0:
-            return 1.0 / base
-        raise BranchViolation("negative bracket with non-integer exponent %r" % p)
-    return base ** p
+def case3(beta, gamma, delta, n, A, omega=1.0, alpha=0.0, t_ref=None):
+    """g = (beta-1)*x, f = -gamma*x + delta*x^n (n integer > 1); see
+    power_law for the solution, its domain and its errors."""
+    n = _check_natural(n)
+    beta, gamma, delta = float(beta), float(gamma), float(delta)
+    A, omega, alpha = float(A), float(omega), float(alpha)
+    osc = DeformedOscillator("%r*x + %r*x^%d" % (-gamma, delta, n),
+                             "%r*x" % (beta - 1.0), omega, alpha=alpha)
+    if t_ref is None:
+        t_ref = (math.pi / 2.0 - alpha) / omega
+    x_of_t, v_of_t, domain = power_law(beta, gamma, delta, n, A, omega,
+                                       alpha, t_ref, False)
+    return CatalogSolution("case3", x_of_t, v_of_t, osc, domain)
 
 
 # --- quadratic velocity shift (Riccati-type first integral) ----------------------------
@@ -384,16 +391,13 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     if abs(s0) < 1e-9:
         raise CotangentPole("t0 sits on a pole")
     osc = DeformedOscillator("%r*x^2 + %r" % (mu, nu), "0", omega, alpha=alpha)
-    params = {"mu": mu, "nu": nu, "omega": w, "alpha": al,
-              "t0": t0, "x0": x0}
 
     if nu == 0.0:
         y0 = x0 / s0
         if y0 == 0.0:
             # x identically zero
-            return CatalogSolution("case4_riccati", params,
-                                   lambda t: 0.0, lambda t: 0.0,
-                                   osc=osc, form=generate_ode(osc))
+            return CatalogSolution("case4_riccati", lambda t: 0.0,
+                                   lambda t: 0.0, osc)
         c0 = math.cos(th0)
 
         def D(t):
@@ -424,8 +428,7 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
             xq = math.sin(th) / D(t)
             return w * math.cos(th) / D(t) - mu * xq * xq
 
-        return CatalogSolution("case4_riccati", params, x_of_t, v_of_t,
-                               domain=domain, osc=osc, form=generate_ode(osc))
+        return CatalogSolution("case4_riccati", x_of_t, v_of_t, osc, domain)
 
     lo, hi = _pole_interval(w, al, t0)
 
@@ -438,8 +441,7 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     def v_of_t(t):
         return rhs(t, dense(t))
 
-    return CatalogSolution("case4_riccati", params, dense, v_of_t,
-                           domain=(lo, hi), osc=osc, form=generate_ode(osc))
+    return CatalogSolution("case4_riccati", dense, v_of_t, osc, (lo, hi))
 
 
 # --- Gauss hypergeometric series -------------------------------------------------------
@@ -569,10 +571,7 @@ def case5_power(g0, n, A, omega=1.0, alpha=0.0):
         G = g0 * xq ** m
         return w * A * math.cos(w * t + al) * (1.0 + G) ** (float(n) / m)
 
-    return CatalogSolution("case5_power",
-                           {"g0": g0, "n": n, "A": A,
-                            "omega": w, "alpha": al},
-                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
+    return CatalogSolution("case5_power", x_of_t, v_of_t, osc)
 
 
 # --- linear velocity shift ----------------------------------------------------------------
@@ -600,9 +599,7 @@ def case6(b, c1, omega=1.0, alpha=0.0):
                 + (8.0 * b / 3.0) * (3.0 * s * s * c * c - s ** 4)
                 + 4.0 * c1 * w * s ** 3 * c)
 
-    return CatalogSolution("case6",
-                           {"b": b, "c1": c1, "omega": w, "alpha": al},
-                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
+    return CatalogSolution("case6", x_of_t, v_of_t, osc)
 
 
 # --- linear velocity deformation of position ------------------------------------------------
@@ -638,6 +635,4 @@ def case7(c, A, omega=1.0, alpha=0.0):
                 "velocity undefined where c*omega*cos = sin (t = %r)" % (t,))
         return w * math.cos(th) * x_of_t(t) / (math.sin(th) - c * w * math.cos(th))
 
-    return CatalogSolution("case7",
-                           {"c": c, "A": A, "omega": w, "alpha": al},
-                           x_of_t, v_of_t, osc=osc, form=generate_ode(osc))
+    return CatalogSolution("case7", x_of_t, v_of_t, osc)

@@ -69,6 +69,11 @@ class BranchViolation(OscdeformError):
     """A bracket raised to a fractional power crossed zero."""
 
 
+class BracketZero(BranchViolation):
+    """The power-law bracket (the travelling-wave denominator at n = 2)
+    vanished."""
+
+
 class SeriesDivergence(OscdeformError):
     """Hypergeometric-path evaluation requested too close to |z| = 1."""
 
@@ -109,10 +114,6 @@ class NonFiniteState(OscdeformError):
 
 class DomainViolation(OscdeformError):
     """Evaluation outside the stated domain (e.g. u + g(u) vanished)."""
-
-
-class BracketZero(OscdeformError):
-    """Travelling-wave denominator bracket vanished on the domain."""
 
 
 class NegativeAlpha(OscdeformError):

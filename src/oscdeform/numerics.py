@@ -301,6 +301,14 @@ _PANEL_WIDTH = 0.25
 _PANEL_NODES = 24
 
 
+@functools.cache
+def _gauss_legendre():
+    """The (node, weight) pairs of the _PANEL_NODES-point rule on [-1, 1],
+    as plain floats, so F(t) is a float and not a numpy scalar."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    return tuple(zip(gl_x.tolist(), gl_w.tolist()))
+
+
 class CumulativeIntegral:
     """Smooth evaluator of F(t) = integral of f from origin to t.
 
@@ -315,10 +323,7 @@ class CumulativeIntegral:
     def __init__(self, f, origin):
         self.f = f
         self.origin = float(origin)
-        # plain floats, so F(t) is a float and not a numpy scalar
-        gl_x, gl_w = np.polynomial.legendre.leggauss(_PANEL_NODES)
-        self._gl_x = gl_x.tolist()
-        self._gl_w = gl_w.tolist()
+        self._rule = _gauss_legendre()
         self._fwd = [0.0]   # _fwd[k] = F(origin + k*_PANEL_WIDTH)
         self._bwd = [0.0]   # _bwd[k] = F(origin - k*_PANEL_WIDTH)
 
@@ -326,7 +331,7 @@ class CumulativeIntegral:
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
         total = 0.0
-        for xi, wi in zip(self._gl_x, self._gl_w):
+        for xi, wi in self._rule:
             total += wi * self.f(c + h * xi)
         return h * total
 

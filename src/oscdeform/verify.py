@@ -318,7 +318,8 @@ def suite_riccati():
 
 def suite_rcd():
     """Travelling waves satisfy the phase-plane equation; the beta=1
-    closed-form bracket matches quadrature; coefficient relations invert."""
+    closed-form bracket matches quadrature; coefficient relations invert;
+    the coefficients built from (f, g) match the power family's."""
     out = []
     xi = np.linspace(0.1, 2.0, 25)
     p1 = {"beta": 1, "gamma": 0.5, "delta": 1.0, "A": 3.0,
@@ -346,6 +347,13 @@ def suite_rcd():
                                 bare.beta(u) - sys2.beta(u),
                                 bare.gamma(u) - sys2.gamma(u)))
     out.append(_check("rcd/inverse-consistency", worst, 1e-9))
+
+    built = apps.rcd_from_fg("-0.3*u + 0.6*u^2", "u", 1.0)
+    worst = max_abs(gap for u in np.linspace(0.2, 3.0, 29)
+                    for gap in (built.D(u) - sys2.D(u),
+                                built.B(u) - sys2.B(u),
+                                built.Q(u) - sys2.Q(u)))
+    out.append(_check("rcd/from-fg-vs-power-family", worst, 1e-12))
     return out
 
 

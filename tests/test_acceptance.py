@@ -77,8 +77,9 @@ def test_criterion_06_hypergeometric_identities():
 
 def test_criterion_07_reaction_convection_diffusion():
     # travelling-wave residual < 1e-6, closed form vs quadrature 1e-9,
-    # coefficient inversion round-trip 1e-9
-    _run(7, "travelling waves", ["rcd"], [4])
+    # coefficient inversion round-trip 1e-9, (f, g) coefficients vs the
+    # power family 1e-12
+    _run(7, "travelling waves", ["rcd"], [5])
 
 
 def test_criterion_08_beam_deformation():

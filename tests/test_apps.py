@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscdeform import apps
+from oscdeform import apps, catalog
 from oscdeform.errors import (
     ApproxOutOfRegime,
     BracketZero,
@@ -88,9 +88,19 @@ def test_travelling_wave_closed_matches_quadrature():
          "omega": 1.0, "alpha": 0.0}
     closed = apps.rcd_travelling_wave(p)
     quad = apps.rcd_travelling_wave(p, force_quadrature=True)
-    assert closed.closed_form and not quad.closed_form
     for xi in np.linspace(0.1, 2.0, 40):
         assert abs(closed(xi) - quad(xi)) < 1e-9
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
+def test_travelling_wave_is_case3_at_n2(beta):
+    """The wave is the case-3 solution at n = 2, bit for bit."""
+    wave = apps.rcd_travelling_wave({"beta": beta, "gamma": 0.3,
+                                     "delta": 0.6, "A": 4.0,
+                                     "omega": 1.0, "alpha": 0.0})
+    sol = catalog.case3(beta, 0.3, 0.6, 2, 4.0, 1.0, 0.0)
+    for xi in np.linspace(0.1, 2.0, 40):
+        assert wave(xi) == sol(float(xi))
 
 
 def test_travelling_wave_satisfies_phase_plane_equation():

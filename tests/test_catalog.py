@@ -8,6 +8,7 @@ import scipy.special
 from oscdeform import catalog
 from oscdeform.deform import integrate_first_integral
 from oscdeform.errors import (
+    BracketZero,
     BranchViolation,
     CotangentPole,
     DegenerateParameters,
@@ -95,7 +96,7 @@ def test_solutions_match_first_integral_integration():
 
 def test_catalog_solution_rejects_unknown_case_id():
     with pytest.raises(ValueError):
-        catalog.CatalogSolution("case99", {}, lambda t: 0.0)
+        catalog.CatalogSolution("case99", lambda t: 0.0, None, None)
 
 
 def test_integer_order_validation():
@@ -159,7 +160,7 @@ def test_case3_corrected_bracket_n2():
     reference constant absorbed."""
     A = 3.0
     sol = catalog.case3(1.0, 0.0, 1.0, 2, A, 1.0, 0.0)
-    t_ref = sol.params["t_ref"]
+    t_ref = math.pi / 2.0
     for t in (0.4, 1.1, 2.9, 4.0):
         want = math.sin(t) / (A + math.cos(t_ref) - math.cos(t))
         assert sol(t) == pytest.approx(want, rel=1e-12)
@@ -169,9 +170,16 @@ def test_case3_branch_violation():
     # negative delta drags the bracket through zero; n=3 forbids B <= 0
     sol = catalog.case3(1.0, 0.0, -1.0, 3, 0.5, 1.0, 0.0)
     with pytest.raises(BranchViolation):
-        for t in np.linspace(sol.params["t_ref"], sol.params["t_ref"] + 3.0,
-                             120):
+        for t in np.linspace(math.pi / 2.0, math.pi / 2.0 + 3.0, 120):
             sol(float(t))
+
+
+def test_case3_bracket_zero_n2():
+    # with beta = 1 and gamma = 0 the bracket is 0.3 - cos(t)
+    sol = catalog.case3(1.0, 0.0, 1.0, 2, 0.3, 1.0, 0.0)
+    with pytest.raises(BracketZero) as err:
+        sol(math.acos(0.3))
+    assert isinstance(err.value, BranchViolation)
 
 
 def test_case3_fractional_beta_domain():
