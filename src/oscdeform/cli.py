@@ -370,6 +370,10 @@ def cmd_rcd(args):
         "omega": p.get("omega", args.omega),
         "alpha": p.get("alpha", args.alpha),
     }
+    # a parameter takes precedence over --omega, so it gets --omega's check
+    if not _finite_positive(params["omega"]):
+        raise UsageError("parameter omega: expected a finite positive "
+                         "number, got %r" % params["omega"])
     if "xi_ref" in p:
         params["xi_ref"] = p["xi_ref"]
     wave = apps.rcd_travelling_wave(params)

@@ -31,6 +31,7 @@ from .exprdsl import (
     Num,
     Var,
     add,
+    array_function,
     bind,
     depends_on,
     differentiate,
@@ -45,6 +46,7 @@ from .numerics import (
     cheb_nodes_diff,
     integrate,
     sample_trajectory,
+    solve_elementwise,
     solve_scalar,
 )
 
@@ -94,20 +96,31 @@ class DeformedOscillator:
         return depends_on(self.exprs["g"], "x")
 
     @functools.cached_property
-    def numerator(self):
-        """dg/dt - f = g_t + g_x*v - f for v-independent g, as one
-        function of (t, x, v)."""
+    def numerator_exprs(self):
+        """The trees of dg/dt - f = g_t + g_x*v - f for v-independent g,
+        and of its x-partial g_tx + g_xx*v - f_x."""
         e = self.exprs
-        return function(sub(add(e["g_t"], mul(e["g_x"], Var("v"))), e["f"]),
-                        _TXV)
+        v = Var("v")
+        return (sub(add(e["g_t"], mul(e["g_x"], v)), e["f"]),
+                sub(add(differentiate(e["g_t"], "x"),
+                        mul(differentiate(e["g_x"], "x"), v)), e["f_x"]))
 
     @functools.cached_property
-    def numerator_x(self):
-        """The x-partial g_tx + g_xx*v - f_x of numerator."""
+    def numerator(self):
+        """dg/dt - f (numerator_exprs) as one function of (t, x, v)."""
+        return function(self.numerator_exprs[0], _TXV)
+
+    @functools.cached_property
+    def transit_arrays(self):
+        """Array forms (exprdsl.array_function) of what the pole transit
+        reads, from the trees in exprs: (g, g_x) of (t, x); (f, f_v) of
+        (t, x, v); and (numerator, numerator_x, g_x, f_v, f_x) of
+        (t, x, v), the numerator and the partials of its slope."""
         e = self.exprs
-        g_tx = differentiate(e["g_t"], "x")
-        g_xx = differentiate(e["g_x"], "x")
-        return function(sub(add(g_tx, mul(g_xx, Var("v"))), e["f_x"]), _TXV)
+        return (array_function((e["g"], e["g_x"]), ("t", "x")),
+                array_function((e["f"], e["f_v"]), _TXV),
+                array_function(self.numerator_exprs
+                               + (e["g_x"], e["f_v"], e["f_x"]), _TXV))
 
 
 class OdeForm:
@@ -308,19 +321,48 @@ def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
     return osc.numerator(t, x, vv), x, vv
 
 
-def _numerator_slope(osc, t, s, c, x, v):
-    """d(dg/dt - f)/dy at the state (x, v) that _crossing_numerator found
-    for some amplitude y at time t, by implicit differentiation of
-    x + g = y*s and v + f = omega*y*c (g v-independent):
+def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
+    """_crossing_numerator at every node at once, and the exact slope:
+    returns the arrays (N, dN/dy, x, v), where x solves x + g = y*s from
+    xs and v solves v + f = omega*y*c from vs (solve_elementwise, or the
+    closed form when g is free of x or f of v), N = dg/dt - f, and dN/dy
+    comes from implicit differentiation of both relations (g
+    v-independent):
 
         dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
         dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
+
+    Each element is bit for bit what the scalar functions give at its
+    node.  A non-finite slope is returned as it is, without a warning.
     """
-    g_x = osc.g_x(t, x, v)
-    f_v = osc.f_v(t, x, v)
-    dx = s / (1.0 + g_x)
-    dv = (osc.omega * c - osc.f_x(t, x, v) * dx) / (1.0 + f_v)
-    return osc.numerator_x(t, x, v) * dx + (g_x - f_v) * dv
+    position, velocity, numerator = osc.transit_arrays
+    with np.errstate(all="ignore"):
+        x_target = Y * svec
+        if osc.g_depends_x:
+            def position_law(x, t, target):
+                g, g_x = position(t, x)
+                return x + g - target, 1.0 + g_x
+
+            x = solve_elementwise(position_law, xs, (ts, x_target), 1e-14,
+                                  lambda i: _solve_position(
+                                      osc, ts[i], x_target[i], xs[i]))
+        else:  # g reads no x
+            x = x_target - position(ts, xs)[0]
+        v_target = osc.omega * Y * cvec
+        if osc.f_depends_v:
+            def velocity_law(v, t, x, target):
+                f, f_v = velocity(t, x, v)
+                return v + f - target, 1.0 + f_v
+
+            v = solve_elementwise(velocity_law, vs, (ts, x, v_target), 1e-14,
+                                  lambda i: _solve_velocity(
+                                      osc, ts[i], x[i], v_target[i], vs[i]))
+        else:  # f reads no v
+            v = v_target - velocity(ts, x, vs)[0]
+        N, N_x, g_x, f_v, f_x = numerator(ts, x, v)
+        dx = svec / (1.0 + g_x)
+        dv = (osc.omega * cvec - f_x * dx) / (1.0 + f_v)
+        return N, N_x * dx + (g_x - f_v) * dv, x, v
 
 
 def _poles_inside(osc, t0, t1, margin):
@@ -345,35 +387,35 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
 
     is collocated on Chebyshev nodes spanning the whole window with the
     left-edge value pinned, which recovers the re-expanding mode from the
-    region where it is numerically visible.  The Newton Jacobian
-    sin(theta)*D - diag(dN/dy) is exact: dN/dy comes from implicit
-    differentiation at each node's solved state (see _numerator_slope),
-    so an iteration solves each node's x and v once.  Returns a polynomial
-    interpolant for y on [a, b] through 48 nodes or, when a node lands on
-    the pole, a few more.  The entry solves for x and v start from x_start
-    and v_start.  Raises NonSmoothPoint when no smooth crossing exists (the
-    numerator does not vanish at the pole).
+    region where it is numerically visible.  Each Newton iteration solves
+    every node's x and v in one array pass (_crossing_numerators, on the
+    oscillator's transit_arrays), and its Jacobian sin(theta)*D -
+    diag(dN/dy) is exact: dN/dy comes from implicit differentiation at
+    each node's solved state.  Only the entry solve at the left edge and
+    the smoothness test at the pole solve one state at a time.  Returns a
+    polynomial interpolant for y on [a, b] through 48 nodes or, when a node
+    lands on the pole, a few more.  The entry solves for x and v start from
+    x_start and v_start.  Raises NonSmoothPoint when no smooth crossing
+    exists (the numerator does not vanish at the pole).
     """
     for bump in range(4):
         ts, D = cheb_nodes_diff(47 + bump, a, b)
-        svec = np.array([math.sin(osc.theta(t)) for t in ts])
+        thetas = [osc.theta(t) for t in ts.tolist()]
+        svec = np.array([math.sin(th) for th in thetas])
         # a node sitting on the pole would contribute a zero row; node 0 is
         # exempt because its row is replaced by the boundary condition
         # (which is what allows a window that starts exactly on the pole)
         if np.min(np.abs(svec[1:])) > 1e-8:
             break
-    cvec = np.array([math.cos(osc.theta(t)) for t in ts])
+    cvec = np.array([math.cos(th) for th in thetas])
     m = len(ts)
-
-    def numerator(i, y):
-        return _crossing_numerator(osc, ts[i], y, svec[i], cvec[i],
-                                   xs[i], vs[i])
 
     # the entry solves start from the initial condition; later solves at
     # a node start where that node's last iteration ended
-    xs = np.full(m, float(x_start))
-    vs = np.full(m, float(v_start))
-    num0, xs[:], vs[:] = numerator(0, y_in)
+    num0, x0, v0 = _crossing_numerator(osc, ts[0], y_in, svec[0], cvec[0],
+                                       x_start, v_start)
+    xs = np.full(m, x0)
+    vs = np.full(m, v0)
     if abs(svec[0]) > 1e-8:
         Y = y_in + (num0 / svec[0]) * (ts - ts[0])
     else:
@@ -386,12 +428,7 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
 
     converged = False
     for _ in range(30):
-        N = np.empty(m)
-        dN = np.empty(m)
-        for i in range(m):
-            N[i], xs[i], vs[i] = numerator(i, Y[i])
-            dN[i] = _numerator_slope(osc, ts[i], svec[i], cvec[i],
-                                     xs[i], vs[i])
+        N, dN, xs, vs = _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs)
         F = svec * (D @ Y) - N
         F[0] = Y[0] - y_in
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(dN))):

@@ -19,20 +19,26 @@ Trees are immutable; evaluation is plain IEEE-double arithmetic with domain
 errors raised (never silent NaN).  ``evaluate`` walks the tree and is the
 reference; ``function`` compiles an expression on its first call into one
 Python function that computes each distinct subexpression once, with the
-same operations in the same order and the same errors.  Differentiation is
-symbolic with constant folding (0*e -> 0, 1*e -> e and friends) and returns
-a graph: a subtree shared in its input is differentiated once, and its
-derivative is shared in the output, so repeated derivatives grow with the
-number of distinct subexpressions rather than the printed size.
+same operations in the same order and the same errors.  ``array_function``
+compiles several expressions into one function of numpy arrays whose
+elements are the scalar functions' floats, bit for bit, and which raises
+an error they raise.  Differentiation is symbolic with constant folding
+(0*e -> 0, 1*e -> e and friends) and returns a graph: a subtree shared in
+its input is differentiated once, and its derivative is shared in the
+output, so repeated derivatives grow with the number of distinct
+subexpressions rather than the printed size.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 import types
 import weakref
+
+import numpy as np
 
 from .errors import (
     EvalDomainError,
@@ -673,12 +679,13 @@ class _Codegen:
         self.scope[name] = value
         return name
 
-    def local(self, key, lines):
-        """The local holding structure `key`; lines(name) is its code."""
+    def local(self, key, lines, *args):
+        """The local holding structure `key`; lines(name, *args) is its
+        code."""
         name = self.by_key.get(key)
         if name is None:
             name = self.by_key[key] = "_%d" % len(self.by_key)
-            self.emit(*lines(name))
+            self.emit(*lines(name, *args))
         return name
 
     def operand(self, e):
@@ -691,56 +698,140 @@ class _Codegen:
             text = ("(%r)" % e.value if math.isfinite(e.value)
                     else self.outside(e.value))
         elif isinstance(e, Var) and e.name in self.names:
-            text = self.local(("float", e.name), lambda name: [
-                "%s = float(%s)" % (name, e.name)])
+            text = self.variable(e.name)
         elif isinstance(e, (Var, Param)):
             self.emit("raise UnboundNameError(%s)" % self.outside(e.name))
             raise _Unreachable
         elif isinstance(e, Neg):
             a = self.operand(e.arg)
-            text = self.local(("-", a), lambda name: ["%s = -%s" % (name, a)])
+            text = self.local(("-", a), _assignment, "-" + a)
         elif isinstance(e, Pow):
             base = self.operand(e.left)
             k = _syntactic_int_exponent(e.right)
             p = k if k is not None else self.operand(e.right)
-            text = self.local(("**", base, p), lambda name: _power_lines(
-                name, base, p, k is not None))
+            text = self.local(("**", base, p), self.power_lines, base, p,
+                              k is not None)
         elif isinstance(e, Call):
             z = self.operand(e.arg)
-            text = self.local((e.fn, z), lambda name: _guarded(
-                name, "%s(%s)" % (e.fn, z), e.fn, z))
+            text = self.local((e.fn, z), self.call_lines, e.fn, z)
         elif isinstance(e, _Binary):
             op = _OPERATORS[type(e)]
             if op == "/":  # the divisor first, as evaluate does
                 b = self.operand(e.right)
                 if b not in self.nonzero:
                     self.nonzero.add(b)
-                    self.emit("if %s == 0.0:" % b,
+                    self.emit("if %s:" % self.zero_test(b),
                               '    raise EvalDomainError("division by zero")')
                 a = self.operand(e.left)
             else:
                 a, b = self.operand(e.left), self.operand(e.right)
-            text = self.local((op, a, b), lambda name: [
-                "%s = %s %s %s" % (name, a, op, b)])
+            text = self.local((op, a, b), _assignment,
+                              "%s %s %s" % (a, op, b))
         else:
             raise TypeError("not an Expr node: %r" % (e,))
         self.by_id[id(e)] = text
         return text
 
+    def variable(self, name):
+        return self.local(("float", name), _assignment, "float(%s)" % name)
 
-def _power_lines(name, base, p, integral):
-    """name = base ** p with evaluate's guards; an integral p is the int
-    exponent evaluate reads from the tree, which it never evaluates."""
-    lines = []
-    if not integral:
-        lines += ["if %s < 0.0:" % base,
-                  "    raise EvalDomainError("
-                  '"fractional power of negative base %%r" %% %s)' % base]
-    if not integral or p < 0:
-        negative = "" if integral else " and %s < 0.0" % p
-        lines += ["if %s == 0.0%s:" % (base, negative),
-                  '    raise EvalDomainError("zero raised to a negative power")']
-    return lines + _guarded(name, "%s ** %s" % (base, p), "power")
+    def zero_test(self, b):
+        return "%s == 0.0" % b
+
+    def power_lines(self, name, base, p, integral):
+        """name = base ** p with evaluate's guards; an integral p is the
+        int exponent evaluate reads from the tree, which it never
+        evaluates."""
+        lines = []
+        if not integral:
+            lines += ["if %s < 0.0:" % base,
+                      "    raise EvalDomainError("
+                      '"fractional power of negative base %%r" %% %s)' % base]
+        if not integral or p < 0:
+            negative = "" if integral else " and %s < 0.0" % p
+            lines += ["if %s == 0.0%s:" % (base, negative),
+                      "    raise EvalDomainError("
+                      '"zero raised to a negative power")']
+        return lines + _guarded(name, "%s ** %s" % (base, p), "power")
+
+    def call_lines(self, name, fn, z):
+        return _guarded(name, "%s(%s)" % (fn, z), fn, z)
+
+
+class _ArrayCodegen(_Codegen):
+    """The array form of _Codegen: a function of one 1-d float array per
+    name that returns a tuple with one array per Expr.
+
+    A value that depends on a name is an array: + - * / act on it whole,
+    each function and power runs per element through the same math kernel
+    as the scalar code (_each, _each_pow), and each guard tests every
+    element and names the first that fails, so an element gets the scalar
+    code's float bit for bit or the first error any element meets.  Values
+    free of the names stay floats and run the scalar code.  The body runs
+    under np.errstate(all="ignore"): Python floats give inf and nan without
+    a warning, and so does the array form."""
+
+    def __init__(self, names, scope):
+        super().__init__(names, scope)
+        self.arrays = set(names)  # texts whose value is an array
+
+    def source(self, *es):
+        arrays = self.arrays
+        try:
+            values = [self.operand(e) for e in es]
+            self.emit("return (%s,)" % ", ".join(
+                "%s.copy()" % v if v in self.names else
+                v if v in arrays else
+                "_full(%s, %s)" % (self.names[0], v) for v in values))
+        except _Unreachable:
+            pass
+        return "def body(%s):\n    with errstate(all=\"ignore\"):\n%s\n" % (
+            ", ".join(self.names), "\n".join("    " + line
+                                             for line in self.lines))
+
+    def local(self, key, lines, *args):
+        name = super().local(key, lines, *args)
+        # key holds the operator and the texts of the operands
+        if any(o in self.arrays for o in key[1:]):
+            self.arrays.add(name)
+        return name
+
+    def variable(self, name):
+        return name
+
+    def zero_test(self, b):
+        if b in self.arrays:
+            return "not %s.all()" % b
+        return super().zero_test(b)
+
+    def power_lines(self, name, base, p, integral):
+        arrays = self.arrays
+        if not (base in arrays or p in arrays):
+            return super().power_lines(name, base, p, integral)
+        lines = []
+        if not integral:
+            test, value = (("(%s < 0.0).any()" % base,
+                            "float(%s[%s < 0.0][0])" % (base, base))
+                           if base in arrays else ("%s < 0.0" % base, base))
+            lines += ["if %s:" % test,
+                      "    raise EvalDomainError("
+                      '"fractional power of negative base %%r" %% %s)' % value]
+        if not integral or p < 0:
+            lines += ["if %s:" % ("not %s.all()" % base if integral else
+                                  "((%s == 0.0) & (%s < 0.0)).any()"
+                                  % (base, p)),
+                      "    raise EvalDomainError("
+                      '"zero raised to a negative power")']
+        return lines + ["%s = _each_pow(%s, %s)" % (name, base, p)]
+
+    def call_lines(self, name, fn, z):
+        if z not in self.arrays:
+            return super().call_lines(name, fn, z)
+        return ["%s = _each(%r, %s)" % (name, fn, z)]
+
+
+def _assignment(name, value):
+    return ["%s = %s" % (name, value)]
 
 
 def _guarded(name, expr, what, arg=None):
@@ -757,8 +848,42 @@ def _guarded(name, expr, what, arg=None):
     return lines
 
 
+def _each(fn, z):
+    """FUNCTIONS[fn] on each element of the array z; the first element
+    that fails raises what the scalar code raises for it."""
+    kernel = FUNCTIONS[fn]
+    values = []
+    for value in z.tolist():
+        try:
+            values.append(kernel(value))
+        except OverflowError:
+            raise EvalDomainError("overflow in %s" % fn) from None
+        except ValueError:
+            raise EvalDomainError("domain error in %s(%r)"
+                                  % (fn, value)) from None
+    return np.array(values)
+
+
+def _each_pow(base, p):
+    """base ** p per element, where base or p (a float or an int) is an
+    array; overflow raises as the scalar code does."""
+    bs, qs = (a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+              for a in (base, p))
+    try:
+        return np.array([b ** q for b, q in zip(bs, qs)])
+    except OverflowError:
+        raise EvalDomainError("overflow in power") from None
+
+
+def _full(like, value):
+    """The array of like's shape holding value."""
+    return np.full(like.shape, value)
+
+
 _SCOPE = dict(FUNCTIONS, EvalDomainError=EvalDomainError,
               UnboundNameError=UnboundNameError)
+_ARRAY_SCOPE = dict(_SCOPE, _each=_each, _each_pow=_each_pow, _full=_full,
+                    errstate=np.errstate)
 
 
 @functools.lru_cache(maxsize=None)
@@ -782,6 +907,22 @@ def function(e, names):
     Building it costs little; its first call compiles e into one Python
     function (see _Codegen) and then becomes that function, so later calls
     run the compiled code directly."""
+    return _compiled_on_first_call(_Codegen, _SCOPE, (e,), names)
+
+
+def array_function(es, names):
+    """The expressions es as one positional function of the variables
+    `names` on numpy arrays: called with one 1-d float array per name, all
+    of one length, it returns a tuple with one new array per expression,
+    whose element i is function(e, names) at element i of the arguments,
+    bit for bit.  When an element fails, it raises the error that the
+    scalar function raises for some element, and no numpy warning.  It
+    compiles on its first call, as function does (see _ArrayCodegen)."""
+    return _compiled_on_first_call(_ArrayCodegen, _ARRAY_SCOPE, tuple(es),
+                                   names)
+
+
+def _compiled_on_first_call(codegen, globals_, es, names):
     names = tuple(names)
     fn = types.FunctionType(_first_call_code(names), {})
     # fn holds its globals and they hold first_call, so first_call reaches
@@ -791,8 +932,8 @@ def function(e, names):
     def first_call(*args):
         compiled = ref()
         scope = compiled.__globals__
-        scope.update(_SCOPE)
-        exec(_Codegen(names, scope).source(e), scope)
+        scope.update(globals_)
+        exec(codegen(names, scope).source(*es), scope)
         compiled.__code__ = scope.pop("body").__code__
         del scope["first_call"]
         return compiled(*args)

@@ -17,8 +17,10 @@ sign check that raises the typed NoSignChange.  Quadrature is a small
 self-contained routine so its node placement stays explicit and
 reproducible.  Every implicit relation (the first integral's position
 and velocity, the beam's F(u) = K sin(omega*t + phi)) is inverted
-pointwise by one safeguarded scalar solver, solve_scalar.  scipy is
-imported by the first call that needs it, not with this module.
+pointwise by one safeguarded scalar solver, solve_scalar, or at many
+points at once by solve_elementwise, which takes solve_scalar's steps on
+arrays.  scipy is imported by the first call that needs it, not with this
+module.
 """
 
 from __future__ import annotations
@@ -420,19 +422,71 @@ def solve_scalar(h, dh, guess, tol):
     raise ImplicitNoRoot("no root within %g of %r" % (_BRACKET_WIDTHS[-1], guess))
 
 
+def solve_elementwise(hdh, guess, columns, tol, solve_one):
+    """Roots of h near each element of the 1-d array guess: solve_scalar
+    on every element at once.
+
+    hdh(x, *cols) returns the arrays h and dh/dx at the values x, where
+    cols are the arrays of `columns` (the parameters of h, such as a time
+    and a target per element) taken at the elements x belongs to.  Each
+    element takes solve_scalar's Newton steps, in the same floating-point
+    operations, and stops by its rule, |h(x)| <= tol*(1 + |x|); hdh sees
+    only the elements still iterating.  An element whose Newton stalls
+    (zero or non-finite derivative, non-finite iterate, 60 steps spent) is
+    solved alone by solve_one(i), which should be solve_scalar from its
+    guess: the same steps stall the same way, and it brackets.  Any error
+    of hdh propagates.  Returns a new array; numpy warnings are
+    suppressed, since solve_scalar's floats give inf and nan without one.
+    """
+    x = np.array(guess, dtype=float)
+    todo = np.arange(x.size)
+    xi, cols = x, columns
+    stalled = []
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            h, d = hdh(xi, *cols)
+            go = ~(np.abs(h) <= tol * (1.0 + np.abs(xi)))
+            if not go.all():
+                todo, xi, h, d = todo[go], xi[go], h[go], d[go]
+                cols = [c[go] for c in cols]
+            x_new = xi - h / d
+            # a zero d gives a non-finite x_new
+            ok = np.isfinite(d) & np.isfinite(x_new)
+            if not ok.all():
+                stalled += todo[~ok].tolist()
+                todo, x_new = todo[ok], x_new[ok]
+                cols = [c[ok] for c in cols]
+            if not todo.size:
+                break
+            x[todo] = xi = x_new
+    for i in stalled + todo.tolist():
+        x[i] = solve_one(i)
+    return x
+
+
 # --- Chebyshev collocation -------------------------------------------------------
 
-def cheb_nodes_diff(n, a, b):
-    """Chebyshev extreme points mapped to [a, b] (ascending) and the
-    spectral differentiation matrix acting on values at those points
-    (Trefethen, Spectral Methods in MATLAB, ch. 6: cheb.m, with the
-    diagonal from the negative row sums)."""
+@functools.cache
+def _cheb(n):
+    """The n+1 Chebyshev extreme points cos(pi*j/n) on [-1, 1] and their
+    differentiation matrix, read-only: computed once per n."""
     j = np.arange(n + 1)
     xc = np.cos(math.pi * j / n)          # 1 ... -1
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     dx = xc[:, None] - xc[None, :] + np.eye(n + 1)
     D = np.outer(c, 1.0 / c) / dx
     D -= np.diag(D.sum(axis=1))
+    xc.flags.writeable = False
+    D.flags.writeable = False
+    return xc, D
+
+
+def cheb_nodes_diff(n, a, b):
+    """Chebyshev extreme points mapped to [a, b] (ascending) and the
+    spectral differentiation matrix acting on values at those points
+    (Trefethen, Spectral Methods in MATLAB, ch. 6: cheb.m, with the
+    diagonal from the negative row sums).  Both are new arrays."""
+    xc, D = _cheb(n)
     ts = a + (b - a) * (1.0 - xc) / 2.0   # ascending in t
     return ts, D * (-2.0 / (b - a))
 

@@ -10,8 +10,6 @@ work lives in oscdeform.verify so the same checks back the CLI's
 import subprocess
 import sys
 
-import numpy as np
-
 from oscdeform import cli, verify
 
 

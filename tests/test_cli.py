@@ -230,6 +230,18 @@ def test_exit_one_on_usage_errors(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega", ["0", "-1", "inf", "nan"])
+def test_rcd_omega_parameter_is_checked_like_the_flag(capsys, omega):
+    # --param omega takes precedence over --omega; omega=0 used to exit 2
+    # with a ZeroDivisionError and omega=-1 to print a profile
+    assert cli.main(["rcd", "--param", "beta=1", "--param", "gamma=0.5",
+                     "--param", "delta=1", "--param", "A=3",
+                     "--param", "omega=" + omega]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "parameter omega: expected a finite positive number" in err
+
+
 def test_solve_pole_start_without_v0_is_a_usage_error(capsys):
     # t0 = 0 with --alpha 0 starts on a cotangent pole, where the first
     # integral cannot supply the initial velocity

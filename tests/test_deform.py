@@ -1,4 +1,3 @@
-import cmath
 import math
 import re
 
@@ -380,23 +379,90 @@ _SLOPE_PAIRS = [
 @pytest.mark.parametrize("f_src,g_src", _SLOPE_PAIRS)
 def test_numerator_slope_matches_richardson_difference(f_src, g_src):
     # the transit Jacobian's dN/dy, at the Chebyshev nodes of one pole
-    # window, against a Richardson central difference of the numerator
+    # window, against a Richardson central difference of the numerator;
+    # the array pass gives each node's numerator and state bit for bit
     osc = DeformedOscillator(f_src, g_src, 2.0, alpha=0.3)
     pole = (math.pi - 0.3) / 2.0
     ts, _ = cheb_nodes_diff(47, pole - 0.15, pole + 0.15)
+    svec = np.array([math.sin(osc.theta(t)) for t in ts])
+    cvec = np.array([math.cos(osc.theta(t)) for t in ts])
+    m = len(ts)
     for y in (0.45, -0.7):
-        for t in ts.tolist():
-            s, c = math.sin(osc.theta(t)), math.cos(osc.theta(t))
-            _, x, v = deform._crossing_numerator(osc, t, y, s, c, 0.4, 0.0)
-            exact = deform._numerator_slope(osc, t, s, c, x, v)
+        N, dN, xs, vs = deform._crossing_numerators(
+            osc, ts, np.full(m, y), svec, cvec, np.full(m, 0.4),
+            np.zeros(m))
+        for i, t in enumerate(ts.tolist()):
+            s, c = svec[i], cvec[i]
+            scalar = deform._crossing_numerator(osc, t, y, s, c, 0.4, 0.0)
+            assert scalar == (N[i], xs[i], vs[i]), (t, y)
 
             def central(h):
-                return (deform._crossing_numerator(osc, t, y + h, s, c, x, v)[0]
-                        - deform._crossing_numerator(osc, t, y - h, s, c, x,
-                                                     v)[0]) / (2.0 * h)
+                return (deform._crossing_numerator(osc, t, y + h, s, c,
+                                                   xs[i], vs[i])[0]
+                        - deform._crossing_numerator(osc, t, y - h, s, c,
+                                                     xs[i], vs[i])[0]
+                        ) / (2.0 * h)
 
             fd = (4.0 * central(5e-4) - central(1e-3)) / 3.0
-            assert abs(exact - fd) <= 1e-7 * (1.0 + abs(exact)), (t, y)
+            assert abs(dN[i] - fd) <= 1e-7 * (1.0 + abs(dN[i])), (t, y)
+
+
+def test_pole_transit_solves_every_node_in_one_array_pass(monkeypatch):
+    # one Newton per node and collocation pass made 194 solve_scalar calls
+    # in this transit (48 nodes, 4 passes); the array pass leaves the entry
+    # solve at the left edge and the smoothness test at the pole
+    calls = []
+    solve = deform.solve_scalar
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    # deform's binding of numerics.solve_scalar
+    monkeypatch.setattr(deform, "solve_scalar", counted)
+    osc = DeformedOscillator("0", "0.2*x^2", 5.0)
+    pole = math.pi / 5.0
+    a, b = pole - 0.06, pole + 0.06
+    y_in = (0.3 + osc.g(a, 0.3, 0.0)) / math.sin(osc.theta(a))
+    interp = deform._pole_transit(osc, a, b, pole, y_in, 0.3, 0.0)
+    assert interp(a) == y_in
+    assert len(calls) <= 2
+
+
+def _case6_k1(d, t0, x0):
+    # f = -0.5v + d, g = 0, omega = 1: x' = 2*cot(t)*x - 2d, solved by
+    # x = d*sin(2t) + C*sin(t)^2
+    C = (x0 - d * math.sin(2.0 * t0)) / math.sin(t0) ** 2
+    return lambda t: d * math.sin(2.0 * t) + C * math.sin(t) ** 2
+
+
+def _case6_k3(d, t0, x0):
+    # catalog.case6: f = -0.75v + d, with c1 fitted to x(t0) = x0
+    s, c = math.sin(t0), math.cos(t0)
+    c1 = (3.0 * x0 - 2.0 * d * math.sin(2.0 * t0) - 8.0 * d * s ** 3 * c) / (
+        3.0 * s ** 4)
+    return catalog.case6(d, c1)
+
+
+@pytest.mark.parametrize("b, closed_form, bound", [
+    (-0.75, _case6_k3, 2e-9),    # k = 3: 1.39e-9 after the pole
+    (-0.5, _case6_k1, 1e-11),    # k = 1: 7.7e-12 after the pole
+], ids=["k=3", "k=1"])
+def test_transit_with_a_re_expanding_mode_keeps_its_accuracy(b, closed_form,
+                                                             bound):
+    # f = b*v + 0.8, g = 0 crosses the pole at pi with the mode
+    # (t - pi)^k, k = -b/(1 + b); the error after the pole, relative to
+    # 1 + |x|, must not grow beyond what the transit gives today
+    t0, x0 = 0.3, 0.4
+    osc = DeformedOscillator("%r*v + 0.8" % b, "0", 1.0)
+    traj = integrate_first_integral(osc, t0, x0, 6.0,
+                                    t_eval=np.linspace(t0, 6.0, 401),
+                                    rtol=1e-13, atol=1e-15)
+    assert traj.meta["poles_crossed"] == [pytest.approx(math.pi)]
+    exact = closed_form(0.8, t0, x0)
+    after = [abs(s.x - exact(s.t)) / (1.0 + abs(s.x))
+             for s in traj if s.t > math.pi + 0.3]
+    assert max(after) < bound
 
 
 @pytest.mark.parametrize("g_src", ["0", "0.1*sin(t + 0.3)^2"])

@@ -27,6 +27,7 @@ from oscdeform.numerics import (
     integrate,
     max_abs,
     residual_scan,
+    solve_elementwise,
     solve_scalar,
     trajectory_residual,
 )
@@ -424,6 +425,32 @@ def test_solve_scalar_falls_back_to_brackets():
 def test_solve_scalar_no_root_is_typed():
     with pytest.raises(ImplicitNoRoot):
         solve_scalar(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.3, 1e-14)
+
+
+def test_solve_elementwise_is_solve_scalar_per_element():
+    # x^3 - 2x + c with one c per element; from the guess 0 with c = 2
+    # Newton cycles 0, 1, 0, ... until its 60 steps are spent, so only
+    # that element is handed to the scalar solve, which brackets
+    c = np.array([2.0, 2.0, 0.0, 0.0, -1.0])
+    guess = np.array([0.0, -2.0, 1.5, 0.0, 0.7])
+
+    def h(x, c):
+        return x * x * x - 2.0 * x + c
+
+    def dh(x):
+        return 3.0 * x * x - 2.0
+
+    def solve_one(i):
+        handed.append(i)
+        return solve_scalar(lambda x: h(x, c[i]), dh, guess[i], 1e-14)
+
+    handed = []
+    got = solve_elementwise(lambda x, c: (h(x, c), dh(x)), guess, (c,),
+                            1e-14, solve_one)
+    assert handed == [0]
+    want = [solve_scalar(lambda x: h(x, ci), dh, gi, 1e-14)
+            for ci, gi in zip(c.tolist(), guess.tolist())]
+    assert got.tolist() == want
 
 
 def test_solve_scalar_propagates_foreign_errors():
