@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     CotangentPole,
     DegenerateParameters,
+    ImplicitNoRoot,
     NonSmoothPoint,
     SingularCoefficient,
     ZeroDenominator,
@@ -396,7 +397,8 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     polynomial interpolant for y on [a, b] through 48 nodes or, when a node
     lands on the pole, a few more.  The entry solves for x and v start from
     x_start and v_start.  Raises NonSmoothPoint when no smooth crossing
-    exists (the numerator does not vanish at the pole).
+    exists: the numerator does not vanish at the pole, or an iterate's
+    amplitude leaves the range of x + g (or of v + f) at some node.
     """
     for bump in range(4):
         ts, D = cheb_nodes_diff(47 + bump, a, b)
@@ -428,7 +430,15 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
 
     converged = False
     for _ in range(30):
-        N, dN, xs, vs = _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs)
+        try:
+            N, dN, xs, vs = _crossing_numerators(osc, ts, Y, svec, cvec,
+                                                 xs, vs)
+        except ImplicitNoRoot as exc:
+            raise NonSmoothPoint(
+                "no smooth continuation of the deformed amplitude y = "
+                "(x+g)/sin through the pole t = %r: at a collocation node "
+                "the amplitude left the range of x + g = y*sin(theta) or "
+                "of v + f = omega*y*cos(theta) (%s)" % (pole, exc)) from exc
         F = svec * (D @ Y) - N
         F[0] = Y[0] - y_in
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(dN))):

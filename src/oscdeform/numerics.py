@@ -5,13 +5,17 @@ residual scanning.
 The solver is DOP853 (8th-order embedded Runge-Kutta; Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.5-6), run by integrate itself in plain
 floats: scipy's algorithm step for step on scipy's tableau, with no numpy
-array per stage and no call into solve_ivp.  It returns the dense
-solution, one callable per component evaluating the DOP853 interpolant
-as scipy's OdeSolution does.  Its sums run in another order than
-numpy's, so values agree with scipy's to rounding, not bit for bit, with
-the same right-hand-side calls and steps (tests/test_numerics.py holds
-the two together).  Every Trajectory is built by sample_trajectory from
-a pure state_at(t).
+array per stage and no call into solve_ivp.  Each step is one generated
+straight-line function per state size (_kernels), written out from
+scipy's tableau on first use and compiled once; it makes the same rhs
+calls, steps and bits as the loop over the tableau that it replaces
+(tests/test_numerics.py keeps that loop as its reference).  integrate
+returns the dense solution, one callable per component evaluating the
+DOP853 interpolant as scipy's OdeSolution does.  Its sums run in another
+order than numpy's, so values agree with scipy's to rounding, not bit
+for bit, with the same right-hand-side calls and steps
+(tests/test_numerics.py holds the two together).  Every Trajectory is
+built by sample_trajectory from a pure state_at(t).
 Root finding on a bracket is Brent's method from scipy (brentq) behind a
 sign check that raises the typed NoSignChange.  Quadrature is a small
 self-contained routine so its node placement stays explicit and
@@ -125,17 +129,66 @@ def _dop853():
             [terms(row) for row in DOP853.D])
 
 
-def _dot(K, terms, i):
-    """Component i of sum_j a_j*K[j], summed in order from 0.0."""
-    acc = 0.0
-    for j, a in terms:
-        acc += K[j][i] * a
-    return acc
+@functools.cache
+def _kernels(n):
+    """DOP853's step and its dense-output stages for a state of n
+    components, each written out from _dop853() as one straight-line
+    function of floats and compiled once:
 
+        step(rhs, t, y, f, h) -> (y_new, f_new, E5 sums, E3 sums, K)
+        dense(rhs, t, y, K, h) -> per component, h*sum_j D_j*K[j] per row
 
-def _advance(y, K, terms, h):
-    """y + (sum_j a_j*K[j])*h, componentwise: one Runge-Kutta stage or step."""
-    return tuple([yi + _dot(K, terms, i) * h for i, yi in enumerate(y)])
+    The n-tuples y and f are the state and slope at t; K holds every
+    stage of the step, flattened, and dense adds the three extra stages.
+    Each coefficient is a repr literal and each sum reads
+    0.0 + K[j0]*a_j0 + K[j1]*a_j1 + ... in the tableau's order, so every
+    value is the tableau loop's, bit for bit.  rhs gets a float when n is
+    1 and an n-tuple otherwise; each of its results goes through float().
+    """
+    stages, extra, B, E3, E5, D = _dop853()
+    comps = range(n)
+
+    def tup(items):
+        return "(%s,)" % ", ".join(items)
+
+    def dot(terms, i):
+        return " + ".join(["0.0"] + ["k%d_%d*%r" % (j, i, a)
+                                     for j, a in terms])
+
+    def stage(j, t, args):
+        ks = ["k%d_%d" % (j, i) for i in comps]
+        if n == 1:
+            return ["%s = float(rhs(%s, %s))" % (ks[0], t, args[0])]
+        return (["%s = rhs(%s, %s)" % (", ".join(ks), t, tup(args))]
+                + ["%s = float(%s)" % (k, k) for k in ks])
+
+    def stages_from(first, table):
+        return [line for j, (c, a) in enumerate(table, first)
+                for line in stage(j, "t + %r*h" % c,
+                                  ["y%d + (%s)*h" % (i, dot(a, i))
+                                   for i in comps])]
+
+    last = len(stages) + 1          # f_new, the slope at the step's end
+    ys = tup(["y%d" % i for i in comps])
+    K = tup(["k%d_%d" % (j, i) for j in range(last + 1) for i in comps])
+    step = (["def step(rhs, t, y, f, h):",
+             "%s = y" % ys,
+             "%s = f" % tup(["k0_%d" % i for i in comps])]
+            + stages_from(1, stages)
+            + ["yn%d = y%d + (%s)*h" % (i, i, dot(B, i)) for i in comps]
+            + stage(last, "t + h", ["yn%d" % i for i in comps])
+            + ["return (%s, %s, %s, %s, %s)" % (
+                tup(["yn%d" % i for i in comps]),
+                tup(["k%d_%d" % (last, i) for i in comps]),
+                tup([dot(E5, i) for i in comps]),
+                tup([dot(E3, i) for i in comps]), K)])
+    dense = (["def dense(rhs, t, y, K, h):", "%s = y" % ys, "%s = K" % K]
+             + stages_from(last + 1, extra)
+             + ["return %s" % tup([tup(["h*(%s)" % dot(d, i) for d in D])
+                                   for i in comps])])
+    scope = {}
+    exec("\n    ".join(step) + "\n" + "\n    ".join(dense) + "\n", scope)
+    return scope["step"], scope["dense"]
 
 
 def _rms(values):
@@ -180,7 +233,10 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
     of the same steps.  Only the order of the sums differs from numpy's:
     step sizes agree to the rounding of the error estimate and values to
     rounding, not bit for bit (tests/test_numerics.py holds the two
-    together).  A step that would fall below ten spacings of t (or is
+    together).  Each step runs as one generated straight-line function of
+    floats for the state's size (_kernels), built from scipy's tableau on
+    first use: the same rhs calls, steps and bits as a loop over the
+    tableau.  A step that would fall below ten spacings of t (or is
     NaN) raises StepSizeUnderflow, and an accepted non-finite state
     NonFiniteState.
     """
@@ -205,7 +261,7 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
     if rtol < 100 * _EPS:
         warnings.warn("rtol %r is too small; using %r" % (rtol, 100 * _EPS))
         rtol = 100 * _EPS
-    stages, extra, B, E3, E5, D = _dop853()
+    step, dense = _kernels(len(y))
     t, t1 = float(t0), float(t1)
     direction = 1.0 if t1 > t else -1.0
     f = field(t, y)
@@ -226,18 +282,13 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            for c, a in stages:
-                K.append(field(t + c * h, _advance(y, K, a, h)))
-            y_new = _advance(y, K, B, h)
-            f_new = field(t + h, y_new)
-            K.append(f_new)
+            y_new, f_new, sums5, sums3, K = step(rhs, t, y, f, h)
             err5 = err3 = 0.0
             for i, yi in enumerate(y):
                 # max() keeps a NaN of y_new, as np.maximum does
                 scale = atol + max(abs(y_new[i]), abs(yi)) * rtol
-                e5 = _dot(K, E5, i) / scale
-                e3 = _dot(K, E3, i) / scale
+                e5 = sums5[i] / scale
+                e3 = sums3[i] / scale
                 err5 += e5 * e5
                 err3 += e3 * e3
             # squares of np.linalg.norm, as scipy takes them
@@ -255,13 +306,12 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
         if not all(map(math.isfinite, y_new)):
             raise NonFiniteState("integration produced non-finite state at "
                                  "t = %r" % t_new)
-        for c, a in extra:
-            K.append(field(t + c * h, _advance(y, K, a, h)))
+        hD = dense(rhs, t, y, K, h)
         rows = []
         for i, yi in enumerate(y):
             dy = y_new[i] - yi
             F = [dy, h * f[i] - dy, 2 * dy - h * (f_new[i] + f[i])]
-            F += [h * _dot(K, d, i) for d in D]
+            F += hD[i]
             rows.append(F[::-1])
         steps.append((t, h, y, rows))
         t, y, f = t_new, y_new, f_new

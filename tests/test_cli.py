@@ -333,6 +333,19 @@ def test_solve_stops_at_a_fold_of_the_velocity_law(capsys):
     assert abs(t_fold - (math.atan(0.45) - 0.2) / 1.5) < 1e-6
 
 
+def test_transit_leaving_the_range_of_x_plus_g_is_non_smooth(capsys):
+    # x + 0.2*x^2 never goes below -1.25; a collocation iterate through the
+    # pole at 2*pi/5 asks for less from the branch x < -2.5
+    code = cli.main(["solve", "--f", "1", "--g", "0.2*x^2", "--omega", "5",
+                     "--t0", "0.6283185307179586", "--t1", "2",
+                     "--x0", "-5", "--v0", "-0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NonSmoothPoint" in err and "range of x + g" in err
+    pole = float(re.search(r"pole t = ([-+.0-9e]+)", err).group(1))
+    assert abs(pole - 2 * math.pi / 5) < 1e-12
+
+
 def test_exit_two_on_numerical_failure(capsys):
     # constant f does not vanish at the cotangent pole, so the crossing
     # velocity diverges and the driver refuses to continue

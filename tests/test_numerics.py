@@ -8,6 +8,7 @@ import scipy.integrate
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.common import OdeSolution
 
+from oscdeform import numerics
 from oscdeform.errors import (
     EvalDomainError,
     ImplicitNoRoot,
@@ -118,7 +119,7 @@ def test_dense_solution_matches_solve_ivp_t_eval():
 
 
 # (rhs, t0, y0, t1): forward and backward spans, a number and a pair, a
-# span of one step, and a pair at rest at signed zeros
+# span of one step, and a pair and a number at rest at signed zeros
 _DENSE_CASES = {
     "number forward": (lambda t, x: -x + math.sin(3.0 * t), 0.2, 0.7, 5.0),
     "number backward": (lambda t, x: -x + math.sin(3.0 * t), 5.0, 0.7, 0.2),
@@ -126,6 +127,7 @@ _DENSE_CASES = {
     "pair backward": (_oscillator, 7.5, (1.0, 0.3), -1.0),
     "one step": (lambda t, x: 1.0, 0.0, 0.25, 1e-3),
     "pair at rest": (_oscillator, 0.0, (-0.0, 0.0), -2.0),
+    "number at rest": (lambda t, x: x, 0.0, -0.0, 1.0),
 }
 
 
@@ -184,6 +186,71 @@ def test_dense_solution_is_scipys_interpolant_bit_for_bit(name, monkeypatch):
             assert type(got) is float
             assert _close(got, w)
             assert math.copysign(1.0, got) == math.copysign(1.0, w)
+
+
+def _dot(K, terms, i):
+    """Component i of sum_j a_j*K[j], summed in order from 0.0."""
+    acc = 0.0
+    for j, a in terms:
+        acc += K[j][i] * a
+    return acc
+
+
+def _advance(y, K, terms, h):
+    """y + (sum_j a_j*K[j])*h, componentwise: one Runge-Kutta stage or step."""
+    return tuple([yi + _dot(K, terms, i) * h for i, yi in enumerate(y)])
+
+
+def _loop_kernels(n):
+    """The reference for numerics._kernels(n): the same step and dense
+    stages as a loop over the tableau, each stage through a field that
+    hands rhs a float (n = 1) or a tuple and takes float() of its result."""
+    stages, extra, B, E3, E5, D = numerics._dop853()
+
+    def field(rhs, t, y):
+        return ((float(rhs(t, y[0])),) if n == 1
+                else tuple([float(k) for k in rhs(t, y)]))
+
+    def step(rhs, t, y, f, h):
+        K = [f]
+        for c, a in stages:
+            K.append(field(rhs, t + c * h, _advance(y, K, a, h)))
+        y_new = _advance(y, K, B, h)
+        K.append(field(rhs, t + h, y_new))
+        return (y_new, K[-1], [_dot(K, E5, i) for i in range(n)],
+                [_dot(K, E3, i) for i in range(n)], K)
+
+    def dense(rhs, t, y, K, h):
+        K = list(K)
+        for c, a in extra:
+            K.append(field(rhs, t + c * h, _advance(y, K, a, h)))
+        return [[h * _dot(K, d, i) for d in D] for i in range(n)]
+    return step, dense
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_CASES))
+def test_generated_step_is_the_tableau_loop_bit_for_bit(name, monkeypatch):
+    """The straight-line step makes the tableau loop's floating-point
+    operations in its order: the same rhs calls at the same times and
+    states, and dense values equal bit for bit, the sign of a zero
+    included."""
+    rhs, t0, y0, t1 = _DENSE_CASES[name]
+    queries = np.linspace(t0, t1, 301).tolist()
+
+    def run():
+        calls = []
+
+        def counted(t, y):
+            calls.append([c.hex() for c in np.atleast_1d(y).tolist()]
+                         + [t.hex()])
+            return rhs(t, y)
+
+        dense = integrate(counted, t0, y0, t1)
+        return calls, [fn(t).hex() for fn in dense for t in queries]
+
+    calls, values = run()
+    monkeypatch.setattr(numerics, "_kernels", _loop_kernels)
+    assert run() == (calls, values)
 
 
 def test_integrate_tolerance_controls_error():
