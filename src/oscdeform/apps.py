@@ -64,14 +64,15 @@ class RcdSystem:
         self._beta = beta
         self._gamma = gamma
 
-    def _dlnD(self, u, h=1e-5):
-        """(ln D)' by Richardson-extrapolated central differences."""
+    def _dlnD(self, u):
+        """(ln D)' by Richardson-extrapolated central differences of step
+        1e-5."""
         def ln_d(x):
             d = self.D(x)
             if d <= 0.0:
                 raise DomainViolation("D(u) <= 0 at u = %r" % (x,))
             return math.log(d)
-        return fd_derivatives(ln_d, u, h)[1]
+        return fd_derivatives(ln_d, u, 1e-5)[1]
 
     def alpha(self, u):
         if self._alpha is not None:
@@ -144,12 +145,8 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0, params=None):
     def Q(uq):
         return gamma_fn(uq) * D(uq)
 
-    sys = RcdSystem(D, B, Q, Vf=Vf, D0=D0,
-                    alpha=alpha_fn, beta=beta_fn, gamma=gamma_fn)
-    sys.f = f
-    sys.g = g
-    sys.omega = omega
-    return sys
+    return RcdSystem(D, B, Q, Vf=Vf, D0=D0,
+                     alpha=alpha_fn, beta=beta_fn, gamma=gamma_fn)
 
 
 def rcd_power_family(beta, gamma, delta, omega=1.0, Vf=0.0, D0=1.0):
@@ -217,10 +214,10 @@ def rcd_travelling_wave(params, force_quadrature=False):
                      xi_ref, force_quadrature)[0]
 
 
-def rcd_residual(sys, u_of_xi, xi_samples, h=1e-3):
+def rcd_residual(sys, u_of_xi, xi_samples):
     """Max absolute residual of u'' + alpha(u)u'^2 + beta(u)u' + gamma(u)
     along a profile (see RcdSystem.residual and numerics.residual_scan)."""
-    return residual_scan(sys, u_of_xi, xi_samples, h)
+    return residual_scan(sys, u_of_xi, xi_samples)
 
 
 # --- cantilever beam ---------------------------------------------------------------

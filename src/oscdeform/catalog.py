@@ -14,7 +14,13 @@ import functools
 import math
 import warnings
 
-from .deform import DeformedOscillator, generate_ode
+from .deform import (
+    POLE_GUARD,
+    DeformedOscillator,
+    generate_ode,
+    pole_interval,
+    pole_times,
+)
 from .exprdsl import bind
 from .errors import (
     BracketZero,
@@ -62,25 +68,14 @@ class CatalogSolution:
         return self.evaluator(t)
 
 
-def _check_natural(n, least=2):
+def _check_natural(n):
+    """n as an int; ValueError unless it is an integer >= 2."""
     if not (isinstance(n, int) or (isinstance(n, float) and n.is_integer())):
         raise ValueError("n must be an integer, got %r" % (n,))
     n = int(n)
-    if n < least:
-        raise ValueError("n must be >= %d, got %d" % (least, n))
+    if n < 2:
+        raise ValueError("n must be >= 2, got %d" % n)
     return n
-
-
-def _pole_interval(omega, alpha, t_ref):
-    """The open interval between consecutive zeros of sin(omega*t+alpha)
-    containing t_ref."""
-    th = omega * t_ref + alpha
-    k = math.floor(th / math.pi)
-    if th == k * math.pi:
-        raise CotangentPole("reference time sits on a pole")
-    lo = (k * math.pi - alpha) / omega
-    hi = ((k + 1) * math.pi - alpha) / omega
-    return lo, hi
 
 
 def _check_domain(domain, t):
@@ -120,7 +115,7 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
     if t_ref is None:
         t_ref = (math.pi / 2.0 - al) / w
     th_ref = w * t_ref + al
-    if abs(math.sin(th_ref)) < 1e-9:
+    if abs(math.sin(th_ref)) < POLE_GUARD:
         raise CotangentPole("reference time sits on a pole")
 
     def integrand(t):
@@ -136,18 +131,13 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
         """Refuse integration spans that cross a pole where the integrand
         blows up (the accumulated quadrature would be garbage there)."""
         lo, hi = (t_ref, t) if t >= t_ref else (t, t_ref)
-        n_lo = math.ceil((w * lo + al) / math.pi - 1e-12)
-        n_hi = math.floor((w * hi + al) / math.pi + 1e-12)
-        for n in range(n_lo, n_hi + 1):
-            p = (n * math.pi - al) / w
-            if not lo - 1e-12 <= p <= hi + 1e-12:
-                continue
-            flag = checked.get(n)
+        for p in pole_times(w, al, lo - 1e-12, hi + 1e-12):
+            flag = checked.get(p)
             if flag is None:
                 far = max(abs(integrand(p - 1e-3)), abs(integrand(p + 1e-3)))
                 near = max(abs(integrand(p - 1e-6)), abs(integrand(p + 1e-6)))
                 flag = near > 100.0 * max(far, 1.0)
-                checked[n] = flag
+                checked[p] = flag
             if flag:
                 raise PoleInRange(
                     "quadrature from %r to %r crosses the pole t = %r where "
@@ -161,7 +151,7 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
         _guard_span(t)
         th = w * t + al
         s = math.sin(th)
-        if abs(s) < 1e-9:
+        if abs(s) < POLE_GUARD:
             raise CotangentPole("velocity requested at a pole t = %r" % (t,))
         c = math.cos(th)
         return (w * c * (A + I(t))
@@ -226,7 +216,7 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
     if beta_integer:
         domain = (-math.inf, math.inf)
     else:
-        domain = _pole_interval(w, al, t_ref)
+        domain = pole_interval(w, al, t_ref)
         if math.sin(w * t_ref + al) < 0.0:
             raise DomainViolation(
                 "fractional beta needs sin(omega*t_ref+alpha) > 0")
@@ -388,7 +378,7 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     t0, x0 = float(t0), float(x0)
     th0 = w * t0 + al
     s0 = math.sin(th0)
-    if abs(s0) < 1e-9:
+    if abs(s0) < POLE_GUARD:
         raise CotangentPole("t0 sits on a pole")
     osc = DeformedOscillator("%r*x^2 + %r" % (mu, nu), "0", omega, alpha=alpha)
 
@@ -408,15 +398,15 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
         if abs(target) >= 1.0:
             domain = (-math.inf, math.inf)
         else:
-            dth = math.acos(target)   # theta = +-dth (mod 2pi) zero D
-            cands = []
-            for k in range(-3, 4):
-                for sgn in (dth, -dth):
-                    cands.append((sgn + 2.0 * math.pi * k - al) / w)
-            below = [c for c in cands if c < t0]
-            above = [c for c in cands if c > t0]
-            domain = (max(below) if below else -math.inf,
-                      min(above) if above else math.inf)
+            # D vanishes on the two families theta = s + 2*pi*k, s = +-dth;
+            # each family's zeros at k and k + 1 bracket theta0
+            dth = math.acos(target)
+            below, above = [], []
+            for s in (dth, -dth):
+                k = math.floor((th0 - s) / (2.0 * math.pi))
+                below.append((s + 2.0 * math.pi * k - al) / w)
+                above.append((s + 2.0 * math.pi * (k + 1) - al) / w)
+            domain = (max(below), min(above))
 
         def x_of_t(t):
             _check_domain(domain, t)
@@ -430,7 +420,7 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
 
         return CatalogSolution("case4_riccati", x_of_t, v_of_t, osc, domain)
 
-    lo, hi = _pole_interval(w, al, t0)
+    lo, hi = pole_interval(w, al, t0)
 
     def rhs(t, x):
         th = w * t + al

@@ -54,8 +54,27 @@ from .numerics import (
 # the variables of a deformation and of a generated coefficient
 _TXV = ("t", "x", "v")
 
-# |sin(omega*t + alpha)| below which the explicit slope field is refused
-_POLE_GUARD = 1e-9
+# |sin(omega*t + alpha)| below which a time counts as sitting on a
+# cotangent pole: the explicit slope field and the closed forms refuse it
+POLE_GUARD = 1e-9
+
+
+def pole_times(omega, alpha, lo, hi):
+    """The cotangent pole times t_n = (n*pi - alpha)/omega whose n*pi lies
+    in [omega*lo + alpha, omega*hi + alpha], in increasing order."""
+    n_lo = math.ceil((omega * lo + alpha) / math.pi)
+    n_hi = math.floor((omega * hi + alpha) / math.pi)
+    return [(n * math.pi - alpha) / omega for n in range(n_lo, n_hi + 1)]
+
+
+def pole_interval(omega, alpha, t):
+    """The open interval between the consecutive cotangent poles around t;
+    raises CotangentPole when t sits on one."""
+    th = omega * t + alpha
+    k = math.floor(th / math.pi)
+    if th == k * math.pi:
+        raise CotangentPole("reference time sits on a pole")
+    return (k * math.pi - alpha) / omega, ((k + 1) * math.pi - alpha) / omega
 
 
 class DeformedOscillator:
@@ -196,11 +215,11 @@ def first_integral_velocity(osc, t, x, v_start=0.0):
     w = osc.omega
 
     if not (osc.f_depends_v or osc.g_depends_v):
-        if abs(s) < _POLE_GUARD:
+        if abs(s) < POLE_GUARD:
             raise CotangentPole("sin(omega*t+alpha) = %r at t = %r" % (s, t))
         return w * c / s * (x + osc.g(t, x, 0.0)) - osc.f(t, x, 0.0)
 
-    if abs(s) < _POLE_GUARD and not osc.g_depends_v:
+    if abs(s) < POLE_GUARD and not osc.g_depends_v:
         raise CotangentPole(
             "implicit velocity is singular at the pole when g is v-independent")
 
@@ -252,7 +271,7 @@ def energy_rate(osc, state, a=None):
     t, x, v = state
     th = osc.theta(t)
     s = math.sin(th)
-    if abs(s) < _POLE_GUARD:
+    if abs(s) < POLE_GUARD:
         raise CotangentPole("sin(omega*t+alpha) = %r at t = %r" % (s, t))
     gdot = osc.g_t(t, x, v) + osc.g_x(t, x, v) * v
     if osc.g_depends_v:
@@ -364,14 +383,6 @@ def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
         dx = svec / (1.0 + g_x)
         dv = (osc.omega * cvec - f_x * dx) / (1.0 + f_v)
         return N, N_x * dx + (g_x - f_v) * dv, x, v
-
-
-def _poles_inside(osc, t0, t1, margin):
-    """Cotangent pole times (n*pi - alpha)/omega strictly inside (t0, t1)."""
-    w, al = osc.omega, osc.alpha
-    n_lo = math.ceil((w * (t0 + margin) + al) / math.pi)
-    n_hi = math.floor((w * (t1 - margin) + al) / math.pi)
-    return [(n * math.pi - al) / w for n in range(n_lo, n_hi + 1)]
 
 
 def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
@@ -552,7 +563,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
 
     # v-independent g: march the deformed amplitude between poles and hand
     # each pole window to the collocation transit
-    poles = _poles_inside(osc, t0, t1, 2.0 * delta)
+    poles = pole_times(w, osc.alpha, t0 + 2.0 * delta, t1 - 2.0 * delta)
     half = 0.3 / w           # collocation half-width around each pole
 
     def y_rhs(t, y):

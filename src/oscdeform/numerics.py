@@ -376,8 +376,8 @@ class CumulativeIntegral:
         self.f = f
         self.origin = float(origin)
         self._rule = _gauss_legendre()
-        self._fwd = [0.0]   # _fwd[k] = F(origin + k*_PANEL_WIDTH)
-        self._bwd = [0.0]   # _bwd[k] = F(origin - k*_PANEL_WIDTH)
+        # per side: _acc[side][k] = F(origin + side*k*_PANEL_WIDTH)
+        self._acc = {1: [0.0], -1: [0.0]}
 
     def _panel(self, a, b):
         c = 0.5 * (a + b)
@@ -390,24 +390,18 @@ class CumulativeIntegral:
     def __call__(self, t):
         t = float(t)
         s = (t - self.origin) / _PANEL_WIDTH
-        if s >= 0:
-            k = int(math.floor(s))
-            while len(self._fwd) <= k:
-                a = self.origin + (len(self._fwd) - 1) * _PANEL_WIDTH
-                self._fwd.append(self._fwd[-1]
-                                 + self._panel(a, a + _PANEL_WIDTH))
-            base = self._fwd[k]
-            edge = self.origin + k * _PANEL_WIDTH
-        else:
-            # full panels strictly between t and the origin, so the rule
-            # never samples beyond t (where f may be singular)
-            kk = int(math.floor(-s))
-            while len(self._bwd) <= kk:
-                b = self.origin - (len(self._bwd) - 1) * _PANEL_WIDTH
-                self._bwd.append(self._bwd[-1]
-                                 - self._panel(b - _PANEL_WIDTH, b))
-            base = self._bwd[kk]
-            edge = self.origin - kk * _PANEL_WIDTH
+        side = 1 if s >= 0 else -1
+        # full panels strictly between the origin and t, so the rule never
+        # samples beyond t (where f may be singular); each panel runs low to
+        # high and adds with the side's sign
+        k = int(math.floor(side * s))
+        acc = self._acc[side]
+        while len(acc) <= k:
+            e = self.origin + side * (len(acc) - 1) * _PANEL_WIDTH
+            acc.append(acc[-1] + side * self._panel(
+                *sorted((e, e + side * _PANEL_WIDTH))))
+        base = acc[k]
+        edge = self.origin + side * k * _PANEL_WIDTH
         if t == edge:
             return base
         return base + self._panel(edge, t)
@@ -593,12 +587,12 @@ def max_abs(values):
     return worst
 
 
-def residual_scan(form, x_of_t, t_samples, h=1e-3):
+def residual_scan(form, x_of_t, t_samples):
     """Max |form.residual(t, x, xd, xdd)| over samples, with xd and xdd from
-    Richardson-extrapolated central differences of x_of_t; inf, with a
-    warning, at the first non-finite residual."""
+    Richardson-extrapolated central differences of x_of_t of step 1e-3;
+    inf, with a warning, at the first non-finite residual."""
     def residual(t):
-        x0, v, a = fd_derivatives(x_of_t, t, h)
+        x0, v, a = fd_derivatives(x_of_t, t, 1e-3)
         r = form.residual(t, x0, v, a)
         if not math.isfinite(r):
             warnings.warn("non-finite residual at t = %r" % (t,))
@@ -608,15 +602,15 @@ def residual_scan(form, x_of_t, t_samples, h=1e-3):
                    for t in np.asarray(t_samples, dtype=float).tolist())
 
 
-def trajectory_residual(form, x_of_t, v_of_t, t_samples, h=5e-3):
+def trajectory_residual(form, x_of_t, v_of_t, t_samples):
     """Max |residual| along a trajectory using the integrator's velocity and a
-    Richardson finite difference of v for the acceleration.
+    Richardson finite difference of v, of step 5e-3, for the acceleration.
 
     Differencing v (already one derivative) instead of x twice keeps the
     round-off amplification one power of h lower.
     """
     def residual(t):
-        v, a, _ = fd_derivatives(v_of_t, t, h)
+        v, a, _ = fd_derivatives(v_of_t, t, 5e-3)
         return form.residual(t, x_of_t(t), v, a)
 
     return max_abs(residual(t)

@@ -215,6 +215,30 @@ def test_case4_nonzero_nu_domain():
         sol(hi + 0.1)
 
 
+@pytest.mark.parametrize("k", [0, 4, -4, 10])
+def test_case4_nu0_domain_follows_t0_across_periods(k):
+    # the zeros of D around t0 repeat with theta's period 2*pi, however
+    # many periods t0 lies from theta = 0
+    mu, w, al, x0 = 3.0, 1.0, 0.3, 0.9
+    ref = catalog.case4_riccati(mu, 0.0, w, al, t0=0.5, x0=x0).domain
+    t0 = 0.5 + 2.0 * math.pi * k
+    sol = catalog.case4_riccati(mu, 0.0, w, al, t0=t0, x0=x0)
+    lo, hi = sol.domain
+    assert lo - t0 == pytest.approx(ref[0] - 0.5, abs=1e-9)
+    assert hi - t0 == pytest.approx(ref[1] - 0.5, abs=1e-9)
+    # just past the zero of D, x is refused, not continued on the far side
+    with pytest.raises(DomainViolation):
+        sol(t0 + (ref[1] - 0.5) + 1e-6)
+
+
+def test_case4_nonzero_nu_velocity_is_the_derivative_of_x():
+    sol = catalog.case4_riccati(0.8, 0.5, 1.0, 0.3, t0=0.5, x0=0.4)
+    lo, hi = sol.domain
+    for t in np.linspace(lo + 0.3, hi - 0.3, 9).tolist():
+        _, v_fd, _ = fd_derivatives(sol.evaluator, t, 1e-3)
+        assert sol.v_evaluator(t) == pytest.approx(v_fd, abs=1e-7)
+
+
 def test_case4_series_matches_direct():
     """The hypergeometric path and direct integration agree away from the
     series boundary |cos(theta)| -> 1."""

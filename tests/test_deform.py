@@ -16,6 +16,8 @@ from oscdeform.deform import (
     generate_ode_time_varying,
     integrate_first_integral,
     phase_function,
+    pole_interval,
+    pole_times,
     riccati_family,
     riccati_fit_alpha,
     riccati_invariant,
@@ -297,6 +299,22 @@ def test_amplitude_frame_stays_on_the_initial_branch():
     traj = integrate_first_integral(osc, 0.3, -4.0, 0.5)
     assert traj.states[0].x == -4.0
     assert np.all(traj.x < -2.5)
+
+
+def test_pole_lattice():
+    # the poles (n*pi - alpha)/omega over a window, the open cell between
+    # two of them around a time, and the poles the driver crosses
+    w, al = 2.0, 0.3
+    poles = pole_times(w, al, 0.0, 5.0)
+    assert poles == [(n * math.pi - al) / w for n in (1, 2, 3)]
+    assert pole_times(w, al, 1.5, 2.9) == []
+    assert pole_interval(w, al, 2.0) == (poles[0], poles[1])
+    with pytest.raises(CotangentPole):
+        pole_interval(1.0, 0.0, math.pi)
+    osc = DeformedOscillator("0", "0.2*x^2", 5.0)
+    traj = integrate_first_integral(osc, 0.3, 0.4, 2.0)
+    assert traj.meta["poles_crossed"] == pole_times(5.0, 0.0, 0.3, 2.0)
+    assert len(traj.meta["poles_crossed"]) == 3
 
 
 def test_pole_start_stays_on_the_initial_branch():

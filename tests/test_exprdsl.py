@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oscdeform.exprdsl import (
     Param,
     Pow,
     Var,
+    array_function,
     bind,
     depends_on,
     differentiate,
@@ -336,6 +338,23 @@ def test_constant_power_beyond_the_double_range_stays_unfolded():
     with pytest.raises(EvalDomainError, match="overflow in power"):
         function(d, ("x",))(1.0)
     assert to_str(differentiate(parse("x*2^1100"), "x")) == "2^1100"
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("exp(x)", 1000.0),        # a function that overflows
+    ("sin(x)", math.inf),      # a function outside its domain
+    ("2^x", 2000.0),           # a power that overflows
+])
+def test_array_form_raises_the_scalar_error_of_a_failing_element(text,
+                                                                  bad):
+    e = parse(text)
+    with pytest.raises(EvalDomainError) as scalar:
+        function(e, ("x",))(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError) as array:
+            array_function((e,), ("x",))(np.array([0.5, bad, 1.0]))
+    assert str(array.value) == str(scalar.value)
 
 
 def test_function_shares_equal_subexpressions_only():

@@ -291,6 +291,13 @@ def test_integrate_blowup_raises():
         integrate(lambda t, x: x * x, 0.0, 1.0, 2.0)
 
 
+def test_integrate_refuses_an_accepted_non_finite_state():
+    # near the largest float a growing step overflows the state while the
+    # error estimate, relative to that infinite state, reads zero
+    with pytest.raises(NonFiniteState, match="non-finite state"):
+        integrate(lambda t, x: 1e300, 0.0, 1.7e308, 1e12)
+
+
 def test_integrate_hands_rhs_plain_floats(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy called")
@@ -518,6 +525,33 @@ def test_solve_elementwise_is_solve_scalar_per_element():
     want = [solve_scalar(lambda x: h(x, ci), dh, gi, 1e-14)
             for ci, gi in zip(c.tolist(), guess.tolist())]
     assert got.tolist() == want
+
+
+def test_solve_elementwise_hands_a_dead_derivative_to_solve_one():
+    # x^2 - 4 from the guesses 0 (zero derivative), 1 and 3 (a derivative
+    # that reads NaN): Newton stops at once on the first and the last,
+    # which go to the scalar solve, where the same derivative brackets
+    guess = np.array([0.0, 1.0, 3.0])
+    broken = np.array([False, False, True])
+
+    def dh(x, broken):
+        return math.nan if broken else 2.0 * x
+
+    def hdh(x, broken):
+        return x * x - 4.0, np.where(broken, math.nan, 2.0 * x)
+
+    def solve_one(i):
+        handed.append(i)
+        return solve_scalar(lambda x: x * x - 4.0,
+                            lambda x: dh(x, broken[i]), guess[i], 1e-14)
+
+    handed = []
+    got = solve_elementwise(hdh, guess, (broken,), 1e-14, solve_one)
+    assert handed == [0, 2]
+    want = [solve_scalar(lambda x: x * x - 4.0, lambda x: dh(x, b), g, 1e-14)
+            for g, b in zip(guess.tolist(), broken.tolist())]
+    assert got.tolist() == want
+    assert [abs(x) for x in want] == pytest.approx([2.0] * 3, rel=1e-14)
 
 
 def test_solve_scalar_propagates_foreign_errors():
