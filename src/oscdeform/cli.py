@@ -65,6 +65,7 @@ def _finite_positive(x):
 
 
 _positive = _checked(float, _finite_positive, "a finite positive number")
+_finite = _checked(float, math.isfinite, "a finite number")
 _samples = _checked(int, lambda n: n >= 2, "an integer >= 2")
 
 
@@ -105,16 +106,17 @@ def _parse_kv(text):
     return key.strip(), value.strip()
 
 
-def _parse_params(items):
-    """Bind 'NAME=VALUE' items to floats; a later item wins."""
+def _parse_params(items, command):
+    """Bind 'NAME=VALUE' items to finite floats; a later item wins.  rcd's
+    omega takes precedence over --omega, so it gets --omega's check."""
     params = {}
     for item in items:
         key, value = _parse_kv(item)
+        check = _positive if (command, key) == ("rcd", "omega") else _finite
         try:
-            params[key] = float(value)
-        except ValueError:
-            raise UsageError("parameter %s must be numeric, got %r"
-                             % (key, value))
+            params[key] = check(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError("parameter %s: %s" % (key, exc))
     return params
 
 
@@ -175,29 +177,29 @@ _FLAGS = [
     ("--omega", _GRID,
      dict(type=_positive, default=1.0, help="base frequency")),
     ("--alpha", "derive rcd catalog",
-     dict(type=float, default=0.0, help="phase constant")),
+     dict(type=_finite, default=0.0, help="phase constant")),
     ("--alpha", "solve",
-     dict(type=float, help="phase constant (default: fitted to --x0 and "
-                           "--v0 when --v0 is given, else 0, or where 0 "
-                           "puts --t0 on a pole, fitted to a start at "
-                           "rest)")),
-    ("--t0", "solve rcd beam", dict(type=float, default=0.0)),
-    ("--t1", "solve rcd beam", dict(type=float, default=2.0 * math.pi)),
+     dict(type=_finite, help="phase constant (default: fitted to --x0 and "
+                             "--v0 when --v0 is given, else 0, or where "
+                             "0 puts --t0 on a pole, fitted to a start at "
+                             "rest)")),
+    ("--t0", "solve rcd beam", dict(type=_finite, default=0.0)),
+    ("--t1", "solve rcd beam", dict(type=_finite, default=2.0 * math.pi)),
     # catalog's defaults depend on the case (see _catalog_span)
-    ("--t0", "catalog", dict(type=float)),
-    ("--t1", "catalog", dict(type=float)),
+    ("--t0", "catalog", dict(type=_finite)),
+    ("--t1", "catalog", dict(type=_finite)),
     ("--samples", _GRID, dict(type=_samples, default=101)),
     ("--out", _GRID, dict(help="output path (default: stdout)")),
     ("--rtol", "solve beam", dict(type=_positive, default=1e-10)),
     ("--atol", "solve beam", dict(type=_positive, default=1e-12)),
-    ("--x0", "solve beam catalog", dict(type=float, default=0.5)),
-    ("--v0", "solve", dict(type=float)),
-    ("--v0", "beam", dict(type=float, default=0.0)),
+    ("--x0", "solve beam catalog", dict(type=_finite, default=0.5)),
+    ("--v0", "solve", dict(type=_finite)),
+    ("--v0", "beam", dict(type=_finite, default=0.0)),
     ("--method", "solve", dict(choices=["first-integral", "second-order"],
                                default="first-integral")),
     ("--suite", "verify", dict(help="suite name, or 'all'")),
-    ("--alpha-coef", "beam", dict(type=float)),
-    ("--beta-coef", "beam", dict(type=float)),
+    ("--alpha-coef", "beam", dict(type=_finite)),
+    ("--beta-coef", "beam", dict(type=_finite)),
     ("--mode", "beam", dict(choices=["approx", "direct"], default="direct")),
     ("--case", "catalog",
      dict(help="one of: %s" % ", ".join(catalog.CASE_IDS))),
@@ -246,13 +248,25 @@ def parse_args(argv=None):
                 p.error("argument %s: invalid choice: %r"
                         % (a.option_strings[0], getattr(args, a.dest)))
     if hasattr(args, "param"):
-        args.param = _parse_params(args.param)
+        args.param = _parse_params(args.param, args.command)
     return args
+
+
+def _check_span(args, backward=False):
+    """UsageError unless --t1 > --t0, or with backward, --t1 != --t0: the
+    spans the integrators take."""
+    if not (args.t1 > args.t0 or (backward and args.t1 < args.t0)):
+        raise UsageError("--t1 %r must %s --t0 %r"
+                         % (args.t1, "differ from" if backward
+                            else "be greater than", args.t0))
 
 
 def _write_csv(out_path, header, rows):
     if out_path:
-        fh = open(out_path, "w", newline="")
+        try:
+            fh = open(out_path, "w", newline="")
+        except OSError as exc:
+            raise UsageError("cannot write --out: %s" % exc)
     else:
         fh = sys.stdout
     try:
@@ -291,6 +305,7 @@ def cmd_derive(args):
 
 
 def cmd_solve(args):
+    _check_span(args, backward=args.method == "second-order")
     if args.alpha is None and args.v0 is not None:
         osc = DeformedOscillator(args.f, args.g, args.omega, alpha=0.0,
                                  params=args.param or None)
@@ -370,10 +385,6 @@ def cmd_rcd(args):
         "omega": p.get("omega", args.omega),
         "alpha": p.get("alpha", args.alpha),
     }
-    # a parameter takes precedence over --omega, so it gets --omega's check
-    if not _finite_positive(params["omega"]):
-        raise UsageError("parameter omega: expected a finite positive "
-                         "number, got %r" % params["omega"])
     if "xi_ref" in p:
         params["xi_ref"] = p["xi_ref"]
     wave = apps.rcd_travelling_wave(params)
@@ -385,6 +396,7 @@ def cmd_rcd(args):
 def cmd_beam(args):
     if args.alpha_coef is None or args.beta_coef is None:
         raise UsageError("beam needs --alpha-coef and --beta-coef")
+    _check_span(args)
     model = apps.BeamModel(args.alpha_coef, args.beta_coef, omega=args.omega,
                            c1=args.param.get("c1", 0.0))
     grid = np.linspace(args.t0, args.t1, args.samples)

@@ -77,13 +77,31 @@ def pole_interval(omega, alpha, t):
     return (k * math.pi - alpha) / omega, ((k + 1) * math.pi - alpha) / omega
 
 
-class DeformedOscillator:
+class _CompiledOnRead:
+    """Reads each tree in `exprs`, a dict of Expr trees in (t, x, v), as
+    its compiled function (exprdsl.function).  A tree is compiled on the
+    first read of its name, which then holds the function as a plain
+    attribute; a run reads only a few of the trees."""
+
+    def __getattr__(self, name):
+        # through __dict__: copy and pickle probe an instance before
+        # __init__ has set exprs
+        tree = self.__dict__.get("exprs", {}).get(name)
+        if tree is None:
+            raise AttributeError("%r object has no attribute %r"
+                                 % (type(self).__name__, name))
+        fn = self.__dict__[name] = function(tree, _TXV)
+        return fn
+
+
+class DeformedOscillator(_CompiledOnRead):
     """A harmonic oscillator composed with deformations x -> x+g, xd -> xd+f.
 
     f and g may be Expr trees or source strings over the variables t, x, v;
     named parameters are bound through `params` at construction.  omega is
     the base frequency (> 0) and alpha the phase constant of the first
-    integral.
+    integral.  `exprs` holds the trees of f, g and their six first
+    partials; each reads as its function of (t, x, v), as in osc.g_x.
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
@@ -100,8 +118,6 @@ class DeformedOscillator:
                       "g_t": differentiate(g, "t"),
                       "g_x": differentiate(g, "x"),
                       "g_v": differentiate(g, "v")}
-        for name, tree in self.exprs.items():
-            setattr(self, name, function(tree, _TXV))
         self.f_depends_v = depends_on(f, "v")
         self.g_depends_v = depends_on(g, "v")
 
@@ -143,19 +159,16 @@ class DeformedOscillator:
                                + (e["g_x"], e["f_v"], e["f_x"]), _TXV))
 
 
-class OdeForm:
+class OdeForm(_CompiledOnRead):
     """Second-order form  coeff_xdd*xdd + coeff_xd*xd + remainder = 0.
 
     Coefficients are Expr trees in (t, x, v), kept in `exprs` for printing
-    and evaluated as functions of (t, x, v).
+    and read as functions of (t, x, v).
     """
 
     def __init__(self, coeff_xdd, coeff_xd, remainder):
         self.exprs = {"coeff_xdd": coeff_xdd, "coeff_xd": coeff_xd,
                       "remainder": remainder}
-        self.coeff_xdd = function(coeff_xdd, _TXV)
-        self.coeff_xd = function(coeff_xd, _TXV)
-        self.remainder = function(remainder, _TXV)
 
     def residual(self, t, x, v, a):
         return (self.coeff_xdd(t, x, v) * a

@@ -17,26 +17,23 @@ sinh, cosh, tanh.
 
 Trees are immutable; evaluation is plain IEEE-double arithmetic with domain
 errors raised (never silent NaN).  ``evaluate`` walks the tree and is the
-reference; ``function`` compiles an expression on its first call into one
-Python function that computes each distinct subexpression once, with the
-same operations in the same order and the same errors.  ``array_function``
-compiles several expressions into one function of numpy arrays whose
-elements are the scalar functions' floats, bit for bit, and which raises
-an error they raise.  Differentiation is symbolic with constant folding
-(0*e -> 0, 1*e -> e and friends) and returns a graph: a subtree shared in
-its input is differentiated once, and its derivative is shared in the
-output, so repeated derivatives grow with the number of distinct
-subexpressions rather than the printed size.
+reference; ``function`` compiles an expression, when it is called, into
+one Python function that computes each distinct subexpression once, with
+the same operations in the same order and the same errors.
+``array_function`` compiles several expressions into one function of numpy
+arrays whose elements are the scalar functions' floats, bit for bit, and
+which raises an error they raise.  Differentiation is symbolic with
+constant folding (0*e -> 0, 1*e -> e and friends) and returns a graph: a
+subtree shared in its input is differentiated once, and its derivative is
+shared in the output, so repeated derivatives grow with the number of
+distinct subexpressions rather than the printed size.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
-import types
-import weakref
 
 import numpy as np
 
@@ -886,28 +883,12 @@ _ARRAY_SCOPE = dict(_SCOPE, _each=_each, _each_pow=_each_pow, _full=_full,
                     errstate=np.errstate)
 
 
-@functools.lru_cache(maxsize=None)
-def _first_call_code(names):
-    """Code of a function of `names` that hands its arguments to the
-    first_call of its globals."""
-    if len(set(names)) != len(names) or not set(names) <= set(VARIABLES):
-        raise ValueError("not distinct variables: %r" % (names,))
-    scope = {}
-    args = ", ".join(names)
-    exec("def expression(%s):\n    return first_call(%s)\n" % (args, args),
-         scope)
-    return scope["expression"].__code__
-
-
 def function(e, names):
     """e as a positional function of the variables `names`, distinct names
     from VARIABLES: function(e, ("u",))(0.5) is evaluate(e, {"u": 0.5}),
-    the same float or the same error.
-
-    Building it costs little; its first call compiles e into one Python
-    function (see _Codegen) and then becomes that function, so later calls
-    run the compiled code directly."""
-    return _compiled_on_first_call(_Codegen, _SCOPE, (e,), names)
+    the same float or the same error.  e is compiled when function is
+    called, into one Python function (see _Codegen)."""
+    return _compile(_Codegen, _SCOPE, (e,), names)
 
 
 def array_function(es, names):
@@ -916,27 +897,18 @@ def array_function(es, names):
     of one length, it returns a tuple with one new array per expression,
     whose element i is function(e, names) at element i of the arguments,
     bit for bit.  When an element fails, it raises the error that the
-    scalar function raises for some element, and no numpy warning.  It
-    compiles on its first call, as function does (see _ArrayCodegen)."""
-    return _compiled_on_first_call(_ArrayCodegen, _ARRAY_SCOPE, tuple(es),
-                                   names)
+    scalar function raises for some element, and no numpy warning.  The
+    expressions are compiled when array_function is called, as function
+    does (see _ArrayCodegen)."""
+    return _compile(_ArrayCodegen, _ARRAY_SCOPE, tuple(es), names)
 
 
-def _compiled_on_first_call(codegen, globals_, es, names):
+def _compile(codegen, globals_, es, names):
     names = tuple(names)
-    fn = types.FunctionType(_first_call_code(names), {})
-    # fn holds its globals and they hold first_call, so first_call reaches
-    # fn weakly: a cycle would leave every function to the collector
-    ref = weakref.ref(fn)
-
-    def first_call(*args):
-        compiled = ref()
-        scope = compiled.__globals__
-        scope.update(globals_)
-        exec(codegen(names, scope).source(*es), scope)
-        compiled.__code__ = scope.pop("body").__code__
-        del scope["first_call"]
-        return compiled(*args)
-
-    fn.__globals__["first_call"] = first_call
-    return fn
+    if len(set(names)) != len(names) or not set(names) <= set(VARIABLES):
+        raise ValueError("not distinct variables: %r" % (names,))
+    scope = dict(globals_)
+    exec(codegen(names, scope).source(*es), scope)
+    # body's globals are scope: leaving body in it would make every
+    # compiled function a reference cycle, freed only by the collector
+    return scope.pop("body")

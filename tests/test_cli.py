@@ -242,6 +242,78 @@ def test_rcd_omega_parameter_is_checked_like_the_flag(capsys, omega):
     assert "parameter omega: expected a finite positive number" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["catalog", "--case", "harmonic", "--param", "A=1", "--t1", "nan",
+      "--samples", "3"], "--t1"),
+    (["solve", "--t1", "inf", "--v0", "0.1"], "--t1"),
+    (["solve", "--x0", "nan", "--v0", "0.1"], "--x0"),
+    (["solve", "--t0=-inf"], "--t0"),
+    (["solve", "--v0", "nan"], "--v0"),
+    (["solve", "--alpha", "inf"], "--alpha"),
+    (["derive", "--alpha", "nan"], "--alpha"),
+    (["beam", "--alpha-coef", "inf", "--beta-coef", "2"], "--alpha-coef"),
+    (["beam", "--alpha-coef", "3", "--beta-coef", "nan"], "--beta-coef"),
+])
+def test_non_finite_number_flags_are_usage_errors(capsys, argv, flag):
+    # these used to print NaN rows, or fail as numerical errors
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument %s: expected a finite number" % flag in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["catalog", "--case", "case6", "--param", "b=1", "--param", "c1=nan"],
+     "c1"),
+    (["derive", "--g", "b*x^2", "--param", "b=inf"], "b"),
+    (["solve", "--f", "mu*x", "--param", "mu=-inf", "--v0", "0.1"], "mu"),
+])
+def test_non_finite_parameters_are_usage_errors(capsys, argv, name):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: parameter %s: expected a finite number" % name in err
+
+
+def test_non_finite_config_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t1 = nan\n")
+    assert cli.main(["solve", "--config", str(cfg), "--v0", "0.1"]) == 1
+    assert "argument --t1: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t0", "1", "--t1", "0"],
+    ["solve", "--t0", "1", "--t1", "1", "--v0", "0.1"],
+    ["solve", "--t0", "1", "--t1", "1", "--method", "second-order"],
+    ["beam", "--alpha-coef", "3", "--beta-coef", "2", "--t0", "1",
+     "--t1", "0"],
+    ["beam", "--alpha-coef", "3", "--beta-coef", "2", "--t0", "1",
+     "--t1", "0", "--mode", "approx"],
+])
+def test_span_the_integrator_refuses_is_a_usage_error(capsys, argv):
+    # these used to exit 2 with the integrator's bare ValueError
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --t1 ") and "--t0" in err
+
+
+def test_second_order_solve_runs_a_backward_span(capsys):
+    assert cli.main(["solve", "--t0", "1", "--t1", "0", "--method",
+                     "second-order", "--samples", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t,x,v" and rows[-1].startswith("1,0.5,")
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main(["solve", "--samples", "3", "--out", str(out)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write --out: ")
+
+
 def test_solve_pole_start_without_v0_is_a_usage_error(capsys):
     # t0 = 0 with --alpha 0 starts on a cotangent pole, where the first
     # integral cannot supply the initial velocity

@@ -1,5 +1,8 @@
+import copy
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from oscdeform.errors import (
     UnboundNameError,
     ZeroDenominator,
 )
-from oscdeform.exprdsl import to_str
+from oscdeform.exprdsl import evaluate, to_str
 from oscdeform.numerics import (
     PhaseState,
     cheb_nodes_diff,
@@ -52,6 +55,39 @@ def test_oscillator_validation():
     osc = DeformedOscillator("m*x", "0", 1.0, params={"m": 2.0})
     assert osc.f(0.0, 3.0, 0.0) == 6.0
     assert to_str(osc.exprs["f"]) == "2*x"
+
+
+def test_trees_compile_on_their_first_read():
+    osc = DeformedOscillator("0.3*x*v", "0.2*sin(t)*x^2", 1.5, alpha=0.3)
+    form = generate_ode(osc)
+    for obj in (osc, form):
+        assert not set(obj.exprs) & set(vars(obj))
+    g = osc.g
+    assert osc.g is g and vars(osc)["g"] is g
+    point = {"t": 0.4, "x": 0.7, "v": -0.2}
+    assert g(0.4, 0.7, -0.2) == evaluate(osc.exprs["g"], point)
+    assert form.remainder(0.4, 0.7, -0.2) == evaluate(
+        form.exprs["remainder"], point)
+    with pytest.raises(AttributeError, match="no attribute 'h'"):
+        osc.h
+    twin = copy.copy(osc)
+    assert twin.g is g and twin.f_x(0.4, 0.7, -0.2) == osc.f_x(0.4, 0.7, -0.2)
+
+
+def test_oscillator_and_form_are_freed_without_the_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        osc = DeformedOscillator("0.3*x*v", "0.2*sin(t)*x^2", 1.0)
+        form = generate_ode(osc)
+        explicit_acceleration(form, (0.4, 0.7, -0.2))
+        osc.g_x(0.4, 0.7, -0.2)
+        refs = [weakref.ref(osc), weakref.ref(form), weakref.ref(osc.g_x)]
+        del osc, form
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_generate_ode_trivial_oscillator():

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -367,3 +369,24 @@ def test_function_shares_equal_subexpressions_only():
         fn = function(e, ("t", "x", "v"))
         for x, v in ((1.0, 3.0), (2.5, 0.75)):
             assert fn(0.0, x, v) == evaluate(e, {"x": x, "v": v}), to_str(e)
+
+
+def test_compiled_functions_are_freed_without_the_collector():
+    # a compiled function that reached itself through its globals would
+    # be a reference cycle, left to the collector
+    e = parse("sin(x)*v + 1/x")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make, arg in (
+                (lambda: function(e, ("x", "v")), 0.5),
+                (lambda: array_function((e, parse("x^2")), ("x", "v")),
+                 np.array([0.5, 2.0]))):
+            fn = make()
+            fn(arg, arg)
+            ref = weakref.ref(fn)
+            del fn
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
