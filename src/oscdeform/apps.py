@@ -95,7 +95,7 @@ class RcdSystem:
                 + self.gamma(u))
 
 
-def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0, params=None):
+def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0):
     """Build the RCD coefficient triple generated by a deformation pair.
 
     f and g are expressions in u.  The phase-plane coefficients are
@@ -108,8 +108,8 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0, params=None):
     Q = gamma*D.  Evaluations where u+g vanishes raise DomainViolation.
     """
     omega = float(omega)
-    f = bind(f, ("u",), params)
-    g = bind(g, ("u",), params)
+    f = bind(f, ("u",))
+    g = bind(g, ("u",))
     fp = differentiate(f, "u")
     gp = differentiate(g, "u")
     u = Var("u")

@@ -210,7 +210,8 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
     m = n-1, used unless `quadrature` is set.  For non-integer beta the
     domain is the interval around t_ref where sin(theta) > 0
     (DomainViolation outside).  Raises BracketZero where |B| is below
-    1e-12*(1+|A|) and BranchViolation where B < 0 with n > 2.
+    1e-12*(1+|A|), BranchViolation where B < 0 with n > 2, and
+    BracketZero where B has a zero between t_ref and t.
     """
     beta_integer = beta.is_integer()
     if beta_integer:
@@ -247,6 +248,26 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
             lambda t: sin_pow(math.sin(w * t + al), mb) * math.exp(mg * t),
             t_ref)
 
+    # B is monotone on each pole cell, where its integrand keeps one sign,
+    # so it has a zero between t_ref and t exactly when B(t), or B at a
+    # pole between them, has the sign opposite to A's.  B keeps A's sign at
+    # each pole theta = n*pi with n strictly between the two ends of kept,
+    # which widen one cell at a time.
+    x_ref = (w * t_ref + al) / math.pi
+    kept = [math.ceil(x_ref) - 1, math.floor(x_ref) + 1]
+
+    def flips_at_a_pole(t, x):
+        """Whether B has the sign opposite to A's at a pole between t_ref
+        and t, x = theta(t)/pi; if not, kept widens to the cell of t."""
+        for tp in pole_times(w, al, *sorted((t_ref, t))):
+            if A * (A + md * accumulated(tp)) < 0.0:
+                return True
+        if t > t_ref:
+            kept[1] = math.floor(x) + 1
+        else:
+            kept[0] = math.ceil(x) - 1
+        return False
+
     def bracket(t):
         B = A + md * accumulated(t)
         if abs(B) < 1e-12 * (1.0 + abs(A)):
@@ -255,6 +276,10 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
             raise BranchViolation(
                 "bracket %r is not on the real branch for n = %d at t = %r"
                 % (B, n, t))
+        x = (w * t + al) / math.pi
+        if A * B < 0.0 or not kept[0] < x < kept[1] and flips_at_a_pole(t, x):
+            raise BracketZero("bracket changes sign between t_ref = %r and "
+                              "t = %r" % (t_ref, t))
         return B
 
     p = 1.0 / (1 - n)
@@ -284,18 +309,18 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
     return x_of_t, v_of_t, domain
 
 
-def case3(beta, gamma, delta, n, A, omega=1.0, alpha=0.0, t_ref=None):
-    """g = (beta-1)*x, f = -gamma*x + delta*x^n (n integer > 1); see
-    power_law for the solution, its domain and its errors."""
+def case3(beta, gamma, delta, n, A, omega=1.0, alpha=0.0):
+    """g = (beta-1)*x, f = -gamma*x + delta*x^n (n integer > 1), with B = A
+    at theta = pi/2; see power_law for the solution, its domain and its
+    errors."""
     n = _check_natural(n)
     beta, gamma, delta = float(beta), float(gamma), float(delta)
     A, omega, alpha = float(A), float(omega), float(alpha)
     osc = DeformedOscillator("%r*x + %r*x^%d" % (-gamma, delta, n),
                              "%r*x" % (beta - 1.0), omega, alpha=alpha)
-    if t_ref is None:
-        t_ref = (math.pi / 2.0 - alpha) / omega
     x_of_t, v_of_t, domain = power_law(beta, gamma, delta, n, A, omega,
-                                       alpha, t_ref, False)
+                                       alpha, (math.pi / 2.0 - alpha) / omega,
+                                       False)
     return CatalogSolution("case3", x_of_t, v_of_t, osc, domain)
 
 
@@ -306,57 +331,6 @@ _DENSE_RTOL = 1e-12
 _DENSE_ATOL = 1e-14
 
 
-class _LazyDense:
-    """Piecewise dense solution of dx/dt = rhs(t, x) from (t0, x0) within
-    the open interval (lo, hi).
-
-    Each side of t0 is cut at the fixed breakpoints t0 +- k*_DENSE_CHUNK.
-    The dense pieces between them are integrated on demand, in order from
-    t0, and cached; no breakpoint lies within one chunk of lo or hi.  A
-    query beyond the last breakpoint integrates from it to t.  A value thus
-    depends on t alone, not on the order of earlier queries.
-    """
-
-    def __init__(self, rhs, t0, x0, lo, hi):
-        self.rhs = rhs
-        self.t0 = float(t0)
-        self.x0 = float(x0)
-        self.lo = float(lo)
-        self.hi = float(hi)
-        # per side: the breakpoint states, and the dense pieces between them
-        self._nodes = {+1: [(self.t0, self.x0)], -1: [(self.t0, self.x0)]}
-        self._pieces = {+1: [], -1: []}
-        self._full = {side: max(0, math.floor(dist / _DENSE_CHUNK) - 1)
-                      for side, dist in ((+1, self.hi - self.t0),
-                                         (-1, self.t0 - self.lo))}
-
-    def _dense(self, ta, xa, tb):
-        return integrate(self.rhs, ta, xa, tb,
-                         rtol=_DENSE_RTOL, atol=_DENSE_ATOL)[0]
-
-    def __call__(self, t):
-        t = float(t)
-        _check_domain((self.lo, self.hi), t)
-        if t == self.t0:
-            return self.x0
-        side = 1 if t > self.t0 else -1
-        nodes, pieces = self._nodes[side], self._pieces[side]
-        full = self._full[side]
-        k = min(int(abs(t - self.t0) // _DENSE_CHUNK), full)
-        while len(pieces) < min(k + 1, full):
-            ta, xa = nodes[-1]
-            tb = self.t0 + side * len(nodes) * _DENSE_CHUNK
-            piece = self._dense(ta, xa, tb)
-            pieces.append(piece)
-            nodes.append((tb, piece(tb)))
-        if k < full:
-            return pieces[k](t)
-        ta, xa = nodes[k]
-        if t == ta:
-            return xa
-        return self._dense(ta, xa, t)(t)
-
-
 def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     """f = mu*x^2 + nu, g = 0: first integral
     xd = omega*cot(theta)*x - mu*x^2 - nu.
@@ -364,9 +338,13 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     nu = 0 admits the closed form x = sin(theta)/D(t) with
     D = 1/y0 + (mu/omega)(cos(theta0) - cos(theta)); the solution is global
     until D vanishes.  For nu != 0 the evaluator integrates the first
-    integral lazily on the pole interval containing t0 (the trajectory has
+    integral on the pole interval containing t0 (the trajectory has
     logarithmic velocity divergence at the poles, so the natural domain is
-    one inter-pole interval).
+    one inter-pole interval): each side of t0 once, on its first query, as
+    one dense solution from (t0, x0) to the last breakpoint
+    t0 +- k*_DENSE_CHUNK at least one chunk from the pole.  A time beyond
+    that breakpoint is integrated afresh from it, so a value depends on t
+    alone, not on the order of earlier queries.
     """
     mu, nu = float(mu), float(nu)
     omega, alpha = float(omega), float(alpha)
@@ -426,12 +404,30 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
         th = w * t + al
         return w * math.cos(th) / math.sin(th) * x - mu * x * x - nu
 
-    dense = _LazyDense(rhs, t0, x0, lo, hi)
+    def dense(ta, xa, tb):
+        return integrate(rhs, ta, xa, tb,
+                         rtol=_DENSE_RTOL, atol=_DENSE_ATOL)[0]
+
+    # each side's last breakpoint, and x integrated once from t0 to it
+    ends = {s: t0 + s * max(0, math.floor(d / _DENSE_CHUNK) - 1) * _DENSE_CHUNK
+            for s, d in ((1, hi - t0), (-1, t0 - lo))}
+    side = functools.cache(lambda s: dense(t0, x0, ends[s]))
+
+    def x_of_t(t):
+        t = float(t)
+        _check_domain((lo, hi), t)
+        if t == t0:
+            return x0
+        s = 1 if t > t0 else -1
+        T = ends[s]
+        if s * (t - T) <= 0.0:
+            return side(s)(t)
+        return dense(T, side(s)(T) if T != t0 else x0, t)(t)
 
     def v_of_t(t):
-        return rhs(t, dense(t))
+        return rhs(t, x_of_t(t))
 
-    return CatalogSolution("case4_riccati", dense, v_of_t, osc, (lo, hi))
+    return CatalogSolution("case4_riccati", x_of_t, v_of_t, osc, (lo, hi))
 
 
 # --- Gauss hypergeometric series -------------------------------------------------------

@@ -252,13 +252,15 @@ def parse_args(argv=None):
     return args
 
 
-def _check_span(args, backward=False):
-    """UsageError unless --t1 > --t0, or with backward, --t1 != --t0: the
-    spans the integrators take."""
+def _grid(args, backward=False):
+    """The --samples times from --t0 to --t1, in increasing order, at which
+    every CSV command prints its rows.  UsageError unless --t1 > --t0, or
+    with backward, --t1 != --t0."""
     if not (args.t1 > args.t0 or (backward and args.t1 < args.t0)):
         raise UsageError("--t1 %r must %s --t0 %r"
                          % (args.t1, "differ from" if backward
                             else "be greater than", args.t0))
+    return np.sort(np.linspace(args.t0, args.t1, args.samples)).tolist()
 
 
 def _write_csv(out_path, header, rows):
@@ -305,7 +307,7 @@ def cmd_derive(args):
 
 
 def cmd_solve(args):
-    _check_span(args, backward=args.method == "second-order")
+    grid = _grid(args, backward=args.method == "second-order")
     if args.alpha is None and args.v0 is not None:
         osc = DeformedOscillator(args.f, args.g, args.omega, alpha=0.0,
                                  params=args.param or None)
@@ -314,8 +316,6 @@ def cmd_solve(args):
         alpha = 0.0 if args.alpha is None else args.alpha
     osc = DeformedOscillator(args.f, args.g, args.omega, alpha=alpha,
                              params=args.param or None)
-    grid = np.linspace(args.t0, args.t1, args.samples)
-
     try:
         if args.method == "second-order":
             form = generate_ode(osc)
@@ -328,8 +328,7 @@ def cmd_solve(args):
 
             x_of_t, v_of_t = integrate(rhs, args.t0, (args.x0, v0), args.t1,
                                        rtol=args.rtol, atol=args.atol)
-            # rows in increasing t, also for a backward span
-            rows = [(t, x_of_t(t), v_of_t(t)) for t in np.sort(grid)]
+            rows = [(t, x_of_t(t), v_of_t(t)) for t in grid]
         else:
             traj = integrate_first_integral(osc, args.t0, args.x0, args.t1,
                                             t_eval=grid, v0=args.v0,
@@ -387,19 +386,18 @@ def cmd_rcd(args):
     }
     if "xi_ref" in p:
         params["xi_ref"] = p["xi_ref"]
+    xi = _grid(args)
     wave = apps.rcd_travelling_wave(params)
-    xi = np.linspace(args.t0, args.t1, args.samples)
-    _write_csv(args.out, ["xi", "u"], [(x, wave(float(x))) for x in xi])
+    _write_csv(args.out, ["xi", "u"], [(x, wave(x)) for x in xi])
     return 0
 
 
 def cmd_beam(args):
     if args.alpha_coef is None or args.beta_coef is None:
         raise UsageError("beam needs --alpha-coef and --beta-coef")
-    _check_span(args)
+    grid = _grid(args)
     model = apps.BeamModel(args.alpha_coef, args.beta_coef, omega=args.omega,
                            c1=args.param.get("c1", 0.0))
-    grid = np.linspace(args.t0, args.t1, args.samples)
     traj = apps.beam_solve(model, args.mode, (args.x0, args.v0),
                            (args.t0, args.t1), t_eval=grid,
                            rtol=args.rtol, atol=args.atol)
@@ -457,12 +455,9 @@ def cmd_catalog(args):
     if not args.case:
         raise UsageError("catalog needs --case NAME")
     _catalog_span(args)
+    grid = _grid(args)
     sol = _catalog_solution(args)
-    grid = np.linspace(args.t0, args.t1, args.samples)
-    rows = []
-    for t in grid:
-        t = float(t)
-        rows.append((t, sol(t), sol.v_evaluator(t)))
+    rows = [(t, sol(t), sol.v_evaluator(t)) for t in grid]
     _write_csv(args.out, ["t", "x", "v"], rows)
     return 0
 

@@ -569,7 +569,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
             return x, first_integral_velocity(osc, float(tq), x, v_start)
 
         return sample_trajectory(state_at, t0, t1, t_eval,
-                                 {"alpha": osc.alpha, "poles_crossed": []})
+                                 {"poles_crossed": []})
 
     if v0 is None:
         v0 = first_integral_velocity(osc, t0, x0)
@@ -624,8 +624,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         return x, _solve_velocity(osc, tq, x, w * y * math.cos(th), v0)
 
     return sample_trajectory(state_at, t0, t1, t_eval,
-                             {"alpha": osc.alpha,
-                              "poles_crossed": poles_crossed})
+                             {"poles_crossed": poles_crossed})
 
 
 # --- time-varying frequency --------------------------------------------------------

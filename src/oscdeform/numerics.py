@@ -14,8 +14,9 @@ returns the dense solution, one callable per component evaluating the
 DOP853 interpolant as scipy's OdeSolution does.  Its sums run in another
 order than numpy's, so values agree with scipy's to rounding, not bit
 for bit, with the same right-hand-side calls and steps
-(tests/test_numerics.py holds the two together).  Every Trajectory is
-built by sample_trajectory from a pure state_at(t).
+(tests/test_numerics.py holds the two together).  sample_trajectory
+samples a pure state_at(t) once per distinct time, in increasing order,
+into a Trajectory, the record of those states and of the solution's meta.
 Root finding on a bracket is Brent's method from scipy (brentq) behind a
 sign check that raises the typed NoSignChange.  Quadrature is a small
 self-contained routine so its node placement stays explicit and
@@ -56,16 +57,12 @@ PhaseState.__doc__ = "A point of phase space: time, position, velocity."
 
 
 class Trajectory:
-    """An ordered sequence of PhaseStates with strictly increasing time."""
+    """The record sample_trajectory returns: its PhaseStates, in strictly
+    increasing time, and its meta dict."""
 
-    def __init__(self, states, meta=None):
-        states = [PhaseState(*s) for s in states]
-        for a, b in zip(states, states[1:]):
-            if not b.t > a.t:
-                raise ValueError("trajectory times must strictly increase "
-                                 "(%r then %r)" % (a.t, b.t))
+    def __init__(self, states, meta):
         self.states = states
-        self.meta = dict(meta) if meta else {}
+        self.meta = meta
 
     def __len__(self):
         return len(self.states)
@@ -93,8 +90,9 @@ def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
     """Trajectory of the pure state_at(t) -> (x, v) sampled at t_eval.
 
     t_eval defaults to 257 points on [t0, t1]; a time outside [t0, t1]
-    raises ValueError, and the times are sorted and deduplicated.  meta
-    gains the projections of state_at as "x_of_t" and "v_of_t".
+    raises ValueError, and the times are sorted and deduplicated; an empty
+    t_eval samples no state.  meta gains the projections of state_at as
+    "x_of_t" and "v_of_t".
     """
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 257)
@@ -267,7 +265,8 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
     f = field(t, y)
     h_abs = _initial_step(field, t, y, f, t1, direction, rtol, atol)
     ts = [t]
-    steps = []              # (t_old, h, y_old, reversed F rows per component)
+    # per component, each step's (t_old, h, y_old, reversed F rows)
+    pieces = tuple([] for _ in y)
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -307,18 +306,16 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
             raise NonFiniteState("integration produced non-finite state at "
                                  "t = %r" % t_new)
         hD = dense(rhs, t, y, K, h)
-        rows = []
         for i, yi in enumerate(y):
             dy = y_new[i] - yi
             F = [dy, h * f[i] - dy, 2 * dy - h * (f_new[i] + f[i])]
             F += hD[i]
-            rows.append(F[::-1])
-        steps.append((t, h, y, rows))
+            pieces[i].append((t, h, yi, F[::-1]))
         t, y, f = t_new, y_new, f_new
         ts.append(t)
 
     # OdeSolution's segment rule: the lower index at a step time
-    last = len(steps) - 1
+    last = len(pieces[0]) - 1
     if direction > 0:
         def segment(t):
             return min(max(bisect_left(ts, t) - 1, 0), last)
@@ -328,10 +325,7 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
         def segment(t):
             return last - min(max(bisect_right(ts, t) - 1, 0), last)
 
-    def component(i):
-        pieces = [(t_old, h, y_old[i], rows[i])
-                  for t_old, h, y_old, rows in steps]
-
+    def component(pieces):
         def at(t):
             # Dop853DenseOutput's Horner loop, on floats
             t = float(t)
@@ -344,7 +338,7 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
             return y + y_old
         return at
 
-    return tuple(component(i) for i in range(len(y)))
+    return tuple(component(p) for p in pieces)
 
 
 # --- quadrature ---------------------------------------------------------------

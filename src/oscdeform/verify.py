@@ -85,7 +85,7 @@ def suite_theorem():
             t0, t1, v0 = 0.0, 2.8, 0.5
         else:
             t0, t1, v0 = 0.5, 0.5 + 2.0 * math.pi, None
-        traj = integrate_first_integral(osc, t0, 0.4, t1, v0=v0,
+        traj = integrate_first_integral(osc, t0, 0.4, t1, t_eval=(), v0=v0,
                                         rtol=1e-12, atol=1e-14)
         ts = _off_pole(osc, t0 + 0.02, t1 - 0.02, 150)
         worst = residual_scan(generate_ode(osc), traj.meta["x_of_t"], ts)
@@ -160,10 +160,9 @@ def suite_phase():
         traj = integrate_first_integral(posc, t0, 0.4, t1,
                                         t_eval=np.linspace(t0, t1, 400),
                                         rtol=1e-12, atol=1e-14)
-        al = traj.meta["alpha"]
         args = np.unwrap([cmath.phase(phase_function(posc, (s.t, s.x, s.v)))
                           for s in traj.states])
-        drift = args + 2.0 * (posc.omega * traj.t + al)
+        drift = args + 2.0 * (posc.omega * traj.t + posc.alpha)
         drift -= 2.0 * math.pi * round(drift[0] / (2.0 * math.pi))
         out.append(_check("phase/arg/f=%s,g=%s" % (f_src, g_src),
                           np.max(np.abs(drift)), 1e-7))
@@ -193,8 +192,8 @@ def suite_energy():
         1e-8))
 
     osc = DeformedOscillator("0.2*x", "0", 1.0, alpha=0.3)
-    traj = integrate_first_integral(osc, t0, 0.4, t1, rtol=1e-12,
-                                    atol=1e-14)
+    traj = integrate_first_integral(osc, t0, 0.4, t1, t_eval=(),
+                                    rtol=1e-12, atol=1e-14)
     x_of_t, v_of_t = traj.meta["x_of_t"], traj.meta["v_of_t"]
 
     def h_of_t(tq):

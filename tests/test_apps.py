@@ -116,12 +116,19 @@ def test_travelling_wave_satisfies_phase_plane_equation():
 
 
 def test_travelling_wave_bracket_zero():
-    # bracket A + delta*int = 0.3 - cos(xi) vanishes at acos(0.3)
-    wave = apps.rcd_travelling_wave({"beta": 1, "gamma": 0.0, "delta": 1.0,
-                                     "A": 0.3, "omega": 1.0, "alpha": 0.0})
-    assert math.isfinite(wave(0.5))
-    with pytest.raises(BracketZero):
-        wave(math.acos(0.3))
+    # bracket A + delta*int = 0.3 - cos(xi), 0.3 at xi_ref = pi/2, vanishes
+    # at acos(0.3) and 2*pi - acos(0.3); it is -0.7 at the pole 2*pi
+    params = {"beta": 1, "gamma": 0.0, "delta": 1.0, "A": 0.3,
+              "omega": 1.0, "alpha": 0.0}
+    past_zero = [math.acos(0.3), 0.5, 5.5,
+                 2.0 * math.pi + 2.0]       # B > 0 again, but the pole not
+    for order in (past_zero, past_zero[::-1]):
+        wave = apps.rcd_travelling_wave(params)
+        for xi in order:
+            with pytest.raises(BracketZero):
+                wave(xi)
+            # between the zeros: both sides of xi_ref, and past the pole pi
+            assert all(math.isfinite(wave(x)) for x in (1.4, 2.0, 4.0))
 
 
 def test_travelling_wave_fractional_beta_domain():

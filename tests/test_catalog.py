@@ -312,6 +312,22 @@ def test_case4_riccati_evaluator_is_pure():
             == [backward(t) for t in ts[::-1]][::-1])
 
 
+def test_case4_riccati_beyond_the_last_breakpoint_is_pure():
+    # the pole interval is (-0.3, pi - 0.3): each side of t0 = 0.5 is
+    # integrated once, up to 0.0 and 2.5, and a time beyond is integrated
+    # afresh from there; queries that start beyond either end change nothing
+    def fresh():
+        return catalog.case4_riccati(0.8, 0.5, 1.0, 0.3, t0=0.5, x0=0.4)
+
+    ts = np.linspace(-0.25, 2.8, 80).tolist()
+    want = [fresh()(t) for t in ts]
+    for first in ([2.7, -0.2], [-0.2, 2.7], [2.8, 2.5, 0.0]):
+        sol = fresh()
+        for t in first:
+            sol(t)
+        assert [sol(t) for t in ts[::-1]][::-1] == want
+
+
 def test_case6_printed_value():
     sol = catalog.case6(1.0, 0.0, 1.0, 0.0)
     assert sol(math.pi / 4) == pytest.approx(4.0 / 3.0, rel=1e-14)

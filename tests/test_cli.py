@@ -290,9 +290,18 @@ def test_non_finite_config_value_is_a_usage_error(tmp_path, capsys):
      "--t1", "0"],
     ["beam", "--alpha-coef", "3", "--beta-coef", "2", "--t0", "1",
      "--t1", "0", "--mode", "approx"],
+    ["rcd", "--param", "beta=1", "--param", "gamma=0.5", "--param",
+     "delta=1", "--param", "A=3", "--t0", "1", "--t1", "0"],
+    ["rcd", "--param", "beta=1", "--param", "gamma=0.5", "--param",
+     "delta=1", "--param", "A=3", "--t0", "1", "--t1", "1"],
+    ["catalog", "--case", "harmonic", "--param", "A=1", "--t0", "1",
+     "--t1", "0"],
+    ["catalog", "--case", "harmonic", "--param", "A=1", "--t0", "1",
+     "--t1", "1"],
 ])
 def test_span_the_integrator_refuses_is_a_usage_error(capsys, argv):
-    # these used to exit 2 with the integrator's bare ValueError
+    # solve and beam used to exit 2 with the integrator's bare ValueError;
+    # rcd and catalog printed their rows in decreasing, or constant, t
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -348,7 +357,8 @@ _CATALOG_REQUIRED = {
     "time_quadrature": ["A=1"],
     "case1": ["f0=0.3", "A=1"],
     "case2": ["g0=0.3", "n=2", "A=1"],
-    "case3": ["beta=1", "gamma=0.5", "delta=1", "n=2", "A=1"],
+    # the bracket keeps its sign on the default span [0, 2*pi]
+    "case3": ["beta=1", "gamma=0.5", "delta=1", "n=2", "A=25"],
     "case4_riccati": ["mu=0.8"],
     "case5_power": ["g0=0.3", "n=2", "A=1"],
     "case6": ["b=-0.5"],
@@ -360,8 +370,9 @@ def test_every_subcommand_runs_with_only_its_required_inputs(capsys):
     # the CLI's default settings run without error
     assert sorted(_CATALOG_REQUIRED) == sorted(catalog.CASE_IDS)
     runs = [["derive"], ["solve"], ["verify", "--suite", "all"],
+            # a bracket that keeps its sign on the default span [0, 2*pi]
             ["rcd", "--param", "beta=1", "--param", "gamma=0.5",
-             "--param", "delta=1", "--param", "A=3"],
+             "--param", "delta=1", "--param", "A=25"],
             ["beam", "--alpha-coef", "3", "--beta-coef", "2"]]
     for case, params in _CATALOG_REQUIRED.items():
         runs.append(["catalog", "--case", case]
@@ -374,6 +385,38 @@ def test_every_subcommand_runs_with_only_its_required_inputs(capsys):
     assert cli.main(["solve", "--x0", "0"]) == 1
     err = capsys.readouterr().err
     assert "equilibrium" in err and "--alpha" in err and "--v0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rcd", "--param", "beta=1", "--param", "gamma=0.5", "--param",
+     "delta=1", "--param", "A=3"],
+    ["catalog", "--case", "case3", "--param", "beta=1", "--param",
+     "gamma=0.5", "--param", "delta=1", "--param", "n=2", "--param", "A=1"],
+])
+def test_bracket_that_changes_sign_on_the_span_exits_two(capsys, argv):
+    # the bracket passes through zero between two samples, where the CSV
+    # used to jump from one sign to the other with exit 0
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: BracketZero: bracket changes "
+                          "sign between t_ref = ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--samples", "5"],
+    ["solve", "--t0", "1", "--t1", "0", "--method", "second-order",
+     "--samples", "5"],
+    ["rcd", "--param", "beta=1", "--param", "gamma=0.5", "--param",
+     "delta=1", "--param", "A=3", "--t1", "4", "--samples", "5"],
+    ["beam", "--alpha-coef", "3", "--beta-coef", "2", "--samples", "5"],
+    ["catalog", "--case", "harmonic", "--param", "A=1", "--samples", "5"],
+])
+def test_csv_rows_increase_in_t(capsys, argv):
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ts = [float(line.split(",")[0]) for line in lines[1:]]
+    assert len(ts) == 5 and all(b > a for a, b in zip(ts, ts[1:]))
 
 
 def test_catalog_default_span_of_a_one_pole_interval_case(capsys):

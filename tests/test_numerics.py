@@ -28,6 +28,7 @@ from oscdeform.numerics import (
     integrate,
     max_abs,
     residual_scan,
+    sample_trajectory,
     solve_elementwise,
     solve_scalar,
     trajectory_residual,
@@ -44,22 +45,50 @@ class _Form:
         return self._fn(t, x, v, a)
 
 
-def test_trajectory_requires_increasing_time():
-    Trajectory([(0.0, 1.0, 0.0), (1.0, 0.5, -0.8)])
-    with pytest.raises(ValueError):
-        Trajectory([(0.0, 1.0, 0.0), (0.0, 0.5, -0.8)])
-    with pytest.raises(ValueError):
-        Trajectory([(1.0, 1.0, 0.0), (0.5, 0.5, -0.8)])
+def _circle(t):
+    return math.cos(t), -math.sin(t)
 
 
-def test_trajectory_arrays():
-    traj = Trajectory([(0.0, 1.0, 2.0), (1.0, 3.0, 4.0)], meta={"k": 1})
-    assert traj.t.tolist() == [0.0, 1.0]
-    assert traj.x.tolist() == [1.0, 3.0]
-    assert traj.v.tolist() == [2.0, 4.0]
-    assert len(traj) == 2
-    assert traj[0] == PhaseState(0.0, 1.0, 2.0)
+def test_sample_trajectory_sorts_and_deduplicates_times():
+    traj = sample_trajectory(_circle, 0.0, 1.0, [0.5, 0.25, 1.0, 0.5, 0.0])
+    assert isinstance(traj, Trajectory)
+    assert [s.t for s in traj] == [0.0, 0.25, 0.5, 1.0]
+    assert all(s == PhaseState(s.t, *_circle(s.t)) for s in traj)
+    # the default grid: 257 times spanning [t0, t1]
+    traj = sample_trajectory(_circle, 0.0, 1.0)
+    assert len(traj) == 257 and (traj.t[0], traj.t[-1]) == (0.0, 1.0)
+    assert np.all(np.diff(traj.t) > 0.0)
+
+
+def test_sample_trajectory_refuses_a_time_outside_the_span():
+    for t_eval in ([0.5, 1.5], [-0.1, 0.5]):
+        with pytest.raises(ValueError):
+            sample_trajectory(_circle, 0.0, 1.0, t_eval)
+
+
+def test_sample_trajectory_of_no_times_keeps_the_solution():
+    calls = []
+
+    def state_at(t):
+        calls.append(t)
+        return _circle(t)
+
+    traj = sample_trajectory(state_at, 0.0, 1.0, (), {"k": 1})
+    assert len(traj) == 0 and list(traj) == [] and calls == []
+    assert traj.meta["x_of_t"](0.3) == math.cos(0.3)
+    assert traj.meta["v_of_t"](0.3) == -math.sin(0.3)
     assert traj.meta["k"] == 1
+
+
+def test_sample_trajectory_arrays_and_indexing():
+    traj = sample_trajectory(lambda t: (2.0 * t, 3.0 * t), 0.0, 1.0,
+                             [1.0, 0.0])
+    assert traj.t.tolist() == [0.0, 1.0]
+    assert traj.x.tolist() == [0.0, 2.0]
+    assert traj.v.tolist() == [0.0, 3.0]
+    assert len(traj) == 2
+    assert traj[1] == PhaseState(1.0, 2.0, 3.0)
+    assert list(traj) == traj.states
 
 
 def _oscillator(t, y):
