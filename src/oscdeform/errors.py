@@ -79,7 +79,8 @@ class SeriesDivergence(OscdeformError):
 
 
 class NoConvergence(OscdeformError):
-    """Series did not reach the requested tolerance within the term budget."""
+    """An iteration (a series, Brent's method) did not reach the requested
+    tolerance within its budget."""
 
 
 class NoRealRoot(OscdeformError):

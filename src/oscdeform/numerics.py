@@ -4,10 +4,10 @@ residual scanning.
 
 The solver is DOP853 (8th-order embedded Runge-Kutta; Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.5-6), run by integrate itself in plain
-floats: scipy's algorithm step for step on scipy's tableau, with no numpy
-array per stage and no call into solve_ivp.  Each step is one generated
-straight-line function per state size (_kernels), written out from
-scipy's tableau on first use and compiled once; it makes the same rhs
+floats: scipy's algorithm step for step on its tableau (_DOP853, written
+here as float literals), with no numpy array per stage.  Each step is one
+generated straight-line function per state size (_kernels), written out
+from the tableau on first use and compiled once; it makes the same rhs
 calls, steps and bits as the loop over the tableau that it replaces
 (tests/test_numerics.py keeps that loop as its reference).  integrate
 returns the dense solution, one callable per component evaluating the
@@ -17,15 +17,15 @@ for bit, with the same right-hand-side calls and steps
 (tests/test_numerics.py holds the two together).  sample_trajectory
 samples a pure state_at(t) once per distinct time, in increasing order,
 into a Trajectory, the record of those states and of the solution's meta.
-Root finding on a bracket is Brent's method from scipy (brentq) behind a
-sign check that raises the typed NoSignChange.  Quadrature is a small
-self-contained routine so its node placement stays explicit and
-reproducible.  Every implicit relation (the first integral's position
-and velocity, the beam's F(u) = K sin(omega*t + phi)) is inverted
-pointwise by one safeguarded scalar solver, solve_scalar, or at many
-points at once by solve_elementwise, which takes solve_scalar's steps on
-arrays.  scipy is imported by the first call that needs it, not with this
-module.
+Root finding on a bracket is Brent's method in plain floats, scipy's
+brentq step for step, behind a sign check that raises the typed
+NoSignChange.  Quadrature is a small self-contained routine so its node
+placement stays explicit and reproducible.  Every implicit relation (the
+first integral's position and velocity, the beam's F(u) = K sin(omega*t +
+phi)) is inverted pointwise by one safeguarded scalar solver,
+solve_scalar, or at many points at once by solve_elementwise, which takes
+solve_scalar's steps on arrays.  Nothing here imports scipy; the tests use
+it as the oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 from .errors import (
     EvalDomainError,
     ImplicitNoRoot,
+    NoConvergence,
     NonFiniteState,
     NoSignChange,
     StepSizeUnderflow,
@@ -105,32 +106,122 @@ def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
                                    v_of_t=lambda t: state_at(t)[1]))
 
 
-@functools.cache
-def _dop853():
-    """The DOP853 tableau, read once from scipy.integrate.DOP853, as float
-    lists with the zero coefficients left out: the stages after the first
-    and the three extra dense-output stages as (c, [(j, a_j)]), and B, E3,
-    E5 and each row of D as [(j, coefficient)]."""
-    # imported here: scipy.integrate is most of the library's import time
-    from scipy.integrate import DOP853
-
-    def terms(row):
-        return [(j, float(a)) for j, a in enumerate(row) if a != 0.0]
-
-    def stages(A, C, first):
-        return [(float(c), terms(a[:s]))
-                for s, (a, c) in enumerate(zip(A, C), first)]
-
-    return (stages(DOP853.A[1:], DOP853.C[1:], 1),
-            stages(DOP853.A_EXTRA, DOP853.C_EXTRA, DOP853.n_stages + 1),
-            terms(DOP853.B), terms(DOP853.E3), terms(DOP853.E5),
-            [terms(row) for row in DOP853.D])
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5:
+# the coefficients of dop853.f, as scipy.integrate.DOP853 holds them), with
+# the zero coefficients left out: the stages after the first and the three
+# extra dense-output stages as (c, [(j, a_j)]), and B, E3, E5 and each row of
+# D as [(j, coefficient)].  tests/test_numerics.py holds every literal to
+# scipy's arrays bit for bit.
+_DOP853 = (
+    # stages
+    [
+        (0.05260015195876773,
+         [(0, 0.05260015195876773)]),
+        (0.0789002279381516,
+         [(0, 0.0197250569845379), (1, 0.0591751709536137)]),
+        (0.1183503419072274,
+         [(0, 0.02958758547680685), (2, 0.08876275643042054)]),
+        (0.2816496580927726,
+         [(0, 0.2413651341592667), (2, -0.8845494793282861),
+          (3, 0.924834003261792)]),
+        (0.3333333333333333,
+         [(0, 0.037037037037037035), (3, 0.17082860872947386),
+          (4, 0.12546768756682242)]),
+        (0.25,
+         [(0, 0.037109375), (3, 0.17025221101954405),
+          (4, 0.06021653898045596), (5, -0.017578125)]),
+        (0.3076923076923077,
+         [(0, 0.03709200011850479), (3, 0.17038392571223998),
+          (4, 0.10726203044637328), (5, -0.015319437748624402),
+          (6, 0.008273789163814023)]),
+        (0.6512820512820513,
+         [(0, 0.6241109587160757), (3, -3.3608926294469414),
+          (4, -0.868219346841726), (5, 27.59209969944671),
+          (6, 20.154067550477894), (7, -43.48988418106996)]),
+        (0.6,
+         [(0, 0.47766253643826434), (3, -2.4881146199716677),
+          (4, -0.590290826836843), (5, 21.230051448181193),
+          (6, 15.279233632882423), (7, -33.28821096898486),
+          (8, -0.020331201708508627)]),
+        (0.8571428571428571,
+         [(0, -0.9371424300859873), (3, 5.186372428844064),
+          (4, 1.0914373489967295), (5, -8.149787010746927),
+          (6, -18.52006565999696), (7, 22.739487099350505),
+          (8, 2.4936055526796523), (9, -3.0467644718982196)]),
+        (1.0,
+         [(0, 2.273310147516538), (3, -10.53449546673725),
+          (4, -2.0008720582248625), (5, -17.9589318631188),
+          (6, 27.94888452941996), (7, -2.8589982771350235),
+          (8, -8.87285693353063), (9, 12.360567175794303),
+          (10, 0.6433927460157636)]),
+    ],
+    # extra
+    [
+        (0.1,
+         [(0, 0.056167502283047954), (6, 0.25350021021662483),
+          (7, -0.2462390374708025), (8, -0.12419142326381637),
+          (9, 0.15329179827876568), (10, 0.00820105229563469),
+          (11, 0.007567897660545699), (12, -0.008298)]),
+        (0.2,
+         [(0, 0.03183464816350214), (5, 0.028300909672366776),
+          (6, 0.053541988307438566), (7, -0.05492374857139099),
+          (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+          (12, -0.00034046500868740456), (13, 0.1413124436746325)]),
+        (0.7777777777777778,
+         [(0, -0.42889630158379194), (5, -4.697621415361164),
+          (6, 7.683421196062599), (7, 4.06898981839711),
+          (8, 0.3567271874552811), (12, -0.0013990241651590145),
+          (13, 2.9475147891527724), (14, -9.15095847217987)]),
+    ],
+    # B
+    [(0, 0.054293734116568765), (5, 4.450312892752409),
+     (6, 1.8915178993145003), (7, -5.801203960010585),
+     (8, 0.3111643669578199), (9, -0.1521609496625161),
+     (10, 0.20136540080403034), (11, 0.04471061572777259)],
+    # E3
+    [(0, -0.18980075407240762), (5, 4.450312892752409),
+     (6, 1.8915178993145003), (7, -5.801203960010585),
+     (8, -0.4226823213237919), (9, -0.1521609496625161),
+     (10, 0.20136540080403034), (11, 0.02265179219836082)],
+    # E5
+    [(0, 0.01312004499419488), (5, -1.2251564463762044),
+     (6, -0.4957589496572502), (7, 1.6643771824549864),
+     (8, -0.35032884874997366), (9, 0.3341791187130175),
+     (10, 0.08192320648511571), (11, -0.022355307863886294)],
+    # D
+    [
+     [(0, -8.428938276109013), (5, 0.5667149535193777),
+      (6, -3.0689499459498917), (7, 2.38466765651207), (8, 2.117034582445028),
+      (9, -0.871391583777973), (10, 2.2404374302607883),
+      (11, 0.6315787787694688), (12, -0.08899033645133331),
+      (13, 18.148505520854727), (14, -9.194632392478356),
+      (15, -4.436036387594894)],
+     [(0, 10.427508642579134), (5, 242.28349177525817),
+      (6, 165.20045171727028), (7, -374.5467547226902),
+      (8, -22.113666853125306), (9, 7.733432668472264),
+      (10, -30.674084731089398), (11, -9.332130526430229),
+      (12, 15.697238121770845), (13, -31.139403219565178),
+      (14, -9.35292435884448), (15, 35.81684148639408)],
+     [(0, 19.985053242002433), (5, -387.0373087493518),
+      (6, -189.17813819516758), (7, 527.8081592054236),
+      (8, -11.57390253995963), (9, 6.8812326946963),
+      (10, -1.0006050966910838), (11, 0.7777137798053443),
+      (12, -2.778205752353508), (13, -60.19669523126412),
+      (14, 84.32040550667716), (15, 11.99229113618279)],
+     [(0, -25.69393346270375), (5, -154.18974869023643),
+      (6, -231.5293791760455), (7, 357.6391179106141), (8, 93.40532418362432),
+      (9, -37.45832313645163), (10, 104.0996495089623),
+      (11, 29.8402934266605), (12, -43.53345659001114),
+      (13, 96.32455395918828), (14, -39.17726167561544),
+      (15, -149.72683625798564)],
+    ],
+)
 
 
 @functools.cache
 def _kernels(n):
     """DOP853's step and its dense-output stages for a state of n
-    components, each written out from _dop853() as one straight-line
+    components, each written out from _DOP853 as one straight-line
     function of floats and compiled once:
 
         step(rhs, t, y, f, h) -> (y_new, f_new, E5 sums, E3 sums, K)
@@ -143,7 +234,7 @@ def _kernels(n):
     value is the tableau loop's, bit for bit.  rhs gets a float when n is
     1 and an n-tuple otherwise; each of its results goes through float().
     """
-    stages, extra, B, E3, E5, D = _dop853()
+    stages, extra, B, E3, E5, D = _DOP853
     comps = range(n)
 
     def tup(items):
@@ -232,7 +323,7 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
     step sizes agree to the rounding of the error estimate and values to
     rounding, not bit for bit (tests/test_numerics.py holds the two
     together).  Each step runs as one generated straight-line function of
-    floats for the state's size (_kernels), built from scipy's tableau on
+    floats for the state's size (_kernels), built from the tableau on
     first use: the same rhs calls, steps and bits as a loop over the
     tableau.  A step that would fall below ten spacings of t (or is
     NaN) raises StepSizeUnderflow, and an accepted non-finite state
@@ -406,24 +497,65 @@ class CumulativeIntegral:
 def find_root(f, lo, hi, tol=1e-12):
     """Root of f on a sign-changing bracket [lo, hi].
 
-    Brent's method (scipy's brentq); stops once the bracket is narrower than
-    about tol*(1+|x|).  Raises NoSignChange unless f(lo) and f(hi) have
-    strictly opposite signs, so a NaN end is rejected.
+    Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) in plain floats, scipy's brentq (brentq.c)
+    step for step with xtol = tol, rtol = max(tol, 4*ulp(1)) and at most
+    200 iterations, so it returns brentq's bits; it stops once the bracket
+    is narrower than about tol*(1+|x|).  f(lo) and f(hi) are evaluated
+    once.  Raises NoSignChange unless they have strictly opposite signs, so
+    a NaN end is rejected; EvalDomainError at a NaN value inside the
+    bracket; NoConvergence when the iterations run out.
     """
     lo = float(lo)
     hi = float(hi)
-    flo = f(lo)
+    flo = float(f(lo))
     if flo == 0.0:
         return lo
-    fhi = f(hi)
+    fhi = float(f(hi))
     if fhi == 0.0:
         return hi
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         raise NoSignChange("f(%g)=%g and f(%g)=%g do not change sign"
                            % (lo, flo, hi, fhi))
-    from scipy.optimize import brentq
-    return brentq(f, lo, hi, xtol=tol, rtol=max(tol, 4.0 * math.ulp(1.0)),
-                  maxiter=200)
+    rtol = max(tol, 4.0 * _EPS)
+    # xcur is the best estimate, xblk the other end of the bracket and
+    # xpre the previous estimate; spre and scur are the last two steps
+    xpre, fpre, xcur, fcur = lo, flo, hi, fhi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf     # bisect unless interpolation steps short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass                    # C's inf or NaN, which bisects
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise EvalDomainError("f(%r) is NaN" % xcur)
+    raise NoConvergence("no root found on [%r, %r] in 200 iterations"
+                        % (lo, hi))
 
 
 _BRACKET_WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0)

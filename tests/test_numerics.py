@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -5,13 +6,17 @@ import sys
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.integrate import solve_ivp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.common import OdeSolution
+from scipy.optimize import brentq
 
-from oscdeform import numerics
+from oscdeform import cli, numerics
 from oscdeform.errors import (
     EvalDomainError,
     ImplicitNoRoot,
+    NoConvergence,
     NonFiniteState,
     NoSignChange,
     OscdeformError,
@@ -234,7 +239,7 @@ def _loop_kernels(n):
     """The reference for numerics._kernels(n): the same step and dense
     stages as a loop over the tableau, each stage through a field that
     hands rhs a float (n = 1) or a tuple and takes float() of its result."""
-    stages, extra, B, E3, E5, D = numerics._dop853()
+    stages, extra, B, E3, E5, D = numerics._DOP853
 
     def field(rhs, t, y):
         return ((float(rhs(t, y[0])),) if n == 1
@@ -280,6 +285,34 @@ def test_generated_step_is_the_tableau_loop_bit_for_bit(name, monkeypatch):
     calls, values = run()
     monkeypatch.setattr(numerics, "_kernels", _loop_kernels)
     assert run() == (calls, values)
+
+
+def test_tableau_literals_are_scipys_bit_for_bit():
+    """Every coefficient of numerics._DOP853 is scipy's float, and the
+    entries it leaves out are exactly scipy's zeros."""
+    stages, extra, B, E3, E5, D = numerics._DOP853
+    n = DOP853.n_stages
+
+    def full(terms, size):
+        assert all(a != 0.0 for _, a in terms)
+        row = [0.0] * size
+        for j, a in terms:
+            row[j] = a
+        return row
+
+    def hexes(rows):
+        return [[float(a).hex() for a in row] for row in rows]
+
+    assert hexes([[c for c, _ in stages]]) == hexes([DOP853.C[1:]])
+    assert hexes([full(a, n) for _, a in stages]) == hexes(DOP853.A[1:])
+    assert hexes([DOP853.A[0]]) == hexes([[0.0] * n]) and DOP853.C[0] == 0.0
+    assert hexes([[c for c, _ in extra]]) == hexes([DOP853.C_EXTRA])
+    assert (hexes([full(a, DOP853.A_EXTRA.shape[1]) for _, a in extra])
+            == hexes(DOP853.A_EXTRA))
+    for terms, ref in ((B, DOP853.B), (E3, DOP853.E3), (E5, DOP853.E5)):
+        assert hexes([full(terms, len(ref))]) == hexes([ref])
+    assert (hexes([full(d, DOP853.D.shape[1]) for d in D])
+            == hexes(DOP853.D))
 
 
 def test_integrate_tolerance_controls_error():
@@ -396,8 +429,8 @@ def test_find_root_basic():
 
 
 def test_find_root_converges_superlinearly():
-    # Brent's method needs 10 evaluations on each; a bisection-bound
-    # regula falsi needs 36-39
+    # Brent's method needs 8 evaluations on each, the two ends included; a
+    # bisection-bound regula falsi needs 36-39
     cases = ((lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 2.0945514815423265),
              (lambda x: x * x - 2.0, 1.0, 2.0, math.sqrt(2.0)))
     for f, lo, hi, exact in cases:
@@ -408,7 +441,7 @@ def test_find_root_converges_superlinearly():
             return f(x)
 
         root = find_root(counted, lo, hi, tol=1e-12)
-        assert len(calls) <= 12
+        assert len(calls) <= 8
         assert abs(root - exact) <= 1e-12 * (1.0 + abs(exact))
 
 
@@ -421,6 +454,92 @@ def test_find_root_endpoint_root_and_no_sign_change():
     assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
     with pytest.raises(NoSignChange):
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def _brentq(f, lo, hi, tol):
+    """brentq as find_root documents it."""
+    return brentq(f, lo, hi, xtol=tol, rtol=max(tol, 4.0 * math.ulp(1.0)),
+                  maxiter=200)
+
+
+def _evaluations(solve, f, lo, hi, tol):
+    """The root solve(f, lo, hi, tol) returns, or "no convergence", and
+    the points where it evaluated f."""
+    xs = []
+
+    def counted(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        root = solve(counted, lo, hi, tol)
+    except (NoConvergence, RuntimeError):   # brentq raises RuntimeError
+        root = "no convergence"
+    return root, xs
+
+
+# sign-changing brackets [root - below, root + above] of four families, each
+# monotone on the brackets drawn
+_ROOT_FAMILIES = {
+    "sin": (lambda p: lambda x: math.sin(x) - p, lambda p: math.asin(p)),
+    "cubic": (lambda p: lambda x: x ** 3 + x - (p ** 3 + p), lambda p: p),
+    "exp": (lambda p: lambda x: math.exp(2.0 * x) - p - 1.0,
+            lambda p: 0.5 * math.log(p + 1.0)),
+    "atan": (lambda p: lambda x: math.atan(40.0 * (x - p)) + 0.01,
+             lambda p: p - math.tan(0.01) / 40.0),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(_ROOT_FAMILIES)),
+       p=st.floats(0.0, 0.9),
+       below=st.floats(1e-9, 0.6), above=st.floats(1e-9, 0.6),
+       tol=st.sampled_from([1e-12, 1e-15]))
+def test_find_root_is_brentq_bit_for_bit(family, p, below, above, tol):
+    """The plain-float Brent evaluates f at brentq's points, in its order,
+    and returns its float: the ends once each, then one point per
+    iteration."""
+    make_f, root_of = _ROOT_FAMILIES[family]
+    f, root = make_f(p), root_of(p)
+    lo, hi = root - below, root + above
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0 or (flo < 0.0) == (fhi < 0.0):
+        return                          # the rounded root left the bracket
+    expected = _evaluations(_brentq, f, lo, hi, tol)
+    got = _evaluations(find_root, f, lo, hi, tol)
+    assert [x.hex() for x in got[1]] == [x.hex() for x in expected[1]]
+    assert float(got[0]).hex() == float(expected[0]).hex()
+
+
+def test_find_root_iteration_cap_is_typed_and_is_brentqs():
+    # a jump at 0.3 across a bracket 1e300 wide needs about 1000
+    # bisections to shrink to tol*(1+|x|); both stop after 200 iterations
+    def step(x):
+        return -1.0 if x < 0.3 else 1.0
+
+    got = _evaluations(find_root, step, -1e300, 1e300, 1e-300)
+    assert got == _evaluations(_brentq, step, -1e300, 1e300, 1e-300)
+    assert got[0] == "no convergence" and len(got[1]) == 202
+    with pytest.raises(NoConvergence):
+        find_root(step, -1e300, 1e300, tol=1e-300)
+
+
+def _nan_near_zero(x):
+    """x(x + 0.9)(x - 0.6), undefined (NaN) on |x| < 0.3."""
+    return math.nan if abs(x) < 0.3 else x * (x + 0.9) * (x - 0.6)
+
+
+def test_find_root_nan_inside_the_bracket_is_typed():
+    # the first secant step from [-0.5, 0.5] lands at 0.259
+    with pytest.raises(EvalDomainError, match=r"f\(0\.25"):
+        find_root(_nan_near_zero, -0.5, 0.5)
+
+
+def test_solve_scalar_skips_a_bracket_with_a_nan_inside():
+    # Newton stalls at once; the bracket of half-width 0.5 changes sign
+    # but steps into the NaN, so the root at -0.9 comes from the next one
+    root = solve_scalar(_nan_near_zero, lambda x: 0.0, 0.0, 1e-14)
+    assert root == pytest.approx(-0.9, abs=1e-14)
 
 
 def test_find_root_implicit_inversion_matches_algebraic():
@@ -600,13 +719,46 @@ def test_solve_scalar_propagates_foreign_errors():
         solve_scalar(h_bracket, lambda x: 0.0, 0.0, 1e-14)
 
 
-def test_importing_the_library_loads_no_scipy_solver():
-    # scipy.integrate is most of the import time; integrate and find_root
-    # load it, and scipy.optimize, on their first call
-    code = ("import sys, oscdeform; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+# each command the library runs end to end, with only its required inputs
+_NO_SCIPY_RUNS = [
+    ["solve"],
+    ["verify", "--suite", "all"],
+    ["beam", "--alpha-coef", "3", "--beta-coef", "2", "--mode", "direct"],
+    ["catalog", "--case", "case4_riccati", "--param", "mu=0.8",
+     "--param", "nu=0.3"],
+    ["rcd", "--param", "beta=1", "--param", "gamma=0.5", "--param",
+     "delta=1", "--param", "A=25"],
+]
+
+_RUN_CLI = """
+import contextlib, io, json, sys
+from oscdeform import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([cli.main(argv), out.getvalue()])
+print(json.dumps([runs, sorted(m for m, mod in sys.modules.items()
+                               if m.split('.')[0] == 'scipy' and mod)]))
+"""
+
+
+def test_importing_the_library_loads_no_scipy_solver(capsys):
+    # scipy is a test dependency only: each command loads no scipy module
+    # where scipy is importable, and where every scipy import fails it
+    # still exits 0 and prints the same
+    def run(prelude):
+        proc = subprocess.run([sys.executable, "-c", prelude + _RUN_CLI,
+                               json.dumps(_NO_SCIPY_RUNS)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    runs, loaded = run("")
+    assert loaded == []
+    assert run("import sys; sys.modules['scipy'] = None\n") == [runs, []]
+    assert len(runs) == len(_NO_SCIPY_RUNS)
+    for argv, (code, out) in zip(_NO_SCIPY_RUNS, runs):
+        assert code == 0, argv
+        assert cli.main(argv) == 0
+        assert out == capsys.readouterr().out, argv
