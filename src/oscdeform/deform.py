@@ -31,6 +31,7 @@ from .errors import (
 from .exprdsl import (
     Num,
     Var,
+    _substitute,
     add,
     array_function,
     bind,
@@ -39,6 +40,7 @@ from .exprdsl import (
     div,
     function,
     mul,
+    parse,
     powe,
     sub,
 )
@@ -102,6 +104,7 @@ class DeformedOscillator(_CompiledOnRead):
     the base frequency (> 0) and alpha the phase constant of the first
     integral.  `exprs` holds the trees of f, g and their six first
     partials; each reads as its function of (t, x, v), as in osc.g_x.
+    amplitude_slope, the explicit march's compiled slope, is built when read.
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
@@ -145,6 +148,20 @@ class DeformedOscillator(_CompiledOnRead):
     def numerator(self):
         """dg/dt - f (numerator_exprs) as one function of (t, x, v)."""
         return function(self.numerator_exprs[0], _TXV)
+
+    @functools.cached_property
+    def amplitude_slope(self):
+        """(dg/dt - f)/sin(theta) for g free of x and f of v, compiled in
+        (t, y): _crossing_numerator's operations in its order, unfolded (as
+        parsed), so the same floats even at alpha = 0 or omega = 1."""
+        holes = {"w": Num(self.omega), "a": Num(self.alpha),
+                 "g": self.exprs["g"]}
+        x = _substitute(parse("u*sin(w*t + a) - g"), holes)
+        holes["f"] = _substitute(self.exprs["f"], {"x": x})
+        v = _substitute(parse("w*u*cos(w*t + a) - f"), holes)
+        holes["n"] = _substitute(self.numerator_exprs[0], {"x": x, "v": v})
+        return function(_substitute(parse("n/sin(w*t + a)"), holes),
+                        ("t", "u"))
 
     @functools.cached_property
     def transit_arrays(self):
@@ -512,7 +529,8 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     poles and crosses each pole by spectral collocation of the regular
     sine-multiplied equation (see _pole_transit); x is recovered by solving
     x + g(t,x) = y*sin(theta) and v from v + f = omega*y*cos(theta), so no
-    quantity is ever divided by a small sine.  When g depends on v the
+    quantity is ever divided by a small sine (explicit pairs, g free of x
+    and f of v, march on osc.amplitude_slope).  When g depends on v the
     scaled first integral is regular at the poles and no splitting is
     performed; a fold of the velocity law, where the v-derivative of G
     leaves the sign it has at the start, raises NonSmoothPoint naming its t.
@@ -584,6 +602,9 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         s, c = math.sin(th), math.cos(th)
         num, _, _ = _crossing_numerator(osc, t, y, s, c, x0, v0)
         return num / s
+
+    if not (osc.g_depends_x or osc.f_depends_v):
+        y_rhs = osc.amplitude_slope  # the same floats in one call
 
     if start_pole is None:
         y0 = (x0 + osc.g(t0, x0, 0.0)) / math.sin(osc.theta(t0))

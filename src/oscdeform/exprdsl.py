@@ -603,27 +603,36 @@ def depends_on(e, name):
     return any(isinstance(n, Var) and n.name == name for n in _walk(e))
 
 
-def _substitute(e, values):
-    """Replace parameter nodes found in `values` by numeric constants."""
-    if isinstance(e, Param) and e.name in values:
-        return Num(values[e.name])
-    if isinstance(e, (Num, Var, Param)):
+def _substitute(e, values, done=None):
+    """e with each Var or Param named in `values` replaced by that Expr,
+    unfolded; memoised on id(node) in done, so a subtree shared in e (a
+    graph from differentiate) is copied once and stays shared."""
+    if isinstance(e, _Named):
+        return values.get(e.name, e)
+    if isinstance(e, Num):
         return e
-    if isinstance(e, Neg):
-        return Neg(_substitute(e.arg, values))
-    if isinstance(e, Call):
-        return Call(e.fn, _substitute(e.arg, values))
-    cls = type(e)
-    return cls(_substitute(e.left, values), _substitute(e.right, values))
+    done = {} if done is None else done
+    r = done.get(id(e))
+    if r is None:
+        if isinstance(e, Neg):
+            r = Neg(_substitute(e.arg, values, done))
+        elif isinstance(e, Call):
+            r = Call(e.fn, _substitute(e.arg, values, done))
+        else:
+            r = type(e)(_substitute(e.left, values, done),
+                        _substitute(e.right, values, done))
+        done[id(e)] = r
+    return r
 
 
 def bind(e, allowed, params=None):
-    """The expression e (text, a number or an Expr) with `params` substituted
-    and checked for use: UnboundNameError names the first parameter left
-    free, or the first variable outside `allowed` (with the allowed ones)."""
+    """e (text, a number or an Expr) with `params` substituted as Num nodes
+    and checked: UnboundNameError names the first parameter left free, or
+    the first variable outside `allowed` (with the allowed ones)."""
     e = as_expr(e)
     if params:
-        e = _substitute(e, params)
+        e = _substitute(e, {name: Num(value) for name, value in params.items()
+                            if name not in VARIABLES})
     for n in _walk(e):
         if isinstance(n, Param):
             raise UnboundNameError(n.name)

@@ -57,7 +57,7 @@ CONSTRUCTIONS = [
 ]
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(EXPRESSIONS)
 def test_unbound_name_exactly_when_a_name_is_outside_the_allowed(expr):
     text, used = expr

@@ -95,7 +95,7 @@ def _point(draw_values, names, as_numpy):
     return args, dict(zip(names, values))
 
 
-@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
 @hypothesis.given(
     data=st.data(),
     signature=st.sampled_from(SIGNATURES),
@@ -118,7 +118,7 @@ def test_compiled_function_is_evaluate(data, signature, as_numpy):
             assert got == want, (x, bindings)
 
 
-@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
 @hypothesis.given(data=st.data(), signature=st.sampled_from(SIGNATURES))
 def test_array_form_is_the_scalar_function_per_element(data, signature):
     e = data.draw(_trees(signature))

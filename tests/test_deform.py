@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -552,6 +553,56 @@ def test_pole_march_position_solves_per_pole(monkeypatch):
     poles = len(traj.meta["poles_crossed"])
     assert poles == 100
     assert len(calls) <= 300 * poles
+
+
+# explicit pairs, (f, g, omega, alpha): g free of x and f free of v
+_EXPLICIT_PAIRS = [
+    ("-0.3*x + 0.5*x^3", "0", 1.3, 0.3),
+    # the sin(theta)^k time deformations, with the oscillator's theta
+    ("0.2*sin(1.3*t + 0.3)", "0", 1.3, 0.3),
+    ("0", "0.15*sin(1.3*t + 0.3)^2", 1.3, 0.3),
+    ("0.2*sin(1.3*t + 0.3)", "0.15*sin(1.3*t + 0.3)^2", 1.3, 0.3),
+    ("0.1*x*sin(t + 0.4)", "0", 1.7, 0.2),
+    # constant folding would drop theta's + 0 and its 1*t
+    ("-0.3*x + 0.5*x^3", "0.1*sin(t)", 1.3, 0.0),
+    ("0.2*x", "0.1*sin(t + 0.3)^2", 1.0, 0.3),
+]
+
+
+@pytest.mark.parametrize("f_src,g_src,omega,alpha", _EXPLICIT_PAIRS)
+def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
+        f_src, g_src, omega, alpha):
+    osc = DeformedOscillator(f_src, g_src, omega, alpha=alpha)
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 200:
+        t, y = rng.uniform(-10.0, 10.0), rng.uniform(-3.0, 3.0)
+        th = osc.theta(t)
+        s, c = math.sin(th), math.cos(th)
+        if abs(s) < 0.05:
+            continue
+        num = deform._crossing_numerator(osc, t, y, s, c, 0.4, 0.0)[0]
+        assert osc.amplitude_slope(t, y) == num / s, (t, y)
+        checked += 1
+
+
+def test_explicit_march_solves_states_only_in_the_transits(monkeypatch):
+    # between poles the march calls the compiled amplitude_slope; each
+    # transit solves one state at its left edge and one at its pole
+    callers = []
+    solve = deform._crossing_numerator
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(*args)
+
+    monkeypatch.setattr(deform, "_crossing_numerator", counted)
+    osc = DeformedOscillator("-0.3*x + 0.5*x^3", "0", 1.3, alpha=0.3)
+    t0 = (math.pi / 2.0 - 0.3) / 1.3
+    traj = integrate_first_integral(osc, t0, 0.4, t0 + 3.0 * math.pi / 1.3,
+                                    t_eval=np.linspace(t0, t0 + 7.0, 50))
+    assert len(traj.meta["poles_crossed"]) == 3
+    assert callers == ["_pole_transit"] * 6
 
 
 def test_time_varying_reduces_to_constant_omega():

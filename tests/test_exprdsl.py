@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import warnings
 import weakref
 
@@ -22,6 +23,7 @@ from oscdeform.exprdsl import (
     Param,
     Pow,
     Var,
+    _substitute,
     array_function,
     bind,
     depends_on,
@@ -272,6 +274,38 @@ def test_substitute_params():
     # text and numbers are accepted as well as trees
     assert evaluate(bind("1.5", ("u",)), {}) == 1.5
     assert evaluate(bind(2, ("u",)), {}) == 2.0
+    # only parameters are bound: a variable's name among them is ignored
+    e3 = bind("x + mu", ("x",), {"x": 5.0, "mu": 1.0})
+    assert evaluate(e3, {"x": 3.0}) == 4.0
+
+
+def _distinct_nodes(e):
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, a) for a in ("arg", "left", "right")
+                         if hasattr(node, a))
+    return len(seen)
+
+
+def test_substitution_keeps_a_graph_a_graph():
+    # each level of the chain reads the one below twice, so as a tree its
+    # derivative has more than 2^30 nodes; as a graph it has a few hundred
+    e = Var("x")
+    for _ in range(30):
+        e = Mul(Call("sin", e), e)
+    d = differentiate(e, "x")
+    x_of_tu = Mul(Var("u"), Call("sin", Var("t")))
+    start = time.perf_counter()
+    r = _substitute(d, {"x": x_of_tu})
+    assert time.perf_counter() - start < 1.0
+    assert _distinct_nodes(r) <= _distinct_nodes(d) + _distinct_nodes(x_of_tu)
+    t, u = 0.7, 1.3
+    assert (function(r, ("t", "u"))(t, u)
+            == function(d, ("t", "x"))(t, u * math.sin(t)))
 
 
 def test_function_is_evaluate_with_positional_variables():
