@@ -19,7 +19,8 @@ Trees are immutable; evaluation is plain IEEE-double arithmetic with domain
 errors raised (never silent NaN).  ``evaluate`` walks the tree and is the
 reference; ``function`` compiles an expression, when it is called, into
 one Python function that computes each distinct subexpression once, with
-the same operations in the same order and the same errors.
+the same operations in the same order and the same errors.  The constants
+are arguments of the generated code, so each shape is compiled once.
 ``array_function`` compiles several expressions into one function of numpy
 arrays whose elements are the scalar functions' floats, bit for bit, and
 which raises an error they raise.  Differentiation is symbolic with
@@ -31,9 +32,11 @@ distinct subexpressions rather than the printed size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
+import struct
 
 import numpy as np
 
@@ -656,13 +659,21 @@ class _Codegen:
     once.  A subexpression met again, as the same node or as an equal
     structure, reuses the local that holds its value.
 
-    Only generated local names, the argument names, the names of FUNCTIONS
-    and repr of finite floats go into the source; every other constant and
-    every unbound name is passed in through the function's globals."""
+    The source defines make(<constants>), which returns that function,
+    body: every float and every unbound name is an argument of make, which
+    body reads as a closure cell, so trees of one shape have one source.
+    Only generated names, the argument names, int exponents and the names
+    in `scope` go into it.  Constants are told apart by their bits: 0.0
+    and -0.0, or NaNs of opposite sign, are two arguments, and equal ones
+    share one, as equal structures share a local."""
 
-    def __init__(self, names, scope):
+    scope = dict(FUNCTIONS, EvalDomainError=EvalDomainError,
+                 UnboundNameError=UnboundNameError)
+
+    def __init__(self, names):
         self.names = names
-        self.scope = scope
+        self.constants = {}  # bits of a float, or a name -> argument
+        self.values = []  # make's arguments, in order
         self.lines = []
         self.by_id = {}   # id(node) -> text of its value in the code
         self.by_key = {}  # structure -> local holding its value
@@ -673,16 +684,25 @@ class _Codegen:
             self.emit("return %s" % self.operand(e))
         except _Unreachable:
             pass
-        return "def body(%s):\n%s\n" % (", ".join(self.names),
-                                       "\n".join(self.lines))
+        return self.enclose(self.lines)
+
+    def enclose(self, lines):
+        """Source of make(<constants>), returning body(<names>) that runs
+        lines."""
+        return "def make(%s):\n    def body(%s):\n%s\n    return body\n" % (
+            ", ".join(self.constants.values()), ", ".join(self.names),
+            "\n".join("        " + line for line in lines))
 
     def emit(self, *lines):
-        self.lines.extend("    " + line for line in lines)
+        self.lines.extend(lines)
 
-    def outside(self, value):
-        """A global name through which value reaches the code."""
-        name = "_c%d" % len(self.scope)
-        self.scope[name] = value
+    def constant(self, value):
+        """The argument of make through which value reaches the code."""
+        key = struct.pack("d", value) if isinstance(value, float) else value
+        name = self.constants.get(key)
+        if name is None:
+            name = self.constants[key] = "_k%d" % len(self.values)
+            self.values.append(value)
         return name
 
     def local(self, key, lines, *args):
@@ -701,12 +721,11 @@ class _Codegen:
         if text is not None:
             return text
         if isinstance(e, Num):
-            text = ("(%r)" % e.value if math.isfinite(e.value)
-                    else self.outside(e.value))
+            text = self.constant(e.value)
         elif isinstance(e, Var) and e.name in self.names:
             text = self.variable(e.name)
         elif isinstance(e, (Var, Param)):
-            self.emit("raise UnboundNameError(%s)" % self.outside(e.name))
+            self.emit("raise UnboundNameError(%s)" % self.constant(e.name))
             raise _Unreachable
         elif isinstance(e, Neg):
             a = self.operand(e.arg)
@@ -764,6 +783,38 @@ class _Codegen:
         return _guarded(name, "%s(%s)" % (fn, z), fn, z)
 
 
+def _each(fn, z):
+    """FUNCTIONS[fn] on each element of the array z; the first element
+    that fails raises what the scalar code raises for it."""
+    kernel = FUNCTIONS[fn]
+    values = []
+    for value in z.tolist():
+        try:
+            values.append(kernel(value))
+        except OverflowError:
+            raise EvalDomainError("overflow in %s" % fn) from None
+        except ValueError:
+            raise EvalDomainError("domain error in %s(%r)"
+                                  % (fn, value)) from None
+    return np.array(values)
+
+
+def _each_pow(base, p):
+    """base ** p per element, where base or p (a float or an int) is an
+    array; overflow raises as the scalar code does."""
+    bs, qs = (a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+              for a in (base, p))
+    try:
+        return np.array([b ** q for b, q in zip(bs, qs)])
+    except OverflowError:
+        raise EvalDomainError("overflow in power") from None
+
+
+def _full(like, value):
+    """The array of like's shape holding value."""
+    return np.full(like.shape, value)
+
+
 class _ArrayCodegen(_Codegen):
     """The array form of _Codegen: a function of one 1-d float array per
     name that returns a tuple with one array per Expr.
@@ -777,8 +828,11 @@ class _ArrayCodegen(_Codegen):
     under np.errstate(all="ignore"): Python floats give inf and nan without
     a warning, and so does the array form."""
 
-    def __init__(self, names, scope):
-        super().__init__(names, scope)
+    scope = dict(_Codegen.scope, _each=_each, _each_pow=_each_pow,
+                 _full=_full, errstate=np.errstate)
+
+    def __init__(self, names):
+        super().__init__(names)
         self.arrays = set(names)  # texts whose value is an array
 
     def source(self, *es):
@@ -791,9 +845,8 @@ class _ArrayCodegen(_Codegen):
                 "_full(%s, %s)" % (self.names[0], v) for v in values))
         except _Unreachable:
             pass
-        return "def body(%s):\n    with errstate(all=\"ignore\"):\n%s\n" % (
-            ", ".join(self.names), "\n".join("    " + line
-                                             for line in self.lines))
+        return self.enclose(['with errstate(all="ignore"):']
+                         + ["    " + line for line in self.lines])
 
     def local(self, key, lines, *args):
         name = super().local(key, lines, *args)
@@ -854,50 +907,14 @@ def _guarded(name, expr, what, arg=None):
     return lines
 
 
-def _each(fn, z):
-    """FUNCTIONS[fn] on each element of the array z; the first element
-    that fails raises what the scalar code raises for it."""
-    kernel = FUNCTIONS[fn]
-    values = []
-    for value in z.tolist():
-        try:
-            values.append(kernel(value))
-        except OverflowError:
-            raise EvalDomainError("overflow in %s" % fn) from None
-        except ValueError:
-            raise EvalDomainError("domain error in %s(%r)"
-                                  % (fn, value)) from None
-    return np.array(values)
-
-
-def _each_pow(base, p):
-    """base ** p per element, where base or p (a float or an int) is an
-    array; overflow raises as the scalar code does."""
-    bs, qs = (a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
-              for a in (base, p))
-    try:
-        return np.array([b ** q for b, q in zip(bs, qs)])
-    except OverflowError:
-        raise EvalDomainError("overflow in power") from None
-
-
-def _full(like, value):
-    """The array of like's shape holding value."""
-    return np.full(like.shape, value)
-
-
-_SCOPE = dict(FUNCTIONS, EvalDomainError=EvalDomainError,
-              UnboundNameError=UnboundNameError)
-_ARRAY_SCOPE = dict(_SCOPE, _each=_each, _each_pow=_each_pow, _full=_full,
-                    errstate=np.errstate)
-
-
 def function(e, names):
     """e as a positional function of the variables `names`, distinct names
     from VARIABLES: function(e, ("u",))(0.5) is evaluate(e, {"u": 0.5}),
     the same float or the same error.  e is compiled when function is
-    called, into one Python function (see _Codegen)."""
-    return _compile(_Codegen, _SCOPE, (e,), names)
+    called, into one Python function (see _Codegen).  Trees that differ
+    only in their constants share one code object, compiled once, and each
+    function is bound to its own constants."""
+    return _compile(_Codegen, (e,), names)
 
 
 def array_function(es, names):
@@ -907,17 +924,23 @@ def array_function(es, names):
     whose element i is function(e, names) at element i of the arguments,
     bit for bit.  When an element fails, it raises the error that the
     scalar function raises for some element, and no numpy warning.  The
-    expressions are compiled when array_function is called, as function
-    does (see _ArrayCodegen)."""
-    return _compile(_ArrayCodegen, _ARRAY_SCOPE, tuple(es), names)
+    expressions are compiled when array_function is called, and each shape
+    once, as function does (see _ArrayCodegen)."""
+    return _compile(_ArrayCodegen, tuple(es), names)
 
 
-def _compile(codegen, globals_, es, names):
+def _compile(codegen, es, names):
     names = tuple(names)
     if len(set(names)) != len(names) or not set(names) <= set(VARIABLES):
         raise ValueError("not distinct variables: %r" % (names,))
-    scope = dict(globals_)
-    exec(codegen(names, scope).source(*es), scope)
-    # body's globals are scope: leaving body in it would make every
-    # compiled function a reference cycle, freed only by the collector
-    return scope.pop("body")
+    gen = codegen(names)
+    return _make(codegen, gen.source(*es))(*gen.values)
+
+
+@functools.lru_cache(maxsize=256)
+def _make(codegen, source):
+    """The function make that source defines in codegen.scope: one per
+    shape, while its shape is among the last 256 compiled."""
+    made = {}
+    exec(source, codegen.scope, made)
+    return made["make"]

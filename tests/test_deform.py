@@ -586,6 +586,40 @@ def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
         checked += 1
 
 
+def test_oscillators_of_one_family_share_their_code_objects():
+    # one (f, g) shape at two parameter points: each compiled function is
+    # its own closure over its own constants, on one code object per shape
+    a, b = (DeformedOscillator("a*x + c*x^3", "0", omega, alpha=alpha,
+                               params={"a": p, "c": q})
+            for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
+                                       (0.7, 1.1, 0.45, -2.5)))
+    pairs = [(a.f, b.f), (a.amplitude_slope, b.amplitude_slope)]
+    pairs += zip(a.transit_arrays, b.transit_arrays)
+    for fa, fb in pairs:
+        assert fa is not fb and fa.__code__ is fb.__code__
+    rng = np.random.default_rng(3)
+    t, x, v = (rng.uniform(0.2, 2.0, size=7) for _ in range(3))
+    for osc in (a, b):
+        e = osc.exprs
+        trees = ((e["g"], e["g_x"]), (e["f"], e["f_v"]),
+                 osc.numerator_exprs + (e["g_x"], e["f_v"], e["f_x"]))
+        for fn, args, es in zip(osc.transit_arrays,
+                                ((t, x), (t, x, v), (t, x, v)), trees):
+            names = ("t", "x", "v")[:len(args)]
+            for got, tree in zip(fn(*args), es):
+                assert list(map(repr, got.tolist())) == [
+                    repr(evaluate(tree, dict(zip(names, point))))
+                    for point in zip(*args)]
+        for ti, xi, vi in zip(t, x, v):
+            ti, xi, vi = float(ti), float(xi), float(vi)
+            assert repr(osc.f(ti, xi, vi)) == repr(evaluate(
+                e["f"], {"t": ti, "x": xi, "v": vi}))
+            th = osc.theta(ti)
+            s, c = math.sin(th), math.cos(th)
+            num = deform._crossing_numerator(osc, ti, vi, s, c, 0.4, 0.0)[0]
+            assert repr(osc.amplitude_slope(ti, vi)) == repr(num / s)
+
+
 def test_explicit_march_solves_states_only_in_the_transits(monkeypatch):
     # between poles the march calls the compiled amplitude_slope; each
     # transit solves one state at its left edge and one at its pole

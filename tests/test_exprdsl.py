@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from oscdeform import exprdsl
 from oscdeform.errors import (
     EvalDomainError,
     ExprSyntaxError,
@@ -424,3 +425,41 @@ def test_compiled_functions_are_freed_without_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_trees_of_one_shape_keep_their_own_constants():
+    # one code object for the shape c*x, each function with its own float:
+    # signed zeros, infinities and NaNs of either sign
+    x = Var("x")
+    constants = (-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 2.5)
+    fns = [function(Mul(Num(c), x), ("x",)) for c in constants]
+    assert len({fn.__code__ for fn in fns}) == 1
+    for c, fn in zip(constants, fns):
+        got, want = fn(1.0), evaluate(Mul(Num(c), x), {"x": 1.0})
+        assert repr(got) == repr(want) == repr(c)
+        assert math.copysign(1.0, got) == math.copysign(1.0, c)
+    # within one tree, two constants share an argument only when their
+    # bits are equal: the divisor (read first) is +nan, the dividend -nan
+    e = Div(Num(-math.nan), Num(math.nan))
+    got = function(e, ("x",))(1.0)
+    assert math.copysign(1.0, got) == math.copysign(1.0, evaluate(e, {}))
+
+
+def test_trees_of_one_shape_raise_for_their_own_free_name():
+    fns = {name: function(parse("x + " + name), ("x",))
+           for name in ("a", "b")}
+    assert fns["a"].__code__ is fns["b"].__code__
+    for name, fn in fns.items():
+        with pytest.raises(UnboundNameError) as info:
+            fn(1.0)
+        assert info.value.name == name
+
+
+def test_compiled_shapes_stay_within_the_cache_bound():
+    # x^k for 300 values of k: an int exponent is part of the shape
+    before = exprdsl._make.cache_info()
+    for k in range(300):
+        assert function(parse("x^%d" % k), ("x",))(1.5) == 1.5 ** k
+    info = exprdsl._make.cache_info()
+    assert info.misses - before.misses >= 300 - 256
+    assert info.currsize <= info.maxsize == 256
