@@ -21,7 +21,7 @@ from .deform import (
     pole_interval,
     pole_times,
 )
-from .exprdsl import bind
+from .exprdsl import Num, _substitute, bind, function, parse
 from .errors import (
     BracketZero,
     BranchViolation,
@@ -118,12 +118,14 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
     if abs(math.sin(th_ref)) < POLE_GUARD:
         raise CotangentPole("reference time sits on a pole")
 
-    def integrand(t):
-        th = w * t + al
-        s = math.sin(th)
-        return (w * math.cos(th) * osc.g(t, 0.0, 0.0)
-                - osc.f(t, 0.0, 0.0) * s) / (s * s)
-
+    # (w*cos(th)*g - f*s)/(s*s) with th = w*t + al and s = sin(th), as one
+    # compiled function of t; unfolded (as parsed), so each operation runs
+    # as written, with the floats of calling osc.g and osc.f
+    integrand = function(_substitute(
+        parse("(w*cos(w*t + a)*g - f*sin(w*t + a))"
+              "/(sin(w*t + a)*sin(w*t + a))"),
+        {"w": Num(w), "a": Num(al), "g": osc.exprs["g"], "f": osc.exprs["f"]}),
+        ("t",))
     I = CumulativeIntegral(integrand, t_ref)
     checked = {}
 
@@ -432,28 +434,37 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
 
 # --- Gauss hypergeometric series -------------------------------------------------------
 
-def hyp2f1(a, b, c, z, rtol=1e-12):
-    """Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1."""
-    if abs(z) >= 1.0:
-        raise ValueError("series requires |z| < 1, got z = %r" % (z,))
+def _check_c(c):
+    """ValueError where c is a non-positive integer, a pole of 2F1."""
     if float(c).is_integer() and c <= 0.0:
         raise ValueError("c must not be a non-positive integer")
+
+
+def hyp2f1(a, b, c, z, rtol=1e-12):
+    """Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1 (a
+    non-finite z is refused with the same ValueError)."""
+    if not abs(z) < 1.0:
+        raise ValueError("series requires |z| < 1, got z = %r" % (z,))
+    _check_c(c)
     term = 1.0
     total = 1.0
+    tol = 0.3 * rtol
     for k in range(10000):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        ak, bk, ck, k1 = a + k, b + k, c + k, k + 1.0
+        term *= ak * bk / (ck * k1) * z
         total += term
         if term == 0.0:
             return total
         # geometric bound on the remaining tail from the next term ratio
-        nxt = abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
-        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 0.3 * rtol * abs(total):
+        nxt = abs((ak + 1) * (bk + 1) / ((ck + 1) * (k1 + 1.0)) * z)
+        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= tol * abs(total):
             return total
     raise NoConvergence("2F1 series did not converge in %d terms" % (k + 1))
 
 
 def hyp2f1_deriv(a, b, c, z):
     """d/dz 2F1(a,b;c;z) = (a b / c) 2F1(a+1, b+1; c+1; z)."""
+    _check_c(c)
     return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
 
 
@@ -489,13 +500,11 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     def dphi1(wv):
         return 2.0 * wv * hyp2f1_deriv(a, b, 0.5, wv * wv)
 
-    def phi2(wv):
-        return wv * hyp2f1(a + 0.5, b + 0.5, 1.5, wv * wv)
-
-    def dphi2(wv):
+    def phi2_dphi2(wv):
+        """phi2 and its derivative, which share one series."""
         z = wv * wv
-        return (hyp2f1(a + 0.5, b + 0.5, 1.5, z)
-                + 2.0 * z * hyp2f1_deriv(a + 0.5, b + 0.5, 1.5, z))
+        F = hyp2f1(a + 0.5, b + 0.5, 1.5, z)
+        return wv * F, F + 2.0 * z * hyp2f1_deriv(a + 0.5, b + 0.5, 1.5, z)
 
     eps_hyp = 1e-3           # the series is not used this close to |w| = 1
     th0 = w_freq * t0 + al
@@ -504,7 +513,8 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     if abs(w0) > 1.0 - eps_hyp:
         raise SeriesDivergence("t0 maps to |w| = %r too close to 1" % abs(w0))
     B1 = w_freq * s0 * dphi1(w0) - mu * x0 * phi1(w0)
-    B2 = w_freq * s0 * dphi2(w0) - mu * x0 * phi2(w0)
+    p2, dp2 = phi2_dphi2(w0)
+    B2 = w_freq * s0 * dp2 - mu * x0 * p2
     C1, C2 = B2, -B1
     if C1 == 0.0 and C2 == 0.0:
         raise ValueError("degenerate matching at t0")
@@ -518,8 +528,9 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
             warnings.warn("hypergeometric path degenerates at |w| = %r; "
                           "falling back to direct integration" % abs(wv))
             return fallback(t)
-        u = C1 * phi1(wv) + C2 * phi2(wv)
-        du = C1 * dphi1(wv) + C2 * dphi2(wv)
+        p2, dp2 = phi2_dphi2(wv)
+        u = C1 * phi1(wv) + C2 * p2
+        du = C1 * dphi1(wv) + C2 * dp2
         if u == 0.0:
             raise SeriesDivergence("series denominator vanished at t = %r" % t)
         return w_freq * math.sin(th) * du / (mu * u)

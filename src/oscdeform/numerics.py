@@ -438,12 +438,38 @@ _PANEL_WIDTH = 0.25
 _PANEL_NODES = 24
 
 
-@functools.cache
-def _gauss_legendre():
-    """The (node, weight) pairs of the _PANEL_NODES-point rule on [-1, 1],
-    as plain floats, so F(t) is a float and not a numpy scalar."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_PANEL_NODES)
-    return tuple(zip(gl_x.tolist(), gl_w.tolist()))
+# The _PANEL_NODES-point Gauss-Legendre rule on [-1, 1] as (node, weight)
+# pairs of plain floats, so F(t) is a float and not a numpy scalar: the
+# output of numpy.polynomial.legendre.leggauss(24), written as literals so
+# that no quadrature imports numpy.polynomial or solves for the rule.
+# tests/test_numerics.py holds each literal within 2 ulp of leggauss and
+# checks that the rule integrates x^k, k <= 47, exactly to rounding.
+_GAUSS_LEGENDRE = (
+    (-0.9951872199970213, 0.01234122979998869),
+    (-0.9747285559713095, 0.02853138862893356),
+    (-0.9382745520027328, 0.04427743881741941),
+    (-0.8864155270044011, 0.05929858491543636),
+    (-0.820001985973903, 0.07334648141108016),
+    (-0.7401241915785544, 0.0861901615319532),
+    (-0.6480936519369755, 0.09761865210411393),
+    (-0.5454214713888396, 0.10744427011596556),
+    (-0.4337935076260451, 0.11550566805372552),
+    (-0.3150426796961634, 0.1216704729278033),
+    (-0.1911188674736163, 0.12583745634682825),
+    (-0.06405689286260563, 0.12793819534675202),
+    (0.06405689286260563, 0.12793819534675202),
+    (0.1911188674736163, 0.12583745634682825),
+    (0.3150426796961634, 0.1216704729278033),
+    (0.4337935076260451, 0.11550566805372552),
+    (0.5454214713888396, 0.10744427011596556),
+    (0.6480936519369755, 0.09761865210411393),
+    (0.7401241915785544, 0.0861901615319532),
+    (0.820001985973903, 0.07334648141108016),
+    (0.8864155270044011, 0.05929858491543636),
+    (0.9382745520027328, 0.04427743881741941),
+    (0.9747285559713095, 0.02853138862893356),
+    (0.9951872199970213, 0.01234122979998869),
+)
 
 
 class CumulativeIntegral:
@@ -454,26 +480,36 @@ class CumulativeIntegral:
     t is evaluated with the same rule.  Because node placement varies
     smoothly with t, F is smooth in t (unlike adaptive quadrature whose
     subdivision pattern jumps), which matters when F feeds finite
-    differences.
+    differences.  F(t) is a pure function of t: full panels accumulate
+    outward from the origin in one order, whatever the order of queries.
+    So it keeps the value of its last query and returns it when the same
+    float (matched on its bits: 0.0 is not -0.0) is asked for again: x and
+    v of one sample ask for one t, and so do F and dF/du at one Newton
+    iterate.
     """
 
     def __init__(self, f, origin):
         self.f = f
         self.origin = float(origin)
-        self._rule = _gauss_legendre()
         # per side: _acc[side][k] = F(origin + side*k*_PANEL_WIDTH)
         self._acc = {1: [0.0], -1: [0.0]}
+        self._last = (math.nan, math.nan)  # (t, F(t)) of the last query
 
     def _panel(self, a, b):
+        f = self.f
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
         total = 0.0
-        for xi, wi in self._rule:
-            total += wi * self.f(c + h * xi)
+        for xi, wi in _GAUSS_LEGENDRE:
+            total += wi * f(c + h * xi)
         return h * total
 
     def __call__(self, t):
         t = float(t)
+        last_t, last_F = self._last
+        if t == last_t and (t or math.copysign(1.0, t)
+                            == math.copysign(1.0, last_t)):
+            return last_F
         s = (t - self.origin) / _PANEL_WIDTH
         side = 1 if s >= 0 else -1
         # full panels strictly between the origin and t, so the rule never
@@ -485,11 +521,12 @@ class CumulativeIntegral:
             e = self.origin + side * (len(acc) - 1) * _PANEL_WIDTH
             acc.append(acc[-1] + side * self._panel(
                 *sorted((e, e + side * _PANEL_WIDTH))))
-        base = acc[k]
+        F = acc[k]
         edge = self.origin + side * k * _PANEL_WIDTH
-        if t == edge:
-            return base
-        return base + self._panel(edge, t)
+        if t != edge:
+            F += self._panel(edge, t)
+        self._last = (t, F)
+        return F
 
 
 # --- root finding ---------------------------------------------------------------

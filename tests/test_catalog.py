@@ -1,10 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 import scipy.special
 
-from oscdeform import catalog
+from oscdeform import catalog, numerics
 from oscdeform.deform import integrate_first_integral
 from oscdeform.errors import (
     BracketZero,
@@ -12,6 +13,7 @@ from oscdeform.errors import (
     CotangentPole,
     DegenerateParameters,
     DomainViolation,
+    EvalDomainError,
     NoConvergence,
     NonSmoothPoint,
     NoRealRoot,
@@ -251,6 +253,50 @@ def test_case4_series_matches_direct():
             assert abs(series(float(t)) - direct(float(t))) < 1e-8
 
 
+def test_case4_series_sums_four_series_per_sample(monkeypatch):
+    """Each sample equals the formula that sums phi2's series twice, bit
+    for bit, and calls hyp2f1 four times: phi1's series, its derivative's,
+    the one series phi2 and dphi2 share, and its derivative's."""
+    mu, nu, w, al, t0, x0 = 0.8, 0.2, 1.0, 0.3, 1.0, 0.4
+    hyp = catalog.hyp2f1
+    root = math.sqrt(1.0 + 4.0 * (mu * nu / w ** 2))
+    a, b = -0.25 - 0.25 * root, -0.25 + 0.25 * root
+
+    def deriv(a, b, c, z):
+        return a * b / c * hyp(a + 1.0, b + 1.0, c + 1.0, z)
+
+    def u_du(wv):
+        z = wv * wv
+        return ((hyp(a, b, 0.5, z), wv * hyp(a + 0.5, b + 0.5, 1.5, z)),
+                (2.0 * wv * deriv(a, b, 0.5, z),
+                 hyp(a + 0.5, b + 0.5, 1.5, z)
+                 + 2.0 * z * deriv(a + 0.5, b + 0.5, 1.5, z)))
+
+    th0 = w * t0 + al
+    (p1, p2), (dp1, dp2) = u_du(-math.cos(th0))
+    C1 = w * math.sin(th0) * dp2 - mu * x0 * p2
+    C2 = -(w * math.sin(th0) * dp1 - mu * x0 * p1)
+
+    def five_series(t):
+        th = w * t + al
+        (p1, p2), (dp1, dp2) = u_du(-math.cos(th))
+        return (w * math.sin(th) * (C1 * dp1 + C2 * dp2)
+                / (mu * (C1 * p1 + C2 * p2)))
+
+    x_of_t = catalog.case4_series(mu, nu, w, al, t0=t0, x0=x0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hyp(*args)
+
+    monkeypatch.setattr(catalog, "hyp2f1", counted)
+    for t in np.linspace(0.3, 2.2, 25).tolist():
+        before = len(calls)
+        assert x_of_t(t).hex() == five_series(t).hex()
+        assert len(calls) - before == 4
+
+
 def test_case4_series_fallback_warns():
     mu, nu = 0.8, 0.2
     series = catalog.case4_series(mu, nu, 1.0, 0.0, t0=1.2, x0=0.3)
@@ -392,6 +438,119 @@ def test_hyp2f1_input_validation():
         catalog.hyp2f1(1.0, 1.0, -1.0, 0.5)
     with pytest.raises(NoConvergence):
         catalog.hyp2f1(1.0, 1.0, 2.0, 0.9999)
+
+
+def test_hyp2f1_deriv_refuses_c_at_a_pole():
+    """c = 0 raises hyp2f1's ValueError, not a ZeroDivisionError from the
+    prefactor a*b/c."""
+    for c in (0.0, -0.0, -2.0):
+        with pytest.raises(ValueError, match="non-positive integer"):
+            catalog.hyp2f1_deriv(0.5, 0.75, c, 0.3)
+
+
+def test_hyp2f1_refuses_non_finite_z():
+    """A NaN or infinite z fails the |z| < 1 check at once, instead of
+    running every term and raising NoConvergence."""
+    for z in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            catalog.hyp2f1(0.5, 0.75, 1.5, z)
+
+
+def _hyp2f1_loop(a, b, c, z, rtol=1e-12):
+    """The reference for catalog.hyp2f1's loop: each term's sums and
+    0.3*rtol written where they are used."""
+    term = 1.0
+    total = 1.0
+    for k in range(10000):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        if term == 0.0:
+            return total
+        nxt = abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
+        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 0.3 * rtol * abs(total):
+            return total
+    raise NoConvergence("2F1 series did not converge in %d terms" % (k + 1))
+
+
+def test_hyp2f1_is_the_reference_loop_bit_for_bit():
+    rng = random.Random(41)
+    for _ in range(3000):
+        a = rng.choice([float(rng.randint(-6, -1)), rng.uniform(-3.0, 3.0)])
+        b = rng.uniform(-3.0, 3.0)
+        c = rng.uniform(0.2, 3.5)
+        z = rng.uniform(-0.95, 0.95)
+        rtol = rng.choice([1e-12, 1e-15, 1e-8])
+        assert (catalog.hyp2f1(a, b, c, z, rtol).hex()
+                == _hyp2f1_loop(a, b, c, z, rtol).hex())
+
+
+def _recorded_quadratures(monkeypatch):
+    """Make catalog's CumulativeIntegral record each instance it builds,
+    with its integrand and the times the integrand is called at."""
+    made = []
+
+    class Recorded(numerics.CumulativeIntegral):
+        def __init__(self, f, origin):
+            self.integrand, self.calls = f, []
+
+            def counted(t):
+                self.calls.append(t)
+                return f(t)
+            super().__init__(counted, origin)
+            made.append(self)
+
+    monkeypatch.setattr(catalog, "CumulativeIntegral", Recorded)
+    return made
+
+
+def test_time_quadrature_sample_integrates_its_partial_panel_once(
+        monkeypatch):
+    """x and then v at one t: one 24-node partial panel, not two."""
+    made = _recorded_quadratures(monkeypatch)
+    sol = catalog.time_quadrature("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2",
+                                  0.9, 1.0, 0.3)
+    (I,) = made
+    for k, t in enumerate((I.origin + 0.2, I.origin - 0.1), 1):
+        sol(t)
+        sol.v_evaluator(t)
+        assert len(I.calls) == 24 * k
+
+
+def _closure_integrand(osc):
+    """The reference for time_quadrature's compiled integrand: the formula
+    as a closure calling osc.g and osc.f."""
+    w, al = osc.omega, osc.alpha
+
+    def integrand(t):
+        th = w * t + al
+        s = math.sin(th)
+        return (w * math.cos(th) * osc.g(t, 0.0, 0.0)
+                - osc.f(t, 0.0, 0.0) * s) / (s * s)
+    return integrand
+
+
+@pytest.mark.parametrize("f, g, omega, alpha", [
+    ("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2", 1.0, 0.3),
+    ("0", "0.2*sin(t)^3 + 0.1*t", 1.3, 0.0),
+    ("0.1*t - 0.4*cos(2*t)", "0", 0.7, -0.2),
+    ("0.2*exp(-t)", "0.05*t^2 - 0.1", 2.0, 1.1),
+    ("0", "0", 1.0, 0.0),
+])
+def test_time_quadrature_integrand_is_the_closure_bit_for_bit(
+        f, g, omega, alpha, monkeypatch):
+    made = _recorded_quadratures(monkeypatch)
+    sol = catalog.time_quadrature(f, g, 1.0, omega, alpha)
+    compiled, closure = made[0].integrand, _closure_integrand(sol.osc)
+    rng = random.Random(5)
+    for t in [rng.uniform(-6.0, 6.0) for _ in range(200)]:
+        assert compiled(t).hex() == closure(t).hex()
+
+
+def test_time_quadrature_integrand_at_a_pole_is_typed(monkeypatch):
+    made = _recorded_quadratures(monkeypatch)
+    catalog.time_quadrature("0.1", "0", 1.0, 1.0, 0.0)
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        made[0].integrand(0.0)
 
 
 def test_time_quadrature_rejects_state_dependence():

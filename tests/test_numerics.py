@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -418,6 +419,62 @@ def test_cumulative_integral_is_smooth_for_finite_differences():
         _, d1, d2 = fd_derivatives(F, float(t), 1e-3)
         assert d1 == pytest.approx(math.cos(t), abs=1e-9)
         assert d2 == pytest.approx(-math.sin(t), abs=1e-7)
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    """Each node and weight of numerics._GAUSS_LEGENDRE lies within 2 ulp
+    of numpy's leggauss(24), and the rule integrates x^k over [-1, 1]
+    exactly to rounding for every k <= 47, its degree; x^48, beyond it,
+    misses by more than rounding."""
+    rule = numerics._GAUSS_LEGENDRE
+    nodes, weights = np.polynomial.legendre.leggauss(numerics._PANEL_NODES)
+    assert len(rule) == numerics._PANEL_NODES
+    for (x, w), x_ref, w_ref in zip(rule, nodes.tolist(), weights.tolist()):
+        assert type(x) is float and type(w) is float
+        assert abs(x - x_ref) <= 2.0 * math.ulp(x_ref)
+        assert abs(w - w_ref) <= 2.0 * math.ulp(w_ref)
+
+    def error(k):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        return abs(math.fsum(w * x ** k for x, w in rule) - exact)
+
+    assert max(error(k) for k in range(48)) <= 3e-15
+    assert error(48) > 3e-15
+
+
+def test_cumulative_integral_is_the_same_in_any_query_order():
+    """Shuffled and repeated queries, 0.0 and -0.0 among them, give for
+    each t the bits that a fresh instance gives for t alone."""
+    def f(t):
+        return math.exp(0.3 * t) * math.cos(2.0 * t)
+
+    ts = [0.0, -0.0, 0.1, -0.1, 0.25, -0.25, 0.5, 1.37, -2.9, 3.6,
+          0.49999999999999994, -1e-300]
+    rng = random.Random(23)
+    for origin in (0.0, 0.1, -0.6):
+        fresh = {t.hex(): CumulativeIntegral(f, origin)(t).hex() for t in ts}
+        queries = ts * 3
+        rng.shuffle(queries)
+        queries += [t for t in ts for _ in range(3)]
+        F = CumulativeIntegral(f, origin)
+        assert [F(t).hex() for t in queries] == [fresh[t.hex()]
+                                                for t in queries]
+
+
+def test_cumulative_integral_remembers_its_last_query_by_bits():
+    """A repeated query costs no integrand call; -0.0 after 0.0 is
+    another float and is computed."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.cos(t)
+
+    F = CumulativeIntegral(f, 0.1)
+    for t, total in ((0.0, 24), (0.0, 24), (-0.0, 48), (-0.0, 48),
+                     (0.3, 72), (0.3, 72), (0.0, 96)):
+        F(t)
+        assert len(calls) == total
 
 
 def test_find_root_basic():
