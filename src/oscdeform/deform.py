@@ -541,6 +541,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     a pole, v0 also pins the crossing amplitude.  meta["x_of_t"] and
     meta["v_of_t"] are the dense solution; their values depend on t alone,
     and the states are their values at t_eval (see sample_trajectory).
+    meta["x_of_t"] solves for x alone, with no velocity solve.
     """
     if not t1 > t0:
         raise ValueError("driver requires t1 > t0")
@@ -587,7 +588,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
             return x, first_integral_velocity(osc, float(tq), x, v_start)
 
         return sample_trajectory(state_at, t0, t1, t_eval,
-                                 {"poles_crossed": []})
+                                 {"poles_crossed": [], "x_of_t": x_dense})
 
     if v0 is None:
         v0 = first_integral_velocity(osc, t0, x0)
@@ -638,14 +639,19 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                 return fn(min(max(tq, lo), hi))
         raise ValueError("time %r outside the integrated span" % tq)
 
-    def state_at(tq):
+    def position(tq):
+        """x at tq, and the amplitude y and theta it solves from."""
         tq = float(tq)
         y, th = y_at(tq), osc.theta(tq)
-        x = _solve_position(osc, tq, y * math.sin(th), x0)
-        return x, _solve_velocity(osc, tq, x, w * y * math.cos(th), v0)
+        return _solve_position(osc, tq, y * math.sin(th), x0), y, th
+
+    def state_at(tq):
+        x, y, th = position(tq)
+        return x, _solve_velocity(osc, float(tq), x, w * y * math.cos(th), v0)
 
     return sample_trajectory(state_at, t0, t1, t_eval,
-                             {"poles_crossed": poles_crossed})
+                             {"poles_crossed": poles_crossed,
+                              "x_of_t": lambda tq: position(tq)[0]})
 
 
 # --- time-varying frequency --------------------------------------------------------

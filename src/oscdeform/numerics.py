@@ -65,35 +65,14 @@ class Trajectory:
         self.states = states
         self.meta = meta
 
-    def __len__(self):
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
-
-    @property
-    def t(self):
-        return np.array([s.t for s in self.states])
-
-    @property
-    def x(self):
-        return np.array([s.x for s in self.states])
-
-    @property
-    def v(self):
-        return np.array([s.v for s in self.states])
-
 
 def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
     """Trajectory of the pure state_at(t) -> (x, v) sampled at t_eval.
 
     t_eval defaults to 257 points on [t0, t1]; a time outside [t0, t1]
     raises ValueError, and the times are sorted and deduplicated; an empty
-    t_eval samples no state.  meta gains the projections of state_at as
-    "x_of_t" and "v_of_t".
+    t_eval samples no state.  Where meta lacks "x_of_t" or "v_of_t", it
+    gains that projection of state_at.
     """
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 257)
@@ -101,9 +80,9 @@ def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
     if np.any(t_eval < t0) or np.any(t_eval > t1):
         raise ValueError("t_eval must lie within [t0, t1]")
     states = [PhaseState(t, *state_at(t)) for t in np.unique(t_eval).tolist()]
-    return Trajectory(states, dict(meta or {},
-                                   x_of_t=lambda t: state_at(t)[0],
-                                   v_of_t=lambda t: state_at(t)[1]))
+    return Trajectory(states, {"x_of_t": lambda t: state_at(t)[0],
+                               "v_of_t": lambda t: state_at(t)[1],
+                               **(meta or {})})
 
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5:
@@ -220,10 +199,11 @@ _DOP853 = (
 
 @functools.cache
 def _kernels(n):
-    """DOP853's step and its dense-output stages for a state of n
-    components, each written out from _DOP853 as one straight-line
+    """DOP853's first slope, step and dense-output stages for a state of
+    n components, each written out from _DOP853 as one straight-line
     function of floats and compiled once:
 
+        slope(rhs, t, y) -> the n-tuple rhs(t, y), as a stage calls it
         step(rhs, t, y, f, h) -> (y_new, f_new, E5 sums, E3 sums, K)
         dense(rhs, t, y, K, h) -> per component, h*sum_j D_j*K[j] per row
 
@@ -260,6 +240,9 @@ def _kernels(n):
     last = len(stages) + 1          # f_new, the slope at the step's end
     ys = tup(["y%d" % i for i in comps])
     K = tup(["k%d_%d" % (j, i) for j in range(last + 1) for i in comps])
+    slope = (["def slope(rhs, t, y):", "%s = y" % ys]
+             + stage(0, "t", ["y%d" % i for i in comps])
+             + ["return %s" % tup(["k0_%d" % i for i in comps])])
     step = (["def step(rhs, t, y, f, h):",
              "%s = y" % ys,
              "%s = f" % tup(["k0_%d" % i for i in comps])]
@@ -276,8 +259,9 @@ def _kernels(n):
              + ["return %s" % tup([tup(["h*(%s)" % dot(d, i) for d in D])
                                    for i in comps])])
     scope = {}
-    exec("\n    ".join(step) + "\n" + "\n    ".join(dense) + "\n", scope)
-    return scope["step"], scope["dense"]
+    exec("".join("\n    ".join(fn) + "\n" for fn in (slope, step, dense)),
+         scope)
+    return scope["slope"], scope["step"], scope["dense"]
 
 
 def _rms(values):
@@ -285,16 +269,17 @@ def _rms(values):
     return math.sqrt(sum([v * v for v in values])) / len(values) ** 0.5
 
 
-def _initial_step(field, t0, y0, f0, t1, direction, rtol, atol):
+def _initial_step(slope, rhs, t0, y0, f0, t1, direction, rtol, atol):
     """scipy's select_initial_step for DOP853's error order 7 (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. II.4); one call of field."""
+    Norsett & Wanner, Solving ODEs I, sec. II.4); one call of rhs, through
+    slope (_kernels)."""
     interval = abs(t1 - t0)
     scale = [atol + abs(yi) * rtol for yi in y0]
     d0 = _rms([yi / si for yi, si in zip(y0, scale)])
     d1 = _rms([fi / si for fi, si in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = field(t0 + h0 * direction,
+    f1 = slope(rhs, t0 + h0 * direction,
                tuple([yi + h0 * direction * fi for yi, fi in zip(y0, f0)]))
     d2 = _rms([(a - b) / si for a, b, si in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -333,28 +318,22 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
         raise ValueError("t-span must be finite and non-degenerate")
     if not (rtol > 0 and atol > 0):
         raise ValueError("tolerances must be positive")
-    if np.ndim(y0) == 0:
-        y = (float(y0),)
-
-        def field(t, y):
-            return (float(rhs(t, y[0])),)
+    try:
+        y = tuple(y0)
+    except TypeError:           # not iterable: a number
+        y = (y0,)
     else:
-        y = np.asarray(y0, dtype=float)
-        if y.shape != (2,):
+        if len(y) != 2:
             raise ValueError("y0 must be a number or a pair")
-        y = tuple(y.tolist())
-
-        def field(t, y):
-            a, b = rhs(t, y)
-            return (float(a), float(b))
+    y = tuple([float(c) for c in y])
     if rtol < 100 * _EPS:
         warnings.warn("rtol %r is too small; using %r" % (rtol, 100 * _EPS))
         rtol = 100 * _EPS
-    step, dense = _kernels(len(y))
+    slope, step, dense = _kernels(len(y))
     t, t1 = float(t0), float(t1)
     direction = 1.0 if t1 > t else -1.0
-    f = field(t, y)
-    h_abs = _initial_step(field, t, y, f, t1, direction, rtol, atol)
+    f = slope(rhs, t, y)
+    h_abs = _initial_step(slope, rhs, t, y, f, t1, direction, rtol, atol)
     ts = [t]
     # per component, each step's (t_old, h, y_old, reversed F rows)
     pieces = tuple([] for _ in y)

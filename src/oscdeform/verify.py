@@ -162,7 +162,8 @@ def suite_phase():
                                         rtol=1e-12, atol=1e-14)
         args = np.unwrap([cmath.phase(phase_function(posc, (s.t, s.x, s.v)))
                           for s in traj.states])
-        drift = args + 2.0 * (posc.omega * traj.t + posc.alpha)
+        ts = np.array([s.t for s in traj.states])
+        drift = args + 2.0 * (posc.omega * ts + posc.alpha)
         drift -= 2.0 * math.pi * round(drift[0] / (2.0 * math.pi))
         out.append(_check("phase/arg/f=%s,g=%s" % (f_src, g_src),
                           np.max(np.abs(drift)), 1e-7))

@@ -326,7 +326,7 @@ def test_beam_t_eval_is_checked_sorted_and_deduplicated():
                      ("approx", (0.0, 0.0))):
         traj = apps.beam_solve(model, mode, ic, (0.0, 1.0),
                                t_eval=[0.5, 0.2, 0.5])
-        assert traj.t.tolist() == [0.2, 0.5]
+        assert [s.t for s in traj.states] == [0.2, 0.5]
         with pytest.raises(ValueError):
             apps.beam_solve(model, mode, ic, (0.0, 1.0), t_eval=[0.5, 1.5])
 

@@ -10,7 +10,6 @@ from oscdeform.deform import integrate_first_integral
 from oscdeform.errors import (
     BracketZero,
     BranchViolation,
-    CotangentPole,
     DegenerateParameters,
     DomainViolation,
     EvalDomainError,
@@ -18,6 +17,7 @@ from oscdeform.errors import (
     NonSmoothPoint,
     NoRealRoot,
     PoleInRange,
+    SeriesDivergence,
     UnboundNameError,
 )
 from oscdeform.numerics import fd_derivatives, residual_scan
@@ -91,7 +91,7 @@ def test_solutions_match_first_integral_integration():
     for sol, (lo, hi) in make_all_solutions():
         ts = np.linspace(lo, hi, 90)
         traj = integrate_first_integral(sol.osc, lo, sol(lo), hi, t_eval=ts)
-        worst = max(abs(traj.x[i] - sol(traj.t[i])) for i in range(len(traj)))
+        worst = max(abs(s.x - sol(s.t)) for s in traj.states)
         assert worst < 1e-6, (sol.case_id, worst)
 
 
@@ -297,14 +297,41 @@ def test_case4_series_sums_four_series_per_sample(monkeypatch):
         assert len(calls) - before == 4
 
 
-def test_case4_series_fallback_warns():
-    mu, nu = 0.8, 0.2
-    series = catalog.case4_series(mu, nu, 1.0, 0.0, t0=1.2, x0=0.3)
-    t_near_pole = 0.02                    # cos ~ 1 there
-    with pytest.warns(UserWarning):
-        val = series(t_near_pole)
-    direct = catalog.case4_riccati(mu, nu, 1.0, 0.0, t0=1.2, x0=0.3)
-    assert val == pytest.approx(direct(t_near_pole), abs=1e-9)
+# |w| = |cos(theta)| of the sweep: a coarse grid, then a fine one on both
+# sides of the cutoff 1 - 2e-3 and up to 1; each value is at least 1e-5
+# from the cutoff, so rounding in theta cannot move it across
+_SERIES_SWEEP = (0.0, 0.3, 0.6, 0.9, 0.99, 0.995, 0.997, 0.9975, 0.9979,
+                 0.99799, 0.99801, 0.9981, 0.9985, 0.9988, 0.999, 0.9995,
+                 0.9999, 1.0)
+
+
+@pytest.mark.parametrize("mu, nu", [
+    (0.8, 0.5), (0.8, 0.2), (2.0, 1.0), (0.5, -0.3),
+    (1.0, -0.25), (0.5, -0.4998),       # mu*nu/omega^2 at and near -1/4
+])
+def test_case4_series_cutoff_is_typed_and_below_it_the_series_converge(
+        mu, nu, monkeypatch):
+    """Past |w| = 1 - 2e-3 a start t0 or a sample raises SeriesDivergence;
+    below it each gives a finite x, so no series reaches hyp2f1's term cap
+    (NoConvergence).  No case4_series builds a case4_riccati."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("case4_series built a case4_riccati")
+
+    monkeypatch.setattr(catalog, "case4_riccati", refuse)
+    al, x0 = 0.3, 0.4
+    x_of_t = catalog.case4_series(mu, nu, 1.0, al, t0=0.5, x0=x0)
+    for w in _SERIES_SWEEP:
+        for sign in (1.0, -1.0):
+            t = math.acos(-sign * w) - al       # -cos(t + al) = sign*w
+            if w > 1.0 - 2e-3:
+                with pytest.raises(SeriesDivergence):
+                    x_of_t(t)
+                with pytest.raises(SeriesDivergence):
+                    catalog.case4_series(mu, nu, 1.0, al, t0=t, x0=x0)
+            else:
+                assert math.isfinite(x_of_t(t)), (w, sign)
+                started = catalog.case4_series(mu, nu, 1.0, al, t0=t, x0=x0)
+                assert started(t) == pytest.approx(x0, rel=1e-9), (w, sign)
 
 
 def test_case5_algebraic_n2():
@@ -406,10 +433,11 @@ def test_hyp2f1_identities():
             (1.0 - z) ** (-a), rel=1e-12)
         assert catalog.hyp2f1(1.0, 1.0, 2.0, z) == pytest.approx(
             -math.log(1.0 - z) / z, rel=1e-12)
-    assert catalog.hyp2f1(0.5, 1.0, 1.0, 0.25, rtol=1e-15) == pytest.approx(
-        1.1547005383792515, abs=1e-13)
-    assert catalog.hyp2f1(1.0, 1.0, 2.0, 0.5, rtol=1e-15) == pytest.approx(
-        1.3862943611198906, abs=1e-13)
+    # the series stops at its fixed relative tolerance, 1e-12
+    assert catalog.hyp2f1(0.5, 1.0, 1.0, 0.25) == pytest.approx(
+        1.1547005383792515, rel=1e-12)
+    assert catalog.hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(
+        1.3862943611198906, rel=1e-12)
 
 
 def test_hyp2f1_against_scipy():
@@ -456,9 +484,9 @@ def test_hyp2f1_refuses_non_finite_z():
             catalog.hyp2f1(0.5, 0.75, 1.5, z)
 
 
-def _hyp2f1_loop(a, b, c, z, rtol=1e-12):
+def _hyp2f1_loop(a, b, c, z):
     """The reference for catalog.hyp2f1's loop: each term's sums and
-    0.3*rtol written where they are used."""
+    0.3 of the relative tolerance 1e-12 written where they are used."""
     term = 1.0
     total = 1.0
     for k in range(10000):
@@ -467,7 +495,7 @@ def _hyp2f1_loop(a, b, c, z, rtol=1e-12):
         if term == 0.0:
             return total
         nxt = abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
-        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 0.3 * rtol * abs(total):
+        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 0.3 * 1e-12 * abs(total):
             return total
     raise NoConvergence("2F1 series did not converge in %d terms" % (k + 1))
 
@@ -479,9 +507,8 @@ def test_hyp2f1_is_the_reference_loop_bit_for_bit():
         b = rng.uniform(-3.0, 3.0)
         c = rng.uniform(0.2, 3.5)
         z = rng.uniform(-0.95, 0.95)
-        rtol = rng.choice([1e-12, 1e-15, 1e-8])
-        assert (catalog.hyp2f1(a, b, c, z, rtol).hex()
-                == _hyp2f1_loop(a, b, c, z, rtol).hex())
+        assert (catalog.hyp2f1(a, b, c, z).hex()
+                == _hyp2f1_loop(a, b, c, z).hex())
 
 
 def _recorded_quadratures(monkeypatch):
@@ -556,5 +583,3 @@ def test_time_quadrature_integrand_at_a_pole_is_typed(monkeypatch):
 def test_time_quadrature_rejects_state_dependence():
     with pytest.raises(UnboundNameError):
         catalog.time_quadrature("x", "0", 1.0)
-    with pytest.raises(CotangentPole):
-        catalog.time_quadrature("0", "0", 1.0, 1.0, 0.0, t_ref=math.pi)

@@ -226,7 +226,7 @@ def test_energy_conserved_for_gdot_equals_f():
     osc = DeformedOscillator("cos(t)", "sin(t)", 1.0, alpha=0.3)
     traj = integrate_first_integral(osc, 0.5, 0.4, 0.5 + 2 * math.pi,
                                     t_eval=np.linspace(0.5, 0.5 + 2 * math.pi, 201))
-    H = [energy(osc, s) for s in traj]
+    H = [energy(osc, s) for s in traj.states]
     assert max(H) - min(H) < 1e-8
 
 
@@ -237,8 +237,8 @@ def test_energy_rate_formula_matches_fd():
     stencil = sorted({c + d for c in centers
                       for d in (-h, -h / 2, 0.0, h / 2, h)})
     traj = integrate_first_integral(osc, 0.4, 0.5, 2.6, t_eval=stencil)
-    H = {round(s.t, 9): energy(osc, s) for s in traj}
-    states = {round(s.t, 9): s for s in traj}
+    H = {round(s.t, 9): energy(osc, s) for s in traj.states}
+    states = {round(s.t, 9): s for s in traj.states}
     for c in centers:
         d1 = (H[round(c + h, 9)] - H[round(c - h, 9)]) / (2 * h)
         d2 = (H[round(c + h / 2, 9)] - H[round(c - h / 2, 9)]) / h
@@ -284,9 +284,11 @@ def test_integrate_first_integral_harmonic_exact():
     x0 = A * math.sin(1.3 * t0 + 0.2)
     t_eval = np.linspace(t0, t0 + 2 * math.pi / 1.3, 301)
     traj = integrate_first_integral(osc, t0, x0, float(t_eval[-1]), t_eval=t_eval)
-    worst = max(abs(s.x - A * math.sin(1.3 * s.t + 0.2)) for s in traj)
+    worst = max(abs(s.x - A * math.sin(1.3 * s.t + 0.2))
+                for s in traj.states)
     assert worst < 1e-9
-    worst_v = max(abs(s.v - 1.3 * A * math.cos(1.3 * s.t + 0.2)) for s in traj)
+    worst_v = max(abs(s.v - 1.3 * A * math.cos(1.3 * s.t + 0.2))
+                  for s in traj.states)
     assert worst_v < 1e-8
 
 
@@ -316,16 +318,35 @@ def test_trajectory_values_depend_on_t_alone(name):
     coarse = produce(np.linspace(t0, t1, 101))
     fine = produce(np.linspace(t0, t1, 201))
     # the shared times of the two grids carry the same states
-    on_fine = {s.t: s for s in fine}
-    assert [on_fine[s.t] for s in coarse] == coarse.states
+    on_fine = {s.t: s for s in fine.states}
+    assert [on_fine[s.t] for s in coarse.states] == coarse.states
     # the dense pair gives the same values queried forward and backward,
     # and the states are its values
     x_of_t, v_of_t = coarse.meta["x_of_t"], coarse.meta["v_of_t"]
-    ts = coarse.t.tolist()
+    ts = [s.t for s in coarse.states]
     forward = [(x_of_t(t), v_of_t(t)) for t in ts]
     backward = [(x_of_t(t), v_of_t(t)) for t in reversed(ts)][::-1]
     assert forward == backward
-    assert forward == [(s.x, s.v) for s in coarse]
+    assert forward == [(s.x, s.v) for s in coarse.states]
+
+
+@pytest.mark.parametrize("name", ["amplitude-frame f=-0.75v+0.8",
+                                  "amplitude-frame g=0.2x^2",
+                                  "implicit g=0.15v"])
+def test_driver_position_makes_no_velocity_solve(name, monkeypatch):
+    """meta["x_of_t"] solves for x alone: at every sampled time it gives
+    the state's x bit for bit and calls neither _solve_velocity nor
+    first_integral_velocity."""
+    t0, t1, produce = _PRODUCERS[name]
+    traj = produce(np.linspace(t0, t1, 41))
+    calls = []
+    for fn in ("_solve_velocity", "first_integral_velocity"):
+        monkeypatch.setattr(deform, fn,
+                            lambda *args, fn=fn, **kw: calls.append(fn))
+    x_of_t = traj.meta["x_of_t"]
+    assert ([x_of_t(s.t).hex() for s in traj.states]
+            == [s.x.hex() for s in traj.states])
+    assert calls == []
 
 
 def test_amplitude_frame_stays_on_the_initial_branch():
@@ -335,7 +356,7 @@ def test_amplitude_frame_stays_on_the_initial_branch():
     osc = DeformedOscillator("0", "0.2*x^2", 5.0)
     traj = integrate_first_integral(osc, 0.3, -4.0, 0.5)
     assert traj.states[0].x == -4.0
-    assert np.all(traj.x < -2.5)
+    assert all(s.x < -2.5 for s in traj.states)
 
 
 def test_pole_lattice():
@@ -362,7 +383,7 @@ def test_pole_start_stays_on_the_initial_branch():
     traj = integrate_first_integral(osc, math.pi / 5.0, -5.0, 0.8, v0=-0.5)
     assert traj.states[0].x == -5.0
     assert traj.meta["poles_crossed"] == [pytest.approx(math.pi / 5.0)]
-    assert np.all(traj.x < -2.5)
+    assert all(s.x < -2.5 for s in traj.states)
 
 
 def test_pole_start_is_the_first_of_several_transits():
@@ -375,7 +396,8 @@ def test_pole_start_is_the_first_of_several_transits():
                                     v0=sol.v_evaluator(t0), rtol=1e-12)
     poles = traj.meta["poles_crossed"]
     assert poles == [pytest.approx(t0 + k * math.pi) for k in range(3)]
-    assert max(abs(s.x - sol(s.t)) / (1.0 + abs(s.x)) for s in traj) < 1e-10
+    assert max(abs(s.x - sol(s.t)) / (1.0 + abs(s.x))
+               for s in traj.states) < 1e-10
 
 
 def test_implicit_path_stays_on_the_branch_of_v0():
@@ -388,7 +410,7 @@ def test_implicit_path_stays_on_the_branch_of_v0():
     assert low < 1.0 < 9.0 < v0
     traj = integrate_first_integral(osc, t0, x0, 0.55, v0=v0)
     assert (traj.states[0].x, traj.states[0].v) == (x0, v0)
-    assert np.all(traj.v > 5.0)
+    assert all(s.v > 5.0 for s in traj.states)
 
 
 def test_implicit_path_stops_at_a_fold_of_the_velocity_law():
@@ -405,7 +427,7 @@ def test_implicit_path_stops_at_a_fold_of_the_velocity_law():
     exact = catalog.case7(c, 1.0, w, al)
     sol = catalog.case7(c, 0.3 / exact(t0), w, al)
     traj = integrate_first_integral(osc, t0, sol(t0), t_fold - 1e-3)
-    assert max(abs(s.x - sol(s.t)) for s in traj) < 1e-8
+    assert max(abs(s.x - sol(s.t)) for s in traj.states) < 1e-8
 
 
 def test_integrate_first_integral_rejects_pole_start():
@@ -516,7 +538,7 @@ def test_transit_with_a_re_expanding_mode_keeps_its_accuracy(b, closed_form,
     assert traj.meta["poles_crossed"] == [pytest.approx(math.pi)]
     exact = closed_form(0.8, t0, x0)
     after = [abs(s.x - exact(s.t)) / (1.0 + abs(s.x))
-             for s in traj if s.t > math.pi + 0.3]
+             for s in traj.states if s.t > math.pi + 0.3]
     assert max(after) < bound
 
 

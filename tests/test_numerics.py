@@ -58,12 +58,12 @@ def _circle(t):
 def test_sample_trajectory_sorts_and_deduplicates_times():
     traj = sample_trajectory(_circle, 0.0, 1.0, [0.5, 0.25, 1.0, 0.5, 0.0])
     assert isinstance(traj, Trajectory)
-    assert [s.t for s in traj] == [0.0, 0.25, 0.5, 1.0]
-    assert all(s == PhaseState(s.t, *_circle(s.t)) for s in traj)
+    assert [s.t for s in traj.states] == [0.0, 0.25, 0.5, 1.0]
+    assert all(s == PhaseState(s.t, *_circle(s.t)) for s in traj.states)
     # the default grid: 257 times spanning [t0, t1]
-    traj = sample_trajectory(_circle, 0.0, 1.0)
-    assert len(traj) == 257 and (traj.t[0], traj.t[-1]) == (0.0, 1.0)
-    assert np.all(np.diff(traj.t) > 0.0)
+    ts = [s.t for s in sample_trajectory(_circle, 0.0, 1.0).states]
+    assert len(ts) == 257 and (ts[0], ts[-1]) == (0.0, 1.0)
+    assert all(a < b for a, b in zip(ts, ts[1:]))
 
 
 def test_sample_trajectory_refuses_a_time_outside_the_span():
@@ -80,21 +80,37 @@ def test_sample_trajectory_of_no_times_keeps_the_solution():
         return _circle(t)
 
     traj = sample_trajectory(state_at, 0.0, 1.0, (), {"k": 1})
-    assert len(traj) == 0 and list(traj) == [] and calls == []
+    assert traj.states == [] and calls == []
     assert traj.meta["x_of_t"](0.3) == math.cos(0.3)
     assert traj.meta["v_of_t"](0.3) == -math.sin(0.3)
     assert traj.meta["k"] == 1
 
 
-def test_sample_trajectory_arrays_and_indexing():
+def test_trajectory_is_only_its_states_and_meta():
+    """A Trajectory is a record of two members, not a sequence: a reader
+    of len(traj) or traj.x fails loudly."""
     traj = sample_trajectory(lambda t: (2.0 * t, 3.0 * t), 0.0, 1.0,
                              [1.0, 0.0])
-    assert traj.t.tolist() == [0.0, 1.0]
-    assert traj.x.tolist() == [0.0, 2.0]
-    assert traj.v.tolist() == [0.0, 3.0]
-    assert len(traj) == 2
-    assert traj[1] == PhaseState(1.0, 2.0, 3.0)
-    assert list(traj) == traj.states
+    assert traj.states == [PhaseState(0.0, 0.0, 0.0),
+                           PhaseState(1.0, 2.0, 3.0)]
+    assert vars(traj).keys() == {"states", "meta"}
+    assert [k for k in vars(Trajectory) if not k.startswith("__")] == []
+    with pytest.raises(TypeError):
+        len(traj)
+    with pytest.raises(TypeError):
+        iter(traj)
+    with pytest.raises(AttributeError):
+        traj.x
+
+
+def test_sample_trajectory_keeps_the_projections_meta_has():
+    """sample_trajectory adds only the projections meta lacks."""
+    def x_only(t):
+        return 5.0 * t
+
+    traj = sample_trajectory(_circle, 0.0, 1.0, (), {"x_of_t": x_only})
+    assert traj.meta["x_of_t"] is x_only
+    assert traj.meta["v_of_t"](0.3) == -math.sin(0.3)
 
 
 def _oscillator(t, y):
@@ -237,9 +253,10 @@ def _advance(y, K, terms, h):
 
 
 def _loop_kernels(n):
-    """The reference for numerics._kernels(n): the same step and dense
-    stages as a loop over the tableau, each stage through a field that
-    hands rhs a float (n = 1) or a tuple and takes float() of its result."""
+    """The reference for numerics._kernels(n): the same first slope, step
+    and dense stages as a loop over the tableau, each stage through a field
+    that hands rhs a float (n = 1) or a tuple and takes float() of its
+    result; the first slope is that field itself."""
     stages, extra, B, E3, E5, D = numerics._DOP853
 
     def field(rhs, t, y):
@@ -260,7 +277,7 @@ def _loop_kernels(n):
         for c, a in extra:
             K.append(field(rhs, t + c * h, _advance(y, K, a, h)))
         return [[h * _dot(K, d, i) for d in D] for i in range(n)]
-    return step, dense
+    return field, step, dense
 
 
 @pytest.mark.parametrize("name", sorted(_DENSE_CASES))
