@@ -242,9 +242,20 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
         def accumulated(t):
             return anti(t) - ref
     else:
-        accumulated = CumulativeIntegral(
-            lambda t: sin_pow(math.sin(w * t + al), mb) * math.exp(mg * t),
-            t_ref)
+        # sin_pow's floats, with the branch on beta taken once
+        if beta_integer:
+            km = int(mb)
+
+            def integrand(t):
+                return math.sin(w * t + al) ** km * math.exp(mg * t)
+        else:
+            def integrand(t):
+                s = math.sin(w * t + al)
+                if s <= 0.0:
+                    raise DomainViolation(
+                        "sin(theta) <= 0 with fractional beta")
+                return s ** mb * math.exp(mg * t)
+        accumulated = CumulativeIntegral(integrand, t_ref)
 
     # B is monotone on each pole cell, where its integrand keeps one sign,
     # so it has a zero between t_ref and t exactly when B(t), or B at a
@@ -436,27 +447,59 @@ def _check_c(c):
         raise ValueError("c must not be a non-positive integer")
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _term_ratios(a, b, c):
+    """The per-term constants of hyp2f1's series for one (a, b, c): a
+    one-item list holding two tuples, r with r[k] = (a+k)(b+k)/((c+k)(k+1)),
+    so that term k+1 = term k * r[k] * z, and q with the tail bound's
+    q[k] = |(a+k+1)(b+k+1)/((c+k+1)(k+2))| from (a+k)+1, which is not
+    always the float a+(k+1), so q[k] is kept apart from r[k+1].  hyp2f1
+    swaps in longer tuples on demand; a sum never sees its tables change,
+    whichever thread grows them.  The last 16 (a, b, c) are kept.  Keys are
+    finite (hyp2f1 refuses NaN and infinities); 0.0 and -0.0 share a key,
+    which is harmless: a+0 rounds -0.0 to 0.0, and a zero c is refused."""
+    return [((), ())]
+
+
 def hyp2f1(a, b, c, z):
     """Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1 (a
-    non-finite z is refused with the same ValueError), summed until the
-    tail bound falls to 0.3 of the relative tolerance 1e-12; NoConvergence
-    after 10,000 terms."""
+    non-finite z is refused with the same ValueError, and so is a
+    non-finite a, b or c), summed until the tail bound falls to 0.3 of the
+    relative tolerance 1e-12; NoConvergence after 10,000 terms.  The term
+    ratios come from _term_ratios's tables, grown to twice their length
+    (at least 32) whenever a sum runs past their end."""
     if not abs(z) < 1.0:
         raise ValueError("series requires |z| < 1, got z = %r" % (z,))
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError("a, b and c must be finite, got %r, %r, %r"
+                         % (a, b, c))
     _check_c(c)
+    tables = _term_ratios(a, b, c)
+    r, q = tables[0]
+    az = abs(z)
     term = 1.0
     total = 1.0
-    for k in range(10000):
-        ak, bk, ck, k1 = a + k, b + k, c + k, k + 1.0
-        term *= ak * bk / (ck * k1) * z
-        total += term
-        if term == 0.0:
-            return total
-        # geometric bound on the remaining tail from the next term ratio
-        nxt = abs((ak + 1) * (bk + 1) / ((ck + 1) * (k1 + 1.0)) * z)
-        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 3e-13 * abs(total):
-            return total
-    raise NoConvergence("2F1 series did not converge in %d terms" % (k + 1))
+    n = 0                               # terms summed before this pass
+    while True:
+        for rk, qk in zip(r[n:], q[n:]) if n else zip(r, q):
+            term *= rk * z
+            total += term
+            if term == 0.0:
+                return total
+            # geometric bound on the remaining tail from the next term ratio
+            nxt = qk * az
+            if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 3e-13 * abs(total):
+                return total
+        n = len(r)
+        if n == 10000:
+            raise NoConvergence("2F1 series did not converge in %d terms" % n)
+        rs, qs = [], []
+        for k in range(n, min(max(2 * n, 32), 10000)):
+            ak, bk, ck, k1 = a + k, b + k, c + k, k + 1.0
+            rs.append(ak * bk / (ck * k1))
+            qs.append(abs((ak + 1) * (bk + 1) / ((ck + 1) * (k1 + 1.0))))
+        r, q = r + tuple(rs), q + tuple(qs)
+        tables[0] = r, q
 
 
 def hyp2f1_deriv(a, b, c, z):
@@ -473,6 +516,7 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     by the even/odd pair
         phi1 = F(a, b; 1/2; w^2),  phi2 = w F(a+1/2, b+1/2; 3/2; w^2)
     with a+b = -1/2, ab = -(mu*nu/omega^2)/4.  Returns an evaluator t -> x.
+    A non-finite argument raises a ValueError that names it.
     Near |w| -> 1 the series converge ever more slowly (their terms fall
     like w^(2k)/k), so past |w| = 1 - 2e-3 t0 or a sample raises
     SeriesDivergence.  Below that cutoff each series stops within about
@@ -487,6 +531,10 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     if t0 is None:
         t0 = (math.pi / 2.0 - al) / w_freq
     t0, x0 = float(t0), float(x0)
+    for name, value in (("mu", mu), ("nu", nu), ("omega", omega),
+                        ("alpha", alpha), ("t0", t0), ("x0", x0)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     lam = mu * nu / w_freq ** 2
     root = math.sqrt(1.0 + 4.0 * lam) if 1.0 + 4.0 * lam >= 0 else None
     if root is None:

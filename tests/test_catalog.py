@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -511,6 +513,141 @@ def test_hyp2f1_is_the_reference_loop_bit_for_bit():
                 == _hyp2f1_loop(a, b, c, z).hex())
 
 
+def _case4_parameters(lam):
+    """The (a, b, c) of case4_series's four series at mu*nu/omega^2 = lam."""
+    root = math.sqrt(1.0 + 4.0 * lam)
+    a, b = -0.25 - 0.25 * root, -0.25 + 0.25 * root
+    return [(a, b, 0.5), (a + 1.0, b + 1.0, 1.5),
+            (a + 0.5, b + 0.5, 1.5), (a + 1.5, b + 1.5, 2.5)]
+
+
+def _table_length(a, b, c):
+    return len(catalog._term_ratios(a, b, c)[0][0])
+
+
+def test_hyp2f1_tables_sum_long_series_bit_for_bit():
+    """At |z| up to 0.996 a series runs thousands of terms from one table."""
+    catalog._term_ratios.cache_clear()
+    for a, b, c in _case4_parameters(0.3)[:2]:
+        for z in (0.99, -0.996, 0.996):
+            assert (catalog.hyp2f1(a, b, c, z).hex()
+                    == _hyp2f1_loop(a, b, c, z).hex()), (a, b, c, z)
+        assert _table_length(a, b, c) > 1000
+
+
+def test_hyp2f1_tables_hold_the_loop_ratios():
+    """r[k] and q[k] are the reference loop's expressions, bit for bit;
+    q[k], from (a+k)+1, is not always |r[k+1]|, from a+(k+1)."""
+    catalog._term_ratios.cache_clear()
+    a, b, c = _case4_parameters(0.3)[1]
+    catalog.hyp2f1(a, b, c, 0.99)
+    (r, q), = catalog._term_ratios(a, b, c)
+    assert [x.hex() for x in r] == [
+        ((a + k) * (b + k) / ((c + k) * (k + 1.0))).hex()
+        for k in range(len(r))]
+    assert [x.hex() for x in q] == [
+        abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0))).hex()
+        for k in range(len(q))]
+    assert any(q[k] != abs(r[k + 1]) for k in range(len(r) - 1))
+
+
+def test_hyp2f1_table_grows_in_the_middle_of_a_sum():
+    """Each call runs past the end of the table its predecessors left, so
+    the table grows mid-sum, and every value is the reference loop's."""
+    catalog._term_ratios.cache_clear()
+    a, b, c = _case4_parameters(1.7)[2]
+    lengths = []
+    for z in (0.1, 0.8, 0.95, 0.985, -0.995):
+        assert (catalog.hyp2f1(a, b, c, z).hex()
+                == _hyp2f1_loop(a, b, c, z).hex()), z
+        lengths.append(_table_length(a, b, c))
+    assert lengths == sorted(set(lengths))
+
+
+def test_hyp2f1_short_series_after_a_long_one_is_unchanged():
+    catalog._term_ratios.cache_clear()
+    a, b, c = _case4_parameters(0.05)[0]
+    short = catalog.hyp2f1(a, b, c, 0.3)
+    long_ = catalog.hyp2f1(a, b, c, 0.995)
+    assert catalog.hyp2f1(a, b, c, 0.3).hex() == short.hex()
+    assert short.hex() == _hyp2f1_loop(a, b, c, 0.3).hex()
+    assert long_.hex() == _hyp2f1_loop(a, b, c, 0.995).hex()
+
+
+def test_hyp2f1_values_do_not_depend_on_call_order():
+    """A sequence over more (a, b, c) than the memo keeps, so tables are
+    evicted and rebuilt, gives the same bits forward and reversed."""
+    rng = random.Random(8)
+    keys = [abc for lam in (-0.2, 0.4, 3.0, 40.0, 0.7)
+            for abc in _case4_parameters(lam)]
+    calls = [rng.choice(keys) + (rng.uniform(-0.97, 0.97),)
+             for _ in range(120)]
+    catalog._term_ratios.cache_clear()
+    forward = [catalog.hyp2f1(*args).hex() for args in calls]
+    catalog._term_ratios.cache_clear()
+    backward = [catalog.hyp2f1(*args).hex() for args in reversed(calls)]
+    assert forward == backward[::-1]
+    assert forward == [_hyp2f1_loop(*args).hex() for args in calls]
+
+
+def test_hyp2f1_tables_grown_by_threads_at_once_stay_exact():
+    """Four threads grow the same tables at once, four times over, with
+    the interpreter switching threads every microsecond; every sum is the
+    reference loop's."""
+    keys = _case4_parameters(0.9)
+    zs = (0.2, 0.6, 0.9, 0.97, 0.99, -0.993)
+    want = {(abc, z): _hyp2f1_loop(*abc, z).hex() for abc in keys for z in zs}
+    got = []
+
+    def work():
+        got.extend((abc, z, catalog.hyp2f1(*abc, z).hex())
+                   for z in zs for abc in keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            catalog._term_ratios.cache_clear()
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30.0)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 16 * len(want)
+    assert all(h == want[abc, z] for abc, z, h in got)
+
+
+def test_hyp2f1_memo_stays_bounded():
+    catalog._term_ratios.cache_clear()
+    for k in range(300):
+        catalog.hyp2f1(0.1 + k / 1000.0, 0.3, 1.2, 0.5)
+    assert catalog._term_ratios.cache_info().currsize <= 16
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_hyp2f1_refuses_non_finite_parameters(which):
+    """A NaN or infinite a, b or c is refused at once: a NaN would run all
+    10,000 terms into NoConvergence, and c = inf would return 1.0."""
+    for bad in (math.nan, math.inf, -math.inf):
+        args = [0.5, 0.75, 1.5]
+        args[which] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            catalog.hyp2f1(*args, 0.3)
+        with pytest.raises(ValueError, match="must be finite"):
+            catalog.hyp2f1_deriv(*args, 0.3)
+
+
+@pytest.mark.parametrize("name", ["mu", "nu", "omega", "alpha", "t0", "x0"])
+def test_case4_series_refuses_non_finite_arguments(name):
+    args = dict(mu=0.8, nu=0.2, omega=1.0, alpha=0.3, t0=1.0, x0=0.4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            catalog.case4_series(**dict(args, **{name: bad}))
+
+
 def _recorded_quadratures(monkeypatch):
     """Make catalog's CumulativeIntegral record each instance it builds,
     with its integrand and the times the integrand is called at."""
@@ -578,6 +715,42 @@ def test_time_quadrature_integrand_at_a_pole_is_typed(monkeypatch):
     catalog.time_quadrature("0.1", "0", 1.0, 1.0, 0.0)
     with pytest.raises(EvalDomainError, match="division by zero"):
         made[0].integrand(0.0)
+
+
+def _sin_pow_integrand(beta, gamma, n, w, al):
+    """The reference for power_law's quadrature integrand:
+    sin_pow(sin(theta), (n-1)*beta) * e^((n-1)*gamma*t)."""
+    mb, mg = (n - 1) * beta, (n - 1) * gamma
+
+    def integrand(t):
+        s = math.sin(w * t + al)
+        if beta.is_integer():
+            return s ** int(mb) * math.exp(mg * t)
+        if s <= 0.0:
+            raise DomainViolation("sin(theta) <= 0 with fractional beta")
+        return s ** mb * math.exp(mg * t)
+    return integrand
+
+
+@pytest.mark.parametrize("beta, gamma, n, omega, alpha", [
+    (2.0, 0.3, 3, 1.0, 0.3), (1.0, -0.2, 2, 1.3, 0.0),
+    (1.5, 0.4, 2, 1.0, 0.0), (0.7, -0.1, 4, 0.8, 0.5),
+])
+def test_power_law_integrand_is_sin_pow_bit_for_bit(
+        beta, gamma, n, omega, alpha, monkeypatch):
+    """Integer and fractional beta, on and off the domain sin(theta) > 0."""
+    made = _recorded_quadratures(monkeypatch)
+    catalog.power_law(beta, gamma, 0.5, n, 2.0, omega, alpha,
+                      (math.pi / 2.0 - alpha) / omega, True)
+    integrand = made[0].integrand
+    reference = _sin_pow_integrand(beta, gamma, n, omega, alpha)
+    rng = random.Random(6)
+    for t in [rng.uniform(-6.0, 6.0) for _ in range(200)]:
+        if beta.is_integer() or math.sin(omega * t + alpha) > 0.0:
+            assert integrand(t).hex() == reference(t).hex()
+        else:
+            with pytest.raises(DomainViolation, match="fractional beta"):
+                integrand(t)
 
 
 def test_time_quadrature_rejects_state_dependence():
