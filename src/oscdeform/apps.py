@@ -53,10 +53,11 @@ class RcdSystem:
                  alpha=None, beta=None, gamma=None):
         self.Vf = float(Vf)
         self.D0 = float(D0)
-        if self.Vf < 0.0:
-            raise ValueError("Vf must be >= 0")
-        if self.D0 <= 0.0:
-            raise ValueError("D0 must be > 0")
+        # the negated tests refuse NaN as well
+        if not 0.0 <= self.Vf < math.inf:
+            raise ValueError("Vf must be finite and >= 0, got %r" % self.Vf)
+        if not 0.0 < self.D0 < math.inf:
+            raise ValueError("D0 must be finite and > 0, got %r" % self.D0)
         self.D = D
         self.B = B
         self.Q = Q
@@ -376,11 +377,14 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
         return sample_trajectory(lambda t: (0.0, 0.0), t0, t1, t_eval)
     phi = th0 - w * t0
 
+    def law(u, target):
+        return F(u) - target, G(u)
+
     def state_at(t):
         t = float(t)
         # F(u) ~ u near 0, so the target itself is a guess from t alone
         target = K * math.sin(w * t + phi)
-        u = solve_scalar(lambda u: F(u) - target, G, target, 1e-14)
+        u = solve_scalar(law, target, 1e-14, target)
         return u, w * K * math.cos(w * t + phi) / G(u)
 
     return sample_trajectory(state_at, t0, t1, t_eval)

@@ -39,7 +39,16 @@ from .errors import (
     UnknownFunctionError,
     ZeroDenominator,
 )
-from .exprdsl import Num, as_expr, differentiate, evaluate, to_str
+from .exprdsl import (
+    Num,
+    Var,
+    _substitute,
+    as_expr,
+    bind,
+    differentiate,
+    evaluate,
+    to_str,
+)
 from .numerics import integrate
 
 
@@ -281,28 +290,38 @@ def _write_csv(out_path, header, rows):
             fh.close()
 
 
+def _printed(e):
+    """The text of e with the velocity v written xd, as derive prints it."""
+    return to_str(_substitute(e, {"v": Var("xd")}))
+
+
 def cmd_derive(args):
+    # f, g and omega(t) print with their parameters bound
+    params = args.param or None
     if isinstance(args.omega, str):  # an expression in t
         form = generate_ode_time_varying(args.f, args.g, args.omega,
-                                         params=args.param or None)
+                                         params=params)
+        f, g, omega = (bind(e, ("t",), params)
+                       for e in (args.f, args.g, args.omega))
         integral = ("xd = omega(t)*cot(Phi(t) + alpha)*(x + g) - f,  "
-                    "Phi(t) = integral of omega;  omega(t) = %s" % args.omega)
+                    "Phi(t) = integral of omega;  omega(t) = %s"
+                    % to_str(omega))
     else:
         osc = DeformedOscillator(args.f, args.g, args.omega,
-                                 alpha=args.alpha, params=args.param or None)
+                                 alpha=args.alpha, params=params)
         form = generate_ode(osc)
+        f, g = osc.exprs["f"], osc.exprs["g"]
         integral = ("(xd + f) = omega*cot(omega*t + alpha)*(x + g)"
                     "   with omega = %.17g, alpha = %.17g"
                     % (args.omega, args.alpha))
     print("generated ODE:")
     print("  (%s) * xdd + (%s) * xd + (%s) = 0"
-          % (to_str(form.exprs["coeff_xdd"]),
-             to_str(form.exprs["coeff_xd"]),
-             to_str(form.exprs["remainder"])))
+          % tuple(_printed(form.exprs[k])
+                  for k in ("coeff_xdd", "coeff_xd", "remainder")))
     print("first integral:")
     print("  %s" % integral)
-    print("  f = %s" % args.f)
-    print("  g = %s" % args.g)
+    print("  f = %s" % _printed(f))
+    print("  g = %s" % _printed(g))
     return 0
 
 

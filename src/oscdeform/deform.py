@@ -49,7 +49,6 @@ from .numerics import (
     cheb_nodes_diff,
     integrate,
     sample_trajectory,
-    solve_elementwise,
     solve_scalar,
 )
 
@@ -104,7 +103,9 @@ class DeformedOscillator(_CompiledOnRead):
     the base frequency (> 0) and alpha the phase constant of the first
     integral.  `exprs` holds the trees of f, g and their six first
     partials; each reads as its function of (t, x, v), as in osc.g_x.
-    amplitude_slope, the explicit march's compiled slope, is built when read.
+    amplitude_slope, the explicit march's compiled slope, and the laws of
+    the three implicit relations that solve_scalar inverts are built when
+    read.
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
@@ -166,14 +167,44 @@ class DeformedOscillator(_CompiledOnRead):
     @functools.cached_property
     def transit_arrays(self):
         """Array forms (exprdsl.array_function) of what the pole transit
-        reads, from the trees in exprs: (g, g_x) of (t, x); (f, f_v) of
-        (t, x, v); and (numerator, numerator_x, g_x, f_v, f_x) of
-        (t, x, v), the numerator and the partials of its slope."""
+        reads, from the trees in exprs: (g,) of (t, x); (f,) of (t, x, v);
+        and (numerator, numerator_x, g_x, f_v, f_x) of (t, x, v), the
+        numerator and the partials of its slope."""
         e = self.exprs
-        return (array_function((e["g"], e["g_x"]), ("t", "x")),
-                array_function((e["f"], e["f_v"]), _TXV),
+        return (array_function((e["g"],), ("t", "x")),
+                array_function((e["f"],), _TXV),
                 array_function(self.numerator_exprs
                                + (e["g_x"], e["f_v"], e["f_x"]), _TXV))
+
+    def _law(self, residual, slope, names):
+        """function() of the pair of trees parsed from the texts residual
+        and slope, with f, g, their partials (as named in exprs), w = omega
+        and a = alpha substituted unfolded: solve_scalar's law."""
+        holes = dict(self.exprs, w=Num(self.omega), a=Num(self.alpha))
+        return function(tuple(_substitute(parse(text), holes)
+                              for text in (residual, slope)), names)
+
+    @functools.cached_property
+    def position_law(self):
+        """(x + g - u, 1 + g_x) of (x, t, u), for g free of v: the law of
+        x + g(t, x) = u."""
+        return self._law("x + g - u", "1 + g_x", ("x", "t", "u"))
+
+    @functools.cached_property
+    def velocity_law(self):
+        """(v + f - u, 1 + f_v) of (v, t, x, u): the law of
+        v + f(t, x, v) = u."""
+        return self._law("v + f - u", "1 + f_v", ("v", "t", "x", "u"))
+
+    @functools.cached_property
+    def first_integral_law(self):
+        """(G, G_v) of (v, t, x), the law of the first integral
+        G = (v + f)*sin(theta) - omega*cos(theta)*(x + g) = 0 in v, with
+        theta = w*t + a unfolded, as in amplitude_slope.  Where G_v
+        vanishes, the root v(t, x) folds and the velocity is not smooth."""
+        return self._law("(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)",
+                         "(1 + f_v)*sin(w*t + a) - w*cos(w*t + a)*g_v",
+                         ("v", "t", "x"))
 
 
 class OdeForm(_CompiledOnRead):
@@ -253,23 +284,8 @@ def first_integral_velocity(osc, t, x, v_start=0.0):
         raise CotangentPole(
             "implicit velocity is singular at the pole when g is v-independent")
 
-    def G(v):
-        return (v + osc.f(t, x, v)) * s - w * c * (x + osc.g(t, x, v))
-
-    def Gp(v):
-        return _velocity_law_slope(osc, t, x, v)
-
     scale = abs(w * c * x) + abs(s) + 1.0
-    return solve_scalar(G, Gp, v_start, 1e-13 * scale)
-
-
-def _velocity_law_slope(osc, t, x, v):
-    """G'(v) = (1+f_v)*sin(theta) - omega*cos(theta)*g_v, the v-derivative
-    of first_integral_velocity's G; where it vanishes, the root v(t, x)
-    folds and the velocity is not smooth."""
-    th = osc.theta(t)
-    return ((1.0 + osc.f_v(t, x, v)) * math.sin(th)
-            - osc.omega * math.cos(th) * osc.g_v(t, x, v))
+    return solve_scalar(osc.first_integral_law, v_start, 1e-13 * scale, t, x)
 
 
 def phase_function(osc, state):
@@ -338,28 +354,14 @@ def _solve_position(osc, t, target, x_start):
     when g is free of x the solution is target - g(t)."""
     if not osc.g_depends_x:
         return target - osc.g(t, 0.0, 0.0)
-
-    def h(x):
-        return x + osc.g(t, x, 0.0) - target
-
-    def hp(x):
-        return 1.0 + osc.g_x(t, x, 0.0)
-
-    return solve_scalar(h, hp, x_start, 1e-14)
+    return solve_scalar(osc.position_law, x_start, 1e-14, t, target)
 
 
 def _solve_velocity(osc, t, x, target, v_start):
     """Solve v + f(t, x, v) = target for the velocity."""
     if not osc.f_depends_v:
         return target - osc.f(t, x, 0.0)
-
-    def r(v):
-        return v + osc.f(t, x, v) - target
-
-    def rp(v):
-        return 1.0 + osc.f_v(t, x, v)
-
-    return solve_scalar(r, rp, v_start, 1e-14)
+    return solve_scalar(osc.velocity_law, v_start, 1e-14, t, x, target)
 
 
 def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
@@ -372,12 +374,12 @@ def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
 
 
 def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
-    """_crossing_numerator at every node at once, and the exact slope:
-    returns the arrays (N, dN/dy, x, v), where x solves x + g = y*s from
-    xs and v solves v + f = omega*y*c from vs (solve_elementwise, or the
-    closed form when g is free of x or f of v), N = dg/dt - f, and dN/dy
-    comes from implicit differentiation of both relations (g
-    v-independent):
+    """_crossing_numerator at every node, and the exact slope: returns the
+    arrays (N, dN/dy, x, v), where x solves x + g = y*s from xs and v
+    solves v + f = omega*y*c from vs (node by node with _solve_position
+    and _solve_velocity, or on the whole array by the closed form when g
+    is free of x or f of v), N = dg/dt - f, and dN/dy comes from implicit
+    differentiation of both relations (g v-independent):
 
         dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
         dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
@@ -389,24 +391,14 @@ def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
     with np.errstate(all="ignore"):
         x_target = Y * svec
         if osc.g_depends_x:
-            def position_law(x, t, target):
-                g, g_x = position(t, x)
-                return x + g - target, 1.0 + g_x
-
-            x = solve_elementwise(position_law, xs, (ts, x_target), 1e-14,
-                                  lambda i: _solve_position(
-                                      osc, ts[i], x_target[i], xs[i]))
+            x = np.array([_solve_position(osc, *node) for node in zip(
+                ts.tolist(), x_target.tolist(), xs.tolist())])
         else:  # g reads no x
             x = x_target - position(ts, xs)[0]
         v_target = osc.omega * Y * cvec
         if osc.f_depends_v:
-            def velocity_law(v, t, x, target):
-                f, f_v = velocity(t, x, v)
-                return v + f - target, 1.0 + f_v
-
-            v = solve_elementwise(velocity_law, vs, (ts, x, v_target), 1e-14,
-                                  lambda i: _solve_velocity(
-                                      osc, ts[i], x[i], v_target[i], vs[i]))
+            v = np.array([_solve_velocity(osc, *node) for node in zip(
+                ts.tolist(), x.tolist(), v_target.tolist(), vs.tolist())])
         else:  # f reads no v
             v = v_target - velocity(ts, x, vs)[0]
         N, N_x, g_x, f_v, f_x = numerator(ts, x, v)
@@ -430,11 +422,13 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     is collocated on Chebyshev nodes spanning the whole window with the
     left-edge value pinned, which recovers the re-expanding mode from the
     region where it is numerically visible.  Each Newton iteration solves
-    every node's x and v in one array pass (_crossing_numerators, on the
-    oscillator's transit_arrays), and its Jacobian sin(theta)*D -
-    diag(dN/dy) is exact: dN/dy comes from implicit differentiation at
-    each node's solved state.  Only the entry solve at the left edge and
-    the smoothness test at the pole solve one state at a time.  Returns a
+    every node's x and v (_crossing_numerators: by the oscillator's laws
+    node by node where g reads x or f reads v, else in closed form on the
+    whole array) and evaluates the numerator on the oscillator's
+    transit_arrays; its Jacobian sin(theta)*D - diag(dN/dy) is exact:
+    dN/dy comes from implicit differentiation at each node's solved state.
+    The entry solve at the left edge and the smoothness test at the pole
+    solve one state each.  Returns a
     polynomial interpolant for y on [a, b] through 48 nodes or, when a node
     lands on the pole, a few more.  The entry solves for x and v start from
     x_start and v_start.  Raises NonSmoothPoint when no smooth crossing
@@ -569,12 +563,12 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         # regular at poles: integrate straight through, up to a fold of the
         # velocity law, where G'(v) leaves the sign it has at the start
         v_start = 0.0 if v0 is None else v0
-        slope0 = _velocity_law_slope(
-            osc, t0, x0, first_integral_velocity(osc, t0, x0, v_start))
+        law = osc.first_integral_law
+        slope0 = law(first_integral_velocity(osc, t0, x0, v_start), t0, x0)[1]
 
         def x_rhs(t, x):
             v = first_integral_velocity(osc, t, x, v_start)
-            if not _velocity_law_slope(osc, t, x, v) * slope0 > 0.0:
+            if not law(v, t, x)[1] * slope0 > 0.0:
                 raise NonSmoothPoint(
                     "the velocity law G(v) = (v+f)*sin(theta) - "
                     "omega*cos(theta)*(x+g) = 0 folds at t = %r: G'(v) "

@@ -17,10 +17,11 @@ sinh, cosh, tanh.
 
 Trees are immutable; evaluation is plain IEEE-double arithmetic with domain
 errors raised (never silent NaN).  ``evaluate`` walks the tree and is the
-reference; ``function`` compiles an expression, when it is called, into
-one Python function that computes each distinct subexpression once, with
-the same operations in the same order and the same errors.  The constants
-are arguments of the generated code, so each shape is compiled once.
+reference; ``function`` compiles an expression, or a tuple of them, when
+it is called, into one Python function that computes each distinct
+subexpression once, with the same operations in the same order and the
+same errors.  The constants are arguments of the generated code, so each
+shape is compiled once.
 ``array_function`` compiles several expressions into one function of numpy
 arrays whose elements are the scalar functions' floats, bit for bit, and
 which raises an error they raise.  Differentiation is symbolic with
@@ -680,8 +681,13 @@ class _Codegen:
         self.nonzero = set()  # divisors already tested against 0
 
     def source(self, e):
+        """The source for e, an Expr, or a tuple of them whose values body
+        returns as a tuple, computed in order."""
         try:
-            self.emit("return %s" % self.operand(e))
+            if isinstance(e, tuple):
+                self.emit("return (%s,)" % ", ".join(map(self.operand, e)))
+            else:
+                self.emit("return %s" % self.operand(e))
         except _Unreachable:
             pass
         return self.enclose(self.lines)
@@ -835,7 +841,7 @@ class _ArrayCodegen(_Codegen):
         super().__init__(names)
         self.arrays = set(names)  # texts whose value is an array
 
-    def source(self, *es):
+    def source(self, es):
         arrays = self.arrays
         try:
             values = [self.operand(e) for e in es]
@@ -910,11 +916,13 @@ def _guarded(name, expr, what, arg=None):
 def function(e, names):
     """e as a positional function of the variables `names`, distinct names
     from VARIABLES: function(e, ("u",))(0.5) is evaluate(e, {"u": 0.5}),
-    the same float or the same error.  e is compiled when function is
+    the same float or the same error.  e may be a tuple of trees: the
+    function then returns the tuple of their values, evaluated in order,
+    each subexpression they share once.  e is compiled when function is
     called, into one Python function (see _Codegen).  Trees that differ
     only in their constants share one code object, compiled once, and each
     function is bound to its own constants."""
-    return _compile(_Codegen, (e,), names)
+    return _compile(_Codegen, e, names)
 
 
 def array_function(es, names):
@@ -929,12 +937,12 @@ def array_function(es, names):
     return _compile(_ArrayCodegen, tuple(es), names)
 
 
-def _compile(codegen, es, names):
+def _compile(codegen, e, names):
     names = tuple(names)
     if len(set(names)) != len(names) or not set(names) <= set(VARIABLES):
         raise ValueError("not distinct variables: %r" % (names,))
     gen = codegen(names)
-    return _make(codegen, gen.source(*es))(*gen.values)
+    return _make(codegen, gen.source(e))(*gen.values)
 
 
 @functools.lru_cache(maxsize=256)

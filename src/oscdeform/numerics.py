@@ -23,9 +23,8 @@ NoSignChange.  Quadrature is a small self-contained routine so its node
 placement stays explicit and reproducible.  Every implicit relation (the
 first integral's position and velocity, the beam's F(u) = K sin(omega*t +
 phi)) is inverted pointwise by one safeguarded scalar solver,
-solve_scalar, or at many points at once by solve_elementwise, which takes
-solve_scalar's steps on arrays.  Nothing here imports scipy; the tests use
-it as the oracle.
+solve_scalar, from a law that returns the residual and its slope in one
+call.  Nothing here imports scipy; the tests use it as the oracle.
 """
 
 from __future__ import annotations
@@ -577,77 +576,39 @@ def find_root(f, lo, hi, tol=1e-12):
 _BRACKET_WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0)
 
 
-def solve_scalar(h, dh, guess, tol):
-    """Root of h near guess, for inverting an implicit relation pointwise.
+def solve_scalar(law, guess, tol, *params):
+    """Root of h near guess, for inverting an implicit relation pointwise,
+    where law(x, *params) returns the pair (h(x), dh/dx(x)).
 
     Newton steps from guess stop once |h(x)| <= tol*(1 + |x|).  When Newton
     stalls (zero or non-finite derivative, non-finite iterate, 60 steps
     spent) the root is bracketed instead: find_root runs on the first of a
     fixed set of widening brackets centred on guess whose ends change sign.
-    A bracket whose ends have the same sign or leave the domain of h is
-    skipped; any other error of h or dh propagates.  Raises ImplicitNoRoot
-    when no bracket changes sign.
+    A bracket whose ends have the same sign or leave the domain of the law
+    is skipped; any other error of the law propagates.  Raises
+    ImplicitNoRoot when no bracket changes sign.
     """
     x = guess = float(guess)
     for _ in range(60):
-        hx = h(x)
+        hx, d = law(x, *params)
         if abs(hx) <= tol * (1.0 + abs(x)):
             return x
-        d = dh(x)
         if d == 0.0 or not math.isfinite(d):
             break
         x_new = x - hx / d
         if not math.isfinite(x_new):
             break
         x = x_new
+
+    def h(x):
+        return law(x, *params)[0]
+
     for width in _BRACKET_WIDTHS:
         try:
             return find_root(h, guess - width, guess + width, tol=1e-15)
         except (NoSignChange, EvalDomainError):
             continue
     raise ImplicitNoRoot("no root within %g of %r" % (_BRACKET_WIDTHS[-1], guess))
-
-
-def solve_elementwise(hdh, guess, columns, tol, solve_one):
-    """Roots of h near each element of the 1-d array guess: solve_scalar
-    on every element at once.
-
-    hdh(x, *cols) returns the arrays h and dh/dx at the values x, where
-    cols are the arrays of `columns` (the parameters of h, such as a time
-    and a target per element) taken at the elements x belongs to.  Each
-    element takes solve_scalar's Newton steps, in the same floating-point
-    operations, and stops by its rule, |h(x)| <= tol*(1 + |x|); hdh sees
-    only the elements still iterating.  An element whose Newton stalls
-    (zero or non-finite derivative, non-finite iterate, 60 steps spent) is
-    solved alone by solve_one(i), which should be solve_scalar from its
-    guess: the same steps stall the same way, and it brackets.  Any error
-    of hdh propagates.  Returns a new array; numpy warnings are
-    suppressed, since solve_scalar's floats give inf and nan without one.
-    """
-    x = np.array(guess, dtype=float)
-    todo = np.arange(x.size)
-    xi, cols = x, columns
-    stalled = []
-    with np.errstate(all="ignore"):
-        for _ in range(60):
-            h, d = hdh(xi, *cols)
-            go = ~(np.abs(h) <= tol * (1.0 + np.abs(xi)))
-            if not go.all():
-                todo, xi, h, d = todo[go], xi[go], h[go], d[go]
-                cols = [c[go] for c in cols]
-            x_new = xi - h / d
-            # a zero d gives a non-finite x_new
-            ok = np.isfinite(d) & np.isfinite(x_new)
-            if not ok.all():
-                stalled += todo[~ok].tolist()
-                todo, x_new = todo[ok], x_new[ok]
-                cols = [c[ok] for c in cols]
-            if not todo.size:
-                break
-            x[todo] = xi = x_new
-    for i in stalled + todo.tolist():
-        x[i] = solve_one(i)
-    return x
 
 
 # --- Chebyshev collocation -------------------------------------------------------

@@ -74,6 +74,21 @@ def test_rcd_input_validation():
         sys.alpha(0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("Vf", math.nan), ("Vf", math.inf), ("Vf", -math.inf),
+    ("D0", math.nan), ("D0", math.inf),
+])
+def test_rcd_factories_refuse_a_non_finite_vf_or_d0(name, value):
+    # NaN passed both the Vf < 0 and the D0 <= 0 test, and every
+    # coefficient then read NaN (and Vf = inf gave B = -inf)
+    factories = (
+        lambda **kw: apps.rcd_power_family(1.0, 0.5, 1.0, **kw),
+        lambda **kw: apps.rcd_from_fg("-0.3*u + 0.6*u^2", "u", 1.0, **kw))
+    for factory in factories:
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            factory(**{name: value})
+
+
 def test_travelling_wave_trivial():
     wave = apps.rcd_travelling_wave({"beta": 1, "gamma": 0, "delta": 0,
                                      "A": 2.0, "omega": 1.0, "alpha": 0.3})

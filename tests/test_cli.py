@@ -17,6 +17,7 @@ import pytest
 
 from oscdeform import catalog, cli, verify
 from oscdeform.apps import rcd_travelling_wave
+from oscdeform.exprdsl import FUNCTIONS
 
 
 def read_rows(path):
@@ -161,6 +162,29 @@ def test_derive_prints_ode_and_first_integral(capsys):
     assert "* xdd +" in text
     assert "first integral:" in text
     assert "cot(" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "0", "--g", "b*x^2", "--omega", "1", "--param", "b=0.7"],
+    ["--g", "0.2*x^2", "--omega", "5"],
+    ["--f=-0.75*v+0.8", "--g", "c*v", "--param", "c=0.15"],
+    ["--f", "a*t", "--g", "0", "--omega", "1 + b*t", "--param", "a=2",
+     "--param", "b=0.1"],
+], ids=["param", "g-reads-x", "f-and-g-read-v", "omega-of-t"])
+def test_derive_printout_defines_every_symbol_it_uses(capsys, argv):
+    # the equation, f, g and omega(t) are written in t, x and the velocity
+    # xd alone, with every parameter bound: the printout once read the
+    # velocity as both xd and v, and defined no v
+    assert cli.main(["derive"] + argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4].startswith("  f = ") and lines[5].startswith("  g = ")
+    texts = [lines[1], lines[4][6:], lines[5][6:]]
+    if "omega(t) = " in lines[3]:
+        texts.append(lines[3].split("omega(t) = ")[1])
+    defined = {"t", "x", "xd", "xdd"} | set(FUNCTIONS)
+    for text in texts:
+        used = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text))
+        assert used <= defined, (text, used - defined)
 
 
 def test_derive_time_varying_omega(capsys):

@@ -484,28 +484,6 @@ def test_numerator_slope_matches_richardson_difference(f_src, g_src):
             assert abs(dN[i] - fd) <= 1e-7 * (1.0 + abs(dN[i])), (t, y)
 
 
-def test_pole_transit_solves_every_node_in_one_array_pass(monkeypatch):
-    # one Newton per node and collocation pass made 194 solve_scalar calls
-    # in this transit (48 nodes, 4 passes); the array pass leaves the entry
-    # solve at the left edge and the smoothness test at the pole
-    calls = []
-    solve = deform.solve_scalar
-
-    def counted(*args):
-        calls.append(None)
-        return solve(*args)
-
-    # deform's binding of numerics.solve_scalar
-    monkeypatch.setattr(deform, "solve_scalar", counted)
-    osc = DeformedOscillator("0", "0.2*x^2", 5.0)
-    pole = math.pi / 5.0
-    a, b = pole - 0.06, pole + 0.06
-    y_in = (0.3 + osc.g(a, 0.3, 0.0)) / math.sin(osc.theta(a))
-    interp = deform._pole_transit(osc, a, b, pole, y_in, 0.3, 0.0)
-    assert interp(a) == y_in
-    assert len(calls) <= 2
-
-
 def _case6_k1(d, t0, x0):
     # f = -0.5v + d, g = 0, omega = 1: x' = 2*cot(t)*x - 2d, solved by
     # x = d*sin(2t) + C*sin(t)^2
@@ -608,6 +586,29 @@ def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
         checked += 1
 
 
+_LAWS = ("position_law", "velocity_law", "first_integral_law")
+
+
+def _law_closures(osc):
+    """The residual and slope closures each law of osc stands for, in the
+    law's arguments: (x, t, u), (v, t, x, u) and (v, t, x)."""
+    w = osc.omega
+    return {
+        "position_law": (
+            lambda x, t, u: x + osc.g(t, x, 0.0) - u,
+            lambda x, t, u: 1.0 + osc.g_x(t, x, 0.0)),
+        "velocity_law": (
+            lambda v, t, x, u: v + osc.f(t, x, v) - u,
+            lambda v, t, x, u: 1.0 + osc.f_v(t, x, v)),
+        "first_integral_law": (
+            lambda v, t, x: ((v + osc.f(t, x, v)) * math.sin(osc.theta(t))
+                             - w * math.cos(osc.theta(t))
+                             * (x + osc.g(t, x, v))),
+            lambda v, t, x: ((1.0 + osc.f_v(t, x, v)) * math.sin(osc.theta(t))
+                             - w * math.cos(osc.theta(t)) * osc.g_v(t, x, v))),
+    }
+
+
 def test_oscillators_of_one_family_share_their_code_objects():
     # one (f, g) shape at two parameter points: each compiled function is
     # its own closure over its own constants, on one code object per shape
@@ -617,13 +618,14 @@ def test_oscillators_of_one_family_share_their_code_objects():
                                        (0.7, 1.1, 0.45, -2.5)))
     pairs = [(a.f, b.f), (a.amplitude_slope, b.amplitude_slope)]
     pairs += zip(a.transit_arrays, b.transit_arrays)
+    pairs += [(getattr(a, law), getattr(b, law)) for law in _LAWS]
     for fa, fb in pairs:
         assert fa is not fb and fa.__code__ is fb.__code__
     rng = np.random.default_rng(3)
     t, x, v = (rng.uniform(0.2, 2.0, size=7) for _ in range(3))
     for osc in (a, b):
         e = osc.exprs
-        trees = ((e["g"], e["g_x"]), (e["f"], e["f_v"]),
+        trees = ((e["g"],), (e["f"],),
                  osc.numerator_exprs + (e["g_x"], e["f_v"], e["f_x"]))
         for fn, args, es in zip(osc.transit_arrays,
                                 ((t, x), (t, x, v), (t, x, v)), trees):
@@ -640,6 +642,34 @@ def test_oscillators_of_one_family_share_their_code_objects():
             s, c = math.sin(th), math.cos(th)
             num = deform._crossing_numerator(osc, ti, vi, s, c, 0.4, 0.0)[0]
             assert repr(osc.amplitude_slope(ti, vi)) == repr(num / s)
+
+
+@pytest.mark.parametrize("f_src, g_src", [
+    ("a*x + c*x^3", "0"),
+    ("0", "b*x^2 + 0.1*sin(t)"),
+    ("-0.75*v + 0.8 + c*x*v^2", "b*x^3"),
+    ("0.2*x", "b*v + 0.1*x*v^2"),
+], ids=["explicit", "g-reads-x", "f-reads-v", "g-reads-v"])
+def test_each_law_is_the_residual_and_slope_it_replaces(f_src, g_src):
+    # one family at two parameter points shares each law's code object,
+    # and each law returns, by repr, the floats of the closures that
+    # evaluate its residual and its slope on the oscillator's functions
+    a, b = (DeformedOscillator(f_src, g_src, omega, alpha=alpha,
+                               params={"a": p, "b": p, "c": q})
+            for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
+                                       (0.7, 1.1, 0.45, -2.5)))
+    # the position law is x + g(t, x) = u, for g free of v
+    laws = _LAWS[a.g_depends_v:]
+    points = np.random.default_rng(11).uniform(0.2, 2.0, size=(9, 4))
+    for law in laws:
+        fa, fb = getattr(a, law), getattr(b, law)
+        assert fa is not fb and fa.__code__ is fb.__code__
+        for osc, fn in ((a, fa), (b, fb)):
+            residual, slope = _law_closures(osc)[law]
+            for point in points.tolist():
+                args = point[:fn.__code__.co_argcount]
+                assert list(map(repr, fn(*args))) == [
+                    repr(residual(*args)), repr(slope(*args))], (law, args)
 
 
 def test_explicit_march_solves_states_only_in_the_transits(monkeypatch):

@@ -35,7 +35,6 @@ from oscdeform.numerics import (
     max_abs,
     residual_scan,
     sample_trajectory,
-    solve_elementwise,
     solve_scalar,
     trajectory_residual,
 )
@@ -612,7 +611,7 @@ def test_find_root_nan_inside_the_bracket_is_typed():
 def test_solve_scalar_skips_a_bracket_with_a_nan_inside():
     # Newton stalls at once; the bracket of half-width 0.5 changes sign
     # but steps into the NaN, so the root at -0.9 comes from the next one
-    root = solve_scalar(_nan_near_zero, lambda x: 0.0, 0.0, 1e-14)
+    root = solve_scalar(lambda x: (_nan_near_zero(x), 0.0), 0.0, 1e-14)
     assert root == pytest.approx(-0.9, abs=1e-14)
 
 
@@ -695,11 +694,11 @@ def test_trajectory_residual_uses_velocity_channel():
 def test_solve_scalar_newton_converges():
     calls = []
 
-    def h(x):
+    def law(x, c):
         calls.append(x)
-        return x ** 3 - 2.0
+        return x ** 3 - c, 3.0 * x * x
 
-    root = solve_scalar(h, lambda x: 3.0 * x * x, 1.0, 1e-14)
+    root = solve_scalar(law, 1.0, 1e-14, 2.0)
     assert abs(root ** 3 - 2.0) <= 1e-14 * (1.0 + root)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
     assert len(calls) < 10            # quadratic convergence, no bracketing
@@ -708,89 +707,70 @@ def test_solve_scalar_newton_converges():
 def test_solve_scalar_falls_back_to_brackets():
     # a zero derivative stalls Newton at once; around the guess 0 the
     # brackets of half-width 0.5 and 1 have no sign change and the one of
-    # half-width 2 ends where h is undefined, so the root comes from the
-    # next one
-    def h(x):
+    # half-width 2 ends where the law is undefined, so the root comes from
+    # the next one
+    def law(x):
         if -2.5 < x < -1.5:
             raise EvalDomainError("outside the domain")
-        return x - 3.0
+        return x - 3.0, 0.0
 
-    assert solve_scalar(h, lambda x: 0.0, 0.0, 1e-14) == 3.0
+    assert solve_scalar(law, 0.0, 1e-14) == 3.0
+
+
+def test_solve_scalar_brackets_a_newton_cycle():
+    # x^3 - 2x + 2 from 0: Newton cycles 0, 1, 0, ... until its 60 steps
+    # are spent; the brackets of half-width 0.5 and 1 keep one sign, so the
+    # root comes from find_root on [-2, 2]
+    xs = []
+
+    def law(x, c):
+        xs.append(x)
+        return x * x * x - 2.0 * x + c, 3.0 * x * x - 2.0
+
+    root = solve_scalar(law, 0.0, 1e-14, 2.0)
+    assert xs[:60] == [0.0, 1.0] * 30
+    assert root == find_root(lambda x: x * x * x - 2.0 * x + 2.0,
+                             -2.0, 2.0, tol=1e-15)
+    assert abs(root ** 3 - 2.0 * root + 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("guess, slope", [(0.0, 0.0), (3.0, math.nan)],
+                         ids=["zero-slope", "nan-slope"])
+def test_solve_scalar_brackets_a_dead_slope(guess, slope):
+    # x^2 - 4 whose law reads a zero or a NaN slope at the guess: Newton
+    # stops after one call and the brackets find the root, here on the end
+    # of the half-width 2 bracket
+    xs = []
+
+    def law(x):
+        xs.append(x)
+        return x * x - 4.0, slope
+
+    root = solve_scalar(law, guess, 1e-14)
+    assert xs[0] == guess and guess not in xs[1:]
+    assert abs(root) == 2.0
 
 
 def test_solve_scalar_no_root_is_typed():
     with pytest.raises(ImplicitNoRoot):
-        solve_scalar(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.3, 1e-14)
-
-
-def test_solve_elementwise_is_solve_scalar_per_element():
-    # x^3 - 2x + c with one c per element; from the guess 0 with c = 2
-    # Newton cycles 0, 1, 0, ... until its 60 steps are spent, so only
-    # that element is handed to the scalar solve, which brackets
-    c = np.array([2.0, 2.0, 0.0, 0.0, -1.0])
-    guess = np.array([0.0, -2.0, 1.5, 0.0, 0.7])
-
-    def h(x, c):
-        return x * x * x - 2.0 * x + c
-
-    def dh(x):
-        return 3.0 * x * x - 2.0
-
-    def solve_one(i):
-        handed.append(i)
-        return solve_scalar(lambda x: h(x, c[i]), dh, guess[i], 1e-14)
-
-    handed = []
-    got = solve_elementwise(lambda x, c: (h(x, c), dh(x)), guess, (c,),
-                            1e-14, solve_one)
-    assert handed == [0]
-    want = [solve_scalar(lambda x: h(x, ci), dh, gi, 1e-14)
-            for ci, gi in zip(c.tolist(), guess.tolist())]
-    assert got.tolist() == want
-
-
-def test_solve_elementwise_hands_a_dead_derivative_to_solve_one():
-    # x^2 - 4 from the guesses 0 (zero derivative), 1 and 3 (a derivative
-    # that reads NaN): Newton stops at once on the first and the last,
-    # which go to the scalar solve, where the same derivative brackets
-    guess = np.array([0.0, 1.0, 3.0])
-    broken = np.array([False, False, True])
-
-    def dh(x, broken):
-        return math.nan if broken else 2.0 * x
-
-    def hdh(x, broken):
-        return x * x - 4.0, np.where(broken, math.nan, 2.0 * x)
-
-    def solve_one(i):
-        handed.append(i)
-        return solve_scalar(lambda x: x * x - 4.0,
-                            lambda x: dh(x, broken[i]), guess[i], 1e-14)
-
-    handed = []
-    got = solve_elementwise(hdh, guess, (broken,), 1e-14, solve_one)
-    assert handed == [0, 2]
-    want = [solve_scalar(lambda x: x * x - 4.0, lambda x: dh(x, b), g, 1e-14)
-            for g, b in zip(guess.tolist(), broken.tolist())]
-    assert got.tolist() == want
-    assert [abs(x) for x in want] == pytest.approx([2.0] * 3, rel=1e-14)
+        solve_scalar(lambda x: (x * x + 1.0, 2.0 * x), 0.3, 1e-14)
 
 
 def test_solve_scalar_propagates_foreign_errors():
-    def h(x):
+    def law(x):
         raise TypeError("not a number")
 
     with pytest.raises(TypeError):
-        solve_scalar(h, lambda x: 1.0, 0.0, 1e-14)
+        solve_scalar(law, 0.0, 1e-14)
 
-    def h_bracket(x):
+    def law_bracket(x):
         if x != 0.0:
             raise TypeError("only the guess evaluates")
-        return 1.0
+        return 1.0, 0.0
 
     # the bracket fallback does not swallow it either
     with pytest.raises(TypeError):
-        solve_scalar(h_bracket, lambda x: 0.0, 0.0, 1e-14)
+        solve_scalar(law_bracket, 0.0, 1e-14)
 
 
 # each command the library runs end to end, with only its required inputs
