@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -30,10 +31,10 @@ from .errors import (
 )
 from .exprdsl import (
     Num,
+    Sub,
     Var,
     _substitute,
     add,
-    array_function,
     bind,
     depends_on,
     differentiate,
@@ -101,20 +102,26 @@ class DeformedOscillator(_CompiledOnRead):
     f and g may be Expr trees or source strings over the variables t, x, v;
     named parameters are bound through `params` at construction.  omega is
     the base frequency (> 0) and alpha the phase constant of the first
-    integral.  `exprs` holds the trees of f, g and their six first
+    integral; a NaN or infinite omega or alpha raises a ValueError that
+    names it.  `exprs` holds the trees of f, g and their six first
     partials; each reads as its function of (t, x, v), as in osc.g_x.
+    transit_node, what the pole transit computes at a node,
     amplitude_slope, the explicit march's compiled slope, and the laws of
-    the three implicit relations that solve_scalar inverts are built when
-    read.
+    the three implicit relations that solve_scalar inverts are compiled
+    functions, built when read.
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
         f = bind(f, _TXV, params)
         g = bind(g, _TXV, params)
-        if not omega > 0:
-            raise ValueError("omega must be positive")
         self.omega = float(omega)
         self.alpha = float(alpha)
+        # the negated test refuses NaN as well
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and > 0, got %r"
+                             % self.omega)
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite, got %r" % self.alpha)
         self.exprs = {"f": f, "g": g,
                       "f_t": differentiate(f, "t"),
                       "f_x": differentiate(f, "x"),
@@ -136,45 +143,59 @@ class DeformedOscillator(_CompiledOnRead):
         return depends_on(self.exprs["g"], "x")
 
     @functools.cached_property
-    def numerator_exprs(self):
-        """The trees of dg/dt - f = g_t + g_x*v - f for v-independent g,
-        and of its x-partial g_tx + g_xx*v - f_x."""
+    def transit_exprs(self):
+        """The trees of what the pole transit reads at a node, for
+        v-independent g: N = dg/dt - f = g_t + g_x*v - f, its x-partial
+        N_x = g_tx + g_xx*v - f_x, and g_x, f_v, f_x, the partials of its
+        slope."""
         e = self.exprs
         v = Var("v")
         return (sub(add(e["g_t"], mul(e["g_x"], v)), e["f"]),
                 sub(add(differentiate(e["g_t"], "x"),
-                        mul(differentiate(e["g_x"], "x"), v)), e["f_x"]))
+                        mul(differentiate(e["g_x"], "x"), v)), e["f_x"]),
+                e["g_x"], e["f_v"], e["f_x"])
 
     @functools.cached_property
     def numerator(self):
-        """dg/dt - f (numerator_exprs) as one function of (t, x, v)."""
-        return function(self.numerator_exprs[0], _TXV)
+        """dg/dt - f (transit_exprs[0]) as one function of (t, x, v)."""
+        return function(self.transit_exprs[0], _TXV)
+
+    def _closed_state(self, x, v):
+        """{"x": x - g, "v": v - f}, with f read at that x, unfolded (as
+        parsed), so the floats of _solve_position and _solve_velocity: the
+        trees of the state where x + g and v + f are the trees x and v.
+        Where g reads x, x stays as it is, and where f reads v, so does v:
+        those are solved by their laws."""
+        e = self.exprs
+        if not self.g_depends_x:
+            x = Sub(x, e["g"])
+        if not self.f_depends_v:
+            v = Sub(v, _substitute(e["f"], {"x": x}))
+        return {"x": x, "v": v}
 
     @functools.cached_property
     def amplitude_slope(self):
         """(dg/dt - f)/sin(theta) for g free of x and f of v, compiled in
         (t, y): _crossing_numerator's operations in its order, unfolded (as
         parsed), so the same floats even at alpha = 0 or omega = 1."""
-        holes = {"w": Num(self.omega), "a": Num(self.alpha),
-                 "g": self.exprs["g"]}
-        x = _substitute(parse("u*sin(w*t + a) - g"), holes)
-        holes["f"] = _substitute(self.exprs["f"], {"x": x})
-        v = _substitute(parse("w*u*cos(w*t + a) - f"), holes)
-        holes["n"] = _substitute(self.numerator_exprs[0], {"x": x, "v": v})
+        holes = {"w": Num(self.omega), "a": Num(self.alpha)}
+        state = self._closed_state(
+            *(_substitute(parse(text), holes)
+              for text in ("u*sin(w*t + a)", "w*u*cos(w*t + a)")))
+        holes["n"] = _substitute(self.transit_exprs[0], state)
         return function(_substitute(parse("n/sin(w*t + a)"), holes),
                         ("t", "u"))
 
     @functools.cached_property
-    def transit_arrays(self):
-        """Array forms (exprdsl.array_function) of what the pole transit
-        reads, from the trees in exprs: (g,) of (t, x); (f,) of (t, x, v);
-        and (numerator, numerator_x, g_x, f_v, f_x) of (t, x, v), the
-        numerator and the partials of its slope."""
-        e = self.exprs
-        return (array_function((e["g"],), ("t", "x")),
-                array_function((e["f"],), _TXV),
-                array_function(self.numerator_exprs
-                               + (e["g_x"], e["f_v"], e["f_x"]), _TXV))
+    def transit_node(self):
+        """(x, v) + transit_exprs at one node of the pole transit, one
+        function of (t, x, v) whose x is x + g where g is free of x, and
+        whose v is v + f where f is free of v (_closed_state)."""
+        state = self._closed_state(Var("x"), Var("v"))
+        done = {}
+        return function((state["x"], state["v"])
+                        + tuple(_substitute(e, state, done)
+                                for e in self.transit_exprs), _TXV)
 
     def _law(self, residual, slope, names):
         """function() of the pair of trees parsed from the texts residual
@@ -376,34 +397,38 @@ def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
 def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
     """_crossing_numerator at every node, and the exact slope: returns the
     arrays (N, dN/dy, x, v), where x solves x + g = y*s from xs and v
-    solves v + f = omega*y*c from vs (node by node with _solve_position
-    and _solve_velocity, or on the whole array by the closed form when g
-    is free of x or f of v), N = dg/dt - f, and dN/dy comes from implicit
-    differentiation of both relations (g v-independent):
+    solves v + f = omega*y*c from vs, N = dg/dt - f, and dN/dy comes from
+    implicit differentiation of both relations (g v-independent):
 
         dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
         dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
 
-    Each element is bit for bit what the scalar functions give at its
-    node.  A non-finite slope is returned as it is, without a warning.
+    Where g reads x, x is solved at every node by its law
+    (_solve_position), and then v where f reads v (_solve_velocity); each
+    node is then one call of osc.transit_node, which computes the rest,
+    in closed form x = y*s - g where g is free of x and v = omega*y*c - f
+    where f is free of v.  Every value is bit for bit what the scalar
+    functions give at its node.  A non-finite slope is returned as it is,
+    without a warning.
     """
-    position, velocity, numerator = osc.transit_arrays
+    w = osc.omega
     with np.errstate(all="ignore"):
-        x_target = Y * svec
+        # the targets x + g and v + f; osc.transit_node subtracts g and f
+        # where g reads no x and f no v, and the others are solved here
+        ts, x, v = ts.tolist(), (Y * svec).tolist(), (w * Y * cvec).tolist()
         if osc.g_depends_x:
-            x = np.array([_solve_position(osc, *node) for node in zip(
-                ts.tolist(), x_target.tolist(), xs.tolist())])
-        else:  # g reads no x
-            x = x_target - position(ts, xs)[0]
-        v_target = osc.omega * Y * cvec
+            x = [_solve_position(osc, *node)
+                 for node in zip(ts, x, xs.tolist())]
         if osc.f_depends_v:
-            v = np.array([_solve_velocity(osc, *node) for node in zip(
-                ts.tolist(), x.tolist(), v_target.tolist(), vs.tolist())])
-        else:  # f reads no v
-            v = v_target - velocity(ts, x, vs)[0]
-        N, N_x, g_x, f_v, f_x = numerator(ts, x, v)
+            at = x if osc.g_depends_x else [
+                u - osc.g(t, 0.0, 0.0) for t, u in zip(ts, x)]
+            v = [_solve_velocity(osc, *node)
+                 for node in zip(ts, at, v, vs.tolist())]
+        x, v, N, N_x, g_x, f_v, f_x = np.fromiter(
+            itertools.chain.from_iterable(map(osc.transit_node, ts, x, v)),
+            float, 7 * len(ts)).reshape(-1, 7).T
         dx = svec / (1.0 + g_x)
-        dv = (osc.omega * cvec - f_x * dx) / (1.0 + f_v)
+        dv = (w * cvec - f_x * dx) / (1.0 + f_v)
         return N, N_x * dx + (g_x - f_v) * dv, x, v
 
 
@@ -421,12 +446,12 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
 
     is collocated on Chebyshev nodes spanning the whole window with the
     left-edge value pinned, which recovers the re-expanding mode from the
-    region where it is numerically visible.  Each Newton iteration solves
-    every node's x and v (_crossing_numerators: by the oscillator's laws
-    node by node where g reads x or f reads v, else in closed form on the
-    whole array) and evaluates the numerator on the oscillator's
-    transit_arrays; its Jacobian sin(theta)*D - diag(dN/dy) is exact:
-    dN/dy comes from implicit differentiation at each node's solved state.
+    region where it is numerically visible.  Each Newton iteration computes
+    every node with scalar compiled functions (_crossing_numerators: x by
+    the oscillator's law where g reads x, v where f reads v, then one call
+    of osc.transit_node); its Jacobian sin(theta)*D - diag(dN/dy) is
+    exact: dN/dy comes from implicit differentiation at each node's
+    solved state.
     The entry solve at the left edge and the smoothness test at the pole
     solve one state each.  Returns a
     polynomial interpolant for y on [a, b] through 48 nodes or, when a node
@@ -683,10 +708,15 @@ def riccati_family(b, omega):
     """Form  xdd + (b/omega)*xd^2/x - omega*(b-omega)*x = 0  (x != 0).
 
     Rejected degenerate parameters: b = omega collapses the linear term and
-    b = 0 breaks the phase-law normalization.
+    b = 0 breaks the phase-law normalization.  A NaN or infinite b or omega
+    raises a ValueError that names it.
     """
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    b, omega = float(b), float(omega)
+    # the negated test refuses NaN as well
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be finite and > 0, got %r" % omega)
+    if not math.isfinite(b):
+        raise ValueError("b must be finite, got %r" % b)
     if abs(b - omega) < 1e-12:
         raise DegenerateParameters("b = omega collapses the linear term")
     if abs(b) < 1e-12:

@@ -21,25 +21,20 @@ reference; ``function`` compiles an expression, or a tuple of them, when
 it is called, into one Python function that computes each distinct
 subexpression once, with the same operations in the same order and the
 same errors.  The constants are arguments of the generated code, so each
-shape is compiled once.
-``array_function`` compiles several expressions into one function of numpy
-arrays whose elements are the scalar functions' floats, bit for bit, and
-which raises an error they raise.  Differentiation is symbolic with
-constant folding (0*e -> 0, 1*e -> e and friends) and returns a graph: a
-subtree shared in its input is differentiated once, and its derivative is
-shared in the output, so repeated derivatives grow with the number of
-distinct subexpressions rather than the printed size.
+shape is compiled once.  The module computes in Python floats and imports
+no numpy.  Differentiation is symbolic with constant folding (0*e -> 0,
+1*e -> e and friends) and returns a graph: a subtree shared in its input
+is differentiated once, and its derivative is shared in the output, so
+repeated derivatives grow with the number of distinct subexpressions
+rather than the printed size.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 import struct
-
-import numpy as np
 
 from .errors import (
     EvalDomainError,
@@ -664,12 +659,9 @@ class _Codegen:
     body: every float and every unbound name is an argument of make, which
     body reads as a closure cell, so trees of one shape have one source.
     Only generated names, the argument names, int exponents and the names
-    in `scope` go into it.  Constants are told apart by their bits: 0.0
+    in _SCOPE go into it.  Constants are told apart by their bits: 0.0
     and -0.0, or NaNs of opposite sign, are two arguments, and equal ones
     share one, as equal structures share a local."""
-
-    scope = dict(FUNCTIONS, EvalDomainError=EvalDomainError,
-                 UnboundNameError=UnboundNameError)
 
     def __init__(self, names):
         self.names = names
@@ -690,14 +682,9 @@ class _Codegen:
                 self.emit("return %s" % self.operand(e))
         except _Unreachable:
             pass
-        return self.enclose(self.lines)
-
-    def enclose(self, lines):
-        """Source of make(<constants>), returning body(<names>) that runs
-        lines."""
         return "def make(%s):\n    def body(%s):\n%s\n    return body\n" % (
             ", ".join(self.constants.values()), ", ".join(self.names),
-            "\n".join("        " + line for line in lines))
+            "\n".join("        " + line for line in self.lines))
 
     def emit(self, *lines):
         self.lines.extend(lines)
@@ -729,7 +716,8 @@ class _Codegen:
         if isinstance(e, Num):
             text = self.constant(e.value)
         elif isinstance(e, Var) and e.name in self.names:
-            text = self.variable(e.name)
+            text = self.local(("float", e.name), _assignment,
+                              "float(%s)" % e.name)
         elif isinstance(e, (Var, Param)):
             self.emit("raise UnboundNameError(%s)" % self.constant(e.name))
             raise _Unreachable
@@ -740,18 +728,19 @@ class _Codegen:
             base = self.operand(e.left)
             k = _syntactic_int_exponent(e.right)
             p = k if k is not None else self.operand(e.right)
-            text = self.local(("**", base, p), self.power_lines, base, p,
+            text = self.local(("**", base, p), _power, base, p,
                               k is not None)
         elif isinstance(e, Call):
             z = self.operand(e.arg)
-            text = self.local((e.fn, z), self.call_lines, e.fn, z)
+            text = self.local((e.fn, z), _guarded, "%s(%s)" % (e.fn, z),
+                              e.fn, z)
         elif isinstance(e, _Binary):
             op = _OPERATORS[type(e)]
             if op == "/":  # the divisor first, as evaluate does
                 b = self.operand(e.right)
                 if b not in self.nonzero:
                     self.nonzero.add(b)
-                    self.emit("if %s:" % self.zero_test(b),
+                    self.emit("if %s == 0.0:" % b,
                               '    raise EvalDomainError("division by zero")')
                 a = self.operand(e.left)
             else:
@@ -763,140 +752,26 @@ class _Codegen:
         self.by_id[id(e)] = text
         return text
 
-    def variable(self, name):
-        return self.local(("float", name), _assignment, "float(%s)" % name)
-
-    def zero_test(self, b):
-        return "%s == 0.0" % b
-
-    def power_lines(self, name, base, p, integral):
-        """name = base ** p with evaluate's guards; an integral p is the
-        int exponent evaluate reads from the tree, which it never
-        evaluates."""
-        lines = []
-        if not integral:
-            lines += ["if %s < 0.0:" % base,
-                      "    raise EvalDomainError("
-                      '"fractional power of negative base %%r" %% %s)' % base]
-        if not integral or p < 0:
-            negative = "" if integral else " and %s < 0.0" % p
-            lines += ["if %s == 0.0%s:" % (base, negative),
-                      "    raise EvalDomainError("
-                      '"zero raised to a negative power")']
-        return lines + _guarded(name, "%s ** %s" % (base, p), "power")
-
-    def call_lines(self, name, fn, z):
-        return _guarded(name, "%s(%s)" % (fn, z), fn, z)
-
-
-def _each(fn, z):
-    """FUNCTIONS[fn] on each element of the array z; the first element
-    that fails raises what the scalar code raises for it."""
-    kernel = FUNCTIONS[fn]
-    values = []
-    for value in z.tolist():
-        try:
-            values.append(kernel(value))
-        except OverflowError:
-            raise EvalDomainError("overflow in %s" % fn) from None
-        except ValueError:
-            raise EvalDomainError("domain error in %s(%r)"
-                                  % (fn, value)) from None
-    return np.array(values)
-
-
-def _each_pow(base, p):
-    """base ** p per element, where base or p (a float or an int) is an
-    array; overflow raises as the scalar code does."""
-    bs, qs = (a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
-              for a in (base, p))
-    try:
-        return np.array([b ** q for b, q in zip(bs, qs)])
-    except OverflowError:
-        raise EvalDomainError("overflow in power") from None
-
-
-def _full(like, value):
-    """The array of like's shape holding value."""
-    return np.full(like.shape, value)
-
-
-class _ArrayCodegen(_Codegen):
-    """The array form of _Codegen: a function of one 1-d float array per
-    name that returns a tuple with one array per Expr.
-
-    A value that depends on a name is an array: + - * / act on it whole,
-    each function and power runs per element through the same math kernel
-    as the scalar code (_each, _each_pow), and each guard tests every
-    element and names the first that fails, so an element gets the scalar
-    code's float bit for bit or the first error any element meets.  Values
-    free of the names stay floats and run the scalar code.  The body runs
-    under np.errstate(all="ignore"): Python floats give inf and nan without
-    a warning, and so does the array form."""
-
-    scope = dict(_Codegen.scope, _each=_each, _each_pow=_each_pow,
-                 _full=_full, errstate=np.errstate)
-
-    def __init__(self, names):
-        super().__init__(names)
-        self.arrays = set(names)  # texts whose value is an array
-
-    def source(self, es):
-        arrays = self.arrays
-        try:
-            values = [self.operand(e) for e in es]
-            self.emit("return (%s,)" % ", ".join(
-                "%s.copy()" % v if v in self.names else
-                v if v in arrays else
-                "_full(%s, %s)" % (self.names[0], v) for v in values))
-        except _Unreachable:
-            pass
-        return self.enclose(['with errstate(all="ignore"):']
-                         + ["    " + line for line in self.lines])
-
-    def local(self, key, lines, *args):
-        name = super().local(key, lines, *args)
-        # key holds the operator and the texts of the operands
-        if any(o in self.arrays for o in key[1:]):
-            self.arrays.add(name)
-        return name
-
-    def variable(self, name):
-        return name
-
-    def zero_test(self, b):
-        if b in self.arrays:
-            return "not %s.all()" % b
-        return super().zero_test(b)
-
-    def power_lines(self, name, base, p, integral):
-        arrays = self.arrays
-        if not (base in arrays or p in arrays):
-            return super().power_lines(name, base, p, integral)
-        lines = []
-        if not integral:
-            test, value = (("(%s < 0.0).any()" % base,
-                            "float(%s[%s < 0.0][0])" % (base, base))
-                           if base in arrays else ("%s < 0.0" % base, base))
-            lines += ["if %s:" % test,
-                      "    raise EvalDomainError("
-                      '"fractional power of negative base %%r" %% %s)' % value]
-        if not integral or p < 0:
-            lines += ["if %s:" % ("not %s.all()" % base if integral else
-                                  "((%s == 0.0) & (%s < 0.0)).any()"
-                                  % (base, p)),
-                      "    raise EvalDomainError("
-                      '"zero raised to a negative power")']
-        return lines + ["%s = _each_pow(%s, %s)" % (name, base, p)]
-
-    def call_lines(self, name, fn, z):
-        if z not in self.arrays:
-            return super().call_lines(name, fn, z)
-        return ["%s = _each(%r, %s)" % (name, fn, z)]
-
 
 def _assignment(name, value):
     return ["%s = %s" % (name, value)]
+
+
+def _power(name, base, p, integral):
+    """Lines of name = base ** p with evaluate's guards; an integral p is
+    the int exponent evaluate reads from the tree, which it never
+    evaluates."""
+    lines = []
+    if not integral:
+        lines += ["if %s < 0.0:" % base,
+                  "    raise EvalDomainError("
+                  '"fractional power of negative base %%r" %% %s)' % base]
+    if not integral or p < 0:
+        negative = "" if integral else " and %s < 0.0" % p
+        lines += ["if %s == 0.0%s:" % (base, negative),
+                  "    raise EvalDomainError("
+                  '"zero raised to a negative power")']
+    return lines + _guarded(name, "%s ** %s" % (base, p), "power")
 
 
 def _guarded(name, expr, what, arg=None):
@@ -922,33 +797,21 @@ def function(e, names):
     called, into one Python function (see _Codegen).  Trees that differ
     only in their constants share one code object, compiled once, and each
     function is bound to its own constants."""
-    return _compile(_Codegen, e, names)
-
-
-def array_function(es, names):
-    """The expressions es as one positional function of the variables
-    `names` on numpy arrays: called with one 1-d float array per name, all
-    of one length, it returns a tuple with one new array per expression,
-    whose element i is function(e, names) at element i of the arguments,
-    bit for bit.  When an element fails, it raises the error that the
-    scalar function raises for some element, and no numpy warning.  The
-    expressions are compiled when array_function is called, and each shape
-    once, as function does (see _ArrayCodegen)."""
-    return _compile(_ArrayCodegen, tuple(es), names)
-
-
-def _compile(codegen, e, names):
     names = tuple(names)
     if len(set(names)) != len(names) or not set(names) <= set(VARIABLES):
         raise ValueError("not distinct variables: %r" % (names,))
-    gen = codegen(names)
-    return _make(codegen, gen.source(e))(*gen.values)
+    gen = _Codegen(names)
+    return _make(gen.source(e))(*gen.values)
+
+
+_SCOPE = dict(FUNCTIONS, EvalDomainError=EvalDomainError,
+              UnboundNameError=UnboundNameError)
 
 
 @functools.lru_cache(maxsize=256)
-def _make(codegen, source):
-    """The function make that source defines in codegen.scope: one per
-    shape, while its shape is among the last 256 compiled."""
+def _make(source):
+    """The function make that source defines in _SCOPE: one per shape,
+    while its shape is among the last 256 compiled."""
     made = {}
-    exec(source, codegen.scope, made)
+    exec(source, _SCOPE, made)
     return made["make"]

@@ -4,15 +4,11 @@ Random expression trees over (t, x, v) and over (u), with shared subtrees,
 signed zeros and names outside the signature, and their first two
 derivatives, go through exprdsl.function and exprdsl.evaluate at random
 points.  Both must give the same float bit for bit, or raise the same
-error type with the same message.  The array form (exprdsl.array_function)
-of a tree and its derivative, at a few points at once, must give each
-point's scalar floats bit for bit, or raise one of the errors the scalar
-functions raise at those points, and never warn.
+error type with the same message.
 """
 
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +29,6 @@ from oscdeform.exprdsl import (  # noqa: E402
     Pow,
     Sub,
     Var,
-    array_function,
     differentiate,
     evaluate,
     function,
@@ -116,33 +111,6 @@ def test_compiled_function_is_evaluate(data, signature, as_numpy):
             want = _outcome(lambda: evaluate(x, bindings))
             got = _outcome(lambda: fn(*args))
             assert got == want, (x, bindings)
-
-
-@hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
-@hypothesis.given(data=st.data(), signature=st.sampled_from(SIGNATURES))
-def test_array_form_is_the_scalar_function_per_element(data, signature):
-    e = data.draw(_trees(signature))
-    d1 = differentiate(e, data.draw(st.sampled_from(signature)))
-    rows = data.draw(st.lists(
-        st.lists(st.one_of(_numbers(), st.floats(-1e3, 1e3, width=64)),
-                 min_size=len(signature), max_size=len(signature)),
-        min_size=1, max_size=5))
-    want = [[_outcome(lambda: function(x, signature)(*row)) for row in rows]
-            for x in (e, d1)]
-    columns = [np.array(column, dtype=float) for column in zip(*rows)]
-    fn = array_function((e, d1), signature)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            got = [[struct.pack("<d", value) for value in array.tolist()]
-                   for array in fn(*columns)]
-        except OscdeformError as exc:
-            got = type(exc), str(exc)
-    errors = {o for outcomes in want for o in outcomes if isinstance(o, tuple)}
-    if errors:
-        assert got in errors, (e, rows)
-    else:
-        assert got == want, (e, rows)
 
 
 def test_signed_zero_constants_keep_their_sign():

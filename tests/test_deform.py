@@ -75,6 +75,20 @@ def test_trees_compile_on_their_first_read():
     assert twin.g is g and twin.f_x(0.4, 0.7, -0.2) == osc.f_x(0.4, 0.7, -0.2)
 
 
+@pytest.mark.parametrize("name, build", [
+    ("omega", lambda: DeformedOscillator("0", "0.15*v", math.inf)),
+    ("omega", lambda: DeformedOscillator("0", "0", math.nan)),
+    ("alpha", lambda: DeformedOscillator("0", "0", 1.0, alpha=math.nan)),
+    ("alpha", lambda: DeformedOscillator("0", "0", 1.0, alpha=-math.inf)),
+    ("alpha", lambda: catalog.harmonic(1.0, 1.0, math.nan)),
+    ("omega", lambda: riccati_family(1.0, math.inf)),
+    ("b", lambda: riccati_family(math.nan, 1.0)),
+])
+def test_non_finite_parameters_are_refused_by_name(name, build):
+    with pytest.raises(ValueError, match="^%s must be finite" % name):
+        build()
+
+
 def test_oscillator_and_form_are_freed_without_the_collector():
     enabled = gc.isenabled()
     gc.disable()
@@ -450,6 +464,8 @@ _SLOPE_PAIRS = [
     ("0.2*x", "0.1*sin(t + 0.3)^2"),
     ("-0.3*x + 0.5*x^3", "0"),
     ("-0.75*v + 0.8", "0"),          # f depends on v
+    ("-0.5*v + 0.2*x", "0.15*x^3"),  # both Newton solves at each node
+    ("0.25*sin(t + 0.3)", "0.1*sin(t + 0.3)^2"),  # t-only, explicit
 ]
 
 
@@ -457,7 +473,7 @@ _SLOPE_PAIRS = [
 def test_numerator_slope_matches_richardson_difference(f_src, g_src):
     # the transit Jacobian's dN/dy, at the Chebyshev nodes of one pole
     # window, against a Richardson central difference of the numerator;
-    # the array pass gives each node's numerator and state bit for bit
+    # the transit pass gives each node's numerator and state bit for bit
     osc = DeformedOscillator(f_src, g_src, 2.0, alpha=0.3)
     pole = (math.pi - 0.3) / 2.0
     ts, _ = cheb_nodes_diff(47, pole - 0.15, pole + 0.15)
@@ -617,31 +633,44 @@ def test_oscillators_of_one_family_share_their_code_objects():
             for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
                                        (0.7, 1.1, 0.45, -2.5)))
     pairs = [(a.f, b.f), (a.amplitude_slope, b.amplitude_slope)]
-    pairs += zip(a.transit_arrays, b.transit_arrays)
     pairs += [(getattr(a, law), getattr(b, law)) for law in _LAWS]
     for fa, fb in pairs:
         assert fa is not fb and fa.__code__ is fb.__code__
     rng = np.random.default_rng(3)
     t, x, v = (rng.uniform(0.2, 2.0, size=7) for _ in range(3))
     for osc in (a, b):
-        e = osc.exprs
-        trees = ((e["g"],), (e["f"],),
-                 osc.numerator_exprs + (e["g_x"], e["f_v"], e["f_x"]))
-        for fn, args, es in zip(osc.transit_arrays,
-                                ((t, x), (t, x, v), (t, x, v)), trees):
-            names = ("t", "x", "v")[:len(args)]
-            for got, tree in zip(fn(*args), es):
-                assert list(map(repr, got.tolist())) == [
-                    repr(evaluate(tree, dict(zip(names, point))))
-                    for point in zip(*args)]
         for ti, xi, vi in zip(t, x, v):
             ti, xi, vi = float(ti), float(xi), float(vi)
             assert repr(osc.f(ti, xi, vi)) == repr(evaluate(
-                e["f"], {"t": ti, "x": xi, "v": vi}))
+                osc.exprs["f"], {"t": ti, "x": xi, "v": vi}))
             th = osc.theta(ti)
             s, c = math.sin(th), math.cos(th)
             num = deform._crossing_numerator(osc, ti, vi, s, c, 0.4, 0.0)[0]
             assert repr(osc.amplitude_slope(ti, vi)) == repr(num / s)
+    # the transit's node function, in each family it serves: x + g in
+    # place of x where g reads no x, v + f in place of v where f reads no v
+    for f_src, g_src in (("a*x + c*x^3", "0"), ("c*x", "a*x^3"),
+                         ("a*v + c*x", "0.1*sin(t)"),
+                         ("a*v + c*x", "0.1*x^3")):
+        a, b = (DeformedOscillator(f_src, g_src, omega, alpha=alpha,
+                                   params={"a": p, "c": q})
+                for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
+                                           (0.7, 1.1, 0.45, -2.5)))
+        assert a.transit_node is not b.transit_node
+        assert a.transit_node.__code__ is b.transit_node.__code__
+        for osc in (a, b):
+            e = osc.exprs
+            for ti, xi, vi in zip(t, x, v):
+                ti, xi, vi = float(ti), float(xi), float(vi)
+                xs, vs = xi, vi
+                if not osc.g_depends_x:
+                    xs = xi - evaluate(e["g"], {"t": ti})
+                if not osc.f_depends_v:
+                    vs = vi - evaluate(e["f"], {"t": ti, "x": xs})
+                state = {"t": ti, "x": xs, "v": vs}
+                assert list(map(repr, osc.transit_node(ti, xi, vi))) == [
+                    repr(xs), repr(vs)] + [repr(evaluate(tree, state))
+                                           for tree in osc.transit_exprs]
 
 
 @pytest.mark.parametrize("f_src, g_src", [

@@ -1,7 +1,10 @@
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
 import time
-import warnings
 import weakref
 
 import numpy as np
@@ -25,7 +28,6 @@ from oscdeform.exprdsl import (
     Pow,
     Var,
     _substitute,
-    array_function,
     bind,
     depends_on,
     differentiate,
@@ -377,23 +379,6 @@ def test_constant_power_beyond_the_double_range_stays_unfolded():
     assert to_str(differentiate(parse("x*2^1100"), "x")) == "2^1100"
 
 
-@pytest.mark.parametrize("text, bad", [
-    ("exp(x)", 1000.0),        # a function that overflows
-    ("sin(x)", math.inf),      # a function outside its domain
-    ("2^x", 2000.0),           # a power that overflows
-])
-def test_array_form_raises_the_scalar_error_of_a_failing_element(text,
-                                                                  bad):
-    e = parse(text)
-    with pytest.raises(EvalDomainError) as scalar:
-        function(e, ("x",))(bad)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EvalDomainError) as array:
-            array_function((e,), ("x",))(np.array([0.5, bad, 1.0]))
-    assert str(array.value) == str(scalar.value)
-
-
 def test_function_shares_equal_subexpressions_only():
     # equal structures share one value; the same operands in the other
     # order are a different value
@@ -413,18 +398,42 @@ def test_compiled_functions_are_freed_without_the_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for make, arg in (
-                (lambda: function(e, ("x", "v")), 0.5),
-                (lambda: array_function((e, parse("x^2")), ("x", "v")),
-                 np.array([0.5, 2.0]))):
-            fn = make()
-            fn(arg, arg)
-            ref = weakref.ref(fn)
-            del fn
-            assert ref() is None
+        fn = function(e, ("x", "v"))
+        fn(0.5, 0.5)
+        ref = weakref.ref(fn)
+        del fn
+        assert ref() is None
     finally:
         if enabled:
             gc.enable()
+
+
+_NO_NUMPY = """
+import json, sys, types
+sys.modules["numpy"] = None
+# a stub package: the real __init__ imports the modules that use numpy
+package = types.ModuleType("oscdeform")
+package.__path__ = [sys.argv[1]]
+sys.modules["oscdeform"] = package
+from oscdeform import exprdsl
+fn = exprdsl.function(tuple(map(exprdsl.parse, json.loads(sys.argv[2]))),
+                      ("x", "v"))
+print(json.dumps([list(map(repr, fn(0.5, -2.0))),
+                  sorted(m for m in sys.modules if m.startswith("oscdeform"))]))
+"""
+
+
+def test_the_compiler_runs_without_numpy():
+    texts = ["sin(x)*v + 1/x", "x^2 - v^-3", "sqrt(x)*exp(v)"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY,
+         os.path.dirname(exprdsl.__file__), json.dumps(texts)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    values, modules = json.loads(proc.stdout)
+    assert values == [repr(evaluate(parse(text), {"x": 0.5, "v": -2.0}))
+                      for text in texts]
+    assert modules == ["oscdeform", "oscdeform.errors", "oscdeform.exprdsl"]
 
 
 def test_trees_of_one_shape_keep_their_own_constants():
