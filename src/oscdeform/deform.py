@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exprdsl import (
     Num,
+    Solve,
     Sub,
     Var,
     _substitute,
@@ -105,10 +106,10 @@ class DeformedOscillator(_CompiledOnRead):
     integral; a NaN or infinite omega or alpha raises a ValueError that
     names it.  `exprs` holds the trees of f, g and their six first
     partials; each reads as its function of (t, x, v), as in osc.g_x.
-    transit_node, what the pole transit computes at a node,
-    amplitude_slope, the explicit march's compiled slope, and the laws of
-    the three implicit relations that solve_scalar inverts are compiled
-    functions, built when read.
+    transit_node, what the pole transit computes at a node, and the
+    solves of the three implicit relations (position_solve,
+    velocity_solve, first_integral_solve) are compiled functions, built
+    when read; amplitude_slope(x0, v0) compiles the march's slope.
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
@@ -160,28 +161,37 @@ class DeformedOscillator(_CompiledOnRead):
         """dg/dt - f (transit_exprs[0]) as one function of (t, x, v)."""
         return function(self.transit_exprs[0], _TXV)
 
-    def _closed_state(self, x, v):
+    def _closed_state(self, x, v, x0=None, v0=None):
         """{"x": x - g, "v": v - f}, with f read at that x, unfolded (as
         parsed), so the floats of _solve_position and _solve_velocity: the
         trees of the state where x + g and v + f are the trees x and v.
-        Where g reads x, x stays as it is, and where f reads v, so does v:
-        those are solved by their laws."""
+        Where g reads x, x is position_root from the guess x0 (a tree), or
+        stays as it is when x0 is None; where f reads v, v is
+        velocity_root from v0 at that x, or stays as it is."""
         e = self.exprs
         if not self.g_depends_x:
             x = Sub(x, e["g"])
+        elif x0 is not None:
+            x = _substitute(self.position_root, {"x": x0, "u": x})
         if not self.f_depends_v:
             v = Sub(v, _substitute(e["f"], {"x": x}))
+        elif v0 is not None:
+            v = _substitute(self.velocity_root, {"v": v0, "x": x, "u": v})
         return {"x": x, "v": v}
 
-    @functools.cached_property
-    def amplitude_slope(self):
-        """(dg/dt - f)/sin(theta) for g free of x and f of v, compiled in
-        (t, y): _crossing_numerator's operations in its order, unfolded (as
-        parsed), so the same floats even at alpha = 0 or omega = 1."""
+    def amplitude_slope(self, x0, v0):
+        """(dg/dt - f)/sin(theta) for v-independent g, compiled in (t, y):
+        _crossing_numerator's operations in its order, unfolded (as
+        parsed), so the same floats even at alpha = 0 or omega = 1.  Where
+        g reads x, x is solved from x0 inside the code, by solve_scalar's
+        Newton loop on the position law, and where f reads v, v from v0;
+        x0, v0, omega and alpha are constants of the code, so a family has
+        one code object."""
         holes = {"w": Num(self.omega), "a": Num(self.alpha)}
         state = self._closed_state(
             *(_substitute(parse(text), holes)
-              for text in ("u*sin(w*t + a)", "w*u*cos(w*t + a)")))
+              for text in ("u*sin(w*t + a)", "w*u*cos(w*t + a)")),
+            Num(x0), Num(v0))
         holes["n"] = _substitute(self.transit_exprs[0], state)
         return function(_substitute(parse("n/sin(w*t + a)"), holes),
                         ("t", "u"))
@@ -197,35 +207,60 @@ class DeformedOscillator(_CompiledOnRead):
                         + tuple(_substitute(e, state, done)
                                 for e in self.transit_exprs), _TXV)
 
-    def _law(self, residual, slope, names):
-        """function() of the pair of trees parsed from the texts residual
-        and slope, with f, g, their partials (as named in exprs), w = omega
-        and a = alpha substituted unfolded: solve_scalar's law."""
+    def _root(self, residual, slope, names, tol):
+        """The Solve tree of an implicit relation: the root near the guess
+        names[0] of its law at names[1:], to tol, as solve_scalar finds
+        it.  The law (the tree's .law) is function() of the pair of trees
+        parsed from the texts residual and slope, with f, g, their
+        partials (as named in exprs), w = omega and a = alpha substituted
+        unfolded, in the variables names, the unknown first."""
         holes = dict(self.exprs, w=Num(self.omega), a=Num(self.alpha))
-        return function(tuple(_substitute(parse(text), holes)
-                              for text in (residual, slope)), names)
+        pair = tuple(_substitute(parse(text), holes)
+                     for text in (residual, slope))
+        return Solve(pair, names, (Var(names[0]), tol)
+                     + tuple(map(Var, names[1:])),
+                     solve_scalar, function(pair, names))
 
     @functools.cached_property
-    def position_law(self):
-        """(x + g - u, 1 + g_x) of (x, t, u), for g free of v: the law of
-        x + g(t, x) = u."""
-        return self._law("x + g - u", "1 + g_x", ("x", "t", "u"))
+    def position_root(self):
+        """x + g(t, x) = u solved for x from the guess x, for g free of v,
+        in (x, t, u); its law is (x + g - u, 1 + g_x)."""
+        return self._root("x + g - u", "1 + g_x", ("x", "t", "u"),
+                          Num(1e-14))
 
     @functools.cached_property
-    def velocity_law(self):
-        """(v + f - u, 1 + f_v) of (v, t, x, u): the law of
-        v + f(t, x, v) = u."""
-        return self._law("v + f - u", "1 + f_v", ("v", "t", "x", "u"))
+    def velocity_root(self):
+        """v + f(t, x, v) = u solved for v from the guess v, in
+        (v, t, x, u); its law is (v + f - u, 1 + f_v)."""
+        return self._root("v + f - u", "1 + f_v", ("v", "t", "x", "u"),
+                          Num(1e-14))
 
     @functools.cached_property
-    def first_integral_law(self):
-        """(G, G_v) of (v, t, x), the law of the first integral
-        G = (v + f)*sin(theta) - omega*cos(theta)*(x + g) = 0 in v, with
-        theta = w*t + a unfolded, as in amplitude_slope.  Where G_v
+    def first_integral_root(self):
+        """The first integral G = (v + f)*sin(theta) -
+        omega*cos(theta)*(x + g) = 0 solved for v from the guess v, to the
+        tolerance u, in (v, t, x, u); its law is (G, G_v) of (v, t, x),
+        with theta = w*t + a unfolded, as in amplitude_slope.  Where G_v
         vanishes, the root v(t, x) folds and the velocity is not smooth."""
-        return self._law("(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)",
-                         "(1 + f_v)*sin(w*t + a) - w*cos(w*t + a)*g_v",
-                         ("v", "t", "x"))
+        return self._root("(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)",
+                          "(1 + f_v)*sin(w*t + a) - w*cos(w*t + a)*g_v",
+                          ("v", "t", "x"), Var("u"))
+
+    @functools.cached_property
+    def position_solve(self):
+        """position_root as one function of (x, t, u), x the guess."""
+        return function(self.position_root, ("x", "t", "u"))
+
+    @functools.cached_property
+    def velocity_solve(self):
+        """velocity_root as one function of (v, t, x, u), v the guess."""
+        return function(self.velocity_root, ("v", "t", "x", "u"))
+
+    @functools.cached_property
+    def first_integral_solve(self):
+        """first_integral_root as one function of (v, t, x, u), v the
+        guess and u the tolerance."""
+        return function(self.first_integral_root, ("v", "t", "x", "u"))
 
 
 class OdeForm(_CompiledOnRead):
@@ -306,7 +341,7 @@ def first_integral_velocity(osc, t, x, v_start=0.0):
             "implicit velocity is singular at the pole when g is v-independent")
 
     scale = abs(w * c * x) + abs(s) + 1.0
-    return solve_scalar(osc.first_integral_law, v_start, 1e-13 * scale, t, x)
+    return osc.first_integral_solve(v_start, t, x, 1e-13 * scale)
 
 
 def phase_function(osc, state):
@@ -371,18 +406,20 @@ def fit_alpha(osc, state):
 # --- first-integral integration driver -------------------------------------------
 
 def _solve_position(osc, t, target, x_start):
-    """Solve x + g(t, x) = target near x_start (g v-independent here);
-    when g is free of x the solution is target - g(t)."""
+    """Solve x + g(t, x) = target near x_start (g v-independent here), by
+    one call of osc.position_solve; when g is free of x the solution is
+    target - g(t)."""
     if not osc.g_depends_x:
         return target - osc.g(t, 0.0, 0.0)
-    return solve_scalar(osc.position_law, x_start, 1e-14, t, target)
+    return osc.position_solve(x_start, t, target)
 
 
 def _solve_velocity(osc, t, x, target, v_start):
-    """Solve v + f(t, x, v) = target for the velocity."""
+    """Solve v + f(t, x, v) = target for the velocity near v_start, by one
+    call of osc.velocity_solve where f reads v."""
     if not osc.f_depends_v:
         return target - osc.f(t, x, 0.0)
-    return solve_scalar(osc.velocity_law, v_start, 1e-14, t, x, target)
+    return osc.velocity_solve(v_start, t, x, target)
 
 
 def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
@@ -403,9 +440,10 @@ def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
         dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
         dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
 
-    Where g reads x, x is solved at every node by its law
-    (_solve_position), and then v where f reads v (_solve_velocity); each
-    node is then one call of osc.transit_node, which computes the rest,
+    Where g reads x, x is solved at every node (_solve_position, one call
+    of the generated solve osc.position_solve, Newton inside), and then v
+    where f reads v (_solve_velocity); each node is then one call of
+    osc.transit_node, which computes the rest,
     in closed form x = y*s - g where g is free of x and v = omega*y*c - f
     where f is free of v.  Every value is bit for bit what the scalar
     functions give at its node.  A non-finite slope is returned as it is,
@@ -448,8 +486,10 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     left-edge value pinned, which recovers the re-expanding mode from the
     region where it is numerically visible.  Each Newton iteration computes
     every node with scalar compiled functions (_crossing_numerators: x by
-    the oscillator's law where g reads x, v where f reads v, then one call
-    of osc.transit_node); its Jacobian sin(theta)*D - diag(dN/dy) is
+    the oscillator's generated position solve where g reads x, v by its
+    velocity solve where f reads v, each one call with the Newton loop
+    inside, then one call of osc.transit_node); its Jacobian
+    sin(theta)*D - diag(dN/dy) is
     exact: dN/dy comes from implicit differentiation at each node's
     solved state.
     The entry solve at the left edge and the smoothness test at the pole
@@ -548,8 +588,12 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     poles and crosses each pole by spectral collocation of the regular
     sine-multiplied equation (see _pole_transit); x is recovered by solving
     x + g(t,x) = y*sin(theta) and v from v + f = omega*y*cos(theta), so no
-    quantity is ever divided by a small sine (explicit pairs, g free of x
-    and f of v, march on osc.amplitude_slope).  When g depends on v the
+    quantity is ever divided by a small sine.  Each step of the march
+    between poles is one call of osc.amplitude_slope(x0, v0), compiled for
+    this march: closed forms where g is free of x and f of v, and
+    solve_scalar's Newton loop inside the code where g reads x or f reads
+    v, with solve_scalar itself called only where Newton stalls.  When g
+    depends on v the
     scaled first integral is regular at the poles and no splitting is
     performed; a fold of the velocity law, where the v-derivative of G
     leaves the sign it has at the start, raises NonSmoothPoint naming its t.
@@ -588,7 +632,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         # regular at poles: integrate straight through, up to a fold of the
         # velocity law, where G'(v) leaves the sign it has at the start
         v_start = 0.0 if v0 is None else v0
-        law = osc.first_integral_law
+        law = osc.first_integral_root.law
         slope0 = law(first_integral_velocity(osc, t0, x0, v_start), t0, x0)[1]
 
         def x_rhs(t, x):
@@ -617,15 +661,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     poles = pole_times(w, osc.alpha, t0 + 2.0 * delta, t1 - 2.0 * delta)
     half = 0.3 / w           # collocation half-width around each pole
 
-    def y_rhs(t, y):
-        th = osc.theta(t)
-        s, c = math.sin(th), math.cos(th)
-        num, _, _ = _crossing_numerator(osc, t, y, s, c, x0, v0)
-        return num / s
-
-    if not (osc.g_depends_x or osc.f_depends_v):
-        y_rhs = osc.amplitude_slope  # the same floats in one call
-
+    slope = osc.amplitude_slope(x0, v0)
     if start_pole is None:
         y0 = (x0 + osc.g(t0, x0, 0.0)) / math.sin(osc.theta(t0))
     else:
@@ -640,7 +676,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     for p in poles:
         wa, wb = max(p - half, t0), min(p + half, t1)
         if cur_t < wa - 1e-13:
-            y_dense, = integrate(y_rhs, cur_t, cur_y, wa,
+            y_dense, = integrate(slope, cur_t, cur_y, wa,
                                  rtol=rtol, atol=atol)
             pieces.append((cur_t, wa, y_dense))
             cur_t, cur_y = wa, y_dense(wa)
@@ -649,7 +685,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         cur_t, cur_y = wb, interp(wb)
         poles_crossed.append(p)
     if cur_t < t1 - 1e-13 or not pieces:
-        y_dense, = integrate(y_rhs, cur_t, cur_y, t1, rtol=rtol, atol=atol)
+        y_dense, = integrate(slope, cur_t, cur_y, t1, rtol=rtol, atol=atol)
         pieces.append((cur_t, t1, y_dense))
 
     def y_at(tq):
@@ -704,19 +740,27 @@ def generate_ode_time_varying(f, g, omega, params=None):
 
 # --- quadratic-damping family with tanh phase law ------------------------------------
 
-def riccati_family(b, omega):
-    """Form  xdd + (b/omega)*xd^2/x - omega*(b-omega)*x = 0  (x != 0).
-
-    Rejected degenerate parameters: b = omega collapses the linear term and
-    b = 0 breaks the phase-law normalization.  A NaN or infinite b or omega
-    raises a ValueError that names it.
-    """
+def _riccati_parameters(b, omega):
+    """b and omega as floats; a NaN or infinite b or omega, or an omega
+    <= 0, raises a ValueError that names it."""
     b, omega = float(b), float(omega)
     # the negated test refuses NaN as well
     if not 0.0 < omega < math.inf:
         raise ValueError("omega must be finite and > 0, got %r" % omega)
     if not math.isfinite(b):
         raise ValueError("b must be finite, got %r" % b)
+    return b, omega
+
+
+def riccati_family(b, omega):
+    """Form  xdd + (b/omega)*xd^2/x - omega*(b-omega)*x = 0  (x != 0).
+
+    Rejected degenerate parameters: b = omega collapses the linear term and
+    b = 0 breaks the phase-law normalization.  A NaN or infinite b or omega
+    raises a ValueError that names it, as in the other riccati_ functions
+    that take them.
+    """
+    b, omega = _riccati_parameters(b, omega)
     if abs(b - omega) < 1e-12:
         raise DegenerateParameters("b = omega collapses the linear term")
     if abs(b) < 1e-12:
@@ -744,6 +788,7 @@ def _riccati_s(b, omega):
 
 def riccati_fit_alpha(b, omega, state):
     """Complex phase constant alpha matching the tanh law at one state."""
+    b, omega = _riccati_parameters(b, omega)
     if abs(b) < 1e-12 or abs(b - omega) < 1e-12:
         raise DegenerateParameters("b = 0 and b = omega are excluded")
     s = _riccati_s(b, omega)
@@ -755,6 +800,7 @@ def riccati_fit_alpha(b, omega, state):
 def riccati_phase_formula(b, omega, alpha):
     """The closed-form phase law  X(t) = -(omega + i*s*tanh(s*(t+alpha)))/b
     with s = sqrt(b^2 - omega^2) (imaginary s turns tanh into tan)."""
+    b, omega = _riccati_parameters(b, omega)
     s = _riccati_s(b, omega)
 
     def X(t):
@@ -765,6 +811,7 @@ def riccati_phase_formula(b, omega, alpha):
 def riccati_invariant(b, omega):
     """Conserved quantity of the family:
     E = v^2 * x^(2b/omega) - omega^2 (b-omega)/(b+omega) * x^(2(b+omega)/omega)."""
+    b, omega = _riccati_parameters(b, omega)
     if abs(b + omega) < 1e-12:
         raise DegenerateParameters("b = -omega degenerates the invariant")
     p = 2.0 * b / omega

@@ -21,12 +21,15 @@ reference; ``function`` compiles an expression, or a tuple of them, when
 it is called, into one Python function that computes each distinct
 subexpression once, with the same operations in the same order and the
 same errors.  The constants are arguments of the generated code, so each
-shape is compiled once.  The module computes in Python floats and imports
-no numpy.  Differentiation is symbolic with constant folding (0*e -> 0,
-1*e -> e and friends) and returns a graph: a subtree shared in its input
-is differentiated once, and its derivative is shared in the output, so
-repeated derivatives grow with the number of distinct subexpressions
-rather than the printed size.
+shape is compiled once.  A Solve node is the root of an implicit relation
+in one unknown, as numerics.solve_scalar finds it; function runs that
+Newton loop inside the generated code and calls solve_scalar, which
+reaches the code as a constant, only where Newton stalls.  The module
+computes in Python floats and imports no numpy.  Differentiation is
+symbolic with constant folding (0*e -> 0, 1*e -> e and friends) and
+returns a graph: a subtree shared in its input is differentiated once,
+and its derivative is shared in the output, so repeated derivatives grow
+with the number of distinct subexpressions rather than the printed size.
 """
 
 from __future__ import annotations
@@ -134,6 +137,27 @@ class Div(_Binary):
 
 class Pow(_Binary):
     __slots__ = ()
+
+
+class Solve(Expr):
+    """The root near a guess of an implicit relation in one unknown, as
+    solve(law, guess, tol, *params) finds it, where solve is
+    numerics.solve_scalar and law is function(pair, names): pair holds
+    the trees of the residual and its slope in the variables `names`, the
+    unknown first.  args holds the trees of guess, tol and the params,
+    which bind names[1:]; they are the node's only children.  function
+    runs solve's Newton loop inline and calls solve only where Newton
+    stalls (_Codegen.newton)."""
+
+    __slots__ = ("pair", "names", "args", "solve", "law")
+
+    def __init__(self, pair, names, args, solve, law):
+        for slot, value in zip(self.__slots__,
+                               (pair, names, tuple(args), solve, law)):
+            object.__setattr__(self, slot, value)
+
+    def __repr__(self):
+        return "Solve(%s)" % ", ".join(map(to_str, self.pair))
 
 
 # --- scalar function kernels ------------------------------------------------
@@ -368,6 +392,8 @@ def evaluate(e, bindings):
             raise EvalDomainError("overflow in %s" % e.fn) from None
         except ValueError:
             raise EvalDomainError("domain error in %s(%r)" % (e.fn, z)) from None
+    if isinstance(e, Solve):
+        return e.solve(e.law, *(evaluate(a, bindings) for a in e.args))
     raise TypeError("not an Expr node: %r" % (e,))
 
 
@@ -595,6 +621,9 @@ def _walk(e):
     elif isinstance(e, _Binary):
         yield from _walk(e.left)
         yield from _walk(e.right)
+    elif isinstance(e, Solve):
+        for a in e.args:
+            yield from _walk(a)
 
 
 def depends_on(e, name):
@@ -617,9 +646,13 @@ def _substitute(e, values, done=None):
             r = Neg(_substitute(e.arg, values, done))
         elif isinstance(e, Call):
             r = Call(e.fn, _substitute(e.arg, values, done))
-        else:
+        elif isinstance(e, _Binary):
             r = type(e)(_substitute(e.left, values, done),
                         _substitute(e.right, values, done))
+        else:  # a Solve: its args are its only children
+            r = Solve(e.pair, e.names,
+                      (_substitute(a, values, done) for a in e.args),
+                      e.solve, e.law)
         done[id(e)] = r
     return r
 
@@ -658,10 +691,11 @@ class _Codegen:
     The source defines make(<constants>), which returns that function,
     body: every float and every unbound name is an argument of make, which
     body reads as a closure cell, so trees of one shape have one source.
-    Only generated names, the argument names, int exponents and the names
-    in _SCOPE go into it.  Constants are told apart by their bits: 0.0
-    and -0.0, or NaNs of opposite sign, are two arguments, and equal ones
-    share one, as equal structures share a local."""
+    Only generated names, the argument names, int exponents, the names in
+    _SCOPE and the fixed literals of the Newton loop (newton) go into it.
+    Constants are told apart by their bits: 0.0 and -0.0, or NaNs of
+    opposite sign, are two arguments, and equal ones share one, as equal
+    structures share a local.  A Solve's solve and law are arguments too."""
 
     def __init__(self, names):
         self.names = names
@@ -747,10 +781,48 @@ class _Codegen:
                 a, b = self.operand(e.left), self.operand(e.right)
             text = self.local((op, a, b), _assignment,
                               "%s %s %s" % (a, op, b))
+        elif isinstance(e, Solve):
+            args = tuple(map(self.operand, e.args))
+            text = self.local((e.solve, e.law) + args, self.newton, e, args)
         else:
             raise TypeError("not an Expr node: %r" % (e,))
         self.by_id[id(e)] = text
         return text
+
+    def newton(self, x, e, args):
+        """Lines of x = the root that e, a Solve, finds from the texts args
+        of its guess, tol and params: solve_scalar's Newton loop, its
+        operations in its order, with the law's residual and slope computed
+        at each step as the law computes them, and e.solve called where
+        Newton stalls.  The loop's locals are its own; after it only x is
+        read, and their names may be used again."""
+        guess, tol, *params = args
+        stall = "%s = %s(%s)" % (x, self.constant(e.solve), ", ".join(
+            (self.constant(e.law),) + args))
+        self.emit("%s = float(%s)" % (x, guess), "for _ in range(60):")
+        start, outer = len(self.lines), (
+            self.names, self.by_id, self.by_key, self.nonzero)
+        self.names, self.by_id = e.names, {}
+        self.by_key, self.nonzero = dict(self.by_key), set(self.nonzero)
+        # the law's variables read the unknown and the params
+        self.by_key.update(zip([("float", name) for name in e.names],
+                               [x] + params))
+        try:
+            h, d = map(self.operand, e.pair)
+            step = "_%d" % len(self.by_key)
+        finally:
+            # on _Unreachable the body ends in the raise of the law's call
+            self.lines[start:] = ["    " + line for line in self.lines[start:]]
+            self.names, self.by_id, self.by_key, self.nonzero = outer
+        return ["    if abs(%s) <= %s * (1.0 + abs(%s)):" % (h, tol, x),
+                "        break",
+                "    if %s == 0.0 or not isfinite(%s) or not isfinite("
+                "%s := %s - %s / %s):" % (d, d, step, x, h, d),
+                "        " + stall,
+                "        break",
+                "    %s = %s" % (x, step),
+                "else:",
+                "    " + stall]
 
 
 def _assignment(name, value):
@@ -805,7 +877,7 @@ def function(e, names):
 
 
 _SCOPE = dict(FUNCTIONS, EvalDomainError=EvalDomainError,
-              UnboundNameError=UnboundNameError)
+              UnboundNameError=UnboundNameError, isfinite=math.isfinite)
 
 
 @functools.lru_cache(maxsize=256)

@@ -24,7 +24,10 @@ placement stays explicit and reproducible.  Every implicit relation (the
 first integral's position and velocity, the beam's F(u) = K sin(omega*t +
 phi)) is inverted pointwise by one safeguarded scalar solver,
 solve_scalar, from a law that returns the residual and its slope in one
-call.  Nothing here imports scipy; the tests use it as the oracle.
+call.  The oscillator's relations run its Newton loop inside their
+generated code (exprdsl.Solve) and call it only where Newton stalls; the
+beam calls it directly.  Nothing here imports scipy; the tests use it as
+the oracle.
 """
 
 from __future__ import annotations
@@ -587,6 +590,11 @@ def solve_scalar(law, guess, tol, *params):
     A bracket whose ends have the same sign or leave the domain of the law
     is skipped; any other error of the law propagates.  Raises
     ImplicitNoRoot when no bracket changes sign.
+
+    exprdsl.Solve generates this Newton loop inline, with the same
+    operations in the same order, and calls solve_scalar where it stalls,
+    so this function is the bracket fallback of every generated solve;
+    the two must change together.
     """
     x = guess = float(guess)
     for _ in range(60):

@@ -31,6 +31,8 @@ from oscdeform.deform import (
 from oscdeform.errors import (
     CotangentPole,
     DegenerateParameters,
+    EvalDomainError,
+    ImplicitNoRoot,
     NonSmoothPoint,
     SingularCoefficient,
     UnboundNameError,
@@ -42,6 +44,7 @@ from oscdeform.numerics import (
     cheb_nodes_diff,
     integrate,
     residual_scan,
+    solve_scalar,
     trajectory_residual,
 )
 
@@ -83,6 +86,13 @@ def test_trees_compile_on_their_first_read():
     ("alpha", lambda: catalog.harmonic(1.0, 1.0, math.nan)),
     ("omega", lambda: riccati_family(1.0, math.inf)),
     ("b", lambda: riccati_family(math.nan, 1.0)),
+    # the other functions of the family, through riccati_family's check
+    ("omega", lambda: riccati_invariant(1.0, math.inf)),
+    ("b", lambda: riccati_invariant(math.nan, 1.0)),
+    ("omega", lambda: riccati_phase_formula(2.0, math.inf, 0.1)),
+    ("b", lambda: riccati_phase_formula(-math.inf, 1.0, 0.1)),
+    ("b", lambda: riccati_fit_alpha(math.nan, 1.0, (0.1, 0.5, 0.2))),
+    ("omega", lambda: riccati_fit_alpha(2.0, math.nan, (0.1, 0.5, 0.2))),
 ])
 def test_non_finite_parameters_are_refused_by_name(name, build):
     with pytest.raises(ValueError, match="^%s must be finite" % name):
@@ -585,24 +595,77 @@ _EXPLICIT_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("f_src,g_src,omega,alpha", _EXPLICIT_PAIRS)
+# Newton families, (f, g, omega, alpha): g reads x, f reads v, or both
+_NEWTON_PAIRS = [
+    ("0", "0.2*x^2", 5.0, 0.0),
+    ("0", "0.1*x^3 + 0.05*sin(t + 0.3)", 1.3, 0.3),
+    ("-0.75*v + 0.8", "0", 1.0, 0.0),
+    ("-0.5*v + 0.2*x", "0.15*x^3", 2.0, 0.3),
+    ("0.3*x*v^2 - 0.2*v", "0.1*x^2", 1.7, 0.2),
+]
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_slope(osc, x0, v0):
+    """The march's slope solved step by step: x by _solve_position from
+    x0, v by _solve_velocity from v0, and dg/dt - f over the sine."""
+    def y_rhs(t, y):
+        th = osc.theta(t)
+        s, c = math.sin(th), math.cos(th)
+        return deform._crossing_numerator(osc, t, y, s, c, x0, v0)[0] / s
+    return y_rhs
+
+
+@pytest.mark.parametrize("f_src,g_src,omega,alpha",
+                         _EXPLICIT_PAIRS + _NEWTON_PAIRS)
 def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
         f_src, g_src, omega, alpha):
     osc = DeformedOscillator(f_src, g_src, omega, alpha=alpha)
+    slope = osc.amplitude_slope(0.4, 0.1)
+    reference = _reference_slope(osc, 0.4, 0.1)
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 200:
         t, y = rng.uniform(-10.0, 10.0), rng.uniform(-3.0, 3.0)
-        th = osc.theta(t)
-        s, c = math.sin(th), math.cos(th)
-        if abs(s) < 0.05:
+        if abs(math.sin(osc.theta(t))) < 0.05:
             continue
-        num = deform._crossing_numerator(osc, t, y, s, c, 0.4, 0.0)[0]
-        assert osc.amplitude_slope(t, y) == num / s, (t, y)
+        # where no root exists, the same ImplicitNoRoot from the fallback
+        assert _outcome(slope, t, y) == _outcome(reference, t, y), (t, y)
         checked += 1
 
 
-_LAWS = ("position_law", "velocity_law", "first_integral_law")
+@pytest.mark.parametrize("f_src,g_src,omega,alpha", [
+    _EXPLICIT_PAIRS[0], _EXPLICIT_PAIRS[3], _NEWTON_PAIRS[0],
+    _NEWTON_PAIRS[2], _NEWTON_PAIRS[3]])
+def test_march_is_the_march_on_the_step_by_step_slope(f_src, g_src, omega,
+                                                       alpha, monkeypatch):
+    # every state and the dense solution between them, with the slope
+    # compiled and with the slope solved step by step
+    def march():
+        osc = DeformedOscillator(f_src, g_src, omega, alpha=alpha)
+        t0 = (math.pi / 2.0 + 0.2 - alpha) / omega
+        traj = integrate_first_integral(
+            osc, t0, 0.35, t0 + 3.0 * math.pi / omega,
+            t_eval=np.linspace(t0, t0 + 3.0 * math.pi / omega, 61))
+        ts = np.linspace(t0, t0 + 3.0 * math.pi / omega, 97).tolist()
+        return ([repr(s) for s in traj.states], traj.meta["poles_crossed"],
+                [repr(traj.meta["x_of_t"](t)) for t in ts])
+
+    compiled = march()
+    monkeypatch.setattr(DeformedOscillator, "amplitude_slope",
+                        _reference_slope)
+    assert compiled == march()
+    assert len(compiled[1]) == 3
+
+
+_ROOTS = ("position_root", "velocity_root", "first_integral_root")
 
 
 def _law_closures(osc):
@@ -610,13 +673,13 @@ def _law_closures(osc):
     law's arguments: (x, t, u), (v, t, x, u) and (v, t, x)."""
     w = osc.omega
     return {
-        "position_law": (
+        "position_root": (
             lambda x, t, u: x + osc.g(t, x, 0.0) - u,
             lambda x, t, u: 1.0 + osc.g_x(t, x, 0.0)),
-        "velocity_law": (
+        "velocity_root": (
             lambda v, t, x, u: v + osc.f(t, x, v) - u,
             lambda v, t, x, u: 1.0 + osc.f_v(t, x, v)),
-        "first_integral_law": (
+        "first_integral_root": (
             lambda v, t, x: ((v + osc.f(t, x, v)) * math.sin(osc.theta(t))
                              - w * math.cos(osc.theta(t))
                              * (x + osc.g(t, x, v))),
@@ -632,8 +695,11 @@ def test_oscillators_of_one_family_share_their_code_objects():
                                params={"a": p, "c": q})
             for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
                                        (0.7, 1.1, 0.45, -2.5)))
-    pairs = [(a.f, b.f), (a.amplitude_slope, b.amplitude_slope)]
-    pairs += [(getattr(a, law), getattr(b, law)) for law in _LAWS]
+    pairs = [(a.f, b.f)]
+    for name in _ROOTS:
+        pairs.append((getattr(a, name).law, getattr(b, name).law))
+        name = name.replace("_root", "_solve")
+        pairs.append((getattr(a, name), getattr(b, name)))
     for fa, fb in pairs:
         assert fa is not fb and fa.__code__ is fb.__code__
     rng = np.random.default_rng(3)
@@ -643,10 +709,24 @@ def test_oscillators_of_one_family_share_their_code_objects():
             ti, xi, vi = float(ti), float(xi), float(vi)
             assert repr(osc.f(ti, xi, vi)) == repr(evaluate(
                 osc.exprs["f"], {"t": ti, "x": xi, "v": vi}))
-            th = osc.theta(ti)
-            s, c = math.sin(th), math.cos(th)
-            num = deform._crossing_numerator(osc, ti, vi, s, c, 0.4, 0.0)[0]
-            assert repr(osc.amplitude_slope(ti, vi)) == repr(num / s)
+    # the march's slope, in each family it serves: oscillators that differ
+    # in x0, v0, omega or alpha share its code object (constants of equal
+    # bits share an argument, so none of these equals another of its tree)
+    for f_src, g_src in (("a*x + c*x^3", "0"), ("c*x", "a*x^3"),
+                         ("a*v + c*x", "0.1*sin(t)"),
+                         ("a*v + c*x", "0.1*x^3")):
+        slopes = []
+        for omega, alpha, x0, v0 in ((1.3, 0.3, 0.4, 0.15),
+                                     (0.7, 1.1, 0.35, -0.2)):
+            osc = DeformedOscillator(f_src, g_src, omega, alpha=alpha,
+                                     params={"a": -0.3, "c": 0.5})
+            slope = osc.amplitude_slope(x0, v0)
+            slopes.append(slope.__code__)
+            reference = _reference_slope(osc, x0, v0)
+            for ti, yi in zip(t.tolist(), x.tolist()):
+                if abs(math.sin(osc.theta(ti))) > 0.05:
+                    assert repr(slope(ti, yi)) == repr(reference(ti, yi))
+        assert slopes[0] is slopes[1], (f_src, g_src)
     # the transit's node function, in each family it serves: x + g in
     # place of x where g reads no x, v + f in place of v where f reads no v
     for f_src, g_src in (("a*x + c*x^3", "0"), ("c*x", "a*x^3"),
@@ -688,10 +768,10 @@ def test_each_law_is_the_residual_and_slope_it_replaces(f_src, g_src):
             for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
                                        (0.7, 1.1, 0.45, -2.5)))
     # the position law is x + g(t, x) = u, for g free of v
-    laws = _LAWS[a.g_depends_v:]
+    laws = _ROOTS[a.g_depends_v:]
     points = np.random.default_rng(11).uniform(0.2, 2.0, size=(9, 4))
     for law in laws:
-        fa, fb = getattr(a, law), getattr(b, law)
+        fa, fb = getattr(a, law).law, getattr(b, law).law
         assert fa is not fb and fa.__code__ is fb.__code__
         for osc, fn in ((a, fa), (b, fb)):
             residual, slope = _law_closures(osc)[law]
@@ -699,6 +779,84 @@ def test_each_law_is_the_residual_and_slope_it_replaces(f_src, g_src):
                 args = point[:fn.__code__.co_argcount]
                 assert list(map(repr, fn(*args))) == [
                     repr(residual(*args)), repr(slope(*args))], (law, args)
+
+
+def _scalar_solve(osc, root, args):
+    """solve_scalar on the law of root at the arguments of its compiled
+    solve: (x, t, u), (v, t, x, u), and (v, t, x, u) with u the tolerance
+    of the first integral's."""
+    law = getattr(osc, root).law
+    if root == "first_integral_root":
+        v, t, x, tol = args
+        return _outcome(solve_scalar, law, v, tol, t, x)
+    return _outcome(solve_scalar, law, args[0], 1e-14, *args[1:])
+
+
+@pytest.mark.parametrize("f_src, g_src", [
+    ("a*x + c*x^3", "0"),
+    ("0", "b*x^2 + 0.1*sin(t)"),
+    ("-0.75*v + 0.8 + c*x*v^2", "b*x^3"),
+    ("0.2*x", "b*v + 0.1*x*v^2"),
+], ids=["explicit", "g-reads-x", "f-reads-v", "g-reads-v"])
+def test_each_generated_solve_is_solve_scalar_on_its_law(f_src, g_src):
+    # the root, or the error, by repr, at seeded points; some stall and
+    # end in the bracket or in ImplicitNoRoot
+    osc = DeformedOscillator(f_src, g_src, 1.3, alpha=0.3,
+                             params={"a": -0.3, "b": -0.3, "c": 0.5})
+    rng = np.random.default_rng(5)
+    for root in _ROOTS[osc.g_depends_v:]:
+        solve = getattr(osc, root.replace("_root", "_solve"))
+        for point in rng.uniform(-2.0, 2.0, size=(60, 4)).tolist():
+            if root == "first_integral_root":
+                point[3] = 1e-13 * (1.0 + abs(point[3]))
+            args = point[:solve.__code__.co_argcount]
+            assert _outcome(solve, *args) == _scalar_solve(osc, root, args)
+
+
+@pytest.mark.parametrize("g_src, u, guess, stalls, error", [
+    # Newton cycles 0, 1, 0, ... for 60 steps: the bracket finds the root
+    ("x^3 - 3*x", -2.0, 0.0, True, None),
+    # a zero slope at the guess
+    ("-x + x^3", 1.0, 0.0, True, None),
+    # no root: ImplicitNoRoot from the bracket
+    ("x^2", -10.0, 0.0, True, ImplicitNoRoot),
+    # the second step leaves the domain of ln: the law's error propagates
+    ("ln(x)", -5.0, 2.0, False, EvalDomainError),
+    # Newton converges
+    ("0.2*x^2", 1.5, 0.4, False, None),
+    # a triple root at 0: each step takes x to 2/3 of itself, and the
+    # 60th and last step meets the tolerance
+    ("x^3 - x", 0.0, 1.5 ** 32, False, None),
+])
+def test_generated_solve_stalls_where_solve_scalar_does(
+        g_src, u, guess, stalls, error, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_scalar(*args)
+
+    # deform's binding of numerics.solve_scalar, read when the root is built
+    monkeypatch.setattr(deform, "solve_scalar", counted)
+    osc = DeformedOscillator("0", g_src, 1.0)
+    got = _outcome(osc.position_solve, guess, 0.5, u)
+    assert calls == ([(osc.position_root.law, guess, 1e-14, 0.5, u)]
+                     if stalls else [])
+    assert got == _scalar_solve(osc, "position_root", (guess, 0.5, u))
+    assert (got[0] if isinstance(got, tuple) else None) is error
+
+
+def test_a_guess_within_the_tolerance_is_the_root():
+    # |x + g - u| <= 1e-14*(1 + |x|) at the guess: no Newton step is taken
+    osc = DeformedOscillator("-0.75*v + 0.8", "0.2*x^2", 1.0)
+    x = 0.4
+    u = x + 0.2 * x ** 2 + 1e-15
+    assert osc.position_root.law(x, 0.5, u)[0] != 0.0
+    assert osc.position_solve(x, 0.5, u) == x == solve_scalar(
+        osc.position_root.law, x, 1e-14, 0.5, u)
+    v = -0.3
+    target = v + (-0.75 * v + 0.8) - 1e-15
+    assert osc.velocity_solve(v, 0.5, x, target) == v
 
 
 def test_explicit_march_solves_states_only_in_the_transits(monkeypatch):

@@ -26,6 +26,7 @@ from oscdeform.exprdsl import (
     Num,
     Param,
     Pow,
+    Solve,
     Var,
     _substitute,
     bind,
@@ -36,6 +37,7 @@ from oscdeform.exprdsl import (
     parse,
     to_str,
 )
+from oscdeform.numerics import solve_scalar
 
 
 def test_parse_number_forms():
@@ -472,3 +474,100 @@ def test_compiled_shapes_stay_within_the_cache_bound():
     info = exprdsl._make.cache_info()
     assert info.misses - before.misses >= 300 - 256
     assert info.currsize <= info.maxsize == 256
+
+
+# the source the code generator wrote before it knew Solve, for a tuple
+# of trees with a call, a division, an int and a fractional power
+_SOURCE_WITHOUT_SOLVE = """def make(_k0):
+    def body(t, x, v):
+        _0 = float(v)
+        if _0 == 0.0:
+            raise EvalDomainError("division by zero")
+        _1 = float(x)
+        try:
+            _2 = sin(_1)
+        except OverflowError:
+            raise EvalDomainError("overflow in sin") from None
+        except ValueError:
+            raise EvalDomainError("domain error in sin(%r)" % _1) from None
+        _3 = _2 / _0
+        _4 = -_1
+        if _4 == 0.0:
+            raise EvalDomainError("zero raised to a negative power")
+        try:
+            _5 = _4 ** -3
+        except OverflowError:
+            raise EvalDomainError("overflow in power") from None
+        _6 = _3 - _5
+        if _1 < 0.0:
+            raise EvalDomainError("fractional power of negative base %r" % _1)
+        if _1 == 0.0 and _0 < 0.0:
+            raise EvalDomainError("zero raised to a negative power")
+        try:
+            _7 = _1 ** _0
+        except OverflowError:
+            raise EvalDomainError("overflow in power") from None
+        _8 = _7 * _k0
+        return (_6, _8,)
+    return body
+"""
+
+
+def test_a_tree_without_a_solve_generates_the_source_it_did_before():
+    e = (parse("sin(x)/v - (-x)^-3"), parse("x^v*2.5"))
+    assert (exprdsl._Codegen(("t", "x", "v")).source(e)
+            == _SOURCE_WITHOUT_SOLVE)
+
+
+def _cube_root(residual, guess, *params):
+    """Solve of residual(x, t) = 0 with its x-derivative as the slope, in
+    (x, t), from the tree guess at the trees params; its solve is
+    solve_scalar, and records the guess of each call."""
+    calls = []
+    pair = (residual, differentiate(residual, "x"))
+    law = function(pair, ("x", "t"))
+
+    def solve(law, guess, tol, *params):
+        calls.append(guess)
+        return solve_scalar(law, guess, tol, *params)
+
+    return Solve(pair, ("x", "t"), (guess, Num(1e-14)) + params, solve,
+                 law), calls
+
+
+def test_a_solve_is_its_newton_loop_and_calls_its_solve_on_a_stall():
+    # x^3 - t = 0 from the guess u: Newton converges where the slope is
+    # alive, and calls solve where the slope starts at zero and where the
+    # first step leaves the double range (from u = 1e-160 the slope is
+    # 3e-320)
+    root, calls = _cube_root(parse("x^3 - t"), Var("u"), Var("t"))
+    e = Add(root, Mul(root, Var("t")))
+    fn = function(e, ("t", "u"))
+    for t, u, stalls in ((8.0, 1.0, False), (-3.0, 2.5, False),
+                         (0.5, 0.0, True), (8.0, 1e-160, True)):
+        want = evaluate(e, {"t": t, "u": u})
+        del calls[:]
+        assert repr(fn(t, u)) == repr(want)
+        # the root is computed once and read twice
+        assert calls == ([u] if stalls else [])
+    assert depends_on(e, "u") and not depends_on(root, "x")
+    # a substitution reaches the guess and the params, not the law
+    moved = _substitute(root, {"u": Num(2.0), "t": Num(27.0)})
+    assert moved.law is root.law
+    assert function(moved, ())() == evaluate(root, {"t": 27.0, "u": 2.0})
+
+
+def test_a_solve_in_a_solve_and_a_free_name_in_a_law():
+    # the inner root is a param of the outer one: x^3 = x_inner + t
+    inner, _ = _cube_root(parse("x^3 - t"), Var("u"), Var("t"))
+    outer, _ = _cube_root(parse("x^3 - t"), Num(1.5), Add(inner, Var("t")))
+    fn = function(outer, ("t", "u"))
+    assert repr(fn(8.0, 1.0)) == repr(evaluate(outer, {"t": 8.0, "u": 1.0}))
+    # a law that reads a name it does not bind raises when called, at the
+    # first Newton step, as its law does
+    free, _ = _cube_root(parse("x^3 - t*k"), Num(1.0), Var("t"))
+    fn = function(free, ("t",))
+    for call in (lambda: fn(2.0), lambda: free.law(1.0, 2.0)):
+        with pytest.raises(UnboundNameError) as info:
+            call()
+        assert info.value.name == "k"
