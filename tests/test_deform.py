@@ -87,12 +87,20 @@ def test_trees_compile_on_their_first_read():
     ("omega", lambda: riccati_family(1.0, math.inf)),
     ("b", lambda: riccati_family(math.nan, 1.0)),
     # the other functions of the family, through riccati_family's check
-    ("omega", lambda: riccati_invariant(1.0, math.inf)),
-    ("b", lambda: riccati_invariant(math.nan, 1.0)),
-    ("omega", lambda: riccati_phase_formula(2.0, math.inf, 0.1)),
-    ("b", lambda: riccati_phase_formula(-math.inf, 1.0, 0.1)),
-    ("b", lambda: riccati_fit_alpha(math.nan, 1.0, (0.1, 0.5, 0.2))),
-    ("omega", lambda: riccati_fit_alpha(2.0, math.nan, (0.1, 0.5, 0.2))),
+    pytest.param("omega", lambda: riccati_invariant(1.0, math.inf),
+                 id="omega-riccati_invariant"),
+    pytest.param("b", lambda: riccati_invariant(math.nan, 1.0),
+                 id="b-riccati_invariant"),
+    pytest.param("omega", lambda: riccati_phase_formula(2.0, math.inf, 0.1),
+                 id="omega-riccati_phase_formula"),
+    pytest.param("b", lambda: riccati_phase_formula(-math.inf, 1.0, 0.1),
+                 id="b-riccati_phase_formula"),
+    pytest.param("b",
+                 lambda: riccati_fit_alpha(math.nan, 1.0, (0.1, 0.5, 0.2)),
+                 id="b-riccati_fit_alpha"),
+    pytest.param("omega",
+                 lambda: riccati_fit_alpha(2.0, math.nan, (0.1, 0.5, 0.2)),
+                 id="omega-riccati_fit_alpha"),
 ])
 def test_non_finite_parameters_are_refused_by_name(name, build):
     with pytest.raises(ValueError, match="^%s must be finite" % name):
