@@ -204,7 +204,8 @@ def rcd_travelling_wave(params, force_quadrature=False):
     theta = omega*xi + alpha.  For beta = 1 the integral has a closed
     antiderivative, used unless force_quadrature is set.  Raises
     BracketZero where B vanishes and DomainViolation outside the
-    sin(theta) > 0 interval when beta is fractional (see
+    sin(theta) > 0 interval when beta is fractional, and a ValueError
+    naming a NaN or infinite parameter, xi_ref as t_ref (see
     catalog.power_law).
     """
     w = float(params.get("omega", 1.0))

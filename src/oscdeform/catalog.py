@@ -77,6 +77,18 @@ def _check_natural(n):
     return n
 
 
+def _finite(**values):
+    """The values as floats, in order; a NaN or infinite one raises a
+    ValueError that names it."""
+    out = []
+    for name, value in values.items():
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+        out.append(value)
+    return out
+
+
 def _check_domain(domain, t):
     """Raise DomainViolation unless t lies in the open interval domain."""
     lo, hi = domain
@@ -89,7 +101,7 @@ def _check_domain(domain, t):
 
 def harmonic(A, omega=1.0, alpha=0.0):
     """x = A sin(omega*t + alpha)."""
-    A, omega, alpha = float(A), float(omega), float(alpha)
+    A, omega, alpha = _finite(A=A, omega=omega, alpha=alpha)
     osc = DeformedOscillator("0", "0", omega, alpha=alpha)
 
     def x_of_t(t):
@@ -108,9 +120,9 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0):
     x = sin(theta)*[A + I(t)] with I the integral, from the time t_ref
     where theta = pi/2 to t, of
     (omega*cos(theta)*g - f*sin(theta))/sin^2(theta)."""
+    A, omega, alpha = _finite(A=A, omega=omega, alpha=alpha)
     osc = DeformedOscillator(bind(f, ("t",)), bind(g, ("t",)), omega,
                              alpha=alpha)
-    A = float(A)
     w, al = osc.omega, osc.alpha
     t_ref = (math.pi / 2.0 - al) / w
 
@@ -160,7 +172,7 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0):
 
 def case1(f0, A, omega=1.0, alpha=0.0):
     """f = f0*sin(omega*t+alpha), g = 0:  x = (A - f0*t) sin(omega*t+alpha)."""
-    f0, A, omega, alpha = float(f0), float(A), float(omega), float(alpha)
+    f0, A, omega, alpha = _finite(f0=f0, A=A, omega=omega, alpha=alpha)
     osc = DeformedOscillator("%r*sin(%r*t + %r)" % (f0, omega, alpha), "0",
                              omega, alpha=alpha)
 
@@ -178,7 +190,7 @@ def case2(g0, n, A, omega=1.0, alpha=0.0):
     """g = g0*sin^n(omega*t+alpha), f = 0 (n integer > 1):
     x = sin(theta)*[A + g0*sin^(n-1)(theta)/(n-1)]."""
     n = _check_natural(n)
-    g0, A, omega, alpha = float(g0), float(A), float(omega), float(alpha)
+    g0, A, omega, alpha = _finite(g0=g0, A=A, omega=omega, alpha=alpha)
     osc = DeformedOscillator("0", "%r*sin(%r*t + %r)^%d" % (g0, omega, alpha, n),
                              omega, alpha=alpha)
 
@@ -209,8 +221,12 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
     domain is the interval around t_ref where sin(theta) > 0
     (DomainViolation outside).  Raises BracketZero where |B| is below
     1e-12*(1+|A|), BranchViolation where B < 0 with n > 2, and
-    BracketZero where B has a zero between t_ref and t.
+    BracketZero where B has a zero between t_ref and t.  A NaN or infinite
+    argument raises a ValueError that names it.
     """
+    beta, gamma, delta, A, w, al, t_ref = _finite(
+        beta=beta, gamma=gamma, delta=delta, A=A, omega=w, alpha=al,
+        t_ref=t_ref)
     beta_integer = beta.is_integer()
     if beta_integer:
         domain = (-math.inf, math.inf)
@@ -323,8 +339,8 @@ def case3(beta, gamma, delta, n, A, omega=1.0, alpha=0.0):
     at theta = pi/2; see power_law for the solution, its domain and its
     errors."""
     n = _check_natural(n)
-    beta, gamma, delta = float(beta), float(gamma), float(delta)
-    A, omega, alpha = float(A), float(omega), float(alpha)
+    beta, gamma, delta, A, omega, alpha = _finite(
+        beta=beta, gamma=gamma, delta=delta, A=A, omega=omega, alpha=alpha)
     osc = DeformedOscillator("%r*x + %r*x^%d" % (-gamma, delta, n),
                              "%r*x" % (beta - 1.0), omega, alpha=alpha)
     x_of_t, v_of_t, domain = power_law(beta, gamma, delta, n, A, omega,
@@ -340,6 +356,19 @@ _DENSE_RTOL = 1e-12
 _DENSE_ATOL = 1e-14
 
 
+def _case4_parameters(mu, nu, omega, alpha, t0, x0):
+    """The arguments of the quadratic shift as floats, t0 by default the
+    time where theta = pi/2; mu = 0 raises DegenerateParameters, and a NaN
+    or infinite argument a ValueError that names it."""
+    mu = float(mu)
+    if mu == 0.0:
+        raise DegenerateParameters("mu = 0 degenerates the quadratic shift")
+    omega, alpha = float(omega), float(alpha)
+    if t0 is None:
+        t0 = (math.pi / 2.0 - alpha) / omega
+    return _finite(mu=mu, nu=nu, omega=omega, alpha=alpha, t0=t0, x0=x0)
+
+
 def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     """f = mu*x^2 + nu, g = 0: first integral
     xd = omega*cot(theta)*x - mu*x^2 - nu.
@@ -353,16 +382,12 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     one dense solution from (t0, x0) to the last breakpoint
     t0 +- k*_DENSE_CHUNK at least one chunk from the pole.  A time beyond
     that breakpoint is integrated afresh from it, so a value depends on t
-    alone, not on the order of earlier queries.
+    alone, not on the order of earlier queries.  A NaN or infinite argument
+    raises a ValueError that names it.
     """
-    mu, nu = float(mu), float(nu)
-    omega, alpha = float(omega), float(alpha)
-    if mu == 0.0:
-        raise DegenerateParameters("mu = 0 degenerates the quadratic shift")
+    mu, nu, omega, alpha, t0, x0 = _case4_parameters(mu, nu, omega, alpha,
+                                                     t0, x0)
     w, al = omega, alpha
-    if t0 is None:
-        t0 = (math.pi / 2.0 - al) / w
-    t0, x0 = float(t0), float(x0)
     th0 = w * t0 + al
     s0 = math.sin(th0)
     if abs(s0) < POLE_GUARD:
@@ -523,18 +548,9 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     6,700 of hyp2f1's 10,000 terms (measured for mu*nu/omega^2 from -1/4
     to 400).
     """
-    mu, nu = float(mu), float(nu)
-    omega, alpha = float(omega), float(alpha)
-    if mu == 0.0:
-        raise DegenerateParameters("mu = 0 degenerates the quadratic shift")
+    mu, nu, omega, alpha, t0, x0 = _case4_parameters(mu, nu, omega, alpha,
+                                                     t0, x0)
     w_freq, al = omega, alpha
-    if t0 is None:
-        t0 = (math.pi / 2.0 - al) / w_freq
-    t0, x0 = float(t0), float(x0)
-    for name, value in (("mu", mu), ("nu", nu), ("omega", omega),
-                        ("alpha", alpha), ("t0", t0), ("x0", x0)):
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
     lam = mu * nu / w_freq ** 2
     root = math.sqrt(1.0 + 4.0 * lam) if 1.0 + 4.0 * lam >= 0 else None
     if root is None:
@@ -594,8 +610,7 @@ def case5_power(g0, n, A, omega=1.0, alpha=0.0):
     gives x^m / (1 + g0 x^m) = T^m, so x = T (1 - g0 T^m)^(-1/m) in closed
     form; no real x exists where 1 - g0 T^m <= 0."""
     n = _check_natural(n)
-    g0, A = float(g0), float(A)
-    omega, alpha = float(omega), float(alpha)
+    g0, A, omega, alpha = _finite(g0=g0, A=A, omega=omega, alpha=alpha)
     w, al = omega, alpha
     osc = DeformedOscillator("0", "%r*x^%d" % (g0, n), omega, alpha=alpha)
     m = n - 1
@@ -622,8 +637,7 @@ def case5_power(g0, n, A, omega=1.0, alpha=0.0):
 def case6(b, c1, omega=1.0, alpha=0.0):
     """f = -(3/4)v + b, g = 0:
     x = (1/(3*omega)) [2b sin(2theta) + 8b sin^3 cos + 3 c1 omega sin^4]."""
-    b, c1 = float(b), float(c1)
-    omega, alpha = float(omega), float(alpha)
+    b, c1, omega, alpha = _finite(b=b, c1=c1, omega=omega, alpha=alpha)
     w, al = omega, alpha
     osc = DeformedOscillator("-0.75*v + %r" % b, "0", omega, alpha=alpha)
 
@@ -654,8 +668,7 @@ def case7(c, A, omega=1.0, alpha=0.0):
     The solution is smooth between consecutive zeros of
     c*omega*cos(theta) - sin(theta); the velocity is undefined at those
     zeros (NonSmoothPoint)."""
-    c, A = float(c), float(A)
-    omega, alpha = float(omega), float(alpha)
+    c, A, omega, alpha = _finite(c=c, A=A, omega=omega, alpha=alpha)
     w, al = omega, alpha
     osc = DeformedOscillator("0", "%r*v" % c, omega, alpha=alpha)
     k = 1.0 / (1.0 + c * c * w * w)

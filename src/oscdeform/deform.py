@@ -56,6 +56,9 @@ from .numerics import (
 
 # the variables of a deformation and of a generated coefficient
 _TXV = ("t", "x", "v")
+# the variables of the amplitude frame: the guesses of x and v, the time
+# and the deformed amplitude y = (x + g)/sin(theta)
+_FRAME = ("x", "v", "t", "u")
 
 # |sin(omega*t + alpha)| below which a time counts as sitting on a
 # cotangent pole: the explicit slope field and the closed forms refuse it
@@ -106,10 +109,10 @@ class DeformedOscillator(_CompiledOnRead):
     integral; a NaN or infinite omega or alpha raises a ValueError that
     names it.  `exprs` holds the trees of f, g and their six first
     partials; each reads as its function of (t, x, v), as in osc.g_x.
-    transit_node, what the pole transit computes at a node, and the
-    solves of the three implicit relations (position_solve,
-    velocity_solve, first_integral_solve) are compiled functions, built
-    when read; amplitude_slope(x0, v0) compiles the march's slope.
+    The amplitude frame (_frame) is compiled once, when read, into the
+    march's views of (x guess, v guess, t, y): transit_node,
+    amplitude_slope and amplitude_position; first_integral_solve is the
+    compiled velocity of the first integral.
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
@@ -157,55 +160,49 @@ class DeformedOscillator(_CompiledOnRead):
                 e["g_x"], e["f_v"], e["f_x"])
 
     @functools.cached_property
-    def numerator(self):
-        """dg/dt - f (transit_exprs[0]) as one function of (t, x, v)."""
-        return function(self.transit_exprs[0], _TXV)
-
-    def _closed_state(self, x, v, x0=None, v0=None):
-        """{"x": x - g, "v": v - f}, with f read at that x, unfolded (as
-        parsed), so the floats of _solve_position and _solve_velocity: the
-        trees of the state where x + g and v + f are the trees x and v.
-        Where g reads x, x is position_root from the guess x0 (a tree), or
-        stays as it is when x0 is None; where f reads v, v is
-        velocity_root from v0 at that x, or stays as it is."""
+    def _frame(self):
+        """The trees, in _FRAME, of the state (x, v) of deformed amplitude
+        u at time t and of transit_exprs at it: x solves x + g =
+        u*sin(w*t + a) and v solves v + f = w*u*cos(w*t + a).  Where g
+        reads x, x is position_root from the guess x, and where f reads
+        v, v is velocity_root from the guess v; otherwise each is its
+        target minus g or f.  Unfolded (as parsed), so theta's floats even
+        at alpha = 0 or omega = 1."""
         e = self.exprs
-        if not self.g_depends_x:
-            x = Sub(x, e["g"])
-        elif x0 is not None:
-            x = _substitute(self.position_root, {"x": x0, "u": x})
-        if not self.f_depends_v:
-            v = Sub(v, _substitute(e["f"], {"x": x}))
-        elif v0 is not None:
-            v = _substitute(self.velocity_root, {"v": v0, "x": x, "u": v})
-        return {"x": x, "v": v}
-
-    def amplitude_slope(self, x0, v0):
-        """(dg/dt - f)/sin(theta) for v-independent g, compiled in (t, y):
-        _crossing_numerator's operations in its order, unfolded (as
-        parsed), so the same floats even at alpha = 0 or omega = 1.  Where
-        g reads x, x is solved from x0 inside the code, by solve_scalar's
-        Newton loop on the position law, and where f reads v, v from v0;
-        x0, v0, omega and alpha are constants of the code, so a family has
-        one code object."""
         holes = {"w": Num(self.omega), "a": Num(self.alpha)}
-        state = self._closed_state(
-            *(_substitute(parse(text), holes)
-              for text in ("u*sin(w*t + a)", "w*u*cos(w*t + a)")),
-            Num(x0), Num(v0))
-        holes["n"] = _substitute(self.transit_exprs[0], state)
-        return function(_substitute(parse("n/sin(w*t + a)"), holes),
-                        ("t", "u"))
+        x, v = (_substitute(parse(text), holes)
+                for text in ("u*sin(w*t + a)", "w*u*cos(w*t + a)"))
+        if self.g_depends_x:
+            x = _substitute(self.position_root, {"u": x})
+        else:
+            x = Sub(x, e["g"])
+        if self.f_depends_v:
+            v = _substitute(self.velocity_root, {"x": x, "u": v})
+        else:
+            v = Sub(v, _substitute(e["f"], {"x": x}))
+        state, done = {"x": x, "v": v}, {}
+        return (x, v) + tuple(_substitute(tree, state, done)
+                              for tree in self.transit_exprs)
 
     @functools.cached_property
     def transit_node(self):
-        """(x, v) + transit_exprs at one node of the pole transit, one
-        function of (t, x, v) whose x is x + g where g is free of x, and
-        whose v is v + f where f is free of v (_closed_state)."""
-        state = self._closed_state(Var("x"), Var("v"))
-        done = {}
-        return function((state["x"], state["v"])
-                        + tuple(_substitute(e, state, done)
-                                for e in self.transit_exprs), _TXV)
+        """The seven values of _frame, (x, v, N, N_x, g_x, f_v, f_x), as
+        one function of (x, v, t, u), x and v the guesses."""
+        return function(self._frame, _FRAME)
+
+    @functools.cached_property
+    def amplitude_slope(self):
+        """dy/dt = N/sin(theta), the march's slope, as one function of
+        (x, v, t, u), x and v the guesses."""
+        return function(_substitute(parse("n/sin(w*t + a)"), {
+            "n": self._frame[2], "w": Num(self.omega),
+            "a": Num(self.alpha)}), _FRAME)
+
+    @functools.cached_property
+    def amplitude_position(self):
+        """x of _frame alone, as one function of (x, v, t, u): no velocity
+        solve."""
+        return function(self._frame[0], _FRAME)
 
     def _root(self, residual, slope, names, tol):
         """The Solve tree of an implicit relation: the root near the guess
@@ -245,16 +242,6 @@ class DeformedOscillator(_CompiledOnRead):
         return self._root("(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)",
                           "(1 + f_v)*sin(w*t + a) - w*cos(w*t + a)*g_v",
                           ("v", "t", "x"), Var("u"))
-
-    @functools.cached_property
-    def position_solve(self):
-        """position_root as one function of (x, t, u), x the guess."""
-        return function(self.position_root, ("x", "t", "u"))
-
-    @functools.cached_property
-    def velocity_solve(self):
-        """velocity_root as one function of (v, t, x, u), v the guess."""
-        return function(self.velocity_root, ("v", "t", "x", "u"))
 
     @functools.cached_property
     def first_integral_solve(self):
@@ -405,68 +392,27 @@ def fit_alpha(osc, state):
 
 # --- first-integral integration driver -------------------------------------------
 
-def _solve_position(osc, t, target, x_start):
-    """Solve x + g(t, x) = target near x_start (g v-independent here), by
-    one call of osc.position_solve; when g is free of x the solution is
-    target - g(t)."""
-    if not osc.g_depends_x:
-        return target - osc.g(t, 0.0, 0.0)
-    return osc.position_solve(x_start, t, target)
-
-
-def _solve_velocity(osc, t, x, target, v_start):
-    """Solve v + f(t, x, v) = target for the velocity near v_start, by one
-    call of osc.velocity_solve where f reads v."""
-    if not osc.f_depends_v:
-        return target - osc.f(t, x, 0.0)
-    return osc.velocity_solve(v_start, t, x, target)
-
-
-def _crossing_numerator(osc, t, y, s, c, x_start, v_start):
-    """dg/dt - f at the state (x, v) of deformed amplitude y at time t,
-    where s and c are sin and cos of theta(t): x solves x + g = y*s and v
-    solves v + f = omega*y*c.  Returns (dg/dt - f, x, v)."""
-    x = _solve_position(osc, t, y * s, x_start)
-    vv = _solve_velocity(osc, t, x, osc.omega * y * c, v_start)
-    return osc.numerator(t, x, vv), x, vv
-
-
 def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
-    """_crossing_numerator at every node, and the exact slope: returns the
-    arrays (N, dN/dy, x, v), where x solves x + g = y*s from xs and v
-    solves v + f = omega*y*c from vs, N = dg/dt - f, and dN/dy comes from
+    """The state of amplitude Y at every node ts and the exact slope:
+    returns the arrays (N, dN/dy, x, v), where x solves x + g = y*s from xs
+    and v solves v + f = omega*y*c from vs (s and c are svec and cvec, the
+    sine and cosine of theta), N = dg/dt - f, and dN/dy comes from
     implicit differentiation of both relations (g v-independent):
 
         dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
         dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
 
-    Where g reads x, x is solved at every node (_solve_position, one call
-    of the generated solve osc.position_solve, Newton inside), and then v
-    where f reads v (_solve_velocity); each node is then one call of
-    osc.transit_node, which computes the rest,
-    in closed form x = y*s - g where g is free of x and v = omega*y*c - f
-    where f is free of v.  Every value is bit for bit what the scalar
-    functions give at its node.  A non-finite slope is returned as it is,
-    without a warning.
+    Each node is one call of osc.transit_node, its Newton solves inside,
+    so every value is bit for bit what that function gives at its node.
+    A non-finite slope is returned as it is, without a warning.
     """
-    w = osc.omega
+    x, v, N, N_x, g_x, f_v, f_x = np.fromiter(
+        itertools.chain.from_iterable(map(
+            osc.transit_node, xs.tolist(), vs.tolist(), ts.tolist(),
+            Y.tolist())), float, 7 * len(ts)).reshape(-1, 7).T
     with np.errstate(all="ignore"):
-        # the targets x + g and v + f; osc.transit_node subtracts g and f
-        # where g reads no x and f no v, and the others are solved here
-        ts, x, v = ts.tolist(), (Y * svec).tolist(), (w * Y * cvec).tolist()
-        if osc.g_depends_x:
-            x = [_solve_position(osc, *node)
-                 for node in zip(ts, x, xs.tolist())]
-        if osc.f_depends_v:
-            at = x if osc.g_depends_x else [
-                u - osc.g(t, 0.0, 0.0) for t, u in zip(ts, x)]
-            v = [_solve_velocity(osc, *node)
-                 for node in zip(ts, at, v, vs.tolist())]
-        x, v, N, N_x, g_x, f_v, f_x = np.fromiter(
-            itertools.chain.from_iterable(map(osc.transit_node, ts, x, v)),
-            float, 7 * len(ts)).reshape(-1, 7).T
         dx = svec / (1.0 + g_x)
-        dv = (w * cvec - f_x * dx) / (1.0 + f_v)
+        dv = (osc.omega * cvec - f_x * dx) / (1.0 + f_v)
         return N, N_x * dx + (g_x - f_v) * dv, x, v
 
 
@@ -485,18 +431,14 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     is collocated on Chebyshev nodes spanning the whole window with the
     left-edge value pinned, which recovers the re-expanding mode from the
     region where it is numerically visible.  Each Newton iteration computes
-    every node with scalar compiled functions (_crossing_numerators: x by
-    the oscillator's generated position solve where g reads x, v by its
-    velocity solve where f reads v, each one call with the Newton loop
-    inside, then one call of osc.transit_node); its Jacobian
-    sin(theta)*D - diag(dN/dy) is
-    exact: dN/dy comes from implicit differentiation at each node's
-    solved state.
-    The entry solve at the left edge and the smoothness test at the pole
-    solve one state each.  Returns a
-    polynomial interpolant for y on [a, b] through 48 nodes or, when a node
-    lands on the pole, a few more.  The entry solves for x and v start from
-    x_start and v_start.  Raises NonSmoothPoint when no smooth crossing
+    every node by one call of osc.transit_node (_crossing_numerators), its
+    x and v solved inside from that node's last x and v; its Jacobian
+    sin(theta)*D - diag(dN/dy) is exact: dN/dy comes from implicit
+    differentiation at each node's solved state.  The entry solve at the
+    left edge, from x_start and v_start, and the smoothness test at the
+    pole are one transit_node call each.  Returns a polynomial interpolant
+    for y on [a, b] through 48 nodes or, when a node lands on the pole, a
+    few more.  Raises NonSmoothPoint when no smooth crossing
     exists: the numerator does not vanish at the pole, or an iterate's
     amplitude leaves the range of x + g (or of v + f) at some node.
     """
@@ -514,8 +456,7 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
 
     # the entry solves start from the initial condition; later solves at
     # a node start where that node's last iteration ended
-    num0, x0, v0 = _crossing_numerator(osc, ts[0], y_in, svec[0], cvec[0],
-                                       x_start, v_start)
+    x0, v0, num0 = osc.transit_node(x_start, v_start, ts[0], y_in)[:3]
     xs = np.full(m, x0)
     vs = np.full(m, v0)
     if abs(svec[0]) > 1e-8:
@@ -570,8 +511,7 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     interp = cheb_interp(ts, Y)
     # a smooth crossing requires the numerator to vanish with the sine
     k = int(np.argmin(np.abs(ts - pole)))
-    num_p = _crossing_numerator(osc, pole, interp(pole), 0.0,
-                                math.cos(osc.theta(pole)), xs[k], vs[k])[0]
+    num_p = osc.transit_node(xs[k], vs[k], pole, interp(pole))[2]
     n_scale = 1.0 + float(np.max(np.abs(N)))
     if abs(num_p) > 1e-6 * n_scale:
         raise fail
@@ -589,13 +529,13 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     sine-multiplied equation (see _pole_transit); x is recovered by solving
     x + g(t,x) = y*sin(theta) and v from v + f = omega*y*cos(theta), so no
     quantity is ever divided by a small sine.  Each step of the march
-    between poles is one call of osc.amplitude_slope(x0, v0), compiled for
-    this march: closed forms where g is free of x and f of v, and
-    solve_scalar's Newton loop inside the code where g reads x or f reads
-    v, with solve_scalar itself called only where Newton stalls.  When g
-    depends on v the
-    scaled first integral is regular at the poles and no splitting is
-    performed; a fold of the velocity law, where the v-derivative of G
+    between poles is one call of osc.amplitude_slope with the guesses x0
+    and v0, and each sample one call of osc.transit_node: functions
+    compiled once per oscillator, closed forms where g is free of x and f
+    of v, and solve_scalar's Newton loop inside the code where g reads x
+    or f reads v, with solve_scalar itself called only where Newton
+    stalls.  When g depends on v the scaled first integral is regular at
+    the poles and no splitting is performed; a fold of the velocity law, where the v-derivative of G
     leaves the sign it has at the start, raises NonSmoothPoint naming its t.
 
     Every Newton solve for x starts from x0 and every one for v from v0
@@ -604,7 +544,8 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     a pole, v0 also pins the crossing amplitude.  meta["x_of_t"] and
     meta["v_of_t"] are the dense solution; their values depend on t alone,
     and the states are their values at t_eval (see sample_trajectory).
-    meta["x_of_t"] solves for x alone, with no velocity solve.
+    meta["x_of_t"] solves for x alone (osc.amplitude_position), with no
+    velocity solve.
     """
     if not t1 > t0:
         raise ValueError("driver requires t1 > t0")
@@ -661,7 +602,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     poles = pole_times(w, osc.alpha, t0 + 2.0 * delta, t1 - 2.0 * delta)
     half = 0.3 / w           # collocation half-width around each pole
 
-    slope = osc.amplitude_slope(x0, v0)
+    slope = functools.partial(osc.amplitude_slope, x0, v0)
     if start_pole is None:
         y0 = (x0 + osc.g(t0, x0, 0.0)) / math.sin(osc.theta(t0))
     else:
@@ -694,19 +635,17 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                 return fn(min(max(tq, lo), hi))
         raise ValueError("time %r outside the integrated span" % tq)
 
-    def position(tq):
-        """x at tq, and the amplitude y and theta it solves from."""
-        tq = float(tq)
-        y, th = y_at(tq), osc.theta(tq)
-        return _solve_position(osc, tq, y * math.sin(th), x0), y, th
-
     def state_at(tq):
-        x, y, th = position(tq)
-        return x, _solve_velocity(osc, float(tq), x, w * y * math.cos(th), v0)
+        tq = float(tq)
+        return osc.transit_node(x0, v0, tq, y_at(tq))[:2]
+
+    def x_of_t(tq):
+        tq = float(tq)
+        return osc.amplitude_position(x0, v0, tq, y_at(tq))
 
     return sample_trajectory(state_at, t0, t1, t_eval,
                              {"poles_crossed": poles_crossed,
-                              "x_of_t": lambda tq: position(tq)[0]})
+                              "x_of_t": x_of_t})
 
 
 # --- time-varying frequency --------------------------------------------------------

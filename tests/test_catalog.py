@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oscdeform import catalog, numerics
+from oscdeform import apps, catalog, numerics
 from oscdeform.deform import integrate_first_integral
 from oscdeform.errors import (
     BracketZero,
@@ -646,6 +646,55 @@ def test_case4_series_refuses_non_finite_arguments(name):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^%s must be finite" % name):
             catalog.case4_series(**dict(args, **{name: bad}))
+
+
+# each factory, as a function of keyword arguments, with finite values of
+# its float parameters; power_law and rcd_travelling_wave name theirs as
+# power_law's check does
+_FACTORIES = {
+    "harmonic": (catalog.harmonic, dict(A=1.0, omega=1.0, alpha=0.3)),
+    "time_quadrature": (
+        lambda **kw: catalog.time_quadrature("0.1*t", "0", **kw),
+        dict(A=1.0, omega=1.0, alpha=0.3)),
+    "case1": (catalog.case1, dict(f0=0.3, A=1.0, omega=1.0, alpha=0.3)),
+    "case2": (lambda **kw: catalog.case2(n=2, **kw),
+              dict(g0=0.3, A=1.0, omega=1.0, alpha=0.3)),
+    "case3": (lambda **kw: catalog.case3(n=2, **kw),
+              dict(beta=1.0, gamma=0.5, delta=1.0, A=1.0, omega=1.0,
+                   alpha=0.3)),
+    "case4_riccati": (catalog.case4_riccati,
+                      dict(mu=0.8, nu=0.2, omega=1.0, alpha=0.3, t0=1.0,
+                           x0=0.4)),
+    "case5_power": (lambda **kw: catalog.case5_power(n=2, **kw),
+                    dict(g0=0.3, A=1.0, omega=1.0, alpha=0.3)),
+    "case6": (catalog.case6, dict(b=-0.5, c1=0.2, omega=1.0, alpha=0.3)),
+    "case7": (catalog.case7, dict(c=0.3, A=1.0, omega=1.0, alpha=0.3)),
+    "power_law": (
+        lambda w, al, **kw: catalog.power_law(n=2, w=w, al=al,
+                                              quadrature=False, **kw),
+        dict(beta=1.0, gamma=0.5, delta=1.0, A=1.0, w=1.0, al=0.3,
+             t_ref=1.2)),
+    "rcd_travelling_wave": (
+        lambda **kw: apps.rcd_travelling_wave(kw),
+        dict(beta=1.0, gamma=0.5, delta=1.0, A=3.0, omega=1.0, alpha=0.3,
+             xi_ref=1.2)),
+}
+_NAMED_AS = {"w": "omega", "al": "alpha", "xi_ref": "t_ref"}
+
+
+@pytest.mark.parametrize("factory, name", [
+    pytest.param(factory, name, id="%s-%s" % (factory, name))
+    for factory, (_, args) in _FACTORIES.items() for name in args])
+def test_factories_refuse_non_finite_parameters_by_name(factory, name):
+    # NaN went through harmonic, case2, case3, case5_power, case7,
+    # time_quadrature's A and rcd_travelling_wave into NaN values, and
+    # case1, case6 and case4_riccati raised UnboundNameError: nan
+    build, args = _FACTORIES[factory]
+    build(**args)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^%s must be finite"
+                           % _NAMED_AS.get(name, name)):
+            build(**dict(args, **{name: bad}))
 
 
 def _recorded_quadratures(monkeypatch):

@@ -38,7 +38,7 @@ from oscdeform.errors import (
     UnboundNameError,
     ZeroDenominator,
 )
-from oscdeform.exprdsl import evaluate, to_str
+from oscdeform.exprdsl import depends_on, evaluate, function, to_str
 from oscdeform.numerics import (
     PhaseState,
     cheb_nodes_diff,
@@ -367,18 +367,25 @@ def test_trajectory_values_depend_on_t_alone(name):
                                   "implicit g=0.15v"])
 def test_driver_position_makes_no_velocity_solve(name, monkeypatch):
     """meta["x_of_t"] solves for x alone: at every sampled time it gives
-    the state's x bit for bit and calls neither _solve_velocity nor
-    first_integral_velocity."""
+    the state's x bit for bit and calls neither osc.transit_node, which
+    solves the state, nor first_integral_velocity."""
     t0, t1, produce = _PRODUCERS[name]
     traj = produce(np.linspace(t0, t1, 41))
     calls = []
-    for fn in ("_solve_velocity", "first_integral_velocity"):
-        monkeypatch.setattr(deform, fn,
-                            lambda *args, fn=fn, **kw: calls.append(fn))
+    # a property wins over the node function cached on the instance
+    monkeypatch.setattr(DeformedOscillator, "transit_node", property(
+        lambda osc: calls.append("transit_node")))
+    monkeypatch.setattr(deform, "first_integral_velocity",
+                        lambda *args, **kw: calls.append("first_integral"))
     x_of_t = traj.meta["x_of_t"]
     assert ([x_of_t(s.t).hex() for s in traj.states]
             == [s.x.hex() for s in traj.states])
     assert calls == []
+    # the position's tree reads no guess of v; the state's does, where f
+    # reads v
+    osc = DeformedOscillator("-0.75*v + 0.8", "0", 1.0)
+    assert depends_on(osc._frame[1], "v")
+    assert not depends_on(osc._frame[0], "v")
 
 
 def test_amplitude_frame_stays_on_the_initial_branch():
@@ -491,7 +498,8 @@ _SLOPE_PAIRS = [
 def test_numerator_slope_matches_richardson_difference(f_src, g_src):
     # the transit Jacobian's dN/dy, at the Chebyshev nodes of one pole
     # window, against a Richardson central difference of the numerator;
-    # the transit pass gives each node's numerator and state bit for bit
+    # the transit pass gives each node's numerator and state bit for bit,
+    # and that state is the one solved step by step
     osc = DeformedOscillator(f_src, g_src, 2.0, alpha=0.3)
     pole = (math.pi - 0.3) / 2.0
     ts, _ = cheb_nodes_diff(47, pole - 0.15, pole + 0.15)
@@ -503,15 +511,13 @@ def test_numerator_slope_matches_richardson_difference(f_src, g_src):
             osc, ts, np.full(m, y), svec, cvec, np.full(m, 0.4),
             np.zeros(m))
         for i, t in enumerate(ts.tolist()):
-            s, c = svec[i], cvec[i]
-            scalar = deform._crossing_numerator(osc, t, y, s, c, 0.4, 0.0)
-            assert scalar == (N[i], xs[i], vs[i]), (t, y)
+            x, v, N_i = osc.transit_node(0.4, 0.0, t, y)[:3]
+            assert (N_i, x, v) == (N[i], xs[i], vs[i]), (t, y)
+            assert (x, v) == _reference_state(osc, 0.4, 0.0, t, y), (t, y)
 
             def central(h):
-                return (deform._crossing_numerator(osc, t, y + h, s, c,
-                                                   xs[i], vs[i])[0]
-                        - deform._crossing_numerator(osc, t, y - h, s, c,
-                                                     xs[i], vs[i])[0]
+                return (osc.transit_node(xs[i], vs[i], t, y + h)[2]
+                        - osc.transit_node(xs[i], vs[i], t, y - h)[2]
                         ) / (2.0 * h)
 
             fd = (4.0 * central(5e-4) - central(1e-3)) / 3.0
@@ -563,26 +569,28 @@ def test_solve_position_is_closed_form_when_g_is_free_of_x(g_src,
     # deform's binding of numerics.solve_scalar
     monkeypatch.setattr(deform, "solve_scalar", refuse)
     osc = DeformedOscillator("0.2*x", g_src, 1.0, alpha=0.3)
-    for t, target in ((0.5, 0.37), (2.0, -1.25), (2.8, 1e-17)):
-        assert (deform._solve_position(osc, t, target, 0.4)
-                == target - osc.g(t, 0.0, 0.0))
+    for t, y in ((0.5, 0.37), (2.0, -1.25), (2.8, 1e-17)):
+        x = y * math.sin(osc.theta(t)) - osc.g(t, 0.0, 0.0)
+        assert osc.amplitude_position(0.4, 0.0, t, y) == x
+        assert osc.transit_node(0.4, 0.0, t, y)[0] == x
     # f and g free of v: a march through a pole inverts nothing by Newton
     traj = integrate_first_integral(osc, 0.5, 0.4, 4.0)
     assert len(traj.meta["poles_crossed"]) == 1
 
 
-def test_pole_march_position_solves_per_pole(monkeypatch):
-    # a finite-difference transit Jacobian costs two more position solves
-    # per node and Newton iteration: 569 solves per pole against 281
+def test_pole_march_position_solves_per_pole():
+    # each transit_node call solves one state: 149 per pole, the 257
+    # samples included; a finite-difference transit Jacobian would cost
+    # two more per node and Newton iteration
     calls = []
-    solve = deform._solve_position
+    osc = DeformedOscillator("0", "0.2*x^2", 5.0)
+    node = osc.transit_node
 
     def counted(*args):
         calls.append(None)
-        return solve(*args)
+        return node(*args)
 
-    monkeypatch.setattr(deform, "_solve_position", counted)
-    osc = DeformedOscillator("0", "0.2*x^2", 5.0)
+    osc.transit_node = counted
     traj = integrate_first_integral(osc, 0.3, 0.4, 0.3 + 100 * math.pi / 5.0)
     poles = len(traj.meta["poles_crossed"])
     assert poles == 100
@@ -621,14 +629,30 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _reference_slope(osc, x0, v0):
-    """The march's slope solved step by step: x by _solve_position from
-    x0, v by _solve_velocity from v0, and dg/dt - f over the sine."""
-    def y_rhs(t, y):
-        th = osc.theta(t)
-        s, c = math.sin(th), math.cos(th)
-        return deform._crossing_numerator(osc, t, y, s, c, x0, v0)[0] / s
-    return y_rhs
+def _reference_state(osc, x0, v0, t, y):
+    """The state (x, v) of amplitude y at t solved step by step: x + g =
+    y*sin(theta) by solve_scalar on the position law from x0 where g
+    reads x, v + f = omega*y*cos(theta) on the velocity law from v0 where
+    f reads v, and otherwise each its target minus g or f."""
+    th = osc.theta(t)
+    x, v = y * math.sin(th), osc.omega * y * math.cos(th)
+    if osc.g_depends_x:
+        x = solve_scalar(osc.position_root.law, x0, 1e-14, t, x)
+    else:
+        x -= osc.g(t, 0.0, 0.0)
+    if osc.f_depends_v:
+        v = solve_scalar(osc.velocity_root.law, v0, 1e-14, t, x, v)
+    else:
+        v -= osc.f(t, x, 0.0)
+    return x, v
+
+
+def _reference_slope(osc, x0, v0, t, y):
+    """The march's slope solved step by step: dg/dt - f, evaluated at
+    _reference_state, over the sine."""
+    x, v = _reference_state(osc, x0, v0, t, y)
+    return (evaluate(osc.transit_exprs[0], {"t": t, "x": x, "v": v})
+            / math.sin(osc.theta(t)))
 
 
 @pytest.mark.parametrize("f_src,g_src,omega,alpha",
@@ -636,8 +660,6 @@ def _reference_slope(osc, x0, v0):
 def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
         f_src, g_src, omega, alpha):
     osc = DeformedOscillator(f_src, g_src, omega, alpha=alpha)
-    slope = osc.amplitude_slope(0.4, 0.1)
-    reference = _reference_slope(osc, 0.4, 0.1)
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 200:
@@ -645,7 +667,8 @@ def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
         if abs(math.sin(osc.theta(t))) < 0.05:
             continue
         # where no root exists, the same ImplicitNoRoot from the fallback
-        assert _outcome(slope, t, y) == _outcome(reference, t, y), (t, y)
+        assert (_outcome(osc.amplitude_slope, 0.4, 0.1, t, y)
+                == _outcome(_reference_slope, osc, 0.4, 0.1, t, y)), (t, y)
         checked += 1
 
 
@@ -671,6 +694,32 @@ def test_march_is_the_march_on_the_step_by_step_slope(f_src, g_src, omega,
                         _reference_slope)
     assert compiled == march()
     assert len(compiled[1]) == 3
+
+
+@pytest.mark.parametrize("f_src, g_src", [
+    ("-0.3*x + 0.5*x^3", "0"), ("0", "0.2*x^2"), ("-0.75*v + 0.8", "0")],
+    ids=["explicit", "g-reads-x", "f-reads-v"])
+def test_two_marches_of_one_oscillator_generate_the_slope_once(
+        f_src, g_src, monkeypatch):
+    # the second march, from another (x0, v0), compiles nothing: its
+    # slope, node and position functions are the oscillator's
+    compiled = []
+
+    def counted(e, names):
+        compiled.append(names)
+        return function(e, names)
+
+    monkeypatch.setattr(deform, "function", counted)
+    osc = DeformedOscillator(f_src, g_src, 1.3, alpha=0.3)
+    t0 = (math.pi / 2.0 - 0.3) / 1.3
+    marches = []
+    for x0, v0 in ((0.4, None), (0.35, 0.2)):
+        before = len(compiled)
+        traj = integrate_first_integral(osc, t0, x0, t0 + 3.0, v0=v0)
+        assert traj.meta["poles_crossed"]
+        marches.append(compiled[before:])
+    assert ("x", "v", "t", "u") in marches[0]
+    assert marches[1] == []
 
 
 _ROOTS = ("position_root", "velocity_root", "first_integral_root")
@@ -703,11 +752,9 @@ def test_oscillators_of_one_family_share_their_code_objects():
                                params={"a": p, "c": q})
             for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
                                        (0.7, 1.1, 0.45, -2.5)))
-    pairs = [(a.f, b.f)]
+    pairs = [(a.f, b.f), (a.first_integral_solve, b.first_integral_solve)]
     for name in _ROOTS:
         pairs.append((getattr(a, name).law, getattr(b, name).law))
-        name = name.replace("_root", "_solve")
-        pairs.append((getattr(a, name), getattr(b, name)))
     for fa, fb in pairs:
         assert fa is not fb and fa.__code__ is fb.__code__
     rng = np.random.default_rng(3)
@@ -717,26 +764,12 @@ def test_oscillators_of_one_family_share_their_code_objects():
             ti, xi, vi = float(ti), float(xi), float(vi)
             assert repr(osc.f(ti, xi, vi)) == repr(evaluate(
                 osc.exprs["f"], {"t": ti, "x": xi, "v": vi}))
-    # the march's slope, in each family it serves: oscillators that differ
-    # in x0, v0, omega or alpha share its code object (constants of equal
-    # bits share an argument, so none of these equals another of its tree)
-    for f_src, g_src in (("a*x + c*x^3", "0"), ("c*x", "a*x^3"),
-                         ("a*v + c*x", "0.1*sin(t)"),
-                         ("a*v + c*x", "0.1*x^3")):
-        slopes = []
-        for omega, alpha, x0, v0 in ((1.3, 0.3, 0.4, 0.15),
-                                     (0.7, 1.1, 0.35, -0.2)):
-            osc = DeformedOscillator(f_src, g_src, omega, alpha=alpha,
-                                     params={"a": -0.3, "c": 0.5})
-            slope = osc.amplitude_slope(x0, v0)
-            slopes.append(slope.__code__)
-            reference = _reference_slope(osc, x0, v0)
-            for ti, yi in zip(t.tolist(), x.tolist()):
-                if abs(math.sin(osc.theta(ti))) > 0.05:
-                    assert repr(slope(ti, yi)) == repr(reference(ti, yi))
-        assert slopes[0] is slopes[1], (f_src, g_src)
-    # the transit's node function, in each family it serves: x + g in
-    # place of x where g reads no x, v + f in place of v where f reads no v
+    # the march's views of the amplitude frame, in each family they serve:
+    # oscillators that differ in omega and alpha share each view's code
+    # object, and x0 and v0 are arguments, so v0 = 0.1 beside g's 0.1
+    # splits nothing.  The node function gives the state solved step by
+    # step and the transit's trees evaluated there; the slope is its
+    # numerator over the sine, and the position its x
     for f_src, g_src in (("a*x + c*x^3", "0"), ("c*x", "a*x^3"),
                          ("a*v + c*x", "0.1*sin(t)"),
                          ("a*v + c*x", "0.1*x^3")):
@@ -744,21 +777,22 @@ def test_oscillators_of_one_family_share_their_code_objects():
                                    params={"a": p, "c": q})
                 for omega, alpha, p, q in ((1.3, 0.3, -0.3, 0.5),
                                            (0.7, 1.1, 0.45, -2.5)))
-        assert a.transit_node is not b.transit_node
-        assert a.transit_node.__code__ is b.transit_node.__code__
+        for view in ("transit_node", "amplitude_slope", "amplitude_position"):
+            fa, fb = getattr(a, view), getattr(b, view)
+            assert fa is not fb and fa.__code__ is fb.__code__, view
         for osc in (a, b):
-            e = osc.exprs
-            for ti, xi, vi in zip(t, x, v):
-                ti, xi, vi = float(ti), float(xi), float(vi)
-                xs, vs = xi, vi
-                if not osc.g_depends_x:
-                    xs = xi - evaluate(e["g"], {"t": ti})
-                if not osc.f_depends_v:
-                    vs = vi - evaluate(e["f"], {"t": ti, "x": xs})
-                state = {"t": ti, "x": xs, "v": vs}
-                assert list(map(repr, osc.transit_node(ti, xi, vi))) == [
-                    repr(xs), repr(vs)] + [repr(evaluate(tree, state))
-                                           for tree in osc.transit_exprs]
+            for x0, v0 in ((0.4, 0.1), (0.35, -0.2)):
+                for ti, yi in zip(t.tolist(), x.tolist()):
+                    xs, vs = _reference_state(osc, x0, v0, ti, yi)
+                    state = {"t": ti, "x": xs, "v": vs}
+                    node = osc.transit_node(x0, v0, ti, yi)
+                    assert list(map(repr, node)) == [repr(xs), repr(vs)] + [
+                        repr(evaluate(tree, state))
+                        for tree in osc.transit_exprs]
+                    assert osc.amplitude_position(x0, v0, ti, yi) == xs
+                    if abs(math.sin(osc.theta(ti))) > 0.05:
+                        assert repr(osc.amplitude_slope(x0, v0, ti, yi)) == (
+                            repr(_reference_slope(osc, x0, v0, ti, yi)))
 
 
 @pytest.mark.parametrize("f_src, g_src", [
@@ -789,6 +823,18 @@ def test_each_law_is_the_residual_and_slope_it_replaces(f_src, g_src):
                     repr(residual(*args)), repr(slope(*args))], (law, args)
 
 
+# the variables of each root's solve, the guess first
+_SOLVE_NAMES = {"position_root": ("x", "t", "u"),
+                "velocity_root": ("v", "t", "x", "u"),
+                "first_integral_root": ("v", "t", "x", "u")}
+
+
+def _compiled_solve(osc, root):
+    """The Solve tree root of osc compiled as one function of its
+    guess and params, as osc.first_integral_solve is."""
+    return function(getattr(osc, root), _SOLVE_NAMES[root])
+
+
 def _scalar_solve(osc, root, args):
     """solve_scalar on the law of root at the arguments of its compiled
     solve: (x, t, u), (v, t, x, u), and (v, t, x, u) with u the tolerance
@@ -813,7 +859,7 @@ def test_each_generated_solve_is_solve_scalar_on_its_law(f_src, g_src):
                              params={"a": -0.3, "b": -0.3, "c": 0.5})
     rng = np.random.default_rng(5)
     for root in _ROOTS[osc.g_depends_v:]:
-        solve = getattr(osc, root.replace("_root", "_solve"))
+        solve = _compiled_solve(osc, root)
         for point in rng.uniform(-2.0, 2.0, size=(60, 4)).tolist():
             if root == "first_integral_root":
                 point[3] = 1e-13 * (1.0 + abs(point[3]))
@@ -847,7 +893,7 @@ def test_generated_solve_stalls_where_solve_scalar_does(
     # deform's binding of numerics.solve_scalar, read when the root is built
     monkeypatch.setattr(deform, "solve_scalar", counted)
     osc = DeformedOscillator("0", g_src, 1.0)
-    got = _outcome(osc.position_solve, guess, 0.5, u)
+    got = _outcome(_compiled_solve(osc, "position_root"), guess, 0.5, u)
     assert calls == ([(osc.position_root.law, guess, 1e-14, 0.5, u)]
                      if stalls else [])
     assert got == _scalar_solve(osc, "position_root", (guess, 0.5, u))
@@ -860,30 +906,34 @@ def test_a_guess_within_the_tolerance_is_the_root():
     x = 0.4
     u = x + 0.2 * x ** 2 + 1e-15
     assert osc.position_root.law(x, 0.5, u)[0] != 0.0
-    assert osc.position_solve(x, 0.5, u) == x == solve_scalar(
-        osc.position_root.law, x, 1e-14, 0.5, u)
+    assert _compiled_solve(osc, "position_root")(x, 0.5, u) == x == (
+        solve_scalar(osc.position_root.law, x, 1e-14, 0.5, u))
     v = -0.3
     target = v + (-0.75 * v + 0.8) - 1e-15
-    assert osc.velocity_solve(v, 0.5, x, target) == v
+    assert _compiled_solve(osc, "velocity_root")(v, 0.5, x, target) == v
 
 
-def test_explicit_march_solves_states_only_in_the_transits(monkeypatch):
+def test_explicit_march_solves_states_only_in_the_transits():
     # between poles the march calls the compiled amplitude_slope; each
-    # transit solves one state at its left edge and one at its pole
+    # transit solves one state at its left edge and one at its pole, and
+    # its nodes; each sample solves one state
     callers = []
-    solve = deform._crossing_numerator
+    osc = DeformedOscillator("-0.3*x + 0.5*x^3", "0", 1.3, alpha=0.3)
+    node = osc.transit_node
 
     def counted(*args):
         callers.append(sys._getframe(1).f_code.co_name)
-        return solve(*args)
+        return node(*args)
 
-    monkeypatch.setattr(deform, "_crossing_numerator", counted)
-    osc = DeformedOscillator("-0.3*x + 0.5*x^3", "0", 1.3, alpha=0.3)
+    osc.transit_node = counted
     t0 = (math.pi / 2.0 - 0.3) / 1.3
     traj = integrate_first_integral(osc, t0, 0.4, t0 + 3.0 * math.pi / 1.3,
                                     t_eval=np.linspace(t0, t0 + 7.0, 50))
     assert len(traj.meta["poles_crossed"]) == 3
-    assert callers == ["_pole_transit"] * 6
+    assert callers.count("_pole_transit") == 6
+    assert callers.count("state_at") == 50
+    assert set(callers) == {"_pole_transit", "_crossing_numerators",
+                            "state_at"}
 
 
 def test_time_varying_reduces_to_constant_omega():
