@@ -29,6 +29,7 @@ from .exprdsl import (
 )
 from .numerics import (
     CumulativeIntegral,
+    _finite,
     fd_derivatives,
     integrate,
     residual_scan,
@@ -106,9 +107,10 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0):
         gamma(u) = omega^2 (u+g) + f^2/(u+g)
 
     and the physical coefficients D = D0 exp(int_1^u alpha), B = beta*D - Vf,
-    Q = gamma*D.  Evaluations where u+g vanishes raise DomainViolation.
+    Q = gamma*D.  Evaluations where u+g vanishes raise DomainViolation,
+    and a NaN or infinite omega a ValueError that names it.
     """
-    omega = float(omega)
+    omega, = _finite(omega=omega)
     f = bind(f, ("u",))
     g = bind(g, ("u",))
     fp = differentiate(f, "u")
@@ -157,9 +159,11 @@ def rcd_power_family(beta, gamma, delta, omega=1.0, Vf=0.0, D0=1.0):
         B(u) = [-2 gamma/beta + (beta+2) delta u / beta] D(u) - Vf
         Q(u) = [omega^2 beta u + u (gamma - delta u)^2 / beta] D(u)
 
-    valid on u > 0 (the D exponent is fractional in general).
+    valid on u > 0 (the D exponent is fractional in general).  A NaN or
+    infinite parameter raises a ValueError that names it.
     """
-    b, gam, dlt, w = float(beta), float(gamma), float(delta), float(omega)
+    b, gam, dlt, w = _finite(beta=beta, gamma=gamma, delta=delta,
+                             omega=omega)
     if b == 0.0:
         raise ValueError("beta must be nonzero")
     expo = (1.0 - b) / b
@@ -205,12 +209,15 @@ def rcd_travelling_wave(params, force_quadrature=False):
     antiderivative, used unless force_quadrature is set.  Raises
     BracketZero where B vanishes and DomainViolation outside the
     sin(theta) > 0 interval when beta is fractional, and a ValueError
-    naming a NaN or infinite parameter, xi_ref as t_ref (see
-    catalog.power_law).
+    naming a NaN or infinite parameter, xi_ref as t_ref, or an omega <= 0
+    (see catalog.power_law).
     """
     w = float(params.get("omega", 1.0))
     al = float(params.get("alpha", 0.0))
-    xi_ref = float(params.get("xi_ref", (math.pi / 2.0 - al) / w))
+    # the default xi_ref, where theta = pi/2, needs omega > 0; power_law
+    # refuses any other omega, whatever xi_ref is
+    xi_ref = float(params.get("xi_ref", (math.pi / 2.0 - al) / w
+                              if w > 0.0 else 0.0))
     return power_law(float(params["beta"]), float(params["gamma"]),
                      float(params["delta"]), 2, float(params["A"]), w, al,
                      xi_ref, force_quadrature)[0]
@@ -229,13 +236,13 @@ class BeamModel:
 
         u'' + alpha u/(1+alpha u^2) u'^2
             + omega^2 [u + (beta-alpha) u^3/(1+alpha u^2)] = 0
+
+    A NaN or infinite coefficient raises a ValueError that names it.
     """
 
     def __init__(self, alpha_coef, beta_coef, omega=1.0, c1=0.0):
-        self.alpha_coef = float(alpha_coef)
-        self.beta_coef = float(beta_coef)
-        self.omega = float(omega)
-        self.c1 = float(c1)
+        self.alpha_coef, self.beta_coef, self.omega, self.c1 = _finite(
+            alpha_coef=alpha_coef, beta_coef=beta_coef, omega=omega, c1=c1)
         if not self.omega > 0.0:
             raise ValueError("omega must be > 0")
 

@@ -33,7 +33,7 @@ from .errors import (
     PoleInRange,
     SeriesDivergence,
 )
-from .numerics import CumulativeIntegral, integrate
+from .numerics import CumulativeIntegral, _finite, integrate
 
 CASE_IDS = ("harmonic", "time_quadrature", "case1", "case2", "case3",
             "case4_riccati", "case5_power", "case6", "case7")
@@ -75,18 +75,6 @@ def _check_natural(n):
     if n < 2:
         raise ValueError("n must be >= 2, got %d" % n)
     return n
-
-
-def _finite(**values):
-    """The values as floats, in order; a NaN or infinite one raises a
-    ValueError that names it."""
-    out = []
-    for name, value in values.items():
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
-        out.append(value)
-    return out
 
 
 def _check_domain(domain, t):
@@ -222,11 +210,13 @@ def power_law(beta, gamma, delta, n, A, w, al, t_ref, quadrature):
     (DomainViolation outside).  Raises BracketZero where |B| is below
     1e-12*(1+|A|), BranchViolation where B < 0 with n > 2, and
     BracketZero where B has a zero between t_ref and t.  A NaN or infinite
-    argument raises a ValueError that names it.
+    argument, or an omega <= 0, raises a ValueError that names it.
     """
     beta, gamma, delta, A, w, al, t_ref = _finite(
         beta=beta, gamma=gamma, delta=delta, A=A, omega=w, alpha=al,
         t_ref=t_ref)
+    if not w > 0.0:
+        raise ValueError("omega must be > 0, got %r" % w)
     beta_integer = beta.is_integer()
     if beta_integer:
         domain = (-math.inf, math.inf)

@@ -296,21 +296,17 @@ def _printed(e):
 
 
 def cmd_derive(args):
-    # f, g and omega(t) print with their parameters bound
+    # f, g and omega(t) print with their parameters bound; argparse has
+    # checked a constant omega and alpha
     params = args.param or None
+    f, g = (bind(e, ("t", "x", "v"), params) for e in (args.f, args.g))
+    omega = bind(args.omega, ("t",), params)
+    form = generate_ode_time_varying(f, g, omega)
     if isinstance(args.omega, str):  # an expression in t
-        form = generate_ode_time_varying(args.f, args.g, args.omega,
-                                         params=params)
-        f, g, omega = (bind(e, ("t",), params)
-                       for e in (args.f, args.g, args.omega))
         integral = ("xd = omega(t)*cot(Phi(t) + alpha)*(x + g) - f,  "
                     "Phi(t) = integral of omega;  omega(t) = %s"
                     % to_str(omega))
     else:
-        osc = DeformedOscillator(args.f, args.g, args.omega,
-                                 alpha=args.alpha, params=params)
-        form = generate_ode(osc)
-        f, g = osc.exprs["f"], osc.exprs["g"]
         integral = ("(xd + f) = omega*cot(omega*t + alpha)*(x + g)"
                     "   with omega = %.17g, alpha = %.17g"
                     % (args.omega, args.alpha))

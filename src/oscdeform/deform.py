@@ -7,9 +7,10 @@ A harmonic oscillator in the deformed coordinates (x+g, xd+f) obeys
 for arbitrary C^1 deformations f(t,x,v), g(t,x,v).  Eliminating the
 cotangent produces a generalized Lienard-type second-order ODE whose
 coefficients are assembled here symbolically from f, g and their partial
-derivatives.  The module also provides the phase (generating) function,
-the deformed energy and its exact rate law, the time-varying-frequency ODE
-generation, and a quadratic-damping family with a complex tanh phase law.
+derivatives by one template (_lienard), for a constant omega and for a
+frequency omega(t).  The module also provides the phase (generating)
+function, the deformed energy and its exact rate law, and a
+quadratic-damping family with a complex tanh phase law.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .exprdsl import (
     sub,
 )
 from .numerics import (
+    _finite,
     cheb_interp,
     cheb_nodes_diff,
     integrate,
@@ -100,6 +102,16 @@ class _CompiledOnRead:
         return fn
 
 
+def _partials(f, g):
+    """The trees of f and g, Expr trees in (t, x, v), and of their six
+    first partials, keyed f, g, f_t, f_x, f_v, g_t, g_x, g_v."""
+    e = {"f": f, "g": g}
+    for name, tree in (("f", f), ("g", g)):
+        for var in _TXV:
+            e[name + "_" + var] = differentiate(tree, var)
+    return e
+
+
 class DeformedOscillator(_CompiledOnRead):
     """A harmonic oscillator composed with deformations x -> x+g, xd -> xd+f.
 
@@ -126,13 +138,7 @@ class DeformedOscillator(_CompiledOnRead):
                              % self.omega)
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite, got %r" % self.alpha)
-        self.exprs = {"f": f, "g": g,
-                      "f_t": differentiate(f, "t"),
-                      "f_x": differentiate(f, "x"),
-                      "f_v": differentiate(f, "v"),
-                      "g_t": differentiate(g, "t"),
-                      "g_x": differentiate(g, "x"),
-                      "g_v": differentiate(g, "v")}
+        self.exprs = _partials(f, g)
         self.f_depends_v = depends_on(f, "v")
         self.g_depends_v = depends_on(g, "v")
 
@@ -267,28 +273,51 @@ class OdeForm(_CompiledOnRead):
                 + self.remainder(t, x, v))
 
 
-def generate_ode(osc):
-    """Assemble the generalized Lienard form generated by (f, g, omega).
+def _lienard(e, omega):
+    """The generalized Lienard form of the first integral
+    (xd + f) = omega*cot(Phi + alpha)*(x + g), Phi' = omega: eliminating
+    the cotangent gives, with lam = omega'/omega,
 
-    The construction substitutes f, g and their six partials into a fixed
-    template; no simplification beyond constant folding is attempted.
-    Correctness is established by residual checks, not by the printed shape.
+        [(1 + f_v)(x+g) - (xd+f) g_v]*xdd
+          + [f_x (x+g) - f (g_x - 1) - g_t - lam (x+g)]*xd
+          + (x+g)(f_t + omega^2 (x+g)) + f^2 - f g_t - xd^2 g_x
+          - lam f (x+g) = 0.
+
+    e is the dict of _partials(f, g) and omega an Expr tree in t.  Only
+    constants fold, so for a Num omega lam folds to 0 and its terms
+    vanish.  Correctness is established by residual checks, not by the
+    printed shape.
     """
-    e = osc.exprs
     f, g = e["f"], e["g"]
     f_t, f_x, f_v = e["f_t"], e["f_x"], e["f_v"]
     g_t, g_x, g_v = e["g_t"], e["g_x"], e["g_v"]
-    x = Var("x")
-    v = Var("v")
+    x, v = Var("x"), Var("v")
     xpg = add(x, g)
-    w2 = Num(osc.omega ** 2)
+    w2 = powe(omega, Num(2.0))
+    lam = div(differentiate(omega, "t"), omega)
 
     coeff_xdd = sub(mul(add(Num(1.0), f_v), xpg), mul(add(v, f), g_v))
-    coeff_xd = sub(sub(mul(f_x, xpg), mul(f, sub(g_x, Num(1.0)))), g_t)
-    remainder = sub(add(mul(xpg, add(f_t, mul(w2, xpg))),
-                        sub(mul(f, f), mul(f, g_t))),
-                    mul(mul(v, v), g_x))
+    coeff_xd = sub(sub(sub(mul(f_x, xpg), mul(f, sub(g_x, Num(1.0)))), g_t),
+                   mul(lam, xpg))
+    remainder = sub(sub(add(mul(xpg, add(f_t, mul(w2, xpg))),
+                            sub(mul(f, f), mul(f, g_t))),
+                        mul(mul(v, v), g_x)),
+                    mul(mul(lam, f), xpg))
     return OdeForm(coeff_xdd, coeff_xd, remainder)
+
+
+def generate_ode(osc):
+    """The generalized Lienard form of the oscillator's first integral,
+    with its constant omega (see _lienard)."""
+    return _lienard(osc.exprs, Num(osc.omega))
+
+
+def generate_ode_time_varying(f, g, omega, params=None):
+    """The generalized Lienard form with the frequency omega(t), Phi its
+    antiderivative (see _lienard): f and g in (t, x, v) and omega in t,
+    with `params` bound; a constant omega gives generate_ode's trees."""
+    f, g = (bind(e, _TXV, params) for e in (f, g))
+    return _lienard(_partials(f, g), bind(omega, ("t",), params))
 
 
 def explicit_acceleration(form, state):
@@ -545,8 +574,10 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     meta["v_of_t"] are the dense solution; their values depend on t alone,
     and the states are their values at t_eval (see sample_trajectory).
     meta["x_of_t"] solves for x alone (osc.amplitude_position), with no
-    velocity solve.
+    velocity solve.  A NaN or infinite t0, x0, t1 or v0 raises a
+    ValueError that names it.
     """
+    _finite(t0=t0, x0=x0, t1=t1, v0=0.0 if v0 is None else v0)
     if not t1 > t0:
         raise ValueError("driver requires t1 > t0")
     w = osc.omega
@@ -646,35 +677,6 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     return sample_trajectory(state_at, t0, t1, t_eval,
                              {"poles_crossed": poles_crossed,
                               "x_of_t": x_of_t})
-
-
-# --- time-varying frequency --------------------------------------------------------
-
-def generate_ode_time_varying(f, g, omega, params=None):
-    """Second-order form for t-dependent deformations with frequency omega(t).
-
-    The first integral is xd = omega(t)*cot(Phi(t)+alpha)*(x+g) - f with
-    Phi the antiderivative of omega; eliminating the cotangent gives
-
-        (x+g)*xdd + [(f - g') - (omega'/omega)(x+g)]*xd + f'(x+g)
-          + omega^2 (x+g)^2 + f(f - g') - (omega'/omega) f (x+g) = 0.
-    """
-    f, g, omega = (bind(e, ("t",), params) for e in (f, g, omega))
-    fp = differentiate(f, "t")
-    gp = differentiate(g, "t")
-    wp = differentiate(omega, "t")
-    x = Var("x")
-    xpg = add(x, g)
-    lam = div(wp, omega)            # omega'/omega
-    fmg = sub(f, gp)                # f - g'
-
-    coeff_xdd = xpg
-    coeff_xd = sub(fmg, mul(lam, xpg))
-    remainder = sub(add(add(mul(fp, xpg), mul(powe(omega, Num(2.0)),
-                                              mul(xpg, xpg))),
-                        mul(f, fmg)),
-                    mul(lam, mul(f, xpg)))
-    return OdeForm(coeff_xdd, coeff_xd, remainder)
 
 
 # --- quadratic-damping family with tanh phase law ------------------------------------

@@ -68,18 +68,31 @@ class Trajectory:
         self.meta = meta
 
 
+def _finite(**values):
+    """The values as floats, in order; a NaN or infinite one raises a
+    ValueError that names it."""
+    out = []
+    for name, value in values.items():
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+        out.append(value)
+    return out
+
+
 def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
     """Trajectory of the pure state_at(t) -> (x, v) sampled at t_eval.
 
-    t_eval defaults to 257 points on [t0, t1]; a time outside [t0, t1]
-    raises ValueError, and the times are sorted and deduplicated; an empty
-    t_eval samples no state.  Where meta lacks "x_of_t" or "v_of_t", it
-    gains that projection of state_at.
+    t_eval defaults to 257 points on [t0, t1]; a time outside [t0, t1],
+    or NaN, raises ValueError, and the times are sorted and deduplicated;
+    an empty t_eval samples no state.  Where meta lacks "x_of_t" or
+    "v_of_t", it gains that projection of state_at.
     """
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 257)
     t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < t0) or np.any(t_eval > t1):
+    # the negated test refuses NaN as well
+    if not np.all((t_eval >= t0) & (t_eval <= t1)):
         raise ValueError("t_eval must lie within [t0, t1]")
     states = [PhaseState(t, *state_at(t)) for t in np.unique(t_eval).tolist()]
     return Trajectory(states, {"x_of_t": lambda t: state_at(t)[0],

@@ -351,6 +351,52 @@ def test_beam_model_validation():
         apps.BeamModel(3.0, 2.0, omega=0.0)
 
 
+def test_beam_refuses_a_nan_time():
+    # NaN passed the span check: direct mode returned the state
+    # (nan, nan, nan) and approx mode failed converting NaN to an integer
+    model = apps.BeamModel(3.0, 2.0)
+    for mode in ("direct", "approx"):
+        with pytest.raises(ValueError, match="t_eval must lie within"):
+            apps.beam_solve(model, mode, (0.05, 0.0), (0.0, 1.0),
+                            t_eval=[0.5, math.nan])
+
+
+# each construction, as a function of keyword arguments, with finite values
+# of its float parameters
+_CONSTRUCTIONS = {
+    "BeamModel": (apps.BeamModel, dict(alpha_coef=3.0, beta_coef=2.0,
+                                       omega=1.0, c1=0.0)),
+    "rcd_power_family": (apps.rcd_power_family,
+                         dict(beta=2.0, gamma=0.3, delta=0.6, omega=1.0,
+                              Vf=0.3, D0=1.5)),
+    "rcd_from_fg": (lambda **kw: apps.rcd_from_fg("-0.3*u", "u", **kw),
+                    dict(omega=1.0, Vf=0.3, D0=1.5)),
+}
+
+
+@pytest.mark.parametrize("construction, name", [
+    pytest.param(construction, name, id="%s-%s" % (construction, name))
+    for construction, (_, args) in _CONSTRUCTIONS.items() for name in args])
+def test_apps_refuse_non_finite_parameters_by_name(construction, name):
+    # a NaN alpha_coef raised UnboundNameError: nan in approx mode, a NaN
+    # beta_coef passed its gate, an infinite omega divided by zero, and the
+    # rcd coefficients came back NaN or infinite
+    build, args = _CONSTRUCTIONS[construction]
+    build(**args)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            build(**dict(args, **{name: bad}))
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+def test_travelling_wave_refuses_a_non_positive_omega(omega):
+    # omega 0 divided by zero and omega -1 returned a profile, where case3
+    # refuses both
+    with pytest.raises(ValueError, match="^omega must be > 0"):
+        apps.rcd_travelling_wave(dict(beta=1.0, gamma=0.5, delta=1.0,
+                                      A=3.0, omega=omega))
+
+
 def _distinct_nodes(e):
     seen = set()
     stack = [e]

@@ -50,7 +50,7 @@ EXPRESSIONS = st.recursive(_leaves, _extend, max_leaves=8)
 CONSTRUCTIONS = [
     ({"t", "x", "v"}, lambda e: DeformedOscillator(e, "0", 1.0)),
     ({"t", "x", "v"}, lambda e: DeformedOscillator("0", e, 1.0)),
-    ({"t"}, lambda e: generate_ode_time_varying(e, "0", "1")),
+    ({"t", "x", "v"}, lambda e: generate_ode_time_varying(e, "0", "1")),
     ({"t"}, lambda e: generate_ode_time_varying("0", "0", e)),
     ({"u"}, lambda e: rcd_from_fg(e, "0", 1.0)),
     ({"u"}, lambda e: rcd_from_fg("0", e, 1.0)),

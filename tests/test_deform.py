@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oscdeform import apps, catalog, deform
+from oscdeform import apps, catalog, deform, verify
 from oscdeform.deform import (
     DeformedOscillator,
     energy,
@@ -38,7 +38,14 @@ from oscdeform.errors import (
     UnboundNameError,
     ZeroDenominator,
 )
-from oscdeform.exprdsl import depends_on, evaluate, function, to_str
+from oscdeform.exprdsl import (
+    Num,
+    _walk,
+    depends_on,
+    evaluate,
+    function,
+    to_str,
+)
 from oscdeform.numerics import (
     PhaseState,
     cheb_nodes_diff,
@@ -467,6 +474,22 @@ def test_implicit_path_stops_at_a_fold_of_the_velocity_law():
     sol = catalog.case7(c, 0.3 / exact(t0), w, al)
     traj = integrate_first_integral(osc, t0, sol(t0), t_fold - 1e-3)
     assert max(abs(s.x - sol(s.t)) for s in traj.states) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["t0", "x0", "t1", "v0", "t_eval"])
+def test_integrate_first_integral_refuses_non_finite_arguments(name):
+    # t1 = inf overflowed in pole_times, t0 = -inf hit a math domain
+    # error, x0 = NaN underflowed the step size, and a NaN time was
+    # sampled; each is now a ValueError that names it
+    osc = DeformedOscillator("0.1*x", "0.2*x^2", 1.0, alpha=0.3)
+    args = dict(t0=0.5, x0=0.4, t1=1.5, v0=None, t_eval=[1.0])
+    integrate_first_integral(osc, **args)
+    message = "t_eval must lie within" if name == "t_eval" else (
+        "^%s must be finite" % name)
+    for bad in (math.nan, math.inf, -math.inf):
+        value = [1.0, bad] if name == "t_eval" else bad
+        with pytest.raises(ValueError, match=message):
+            integrate_first_integral(osc, **dict(args, **{name: value}))
 
 
 def test_integrate_first_integral_rejects_pole_start():
@@ -936,16 +959,21 @@ def test_explicit_march_solves_states_only_in_the_transits():
                             "state_at"}
 
 
+def _tree_bits(tree):
+    """The printed tree, and each node's type, or the bits of a constant."""
+    return to_str(tree), [float(n.value).hex() if isinstance(n, Num)
+                          else type(n).__name__ for n in _walk(tree)]
+
+
 def test_time_varying_reduces_to_constant_omega():
-    form_tv = generate_ode_time_varying("0.3*sin(t)", "0.1*t", "2")
-    osc = DeformedOscillator("0.3*sin(t)", "0.1*t", 2.0)
-    form = generate_ode(osc)
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        t, x, v = rng.uniform(-1.5, 1.5, size=3)
-        a = rng.uniform(-2, 2)
-        assert form_tv.residual(t, x, v, a) == pytest.approx(
-            form.residual(t, x, v, a), rel=1e-13, abs=1e-13)
+    # one template: a constant omega(t) builds generate_ode's trees, node
+    # for node and bit for bit
+    for f, g in verify.THEOREM_PAIRS:
+        form_tv = generate_ode_time_varying(f, g, "2")
+        form = generate_ode(DeformedOscillator(f, g, 2.0))
+        for name, tree in form.exprs.items():
+            assert (_tree_bits(form_tv.exprs[name])
+                    == _tree_bits(tree)), (f, g, name)
 
 
 def test_time_varying_residual_along_solution():
@@ -965,9 +993,27 @@ def test_time_varying_residual_along_solution():
     assert worst < 1e-7
 
 
+def test_time_varying_residual_with_x_dependent_deformations():
+    # f and g read x under omega(t) = 1 + t/10
+    form = generate_ode_time_varying("0.2*x + 0.1*sin(t)", "0.1*x^2",
+                                     "1 + t/10")
+
+    def slope(t, x):
+        # xd = omega(t)*cot(Phi(t) + alpha)*(x + g) - f with
+        # Phi(t) = t + t^2/20 and alpha = 0.2
+        th = t + t * t / 20.0 + 0.2
+        return ((1.0 + t / 10.0) * math.cos(th) / math.sin(th)
+                * (x + 0.1 * x * x) - 0.2 * x - 0.1 * math.sin(t))
+
+    x_of_t, = integrate(slope, 0.1, 0.7, 2.4, rtol=1e-12, atol=1e-14)
+    worst = residual_scan(form, x_of_t, np.linspace(0.2, 2.3, 50))
+    assert worst < 1e-7
+
+
 def test_time_varying_validation():
+    # f and g may read t, x and v, omega only t
     with pytest.raises(UnboundNameError):
-        generate_ode_time_varying("x", "0", "1")
+        generate_ode_time_varying("x*u", "0", "1")
     with pytest.raises(UnboundNameError):
         generate_ode_time_varying("q*t", "0", "1")
 

@@ -71,6 +71,11 @@ def test_sample_trajectory_refuses_a_time_outside_the_span():
             sample_trajectory(_circle, 0.0, 1.0, t_eval)
 
 
+def test_sample_trajectory_refuses_a_nan_time():
+    with pytest.raises(ValueError, match="t_eval must lie within"):
+        sample_trajectory(_circle, 0.0, 1.0, [0.5, math.nan])
+
+
 def test_sample_trajectory_of_no_times_keeps_the_solution():
     calls = []
 
