@@ -14,18 +14,17 @@ from collections import namedtuple
 
 from . import exprdsl
 from .catalog import power_law
+from .deform import generate_ode_time_varying
 from .errors import ApproxOutOfRegime, DomainViolation, NegativeAlpha
 from .exprdsl import (
     Num,
     Var,
-    add,
+    _substitute,
     bind,
     differentiate,
     div,
     function,
     mul,
-    neg,
-    sub,
 )
 from .numerics import (
     CumulativeIntegral,
@@ -100,32 +99,24 @@ class RcdSystem:
 def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0):
     """Build the RCD coefficient triple generated by a deformation pair.
 
-    f and g are expressions in u.  The phase-plane coefficients are
-
-        alpha(u) = -g'/(u+g)
-        beta(u)  = f' - f (g'-1)/(u+g)
-        gamma(u) = omega^2 (u+g) + f^2/(u+g)
-
-    and the physical coefficients D = D0 exp(int_1^u alpha), B = beta*D - Vf,
-    Q = gamma*D.  Evaluations where u+g vanishes raise DomainViolation,
-    and a NaN or infinite omega a ValueError that names it.
+    f and g are expressions in u.  alpha, beta and gamma are read from the
+    Lienard form of (f, g) in x = u (generate_ode_time_varying) over its
+    xdd coefficient u + g: the u'^2 coefficient of the remainder, the xd
+    coefficient and the remainder at u' = 0.  D = D0 exp(int_1^u alpha),
+    B = beta*D - Vf, Q = gamma*D.  DomainViolation where u + g vanishes,
+    and from D, B and Q where it does so or changes sign between 1 and u;
+    a NaN or infinite omega raises a ValueError that names it.
     """
     omega, = _finite(omega=omega)
-    f = bind(f, ("u",))
-    g = bind(g, ("u",))
-    fp = differentiate(f, "u")
-    gp = differentiate(g, "u")
-    u = Var("u")
-    upg = add(u, g)
+    form = generate_ode_time_varying(
+        *(_substitute(bind(e, ("u",)), {"u": Var("x")}) for e in (f, g)),
+        omega).exprs
+    upg = form["coeff_xdd"]
+    upg_fn = function(upg, ("x",))
 
-    alpha_e = neg(div(gp, upg))
-    beta_e = sub(fp, div(mul(f, sub(gp, Num(1.0))), upg))
-    gamma_e = add(mul(Num(omega * omega), upg), div(mul(f, f), upg))
-
-    upg_fn = function(upg, ("u",))
-
-    def guarded(e):
-        raw = function(e, ("u",))
+    def over_upg(e):
+        # e/(u + g) at u' = 0, as a function of u that refuses u + g = 0
+        raw = function(_substitute(div(e, upg), {"v": Num(0.0)}), ("x",))
 
         def fn(uq):
             if abs(upg_fn(uq)) < 1e-300:
@@ -133,14 +124,23 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0):
             return raw(uq)
         return fn
 
-    alpha_fn = guarded(alpha_e)
-    beta_fn = guarded(beta_e)
-    gamma_fn = guarded(gamma_e)
+    alpha_fn = over_upg(mul(Num(0.5), differentiate(
+        differentiate(form["remainder"], "v"), "v")))
+    beta_fn = over_upg(form["coeff_xd"])
+    gamma_fn = over_upg(form["remainder"])
 
-    accum = CumulativeIntegral(alpha_fn, 1.0)
+    def same_side(s):
+        # int_1^u alpha diverges through a zero of u + g: D checks its u
+        # and each node of its quadrature
+        if not upg_fn(s) * upg_fn(1.0) > 0.0:
+            raise DomainViolation("u + g vanishes or changes sign between "
+                                  "u = 1 and u = %r" % (s,))
+        return s
+
+    accum = CumulativeIntegral(lambda s: alpha_fn(same_side(s)), 1.0)
 
     def D(uq):
-        return D0 * math.exp(accum(float(uq)))
+        return D0 * math.exp(accum(same_side(float(uq))))
 
     def B(uq):
         return beta_fn(uq) * D(uq) - Vf
@@ -256,8 +256,9 @@ def beam_g_expr(model):
     a = model.alpha_coef
     if a <= 0.0:
         raise NegativeAlpha("the asinh construction needs alpha > 0")
-    text = ("0.5*((2*sqrt(%r)*%r + asinh(sqrt(%r)*u))"
-            "/sqrt(%r*(1 + %r*u^2)) - u)" % (a, model.c1, a, a, a))
+    r = math.sqrt(a)  # a float: no evaluation computes it again
+    text = ("0.5*((2*%r*%r + asinh(%r*u))"
+            "/sqrt(%r*(1 + %r*u^2)) - u)" % (r, model.c1, r, a, a))
     return exprdsl.parse(text)
 
 
@@ -278,9 +279,13 @@ SeriesComparison = namedtuple("SeriesComparison",
 def beam_series_compare(model, order=6):
     """Taylor coefficients of g(u) and h(u) about u = 0 up to `order`,
     plus their largest coefficient mismatch (the approximation g ~ h is
-    the basis of the closed-form beam solution)."""
-    if not 0 <= order <= 6:
-        raise ValueError("order must be between 0 and 6")
+    the basis of the closed-form beam solution).  A non-integral order
+    raises a ValueError that names it."""
+    if isinstance(order, float) and order.is_integer():
+        order = int(order)
+    if not (isinstance(order, int) and 0 <= order <= 6):
+        raise ValueError("order must be an integer from 0 to 6, got %r"
+                         % (order,))
     ge = beam_g_expr(model)
     he = beam_h_expr(model)
     g_coeffs = []
@@ -311,23 +316,15 @@ def _beam_rhs(model):
 
 
 def _beam_implicit_funcs(model):
-    """F(u) = u exp(int_0^u rho) with rho = -g/(s(s+g)); F is odd, strictly
-    increasing, and d ln F/du = 1/(u+g), so F(u(t)) = K sin(omega t + phi)
-    along solutions.  Also returns G = F/(u+g) = dF/du (regular at u = 0)."""
-    a = model.alpha_coef
+    """F(u) = u exp(int_0^u rho), rho = -(g/s)/(s+g) with g from beam_g
+    (-g/(s(s+g)) underflows near s = 1e-160); d ln F/du = 1/(u+g), so
+    F(u(t)) = K sin(omega t + phi) is the first integral of the pair (0, g).
+    G = F/(u+g) = dF/du.  c1 = 0 gives g = O(u^3): g/u, rho are 0 at 0."""
     g_fn = beam_g(model)
 
-    def g_over_u(u):
-        # series of g/u below the cancellation floor
-        if abs(u) < 1e-3:
-            return -a * u * u / 3.0 + (4.0 / 15.0) * a * a * u ** 4
-        return g_fn(u) / u
-
     def rho(s):
-        if abs(s) < 1e-3:
-            return a * s / 3.0 - (7.0 / 45.0) * a * a * s ** 3
         g = g_fn(s)
-        return -g / (s * (s + g))
+        return -(g / s) / (s + g) if s else 0.0
 
     Q = CumulativeIntegral(rho, 0.0)
 
@@ -335,7 +332,7 @@ def _beam_implicit_funcs(model):
         return u * math.exp(Q(float(u)))
 
     def G(u):
-        return math.exp(Q(float(u))) / (1.0 + g_over_u(u))
+        return math.exp(Q(float(u))) / (1.0 + (g_fn(u) / u if u else 0.0))
 
     return F, G, g_fn
 
@@ -346,9 +343,10 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
 
     mode "direct" integrates the second-order equation for any alpha with
     1 + alpha u^2 > 0.  mode "approx" evaluates the closed-form implicit
-    solution F(u) = K sin(omega t + phi), which is exact when the cubic
-    correction h matches the deformation series — hence gated to
-    beta = 2*alpha/3 (and c1 = 0), the regime where that holds through u^3.
+    solution F(u) = K sin(omega t + phi) of the pair (0, beam_g), exact
+    when the cubic correction h matches the deformation series — hence
+    gated to beta = 2*alpha/3 (and c1 = 0), the regime where that holds
+    through u^3.  verify checks it against DOP853 on the ODE of the pair.
 
     meta["x_of_t"] and meta["v_of_t"] give u and du/dt; their values depend
     on t alone, and the states are their values at t_eval (see

@@ -21,6 +21,7 @@ from .deform import (
     energy_rate,
     explicit_acceleration,
     generate_ode,
+    generate_ode_time_varying,
     integrate_first_integral,
     phase_function,
     pole_times,
@@ -30,13 +31,14 @@ from .deform import (
     riccati_phase,
     riccati_phase_formula,
 )
-from .exprdsl import differentiate, function
+from .exprdsl import Var, _substitute, differentiate, function
 from .numerics import (
     fd_derivatives,
     find_root,
     integrate,
     max_abs,
     residual_scan,
+    sample_trajectory,
     trajectory_residual,
 )
 
@@ -359,9 +361,35 @@ def suite_rcd():
     return out
 
 
+def _beam_generated_ode(model, u0, ts):
+    """DOP853 on the ODE that deform generates from the pair (0, g_beam in
+    x), from (u0, 0) at ts[0] to rtol 1e-13, sampled on ts: the equation
+    whose first integral beam_solve's approx mode solves in closed form.
+    Its xdd coefficient u + g and the rest of it vanish together at
+    u = 0, so the acceleration stays regular there."""
+    g = _substitute(apps.beam_g_expr(model), {"u": Var("x")})
+    form = generate_ode_time_varying("0", g, model.omega)
+
+    def rhs(t, y):
+        x, v = y
+        return [v, explicit_acceleration(form, (t, x, v))]
+
+    x_of_t, v_of_t = integrate(rhs, ts[0], (u0, 0.0), ts[-1],
+                               rtol=1e-13, atol=1e-15)
+    return sample_trajectory(lambda t: (x_of_t(t), v_of_t(t)), ts[0],
+                             ts[-1], ts)
+
+
+def _state_gap(one, other):
+    """Largest x or v gap between two equally long sequences of states."""
+    return max_abs(d for p, q in zip(one, other, strict=True)
+                   for d in (p.x - q.x, p.v - q.v))
+
+
 def suite_beam():
-    """The asinh deformation identity, the series regime match, and
-    closed-form vs direct integration."""
+    """The asinh deformation identity, the series regime match,
+    closed-form vs direct integration (the model gap h != g) and closed
+    form vs the ODE of the deformation pair (rounding)."""
     out = []
     model = apps.BeamModel(3.0, 2.0, omega=1.0, c1=0.0)
     ge = apps.beam_g_expr(model)
@@ -395,9 +423,13 @@ def suite_beam():
                              t_eval=t, rtol=1e-12, atol=1e-14)
     approx = apps.beam_solve(model, "approx", (0.05, 0.0), (0.0, t[-1]),
                              t_eval=t)
-    gap = max_abs(d for p, q in zip(approx.states, direct.states)
-                  for d in (p.x - q.x, p.v - q.v))
-    out.append(_check("beam/approx-vs-direct", gap, 1e-3))
+    out.append(_check("beam/approx-vs-direct",
+                      _state_gap(approx.states, direct.states), 1e-3))
+    # the first half period, through u = 0 at t = pi/2: the whole period
+    # would add as much again to the suite's time
+    ode = _beam_generated_ode(model, 0.05, t[:129])
+    out.append(_check("beam/approx-vs-generated-ode",
+                      _state_gap(approx.states[:129], ode.states), 1e-12))
     return out
 
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oscdeform import apps, catalog
+from oscdeform import apps, catalog, verify
+from oscdeform.deform import generate_ode_time_varying
 from oscdeform.errors import (
     ApproxOutOfRegime,
     BracketZero,
@@ -13,7 +14,7 @@ from oscdeform.errors import (
     NegativeAlpha,
     UnboundNameError,
 )
-from oscdeform.exprdsl import differentiate, evaluate
+from oscdeform.exprdsl import differentiate, evaluate, function, parse
 from oscdeform.numerics import find_root
 
 
@@ -72,6 +73,48 @@ def test_rcd_input_validation():
     sys = apps.rcd_from_fg("u^2", "0", omega=1.0)
     with pytest.raises(DomainViolation):
         sys.alpha(0.0)
+
+
+@pytest.mark.parametrize("f, g", [
+    ("-0.3*{0} + 0.6*{0}^2", "{0}"),
+    ("0.2*sin({0})", "0.3*sin({0})"),
+    ("-0.5*{0} + {0}^2", "0.4*{0}^3"),
+    ("0.1*exp({0})", "0.2*cos({0}) - 0.2"),
+    ("0.3*cos({0})", "0.1*{0}^3 - 0.2*{0} + 0.1*asinh({0})"),
+])
+def test_rcd_from_fg_is_the_lienard_form_over_u_plus_g(f, g):
+    # (u + g)*(u'' + alpha u'^2 + beta u' + gamma) is the generalized
+    # Lienard form of (f, g) with x = u, at any (u, u', u'')
+    sys = apps.rcd_from_fg(f.format("u"), g.format("u"), 1.3)
+    form = generate_ode_time_varying(f.format("x"), g.format("x"), 1.3)
+    upg = function(parse("u + " + g.format("u")), ("u",))
+    rng = np.random.default_rng(20240825)
+    for u, up, upp in rng.uniform(-2.0, 2.0, (50, 3)).tolist():
+        u = 0.2 + abs(u)
+        want = form.residual(0.0, u, up, upp)
+        scale = (abs(form.coeff_xdd(0.0, u, up) * upp)
+                 + abs(form.coeff_xd(0.0, u, up) * up)
+                 + abs(form.remainder(0.0, u, up)))
+        got = sys.residual(0.0, u, up, upp) * upg(u)
+        assert abs(got - want) <= 1e-14 * scale
+
+
+def test_rcd_d_refuses_a_path_through_a_zero_of_u_plus_g():
+    # alpha = 1/u: the integral of alpha from u = 1 diverges at 0, where D
+    # read 0.2499... at u = -1e-3 and 0.9999... at u = -1
+    sys = apps.rcd_from_fg("0", "-0.5*u", 1.0)
+    assert abs(sys.D(0.5) - 0.5) < 1e-14
+    assert sys.alpha(-1.0) == -1.0
+    for coefficient in (sys.D, sys.B, sys.Q):
+        for u in (-1e-3, -1.0, 0.0):
+            with pytest.raises(DomainViolation):
+                coefficient(u)
+    # u + g = (u - 0.4)(u - 0.6) is positive at 1 and at 0.2, negative
+    # between 0.4 and 0.6: the quadrature nodes on the way see the sign
+    sys = apps.rcd_from_fg("0", "u^2 - 2*u + 0.24", 1.0)
+    assert math.isfinite(sys.D(0.7)) and math.isfinite(sys.alpha(0.2))
+    with pytest.raises(DomainViolation, match="changes sign"):
+        sys.D(0.2)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -250,6 +293,13 @@ def test_beam_series_regime_match():
 def test_beam_series_order_validation():
     with pytest.raises(ValueError):
         apps.beam_series_compare(apps.BeamModel(3.0, 2.0), order=7)
+    # an integral float is its integer; range() raised TypeError on 3.0
+    model = apps.BeamModel(3.0, 2.0)
+    assert (apps.beam_series_compare(model, order=3.0)
+            == apps.beam_series_compare(model, order=3))
+    for order in (2.5, math.nan, 7):
+        with pytest.raises(ValueError, match="from 0 to 6, got %r" % order):
+            apps.beam_series_compare(model, order=order)
 
 
 def test_beam_direct_zero_alpha_is_harmonic():
@@ -288,6 +338,47 @@ def test_beam_approx_through_origin():
                              t_eval=t)
     for a, d in zip(approx.states, direct.states):
         assert abs(a.x - d.x) < 1e-3
+
+
+def test_beam_approx_near_zero_is_finite():
+    # without the hand series below |u| = 1e-3, rho written as -g/(s(s+g))
+    # underflows to a division by zero: F(1e-160) raises
+    model = apps.BeamModel(3.0, 2.0)
+    F, G, _ = apps._beam_implicit_funcs(model)
+    for u in (1e-160, 1e-300, -1e-300):
+        assert F(u) == u and G(u) == 1.0
+    traj = apps.beam_solve(model, "approx", (1e-160, 0.0), (0.0, 1.0),
+                           t_eval=[0.0, 0.5, 1.0])
+    assert all(math.isfinite(s.x) and math.isfinite(s.v)
+               for s in traj.states)
+    assert traj.states[0].x == 1e-160
+
+
+@pytest.mark.parametrize("a, u0", [(3.0, 0.3), (1.7, 0.2)])
+def test_beam_approx_solves_the_ode_of_the_pair(monkeypatch, a, u0):
+    # verify's beam/approx-vs-generated-ode comparison, over a whole
+    # period on all 257 points, at two more starts (they read 1.6e-13 and
+    # 4.8e-14), and the seeded fault F*(1 + 1e-8) failing it (3.1e-9 and
+    # 2.0e-9), a fault approx-vs-direct lets through: that check's 1e-3
+    # bounds the model gap h != g
+    model = apps.BeamModel(a, 2.0 * a / 3.0)
+    t = np.linspace(0.0, 2.0 * math.pi, 257)
+    ode = verify._beam_generated_ode(model, u0, t)
+
+    def gap():
+        return verify._state_gap(apps.beam_solve(
+            model, "approx", (u0, 0.0), (0.0, t[-1]), t_eval=t).states,
+            ode.states)
+
+    assert gap() < 1e-12
+    exact = apps._beam_implicit_funcs
+
+    def scaled(model):
+        F, G, g_fn = exact(model)
+        return (lambda u: F(u) * (1.0 + 1e-8)), G, g_fn
+
+    monkeypatch.setattr(apps, "_beam_implicit_funcs", scaled)
+    assert gap() > 1e-12
 
 
 def _beam_period(model, u0):
