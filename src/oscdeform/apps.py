@@ -14,12 +14,13 @@ from collections import namedtuple
 
 from . import exprdsl
 from .catalog import power_law
-from .deform import generate_ode_time_varying
+from .deform import OdeForm, generate_ode_time_varying, integrate_form
 from .errors import ApproxOutOfRegime, DomainViolation, NegativeAlpha
 from .exprdsl import (
     Num,
     Var,
     _substitute,
+    add,
     bind,
     differentiate,
     div,
@@ -30,7 +31,6 @@ from .numerics import (
     CumulativeIntegral,
     _finite,
     fd_derivatives,
-    integrate,
     residual_scan,
     sample_trajectory,
     solve_scalar,
@@ -267,9 +267,19 @@ def beam_g(model):
 
 
 def beam_h_expr(model):
-    """Cubic restoring correction h(u) = (beta-alpha) u^3/(1+alpha u^2)."""
+    """Cubic restoring correction h(u) = (beta-alpha) u^3/(1+alpha u^2),
+    as products: a huge u gives inf, where a power raises EvalDomainError."""
     a, b = model.alpha_coef, model.beta_coef
-    return exprdsl.parse("(%r)*u^3/(1 + %r*u^2)" % (b - a, a))
+    return exprdsl.parse("(%r)*(u*u*u)/(1 + %r*u*u)" % (b - a, a))
+
+
+def _beam_form(model):
+    """BeamModel's equation as an OdeForm in (t, x, v), x = u, h from
+    beam_h_expr: xdd + alpha x/(1 + alpha x^2)*v*xd + omega^2 (x + h)."""
+    a, w, x = model.alpha_coef, model.omega, Var("x")
+    h = _substitute(beam_h_expr(model), {"u": x})
+    return OdeForm(Num(1.0), exprdsl.parse("%r*x/(1 + %r*x*x)*v" % (a, a)),
+                   mul(Num(w * w), add(x, h)))
 
 
 SeriesComparison = namedtuple("SeriesComparison",
@@ -302,19 +312,6 @@ def beam_series_compare(model, order=6):
     return SeriesComparison(tuple(g_coeffs), tuple(h_coeffs), mism)
 
 
-def _beam_rhs(model):
-    a, b, w = model.alpha_coef, model.beta_coef, model.omega
-
-    def rhs(t, y):
-        u, v = y
-        den = 1.0 + a * u * u
-        # u*u*u, not u**3, which raises OverflowError on a huge trial state
-        cubic = (b - a) * (u * u * u) / den
-        acc = -(a * u / den) * v * v - w * w * (u + cubic)
-        return [v, acc]
-    return rhs
-
-
 def _beam_implicit_funcs(model):
     """F(u) = u exp(int_0^u rho), rho = -(g/s)/(s+g) with g from beam_g
     (-g/(s(s+g)) underflows near s = 1e-160); d ln F/du = 1/(u+g), so
@@ -341,12 +338,14 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
                rtol=1e-10, atol=1e-12):
     """Integrate the beam oscillator.
 
-    mode "direct" integrates the second-order equation for any alpha with
-    1 + alpha u^2 > 0.  mode "approx" evaluates the closed-form implicit
-    solution F(u) = K sin(omega t + phi) of the pair (0, beam_g), exact
-    when the cubic correction h matches the deformation series — hence
-    gated to beta = 2*alpha/3 (and c1 = 0), the regime where that holds
-    through u^3.  verify checks it against DOP853 on the ODE of the pair.
+    mode "direct" marches the beam's OdeForm (_beam_form) in (u, du/dt)
+    with deform.integrate_form, for any alpha; a start with 1 + alpha u0^2
+    <= 0 raises DomainViolation.  mode "approx" evaluates the closed-form
+    implicit solution F(u) = K sin(omega t + phi) of the pair (0, beam_g),
+    exact when the cubic correction h matches the deformation series —
+    hence gated to beta = 2*alpha/3 (and c1 = 0), the regime where that
+    holds through u^3.  verify checks it against DOP853 on the ODE of the
+    pair, marched by integrate_form as well.
 
     meta["x_of_t"] and meta["v_of_t"] give u and du/dt; their values depend
     on t alone, and the states are their values at t_eval (see
@@ -358,8 +357,11 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
     u0, v0 = float(ic[0]), float(ic[1])
 
     if mode == "direct":
-        x_of_t, v_of_t = integrate(_beam_rhs(model), t0, (u0, v0), t1,
-                                   rtol=rtol, atol=atol)
+        if not 1.0 + model.alpha_coef * u0 * u0 > 0.0:
+            raise DomainViolation("direct mode needs 1 + alpha*u0^2 > 0, "
+                                  "got u0 = %r" % u0)
+        x_of_t, v_of_t = integrate_form(_beam_form(model), t0, (u0, v0), t1,
+                                        rtol=rtol, atol=atol)
         return sample_trajectory(lambda t: (x_of_t(t), v_of_t(t)),
                                  t0, t1, t_eval)
 

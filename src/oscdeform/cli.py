@@ -24,12 +24,12 @@ from . import apps, catalog
 from . import verify as verify_mod
 from .deform import (
     DeformedOscillator,
-    explicit_acceleration,
     first_integral_velocity,
     fit_alpha,
     generate_ode,
     generate_ode_time_varying,
     integrate_first_integral,
+    integrate_form,
 )
 from .errors import (
     CotangentPole,
@@ -49,7 +49,6 @@ from .exprdsl import (
     evaluate,
     to_str,
 )
-from .numerics import integrate
 
 
 class UsageError(Exception):
@@ -334,15 +333,11 @@ def cmd_solve(args):
     try:
         if args.method == "second-order":
             form = generate_ode(osc)
-            v0 = args.v0
-            if v0 is None:
-                v0 = first_integral_velocity(osc, args.t0, args.x0)
-
-            def rhs(t, y):
-                return [y[1], explicit_acceleration(form, (t, y[0], y[1]))]
-
-            x_of_t, v_of_t = integrate(rhs, args.t0, (args.x0, v0), args.t1,
-                                       rtol=args.rtol, atol=args.atol)
+            v0 = (first_integral_velocity(osc, args.t0, args.x0)
+                  if args.v0 is None else args.v0)
+            x_of_t, v_of_t = integrate_form(form, args.t0, (args.x0, v0),
+                                            args.t1, rtol=args.rtol,
+                                            atol=args.atol)
             rows = [(t, x_of_t(t), v_of_t(t)) for t in grid]
         else:
             traj = integrate_first_integral(osc, args.t0, args.x0, args.t1,

@@ -28,6 +28,7 @@ from .errors import (
     ImplicitNoRoot,
     NonSmoothPoint,
     SingularCoefficient,
+    StepSizeUnderflow,
     ZeroDenominator,
 )
 from .exprdsl import (
@@ -333,6 +334,16 @@ def explicit_acceleration(form, state):
     return -(form.coeff_xd(t, x, v) * v + form.remainder(t, x, v)) / c0
 
 
+def integrate_form(form, t0, state0, t1, rtol=1e-10, atol=1e-12):
+    """March a second-order form as the first-order system x' = v,
+    v' = explicit_acceleration(form, (t, x, v)) from state0 = (x0, v0) at
+    t0 to t1 (t1 < t0 marches backwards), with DOP853 (numerics.integrate).
+    Returns the dense solution (x_of_t, v_of_t)."""
+    def rhs(t, y):
+        return y[1], explicit_acceleration(form, (t, *y))
+    return integrate(rhs, t0, state0, t1, rtol=rtol, atol=atol)
+
+
 def first_integral_velocity(osc, t, x, v_start=0.0):
     """Velocity selected by the first integral at (t, x).
 
@@ -563,19 +574,23 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     compiled once per oscillator, closed forms where g is free of x and f
     of v, and solve_scalar's Newton loop inside the code where g reads x
     or f reads v, with solve_scalar itself called only where Newton
-    stalls.  When g depends on v the scaled first integral is regular at
-    the poles and no splitting is performed; a fold of the velocity law, where the v-derivative of G
-    leaves the sign it has at the start, raises NonSmoothPoint naming its t.
+    stalls.  Every Newton solve for x starts from x0 and every one for v
+    from v0 (by default the first integral's velocity at (t0, x0)), so a
+    law with several roots stays on the initial condition's branch.  When
+    t0 sits on a pole, v0 also pins the crossing amplitude.
 
-    Every Newton solve for x starts from x0 and every one for v from v0
-    (by default the first integral's velocity at (t0, x0)), so a law with
-    several roots stays on the initial condition's branch.  When t0 sits on
-    a pole, v0 also pins the crossing amplitude.  meta["x_of_t"] and
-    meta["v_of_t"] are the dense solution; their values depend on t alone,
-    and the states are their values at t_eval (see sample_trajectory).
-    meta["x_of_t"] solves for x alone (osc.amplitude_position), with no
-    velocity solve.  A NaN or infinite t0, x0, t1 or v0 raises a
-    ValueError that names it.
+    When g depends on v the first integral G = 0 is regular at the poles:
+    one solve at t0 from the guess v0 (0 by default) gives v, and
+    integrate_form marches (x, v) on G_v*xdd + G_x*xd + G_t = 0, G = 0
+    differentiated (Hairer & Wanner, Solving ODEs II, ch. VII).  A fold of
+    the velocity law raises NonSmoothPoint naming its t: G_v leaves its
+    starting sign, or the march stalls with |G_v| below 1e-6 of it.
+
+    meta["x_of_t"] and meta["v_of_t"] are the dense solution; their values
+    depend on t alone, and the states are their values at t_eval (see
+    sample_trajectory).  meta["x_of_t"] solves for x alone
+    (osc.amplitude_position), with no velocity solve.  A NaN or infinite
+    t0, x0, t1 or v0 raises a ValueError that names it.
     """
     _finite(t0=t0, x0=x0, t1=t1, v0=0.0 if v0 is None else v0)
     if not t1 > t0:
@@ -601,29 +616,35 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                       - osc.alpha) / w
 
     if osc.g_depends_v:
-        # regular at poles: integrate straight through, up to a fold of the
-        # velocity law, where G'(v) leaves the sign it has at the start
-        v_start = 0.0 if v0 is None else v0
-        law = osc.first_integral_root.law
-        slope0 = law(first_integral_velocity(osc, t0, x0, v_start), t0, x0)[1]
+        # G = 0 differentiated; a march that stalls as G_v falls towards 0
+        # has met a fold, which no stage passes
+        v_start = first_integral_velocity(osc, t0, x0,
+                                          0.0 if v0 is None else v0)
+        G, G_v = osc.first_integral_root.pair
+        form = OdeForm(G_v, differentiate(G, "x"), differentiate(G, "t"))
+        g_v = form.coeff_xdd
+        last = [t0, g_v(t0, x0, v_start)]  # the last stage's t and G_v
+        slope0 = last[1]
+        fold = ("the velocity law G(v) = (v+f)*sin(theta) - omega*cos(theta)"
+                "*(x+g) = 0 folds at t = %r: G'(v) = %r, %r at the start")
 
-        def x_rhs(t, x):
-            v = first_integral_velocity(osc, t, x, v_start)
-            if not law(v, t, x)[1] * slope0 > 0.0:
-                raise NonSmoothPoint(
-                    "the velocity law G(v) = (v+f)*sin(theta) - "
-                    "omega*cos(theta)*(x+g) = 0 folds at t = %r: G'(v) "
-                    "leaves the sign it has at the start" % t)
-            return v
+        def coeff_xdd(t, x, v):
+            last[:] = t, g_v(t, x, v)
+            if not last[1] * slope0 > 0.0:
+                raise NonSmoothPoint(fold % (t, last[1], slope0))
+            return last[1]
 
-        x_dense, = integrate(x_rhs, t0, x0, t1, rtol=rtol, atol=atol)
-
-        def state_at(tq):
-            x = x_dense(tq)
-            return x, first_integral_velocity(osc, float(tq), x, v_start)
-
-        return sample_trajectory(state_at, t0, t1, t_eval,
-                                 {"poles_crossed": [], "x_of_t": x_dense})
+        form.coeff_xdd = coeff_xdd
+        try:
+            x_of_t, v_of_t = integrate_form(form, t0, (x0, v_start), t1,
+                                            rtol=rtol, atol=atol)
+        except (StepSizeUnderflow, SingularCoefficient) as exc:
+            if abs(last[1]) > 1e-6 * abs(slope0):
+                raise
+            raise NonSmoothPoint(fold % (*last, slope0)) from exc
+        return sample_trajectory(lambda tq: (x_of_t(tq), v_of_t(tq)), t0, t1,
+                                 t_eval, {"poles_crossed": [],
+                                          "x_of_t": x_of_t, "v_of_t": v_of_t})
 
     if v0 is None:
         v0 = first_integral_velocity(osc, t0, x0)

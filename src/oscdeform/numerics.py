@@ -2,32 +2,24 @@
 quadrature, root finding, Chebyshev collocation, and finite-difference
 residual scanning.
 
-The solver is DOP853 (8th-order embedded Runge-Kutta; Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.5-6), run by integrate itself in plain
-floats: scipy's algorithm step for step on its tableau (_DOP853, written
-here as float literals), with no numpy array per stage.  Each step is one
-generated straight-line function per state size (_kernels), written out
-from the tableau on first use and compiled once; it makes the same rhs
-calls, steps and bits as the loop over the tableau that it replaces
-(tests/test_numerics.py keeps that loop as its reference).  integrate
-returns the dense solution, one callable per component evaluating the
-DOP853 interpolant as scipy's OdeSolution does.  Its sums run in another
-order than numpy's, so values agree with scipy's to rounding, not bit
-for bit, with the same right-hand-side calls and steps
-(tests/test_numerics.py holds the two together).  sample_trajectory
-samples a pure state_at(t) once per distinct time, in increasing order,
-into a Trajectory, the record of those states and of the solution's meta.
-Root finding on a bracket is Brent's method in plain floats, scipy's
-brentq step for step, behind a sign check that raises the typed
-NoSignChange.  Quadrature is a small self-contained routine so its node
-placement stays explicit and reproducible.  Every implicit relation (the
-first integral's position and velocity, the beam's F(u) = K sin(omega*t +
-phi)) is inverted pointwise by one safeguarded scalar solver,
-solve_scalar, from a law that returns the residual and its slope in one
-call.  The oscillator's relations run its Newton loop inside their
-generated code (exprdsl.Solve) and call it only where Newton stalls; the
-beam calls it directly.  Nothing here imports scipy; the tests use it as
-the oracle.
+The solver is DOP853 (8th-order embedded Runge-Kutta), scipy's algorithm
+step for step in plain floats (see integrate), which returns the dense
+solution.  It marches a scalar (the deformed amplitude, case4's Riccati
+law) or a pair: every second-order form in (x, v) goes through
+deform.integrate_form, the first integral's implicit path (g reads v)
+included.  sample_trajectory samples a pure state_at(t) once per distinct
+time, in increasing order, into a Trajectory, the record of those states
+and of the solution's meta.  Root finding on a bracket is Brent's method
+in plain floats, scipy's brentq step for step, behind a sign check that
+raises the typed NoSignChange.  Quadrature is a small self-contained
+routine so its node placement stays explicit and reproducible.  Every
+implicit relation inverted pointwise (x and v of the amplitude frame, the
+implicit path's velocity at its start, the beam's F(u) = K sin(omega*t +
+phi)) goes through one safeguarded scalar solver, solve_scalar, from a
+law that returns the residual and its slope in one call; the oscillator's
+relations run its Newton loop inside their generated code (exprdsl.Solve)
+and call it only where Newton stalls.  Nothing here imports scipy; the
+tests use it as the oracle.
 """
 
 from __future__ import annotations

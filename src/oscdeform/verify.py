@@ -19,10 +19,10 @@ from .deform import (
     DeformedOscillator,
     energy,
     energy_rate,
-    explicit_acceleration,
     generate_ode,
     generate_ode_time_varying,
     integrate_first_integral,
+    integrate_form,
     phase_function,
     pole_times,
     riccati_family,
@@ -35,7 +35,6 @@ from .exprdsl import Var, _substitute, differentiate, function
 from .numerics import (
     fd_derivatives,
     find_root,
-    integrate,
     max_abs,
     residual_scan,
     sample_trajectory,
@@ -295,14 +294,9 @@ def suite_riccati():
     for b, x0, v0, t1 in ((2.0, 1.0, 0.4, 1.2), (0.5, 1.0, 0.2, 0.8)):
         w = 1.0
         form = riccati_family(b, w)
-
-        def rhs(t, y, form=form):
-            x, v = y
-            return [v, explicit_acceleration(form, (t, x, v))]
-
         grid = np.linspace(0.0, t1, 160)
-        x_of_t, v_of_t = integrate(rhs, 0.0, (x0, v0), t1,
-                                   rtol=1e-12, atol=1e-14)
+        x_of_t, v_of_t = integrate_form(form, 0.0, (x0, v0), t1,
+                                        rtol=1e-12, atol=1e-14)
         worst = trajectory_residual(form, x_of_t, v_of_t, grid[4:-4])
         out.append(_check("riccati/residual/b=%g" % b, worst, 1e-8))
 
@@ -369,13 +363,8 @@ def _beam_generated_ode(model, u0, ts):
     u = 0, so the acceleration stays regular there."""
     g = _substitute(apps.beam_g_expr(model), {"u": Var("x")})
     form = generate_ode_time_varying("0", g, model.omega)
-
-    def rhs(t, y):
-        x, v = y
-        return [v, explicit_acceleration(form, (t, x, v))]
-
-    x_of_t, v_of_t = integrate(rhs, ts[0], (u0, 0.0), ts[-1],
-                               rtol=1e-13, atol=1e-15)
+    x_of_t, v_of_t = integrate_form(form, ts[0], (u0, 0.0), ts[-1],
+                                    rtol=1e-13, atol=1e-15)
     return sample_trajectory(lambda t: (x_of_t(t), v_of_t(t)), ts[0],
                              ts[-1], ts)
 

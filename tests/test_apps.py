@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscdeform import apps, catalog, verify
-from oscdeform.deform import generate_ode_time_varying
+from oscdeform.deform import explicit_acceleration, generate_ode_time_varying
 from oscdeform.errors import (
     ApproxOutOfRegime,
     BracketZero,
@@ -314,6 +314,46 @@ def test_beam_direct_zero_alpha_is_harmonic():
         with pytest.raises(ValueError):
             apps.beam_solve(model, "direct", (0.08, 0.0), (0.0, 1.0),
                             t_eval=outside)
+
+
+def _beam_rhs_reference(model, u, v):
+    """The acceleration of the hand-written right-hand side direct mode
+    marched before the beam had an OdeForm."""
+    a, b, w = model.alpha_coef, model.beta_coef, model.omega
+    den = 1.0 + a * u * u
+    cubic = (b - a) * (u * u * u) / den
+    return -(a * u / den) * v * v - w * w * (u + cubic)
+
+
+@pytest.mark.parametrize("a, b, w", [
+    (3.0, 2.0, 1.0), (1.7, 0.5, 1.3), (0.0, 0.0, 1.3), (-0.5, 1.0, 0.8),
+    (-4.0, 1.0, 1.0)])
+def test_beam_form_is_the_hand_written_rhs(a, b, w):
+    # bit for bit at random states inside 1 + alpha u^2 > 0, alpha < 0
+    # included; at a state so large that the reference is not finite, the
+    # form gives a non-finite value too instead of raising (a power u^3
+    # would raise EvalDomainError there)
+    model = apps.BeamModel(a, b, omega=w)
+    form = apps._beam_form(model)
+    reach = 2.0 if a >= 0.0 else 0.99 / math.sqrt(-a)
+    rng = np.random.default_rng(31)
+    for u, v in zip(rng.uniform(-reach, reach, 50).tolist(),
+                    rng.uniform(-2.0, 2.0, 50).tolist()):
+        assert repr(explicit_acceleration(form, (0.0, u, v))) == repr(
+            _beam_rhs_reference(model, u, v))
+    huge = (0.0, 1e200, 1e200)
+    assert not math.isfinite(_beam_rhs_reference(model, *huge[1:]))
+    assert not math.isfinite(explicit_acceleration(form, huge))
+
+
+@pytest.mark.parametrize("x0", [0.6, 0.5, -0.5])
+def test_beam_direct_refuses_a_start_outside_its_domain(x0):
+    # 1 + alpha u0^2 <= 0: at x0 = 0.6 direct mode used to print a
+    # trajectory, at 0.5 it raised an untyped ZeroDivisionError
+    model = apps.BeamModel(-4.0, 1.0)
+    with pytest.raises(DomainViolation, match="got u0 = %r" % x0):
+        apps.beam_solve(model, "direct", (x0, 0.0), (0.0, 1.0))
+    apps.beam_solve(model, "direct", (0.45, 0.0), (0.0, 0.1))
 
 
 def test_beam_approx_matches_direct():

@@ -138,6 +138,17 @@ def test_beam_starts_at_default_amplitude(tmp_path):
     assert (rows[0, 1], rows[0, 2]) == (0.5, 0.0)
 
 
+@pytest.mark.parametrize("x0", ["0.6", "0.5"])
+def test_beam_direct_start_outside_the_domain_exits_two(capsys, x0):
+    # 1 + alpha*x0^2 <= 0: 0.6 printed a trajectory and exited 0, and 0.5
+    # exited 2 with an untyped ZeroDivisionError
+    code = cli.main(["beam", "--alpha-coef", "-4", "--beta-coef", "1",
+                     "--x0", x0])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DomainViolation" in err and "u0 = %s" % x0 in err
+
+
 def test_catalog_csv_matches_evaluator(tmp_path):
     out = tmp_path / "case2.csv"
     code = cli.main(["catalog", "--case", "case2", "--param", "g0=0.3",

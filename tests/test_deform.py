@@ -35,6 +35,7 @@ from oscdeform.errors import (
     ImplicitNoRoot,
     NonSmoothPoint,
     SingularCoefficient,
+    StepSizeUnderflow,
     UnboundNameError,
     ZeroDenominator,
 )
@@ -474,6 +475,31 @@ def test_implicit_path_stops_at_a_fold_of_the_velocity_law():
     sol = catalog.case7(c, 0.3 / exact(t0), w, al)
     traj = integrate_first_integral(osc, t0, sol(t0), t_fold - 1e-3)
     assert max(abs(s.x - sol(s.t)) for s in traj.states) < 1e-8
+
+
+def test_implicit_path_blow_up_is_not_a_fold():
+    # x' ~ x^3 escapes in finite time while G'(v) = sin(theta) -
+    # 0.1*cos(theta) stays far from 0: the stalled march is reported as it
+    # is, not as a fold of the velocity law
+    osc = DeformedOscillator("-x^3", "0.1*v", 1.0, alpha=0.5)
+    with pytest.raises(StepSizeUnderflow):
+        integrate_first_integral(osc, 0.3, 3.0, 2.0)
+
+
+def test_implicit_path_marches_x_and_v_to_the_closed_form():
+    # a pole-march benchmark task (g = b*v, seed 42) that read 1.01e-6
+    # against case7 when the path marched x alone, with a Newton solve for
+    # v in every rhs call; the (x, v) march of G = 0 differentiated, from
+    # one solve at t0, reads 6.3e-13
+    c, w, al = 0.11471559930596027, 1.956673157824501, 0.4129035518421295
+    t0, t1, x0 = 0.10625062220920832, 1.3029720287589153, 0.3186534295126709
+    osc = DeformedOscillator("0", "%r*v" % c, w, alpha=al)
+    traj = integrate_first_integral(osc, t0, x0, t1, rtol=1e-12, atol=1e-14)
+    sol = catalog.case7(c, x0 / catalog.case7(c, 1.0, w, al)(t0), w, al)
+    assert traj.states[0].x == x0
+    assert max(abs(s.x - sol(s.t)) for s in traj.states) < 1e-9
+    assert max(abs(s.v - sol.v_evaluator(s.t)) for s in traj.states) < 1e-9
+    assert traj.meta["x_of_t"](t1) == traj.states[-1].x
 
 
 @pytest.mark.parametrize("name", ["t0", "x0", "t1", "v0", "t_eval"])
