@@ -616,8 +616,8 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
                       - osc.alpha) / w
 
     if osc.g_depends_v:
-        # G = 0 differentiated; a march that stalls as G_v falls towards 0
-        # has met a fold, which no stage passes
+        # G = 0 differentiated, its coeff_xdd G_v read through the fold
+        # rule; a march that stalls as G_v falls to 0 has met a fold
         v_start = first_integral_velocity(osc, t0, x0,
                                           0.0 if v0 is None else v0)
         G, G_v = osc.first_integral_root.pair
