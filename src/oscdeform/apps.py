@@ -15,7 +15,12 @@ from collections import namedtuple
 from . import exprdsl
 from .catalog import power_law
 from .deform import OdeForm, generate_ode_time_varying, integrate_form
-from .errors import ApproxOutOfRegime, DomainViolation, NegativeAlpha
+from .errors import (
+    ApproxOutOfRegime,
+    DomainViolation,
+    NegativeAlpha,
+    StepSizeUnderflow,
+)
 from .exprdsl import (
     Num,
     Var,
@@ -26,6 +31,7 @@ from .exprdsl import (
     div,
     function,
     mul,
+    taylor,
 )
 from .numerics import (
     CumulativeIntegral,
@@ -289,25 +295,19 @@ SeriesComparison = namedtuple("SeriesComparison",
 def beam_series_compare(model, order=6):
     """Taylor coefficients of g(u) and h(u) about u = 0 up to `order`,
     plus their largest coefficient mismatch (the approximation g ~ h is
-    the basis of the closed-form beam solution).  A non-integral order
-    raises a ValueError that names it."""
+    the basis of the closed-form beam solution).  The coefficients are
+    read from the trees of beam_g_expr and beam_h_expr by exprdsl.taylor,
+    with no symbolic differentiation; verify's
+    beam/cubic-coefficients-symbolic check derives the cubic ones
+    symbolically, as an independent oracle.  A non-integral order raises
+    a ValueError that names it."""
     if isinstance(order, float) and order.is_integer():
         order = int(order)
     if not (isinstance(order, int) and 0 <= order <= 6):
         raise ValueError("order must be an integer from 0 to 6, got %r"
                          % (order,))
-    ge = beam_g_expr(model)
-    he = beam_h_expr(model)
-    g_coeffs = []
-    h_coeffs = []
-    fact = 1.0
-    for k in range(order + 1):
-        if k > 0:
-            fact *= k
-            ge = differentiate(ge, "u")
-            he = differentiate(he, "u")
-        g_coeffs.append(function(ge, ("u",))(0.0) / fact)
-        h_coeffs.append(function(he, ("u",))(0.0) / fact)
+    g_coeffs = taylor(beam_g_expr(model), "u", 0.0, order)
+    h_coeffs = taylor(beam_h_expr(model), "u", 0.0, order)
     mism = max(abs(gc - hc) for gc, hc in zip(g_coeffs, h_coeffs))
     return SeriesComparison(tuple(g_coeffs), tuple(h_coeffs), mism)
 
@@ -340,11 +340,12 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
 
     mode "direct" marches the beam's OdeForm (_beam_form) in (u, du/dt)
     with deform.integrate_form, for any alpha; a start with 1 + alpha u0^2
-    <= 0 raises DomainViolation.  mode "approx" evaluates the closed-form
-    implicit solution F(u) = K sin(omega t + phi) of the pair (0, beam_g),
-    exact when the cubic correction h matches the deformation series —
-    hence gated to beta = 2*alpha/3 (and c1 = 0), the regime where that
-    holds through u^3.  verify checks it against DOP853 on the ODE of the
+    <= 0 raises DomainViolation, and so does a march that reaches
+    1 + alpha u^2 = 0, naming its t and u.  mode "approx" evaluates the
+    closed-form implicit solution F(u) = K sin(omega t + phi) of the pair
+    (0, beam_g), exact when the cubic correction h matches the deformation
+    series — hence gated to beta = 2*alpha/3 (and c1 = 0), the regime where
+    that holds through u^3.  verify checks it against DOP853 on the ODE of the
     pair, marched by integrate_form as well.
 
     meta["x_of_t"] and meta["v_of_t"] give u and du/dt; their values depend
@@ -360,8 +361,18 @@ def beam_solve(model, mode, ic, t_span, t_eval=None,
         if not 1.0 + model.alpha_coef * u0 * u0 > 0.0:
             raise DomainViolation("direct mode needs 1 + alpha*u0^2 > 0, "
                                   "got u0 = %r" % u0)
-        x_of_t, v_of_t = integrate_form(_beam_form(model), t0, (u0, v0), t1,
-                                        rtol=rtol, atol=atol)
+        try:
+            x_of_t, v_of_t = integrate_form(_beam_form(model), t0, (u0, v0),
+                                            t1, rtol=rtol, atol=atol)
+        except StepSizeUnderflow as exc:
+            # the coefficients diverge as 1 + alpha u^2 falls to 0, and the
+            # steps shrink to nothing just before it
+            u = exc.state[0]
+            if 1.0 + model.alpha_coef * u * u > 1e-6:
+                raise
+            raise DomainViolation(
+                "direct mode reached 1 + alpha*u^2 = 0 at t = %r, u = %r"
+                % (exc.t, u)) from exc
         return sample_trajectory(lambda t: (x_of_t(t), v_of_t(t)),
                                  t0, t1, t_eval)
 

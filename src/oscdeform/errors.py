@@ -104,7 +104,12 @@ class ImplicitNoRoot(OscdeformError):
 
 
 class StepSizeUnderflow(OscdeformError):
-    """Integrator step control collapsed (pole or singular coefficient)."""
+    """Integrator step control collapsed (pole or singular coefficient).
+    t and state are the last accepted point of the march."""
+
+    def __init__(self, message, t=None, state=None):
+        super().__init__(message)
+        self.t, self.state = t, state
 
 
 class NonFiniteState(OscdeformError):

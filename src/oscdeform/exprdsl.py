@@ -30,6 +30,8 @@ symbolic with constant folding (0*e -> 0, 1*e -> e and friends) and
 returns a graph: a subtree shared in its input is differentiated once,
 and its derivative is shared in the output, so repeated derivatives grow
 with the number of distinct subexpressions rather than the printed size.
+``taylor`` reads a tree about a point as its truncated Taylor series, by
+Taylor-mode arithmetic on each node once, with no symbolic differentiation.
 """
 
 from __future__ import annotations
@@ -551,6 +553,220 @@ def _chain_rule(fn, u, du):
     else:  # pragma: no cover - impossible by construction
         raise TypeError("no derivative rule for %s" % fn)
     return mul(outer, du)
+
+
+# --- Taylor series --------------------------------------------------------------
+
+def taylor(e, var, at, order):
+    """Taylor coefficients [c_0, ..., c_order] of e about var = at, as
+    floats: e = sum of c_k (var - at)^k + O((var - at)^(order + 1)).
+
+    One more reading of the tree beside evaluate and function, with no
+    symbolic differentiation: each node's truncated series comes from its
+    children's by the recurrences of Taylor-mode arithmetic (Griewank &
+    Walther, Evaluating Derivatives, 2nd ed., ch. 13), once per node, so a
+    subtree shared in a graph is read once.  + and - go term by term, * by
+    the Cauchy product and / by its inverse; an integer power by Miller's
+    recurrence (repeated products where the base's constant term is 0),
+    any other power as exp(b ln a); sqrt by c*c = z, sin/cos and sinh/cosh
+    by their coupled recurrences, and exp, ln, asinh, tan, cot and tanh
+    through the series of their derivative, integrated term by term.
+    c_0 is evaluate(e, {var: at}): the same float operations in the same
+    order, so the same bits, signed zeros included, and the same errors.
+
+    Where e has no Taylor series at `at` and order > 0, EvalDomainError is
+    raised: abs or sqrt of an argument whose constant term is 0, or a
+    non-integer power of a base whose constant term is <= 0.  Another
+    variable or a parameter raises UnboundNameError, and a Solve node a
+    TypeError."""
+    if var not in VARIABLES:
+        raise ValueError("not a variable: %r" % (var,))
+    if not (isinstance(order, int) and order >= 0):
+        raise ValueError("order must be an integer >= 0, got %r" % (order,))
+    zeros, at, done = [0.0] * order, float(at), {}
+
+    def jet(e):
+        if isinstance(e, Num):
+            return [e.value] + zeros
+        if isinstance(e, _Named):
+            if isinstance(e, Var) and e.name == var:
+                return ([at, 1.0] + zeros)[:order + 1]
+            raise UnboundNameError(e.name)
+        r = done.get(id(e))
+        if r is not None:
+            return r
+        if isinstance(e, Neg):
+            r = [-a for a in jet(e.arg)]
+        elif isinstance(e, (Add, Sub)):
+            a, b = jet(e.left), jet(e.right)
+            r = ([p + q for p, q in zip(a, b)] if isinstance(e, Add)
+                 else [p - q for p, q in zip(a, b)])
+        elif isinstance(e, Mul):
+            a, b = jet(e.left), jet(e.right)
+            r = [_cauchy(a, b, k) for k in range(order + 1)]
+        elif isinstance(e, Div):
+            b = jet(e.right)  # the divisor first, as evaluate does
+            if b[0] == 0.0:
+                raise EvalDomainError("division by zero")
+            r = _quotient(jet(e.left), b)
+        elif isinstance(e, Pow):
+            r = _jet_power(jet(e.left), e.right, jet)
+        elif isinstance(e, Call):
+            r = _jet_call(e.fn, jet(e.arg))
+        else:
+            raise TypeError("taylor has no rule for %r" % (e,))
+        done[id(e)] = r
+        return r
+
+    return jet(e)
+
+
+def _cauchy(a, b, k):
+    """Coefficient k of the product of the series a and b."""
+    s = a[0] * b[k]
+    for j in range(1, k + 1):
+        s += a[j] * b[k - j]
+    return s
+
+
+def _quotient(a, b):
+    """Series of a/b, b[0] != 0."""
+    c = []
+    for k in range(len(a)):
+        s = a[k]
+        for j in range(1, k + 1):
+            s -= b[j] * c[k - j]
+        c.append(s / b[0])
+    return c
+
+
+def _integral(z, c0, rule):
+    """Series c of F(z) with c_0 = c0, from F'(z) = w: c' = w z'.
+    rule(c, i) is w_i, which c_0 .. c_i determine."""
+    c, w = [c0], []
+    for k in range(1, len(z)):
+        w.append(rule(c, k - 1))
+        s = z[1] * w[k - 1]
+        for j in range(2, k + 1):
+            s += j * z[j] * w[k - j]
+        c.append(s / k)
+    return c
+
+
+def _log(a, c0):
+    """Series of ln(a) with c_0 = c0, from ln' = 1/a."""
+    w = _quotient([1.0] + [0.0] * (len(a) - 1), a)
+    return _integral(a, c0, lambda c, i: w[i])
+
+
+def _exp(z, c0):
+    """Series of exp(z) with c_0 = c0, from exp' = exp."""
+    return _integral(z, c0, lambda c, i: c[i])
+
+
+def _jet_power(a, exponent, jet):
+    """Series of a^exponent, c_0 as evaluate computes it."""
+    k = _syntactic_int_exponent(exponent)
+    b = None if k is not None else jet(exponent)
+    base, n = a[0], len(a)
+    try:
+        if k is not None:
+            if base == 0.0 and k < 0:
+                raise EvalDomainError("zero raised to a negative power")
+            c0 = base ** k
+        else:
+            if base < 0.0:
+                raise EvalDomainError(
+                    "fractional power of negative base %r" % base)
+            if base == 0.0 and b[0] < 0.0:
+                raise EvalDomainError("zero raised to a negative power")
+            c0 = base ** b[0]
+    except OverflowError:
+        raise EvalDomainError("overflow in power") from None
+    if n == 1 or k == 0:
+        return [c0] + [0.0] * (n - 1)
+    if k is None:
+        if base == 0.0:
+            raise EvalDomainError("a non-integer power of a base with "
+                                  "constant term 0 has no Taylor series")
+        ln_a = _log(a, math.log(base))
+        return _exp([_cauchy(b, ln_a, i) for i in range(n)], c0)
+    if base == 0.0:  # a = O(var - at), so a^k = O((var - at)^k)
+        c = a if k < n else [0.0] * n
+        for _ in range(k - 1 if k < n else 0):
+            c = [_cauchy(c, a, i) for i in range(n)]
+        return [c0] + c[1:]
+    # Miller: a c' = k a' c
+    c = [c0]
+    for m in range(1, n):
+        s = (k + 1 - m) * a[1] * c[m - 1]
+        for j in range(2, m + 1):
+            s += ((k + 1) * j - m) * a[j] * c[m - j]
+        c.append(s / (m * base))
+    return c
+
+
+def _sqrt(z, c0):
+    """Series of sqrt(z) with c_0 = c0 != 0: c*c = z."""
+    c = [c0]
+    for k in range(1, len(z)):
+        s = z[k]
+        for j in range(1, k):
+            s -= c[j] * c[k - j]
+        c.append(s / (2.0 * c0))
+    return c
+
+
+# fn -> (its companion, the signs in fn' = s1*companion, companion' = s2*fn)
+_PAIRS = {"sin": ("cos", 1.0, -1.0), "cos": ("sin", -1.0, 1.0),
+          "sinh": ("cosh", 1.0, 1.0), "cosh": ("sinh", 1.0, 1.0)}
+
+# fn -> (a, b) in fn' = a + b*fn^2
+_SQUARE_RULES = {"tan": (1.0, 1.0), "cot": (-1.0, -1.0), "tanh": (1.0, -1.0)}
+
+
+def _jet_call(fn, z):
+    """Series of fn(z), c_0 as evaluate computes it."""
+    z0, n = z[0], len(z)
+    try:
+        c0 = FUNCTIONS[fn](z0)
+        if fn in _PAIRS and n > 1:
+            other, s1, s2 = _PAIRS[fn]
+            g = [FUNCTIONS[other](z0)]
+    except OverflowError:
+        raise EvalDomainError("overflow in %s" % fn) from None
+    except ValueError:
+        raise EvalDomainError("domain error in %s(%r)" % (fn, z0)) from None
+    if n == 1:
+        return [c0]
+    if fn in ("abs", "sqrt") and z0 == 0.0:
+        raise EvalDomainError("%s of an argument with constant term 0 has "
+                              "no Taylor series" % fn)
+    if fn == "abs":
+        return [c0] + [a if z0 > 0.0 else -a for a in z[1:]]
+    if fn == "sqrt":
+        return _sqrt(z, c0)
+    if fn == "exp":
+        return _exp(z, c0)
+    if fn == "ln":
+        return _log(z, c0)
+    if fn == "asinh":  # asinh' = 1/sqrt(1 + z^2)
+        q = [1.0 + z0 * z0] + [_cauchy(z, z, k) for k in range(1, n)]
+        w = _quotient([1.0] + [0.0] * (n - 1), _sqrt(q, math.sqrt(q[0])))
+        return _integral(z, c0, lambda c, i: w[i])
+    if fn in _SQUARE_RULES:
+        a, b = _SQUARE_RULES[fn]
+        return _integral(z, c0, lambda c, i: b * _cauchy(c, c, i)
+                         + (a if i == 0 else 0.0))
+    f = [c0]
+    for k in range(1, n):
+        df, dg = z[1] * g[k - 1], z[1] * f[k - 1]
+        for j in range(2, k + 1):
+            df += j * z[j] * g[k - j]
+            dg += j * z[j] * f[k - j]
+        f.append(s1 * df / k)
+        g.append(s2 * dg / k)
+    return f
 
 
 # --- printing -----------------------------------------------------------------

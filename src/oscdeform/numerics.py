@@ -352,7 +352,7 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
             if not h_abs >= min_step:      # a NaN step size fails here too
                 raise StepSizeUnderflow(
                     "required step size is less than spacing between "
-                    "numbers at t = %r" % t)
+                    "numbers at t = %r" % t, t, y)
             t_new = t + h_abs * direction
             if direction * (t_new - t1) > 0:
                 t_new = t1

@@ -12,6 +12,7 @@ from oscdeform.errors import (
     BracketZero,
     DomainViolation,
     NegativeAlpha,
+    StepSizeUnderflow,
     UnboundNameError,
 )
 from oscdeform.exprdsl import differentiate, evaluate, function, parse
@@ -273,10 +274,21 @@ def test_beam_series_tables():
     expect = (c1, 0.0, -a * c1 / 2.0, -a / 3.0, 0.375 * a * a * c1,
               (4.0 / 15.0) * a * a, -(5.0 / 16.0) * a ** 3 * c1)
     for got, want in zip(sc.g_coeffs, expect):
-        assert abs(got - want) < 1e-10
+        assert abs(got - want) < 1e-14
     # h = (beta-alpha)u^3/(1+alpha u^2): c3 = beta-alpha, c5 = alpha(alpha-beta)
-    assert abs(sc.h_coeffs[3] - (2.0 - 3.0)) < 1e-12
-    assert abs(sc.h_coeffs[5] - 3.0 * (3.0 - 2.0)) < 1e-12
+    assert abs(sc.h_coeffs[3] - (2.0 - 3.0)) < 1e-14
+    assert abs(sc.h_coeffs[5] - 3.0 * (3.0 - 2.0)) < 1e-14
+
+
+@pytest.mark.parametrize("a", [1.0, 1.7, 2.3, 3.0, 3.9])
+def test_beam_series_closed_coefficients(a):
+    # g = c1 - a c1 u^2/2 - a u^3/3 + ... + 4 a^2 u^5/15: the odd
+    # coefficients do not depend on c1
+    for c1 in (0.0, 0.4):
+        g = apps.beam_series_compare(apps.BeamModel(a, 2.0 * a / 3.0, c1=c1),
+                                     order=5).g_coeffs
+        assert abs(g[3] + a / 3.0) <= 2e-15 * (a / 3.0)
+        assert abs(g[5] - 4.0 * a * a / 15.0) <= 2e-15 * (4.0 * a * a / 15.0)
 
 
 def test_beam_series_regime_match():
@@ -354,6 +366,20 @@ def test_beam_direct_refuses_a_start_outside_its_domain(x0):
     with pytest.raises(DomainViolation, match="got u0 = %r" % x0):
         apps.beam_solve(model, "direct", (x0, 0.0), (0.0, 1.0))
     apps.beam_solve(model, "direct", (0.45, 0.0), (0.0, 0.1))
+
+
+def test_beam_direct_march_to_the_domain_boundary_names_t_and_u():
+    # from u0 = 0.45 the march reaches 1 - 4u^2 = 0 at u = 0.5, where the
+    # coefficients diverge; its steps used to shrink to a bare underflow
+    with pytest.raises(DomainViolation,
+                       match=r"at t = 0\.036\d*, u = 0\.49999") as info:
+        apps.beam_solve(apps.BeamModel(-4.0, 1.0), "direct", (0.45, 1.0),
+                        (0.0, 1.0))
+    assert isinstance(info.value.__cause__, StepSizeUnderflow)
+    # u'' = -u + 10 u^3 escapes far from any boundary: its underflow stays
+    with pytest.raises(StepSizeUnderflow, match="at t = 0.60"):
+        apps.beam_solve(apps.BeamModel(0.0, -10.0), "direct", (1.0, 0.0),
+                        (0.0, 5.0))
 
 
 def test_beam_approx_matches_direct():
@@ -551,18 +577,18 @@ def test_repeated_derivatives_share_subtrees():
 @pytest.mark.parametrize("c1, g_hex, h_hex", [
     (0.0,
      ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
-      "0x0.0p+0", "0x1.3333333333332p+1", "0x0.0p+0"],
+      "0x0.0p+0", "0x1.3333333333334p+1", "0x0.0p+0"],
      ["-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
       "0x0.0p+0", "0x1.8000000000000p+1", "0x0.0p+0"]),
     (0.4,
      ["0x1.999999999999ap-2", "0x0.0p+0", "-0x1.3333333333334p-1",
-      "-0x1.0000000000000p+0", "0x1.5999999999999p+0",
-      "0x1.3333333333332p+1", "-0x1.b000000000000p+1"],
+      "-0x1.0000000000000p+0", "0x1.599999999999ap+0",
+      "0x1.3333333333334p+1", "-0x1.b000000000002p+1"],
      ["-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
       "0x0.0p+0", "0x1.8000000000000p+1", "0x0.0p+0"]),
 ])
 def test_beam_series_coefficients_are_bitwise_stable(c1, g_hex, h_hex):
-    # recorded from the tree-walking evaluator, signed zeros included
+    # recorded from exprdsl.taylor, signed zeros included
     sc = apps.beam_series_compare(apps.BeamModel(3.0, 2.0, c1=c1), order=6)
     assert [c.hex() for c in sc.g_coeffs] == g_hex
     assert [c.hex() for c in sc.h_coeffs] == h_hex

@@ -149,6 +149,16 @@ def test_beam_direct_start_outside_the_domain_exits_two(capsys, x0):
     assert "DomainViolation" in err and "u0 = %s" % x0 in err
 
 
+def test_beam_direct_march_to_the_domain_boundary_exits_two(capsys):
+    # the march reaches 1 + alpha*u^2 = 0; it exited 2 with a bare
+    # StepSizeUnderflow that did not name the domain
+    code = cli.main(["beam", "--alpha-coef", "-4", "--beta-coef", "1",
+                     "--x0", "0.45", "--v0", "1", "--samples", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DomainViolation" in err and "1 + alpha*u^2 = 0 at t = 0.036" in err
+
+
 def test_catalog_csv_matches_evaluator(tmp_path):
     out = tmp_path / "case2.csv"
     code = cli.main(["catalog", "--case", "case2", "--param", "g0=0.3",

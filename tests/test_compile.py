@@ -4,7 +4,8 @@ Random expression trees over (t, x, v) and over (u), with shared subtrees,
 signed zeros and names outside the signature, and their first two
 derivatives, go through exprdsl.function and exprdsl.evaluate at random
 points.  Both must give the same float bit for bit, or raise the same
-error type with the same message.
+error type with the same message.  So must coefficient 0 of
+exprdsl.taylor, which may raise only where the tree has no Taylor series.
 """
 
 import math
@@ -32,6 +33,7 @@ from oscdeform.exprdsl import (  # noqa: E402
     differentiate,
     evaluate,
     function,
+    taylor,
 )
 
 SIGNATURES = (("t", "x", "v"), ("u",))
@@ -111,6 +113,32 @@ def test_compiled_function_is_evaluate(data, signature, as_numpy):
             want = _outcome(lambda: evaluate(x, bindings))
             got = _outcome(lambda: fn(*args))
             assert got == want, (x, bindings)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(
+    data=st.data(),
+    signature=st.sampled_from(SIGNATURES),
+    order=st.sampled_from((0, 4)),
+)
+def test_taylor_coefficient_0_is_evaluate(data, signature, order):
+    e = data.draw(_trees(signature))
+    var = data.draw(st.sampled_from(signature))
+    at = data.draw(st.one_of(_numbers(), st.floats(-1e3, 1e3, width=64)))
+    want = _outcome(lambda: evaluate(e, {var: at}))
+    try:
+        series = taylor(e, var, at, order)
+    except OscdeformError as exc:
+        got = type(exc), str(exc)
+        if got != want:
+            # only a point where e has no Taylor series raises on its own
+            assert order > 0 and "no Taylor series" in got[1], (e, at)
+            return
+    else:
+        assert len(series) == order + 1
+        assert all(type(c) is float for c in series)
+        got = struct.pack("<d", series[0])
+    assert got == want, (e, at)
 
 
 def test_signed_zero_constants_keep_their_sign():

@@ -35,6 +35,7 @@ from oscdeform.exprdsl import (
     evaluate,
     function,
     parse,
+    taylor,
     to_str,
 )
 from oscdeform.numerics import solve_scalar
@@ -571,3 +572,85 @@ def test_a_solve_in_a_solve_and_a_free_name_in_a_law():
         with pytest.raises(UnboundNameError) as info:
             call()
         assert info.value.name == "k"
+
+
+# z(u) stays within [0.36, 0.71] for u in [0.1, 0.8], where every function
+# in FUNCTIONS and all its derivatives are defined
+_Z = "(0.3 + 0.7*u - 0.4*u^2 + 0.2*u^3)"
+_TAYLOR_TREES = ["%s(%s)" % (fn, _Z) for fn in sorted(exprdsl.FUNCTIONS)] + [
+    "3.25", "u", "-(%s)" % _Z, "u + %s" % _Z, "u - %s" % _Z, "u*%s" % _Z,
+    "(1 + u)/(2 + u*%s)" % _Z, "%s^5" % _Z, "(u - 0.45)^3",
+    "(%s)^-3" % _Z, "%s^0.7" % _Z, "%s^(0.5*u - 1)" % _Z,
+    # a graph: the differentiated trees share their subtrees
+    "asinh(2*u)/sqrt(3*(1 + 3*u^2))",
+]
+
+
+@pytest.mark.parametrize("text", _TAYLOR_TREES)
+def test_taylor_is_repeated_differentiation(text):
+    e = parse(text)
+    chain = [e]
+    for _ in range(6):
+        chain.append(differentiate(chain[-1], "u"))
+    derivatives = function(tuple(chain), ("u",))
+    rng = np.random.default_rng(15)
+    for at in rng.uniform(0.1, 0.8, 4).tolist():
+        got = taylor(e, "u", at, 6)
+        assert all(type(c) is float for c in got) and len(got) == 7
+        # coefficient 0 is evaluate's float, bit for bit
+        assert got[0].hex() == evaluate(e, {"u": at}).hex()
+        for k, (g, d) in enumerate(zip(got, derivatives(at))):
+            w = d / math.factorial(k)
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (text, at, k)
+
+
+def test_taylor_keeps_the_sign_of_a_zero_in_coefficient_0():
+    for text in ("-0*u", "u*-0 + -0", "-0/u", "sin(-0*u)", "-(0*u)^3",
+                 "tanh(-0*u)*u", "(u - 2)*0"):
+        want = evaluate(parse(text), {"u": 2.0})
+        assert want == 0.0
+        for order in (0, 4):
+            got = taylor(parse(text), "u", 2.0, order)[0]
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), text
+
+
+def test_taylor_reads_a_shared_node_once(monkeypatch):
+    calls = []
+    jet_call = exprdsl._jet_call
+    monkeypatch.setattr(exprdsl, "_jet_call",
+                        lambda fn, z: calls.append(fn) or jet_call(fn, z))
+    want = taylor(parse("(sin(u) + sin(u))*sin(u)"), "u", 0.25, 3)
+    assert calls == ["sin"] * 3
+    del calls[:]
+    shared = Call("sin", Var("u"))
+    assert taylor(Mul(Add(shared, shared), shared), "u", 0.25, 3) == want
+    assert calls == ["sin"]
+
+
+def test_taylor_about_a_point_of_a_non_analytic_node_raises_by_name():
+    cases = [("abs(u)", 0.0, "abs"), ("sqrt(u*u)", 0.0, "sqrt"),
+             ("u^1.5", 0.0, "non-integer power"),
+             ("u^0.5", -1.0, "fractional power of negative base"),
+             ("ln(u)", 0.0, "ln of non-positive"),
+             ("sqrt(u)", -0.5, "sqrt of negative"),
+             ("1/u", 0.0, "division by zero")]
+    for text, at, what in cases:
+        with pytest.raises(EvalDomainError, match=what):
+            taylor(parse(text), "u", at, 6)
+    # order 0 is evaluate: abs and sqrt at 0 are defined there
+    assert taylor(parse("abs(u)"), "u", 0.0, 0) == [0.0]
+    assert taylor(parse("sqrt(u*u)"), "u", 0.0, 0) == [0.0]
+
+
+def test_taylor_refuses_a_free_name_and_a_solve():
+    for text, name in (("u*t", "t"), ("mu*u", "mu")):
+        with pytest.raises(UnboundNameError) as info:
+            taylor(parse(text), "u", 0.5, 3)
+        assert info.value.name == name
+    root, _ = _cube_root(parse("x^3 - t"), Num(1.0), Var("u"))
+    with pytest.raises(TypeError, match="Solve"):
+        taylor(Add(root, Var("u")), "u", 8.0, 3)
+    with pytest.raises(ValueError):
+        taylor(parse("u"), "mu", 0.0, 3)
+    with pytest.raises(ValueError, match="got 2.0"):
+        taylor(parse("u"), "u", 0.0, 2.0)
