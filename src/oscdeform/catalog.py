@@ -349,11 +349,14 @@ _DENSE_ATOL = 1e-14
 def _case4_parameters(mu, nu, omega, alpha, t0, x0):
     """The arguments of the quadratic shift as floats, t0 by default the
     time where theta = pi/2; mu = 0 raises DegenerateParameters, and a NaN
-    or infinite argument a ValueError that names it."""
+    or infinite argument, or an omega <= 0, a ValueError that names it."""
     mu = float(mu)
     if mu == 0.0:
         raise DegenerateParameters("mu = 0 degenerates the quadratic shift")
     omega, alpha = float(omega), float(alpha)
+    # the negated test refuses NaN as well
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be finite and > 0, got %r" % omega)
     if t0 is None:
         t0 = (math.pi / 2.0 - alpha) / omega
     return _finite(mu=mu, nu=nu, omega=omega, alpha=alpha, t0=t0, x0=x0)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -155,16 +154,26 @@ class DeformedOscillator(_CompiledOnRead):
 
     @functools.cached_property
     def transit_exprs(self):
-        """The trees of what the pole transit reads at a node, for
-        v-independent g: N = dg/dt - f = g_t + g_x*v - f, its x-partial
-        N_x = g_tx + g_xx*v - f_x, and g_x, f_v, f_x, the partials of its
-        slope."""
+        """The trees, in (t, x, v), of what the pole transit reads at a
+        node, for v-independent g: N = dg/dt - f = g_t + g_x*v - f and its
+        slope dN/dy in the amplitude y, from implicit differentiation of
+        x + g = y*s and v + f = omega*y*c (s and c the sine and cosine of
+        theta):
+
+            dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
+            dN/dy = N_x*dx/dy + (g_x - f_v)*dv/dy,
+
+        with N_x = g_tx + g_xx*v - f_x.  The slope is unfolded (as
+        parsed), theta = w*t + a as in _frame."""
         e = self.exprs
         v = Var("v")
+        n_x = sub(add(differentiate(e["g_t"], "x"),
+                      mul(differentiate(e["g_x"], "x"), v)), e["f_x"])
+        holes = dict(e, w=Num(self.omega), a=Num(self.alpha), n_x=n_x)
+        holes["dx"] = _substitute(parse("sin(w*t + a)/(1 + g_x)"), holes)
         return (sub(add(e["g_t"], mul(e["g_x"], v)), e["f"]),
-                sub(add(differentiate(e["g_t"], "x"),
-                        mul(differentiate(e["g_x"], "x"), v)), e["f_x"]),
-                e["g_x"], e["f_v"], e["f_x"])
+                _substitute(parse("n_x*dx + (g_x - f_v)*((w*cos(w*t + a)"
+                                  " - f_x*dx)/(1 + f_v))"), holes))
 
     @functools.cached_property
     def _frame(self):
@@ -193,8 +202,9 @@ class DeformedOscillator(_CompiledOnRead):
 
     @functools.cached_property
     def transit_node(self):
-        """The seven values of _frame, (x, v, N, N_x, g_x, f_v, f_x), as
-        one function of (x, v, t, u), x and v the guesses."""
+        """The four values of _frame, (x, v, N, dN/dy), what the pole
+        transit reads at a node, as one function of (x, v, t, u), x and v
+        the guesses."""
         return function(self._frame, _FRAME)
 
     @functools.cached_property
@@ -432,30 +442,6 @@ def fit_alpha(osc, state):
 
 # --- first-integral integration driver -------------------------------------------
 
-def _crossing_numerators(osc, ts, Y, svec, cvec, xs, vs):
-    """The state of amplitude Y at every node ts and the exact slope:
-    returns the arrays (N, dN/dy, x, v), where x solves x + g = y*s from xs
-    and v solves v + f = omega*y*c from vs (s and c are svec and cvec, the
-    sine and cosine of theta), N = dg/dt - f, and dN/dy comes from
-    implicit differentiation of both relations (g v-independent):
-
-        dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
-        dN/dy = (g_tx + g_xx*v - f_x)*dx/dy + (g_x - f_v)*dv/dy.
-
-    Each node is one call of osc.transit_node, its Newton solves inside,
-    so every value is bit for bit what that function gives at its node.
-    A non-finite slope is returned as it is, without a warning.
-    """
-    x, v, N, N_x, g_x, f_v, f_x = np.fromiter(
-        itertools.chain.from_iterable(map(
-            osc.transit_node, xs.tolist(), vs.tolist(), ts.tolist(),
-            Y.tolist())), float, 7 * len(ts)).reshape(-1, 7).T
-    with np.errstate(all="ignore"):
-        dx = svec / (1.0 + g_x)
-        dv = (osc.omega * cvec - f_x * dx) / (1.0 + f_v)
-        return N, N_x * dx + (g_x - f_v) * dv, x, v
-
-
 def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     """Continue the deformed amplitude y = (x+g)/sin(theta) through the
     cotangent pole inside (a, b).
@@ -471,34 +457,32 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     is collocated on Chebyshev nodes spanning the whole window with the
     left-edge value pinned, which recovers the re-expanding mode from the
     region where it is numerically visible.  Each Newton iteration computes
-    every node by one call of osc.transit_node (_crossing_numerators), its
-    x and v solved inside from that node's last x and v; its Jacobian
-    sin(theta)*D - diag(dN/dy) is exact: dN/dy comes from implicit
-    differentiation at each node's solved state.  The entry solve at the
-    left edge, from x_start and v_start, and the smoothness test at the
-    pole are one transit_node call each.  Returns a polynomial interpolant
-    for y on [a, b] through 48 nodes or, when a node lands on the pole, a
-    few more.  Raises NonSmoothPoint when no smooth crossing
+    every node by one call of osc.transit_node, its x and v solved inside
+    from that node's last x and v; the call gives the node's numerator N
+    and its exact slope dN/dy, from implicit differentiation at the solved
+    state, so the Jacobian sin(theta)*D - diag(dN/dy) is exact.  The entry
+    solve at the left edge, from x_start and v_start, and the smoothness
+    test at the pole are one transit_node call each.  Returns a polynomial
+    interpolant for y on [a, b] through 48 nodes or, when a node lands on
+    the pole, a few more.  Raises NonSmoothPoint when no smooth crossing
     exists: the numerator does not vanish at the pole, or an iterate's
     amplitude leaves the range of x + g (or of v + f) at some node.
     """
     for bump in range(4):
         ts, D = cheb_nodes_diff(47 + bump, a, b)
-        thetas = [osc.theta(t) for t in ts.tolist()]
-        svec = np.array([math.sin(th) for th in thetas])
+        nodes = ts.tolist()
+        svec = np.array([math.sin(osc.theta(t)) for t in nodes])
         # a node sitting on the pole would contribute a zero row; node 0 is
         # exempt because its row is replaced by the boundary condition
         # (which is what allows a window that starts exactly on the pole)
         if np.min(np.abs(svec[1:])) > 1e-8:
             break
-    cvec = np.array([math.cos(th) for th in thetas])
     m = len(ts)
 
     # the entry solves start from the initial condition; later solves at
     # a node start where that node's last iteration ended
     x0, v0, num0 = osc.transit_node(x_start, v_start, ts[0], y_in)[:3]
-    xs = np.full(m, x0)
-    vs = np.full(m, v0)
+    xs, vs = [x0] * m, [v0] * m
     if abs(svec[0]) > 1e-8:
         Y = y_in + (num0 / svec[0]) * (ts - ts[0])
     else:
@@ -512,14 +496,15 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     converged = False
     for _ in range(30):
         try:
-            N, dN, xs, vs = _crossing_numerators(osc, ts, Y, svec, cvec,
-                                                 xs, vs)
+            xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
+                                     Y.tolist()))
         except ImplicitNoRoot as exc:
             raise NonSmoothPoint(
                 "no smooth continuation of the deformed amplitude y = "
                 "(x+g)/sin through the pole t = %r: at a collocation node "
                 "the amplitude left the range of x + g = y*sin(theta) or "
                 "of v + f = omega*y*cos(theta) (%s)" % (pole, exc)) from exc
+        N, dN = np.array(N), np.array(dN)
         F = svec * (D @ Y) - N
         F[0] = Y[0] - y_in
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(dN))):

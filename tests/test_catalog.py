@@ -648,6 +648,17 @@ def test_case4_series_refuses_non_finite_arguments(name):
             catalog.case4_series(**dict(args, **{name: bad}))
 
 
+@pytest.mark.parametrize("t0", [None, 0.5])
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+@pytest.mark.parametrize("build", [catalog.case4_riccati,
+                                   catalog.case4_series])
+def test_case4_refuses_a_non_positive_omega(build, omega, t0):
+    # omega = 0 divided by zero deriving t0, or put t0 = 0.5 on a pole,
+    # and case4_series was built at omega = -1
+    with pytest.raises(ValueError, match="^omega must be finite and > 0"):
+        build(0.8, 0.5, omega, t0=t0)
+
+
 # each factory, as a function of keyword arguments, with finite values of
 # its float parameters; power_law and rcd_travelling_wave name theirs as
 # power_law's check does

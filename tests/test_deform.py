@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import math
@@ -41,10 +42,15 @@ from oscdeform.errors import (
 )
 from oscdeform.exprdsl import (
     Num,
+    Var,
     _walk,
+    add,
     depends_on,
+    differentiate,
     evaluate,
     function,
+    mul,
+    sub,
     to_str,
 )
 from oscdeform.numerics import (
@@ -540,6 +546,7 @@ _SLOPE_PAIRS = [
     ("-0.75*v + 0.8", "0"),          # f depends on v
     ("-0.5*v + 0.2*x", "0.15*x^3"),  # both Newton solves at each node
     ("0.25*sin(t + 0.3)", "0.1*sin(t + 0.3)^2"),  # t-only, explicit
+    ("0.3*x*v - 0.2*x", "0.1*x^2"),  # 1 + f_v not a power of 2
 ]
 
 
@@ -547,30 +554,50 @@ _SLOPE_PAIRS = [
 def test_numerator_slope_matches_richardson_difference(f_src, g_src):
     # the transit Jacobian's dN/dy, at the Chebyshev nodes of one pole
     # window, against a Richardson central difference of the numerator;
-    # the transit pass gives each node's numerator and state bit for bit,
-    # and that state is the one solved step by step
+    # the node's state is the one solved step by step, and its numerator
+    # is dg/dt - f evaluated there
     osc = DeformedOscillator(f_src, g_src, 2.0, alpha=0.3)
     pole = (math.pi - 0.3) / 2.0
     ts, _ = cheb_nodes_diff(47, pole - 0.15, pole + 0.15)
-    svec = np.array([math.sin(osc.theta(t)) for t in ts])
-    cvec = np.array([math.cos(osc.theta(t)) for t in ts])
-    m = len(ts)
     for y in (0.45, -0.7):
-        N, dN, xs, vs = deform._crossing_numerators(
-            osc, ts, np.full(m, y), svec, cvec, np.full(m, 0.4),
-            np.zeros(m))
-        for i, t in enumerate(ts.tolist()):
-            x, v, N_i = osc.transit_node(0.4, 0.0, t, y)[:3]
-            assert (N_i, x, v) == (N[i], xs[i], vs[i]), (t, y)
+        for t in ts.tolist():
+            x, v, N, dN = osc.transit_node(0.4, 0.0, t, y)
             assert (x, v) == _reference_state(osc, 0.4, 0.0, t, y), (t, y)
+            assert repr(N) == repr(evaluate(osc.transit_exprs[0], {
+                "t": t, "x": x, "v": v})), (t, y)
 
             def central(h):
-                return (osc.transit_node(xs[i], vs[i], t, y + h)[2]
-                        - osc.transit_node(xs[i], vs[i], t, y - h)[2]
-                        ) / (2.0 * h)
+                return (osc.transit_node(x, v, t, y + h)[2]
+                        - osc.transit_node(x, v, t, y - h)[2]) / (2.0 * h)
 
             fd = (4.0 * central(5e-4) - central(1e-3)) / 3.0
-            assert abs(dN[i] - fd) <= 1e-7 * (1.0 + abs(dN[i])), (t, y)
+            assert abs(dN - fd) <= 1e-7 * (1.0 + abs(dN)), (t, y)
+
+
+@pytest.mark.parametrize("f_src,g_src", _SLOPE_PAIRS)
+def test_numerator_slope_is_the_implicit_derivative_bit_for_bit(f_src,
+                                                                 g_src):
+    # dN/dy of the transit node against implicit differentiation of
+    # x + g = y*s and v + f = omega*y*c in plain floats, in the order dx,
+    # dv, dN, from g_x, f_v, f_x and N_x = g_tx + g_xx*v - f_x evaluated at
+    # the node's solved state: the same bits, so no reordering of the
+    # slope's operations goes unseen
+    osc = DeformedOscillator(f_src, g_src, 2.0, alpha=0.3)
+    e = osc.exprs
+    n_x = sub(add(differentiate(e["g_t"], "x"),
+                  mul(differentiate(e["g_x"], "x"), Var("v"))), e["f_x"])
+    pole = (math.pi - 0.3) / 2.0
+    ts, _ = cheb_nodes_diff(47, pole - 0.15, pole + 0.15)
+    for y in (0.45, -0.7):
+        for t in ts.tolist():
+            x, v, _, dN = osc.transit_node(0.4, 0.0, t, y)
+            state = {"t": t, "x": x, "v": v}
+            g_x, f_v, f_x, N_x = (evaluate(tree, state) for tree in (
+                e["g_x"], e["f_v"], e["f_x"], n_x))
+            s, c = math.sin(osc.theta(t)), math.cos(osc.theta(t))
+            dx = s / (1.0 + g_x)
+            dv = (osc.omega * c - f_x * dx) / (1.0 + f_v)
+            assert dN.hex() == (N_x * dx + (g_x - f_v) * dv).hex(), (t, y)
 
 
 def _case6_k1(d, t0, x0):
@@ -971,7 +998,8 @@ def test_explicit_march_solves_states_only_in_the_transits():
     node = osc.transit_node
 
     def counted(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_lineno))
         return node(*args)
 
     osc.transit_node = counted
@@ -979,10 +1007,16 @@ def test_explicit_march_solves_states_only_in_the_transits():
     traj = integrate_first_integral(osc, t0, 0.4, t0 + 3.0 * math.pi / 1.3,
                                     t_eval=np.linspace(t0, t0 + 7.0, 50))
     assert len(traj.meta["poles_crossed"]) == 3
-    assert callers.count("_pole_transit") == 6
-    assert callers.count("state_at") == 50
-    assert set(callers) == {"_pole_transit", "_crossing_numerators",
-                            "state_at"}
+    names = [name for name, _ in callers]
+    assert set(names) == {"_pole_transit", "state_at"}
+    assert names.count("state_at") == 50
+    # the nodes, 48 per Newton iteration, are one map on one line of
+    # _pole_transit; its left-edge and pole calls are on two others
+    transit = collections.Counter(
+        line for name, line in callers if name == "_pole_transit")
+    (_, nodes), *edges = transit.most_common()
+    assert nodes % 48 == 0
+    assert sum(n for _, n in edges) == 6
 
 
 def _tree_bits(tree):
