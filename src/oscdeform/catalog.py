@@ -126,8 +126,10 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0):
     checked = {}
 
     def _guard_span(t):
-        """Refuse integration spans that cross a pole where the integrand
-        blows up (the accumulated quadrature would be garbage there)."""
+        """Refuse a NaN or infinite t by name, and integration spans that
+        cross a pole where the integrand blows up (the accumulated
+        quadrature would be garbage there)."""
+        _finite(t=t)
         lo, hi = (t_ref, t) if t >= t_ref else (t, t_ref)
         for p in pole_times(w, al, lo - 1e-12, hi + 1e-12):
             flag = checked.get(p)

@@ -729,15 +729,45 @@ def _recorded_quadratures(monkeypatch):
 
 def test_time_quadrature_sample_integrates_its_partial_panel_once(
         monkeypatch):
-    """x and then v at one t: one 24-node partial panel, not two."""
+    """x and then v at one t make one query.  In a fitted panel the first
+    query costs the panel's 17 nodes and a query after it none; next to
+    an unbounded pole, where the panel does not fit, one sample costs one
+    24-node partial panel, not two."""
     made = _recorded_quadratures(monkeypatch)
     sol = catalog.time_quadrature("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2",
                                   0.9, 1.0, 0.3)
     (I,) = made
-    for k, t in enumerate((I.origin + 0.2, I.origin - 0.1), 1):
+    for t, total in ((I.origin + 0.2, 17), (I.origin + 0.1, 17),
+                     (I.origin - 0.1, 34), (I.origin - 0.2, 34)):
         sol(t)
         sol.v_evaluator(t)
-        assert len(I.calls) == 24 * k
+        assert len(I.calls) == total
+    assert I._fits[(1, 0)] is not None and I._fits[(-1, 0)] is not None
+
+    # -0.3/sin(t) is unbounded at t = pi, 0.07 past the panel
+    # [pi/2 + 1.25, pi/2 + 1.5]
+    sol = catalog.time_quadrature("0.3", "0", 1.0)
+    I = made[-1]
+    sol(I.origin + 1.3)
+    assert I._fits[(1, 5)] is None
+    for t in (I.origin + 1.4, I.origin + 1.45):
+        before = len(I.calls)
+        sol(t)
+        sol.v_evaluator(t)
+        assert len(I.calls) == before + 24
+        assert max(I.calls[before:]) < t
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_time_quadrature_refuses_a_non_finite_t_by_name(t):
+    # a NaN raised "cannot convert float NaN to integer" in pole_times, and
+    # an infinite t an OverflowError, from x and v alike
+    sol = catalog.time_quadrature("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2",
+                                  0.9, 1.0, 0.3)
+    for evaluate in (sol, sol.v_evaluator):
+        with pytest.raises(ValueError,
+                           match="^t must be finite, got %r$" % t):
+            evaluate(t)
 
 
 def _closure_integrand(osc):

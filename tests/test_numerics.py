@@ -13,8 +13,9 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.common import OdeSolution
 from scipy.optimize import brentq
 
-from oscdeform import cli, numerics
+from oscdeform import apps, catalog, cli, numerics
 from oscdeform.errors import (
+    DomainViolation,
     EvalDomainError,
     ImplicitNoRoot,
     NoConvergence,
@@ -484,18 +485,175 @@ def test_cumulative_integral_is_the_same_in_any_query_order():
 
 def test_cumulative_integral_remembers_its_last_query_by_bits():
     """A repeated query costs no integrand call; -0.0 after 0.0 is
-    another float and is computed."""
+    another float and is computed.  f raises below -0.1, so the panel
+    [-0.15, 0.1] does not fit and each query computed in it is a 24-node
+    partial panel from 0.1 to t; the fitted panel [0.1, 0.35] costs its 17
+    nodes once."""
     calls = []
 
     def f(t):
+        if t < -0.1:
+            raise DomainViolation("below -0.1")
         calls.append(t)
         return math.cos(t)
 
     F = CumulativeIntegral(f, 0.1)
     for t, total in ((0.0, 24), (0.0, 24), (-0.0, 48), (-0.0, 48),
-                     (0.3, 72), (0.3, 72), (0.0, 96)):
+                     (0.3, 65), (0.3, 65), (0.2, 65), (0.0, 89)):
         F(t)
         assert len(calls) == total
+    assert F._fits[(-1, 0)] is None
+    assert min(calls) > 0.0
+
+
+def test_cumulative_integral_fits_a_panel_once_at_its_nodes():
+    """The first query in a panel evaluates f at the panel's 17
+    first-kind Chebyshev points, inside it, and nowhere else; every later
+    query in a fitted panel, or beyond it, makes no call for it."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.exp(0.3 * t) * math.cos(2.0 * t)
+
+    def nodes(c, h):
+        return sorted(c + h * x for x in numerics._FIT_X)
+
+    F = CumulativeIntegral(f, 0.1)
+    F(0.3)
+    assert len(numerics._FIT_X) == 17
+    assert sorted(calls) == nodes(0.1 + 0.125, 0.125)
+    assert all(0.1 < t < 0.35 for t in calls)
+    for t in (0.2, 0.34, 0.1000001, 0.3499999, 0.2):
+        F(t)
+    assert len(calls) == 17
+    F(0.5)      # the next panel up, [0.35, 0.6]
+    F(-0.05)    # the first panel down, [-0.15, 0.1]
+    assert len(calls) == 51
+    assert sorted(calls[34:]) == nodes(0.1 - 0.125, -0.125)
+    for t in (0.4, 0.36, -0.1, 0.0, 0.2):
+        F(t)
+    assert len(calls) == 51
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_cumulative_integral_refuses_a_non_finite_t_by_name(t):
+    # a NaN raised "cannot convert float NaN to integer" and an infinite t
+    # an OverflowError
+    F = CumulativeIntegral(math.cos, 0.0)
+    before = F(0.3)
+    with pytest.raises(ValueError, match="^t must be finite, got %r$" % t):
+        F(t)
+    assert F(0.3) == before
+
+
+def _gauss_legendre_integral(f, origin, t):
+    """F(t) by the rule a panel that does not fit keeps: full 24-point
+    Gauss-Legendre panels from the origin, each low to high, and the
+    partial panel from the last edge to t."""
+    w = numerics._PANEL_WIDTH
+
+    def panel(a, b):
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        return h * math.fsum(wi * f(c + h * xi)
+                             for xi, wi in numerics._GAUSS_LEGENDRE)
+
+    s = (t - origin) / w
+    side = 1 if s >= 0 else -1
+    k = math.floor(side * s)
+    parts = [side * panel(*sorted((origin + side * j * w,
+                                   origin + side * (j + 1) * w)))
+             for j in range(k)]
+    return math.fsum(parts + [panel(origin + side * k * w, t)])
+
+
+def _quadrature_of(monkeypatch, build):
+    """The CumulativeIntegral that build() makes in catalog or apps."""
+    made = []
+
+    class Recorded(CumulativeIntegral):
+        def __init__(self, f, origin):
+            super().__init__(f, origin)
+            made.append(self)
+
+    monkeypatch.setattr(catalog, "CumulativeIntegral", Recorded)
+    monkeypatch.setattr(apps, "CumulativeIntegral", Recorded)
+    build()
+    (F,) = made
+    return F
+
+
+def _time_quadrature():
+    # g = 0.2*sin(theta)^2 makes the pole at theta = pi removable
+    catalog.time_quadrature("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2",
+                            0.9, 1.0, 0.3)
+
+
+def _power_law(beta):
+    def build():
+        apps.rcd_travelling_wave({"beta": beta, "gamma": 0.4, "delta": 0.8,
+                                  "A": 3.5, "omega": 1.0, "alpha": 0.0},
+                                 force_quadrature=True)
+    return build
+
+
+def _beam_rho():
+    apps._beam_implicit_funcs(apps.BeamModel(3.0, 2.0, omega=1.0, c1=0.0))
+
+
+def _rcd_alpha():
+    # g = u: alpha ~ 1/u at u = 0, inside the panel [0, 0.25]
+    apps.rcd_from_fg("-0.3*u + 0.6*u^2", "u", 1.0)
+
+
+@pytest.mark.parametrize("build, lo, hi", [
+    (_time_quadrature, -2.0, 7.5),
+    (_power_law(2.0), -2.5, 6.0),
+    # fractional beta: sin(theta) > 0 on (0, pi); queries come within
+    # 1e-3 of both edges
+    (_power_law(1.5), 1e-3, math.pi - 1e-3),
+    (_beam_rho, -0.6, 0.6),
+    (_rcd_alpha, 0.2, 3.0),
+], ids=["time_quadrature", "power_law-beta=2", "power_law-beta=1.5",
+        "beam-rho", "rcd_from_fg-alpha"])
+def test_cumulative_integral_matches_gauss_legendre_on_the_paper_integrands(
+        monkeypatch, build, lo, hi):
+    """On each closed form's integrand, F stays within 1e-14*(1 + |F|) of
+    today's 24-point Gauss-Legendre panels, and on every fitted panel the
+    series of the antiderivative stays within the panel's error estimate
+    of the partial integral from the panel's near edge."""
+    F = _quadrature_of(monkeypatch, build)
+    f, origin = F.f, F.origin
+    for t in np.linspace(lo, hi, 97).tolist():
+        ref = _gauss_legendre_integral(f, origin, t)
+        assert abs(F(t) - ref) <= 1e-14 * (1.0 + abs(ref)), t
+    fitted = {key: fit for key, fit in F._fits.items() if fit is not None}
+    assert fitted
+    for (side, k), (B, err) in fitted.items():
+        edge = origin + side * k * numerics._PANEL_WIDTH
+        h = 0.5 * side * numerics._PANEL_WIDTH
+        assert 0.0 < err < 1e-12
+        for x in np.linspace(-1.0, 1.0, 9).tolist()[1:]:
+            partial = _gauss_legendre_integral(f, edge, edge + h * (x + 1.0))
+            assert abs(numerics._clenshaw(B, x) - partial) <= err
+
+
+def test_cumulative_integral_falls_back_before_an_unbounded_pole(
+        monkeypatch):
+    """time_quadrature with f = 0.3 and g = 0: the integrand -0.3/sin(t)
+    is unbounded at t = pi.  The panels next to the pole do not fit, and
+    queries up to 1e-3 before it agree with the Gauss-Legendre values
+    within 1e-14 relative."""
+    F = _quadrature_of(
+        monkeypatch, lambda: catalog.time_quadrature("0.3", "0", 1.0))
+    assert F.origin == math.pi / 2.0
+    for t in np.linspace(F.origin, math.pi - 1e-3, 41).tolist():
+        ref = _gauss_legendre_integral(F.f, F.origin, t)
+        assert abs(F(t) - ref) <= 1e-14 * abs(ref), t
+    # [pi/2 + 1.25, pi/2 + 1.5] ends 0.07 before the pole, and
+    # [pi/2 + 1.5, pi/2 + 1.75] holds it
+    assert F._fits[(1, 5)] is None and F._fits[(1, 6)] is None
+    assert all(F._fits[(1, k)] is not None for k in range(5))
 
 
 def test_find_root_basic():
