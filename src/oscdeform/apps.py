@@ -111,7 +111,8 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0):
     coefficient and the remainder at u' = 0.  D = D0 exp(int_1^u alpha),
     B = beta*D - Vf, Q = gamma*D.  DomainViolation where u + g vanishes,
     and from D, B and Q where it does so or changes sign between 1 and u;
-    a NaN or infinite omega raises a ValueError that names it.
+    a NaN or infinite omega, or u given to D, B or Q, raises a ValueError
+    that names it.
     """
     omega, = _finite(omega=omega)
     form = generate_ode_time_varying(
@@ -146,13 +147,17 @@ def rcd_from_fg(f, g, omega, Vf=0.0, D0=1.0):
     accum = CumulativeIntegral(lambda s: alpha_fn(same_side(s)), 1.0)
 
     def D(uq):
-        return D0 * math.exp(accum(same_side(float(uq))))
+        uq, = _finite(u=uq)
+        return D0 * math.exp(accum(same_side(uq)))
 
+    # B and Q take D first, which refuses a NaN or infinite u by name
     def B(uq):
-        return beta_fn(uq) * D(uq) - Vf
+        d = D(uq)
+        return beta_fn(uq) * d - Vf
 
     def Q(uq):
-        return gamma_fn(uq) * D(uq)
+        d = D(uq)
+        return gamma_fn(uq) * d
 
     return RcdSystem(D, B, Q, Vf=Vf, D0=D0,
                      alpha=alpha_fn, beta=beta_fn, gamma=gamma_fn)

@@ -75,7 +75,8 @@ class BracketZero(BranchViolation):
 
 
 class SeriesDivergence(OscdeformError):
-    """Hypergeometric-path evaluation requested too close to |z| = 1."""
+    """The hypergeometric path's denominator u vanished at a sample, where
+    x = u'/(mu*u) has a pole."""
 
 
 class NoConvergence(OscdeformError):

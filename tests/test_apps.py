@@ -118,6 +118,27 @@ def test_rcd_d_refuses_a_path_through_a_zero_of_u_plus_g():
         sys.D(0.2)
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_rcd_from_fg_refuses_a_non_finite_u_by_name(u):
+    # D(nan) read "u + g vanishes or changes sign", D(inf) named t
+    sys = apps.rcd_from_fg("0", "-0.5*u", 1.0)
+    for coefficient in (sys.D, sys.B, sys.Q):
+        with pytest.raises(ValueError,
+                           match="^u must be finite, got %r$" % u):
+            coefficient(u)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+def test_travelling_wave_refuses_a_non_finite_xi_by_name(beta, xi):
+    # power_law's evaluators name their argument t
+    wave = apps.rcd_travelling_wave({"beta": beta, "gamma": 0.1,
+                                     "delta": 0.2, "A": 5.0,
+                                     "omega": 1.0, "alpha": 0.0})
+    with pytest.raises(ValueError, match="^t must be finite, got %r$" % xi):
+        wave(xi)
+
+
 @pytest.mark.parametrize("name, value", [
     ("Vf", math.nan), ("Vf", math.inf), ("Vf", -math.inf),
     ("D0", math.nan), ("D0", math.inf),

@@ -12,6 +12,7 @@ from oscdeform.deform import integrate_first_integral
 from oscdeform.errors import (
     BracketZero,
     BranchViolation,
+    CotangentPole,
     DegenerateParameters,
     DomainViolation,
     EvalDomainError,
@@ -19,7 +20,6 @@ from oscdeform.errors import (
     NonSmoothPoint,
     NoRealRoot,
     PoleInRange,
-    SeriesDivergence,
     UnboundNameError,
 )
 from oscdeform.numerics import fd_derivatives, residual_scan
@@ -255,53 +255,56 @@ def test_case4_series_matches_direct():
             assert abs(series(float(t)) - direct(float(t))) < 1e-8
 
 
-def test_case4_series_sums_four_series_per_sample(monkeypatch):
-    """Each sample equals the formula that sums phi2's series twice, bit
-    for bit, and calls hyp2f1 four times: phi1's series, its derivative's,
-    the one series phi2 and dphi2 share, and its derivative's."""
+def test_case4_series_makes_two_pair_calls_per_sample(monkeypatch):
+    """Each sample calls _hyp2f1_m1's value twice, once per pair, at
+    z = cos^2(theta) and s = sin^2(theta), and equals the formula written
+    from those two calls, bit for bit."""
     mu, nu, w, al, t0, x0 = 0.8, 0.2, 1.0, 0.3, 1.0, 0.4
-    hyp = catalog.hyp2f1
+    m1 = catalog._hyp2f1_m1
     root = math.sqrt(1.0 + 4.0 * (mu * nu / w ** 2))
     a, b = -0.25 - 0.25 * root, -0.25 + 0.25 * root
+    pair1, pair2 = m1(a, b), m1(a + 0.5, b + 0.5)
 
-    def deriv(a, b, c, z):
-        return a * b / c * hyp(a + 1.0, b + 1.0, c + 1.0, z)
-
-    def u_du(wv):
-        z = wv * wv
-        return ((hyp(a, b, 0.5, z), wv * hyp(a + 0.5, b + 0.5, 1.5, z)),
-                (2.0 * wv * deriv(a, b, 0.5, z),
-                 hyp(a + 0.5, b + 0.5, 1.5, z)
-                 + 2.0 * z * deriv(a + 0.5, b + 0.5, 1.5, z)))
+    def u_du(th):
+        wv, sn = -math.cos(th), math.sin(th)
+        F1, dF1, _ = pair1(wv * wv, sn * sn)
+        F2, dF2, _ = pair2(wv * wv, sn * sn)
+        return (F1, wv * F2), (2.0 * wv * dF1, F2 + 2.0 * wv * wv * dF2)
 
     th0 = w * t0 + al
-    (p1, p2), (dp1, dp2) = u_du(-math.cos(th0))
+    (p1, p2), (dp1, dp2) = u_du(th0)
     C1 = w * math.sin(th0) * dp2 - mu * x0 * p2
     C2 = -(w * math.sin(th0) * dp1 - mu * x0 * p1)
 
-    def five_series(t):
+    def two_pairs(t):
         th = w * t + al
-        (p1, p2), (dp1, dp2) = u_du(-math.cos(th))
+        (p1, p2), (dp1, dp2) = u_du(th)
         return (w * math.sin(th) * (C1 * dp1 + C2 * dp2)
                 / (mu * (C1 * p1 + C2 * p2)))
 
-    x_of_t = catalog.case4_series(mu, nu, w, al, t0=t0, x0=x0)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return hyp(*args)
+    def counted(a, b):
+        value = m1(a, b)
 
-    monkeypatch.setattr(catalog, "hyp2f1", counted)
+        def count(z, s):
+            calls.append((a, b, z, s))
+            return value(z, s)
+        return count
+
+    monkeypatch.setattr(catalog, "_hyp2f1_m1", counted)
+    x_of_t = catalog.case4_series(mu, nu, w, al, t0=t0, x0=x0)
     for t in np.linspace(0.3, 2.2, 25).tolist():
         before = len(calls)
-        assert x_of_t(t).hex() == five_series(t).hex()
-        assert len(calls) - before == 4
+        assert x_of_t(t).hex() == two_pairs(t).hex()
+        th = w * t + al
+        z, s = math.cos(th) ** 2, math.sin(th) ** 2
+        assert calls[before:] == [(a, b, z, s), (a + 0.5, b + 0.5, z, s)]
+    assert len(calls) == 2 * 26
 
 
 # |w| = |cos(theta)| of the sweep: a coarse grid, then a fine one on both
-# sides of the cutoff 1 - 2e-3 and up to 1; each value is at least 1e-5
-# from the cutoff, so rounding in theta cannot move it across
+# sides of 1 - 2e-3, where an earlier evaluator stopped, and up to 1
 _SERIES_SWEEP = (0.0, 0.3, 0.6, 0.9, 0.99, 0.995, 0.997, 0.9975, 0.9979,
                  0.99799, 0.99801, 0.9981, 0.9985, 0.9988, 0.999, 0.9995,
                  0.9999, 1.0)
@@ -310,12 +313,15 @@ _SERIES_SWEEP = (0.0, 0.3, 0.6, 0.9, 0.99, 0.995, 0.997, 0.9975, 0.9979,
 @pytest.mark.parametrize("mu, nu", [
     (0.8, 0.5), (0.8, 0.2), (2.0, 1.0), (0.5, -0.3),
     (1.0, -0.25), (0.5, -0.4998),       # mu*nu/omega^2 at and near -1/4
+    (2.0, 10.0), (1.0, 12.0),           # 20 and 12: one pair a polynomial
 ])
-def test_case4_series_cutoff_is_typed_and_below_it_the_series_converge(
-        mu, nu, monkeypatch):
-    """Past |w| = 1 - 2e-3 a start t0 or a sample raises SeriesDivergence;
-    below it each gives a finite x, so no series reaches hyp2f1's term cap
-    (NoConvergence).  No case4_series builds a case4_riccati."""
+def test_case4_series_has_a_value_over_the_whole_period(mu, nu,
+                                                        monkeypatch):
+    """Each |w| of the sweep below 1 gives a finite x, and a series started
+    there returns x0.  At |w| = 1, on a pole, x is its limit 0 (here
+    sin(theta) is a rounding error, so x is tiny, and exactly 0.0 where
+    sin(theta) is 0.0), and a start raises CotangentPole.  No
+    case4_series builds a case4_riccati."""
     def refuse(*args, **kwargs):
         raise AssertionError("case4_series built a case4_riccati")
 
@@ -325,15 +331,30 @@ def test_case4_series_cutoff_is_typed_and_below_it_the_series_converge(
     for w in _SERIES_SWEEP:
         for sign in (1.0, -1.0):
             t = math.acos(-sign * w) - al       # -cos(t + al) = sign*w
-            if w > 1.0 - 2e-3:
-                with pytest.raises(SeriesDivergence):
-                    x_of_t(t)
-                with pytest.raises(SeriesDivergence):
+            if w == 1.0:
+                assert abs(x_of_t(t)) < 1e-12, sign
+                with pytest.raises(CotangentPole):
                     catalog.case4_series(mu, nu, 1.0, al, t0=t, x0=x0)
             else:
                 assert math.isfinite(x_of_t(t)), (w, sign)
                 started = catalog.case4_series(mu, nu, 1.0, al, t0=t, x0=x0)
                 assert started(t) == pytest.approx(x0, rel=1e-9), (w, sign)
+    assert x_of_t(-al) == 0.0                   # theta = 0.0 exactly
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_case4_series_agrees_with_case4_riccati_near_the_poles(side):
+    """Where the series used to stop, up to 1e-8 from |w| = 1 on both sides
+    of the pole interval (-0.3, pi - 0.3), the hypergeometric path agrees
+    with DOP853 on the first integral."""
+    mu, nu, w, al, t0, x0 = 0.8, 0.5, 1.0, 0.3, 0.5, 0.4
+    direct = catalog.case4_riccati(mu, nu, w, al, t0=t0, x0=x0)
+    series = catalog.case4_series(mu, nu, w, al, t0, x0)
+    for gap in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8):
+        th = math.acos(side * (1.0 - gap))     # -cos(theta) = -side*|w|
+        t = (th - al) / w
+        x = direct(t)
+        assert abs(series(t) - x) <= 1e-10 * (1.0 + abs(x)), gap
 
 
 def test_case5_algebraic_n2():
@@ -470,14 +491,6 @@ def test_hyp2f1_input_validation():
         catalog.hyp2f1(1.0, 1.0, 2.0, 0.9999)
 
 
-def test_hyp2f1_deriv_refuses_c_at_a_pole():
-    """c = 0 raises hyp2f1's ValueError, not a ZeroDivisionError from the
-    prefactor a*b/c."""
-    for c in (0.0, -0.0, -2.0):
-        with pytest.raises(ValueError, match="non-positive integer"):
-            catalog.hyp2f1_deriv(0.5, 0.75, c, 0.3)
-
-
 def test_hyp2f1_refuses_non_finite_z():
     """A NaN or infinite z fails the |z| < 1 check at once, instead of
     running every term and raising NoConvergence."""
@@ -514,7 +527,8 @@ def test_hyp2f1_is_the_reference_loop_bit_for_bit():
 
 
 def _case4_parameters(lam):
-    """The (a, b, c) of case4_series's four series at mu*nu/omega^2 = lam."""
+    """The (a, b, c) of the Gauss series of phi1, phi2 and their
+    derivatives at mu*nu/omega^2 = lam."""
     root = math.sqrt(1.0 + 4.0 * lam)
     a, b = -0.25 - 0.25 * root, -0.25 + 0.25 * root
     return [(a, b, 0.5), (a + 1.0, b + 1.0, 1.5),
@@ -636,8 +650,6 @@ def test_hyp2f1_refuses_non_finite_parameters(which):
         args[which] = bad
         with pytest.raises(ValueError, match="must be finite"):
             catalog.hyp2f1(*args, 0.3)
-        with pytest.raises(ValueError, match="must be finite"):
-            catalog.hyp2f1_deriv(*args, 0.3)
 
 
 @pytest.mark.parametrize("name", ["mu", "nu", "omega", "alpha", "t0", "x0"])
@@ -646,6 +658,153 @@ def test_case4_series_refuses_non_finite_arguments(name):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^%s must be finite" % name):
             catalog.case4_series(**dict(args, **{name: bad}))
+
+
+def test_case4_series_evaluator_refuses_a_non_finite_t():
+    x_of_t = catalog.case4_series(0.8, 0.5, 1.0, 0.3, 0.5, 0.4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            x_of_t(bad)
+
+
+def _pairs(lam):
+    """The (a, b) of case4_series's two pairs at mu*nu/omega^2 = lam."""
+    root = math.sqrt(1.0 + 4.0 * lam)
+    a, b = -0.25 - 0.25 * root, -0.25 + 0.25 * root
+    return [(a, b), (a + 0.5, b + 0.5)]
+
+
+# z from 0 to 1 - 1e-13: a grid, both sides of the switch, and up to 1
+_PAIR_ZS = ([k / 40.0 for k in range(40)]
+            + [catalog._Z_SWITCH + d for d in (-1e-9, 0.0, 1e-9)]
+            + [1.0 - 10.0 ** -k for k in range(2, 14)])
+
+
+@pytest.mark.parametrize("lam", [-0.2, 0.4, 0.75, 20.0, 100.0])
+def test_hyp2f1_m1_matches_scipy(lam):
+    """F and dF/dz = (ab/c) F(a+1, b+1; c+1; z) against scipy."""
+    for a, b in _pairs(lam):
+        c = a + b + 1.0
+        value = catalog._hyp2f1_m1(a, b)
+        for z in _PAIR_ZS:
+            F, dF, _ = value(z, 1.0 - z)
+            want = scipy.special.hyp2f1(a, b, c, z)
+            dwant = a * b / c * scipy.special.hyp2f1(a + 1, b + 1, c + 1, z)
+            assert abs(F - want) <= 1e-12 * (1.0 + abs(want)), (a, z)
+            assert abs(dF - dwant) <= 1e-12 * (1.0 + abs(dwant)), (a, z)
+
+
+# (pair, z, F, dF/dz) at mu*nu/omega^2 = 400, from 40-digit mpmath; here
+# both series cancel terms near 1e6 times larger than F and dF/dz
+_M1_AT_400 = (
+    (0, 0.0, 1.0000000000000000, -199.99999999999997),
+    (0, 0.1, 0.96346412903483640, -5.0383706630813085),
+    (0, 0.2, -0.93402707227319307, -3.4329797609508341),
+    (0, 0.3, 0.50792561410720534, 16.406820795973849),
+    (0, 0.4, 0.38593555419202456, -16.292236810985773),
+    (0, 0.5, -0.84120801167759700, 0.18719063918648254),
+    (0, 0.6, 0.32843858172214877, 14.562596620764825),
+    (0, 0.7, 0.43021773585642851, -13.482045570584507),
+    (0, 0.8, -0.66504273916918742, 2.8440827565768895),
+    (0, 0.9, 0.55343489520218289, 2.3417673200582703),
+    (0, 0.99, -0.18425158830114549, 29.296632841511567),
+    (0, 0.9999, 0.12907479262550224, -4.4030715840545545),
+    (0, 0.99999999, 0.12735046886923168, -121.99689181878633),
+    (0, 0.9999999999999, 0.12734912157862540, -268.60917400025239),
+    (1, 0.0, 1.0000000000000000, -66.666666666666656),
+    (1, 0.1, 0.022662872149672459, 4.9577784828579293),
+    (1, 0.2, 0.016679748439957035, -2.6569755592331213),
+    (1, 0.3, -0.069505964033766398, 1.1520083257040926),
+    (1, 0.4, 0.062595636022176776, 0.51816869571220432),
+    (1, 0.5, 0.00082150430658083590, -1.1897709247022156),
+    (1, 0.6, -0.046820718646246538, 0.50029709874001715),
+    (1, 0.7, 0.036069238009739317, 0.50419721725966926),
+    (1, 0.8, -0.0045401023961101224, -0.91753572483314220),
+    (1, 0.9, -0.0059068778749543496, 0.98211944710238277),
+    (1, 0.99, -0.013683312615995459, -0.55848745185404246),
+    (1, 0.9999, -0.0067232271207910013, 4.1068189030114204),
+    (1, 0.99999999, -0.0062476661163309479, 9.9143229320891456),
+    (1, 0.9999999999999, -0.0062475607272605684, 17.106909809395133),
+)
+
+
+def test_hyp2f1_m1_at_400_against_mpmath():
+    values = [catalog._hyp2f1_m1(a, b) for a, b in _pairs(400.0)]
+    for pair, z, want, dwant in _M1_AT_400:
+        F, dF, _ = values[pair](z, 1.0 - z)
+        assert abs(F - want) <= 1e-10 * (1.0 + abs(want)), (pair, z)
+        assert abs(dF - dwant) <= 1e-10 * (1.0 + abs(dwant)), (pair, z)
+
+
+def test_hyp2f1_m1_stops_only_once_the_terms_contract():
+    """At mu*nu/omega^2 = 400 the first term ratios of the Gauss series
+    exceed 1 (-200 z at k = 0), so at z near 3e-8 a term can be small
+    while the next ones are not; a stop taken there read dF/dz 1e-12 off.
+    (pair, z, F, dF/dz) from 40-digit mpmath."""
+    values = [catalog._hyp2f1_m1(a, b) for a, b in _pairs(400.0)]
+    for pair, z, want, dwant in (
+            (0, 1e-08, 0.99999800000066333, -199.99986733335904),
+            (0, 3e-08, 0.99999400000597000, -199.99960200023160),
+            (1, 1e-08, 0.99999933333346467, -66.666640400003554),
+            (1, 3e-08, 0.99999800000118200, -66.666587866698739)):
+        F, dF, _ = values[pair](z, 1.0 - z)
+        assert abs(F - want) <= 1e-15 * (1.0 + abs(want)), (pair, z)
+        assert abs(dF - dwant) <= 1e-15 * (1.0 + abs(dwant)), (pair, z)
+
+
+def test_hyp2f1_m1_sums_at_most_100_terms():
+    """No sum runs past 100 terms for z in [0, 1) and mu*nu/omega^2 up to
+    400, polynomial pairs (2, 6, 12, 20) and near-polynomial ones
+    included."""
+    rng = random.Random(36)
+    lams = ([-0.25, -0.2, 0.0, 0.4, 0.75, 2.0, 6.0, 12.0, 20.0 - 1e-9, 20.0,
+             20.0 + 1e-9, 100.0, 400.0]
+            + [rng.uniform(-0.25, 400.0) for _ in range(6)])
+    zs = ([k / 200.0 for k in range(200)]
+          + [1.0 - 10.0 ** -k for k in range(3, 16)])
+    most = 0
+    for lam in lams:
+        for a, b in _pairs(lam):
+            value = catalog._hyp2f1_m1(a, b)
+            most = max(most, max(value(z, 1.0 - z)[2] for z in zs))
+    assert most <= 100
+
+
+def test_hyp2f1_m1_tables_grown_by_threads_at_once_stay_exact():
+    """Four threads share one value function for each branch, whose ratio
+    tables grow mid-sum, with the interpreter switching threads every
+    microsecond; every result is the one a fresh function gives."""
+    (a, b), _ = _pairs(100.0)
+    zs = (0.05, 0.3, 0.5, 0.6, 0.61, 0.75, 0.9, 0.999)
+    want = {z: catalog._hyp2f1_m1(a, b)(z, 1.0 - z) for z in zs}
+    got = []
+
+    def work(value):
+        got.extend((z, value(z, 1.0 - z)) for z in zs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            value = catalog._hyp2f1_m1(a, b)
+            threads = [threading.Thread(target=work, args=(value,))
+                       for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30.0)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 16 * len(zs)
+    assert all(r == want[z] for z, r in got)
+
+
+def test_digamma_matches_scipy():
+    for x in (1e-3, 0.3, 0.5, 0.75, 1.0, 2.5, 5.5, 9.99, 10.0, 12.3, 250.0,
+              -0.5, -1.25, -3.7, -9.25, -10.2506, -1.000001, -3.00000025):
+        want = scipy.special.digamma(x)
+        assert abs(catalog._digamma(x) - want) <= 4e-15 * max(1.0, abs(want)), x
 
 
 @pytest.mark.parametrize("t0", [None, 0.5])
@@ -764,6 +923,22 @@ def test_time_quadrature_refuses_a_non_finite_t_by_name(t):
     # an infinite t an OverflowError, from x and v alike
     sol = catalog.time_quadrature("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2",
                                   0.9, 1.0, 0.3)
+    for evaluate in (sol, sol.v_evaluator):
+        with pytest.raises(ValueError,
+                           match="^t must be finite, got %r$" % t):
+            evaluate(t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda: catalog.case3(2.0, 0.3, 0.6, 2, 4.0, 1.0, 0.0),
+    lambda: catalog.case3(1.5, 0.3, 0.6, 2, 4.0, 1.0, 0.0),
+    lambda: catalog.case4_riccati(0.8, 0.5, 1.0, 0.3, t0=0.5, x0=0.4),
+    lambda: catalog.case4_riccati(0.8, 0.0, 1.0, 0.3, t0=0.5, x0=0.4),
+])
+def test_domain_checked_evaluators_refuse_a_non_finite_t_by_name(build, t):
+    # a NaN or infinite t read "outside the solution interval"
+    sol = build()
     for evaluate in (sol, sol.v_evaluator):
         with pytest.raises(ValueError,
                            match="^t must be finite, got %r$" % t):
