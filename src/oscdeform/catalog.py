@@ -710,7 +710,8 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     limit 0: x falls like sin(theta)*ln|sin(theta)| there.  A t0 within
     POLE_GUARD of a pole raises CotangentPole, and u = 0 at a sample
     SeriesDivergence.  A NaN or infinite argument, or t, raises a
-    ValueError that names it.
+    ValueError that names it, and so does a mu*nu/omega^2 below -1/4 or
+    above 400, past which the sums lose digits.
     """
     mu, nu, omega, alpha, t0, x0 = _case4_parameters(mu, nu, omega, alpha,
                                                      t0, x0)
@@ -719,6 +720,9 @@ def case4_series(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     root = math.sqrt(1.0 + 4.0 * lam) if 1.0 + 4.0 * lam >= 0 else None
     if root is None:
         raise ValueError("mu*nu/omega^2 < -1/4 leaves the real series pair")
+    if lam > 400.0:
+        raise ValueError("mu*nu/omega^2 > 400 is past the range the series "
+                         "is certified in")
     a = -0.25 - 0.25 * root
     b = -0.25 + 0.25 * root
     pair1 = _hyp2f1_m1(a, b)

@@ -7,6 +7,9 @@ Grammar (whitespace insignificant)::
     factor := base ('^' factor)?
     base   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')' | '-' base
 
+Parentheses, call arguments, unary minus signs and right-nested powers
+nest at most 100 levels deep; deeper text raises ExprSyntaxError.
+
 The identifiers ``t``, ``x``, ``v``, ``u`` are variables; any other
 identifier is a named parameter that must be bound before evaluation.
 Every user expression enters the library through ``bind``, which
@@ -225,14 +228,16 @@ def _tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ExprSyntaxError("unexpected character %r" % text[pos], pos)
-        for kind in ("num", "ident", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, pos))
-                break
+        tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     tokens.append(("end", "", n))
     return tokens
+
+
+# the deepest nesting parse accepts: parentheses, call arguments, unary
+# minus signs and right-nested powers, each one level; the parser recurses
+# five frames per level
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -240,6 +245,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -254,6 +260,17 @@ class _Parser:
         if kind != "op" or val != op:
             raise ExprSyntaxError("expected %r" % op, pos)
         self.next()
+
+    def nested(self, parse, pos):
+        """parse() one level deeper; pos is the offset of the token that
+        opens the level."""
+        if self.depth == _MAX_NESTING:
+            raise ExprSyntaxError("nested deeper than %d levels"
+                                  % _MAX_NESTING, pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -289,7 +306,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return Pow(node, self.factor())
+            return Pow(node, self.nested(self.factor, pos))
         return node
 
     def base(self):
@@ -302,18 +319,18 @@ class _Parser:
                 if val not in FUNCTIONS:
                     raise UnknownFunctionError("unknown function %r" % val, pos)
                 self.next()
-                arg = self.expr()
+                arg = self.nested(self.expr, pos)
                 self.expect_op(")")
                 return Call(val, arg)
             if val in VARIABLES:
                 return Var(val)
             return Param(val)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.expect_op(")")
             return node
         if kind == "op" and val == "-":
-            return Neg(self.base())
+            return Neg(self.nested(self.base, pos))
         raise ExprSyntaxError("expected a value, got %r" % (val or "end of input"), pos)
 
 
@@ -401,72 +418,77 @@ def evaluate(e, bindings):
 
 # --- folding constructors ----------------------------------------------------
 
-def _num(e, value=None):
-    if not isinstance(e, Num):
-        return False
-    return True if value is None else e.value == value
-
-
 def add(a, b):
-    if _num(a) and _num(b):
-        return Num(a.value + b.value)
-    if _num(a, 0.0):
-        return b
-    if _num(b, 0.0):
+    if type(a) is Num:
+        if type(b) is Num:
+            return Num(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Num and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a, b):
-    if _num(a) and _num(b):
-        return Num(a.value - b.value)
-    if _num(b, 0.0):
-        return a
-    if _num(a, 0.0):
+    if type(b) is Num:
+        if type(a) is Num:
+            return Num(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Num and a.value == 0.0:
         return neg(b)
     return Sub(a, b)
 
 
 def mul(a, b):
-    if _num(a) and _num(b):
-        return Num(a.value * b.value)
-    if _num(a, 0.0) or _num(b, 0.0):
-        return Num(0.0)
-    if _num(a, 1.0):
-        return b
-    if _num(b, 1.0):
-        return a
+    if type(a) is Num:
+        if type(b) is Num:
+            return Num(a.value * b.value)
+        if a.value == 0.0:
+            return Num(0.0)
+        if a.value == 1.0:
+            return b
+    elif type(b) is Num:
+        if b.value == 0.0:
+            return Num(0.0)
+        if b.value == 1.0:
+            return a
     return Mul(a, b)
 
 
 def div(a, b):
-    if _num(a, 0.0):
+    a_num = type(a) is Num
+    if a_num and a.value == 0.0:
         return Num(0.0)
-    if _num(b, 1.0):
-        return a
-    if _num(a) and _num(b) and b.value != 0.0:
-        return Num(a.value / b.value)
+    if type(b) is Num:
+        if b.value == 1.0:
+            return a
+        if a_num and b.value != 0.0:
+            return Num(a.value / b.value)
     return Div(a, b)
 
 
 def neg(a):
-    if _num(a):
+    t = type(a)
+    if t is Num:
         return Num(-a.value)
-    if isinstance(a, Neg):
+    if t is Neg:
         return a.arg
     return Neg(a)
 
 
 def powe(a, b):
-    if _num(b, 1.0):
-        return a
-    if _num(b, 0.0):
-        return Num(1.0)
-    if _num(a) and _num(b) and float(b.value).is_integer() and b.value >= 0:
-        try:
-            return Num(a.value ** b.value)
-        except OverflowError:
-            pass  # kept unfolded: evaluating it raises "overflow in power"
+    if type(b) is Num:
+        c = b.value
+        if c == 1.0:
+            return a
+        if c == 0.0:
+            return Num(1.0)
+        if type(a) is Num and c.is_integer() and c >= 0:
+            try:
+                return Num(a.value ** c)
+            except OverflowError:
+                pass  # kept unfolded: evaluating it raises "overflow in power"
     return Pow(a, b)
 
 
@@ -483,44 +505,56 @@ def _diff(e, var, done):
     """Derivative of e.  done maps id(node) to the derivative of each inner
     node already differentiated in this call, so a subtree shared in the
     input is differentiated once and its derivative is shared in the
-    output."""
-    if isinstance(e, (Num, Param)):
-        return Num(0.0)
-    if isinstance(e, Var):
+    output.  The children are differentiated first, left to right, and
+    _DERIVATIVES combines them, so the recursion is one frame per level."""
+    t = type(e)
+    if t is Var:
         return Num(1.0) if e.name == var else Num(0.0)
+    if t is Num or t is Param:
+        return Num(0.0)
     key = id(e)
     r = done.get(key)
-    if r is not None:
-        return r
-    if isinstance(e, Neg):
-        r = neg(_diff(e.arg, var, done))
-    elif isinstance(e, Add):
-        r = add(_diff(e.left, var, done), _diff(e.right, var, done))
-    elif isinstance(e, Sub):
-        r = sub(_diff(e.left, var, done), _diff(e.right, var, done))
-    elif isinstance(e, Mul):
-        r = add(mul(_diff(e.left, var, done), e.right),
-                mul(e.left, _diff(e.right, var, done)))
-    elif isinstance(e, Div):
-        r = div(sub(mul(_diff(e.left, var, done), e.right),
-                    mul(e.left, _diff(e.right, var, done))),
-                mul(e.right, e.right))
-    elif isinstance(e, Pow):
-        da = _diff(e.left, var, done)
-        if isinstance(e.right, Num):
-            c = e.right.value
-            r = mul(mul(Num(c), powe(e.left, Num(c - 1.0))), da)
+    if r is None:
+        rule = _DERIVATIVES.get(t)
+        if rule is None:
+            raise TypeError(_no_rule(e, "symbolic derivative"))
+        if t is Neg or t is Call:
+            r = rule(e, _diff(e.arg, var, done))
         else:
-            db = _diff(e.right, var, done)
-            # d(a^b) = a^b * (db*ln a + b*da/a)
-            r = mul(e, add(mul(db, Call("ln", e.left)),
-                           mul(e.right, div(da, e.left))))
-    elif isinstance(e, Call):
-        r = _chain_rule(e.fn, e.arg, _diff(e.arg, var, done))
-    else:
-        raise TypeError("not an Expr node: %r" % (e,))
-    done[key] = r
+            r = rule(e, _diff(e.left, var, done), _diff(e.right, var, done))
+        done[key] = r
     return r
+
+
+def _d_pow(e, da, db):
+    if type(e.right) is Num:
+        c = e.right.value
+        return mul(mul(Num(c), powe(e.left, Num(c - 1.0))), da)
+    # d(a^b) = a^b * (db*ln a + b*da/a)
+    return mul(e, add(mul(db, Call("ln", e.left)),
+                      mul(e.right, div(da, e.left))))
+
+
+# node type -> its derivative, from the node and the derivatives of its
+# children: of arg for Neg and Call, of left and right for the others
+_DERIVATIVES = {
+    Neg: lambda e, da: neg(da),
+    Call: lambda e, da: _chain_rule(e.fn, e.arg, da),
+    Add: lambda e, da, db: add(da, db),
+    Sub: lambda e, da, db: sub(da, db),
+    Mul: lambda e, da, db: add(mul(da, e.right), mul(e.left, db)),
+    Div: lambda e, da, db: div(sub(mul(da, e.right), mul(e.left, db)),
+                               mul(e.right, e.right)),
+    Pow: _d_pow,
+}
+
+
+def _no_rule(e, what):
+    """The message for a node that has no `what` (a Solve), or for an
+    object that is not a node."""
+    if type(e) is Solve:
+        return "a Solve node has no %s: %r" % (what, e)
+    return "not an Expr node: %r" % (e,)
 
 
 def _chain_rule(fn, u, du):
@@ -771,80 +805,68 @@ def _jet_call(fn, z):
 
 # --- printing -----------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# binary node type -> its precedence in print; any other node prints bare
+# wherever an atom (5) does, a Neg too: -x^2 parses as (-x)^2
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 4}
 
+# binary node type -> (its operator in print, and the least precedence of a
+# left and of a right operand printed bare)
+_INFIX = {Add: (" + ", 1, 2), Sub: (" - ", 1, 2), Mul: ("*", 2, 3),
+          Div: ("/", 2, 3), Pow: ("^", 5, 3)}
 
-def _prec(e):
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _wrap(e):
-    return "(" + to_str(e) + ")"
+# the operators of the binary nodes in generated code, where a Pow has its
+# own rule (_power)
+_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def to_str(e):
     """Canonical text form; parse(to_str(e)) evaluates identically to e."""
-    if isinstance(e, Num):
+    t = type(e)
+    infix = _INFIX.get(t)
+    if infix is not None:
+        op, bare_left, bare_right = infix
+        left, right = to_str(e.left), to_str(e.right)
+        if _PREC.get(type(e.left), 5) < bare_left:
+            left = "(" + left + ")"
+        if _PREC.get(type(e.right), 5) < bare_right:
+            right = "(" + right + ")"
+        return left + op + right
+    if t is Num:
         v = e.value
-        if float(v).is_integer() and abs(v) < 1e15:
+        if v.is_integer() and abs(v) < 1e15:
             return str(int(v))
         return repr(v)
-    if isinstance(e, (Var, Param)):
+    if t is Var or t is Param:
         return e.name
-    if isinstance(e, Neg):
-        inner = e.arg
-        if _prec(inner) >= _PREC_ATOM or isinstance(inner, Neg):
-            return "-" + to_str(inner)
-        return "-" + _wrap(inner)
-    if isinstance(e, Call):
-        return "%s(%s)" % (e.fn, to_str(e.arg))
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        left = to_str(e.left) if _prec(e.left) >= _PREC_ADD else _wrap(e.left)
-        right = to_str(e.right) if _prec(e.right) > _PREC_ADD else _wrap(e.right)
-        return left + op + right
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left = to_str(e.left) if _prec(e.left) >= _PREC_MUL else _wrap(e.left)
-        right = to_str(e.right) if _prec(e.right) > _PREC_MUL else _wrap(e.right)
-        return left + op + right
-    if isinstance(e, Pow):
-        lp = _prec(e.left)
-        if lp >= _PREC_ATOM or isinstance(e.left, Neg):
-            left = to_str(e.left)
-        else:
-            left = _wrap(e.left)  # wraps Add/Sub/Mul/Div and nested Pow bases
-        rp = _prec(e.right)
-        right = to_str(e.right) if rp >= _PREC_NEG else _wrap(e.right)
-        return left + "^" + right
-    raise TypeError("not an Expr node: %r" % (e,))
+    if t is Call:
+        return e.fn + "(" + to_str(e.arg) + ")"
+    if t is Neg:
+        if type(e.arg) in _PREC:
+            return "-(" + to_str(e.arg) + ")"
+        return "-" + to_str(e.arg)
+    raise TypeError(_no_rule(e, "text form"))
 
 
 # --- the expression boundary ---------------------------------------------------
 
 def _walk(e):
-    yield e
-    if isinstance(e, (Neg, Call)):
-        yield from _walk(e.arg)
-    elif isinstance(e, _Binary):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
-    elif isinstance(e, Solve):
-        for a in e.args:
-            yield from _walk(a)
+    """The nodes of e in pre-order, left child first."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        t = type(e)
+        if t in _PREC:  # a binary node
+            stack += (e.right, e.left)
+        elif t is Neg or t is Call:
+            stack.append(e.arg)
+        elif t is Solve:
+            stack += reversed(e.args)
 
 
 def depends_on(e, name):
     """True if e references the variable `name`."""
-    return any(isinstance(n, Var) and n.name == name for n in _walk(e))
+    return any(type(n) is Var and n.name == name for n in _walk(e))
 
 
 def _substitute(e, values, done=None):
@@ -882,9 +904,10 @@ def bind(e, allowed, params=None):
         e = _substitute(e, {name: Num(value) for name, value in params.items()
                             if name not in VARIABLES})
     for n in _walk(e):
-        if isinstance(n, Param):
+        t = type(n)
+        if t is Param:
             raise UnboundNameError(n.name)
-        if isinstance(n, Var) and n.name not in allowed:
+        if t is Var and n.name not in allowed:
             raise UnboundNameError(n.name, allowed)
     return e
 
@@ -894,8 +917,6 @@ def bind(e, allowed, params=None):
 class _Unreachable(Exception):
     """Raised while generating code past a name that is never bound."""
 
-
-_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 class _Codegen:

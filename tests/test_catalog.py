@@ -667,6 +667,15 @@ def test_case4_series_evaluator_refuses_a_non_finite_t():
             x_of_t(bad)
 
 
+def test_case4_series_refuses_mu_nu_over_omega_squared_above_400():
+    """400 is the largest mu*nu/omega^2 the mpmath comparison certifies;
+    past it the sums lose digits (1e4) or overflow in math.gamma (2e5)."""
+    catalog.case4_series(1.0, 400.0, 1.0, 0.3, 0.5, 0.4)(1.0)
+    for nu in (401.0, 1e4, 2e5):
+        with pytest.raises(ValueError, match=r"^mu\*nu/omega\^2 > 400 "):
+            catalog.case4_series(1.0, nu, 1.0, 0.3, 0.5, 0.4)
+
+
 def _pairs(lam):
     """The (a, b) of case4_series's two pairs at mu*nu/omega^2 = lam."""
     root = math.sqrt(1.0 + 4.0 * lam)

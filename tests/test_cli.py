@@ -245,6 +245,16 @@ def test_exit_one_on_parse_error(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f", ["(" * 600 + "x" + ")" * 600, "-" * 3000 + "x"])
+def test_exit_one_on_too_deep_a_nesting(f):
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscdeform", "derive", "--f=" + f, "--g", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("parse error: nested deeper than 100 levels")
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_one_on_usage_errors(capsys):
     assert cli.main(["verify", "--suite", "nope"]) == 1
     assert cli.main(["solve", "--samples", "1"]) == 1

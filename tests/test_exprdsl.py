@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oscdeform import exprdsl
+from oscdeform import deform, exprdsl, verify
 from oscdeform.errors import (
     EvalDomainError,
     ExprSyntaxError,
@@ -29,6 +30,7 @@ from oscdeform.exprdsl import (
     Solve,
     Var,
     _substitute,
+    _walk,
     bind,
     depends_on,
     differentiate,
@@ -231,34 +233,36 @@ def test_print_round_trip_exact_evaluation():
             assert evaluate(e, b) == evaluate(e2, b)
 
 
+def _rand_tree(rng, depth):
+    """A random tree in x and the parameter k1: Neg, sin, Add, Mul, integer
+    powers and fractional powers of abs over numbers, x and k1."""
+    if depth == 0:
+        k = rng.integers(0, 3)
+        if k == 0:
+            return Num(round(float(rng.uniform(-3, 3)), 3))
+        if k == 1:
+            return Var("x")
+        return Param("k1")
+    kind = rng.integers(0, 6)
+    if kind == 0:
+        return Neg(_rand_tree(rng, depth - 1))
+    if kind == 1:
+        return Call("sin", _rand_tree(rng, depth - 1))
+    a = _rand_tree(rng, depth - 1)
+    b = _rand_tree(rng, depth - 1)
+    if kind == 2:
+        return Add(a, b)
+    if kind == 3:
+        return Mul(a, b)
+    if kind == 4:
+        return Pow(a, Num(float(rng.integers(0, 4))))
+    return Pow(Call("abs", a), Num(round(float(rng.uniform(0.5, 2.0)), 2)))
+
+
 def test_print_round_trip_random_trees():
     rng = np.random.default_rng(7)
-
-    def rand_tree(depth):
-        if depth == 0:
-            k = rng.integers(0, 3)
-            if k == 0:
-                return Num(round(float(rng.uniform(-3, 3)), 3))
-            if k == 1:
-                return Var("x")
-            return Param("k1")
-        kind = rng.integers(0, 6)
-        if kind == 0:
-            return Neg(rand_tree(depth - 1))
-        if kind == 1:
-            return Call("sin", rand_tree(depth - 1))
-        a = rand_tree(depth - 1)
-        b = rand_tree(depth - 1)
-        if kind == 2:
-            return Add(a, b)
-        if kind == 3:
-            return Mul(a, b)
-        if kind == 4:
-            return Pow(a, Num(float(rng.integers(0, 4))))
-        return Pow(Call("abs", a), Num(round(float(rng.uniform(0.5, 2.0)), 2)))
-
     for _ in range(200):
-        e = rand_tree(int(rng.integers(1, 5)))
+        e = _rand_tree(rng, int(rng.integers(1, 5)))
         printed = to_str(e)
         e2 = parse(printed)
         b = {"x": float(rng.uniform(0.3, 1.7)), "k1": 1.25}
@@ -267,6 +271,79 @@ def test_print_round_trip_random_trees():
         except EvalDomainError:
             continue
         assert evaluate(e2, b) == want, printed
+
+
+def _printed_digest():
+    """sha256 over the printed text and the pre-order walk of the theorem
+    pairs' Lienard coefficients and partials, and of 200 random trees and
+    their derivatives in x; a Num is walked as the bits of its value."""
+    h = hashlib.sha256()
+
+    def put(tree):
+        walk = [float(n.value).hex() if type(n) is Num else type(n).__name__
+                for n in _walk(tree)]
+        h.update(("%s\n%s\n" % (to_str(tree), " ".join(walk))).encode())
+
+    for f, g in verify.THEOREM_PAIRS:
+        osc = deform.DeformedOscillator(f, g, 1.0, alpha=0.3)
+        form = deform.generate_ode(osc)
+        for key in ("coeff_xdd", "coeff_xd", "remainder"):
+            put(form.exprs[key])
+        for key in ("f_t", "f_x", "f_v", "g_t", "g_x", "g_v"):
+            put(osc.exprs[key])
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        e = _rand_tree(rng, int(rng.integers(1, 5)))
+        put(e)
+        put(differentiate(e, "x"))
+    return h.hexdigest()
+
+
+def test_printed_text_and_walk_order_are_pinned():
+    # computed before to_str, differentiate, the folding constructors and
+    # _walk dispatched on type(e): every character, every constant's bits
+    # and the walk order are kept
+    assert _printed_digest() == (
+        "36e8c179bb2d1d8e065a1905325e2c55dbfd16d5d499586c2f7cbba6ce30cfab")
+
+
+# one construct nested n levels deep, each level one level of parse's limit
+_NESTINGS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "unary minus": lambda n: "-" * n + "x",
+    "call arguments": lambda n: "sin(" * n + "x" + ")" * n,
+    "right-nested powers": lambda n: "0.5^" * n + "x",
+}
+
+
+@pytest.mark.parametrize("construct", sorted(_NESTINGS))
+def test_nesting_at_the_limit_goes_through_the_oscillator(construct):
+    text = _NESTINGS[construct](exprdsl._MAX_NESTING)
+    osc = deform.DeformedOscillator(text, text, 1.0, alpha=0.3)
+    form = deform.generate_ode(osc)
+    for key in ("coeff_xdd", "coeff_xd", "remainder"):
+        assert to_str(form.exprs[key])
+    assert math.isfinite(osc.amplitude_slope(0.3, 0.2, 0.4, 1e-12))
+
+
+@pytest.mark.parametrize("construct", sorted(_NESTINGS))
+def test_nesting_past_the_limit_is_a_syntax_error(construct):
+    text = _NESTINGS[construct](exprdsl._MAX_NESTING + 1)
+    with pytest.raises(ExprSyntaxError, match="^nested deeper than 100 "):
+        parse(text)
+
+
+def test_a_solve_node_has_no_text_and_no_derivative():
+    # the amplitude frame's x solves x + g(t, x) = y*sin(theta) for x
+    x = deform.DeformedOscillator("0", "0.2*x^2", 1.0)._frame[0]
+    assert type(x) is Solve
+    with pytest.raises(TypeError, match="^a Solve node has no text form: "):
+        str(x)
+    with pytest.raises(TypeError,
+                       match="^a Solve node has no symbolic derivative: "):
+        differentiate(x, "t")
+    with pytest.raises(TypeError, match="^not an Expr node: 'x'$"):
+        to_str("x")
 
 
 def test_substitute_params():
