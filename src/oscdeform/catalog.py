@@ -4,8 +4,8 @@ Each factory returns a CatalogSolution bundling the pointwise evaluator
 x(t), its velocity, the generating DeformedOscillator, and the generated
 second-order form, so any solution can be checked against the ODE it is
 claimed to solve.  Quadrature-backed evaluators accumulate their integrals
-with fixed-order Gauss-Legendre panels, which keeps them smooth enough to
-finite-difference.
+with numerics.CumulativeIntegral: certified Chebyshev pieces on a grid
+fixed by the origin, which keeps them smooth enough to finite-difference.
 """
 
 from __future__ import annotations
@@ -470,59 +470,30 @@ def _check_c(c):
         raise ValueError("c must not be a non-positive integer")
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _term_ratios(a, b, c):
-    """The per-term constants of hyp2f1's series for one (a, b, c): a
-    one-item list holding two tuples, r with r[k] = (a+k)(b+k)/((c+k)(k+1)),
-    so that term k+1 = term k * r[k] * z, and q with the tail bound's
-    q[k] = |(a+k+1)(b+k+1)/((c+k+1)(k+2))| from (a+k)+1, which is not
-    always the float a+(k+1), so q[k] is kept apart from r[k+1].  hyp2f1
-    swaps in longer tuples on demand; a sum never sees its tables change,
-    whichever thread grows them.  The last 16 (a, b, c) are kept.  Keys are
-    finite (hyp2f1 refuses NaN and infinities); 0.0 and -0.0 share a key,
-    which is harmless: a+0 rounds -0.0 to 0.0, and a zero c is refused."""
-    return [((), ())]
-
-
 def hyp2f1(a, b, c, z):
     """Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1 (a
     non-finite z is refused with the same ValueError, and so is a
     non-finite a, b or c), summed until the tail bound falls to 0.3 of the
-    relative tolerance 1e-12; NoConvergence after 10,000 terms.  The term
-    ratios come from _term_ratios's tables, grown to twice their length
-    (at least 32) whenever a sum runs past their end."""
+    relative tolerance 1e-12; NoConvergence after 10,000 terms."""
     if not abs(z) < 1.0:
         raise ValueError("series requires |z| < 1, got z = %r" % (z,))
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError("a, b and c must be finite, got %r, %r, %r"
                          % (a, b, c))
     _check_c(c)
-    tables = _term_ratios(a, b, c)
-    r, q = tables[0]
     az = abs(z)
     term = 1.0
     total = 1.0
-    n = 0                               # terms summed before this pass
-    while True:
-        for rk, qk in zip(r[n:], q[n:]) if n else zip(r, q):
-            term *= rk * z
-            total += term
-            if term == 0.0:
-                return total
-            # geometric bound on the remaining tail from the next term ratio
-            nxt = qk * az
-            if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 3e-13 * abs(total):
-                return total
-        n = len(r)
-        if n == 10000:
-            raise NoConvergence("2F1 series did not converge in %d terms" % n)
-        rs, qs = [], []
-        for k in range(n, min(max(2 * n, 32), 10000)):
-            ak, bk, ck, k1 = a + k, b + k, c + k, k + 1.0
-            rs.append(ak * bk / (ck * k1))
-            qs.append(abs((ak + 1) * (bk + 1) / ((ck + 1) * (k1 + 1.0))))
-        r, q = r + tuple(rs), q + tuple(qs)
-        tables[0] = r, q
+    for k in range(10000):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        if term == 0.0:
+            return total
+        # geometric bound on the remaining tail from the next term ratio
+        nxt = abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0))) * az
+        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 3e-13 * abs(total):
+            return total
+    raise NoConvergence("2F1 series did not converge in 10000 terms")
 
 
 # F(a, b; a+b+1; z), the logarithmic case m = 1 of A&S 15.3.11, sums its

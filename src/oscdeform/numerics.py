@@ -11,15 +11,16 @@ included.  sample_trajectory samples a pure state_at(t) once per distinct
 time, in increasing order, into a Trajectory, the record of those states
 and of the solution's meta.  Root finding on a bracket is Brent's method
 in plain floats, scipy's brentq step for step, behind a sign check that
-raises the typed NoSignChange.  Quadrature fits each fixed panel once by
-a Chebyshev series and sums its antiderivative (CumulativeIntegral).  Every
-implicit relation inverted pointwise (x and v of the amplitude frame, the
-implicit path's velocity at its start, the beam's F(u) = K sin(omega*t +
-phi)) goes through one safeguarded scalar solver, solve_scalar, from a
-law that returns the residual and its slope in one call; the oscillator's
-relations run its Newton loop inside their generated code (exprdsl.Solve)
-and call it only where Newton stalls.  Nothing here imports scipy; the
-tests use it as the oracle.
+raises the typed NoSignChange.  Quadrature has one rule: it fits each
+piece of a fixed dyadic grid once by a Chebyshev series, splits a piece
+whose fit does not certify into halves, and sums the antiderivatives
+(CumulativeIntegral).  Every implicit relation inverted pointwise (x and
+v of the amplitude frame, the implicit path's velocity at its start, the
+beam's F(u) = K sin(omega*t + phi)) goes through one safeguarded scalar
+solver, solve_scalar, from a law that returns the residual and its slope
+in one call; the oscillator's relations run its Newton loop inside their
+generated code (exprdsl.Solve) and call it only where Newton stalls.
+Nothing here imports scipy; the tests use it as the oracle.
 """
 
 from __future__ import annotations
@@ -423,9 +424,8 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
 # --- quadrature ---------------------------------------------------------------
 
 _PANEL_WIDTH = 0.25
-_PANEL_NODES = 24
 
-# A panel's fit reads f at the _FIT_NODES first-kind Chebyshev points
+# A piece's fit reads f at the _FIT_NODES first-kind Chebyshev points
 # cos(pi*(j + 1/2)/n); the DCT-II rows (2/n)*T_k(x_j), in plain floats,
 # turn those values into Chebyshev coefficients (see CumulativeIntegral).
 _FIT_NODES = 17
@@ -435,64 +435,37 @@ _FIT_DCT = tuple(tuple(2.0 / _FIT_NODES
                        * math.cos(math.pi * k * (j + 0.5) / _FIT_NODES)
                        for j in range(_FIT_NODES)) for k in range(_FIT_NODES))
 _CHOP = 1e-12
-
-
-# The _PANEL_NODES-point Gauss-Legendre rule on [-1, 1] as (node, weight)
-# pairs of plain floats, so F(t) is a float and not a numpy scalar: the
-# output of numpy.polynomial.legendre.leggauss(24), written as literals so
-# that no quadrature imports numpy.polynomial or solves for the rule.
-# tests/test_numerics.py holds each literal within 2 ulp of leggauss and
-# checks that the rule integrates x^k, k <= 47, exactly to rounding.
-_GAUSS_LEGENDRE = (
-    (-0.9951872199970213, 0.01234122979998869),
-    (-0.9747285559713095, 0.02853138862893356),
-    (-0.9382745520027328, 0.04427743881741941),
-    (-0.8864155270044011, 0.05929858491543636),
-    (-0.820001985973903, 0.07334648141108016),
-    (-0.7401241915785544, 0.0861901615319532),
-    (-0.6480936519369755, 0.09761865210411393),
-    (-0.5454214713888396, 0.10744427011596556),
-    (-0.4337935076260451, 0.11550566805372552),
-    (-0.3150426796961634, 0.1216704729278033),
-    (-0.1911188674736163, 0.12583745634682825),
-    (-0.06405689286260563, 0.12793819534675202),
-    (0.06405689286260563, 0.12793819534675202),
-    (0.1911188674736163, 0.12583745634682825),
-    (0.3150426796961634, 0.1216704729278033),
-    (0.4337935076260451, 0.11550566805372552),
-    (0.5454214713888396, 0.10744427011596556),
-    (0.6480936519369755, 0.09761865210411393),
-    (0.7401241915785544, 0.0861901615319532),
-    (0.820001985973903, 0.07334648141108016),
-    (0.8864155270044011, 0.05929858491543636),
-    (0.9382745520027328, 0.04427743881741941),
-    (0.9747285559713095, 0.02853138862893356),
-    (0.9951872199970213, 0.01234122979998869),
-)
+# A fit also certifies when its half width times its tail is at most
+# _FLOOR, and a piece that does not splits at most _MAX_LEVEL times below
+# its panel (see CumulativeIntegral).
+_FLOOR = 1e-14
+_MAX_LEVEL = 40
 
 
 def _antiderivative(f, c, h):
-    """Fit f on the panel c + h*x, x in [-1, 1] (h < 0 runs it high to
+    """Fit f on the piece c + h*x, x in [-1, 1] (h < 0 runs it high to
     low), at the first-kind points, and return the Chebyshev coefficients
-    B of the integral of f from c - h to c + h*x, with the panel's error
-    estimate, or None if a node raises an OscdeformError or the fit does
-    not certify (a non-finite value never does)."""
-    try:
-        ys = [f(c + h * x) for x in _FIT_X]
-    except OscdeformError:
-        return None
+    B of the integral of f from c - h to c + h*x, with the piece's error
+    estimate, or None if the fit does not certify (a non-finite value
+    never does).  An OscdeformError at a node propagates."""
+    ys = [f(c + h * x) for x in _FIT_X]
     a = [sum(map(operator.mul, row, ys)) for row in _FIT_DCT] + [0.0, 0.0]
     a[0] *= 0.5
     scale = max(map(abs, a))
     tail = abs(a[_FIT_NODES - 2]) + abs(a[_FIT_NODES - 1])
-    if not tail <= _CHOP * scale < math.inf:
+    if not (scale < math.inf
+            and (tail <= _CHOP * scale or abs(h) * tail <= _FLOOR)):
         return None
     # int T_0 = T_1, int T_k = T_(k+1)/(2(k+1)) - T_(k-1)/(2(k-1)); B_0
     # makes the sum 0 at x = -1, where T_k = (-1)^k
     B = [0.0, h * (a[0] - 0.5 * a[2])] + [
         h * (a[k - 1] - a[k + 1]) / (2 * k) for k in range(2, _FIT_NODES + 1)]
     B[0] = sum(B[1::2]) - sum(B[2::2])
-    return B, abs(h) * (2.0 * tail + _FIT_NODES * _EPS * scale)
+    # rounding a node c + h*x moves it by up to eps*(|c| + |h|), which
+    # moves f by at most that times the slope, with |T_k'| <= k^2
+    slope = sum(k * k * abs(a[k]) for k in range(1, _FIT_NODES))
+    return B, (abs(h) * (2.0 * tail + _FIT_NODES * _EPS * scale)
+               + 2.0 * _EPS * (abs(c) + abs(h)) * slope)
 
 
 def _clenshaw(B, x):
@@ -508,30 +481,40 @@ class CumulativeIntegral:
 
     Panels of constant width, fixed by the origin, the side and the index,
     are accumulated lazily in both directions from the origin.  The first
-    query that reaches a panel fits f on it once, at _FIT_NODES Chebyshev
-    points of the first kind (interior points: never the panel's edges),
-    and keeps the series of the fit's antiderivative (Trefethen,
-    Approximation Theory and Approximation Practice, ch. 3 and 19).  A
-    query in a fitted panel is then the accumulated sum plus one Clenshaw
-    sum, with no integrand call.  The fit certifies when its last two
-    coefficients sum to at most _CHOP = 1e-12 of its largest: a fixed
-    ratio that admits the beam's rho, whose coefficients level off at a
-    noise plateau near 1e-14, while a smooth f decays to rounding well
-    within 17 terms.  |h|*(twice that tail + 17 eps times the largest),
-    h the half width, is the panel's error estimate.  A panel whose fit
-    does not certify (a node raises an OscdeformError or gives a
-    non-finite value, or the coefficients do not chop) keeps the 24-point
-    Gauss-Legendre rule, lazily: the partial panel from its edge to t,
-    which never samples beyond t, and the full panel only for a query
-    beyond it.  So f is read beyond t only at the nodes of t's own panel,
-    and only a finite, certified fit is used there.  F is smooth in t
-    (unlike adaptive quadrature, whose subdivision pattern jumps), which
-    matters when F feeds finite differences, and a pure function of t,
-    whatever the order of queries.  So it keeps the value of its last
-    query and returns it when the same float (matched on its bits: 0.0 is
-    not -0.0) is asked for again: x and v of one sample ask for one t, and
-    so do F and dF/du at one Newton iterate.  A NaN or infinite t raises a
-    ValueError that names t.
+    query that reaches a piece (a panel to begin with) fits f on it once,
+    at _FIT_NODES Chebyshev points of the first kind (interior points:
+    never the piece's edges), and keeps the series of the fit's
+    antiderivative (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 3 and 19).  The fit certifies when its last two
+    coefficients sum to at most _CHOP = 1e-12 of its largest, a fixed ratio
+    that admits the beam's rho, whose coefficients level off at a noise
+    plateau near 1e-14, while a smooth f decays to rounding well within 17
+    terms; or when that tail times the piece's half width h is at most
+    _FLOOR = 1e-14, which admits a piece whose values are rounding noise
+    next to its largest, as rho's are next to u = 0.  |h|*(twice the tail
+    + 17 eps times the largest coefficient), plus the error of rounding
+    the nodes, 2 eps (|c| + |h|) times the sum of k^2 |a_k| (c the
+    centre, a_k the coefficients), is the piece's error estimate.
+    A piece whose fit does not certify (a node gives a non-finite value, or
+    the coefficients do not chop) splits into two halves at its centre, and
+    so on down a fixed dyadic grid, set by the origin, the side, the panel
+    index and the level (Pachon, Platte & Trefethen, Piecewise-smooth
+    chebfuns, IMA J. Numer. Anal. 30, 2010).  A query is then the
+    accumulated sum of whole panels plus, in t's own panel, the certified
+    pieces before t and one Clenshaw sum in the piece that holds t, with no
+    integrand call once each piece is fitted.  An OscdeformError at a node
+    of a piece that lies wholly between the origin and t propagates; one at
+    a node of the piece that holds t, beyond t, only splits that piece, so
+    f is read beyond t only at the nodes of t's own pieces.  A piece that
+    still does not certify _MAX_LEVEL = 40 levels below its panel raises
+    NoConvergence, which names t.  F is smooth in t (unlike adaptive
+    quadrature, whose subdivision pattern follows the query), which matters
+    when F feeds finite differences, and a pure function of t, whatever the
+    order of queries.  So it keeps the value of its last query and returns
+    it when the same float (matched on its bits: 0.0 is not -0.0) is asked
+    for again: x and v of one sample ask for one t, and so do F and dF/du
+    at one Newton iterate.  A NaN or infinite t raises a ValueError that
+    names t.
     """
 
     def __init__(self, f, origin):
@@ -539,28 +522,36 @@ class CumulativeIntegral:
         self.origin = float(origin)
         # per side: _acc[side][k] = F(origin + side*k*_PANEL_WIDTH)
         self._acc = {1: [0.0], -1: [0.0]}
-        self._fits = {}  # (side, k): _antiderivative of that panel, or None
+        # (near edge, signed half width): _antiderivative of that piece,
+        # None, or the OscdeformError one of its nodes raised
+        self._fits = {}
         self._last = (math.nan, math.nan)  # (t, F(t)) of the last query
 
-    def _panel(self, a, b):
-        f = self.f
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        total = 0.0
-        for xi, wi in _GAUSS_LEGENDRE:
-            total += wi * f(c + h * xi)
-        return h * total
-
-    def _part(self, side, k, t):
-        """The integral of f from the near edge of panel k on `side` to t."""
-        h = 0.5 * side * _PANEL_WIDTH
-        edge = self.origin + side * k * _PANEL_WIDTH
-        if (side, k) not in self._fits:
-            self._fits[side, k] = _antiderivative(self.f, edge + h, h)
-        fit = self._fits[side, k]
-        if fit is None:
-            return self._panel(edge, t)
-        return _clenshaw(fit[0], (t - edge) / h - 1.0)
+    def _part(self, edge, far, h, t, whole):
+        """The integral of f over the piece from edge to far, of half width
+        h (negative below the origin), from edge to t, or to far if the
+        piece is `whole`: wholly between the origin and t."""
+        try:
+            fit = self._fits[edge, h]
+        except KeyError:
+            try:
+                fit = _antiderivative(self.f, edge + h, h)
+            except OscdeformError as exc:
+                fit = exc
+            self._fits[edge, h] = fit
+        if type(fit) is tuple:
+            return _clenshaw(fit[0], ((far if whole else t) - edge) / h - 1.0)
+        if whole and isinstance(fit, OscdeformError):
+            raise fit.with_traceback(None)
+        if abs(h) <= 0.5 * _PANEL_WIDTH / 2 ** _MAX_LEVEL:
+            raise NoConvergence(
+                "the integral to t = %r did not certify on a piece of width "
+                "%.3g" % (t, 2.0 * abs(h)))
+        mid, h = edge + h, 0.5 * h
+        if whole or (t - mid) * h > 0.0:
+            return (self._part(edge, mid, h, t, True)
+                    + self._part(mid, far, h, t, whole))
+        return self._part(edge, mid, h, t, False)
 
     def __call__(self, t):
         t = float(t)
@@ -572,16 +563,20 @@ class CumulativeIntegral:
             raise ValueError("t must be finite, got %r" % (t,))
         s = (t - self.origin) / _PANEL_WIDTH
         side = 1 if s >= 0 else -1
-        # full panels strictly between the origin and t, then t's own
+        h = 0.5 * side * _PANEL_WIDTH
+        # whole panels strictly between the origin and t, then t's own
         k = int(math.floor(side * s))
         acc = self._acc[side]
         while len(acc) <= k:
             j = len(acc)
             acc.append(acc[-1] + self._part(
-                side, j - 1, self.origin + side * j * _PANEL_WIDTH))
+                self.origin + side * (j - 1) * _PANEL_WIDTH,
+                self.origin + side * j * _PANEL_WIDTH, h, t, True))
         F = acc[k]
-        if t != self.origin + side * k * _PANEL_WIDTH:
-            F += self._part(side, k, t)
+        edge = self.origin + side * k * _PANEL_WIDTH
+        if t != edge:
+            F += self._part(edge, self.origin + side * (k + 1) * _PANEL_WIDTH,
+                            h, t, False)
         self._last = (t, F)
         return F
 

@@ -535,51 +535,7 @@ def _case4_parameters(lam):
             (a + 0.5, b + 0.5, 1.5), (a + 1.5, b + 1.5, 2.5)]
 
 
-def _table_length(a, b, c):
-    return len(catalog._term_ratios(a, b, c)[0][0])
-
-
-def test_hyp2f1_tables_sum_long_series_bit_for_bit():
-    """At |z| up to 0.996 a series runs thousands of terms from one table."""
-    catalog._term_ratios.cache_clear()
-    for a, b, c in _case4_parameters(0.3)[:2]:
-        for z in (0.99, -0.996, 0.996):
-            assert (catalog.hyp2f1(a, b, c, z).hex()
-                    == _hyp2f1_loop(a, b, c, z).hex()), (a, b, c, z)
-        assert _table_length(a, b, c) > 1000
-
-
-def test_hyp2f1_tables_hold_the_loop_ratios():
-    """r[k] and q[k] are the reference loop's expressions, bit for bit;
-    q[k], from (a+k)+1, is not always |r[k+1]|, from a+(k+1)."""
-    catalog._term_ratios.cache_clear()
-    a, b, c = _case4_parameters(0.3)[1]
-    catalog.hyp2f1(a, b, c, 0.99)
-    (r, q), = catalog._term_ratios(a, b, c)
-    assert [x.hex() for x in r] == [
-        ((a + k) * (b + k) / ((c + k) * (k + 1.0))).hex()
-        for k in range(len(r))]
-    assert [x.hex() for x in q] == [
-        abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0))).hex()
-        for k in range(len(q))]
-    assert any(q[k] != abs(r[k + 1]) for k in range(len(r) - 1))
-
-
-def test_hyp2f1_table_grows_in_the_middle_of_a_sum():
-    """Each call runs past the end of the table its predecessors left, so
-    the table grows mid-sum, and every value is the reference loop's."""
-    catalog._term_ratios.cache_clear()
-    a, b, c = _case4_parameters(1.7)[2]
-    lengths = []
-    for z in (0.1, 0.8, 0.95, 0.985, -0.995):
-        assert (catalog.hyp2f1(a, b, c, z).hex()
-                == _hyp2f1_loop(a, b, c, z).hex()), z
-        lengths.append(_table_length(a, b, c))
-    assert lengths == sorted(set(lengths))
-
-
 def test_hyp2f1_short_series_after_a_long_one_is_unchanged():
-    catalog._term_ratios.cache_clear()
     a, b, c = _case4_parameters(0.05)[0]
     short = catalog.hyp2f1(a, b, c, 0.3)
     long_ = catalog.hyp2f1(a, b, c, 0.995)
@@ -589,56 +545,17 @@ def test_hyp2f1_short_series_after_a_long_one_is_unchanged():
 
 
 def test_hyp2f1_values_do_not_depend_on_call_order():
-    """A sequence over more (a, b, c) than the memo keeps, so tables are
-    evicted and rebuilt, gives the same bits forward and reversed."""
+    """A sequence over 20 (a, b, c) gives the same bits forward and
+    reversed, each the reference loop's."""
     rng = random.Random(8)
     keys = [abc for lam in (-0.2, 0.4, 3.0, 40.0, 0.7)
             for abc in _case4_parameters(lam)]
     calls = [rng.choice(keys) + (rng.uniform(-0.97, 0.97),)
              for _ in range(120)]
-    catalog._term_ratios.cache_clear()
     forward = [catalog.hyp2f1(*args).hex() for args in calls]
-    catalog._term_ratios.cache_clear()
     backward = [catalog.hyp2f1(*args).hex() for args in reversed(calls)]
     assert forward == backward[::-1]
     assert forward == [_hyp2f1_loop(*args).hex() for args in calls]
-
-
-def test_hyp2f1_tables_grown_by_threads_at_once_stay_exact():
-    """Four threads grow the same tables at once, four times over, with
-    the interpreter switching threads every microsecond; every sum is the
-    reference loop's."""
-    keys = _case4_parameters(0.9)
-    zs = (0.2, 0.6, 0.9, 0.97, 0.99, -0.993)
-    want = {(abc, z): _hyp2f1_loop(*abc, z).hex() for abc in keys for z in zs}
-    got = []
-
-    def work():
-        got.extend((abc, z, catalog.hyp2f1(*abc, z).hex())
-                   for z in zs for abc in keys)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(4):
-            catalog._term_ratios.cache_clear()
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=30.0)
-            assert not any(th.is_alive() for th in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(got) == 16 * len(want)
-    assert all(h == want[abc, z] for abc, z, h in got)
-
-
-def test_hyp2f1_memo_stays_bounded():
-    catalog._term_ratios.cache_clear()
-    for k in range(300):
-        catalog.hyp2f1(0.1 + k / 1000.0, 0.3, 1.2, 0.5)
-    assert catalog._term_ratios.cache_info().currsize <= 16
 
 
 @pytest.mark.parametrize("which", range(3))
@@ -898,9 +815,10 @@ def _recorded_quadratures(monkeypatch):
 def test_time_quadrature_sample_integrates_its_partial_panel_once(
         monkeypatch):
     """x and then v at one t make one query.  In a fitted panel the first
-    query costs the panel's 17 nodes and a query after it none; next to
-    an unbounded pole, where the panel does not fit, one sample costs one
-    24-node partial panel, not two."""
+    query costs the panel's 17 nodes and a query after it none.  Next to
+    an unbounded pole, where the panel does not fit and splits, each piece
+    costs its 17 nodes once, a sample's second query costs nothing, and f
+    is read beyond t only at the nodes of the pieces that hold t."""
     made = _recorded_quadratures(monkeypatch)
     sol = catalog.time_quadrature("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2",
                                   0.9, 1.0, 0.3)
@@ -910,20 +828,26 @@ def test_time_quadrature_sample_integrates_its_partial_panel_once(
         sol(t)
         sol.v_evaluator(t)
         assert len(I.calls) == total
-    assert I._fits[(1, 0)] is not None and I._fits[(-1, 0)] is not None
+    assert I._fits[I.origin, 0.125] is not None
+    assert I._fits[I.origin, -0.125] is not None
 
     # -0.3/sin(t) is unbounded at t = pi, 0.07 past the panel
     # [pi/2 + 1.25, pi/2 + 1.5]
     sol = catalog.time_quadrature("0.3", "0", 1.0)
     I = made[-1]
     sol(I.origin + 1.3)
-    assert I._fits[(1, 5)] is None
-    for t in (I.origin + 1.4, I.origin + 1.45):
-        before = len(I.calls)
+    assert I._fits[I.origin + 1.25, 0.125] is None
+    for t in (I.origin + 1.4, I.origin + 1.45, I.origin + 1.4):
+        before, fitted = len(I.calls), len(I._fits)
         sol(t)
+        assert len(I.calls) - before == 17 * (len(I._fits) - fitted)
         sol.v_evaluator(t)
-        assert len(I.calls) == before + 24
-        assert max(I.calls[before:]) < t
+        assert len(I.calls) - before == 17 * (len(I._fits) - fitted)
+        # each key of _fits is a piece's near edge and half width
+        nodes = {edge + h + h * x for edge, h in I._fits
+                 if edge <= t <= edge + 2.0 * h for x in numerics._FIT_X}
+        assert all(s in nodes for s in I.calls[before:] if s > t)
+    assert len(set(I.calls)) == len(I.calls)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -443,27 +444,6 @@ def test_cumulative_integral_is_smooth_for_finite_differences():
         assert d2 == pytest.approx(-math.sin(t), abs=1e-7)
 
 
-def test_gauss_legendre_literals_are_leggauss():
-    """Each node and weight of numerics._GAUSS_LEGENDRE lies within 2 ulp
-    of numpy's leggauss(24), and the rule integrates x^k over [-1, 1]
-    exactly to rounding for every k <= 47, its degree; x^48, beyond it,
-    misses by more than rounding."""
-    rule = numerics._GAUSS_LEGENDRE
-    nodes, weights = np.polynomial.legendre.leggauss(numerics._PANEL_NODES)
-    assert len(rule) == numerics._PANEL_NODES
-    for (x, w), x_ref, w_ref in zip(rule, nodes.tolist(), weights.tolist()):
-        assert type(x) is float and type(w) is float
-        assert abs(x - x_ref) <= 2.0 * math.ulp(x_ref)
-        assert abs(w - w_ref) <= 2.0 * math.ulp(w_ref)
-
-    def error(k):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        return abs(math.fsum(w * x ** k for x, w in rule) - exact)
-
-    assert max(error(k) for k in range(48)) <= 3e-15
-    assert error(48) > 3e-15
-
-
 def test_cumulative_integral_is_the_same_in_any_query_order():
     """Shuffled and repeated queries, 0.0 and -0.0 among them, give for
     each t the bits that a fresh instance gives for t alone."""
@@ -483,27 +463,50 @@ def test_cumulative_integral_is_the_same_in_any_query_order():
                                                 for t in queries]
 
 
-def test_cumulative_integral_remembers_its_last_query_by_bits():
-    """A repeated query costs no integrand call; -0.0 after 0.0 is
-    another float and is computed.  f raises below -0.1, so the panel
-    [-0.15, 0.1] does not fit and each query computed in it is a 24-node
-    partial panel from 0.1 to t; the fitted panel [0.1, 0.35] costs its 17
-    nodes once."""
-    calls = []
+def _piece_nodes(edge, h):
+    """The nodes at which CumulativeIntegral fits f on the piece from edge
+    to edge + 2h, its key in _fits."""
+    c = edge + h
+    return [c + h * x for x in numerics._FIT_X]
+
+
+def _panel(F, side, k):
+    """The key in F._fits of panel k on `side` of the origin."""
+    return F.origin + side * k * 0.25, 0.125 * side
+
+
+def test_cumulative_integral_remembers_its_last_query_by_bits(monkeypatch):
+    """A repeated query costs no integrand call, and each piece is fitted
+    once.  f raises below -0.1, so the panel [-0.15, 0.1] stops at its
+    first node, which raises beyond t = 0, and splits; its half [-0.025,
+    0.1], which holds t, fits.  -0.0 after 0.0 is another float and is
+    computed, from the same pieces.  f is read beyond t only at the nodes
+    of t's own pieces."""
+    calls, fitted = [], []
 
     def f(t):
+        calls.append(t)
         if t < -0.1:
             raise DomainViolation("below -0.1")
-        calls.append(t)
         return math.cos(t)
 
+    def antiderivative(f, c, h, fit=numerics._antiderivative):
+        fitted.append((c, h))
+        return fit(f, c, h)
+
+    monkeypatch.setattr(numerics, "_antiderivative", antiderivative)
     F = CumulativeIntegral(f, 0.1)
-    for t, total in ((0.0, 24), (0.0, 24), (-0.0, 48), (-0.0, 48),
-                     (0.3, 65), (0.3, 65), (0.2, 65), (0.0, 89)):
+    for t, total in ((0.0, 18), (0.0, 18), (-0.0, 18), (-0.0, 18),
+                     (0.3, 35), (0.3, 35), (0.2, 35), (0.0, 35)):
         F(t)
         assert len(calls) == total
-    assert F._fits[(-1, 0)] is None
-    assert min(calls) > 0.0
+        assert F._last[0].hex() == t.hex()
+    assert len(fitted) == len(set(fitted)) == 3
+    assert isinstance(F._fits[0.1, -0.125], DomainViolation)
+    assert F._fits[0.1, -0.0625] is not None
+    assert calls == (_piece_nodes(0.1, -0.125)[:1]
+                     + _piece_nodes(0.1, -0.0625)
+                     + _piece_nodes(0.1, 0.125))
 
 
 def test_cumulative_integral_fits_a_panel_once_at_its_nodes():
@@ -548,15 +551,16 @@ def test_cumulative_integral_refuses_a_non_finite_t_by_name(t):
 
 
 def _gauss_legendre_integral(f, origin, t):
-    """F(t) by the rule a panel that does not fit keeps: full 24-point
-    Gauss-Legendre panels from the origin, each low to high, and the
-    partial panel from the last edge to t."""
-    w = numerics._PANEL_WIDTH
+    """F(t) by numpy's 24-point Gauss-Legendre rule, leggauss(24): full
+    0.25-wide panels from the origin, each low to high, and the partial
+    panel from the last edge to t."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    rule = list(zip(nodes.tolist(), weights.tolist()))
+    w = 0.25
 
     def panel(a, b):
         c, h = 0.5 * (a + b), 0.5 * (b - a)
-        return h * math.fsum(wi * f(c + h * xi)
-                             for xi, wi in numerics._GAUSS_LEGENDRE)
+        return h * math.fsum(wi * f(c + h * xi) for xi, wi in rule)
 
     s = (t - origin) / w
     side = 1 if s >= 0 else -1
@@ -565,6 +569,13 @@ def _gauss_legendre_integral(f, origin, t):
                                    origin + side * (j + 1) * w)))
              for j in range(k)]
     return math.fsum(parts + [panel(origin + side * k * w, t)])
+
+
+def _quad_integral(f, origin, t):
+    """F(t) by scipy's adaptive quad, which refines toward a domain edge."""
+    value, _ = scipy.integrate.quad(f, min(origin, t), max(origin, t),
+                                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return value if t >= origin else -value
 
 
 def _quadrature_of(monkeypatch, build):
@@ -606,54 +617,82 @@ def _rcd_alpha():
     apps.rcd_from_fg("-0.3*u + 0.6*u^2", "u", 1.0)
 
 
-@pytest.mark.parametrize("build, lo, hi", [
-    (_time_quadrature, -2.0, 7.5),
-    (_power_law(2.0), -2.5, 6.0),
+@pytest.mark.parametrize("build, lo, hi, reference", [
+    (_time_quadrature, -2.0, 7.5, _gauss_legendre_integral),
+    (_power_law(2.0), -2.5, 6.0, _gauss_legendre_integral),
     # fractional beta: sin(theta) > 0 on (0, pi); queries come within
-    # 1e-3 of both edges
-    (_power_law(1.5), 1e-3, math.pi - 1e-3),
-    (_beam_rho, -0.6, 0.6),
-    (_rcd_alpha, 0.2, 3.0),
+    # 1e-3 of both edges, where the Gauss-Legendre panels read 4.1e-14 off
+    (_power_law(1.5), 1e-3, math.pi - 1e-3, _quad_integral),
+    (_beam_rho, -0.6, 0.6, _gauss_legendre_integral),
+    (_rcd_alpha, 0.2, 3.0, _gauss_legendre_integral),
 ], ids=["time_quadrature", "power_law-beta=2", "power_law-beta=1.5",
         "beam-rho", "rcd_from_fg-alpha"])
 def test_cumulative_integral_matches_gauss_legendre_on_the_paper_integrands(
-        monkeypatch, build, lo, hi):
+        monkeypatch, build, lo, hi, reference):
     """On each closed form's integrand, F stays within 1e-14*(1 + |F|) of
-    today's 24-point Gauss-Legendre panels, and on every fitted panel the
-    series of the antiderivative stays within the panel's error estimate
-    of the partial integral from the panel's near edge."""
+    a reference that shares no code with the library: numpy's 24-point
+    Gauss-Legendre panels, or scipy's quad where a domain edge is near.
+    On every certified piece the series of the antiderivative stays
+    within the piece's error estimate of the partial integral from the
+    piece's near edge."""
     F = _quadrature_of(monkeypatch, build)
     f, origin = F.f, F.origin
     for t in np.linspace(lo, hi, 97).tolist():
-        ref = _gauss_legendre_integral(f, origin, t)
+        ref = reference(f, origin, t)
         assert abs(F(t) - ref) <= 1e-14 * (1.0 + abs(ref)), t
-    fitted = {key: fit for key, fit in F._fits.items() if fit is not None}
+    fitted = {piece: fit for piece, fit in F._fits.items()
+              if isinstance(fit, tuple)}
     assert fitted
-    for (side, k), (B, err) in fitted.items():
-        edge = origin + side * k * numerics._PANEL_WIDTH
-        h = 0.5 * side * numerics._PANEL_WIDTH
+    for (edge, h), (B, err) in fitted.items():
         assert 0.0 < err < 1e-12
         for x in np.linspace(-1.0, 1.0, 9).tolist()[1:]:
-            partial = _gauss_legendre_integral(f, edge, edge + h * (x + 1.0))
+            partial = reference(f, edge, edge + h * (x + 1.0))
             assert abs(numerics._clenshaw(B, x) - partial) <= err
 
 
-def test_cumulative_integral_falls_back_before_an_unbounded_pole(
+def test_cumulative_integral_is_the_closed_form_up_to_an_unbounded_pole(
         monkeypatch):
     """time_quadrature with f = 0.3 and g = 0: the integrand -0.3/sin(t)
-    is unbounded at t = pi.  The panels next to the pole do not fit, and
-    queries up to 1e-3 before it agree with the Gauss-Legendre values
-    within 1e-14 relative."""
+    is unbounded at t = pi, and I(t) = -0.3*ln(tan(t/2)).  The panels next
+    to the pole split into certified pieces, and I is within
+    1e-12*(1 + |I|) of the closed form up to 1e-6 before the pole.  At
+    1e-8 before it, where the values at a piece's nodes stay rounding
+    noise down to 40 levels below its panel, it raises NoConvergence,
+    which names t."""
     F = _quadrature_of(
         monkeypatch, lambda: catalog.time_quadrature("0.3", "0", 1.0))
     assert F.origin == math.pi / 2.0
-    for t in np.linspace(F.origin, math.pi - 1e-3, 41).tolist():
-        ref = _gauss_legendre_integral(F.f, F.origin, t)
-        assert abs(F(t) - ref) <= 1e-14 * abs(ref), t
+    ts = np.linspace(F.origin, math.pi - 1e-3, 41).tolist()
+    for t in ts + [math.pi - 10.0 ** -k for k in range(2, 7)]:
+        exact = -0.3 * math.log(math.tan(0.5 * t))
+        assert abs(F(t) - exact) <= 1e-12 * (1.0 + abs(exact)), t
     # [pi/2 + 1.25, pi/2 + 1.5] ends 0.07 before the pole, and
     # [pi/2 + 1.5, pi/2 + 1.75] holds it
-    assert F._fits[(1, 5)] is None and F._fits[(1, 6)] is None
-    assert all(F._fits[(1, k)] is not None for k in range(5))
+    assert F._fits[_panel(F, 1, 5)] is None
+    assert F._fits[_panel(F, 1, 6)] is None
+    assert all(F._fits[_panel(F, 1, k)] is not None for k in range(5))
+    t = math.pi - 1e-8
+    with pytest.raises(NoConvergence, match=re.escape("t = %r " % t)):
+        F(t)
+
+
+def test_cumulative_integral_that_splits_is_the_same_forward_and_reversed(
+        monkeypatch):
+    """Next to the unbounded pole of -0.3/sin(t), and near both domain
+    edges of fractional-beta power_law, panels split; queries run forward
+    on one instance and reversed on another give the same bits."""
+    pole = np.linspace(0.6, math.pi - 1e-3, 61).tolist() + [
+        math.pi - 10.0 ** -k for k in range(4, 7)]
+    edges = np.linspace(1e-3, math.pi - 1e-3, 61).tolist() + [
+        1e-4, math.pi - 1e-4]
+    for build, ts in (
+            (lambda: catalog.time_quadrature("0.3", "0", 1.0), pole),
+            (_power_law(1.5), edges)):
+        F = _quadrature_of(monkeypatch, build)
+        G = CumulativeIntegral(F.f, F.origin)
+        forward = [F(t).hex() for t in ts]
+        assert forward == [G(t).hex() for t in reversed(ts)][::-1]
+        assert any(abs(h) < 0.125 for _, h in F._fits)
 
 
 def test_find_root_basic():
