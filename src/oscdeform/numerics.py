@@ -442,17 +442,24 @@ _FLOOR = 1e-14
 _MAX_LEVEL = 40
 
 
-def _antiderivative(f, c, h):
-    """Fit f on the piece c + h*x, x in [-1, 1] (h < 0 runs it high to
-    low), at the first-kind points, and return the Chebyshev coefficients
-    B of the integral of f from c - h to c + h*x, with the piece's error
-    estimate, or None if the fit does not certify (a non-finite value
-    never does).  An OscdeformError at a node propagates."""
+def _chebyshev(f, c, h):
+    """f's Chebyshev coefficients on the piece c + h*x, x in [-1, 1] (h < 0
+    runs it high to low), from its values at the first-kind points, with
+    two zeros appended; their largest magnitude; and the magnitude of the
+    last two, the tail.  An OscdeformError at a node propagates."""
     ys = [f(c + h * x) for x in _FIT_X]
     a = [sum(map(operator.mul, row, ys)) for row in _FIT_DCT] + [0.0, 0.0]
     a[0] *= 0.5
-    scale = max(map(abs, a))
-    tail = abs(a[_FIT_NODES - 2]) + abs(a[_FIT_NODES - 1])
+    return (a, max(map(abs, a)),
+            abs(a[_FIT_NODES - 2]) + abs(a[_FIT_NODES - 1]))
+
+
+def _antiderivative(f, c, h):
+    """The Chebyshev coefficients B of the integral of f from c - h to
+    c + h*x on the piece c + h*x, or None if f's fit does not certify (a
+    non-finite value never does).  An OscdeformError at a node
+    propagates."""
+    a, scale, tail = _chebyshev(f, c, h)
     if not (scale < math.inf
             and (tail <= _CHOP * scale or abs(h) * tail <= _FLOOR)):
         return None
@@ -461,11 +468,7 @@ def _antiderivative(f, c, h):
     B = [0.0, h * (a[0] - 0.5 * a[2])] + [
         h * (a[k - 1] - a[k + 1]) / (2 * k) for k in range(2, _FIT_NODES + 1)]
     B[0] = sum(B[1::2]) - sum(B[2::2])
-    # rounding a node c + h*x moves it by up to eps*(|c| + |h|), which
-    # moves f by at most that times the slope, with |T_k'| <= k^2
-    slope = sum(k * k * abs(a[k]) for k in range(1, _FIT_NODES))
-    return B, (abs(h) * (2.0 * tail + _FIT_NODES * _EPS * scale)
-               + 2.0 * _EPS * (abs(c) + abs(h)) * slope)
+    return B
 
 
 def _clenshaw(B, x):
@@ -491,10 +494,7 @@ class CumulativeIntegral:
     plateau near 1e-14, while a smooth f decays to rounding well within 17
     terms; or when that tail times the piece's half width h is at most
     _FLOOR = 1e-14, which admits a piece whose values are rounding noise
-    next to its largest, as rho's are next to u = 0.  |h|*(twice the tail
-    + 17 eps times the largest coefficient), plus the error of rounding
-    the nodes, 2 eps (|c| + |h|) times the sum of k^2 |a_k| (c the
-    centre, a_k the coefficients), is the piece's error estimate.
+    next to its largest, as rho's are next to u = 0.
     A piece whose fit does not certify (a node gives a non-finite value, or
     the coefficients do not chop) splits into two halves at its centre, and
     so on down a fixed dyadic grid, set by the origin, the side, the panel
@@ -505,16 +505,20 @@ class CumulativeIntegral:
     integrand call once each piece is fitted.  An OscdeformError at a node
     of a piece that lies wholly between the origin and t propagates; one at
     a node of the piece that holds t, beyond t, only splits that piece, so
-    f is read beyond t only at the nodes of t's own pieces.  A piece that
-    still does not certify _MAX_LEVEL = 40 levels below its panel raises
-    NoConvergence, which names t.  F is smooth in t (unlike adaptive
-    quadrature, whose subdivision pattern follows the query), which matters
-    when F feeds finite differences, and a pure function of t, whatever the
-    order of queries.  So it keeps the value of its last query and returns
-    it when the same float (matched on its bits: 0.0 is not -0.0) is asked
-    for again: x and v of one sample ask for one t, and so do F and dF/du
-    at one Newton iterate.  A NaN or infinite t raises a ValueError that
-    names t.
+    f is read beyond t only at the nodes of t's own pieces.  A query that
+    would split a piece _MAX_LEVEL = 40 levels below its panel, or visit
+    more than 64*_MAX_LEVEL pieces of one panel, raises NoConvergence,
+    which names t, and forgets the pieces it fitted in that panel: so a
+    noisy or fast-oscillating f costs a bounded number of calls per query
+    and leaves nothing behind (a query 1e-6 before the unbounded pole of
+    -0.3/sin(t) visits 2,024 pieces of its panel).  F is smooth in t
+    (unlike adaptive quadrature, whose subdivision pattern follows the
+    query), which matters when F feeds finite differences, and a pure
+    function of t, whatever the order of queries.  So it keeps the value
+    of its last query and returns it when the same float (matched on its
+    bits: 0.0 is not -0.0) is asked for again: x and v of one sample ask
+    for one t, and so do F and dF/du at one Newton iterate.  A NaN or
+    infinite t raises a ValueError that names t.
     """
 
     def __init__(self, f, origin):
@@ -523,26 +527,31 @@ class CumulativeIntegral:
         # per side: _acc[side][k] = F(origin + side*k*_PANEL_WIDTH)
         self._acc = {1: [0.0], -1: [0.0]}
         # (near edge, signed half width): _antiderivative of that piece,
-        # None, or the OscdeformError one of its nodes raised
+        # or the (OscdeformError, traceback) of the node that raised it
         self._fits = {}
+        self._visits = 0  # pieces the current panel's query may still visit
         self._last = (math.nan, math.nan)  # (t, F(t)) of the last query
 
     def _part(self, edge, far, h, t, whole):
         """The integral of f over the piece from edge to far, of half width
         h (negative below the origin), from edge to t, or to far if the
         piece is `whole`: wholly between the origin and t."""
-        try:
-            fit = self._fits[edge, h]
-        except KeyError:
+        self._visits -= 1
+        if self._visits < 0:
+            raise NoConvergence(
+                "the integral to t = %r did not certify in %d pieces of a "
+                "panel" % (t, 64 * _MAX_LEVEL))
+        fit = self._fits.get((edge, h), ())
+        if fit == ():       # not fitted yet
             try:
                 fit = _antiderivative(self.f, edge + h, h)
             except OscdeformError as exc:
-                fit = exc
+                fit = (exc, exc.__traceback__)
             self._fits[edge, h] = fit
-        if type(fit) is tuple:
-            return _clenshaw(fit[0], ((far if whole else t) - edge) / h - 1.0)
-        if whole and isinstance(fit, OscdeformError):
-            raise fit.with_traceback(None)
+        if type(fit) is list:
+            return _clenshaw(fit, ((far if whole else t) - edge) / h - 1.0)
+        if whole and fit is not None:
+            raise fit[0].with_traceback(fit[1])
         if abs(h) <= 0.5 * _PANEL_WIDTH / 2 ** _MAX_LEVEL:
             raise NoConvergence(
                 "the integral to t = %r did not certify on a piece of width "
@@ -552,6 +561,17 @@ class CumulativeIntegral:
             return (self._part(edge, mid, h, t, True)
                     + self._part(mid, far, h, t, whole))
         return self._part(edge, mid, h, t, False)
+
+    def _panel_part(self, edge, far, h, t, whole):
+        """_part over a panel, within its budget of pieces."""
+        self._visits = 64 * _MAX_LEVEL
+        fitted = len(self._fits)
+        try:
+            return self._part(edge, far, h, t, whole)
+        except NoConvergence:
+            for piece in list(self._fits)[fitted:]:
+                del self._fits[piece]
+            raise
 
     def __call__(self, t):
         t = float(t)
@@ -569,14 +589,14 @@ class CumulativeIntegral:
         acc = self._acc[side]
         while len(acc) <= k:
             j = len(acc)
-            acc.append(acc[-1] + self._part(
+            acc.append(acc[-1] + self._panel_part(
                 self.origin + side * (j - 1) * _PANEL_WIDTH,
                 self.origin + side * j * _PANEL_WIDTH, h, t, True))
         F = acc[k]
         edge = self.origin + side * k * _PANEL_WIDTH
         if t != edge:
-            F += self._part(edge, self.origin + side * (k + 1) * _PANEL_WIDTH,
-                            h, t, False)
+            F += self._panel_part(
+                edge, self.origin + side * (k + 1) * _PANEL_WIDTH, h, t, False)
         self._last = (t, F)
         return F
 

@@ -502,7 +502,7 @@ def test_cumulative_integral_remembers_its_last_query_by_bits(monkeypatch):
         assert len(calls) == total
         assert F._last[0].hex() == t.hex()
     assert len(fitted) == len(set(fitted)) == 3
-    assert isinstance(F._fits[0.1, -0.125], DomainViolation)
+    assert isinstance(F._fits[0.1, -0.125][0], DomainViolation)
     assert F._fits[0.1, -0.0625] is not None
     assert calls == (_piece_nodes(0.1, -0.125)[:1]
                      + _piece_nodes(0.1, -0.0625)
@@ -633,17 +633,24 @@ def test_cumulative_integral_matches_gauss_legendre_on_the_paper_integrands(
     a reference that shares no code with the library: numpy's 24-point
     Gauss-Legendre panels, or scipy's quad where a domain edge is near.
     On every certified piece the series of the antiderivative stays
-    within the piece's error estimate of the partial integral from the
-    piece's near edge."""
+    within an error estimate of the partial integral from the piece's
+    near edge: |h|*(twice the tail + 17 eps times the largest
+    coefficient), plus the error of rounding the nodes, 2 eps (|c| + |h|)
+    times the sum of k^2 |a_k| (c the centre, a_k the coefficients)."""
     F = _quadrature_of(monkeypatch, build)
     f, origin = F.f, F.origin
     for t in np.linspace(lo, hi, 97).tolist():
         ref = reference(f, origin, t)
         assert abs(F(t) - ref) <= 1e-14 * (1.0 + abs(ref)), t
     fitted = {piece: fit for piece, fit in F._fits.items()
-              if isinstance(fit, tuple)}
+              if isinstance(fit, list)}
     assert fitted
-    for (edge, h), (B, err) in fitted.items():
+    eps = math.ulp(1.0)
+    for (edge, h), B in fitted.items():
+        a, scale, tail = numerics._chebyshev(f, edge + h, h)
+        slope = sum(k * k * abs(a[k]) for k in range(1, 17))
+        err = (abs(h) * (2.0 * tail + 17 * eps * scale)
+               + 2.0 * eps * (abs(edge + h) + abs(h)) * slope)
         assert 0.0 < err < 1e-12
         for x in np.linspace(-1.0, 1.0, 9).tolist()[1:]:
             partial = reference(f, edge, edge + h * (x + 1.0))
@@ -656,9 +663,9 @@ def test_cumulative_integral_is_the_closed_form_up_to_an_unbounded_pole(
     is unbounded at t = pi, and I(t) = -0.3*ln(tan(t/2)).  The panels next
     to the pole split into certified pieces, and I is within
     1e-12*(1 + |I|) of the closed form up to 1e-6 before the pole.  At
-    1e-8 before it, where the values at a piece's nodes stay rounding
-    noise down to 40 levels below its panel, it raises NoConvergence,
-    which names t."""
+    1e-8 before it, where the values at a piece's nodes are rounding noise
+    on all but the narrowest pieces, the query would visit more pieces of
+    the panel than it may, and raises NoConvergence, which names t."""
     F = _quadrature_of(
         monkeypatch, lambda: catalog.time_quadrature("0.3", "0", 1.0))
     assert F.origin == math.pi / 2.0
@@ -674,6 +681,56 @@ def test_cumulative_integral_is_the_closed_form_up_to_an_unbounded_pole(
     t = math.pi - 1e-8
     with pytest.raises(NoConvergence, match=re.escape("t = %r " % t)):
         F(t)
+
+
+def test_cumulative_integral_refuses_a_fast_oscillation_in_bounded_work():
+    """f = 1 + 1e-7*sin(1e9*t) certifies on no piece wider than about
+    1e-7, so the panel [0, 0.25] needs far more pieces than a query may
+    visit in one panel, 64*_MAX_LEVEL.  The query to 0.3 raises
+    NoConvergence naming t after at most 17 calls per visited piece, and
+    forgets the pieces it fitted, so asking again costs as much again and
+    keeps nothing."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 + 1e-7 * math.sin(1e9 * t)
+
+    F = CumulativeIntegral(f, 0.0)
+    budget = 17 * 64 * numerics._MAX_LEVEL
+    for _ in range(2):
+        before = len(calls)
+        with pytest.raises(NoConvergence, match=re.escape("t = 0.3 ")):
+            F(0.3)
+        assert 0 < len(calls) - before <= budget
+        assert F._fits == {}
+    assert len(calls) == 2 * (len(calls) - before)
+
+
+def test_cumulative_integral_raises_a_node_error_as_f_raised_it():
+    """An OscdeformError at a node of a piece wholly before t propagates
+    with f's own frame last in its traceback and no exception of the
+    lookup as its context; asking again raises it with a traceback of
+    the same length."""
+    def f(t):
+        if t < -0.1:
+            raise DomainViolation("below -0.1")
+        return math.cos(t)
+
+    F = CumulativeIntegral(f, 0.1)
+    depths = []
+    for _ in range(2):
+        with pytest.raises(DomainViolation) as info:
+            F(-0.5)
+        assert info.value.__context__ is None
+        tb = info.value.__traceback__
+        frames = []
+        while tb is not None:
+            frames.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert frames[-1] == "f"
+        depths.append(len(frames))
+    assert depths[0] == depths[1]
 
 
 def test_cumulative_integral_that_splits_is_the_same_forward_and_reversed(
