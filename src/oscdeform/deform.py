@@ -221,16 +221,16 @@ class DeformedOscillator(_CompiledOnRead):
         solve."""
         return function(self._frame[0], _FRAME)
 
-    def _root(self, residual, slope, names, tol):
+    def _root(self, residual, names, tol):
         """The Solve tree of an implicit relation: the root near the guess
         names[0] of its law at names[1:], to tol, as solve_scalar finds
-        it.  The law (the tree's .law) is function() of the pair of trees
-        parsed from the texts residual and slope, with f, g, their
-        partials (as named in exprs), w = omega and a = alpha substituted
-        unfolded, in the variables names, the unknown first."""
-        holes = dict(self.exprs, w=Num(self.omega), a=Num(self.alpha))
-        pair = tuple(_substitute(parse(text), holes)
-                     for text in (residual, slope))
+        it.  The law (the tree's .law) is function() of the pair (h,
+        dh/dnames[0]), h the tree parsed from the text residual with f, g,
+        w = omega and a = alpha substituted unfolded and its slope from
+        differentiate, in the variables names, the unknown first."""
+        h = _substitute(parse(residual), dict(
+            self.exprs, w=Num(self.omega), a=Num(self.alpha)))
+        pair = (h, differentiate(h, names[0]))
         return Solve(pair, names, (Var(names[0]), tol)
                      + tuple(map(Var, names[1:])),
                      solve_scalar, function(pair, names))
@@ -239,15 +239,13 @@ class DeformedOscillator(_CompiledOnRead):
     def position_root(self):
         """x + g(t, x) = u solved for x from the guess x, for g free of v,
         in (x, t, u); its law is (x + g - u, 1 + g_x)."""
-        return self._root("x + g - u", "1 + g_x", ("x", "t", "u"),
-                          Num(1e-14))
+        return self._root("x + g - u", ("x", "t", "u"), Num(1e-14))
 
     @functools.cached_property
     def velocity_root(self):
         """v + f(t, x, v) = u solved for v from the guess v, in
         (v, t, x, u); its law is (v + f - u, 1 + f_v)."""
-        return self._root("v + f - u", "1 + f_v", ("v", "t", "x", "u"),
-                          Num(1e-14))
+        return self._root("v + f - u", ("v", "t", "x", "u"), Num(1e-14))
 
     @functools.cached_property
     def first_integral_root(self):
@@ -257,7 +255,6 @@ class DeformedOscillator(_CompiledOnRead):
         with theta = w*t + a unfolded, as in amplitude_slope.  Where G_v
         vanishes, the root v(t, x) folds and the velocity is not smooth."""
         return self._root("(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)",
-                          "(1 + f_v)*sin(w*t + a) - w*cos(w*t + a)*g_v",
                           ("v", "t", "x"), Var("u"))
 
     @functools.cached_property

@@ -60,11 +60,6 @@ class DegenerateParameters(OscdeformError):
 
 # --- catalog ---------------------------------------------------------------
 
-class PoleInRange(OscdeformError):
-    """A quadrature interval contains a cotangent pole with an unbounded
-    integrand."""
-
-
 class BranchViolation(OscdeformError):
     """A bracket raised to a fractional power crossed zero."""
 

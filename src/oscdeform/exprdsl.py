@@ -8,7 +8,10 @@ Grammar (whitespace insignificant)::
     base   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')' | '-' base
 
 Parentheses, call arguments, unary minus signs and right-nested powers
-nest at most 100 levels deep; deeper text raises ExprSyntaxError.
+nest at most 100 levels deep, and a '+'/'-' or '*'/'/' chain, each
+operator one level over its left operand, builds a tree at most 100
+levels high, its operands' levels counted; deeper text raises
+ExprSyntaxError.
 
 The identifiers ``t``, ``x``, ``v``, ``u`` are variables; any other
 identifier is a named parameter that must be bound before evaluation.
@@ -235,8 +238,9 @@ def _tokenize(text):
 
 
 # the deepest nesting parse accepts: parentheses, call arguments, unary
-# minus signs and right-nested powers, each one level; the parser recurses
-# five frames per level
+# minus signs and right-nested powers, each one level as the parser enters
+# it (it recurses seven frames per level), and the highest tree a +- or
+# */ chain builds, each operator one level over its left operand
 _MAX_NESTING = 100
 
 
@@ -246,6 +250,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.height = 0  # levels of the tree last parsed, a leaf 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -261,12 +266,15 @@ class _Parser:
             raise ExprSyntaxError("expected %r" % op, pos)
         self.next()
 
+    def too_deep(self, pos):
+        return ExprSyntaxError("nested deeper than %d levels" % _MAX_NESTING,
+                               pos)
+
     def nested(self, parse, pos):
         """parse() one level deeper; pos is the offset of the token that
         opens the level."""
         if self.depth == _MAX_NESTING:
-            raise ExprSyntaxError("nested deeper than %d levels"
-                                  % _MAX_NESTING, pos)
+            raise self.too_deep(pos)
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -279,38 +287,46 @@ class _Parser:
             raise ExprSyntaxError("unexpected trailing input %r" % val, pos)
         return node
 
+    def chain(self, operand, ops, make):
+        """operand() joined by the operators in ops, left-nested, make[k]
+        building the node of ops[k].  Each operator puts the tree one level
+        over its left operand, and a tree more than _MAX_NESTING levels
+        high, its operands' levels counted, is refused."""
+        node = operand()
+        height = self.height
+        # peek() and next() inlined: each operand passes here twice
+        kind, val, pos = self.tokens[self.i]
+        while kind == "op" and val in ops:
+            self.i += 1
+            node = make[ops.index(val)](node, operand())
+            if self.height > height:
+                height = self.height
+            height += 1
+            if height > _MAX_NESTING:
+                raise self.too_deep(pos)
+            kind, val, pos = self.tokens[self.i]
+        self.height = height
+        return node
+
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
-                return node
+        return self.chain(self.term, "+-", (Add, Sub))
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.factor()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
+        return self.chain(self.factor, "*/", (Mul, Div))
 
     def factor(self):
         node = self.base()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return Pow(node, self.nested(self.factor, pos))
+            height = self.height
+            node = Pow(node, self.nested(self.factor, pos))
+            self.height = max(height, self.height) + 1
         return node
 
     def base(self):
         kind, val, pos = self.next()
+        self.height = 0
         if kind == "num":
             return Num(float(val))
         if kind == "ident":
@@ -321,6 +337,7 @@ class _Parser:
                 self.next()
                 arg = self.nested(self.expr, pos)
                 self.expect_op(")")
+                self.height += 1
                 return Call(val, arg)
             if val in VARIABLES:
                 return Var(val)
@@ -330,7 +347,9 @@ class _Parser:
             self.expect_op(")")
             return node
         if kind == "op" and val == "-":
-            return Neg(self.nested(self.base, pos))
+            node = Neg(self.nested(self.base, pos))
+            self.height += 1
+            return node
         raise ExprSyntaxError("expected a value, got %r" % (val or "end of input"), pos)
 
 

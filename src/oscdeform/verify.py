@@ -24,6 +24,7 @@ from .deform import (
     integrate_first_integral,
     integrate_form,
     phase_function,
+    pole_interval,
     pole_times,
     riccati_family,
     riccati_fit_alpha,
@@ -279,10 +280,11 @@ def suite_hyp2f1():
     mu, nu, w, al, t0, x0 = 0.8, 0.5, 1.0, 0.3, 0.5, 0.4
     direct = catalog.case4_riccati(mu, nu, w, al, t0=t0, x0=x0)
     series = catalog.case4_series(mu, nu, w, al, t0, x0)
+    # the whole pole interval of t0, to 1e-3 from each pole
+    lo, hi = pole_interval(w, al, t0)
     worst = max_abs(series(t) - direct(t)
-                    for t in np.linspace(0.16, 2.38, 60).tolist()
-                    if abs(math.cos(w * t + al)) <= 0.9)
-    out.append(_check("hyp2f1/case4-two-paths", worst, 1e-6))
+                    for t in np.linspace(lo + 1e-3, hi - 1e-3, 60).tolist())
+    out.append(_check("hyp2f1/case4-two-paths", worst, 1e-10))
     return out
 
 

@@ -69,7 +69,7 @@ def test_criterion_05_isochrony():
 
 def test_criterion_06_hypergeometric_identities():
     # 2F1 special values to 1e-12 and agreement of the two evaluation
-    # paths of the hypergeometric solution to 1e-6
+    # paths of the hypergeometric solution to 1e-10
     _run(6, "hypergeometric identities", ["hyp2f1"], [3])
 
 

@@ -19,7 +19,6 @@ from oscdeform.errors import (
     NoConvergence,
     NonSmoothPoint,
     NoRealRoot,
-    PoleInRange,
     UnboundNameError,
 )
 from oscdeform.numerics import fd_derivatives, residual_scan
@@ -142,12 +141,22 @@ def test_case2_closed_form_value():
     assert sol(t) == pytest.approx(s * (A + g0 * s ** 3 / 3.0), rel=1e-14)
 
 
-def test_quadrature_refuses_unbounded_pole():
-    # constant f leaves (omega*cos*g - f*sin)/sin^2 ~ -f/sin unbounded
+def test_quadrature_refuses_unbounded_pole(monkeypatch):
+    # constant f leaves (omega*cos*g - f*sin)/sin^2 ~ -f/sin unbounded, and
+    # no piece of the quadrature next to t = pi certifies
+    made = _recorded_quadratures(monkeypatch)
     sol = catalog.time_quadrature("1", "0", 1.0, 1.0, 0.0)
+    (I,) = made
     assert sol(2.0) is not None           # same pole interval: fine
-    with pytest.raises(PoleInRange):
+    with pytest.raises(NoConvergence, match="^the integral to t = 3.5 "):
         sol(3.5)                          # crosses t = pi
+    # a second query costs the failing panel's budget again and leaves
+    # the fitted pieces as the first left them
+    fits, calls = dict(I._fits), len(I.calls)
+    with pytest.raises(NoConvergence, match="^the integral to t = 3.5 "):
+        sol.v_evaluator(3.5)
+    assert I._fits == fits
+    assert 0 < len(I.calls) - calls <= 17 * 64 * numerics._MAX_LEVEL
 
 
 def test_quadrature_crosses_removable_poles():

@@ -313,6 +313,12 @@ _NESTINGS = {
     "unary minus": lambda n: "-" * n + "x",
     "call arguments": lambda n: "sin(" * n + "x" + ")" * n,
     "right-nested powers": lambda n: "0.5^" * n + "x",
+    # n operators, each one level over its left operand
+    "sums": lambda n: "+".join(["x"] * (n + 1)),
+    "products": lambda n: "*".join(["x"] * (n + 1)),
+    # the first term's levels count toward the sum it starts
+    "a sum led by a sum": lambda n: ("(" + "+".join(["x"] * (n // 2 + 1))
+                                     + ")" + "+x" * (n - n // 2)),
 }
 
 
