@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -61,6 +62,15 @@ _TXV = ("t", "x", "v")
 # the variables of the amplitude frame: the guesses of x and v, the time
 # and the deformed amplitude y = (x + g)/sin(theta)
 _FRAME = ("x", "v", "t", "u")
+
+# the amplitude frame's constant texts, parsed once: Expr nodes are
+# immutable, so every oscillator substitutes into the same trees
+_DX, _SLOPE, _X, _V, _DYDT, _POSITION, _VELOCITY, _FIRST_INTEGRAL = map(
+    parse, ("sin(w*t + a)/(1 + g_x)",
+            "n_x*dx + (g_x - f_v)*((w*cos(w*t + a) - f_x*dx)/(1 + f_v))",
+            "u*sin(w*t + a)", "w*u*cos(w*t + a)", "n/sin(w*t + a)",
+            "x + g - u", "v + f - u",
+            "(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)"))
 
 # |sin(omega*t + alpha)| below which a time counts as sitting on a
 # cotangent pole: the explicit slope field and the closed forms refuse it
@@ -123,8 +133,8 @@ class DeformedOscillator(_CompiledOnRead):
     partials; each reads as its function of (t, x, v), as in osc.g_x.
     The amplitude frame (_frame) is compiled once, when read, into the
     march's views of (x guess, v guess, t, y): transit_node,
-    amplitude_slope and amplitude_position; first_integral_solve is the
-    compiled velocity of the first integral.
+    amplitude_slope, amplitude_position and amplitude_state;
+    first_integral_solve is the compiled velocity of the first integral.
     """
 
     def __init__(self, f, g, omega, alpha=0.0, params=None):
@@ -170,10 +180,9 @@ class DeformedOscillator(_CompiledOnRead):
         n_x = sub(add(differentiate(e["g_t"], "x"),
                       mul(differentiate(e["g_x"], "x"), v)), e["f_x"])
         holes = dict(e, w=Num(self.omega), a=Num(self.alpha), n_x=n_x)
-        holes["dx"] = _substitute(parse("sin(w*t + a)/(1 + g_x)"), holes)
+        holes["dx"] = _substitute(_DX, holes)
         return (sub(add(e["g_t"], mul(e["g_x"], v)), e["f"]),
-                _substitute(parse("n_x*dx + (g_x - f_v)*((w*cos(w*t + a)"
-                                  " - f_x*dx)/(1 + f_v))"), holes))
+                _substitute(_SLOPE, holes))
 
     @functools.cached_property
     def _frame(self):
@@ -186,8 +195,7 @@ class DeformedOscillator(_CompiledOnRead):
         at alpha = 0 or omega = 1."""
         e = self.exprs
         holes = {"w": Num(self.omega), "a": Num(self.alpha)}
-        x, v = (_substitute(parse(text), holes)
-                for text in ("u*sin(w*t + a)", "w*u*cos(w*t + a)"))
+        x, v = (_substitute(tree, holes) for tree in (_X, _V))
         if self.g_depends_x:
             x = _substitute(self.position_root, {"u": x})
         else:
@@ -208,10 +216,21 @@ class DeformedOscillator(_CompiledOnRead):
         return function(self._frame, _FRAME)
 
     @functools.cached_property
+    def amplitude_state(self):
+        """(x, v) of _frame alone, as one function of (x, v, t, u)."""
+        return function(self._frame[:2], _FRAME)
+
+    @functools.cached_property
+    def affine_crossing(self):
+        """N is affine in u: one Newton solve of a pole transit is exact."""
+        return not (self.g_depends_x or self.f_depends_v
+                    or depends_on(self._frame[3], "u"))
+
+    @functools.cached_property
     def amplitude_slope(self):
         """dy/dt = N/sin(theta), the march's slope, as one function of
         (x, v, t, u), x and v the guesses."""
-        return function(_substitute(parse("n/sin(w*t + a)"), {
+        return function(_substitute(_DYDT, {
             "n": self._frame[2], "w": Num(self.omega),
             "a": Num(self.alpha)}), _FRAME)
 
@@ -225,10 +244,10 @@ class DeformedOscillator(_CompiledOnRead):
         """The Solve tree of an implicit relation: the root near the guess
         names[0] of its law at names[1:], to tol, as solve_scalar finds
         it.  The law (the tree's .law) is function() of the pair (h,
-        dh/dnames[0]), h the tree parsed from the text residual with f, g,
-        w = omega and a = alpha substituted unfolded and its slope from
-        differentiate, in the variables names, the unknown first."""
-        h = _substitute(parse(residual), dict(
+        dh/dnames[0]), h the template residual with f, g, w = omega and
+        a = alpha substituted unfolded and its slope from differentiate,
+        in the variables names, the unknown first."""
+        h = _substitute(residual, dict(
             self.exprs, w=Num(self.omega), a=Num(self.alpha)))
         pair = (h, differentiate(h, names[0]))
         return Solve(pair, names, (Var(names[0]), tol)
@@ -239,13 +258,13 @@ class DeformedOscillator(_CompiledOnRead):
     def position_root(self):
         """x + g(t, x) = u solved for x from the guess x, for g free of v,
         in (x, t, u); its law is (x + g - u, 1 + g_x)."""
-        return self._root("x + g - u", ("x", "t", "u"), Num(1e-14))
+        return self._root(_POSITION, ("x", "t", "u"), Num(1e-14))
 
     @functools.cached_property
     def velocity_root(self):
         """v + f(t, x, v) = u solved for v from the guess v, in
         (v, t, x, u); its law is (v + f - u, 1 + f_v)."""
-        return self._root("v + f - u", ("v", "t", "x", "u"), Num(1e-14))
+        return self._root(_VELOCITY, ("v", "t", "x", "u"), Num(1e-14))
 
     @functools.cached_property
     def first_integral_root(self):
@@ -254,8 +273,7 @@ class DeformedOscillator(_CompiledOnRead):
         tolerance u, in (v, t, x, u); its law is (G, G_v) of (v, t, x),
         with theta = w*t + a unfolded, as in amplitude_slope.  Where G_v
         vanishes, the root v(t, x) folds and the velocity is not smooth."""
-        return self._root("(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)",
-                          ("v", "t", "x"), Var("u"))
+        return self._root(_FIRST_INTEGRAL, ("v", "t", "x"), Var("u"))
 
     @functools.cached_property
     def first_integral_solve(self):
@@ -457,28 +475,34 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     every node by one call of osc.transit_node, its x and v solved inside
     from that node's last x and v; the call gives the node's numerator N
     and its exact slope dN/dy, from implicit differentiation at the solved
-    state, so the Jacobian sin(theta)*D - diag(dN/dy) is exact.  The entry
-    solve at the left edge, from x_start and v_start, and the smoothness
-    test at the pole are one transit_node call each.  Returns a polynomial
+    state, so the Jacobian sin(theta)*D - diag(dN/dy) is exact; an affine
+    crossing (osc.affine_crossing) stops after its one solve, exact, and
+    its smoothness test reads the N of the sweep before.  The entry solve
+    at the left edge, from x_start and v_start, and the smoothness test at
+    the pole are one transit_node call each.  Returns a polynomial
     interpolant for y on [a, b] through 48 nodes or, when a node lands on
     the pole, a few more.  Raises NonSmoothPoint when no smooth crossing
     exists: the numerator does not vanish at the pole, or an iterate's
     amplitude leaves the range of x + g (or of v + f) at some node.
     """
+    w, al = osc.omega, osc.alpha
     for bump in range(4):
         ts, D = cheb_nodes_diff(47 + bump, a, b)
         nodes = ts.tolist()
-        svec = np.array([math.sin(osc.theta(t)) for t in nodes])
+        sines = [math.sin(w * t + al) for t in nodes]
         # a node sitting on the pole would contribute a zero row; node 0 is
         # exempt because its row is replaced by the boundary condition
         # (which is what allows a window that starts exactly on the pole)
-        if np.min(np.abs(svec[1:])) > 1e-8:
+        if min(map(abs, sines[1:])) > 1e-8:
             break
-    m = len(ts)
+    m, svec = len(nodes), np.array(sines)
+    # the Jacobian less diag(dN/dy), its first row the boundary condition's
+    SD = svec[:, None] * D
+    SD[0], SD[0, 0] = 0.0, 1.0
 
     # the entry solves start from the initial condition; later solves at
     # a node start where that node's last iteration ended
-    x0, v0, num0 = osc.transit_node(x_start, v_start, ts[0], y_in)[:3]
+    x0, v0, num0 = osc.transit_node(x_start, v_start, nodes[0], y_in)[:3]
     xs, vs = [x0] * m, [v0] * m
     if abs(svec[0]) > 1e-8:
         Y = y_in + (num0 / svec[0]) * (ts - ts[0])
@@ -490,7 +514,6 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
         "through the pole t = %r; the deformation leaves the crossing "
         "velocity unbounded there" % pole)
 
-    converged = False
     for _ in range(30):
         try:
             xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
@@ -501,33 +524,31 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
                 "(x+g)/sin through the pole t = %r: at a collocation node "
                 "the amplitude left the range of x + g = y*sin(theta) or "
                 "of v + f = omega*y*cos(theta) (%s)" % (pole, exc)) from exc
-        N, dN = np.array(N), np.array(dN)
         F = svec * (D @ Y) - N
         F[0] = Y[0] - y_in
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(dN))):
+        if not (np.isfinite(F).all() and all(map(math.isfinite, dN))):
             raise fail
-        J = svec[:, None] * D - np.diag(dN)
-        J[0, :] = 0.0
-        J[0, 0] = 1.0
+        J = SD.copy()
+        J.ravel()[m + 1::m + 1] -= dN[1:]
         # rows whose sine and dN both vanish (neutral crossings) make the
         # raw system numerically singular; equilibrate before judging
         # convergence or solving
-        r = np.max(np.abs(J), axis=1)
+        r = np.abs(J).max(axis=1)
         r[r == 0.0] = 1.0
-        if np.max(np.abs(F / r)) <= 1e-12 * scale:
-            converged = True
+        F /= r
+        if np.abs(F).max() <= 1e-12 * scale:
             break
         try:
-            step = np.linalg.solve(J / r[:, None], F / r)
+            step = np.linalg.solve(J / r[:, None], F)
         except np.linalg.LinAlgError:
             raise fail
         Y -= step
-        if not np.all(np.isfinite(Y)):
+        if not np.isfinite(Y).all():
             raise fail
-        if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(Y))):
-            converged = True
+        if osc.affine_crossing or (np.abs(step).max()
+                                   <= 1e-14 * (1.0 + np.abs(Y).max())):
             break
-    if not converged:
+    else:
         raise fail
 
     interp = cheb_interp(ts, Y)
@@ -552,7 +573,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     x + g(t,x) = y*sin(theta) and v from v + f = omega*y*cos(theta), so no
     quantity is ever divided by a small sine.  Each step of the march
     between poles is one call of osc.amplitude_slope with the guesses x0
-    and v0, and each sample one call of osc.transit_node: functions
+    and v0, and each sample one call of osc.amplitude_state: functions
     compiled once per oscillator, closed forms where g is free of x and f
     of v, and solve_scalar's Newton loop inside the code where g reads x
     or f reads v, with solve_scalar itself called only where Newton
@@ -663,15 +684,18 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         y_dense, = integrate(slope, cur_t, cur_y, t1, rtol=rtol, atol=atol)
         pieces.append((cur_t, t1, y_dense))
 
+    reach = [hi + 1e-12 for _, hi, _ in pieces]  # a scan's first match
+
     def y_at(tq):
-        for lo, hi, fn in pieces:
-            if lo - 1e-12 <= tq <= hi + 1e-12:
-                return fn(min(max(tq, lo), hi))
+        i = bisect_left(reach, tq)
+        if i < len(pieces) and pieces[i][0] - 1e-12 <= tq:
+            lo, hi, fn = pieces[i]
+            return fn(min(max(tq, lo), hi))
         raise ValueError("time %r outside the integrated span" % tq)
 
     def state_at(tq):
         tq = float(tq)
-        return osc.transit_node(x0, v0, tq, y_at(tq))[:2]
+        return osc.amplitude_state(x0, v0, tq, y_at(tq))
 
     def x_of_t(tq):
         tq = float(tq)

@@ -407,15 +407,12 @@ def integrate(rhs, t0, y0, t1, rtol=1e-10, atol=1e-12):
 
     def component(pieces):
         def at(t):
-            # Dop853DenseOutput's Horner loop, on floats
+            # Dop853DenseOutput's Horner loop on floats, unrolled
             t = float(t)
-            t_old, h, y_old, rows = pieces[segment(t)]
+            t_old, h, y_old, (f0, f1, f2, f3, f4, f5, f6) = pieces[segment(t)]
             x = (t - t_old) / h
-            y = 0.0
-            for j, f in enumerate(rows):
-                y += f
-                y *= x if j % 2 == 0 else 1 - x
-            return y + y_old
+            return ((((((((0.0 + f0) * x + f1) * (1 - x) + f2) * x + f3)
+                       * (1 - x) + f4) * x + f5) * (1 - x) + f6) * x + y_old)
         return at
 
     return tuple(component(p) for p in pieces)
@@ -479,6 +476,10 @@ def _clenshaw(B, x):
     return B[0] + x * b1 - b2
 
 
+class _Uncertified(Exception):
+    """Why CumulativeIntegral may neither fit nor split a piece."""
+
+
 class CumulativeIntegral:
     """Smooth evaluator of F(t) = integral of f from origin to t.
 
@@ -511,14 +512,16 @@ class CumulativeIntegral:
     which names t, and forgets the pieces it fitted in that panel: so a
     noisy or fast-oscillating f costs a bounded number of calls per query
     and leaves nothing behind (a query 1e-6 before the unbounded pole of
-    -0.3/sin(t) visits 2,024 pieces of its panel).  F is smooth in t
-    (unlike adaptive quadrature, whose subdivision pattern follows the
-    query), which matters when F feeds finite differences, and a pure
-    function of t, whatever the order of queries.  So it keeps the value
-    of its last query and returns it when the same float (matched on its
-    bits: 0.0 is not -0.0) is asked for again: x and v of one sample ask
-    for one t, and so do F and dF/du at one Newton iterate.  A NaN or
-    infinite t raises a ValueError that names t.
+    -0.3/sin(t) visits 2,024 pieces of its panel); a panel that does not
+    certify whole is remembered, and a later query across it raises with
+    no integrand call.  F is smooth in t (unlike adaptive quadrature, whose
+    subdivision pattern follows the query), which matters when F feeds
+    finite differences, and a pure function of t, whatever the order of
+    queries.  So it keeps the value of its last query and returns it when
+    the same float (matched on its bits: 0.0 is not -0.0) is asked for
+    again: x and v of one sample ask for one t, and so do F and dF/du at
+    one Newton iterate.  A NaN or infinite t raises a ValueError that
+    names t.
     """
 
     def __init__(self, f, origin):
@@ -530,6 +533,7 @@ class CumulativeIntegral:
         # or the (OscdeformError, traceback) of the node that raised it
         self._fits = {}
         self._visits = 0  # pieces the current panel's query may still visit
+        self._unfit = {}  # h: why the side's next whole panel did not certify
         self._last = (math.nan, math.nan)  # (t, F(t)) of the last query
 
     def _part(self, edge, far, h, t, whole):
@@ -538,9 +542,8 @@ class CumulativeIntegral:
         piece is `whole`: wholly between the origin and t."""
         self._visits -= 1
         if self._visits < 0:
-            raise NoConvergence(
-                "the integral to t = %r did not certify in %d pieces of a "
-                "panel" % (t, 64 * _MAX_LEVEL))
+            raise _Uncertified("did not certify in %d pieces of a panel"
+                              % (64 * _MAX_LEVEL))
         fit = self._fits.get((edge, h), ())
         if fit == ():       # not fitted yet
             try:
@@ -553,9 +556,8 @@ class CumulativeIntegral:
         if whole and fit is not None:
             raise fit[0].with_traceback(fit[1])
         if abs(h) <= 0.5 * _PANEL_WIDTH / 2 ** _MAX_LEVEL:
-            raise NoConvergence(
-                "the integral to t = %r did not certify on a piece of width "
-                "%.3g" % (t, 2.0 * abs(h)))
+            raise _Uncertified("did not certify on a piece of width %.3g"
+                              % (2.0 * abs(h)))
         mid, h = edge + h, 0.5 * h
         if whole or (t - mid) * h > 0.0:
             return (self._part(edge, mid, h, t, True)
@@ -563,15 +565,21 @@ class CumulativeIntegral:
         return self._part(edge, mid, h, t, False)
 
     def _panel_part(self, edge, far, h, t, whole):
-        """_part over a panel, within its budget of pieces."""
+        """_part over a panel, within its budget of pieces; a panel that
+        does not certify whole is remembered by its side, h's sign."""
         self._visits = 64 * _MAX_LEVEL
         fitted = len(self._fits)
         try:
+            if whole and h in self._unfit:
+                raise _Uncertified(self._unfit[h])
             return self._part(edge, far, h, t, whole)
-        except NoConvergence:
+        except _Uncertified as exc:
             for piece in list(self._fits)[fitted:]:
                 del self._fits[piece]
-            raise
+            why = str(exc)
+        if whole:
+            self._unfit[h] = why
+        raise NoConvergence("the integral to t = %r %s" % (t, why))
 
     def __call__(self, t):
         t = float(t)
@@ -714,17 +722,18 @@ def solve_scalar(law, guess, tol, *params):
 
 @functools.cache
 def _cheb(n):
-    """The n+1 Chebyshev extreme points cos(pi*j/n) on [-1, 1] and their
-    differentiation matrix, read-only: computed once per n."""
+    """The n+1 Chebyshev extreme points cos(pi*j/n) on [-1, 1], their
+    differentiation matrix and barycentric weights, read-only, once per n."""
     j = np.arange(n + 1)
     xc = np.cos(math.pi * j / n)          # 1 ... -1
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     dx = xc[:, None] - xc[None, :] + np.eye(n + 1)
     D = np.outer(c, 1.0 / c) / dx
     D -= np.diag(D.sum(axis=1))
-    xc.flags.writeable = False
-    D.flags.writeable = False
-    return xc, D
+    wts = 1.0 / c                         # (-1)^j, halved at both ends
+    for a in (xc, D, wts):
+        a.flags.writeable = False
+    return xc, D, wts
 
 
 def cheb_nodes_diff(n, a, b):
@@ -732,7 +741,7 @@ def cheb_nodes_diff(n, a, b):
     spectral differentiation matrix acting on values at those points
     (Trefethen, Spectral Methods in MATLAB, ch. 6: cheb.m, with the
     diagonal from the negative row sums).  Both are new arrays."""
-    xc, D = _cheb(n)
+    xc, D, _ = _cheb(n)
     ts = a + (b - a) * (1.0 - xc) / 2.0   # ascending in t
     return ts, D * (-2.0 / (b - a))
 
@@ -746,10 +755,7 @@ def cheb_interp(ts, Y):
     that reorders nodes for conditioning would make repeated runs differ
     in the last ulp.
     """
-    n = len(ts) - 1
-    wts = (-1.0) ** np.arange(n + 1)
-    wts[0] *= 0.5
-    wts[n] *= 0.5
+    wts = _cheb(len(ts) - 1)[2]
 
     def ev(tq):
         d = tq - ts

@@ -992,31 +992,157 @@ def test_a_guess_within_the_tolerance_is_the_root():
 def test_explicit_march_solves_states_only_in_the_transits():
     # between poles the march calls the compiled amplitude_slope; each
     # transit solves one state at its left edge and one at its pole, and
-    # its nodes; each sample solves one state
+    # its nodes, through transit_node; each sample solves one state
+    # through the (x, v) view amplitude_state
     callers = []
     osc = DeformedOscillator("-0.3*x + 0.5*x^3", "0", 1.3, alpha=0.3)
-    node = osc.transit_node
 
-    def counted(*args):
-        frame = sys._getframe(1)
-        callers.append((frame.f_code.co_name, frame.f_lineno))
-        return node(*args)
+    def count(name):
+        fn = getattr(osc, name)
 
-    osc.transit_node = counted
+        def counted(*args):
+            frame = sys._getframe(1)
+            callers.append((name, frame.f_code.co_name, frame.f_lineno))
+            return fn(*args)
+
+        setattr(osc, name, counted)
+
+    count("transit_node")
+    count("amplitude_state")
     t0 = (math.pi / 2.0 - 0.3) / 1.3
     traj = integrate_first_integral(osc, t0, 0.4, t0 + 3.0 * math.pi / 1.3,
                                     t_eval=np.linspace(t0, t0 + 7.0, 50))
     assert len(traj.meta["poles_crossed"]) == 3
-    names = [name for name, _ in callers]
-    assert set(names) == {"_pole_transit", "state_at"}
-    assert names.count("state_at") == 50
+    names = [(name, caller) for name, caller, _ in callers]
+    assert set(names) == {("transit_node", "_pole_transit"),
+                          ("amplitude_state", "state_at")}
+    assert names.count(("amplitude_state", "state_at")) == 50
     # the nodes, 48 per Newton iteration, are one map on one line of
     # _pole_transit; its left-edge and pole calls are on two others
     transit = collections.Counter(
-        line for name, line in callers if name == "_pole_transit")
+        line for name, _, line in callers if name == "transit_node")
     (_, nodes), *edges = transit.most_common()
     assert nodes % 48 == 0
     assert sum(n for _, n in edges) == 6
+
+
+@pytest.mark.parametrize("f_src,g_src", _SLOPE_PAIRS)
+def test_a_sampled_state_is_the_transit_nodes_bit_for_bit(f_src, g_src):
+    # every sample of a march reads amplitude_state, whose (x, v) are the
+    # first two values of transit_node at the same arguments, bit for bit
+    osc = DeformedOscillator(f_src, g_src, 1.0, alpha=0.3)
+    view, seen = osc.amplitude_state, []
+
+    def checked(*args):
+        got = view(*args)
+        want = osc.transit_node(*args)[:2]
+        assert [c.hex() for c in got] == [c.hex() for c in want], args
+        seen.append(args)
+        return got
+
+    osc.amplitude_state = checked
+    t0 = math.pi / 2.0 - 0.3
+    traj = integrate_first_integral(osc, t0, 0.4, t0 + 2.0 * math.pi,
+                                    t_eval=np.linspace(t0, t0 + 6.2, 61))
+    assert len(traj.meta["poles_crossed"]) == 2
+    assert len(seen) == len(traj.states) == 61
+
+
+def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
+    """The reference for deform._pole_transit: its Newton loop as it was
+    written before its invariants were hoisted, every matrix rebuilt per
+    iteration and a converged affine crossing confirmed by one more sweep,
+    with cheb_interp's weights computed per call.  Returns the interpolant
+    of y, its nodes and the number of linear solves."""
+    for bump in range(4):
+        ts, D = cheb_nodes_diff(47 + bump, a, b)
+        nodes = ts.tolist()
+        svec = np.array([math.sin(osc.theta(t)) for t in nodes])
+        if np.min(np.abs(svec[1:])) > 1e-8:
+            break
+    m = len(ts)
+    x0, v0, num0 = osc.transit_node(x_start, v_start, ts[0], y_in)[:3]
+    xs, vs = [x0] * m, [v0] * m
+    if abs(svec[0]) > 1e-8:
+        Y = y_in + (num0 / svec[0]) * (ts - ts[0])
+    else:
+        Y = np.full(m, float(y_in))
+    scale = 1.0 + abs(y_in)
+    solves = 0
+    for _ in range(30):
+        xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
+                                 Y.tolist()))
+        N, dN = np.array(N), np.array(dN)
+        F = svec * (D @ Y) - N
+        F[0] = Y[0] - y_in
+        assert np.all(np.isfinite(F)) and np.all(np.isfinite(dN))
+        J = svec[:, None] * D - np.diag(dN)
+        J[0, :] = 0.0
+        J[0, 0] = 1.0
+        r = np.max(np.abs(J), axis=1)
+        r[r == 0.0] = 1.0
+        if np.max(np.abs(F / r)) <= 1e-12 * scale:
+            break
+        step = np.linalg.solve(J / r[:, None], F / r)
+        solves += 1
+        Y -= step
+        if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(Y))):
+            break
+    wts = (-1.0) ** np.arange(m)
+    wts[0] *= 0.5
+    wts[m - 1] *= 0.5
+
+    def ev(tq):
+        d = tq - ts
+        hit = np.nonzero(d == 0.0)[0]
+        if hit.size:
+            return float(Y[hit[0]])
+        q = wts / d
+        return float((q @ Y) / q.sum())
+
+    return ev, ts, solves
+
+
+_TRANSIT_FRAMES = {
+    # affine: N = g_t is free of y, and one solve is exact
+    "affine sin(theta)^2": ("0", "0.15*sin(1.3*t + 0.3)^2", 1.3, 0.3,
+                            0.4, 3),
+    "f=-0.3x+0.5x^3": ("-0.3*x + 0.5*x^3", "0", 1.3, 0.3, 0.4, 3),
+    "g=0.2x^2": ("0", "0.2*x^2", 1.3, 0.3, 0.4, 3),
+    # k = 3: the re-expanding mode (t - pi)^3, f reads v
+    "k=3": ("-0.75*v + 0.8", "0", 1.0, 0.0, 0.4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSIT_FRAMES))
+def test_pole_transit_is_the_reference_loop_bit_for_bit(name, monkeypatch):
+    # every transit of a march, called with the arguments the march gives
+    # it, against the reference loop: the same bits of y at every node, at
+    # the window's exit, at the pole and between the nodes (through the
+    # barycentric weights), and for an affine crossing one solve
+    f_src, g_src, w, al, x0, poles = _TRANSIT_FRAMES[name]
+    osc = DeformedOscillator(f_src, g_src, w, alpha=al)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return transit(*args)
+
+    transit = deform._pole_transit
+    monkeypatch.setattr(deform, "_pole_transit", recorded)
+    t0 = 0.3 if name == "k=3" else (math.pi / 2.0 - al) / w
+    integrate_first_integral(osc, t0, x0, t0 + poles * math.pi / w + 0.5)
+    assert len(calls) == poles
+    assert osc.affine_crossing is name.startswith("affine")
+    for args in calls:
+        got = transit(*args)
+        want, ts, solves = _pole_transit_loop(*args)
+        nodes = ts.tolist()
+        between = [0.5 * (p + q) for p, q in zip(nodes, nodes[1:])]
+        for t in nodes + [args[2], args[3]] + between:
+            assert got(t).hex() == want(t).hex(), (args, t)
+        if osc.affine_crossing:
+            assert solves == 1
 
 
 def _tree_bits(tree):
