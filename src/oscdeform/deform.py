@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -475,15 +474,18 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     every node by one call of osc.transit_node, its x and v solved inside
     from that node's last x and v; the call gives the node's numerator N
     and its exact slope dN/dy, from implicit differentiation at the solved
-    state, so the Jacobian sin(theta)*D - diag(dN/dy) is exact; an affine
-    crossing (osc.affine_crossing) stops after its one solve, exact, and
-    its smoothness test reads the N of the sweep before.  The entry solve
-    at the left edge, from x_start and v_start, and the smoothness test at
-    the pole are one transit_node call each.  Returns a polynomial
-    interpolant for y on [a, b] through 48 nodes or, when a node lands on
-    the pole, a few more.  Raises NonSmoothPoint when no smooth crossing
-    exists: the numerator does not vanish at the pole, or an iterate's
-    amplitude leaves the range of x + g (or of v + f) at some node.
+    state, so the Jacobian sin(theta)*D - diag(dN/dy) is exact.  Newton
+    stops when the residual or the step is negligible; an affine crossing
+    (osc.affine_crossing) stops after its one solve, which is exact, and
+    N at the solved amplitude is N - dN*step, with no confirming sweep.
+    The smoothness test at the pole compares the numerator there with N
+    at the solved amplitude.  The entry solve at the left edge, from
+    x_start and v_start, and the smoothness test are one transit_node call
+    each.  Returns a polynomial interpolant for y on [a, b] through 48
+    nodes or, when a node lands on the pole, a few more.  Raises
+    NonSmoothPoint when no smooth crossing exists: the numerator does not
+    vanish at the pole, or an iterate's amplitude leaves the range of
+    x + g (or of v + f) at some node.
     """
     w, al = osc.omega, osc.alpha
     for bump in range(4):
@@ -545,8 +547,12 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
         Y -= step
         if not np.isfinite(Y).all():
             raise fail
-        if osc.affine_crossing or (np.abs(step).max()
-                                   <= 1e-14 * (1.0 + np.abs(Y).max())):
+        if osc.affine_crossing:
+            # N is affine in y: the solve is exact, and N - dN*step is N
+            # at the solved Y, which the smoothness test reads
+            N = np.subtract(N, np.multiply(dN, step))
+            break
+        if np.abs(step).max() <= 1e-14 * (1.0 + np.abs(Y).max()):
             break
     else:
         raise fail
@@ -684,13 +690,10 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         y_dense, = integrate(slope, cur_t, cur_y, t1, rtol=rtol, atol=atol)
         pieces.append((cur_t, t1, y_dense))
 
-    reach = [hi + 1e-12 for _, hi, _ in pieces]  # a scan's first match
-
     def y_at(tq):
-        i = bisect_left(reach, tq)
-        if i < len(pieces) and pieces[i][0] - 1e-12 <= tq:
-            lo, hi, fn = pieces[i]
-            return fn(min(max(tq, lo), hi))
+        for lo, hi, fn in pieces:
+            if lo - 1e-12 <= tq <= hi + 1e-12:
+                return fn(min(max(tq, lo), hi))
         raise ValueError("time %r outside the integrated span" % tq)
 
     def state_at(tq):

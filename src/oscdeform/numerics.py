@@ -476,10 +476,6 @@ def _clenshaw(B, x):
     return B[0] + x * b1 - b2
 
 
-class _Uncertified(Exception):
-    """Why CumulativeIntegral may neither fit nor split a piece."""
-
-
 class CumulativeIntegral:
     """Smooth evaluator of F(t) = integral of f from origin to t.
 
@@ -512,16 +508,14 @@ class CumulativeIntegral:
     which names t, and forgets the pieces it fitted in that panel: so a
     noisy or fast-oscillating f costs a bounded number of calls per query
     and leaves nothing behind (a query 1e-6 before the unbounded pole of
-    -0.3/sin(t) visits 2,024 pieces of its panel); a panel that does not
-    certify whole is remembered, and a later query across it raises with
-    no integrand call.  F is smooth in t (unlike adaptive quadrature, whose
-    subdivision pattern follows the query), which matters when F feeds
-    finite differences, and a pure function of t, whatever the order of
-    queries.  So it keeps the value of its last query and returns it when
-    the same float (matched on its bits: 0.0 is not -0.0) is asked for
-    again: x and v of one sample ask for one t, and so do F and dF/du at
-    one Newton iterate.  A NaN or infinite t raises a ValueError that
-    names t.
+    -0.3/sin(t) visits 2,024 pieces of its panel).  F is smooth in t
+    (unlike adaptive quadrature, whose subdivision pattern follows the
+    query), which matters when F feeds finite differences, and a pure
+    function of t, whatever the order of queries.  So it keeps the value
+    of its last query and returns it when the same float (matched on its
+    bits: 0.0 is not -0.0) is asked for again: x and v of one sample ask
+    for one t, and so do F and dF/du at one Newton iterate.  A NaN or
+    infinite t raises a ValueError that names t.
     """
 
     def __init__(self, f, origin):
@@ -533,7 +527,6 @@ class CumulativeIntegral:
         # or the (OscdeformError, traceback) of the node that raised it
         self._fits = {}
         self._visits = 0  # pieces the current panel's query may still visit
-        self._unfit = {}  # h: why the side's next whole panel did not certify
         self._last = (math.nan, math.nan)  # (t, F(t)) of the last query
 
     def _part(self, edge, far, h, t, whole):
@@ -542,8 +535,9 @@ class CumulativeIntegral:
         piece is `whole`: wholly between the origin and t."""
         self._visits -= 1
         if self._visits < 0:
-            raise _Uncertified("did not certify in %d pieces of a panel"
-                              % (64 * _MAX_LEVEL))
+            raise NoConvergence(
+                "the integral to t = %r did not certify in %d pieces of a "
+                "panel" % (t, 64 * _MAX_LEVEL))
         fit = self._fits.get((edge, h), ())
         if fit == ():       # not fitted yet
             try:
@@ -556,8 +550,9 @@ class CumulativeIntegral:
         if whole and fit is not None:
             raise fit[0].with_traceback(fit[1])
         if abs(h) <= 0.5 * _PANEL_WIDTH / 2 ** _MAX_LEVEL:
-            raise _Uncertified("did not certify on a piece of width %.3g"
-                              % (2.0 * abs(h)))
+            raise NoConvergence(
+                "the integral to t = %r did not certify on a piece of width "
+                "%.3g" % (t, 2.0 * abs(h)))
         mid, h = edge + h, 0.5 * h
         if whole or (t - mid) * h > 0.0:
             return (self._part(edge, mid, h, t, True)
@@ -565,21 +560,15 @@ class CumulativeIntegral:
         return self._part(edge, mid, h, t, False)
 
     def _panel_part(self, edge, far, h, t, whole):
-        """_part over a panel, within its budget of pieces; a panel that
-        does not certify whole is remembered by its side, h's sign."""
+        """_part over a panel, within its budget of pieces."""
         self._visits = 64 * _MAX_LEVEL
         fitted = len(self._fits)
         try:
-            if whole and h in self._unfit:
-                raise _Uncertified(self._unfit[h])
             return self._part(edge, far, h, t, whole)
-        except _Uncertified as exc:
+        except NoConvergence:
             for piece in list(self._fits)[fitted:]:
                 del self._fits[piece]
-            why = str(exc)
-        if whole:
-            self._unfit[h] = why
-        raise NoConvergence("the integral to t = %r %s" % (t, why))
+            raise
 
     def __call__(self, t):
         t = float(t)

@@ -1049,11 +1049,13 @@ def test_a_sampled_state_is_the_transit_nodes_bit_for_bit(f_src, g_src):
 
 
 def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
-    """The reference for deform._pole_transit: its Newton loop as it was
-    written before its invariants were hoisted, every matrix rebuilt per
-    iteration and a converged affine crossing confirmed by one more sweep,
-    with cheb_interp's weights computed per call.  Returns the interpolant
-    of y, its nodes and the number of linear solves."""
+    """The reference for deform._pole_transit: its Newton loop and its
+    smoothness test as they were written before the loop's invariants were
+    hoisted, every matrix rebuilt per iteration and a converged affine
+    crossing confirmed by one more sweep, whose N the smoothness test
+    reads, with cheb_interp's weights computed per call.  Returns the
+    interpolant of y, its nodes and the number of linear solves, or raises
+    NonSmoothPoint where the numerator does not vanish at the pole."""
     for bump in range(4):
         ts, D = cheb_nodes_diff(47 + bump, a, b)
         nodes = ts.tolist()
@@ -1100,6 +1102,10 @@ def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
         q = wts / d
         return float((q @ Y) / q.sum())
 
+    k = int(np.argmin(np.abs(ts - pole)))
+    num_p = osc.transit_node(xs[k], vs[k], pole, ev(pole))[2]
+    if abs(num_p) > 1e-6 * (1.0 + float(np.max(np.abs(N)))):
+        raise NonSmoothPoint("N = %r at the pole t = %r" % (num_p, pole))
     return ev, ts, solves
 
 
@@ -1135,14 +1141,54 @@ def test_pole_transit_is_the_reference_loop_bit_for_bit(name, monkeypatch):
     assert len(calls) == poles
     assert osc.affine_crossing is name.startswith("affine")
     for args in calls:
-        got = transit(*args)
+        _assert_reference_transit(transit, args)
+
+
+def _assert_reference_transit(transit, args):
+    """transit(*args) raises NonSmoothPoint where the reference loop does,
+    or has the same bits of y at every node, at the window's exit, at the
+    pole and between the nodes; an affine crossing takes one solve."""
+    try:
         want, ts, solves = _pole_transit_loop(*args)
-        nodes = ts.tolist()
-        between = [0.5 * (p + q) for p, q in zip(nodes, nodes[1:])]
-        for t in nodes + [args[2], args[3]] + between:
-            assert got(t).hex() == want(t).hex(), (args, t)
-        if osc.affine_crossing:
-            assert solves == 1
+    except NonSmoothPoint:
+        with pytest.raises(NonSmoothPoint):
+            transit(*args)
+        return
+    got = transit(*args)
+    nodes = ts.tolist()
+    between = [0.5 * (p + q) for p, q in zip(nodes, nodes[1:])]
+    for t in nodes + [args[2], args[3]] + between:
+        assert got(t).hex() == want(t).hex(), (args, t)
+    if args[0].affine_crossing:
+        assert solves == 1
+
+
+@pytest.mark.parametrize("f_src,t0,smooth", [
+    ("0.3*x", 0.0, True), ("0.3*x", 2e-8, True),
+    ("0.3*x + 0.05", 0.0, False), ("0.3*x + 0.05", 2e-8, False)])
+def test_a_start_pole_transit_is_the_reference_loop(f_src, t0, smooth,
+                                                    monkeypatch):
+    # affine crossings whose window starts on the pole t = 0 or 2e-8 past
+    # it, where the first guess's slope num0/sin(theta) is up to 1e8*num0:
+    # the smoothness test reads N at the solved amplitude, as the reference
+    # does, so N = 0.05 at the pole raises NonSmoothPoint in both
+    osc = DeformedOscillator(f_src, "0", 1.0)
+    assert osc.affine_crossing
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return transit(*args)
+
+    transit = deform._pole_transit
+    monkeypatch.setattr(deform, "_pole_transit", recorded)
+    if smooth:
+        integrate_first_integral(osc, t0, 0.0, 1.0, v0=1.0)
+    else:
+        with pytest.raises(NonSmoothPoint):
+            integrate_first_integral(osc, t0, 0.0, 1.0, v0=1.0)
+    assert len(calls) == 1
+    _assert_reference_transit(transit, calls[0])
 
 
 def _tree_bits(tree):
