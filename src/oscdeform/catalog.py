@@ -445,45 +445,8 @@ def case4_riccati(mu, nu, omega=1.0, alpha=0.0, t0=None, x0=0.5):
     return CatalogSolution("case4_riccati", x_of_t, v_of_t, osc, (lo, hi))
 
 
-# --- Gauss hypergeometric series -------------------------------------------------------
+# --- F(a, b; a+b+1; z), the logarithmic case m = 1 of A&S 15.3.11 ----------------------
 
-def _check_c(c):
-    """ValueError where c is a non-positive integer, a pole of 2F1."""
-    if float(c).is_integer() and c <= 0.0:
-        raise ValueError("c must not be a non-positive integer")
-
-
-def hyp2f1(a, b, c, z):
-    """Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1 (a
-    non-finite z is refused with the same ValueError, and so is a
-    non-finite a, b or c), summed until the tail bound falls to 0.3 of the
-    relative tolerance 1e-12; NoConvergence after 10,000 terms."""
-    if not abs(z) < 1.0:
-        raise ValueError("series requires |z| < 1, got z = %r" % (z,))
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise ValueError("a, b and c must be finite, got %r, %r, %r"
-                         % (a, b, c))
-    _check_c(c)
-    az = abs(z)
-    term = 1.0
-    total = 1.0
-    for k in range(10000):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if term == 0.0:
-            return total
-        # geometric bound on the remaining tail from the next term ratio
-        nxt = abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0))) * az
-        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 3e-13 * abs(total):
-            return total
-    raise NoConvergence("2F1 series did not converge in 10000 terms")
-
-
-# F(a, b; a+b+1; z), the logarithmic case m = 1 of A&S 15.3.11, sums its
-# Gauss series in z up to _Z_SWITCH and its connection series in 1 - z
-# above it (see _hyp2f1_m1 for the measured choice); each sum stops when
-# its tail bounds fall to _PAIR_TOL of |F| and of |dF/dz|, and raises
-# NoConvergence past _PAIR_TERMS terms
 _Z_SWITCH = 0.6
 _PAIR_TOL = 3e-13
 _PAIR_TERMS = 200
@@ -531,11 +494,11 @@ def _grown(table, k, entry):
 
 
 def _hyp2f1_m1(a, b):
-    """F(a, b; c; z) and dF/dz at c = a + b + 1, for a + b = -1/2 or 1/2
-    (any a + b in (-1, 1) works), as a function value(z, s) -> (F, dF/dz,
-    terms summed) of z >= 0 and s = 1 - z > 0, s as the caller has it
-    (case4_series passes sin^2(theta), which keeps the digits that
-    1 - cos^2(theta) cancels near a pole).
+    """F(a, b; c; z) and dF/dz at c = a + b + 1, for case4_series's a + b =
+    -1/2 and 1/2, as a function value(z, s) -> (F, dF/dz, terms summed) of
+    z >= 0 and s = 1 - z > 0, s as the caller has it (case4_series passes
+    sin^2(theta), which keeps the digits that 1 - cos^2(theta) cancels near
+    a pole).
 
     Where a or b is a non-positive integer, 1/Gamma vanishes there and the
     Gauss series is a polynomial, summed at every z.  Otherwise the Gauss
@@ -552,7 +515,11 @@ def _hyp2f1_m1(a, b):
     once, and each branch's z-free term ratios in a table grown on demand.
     Past the terms whose ratio exceeds its limit z (or s), each sum stops
     when geometric bounds on the tails of F and of dF/dz fall to _PAIR_TOL
-    of |F| and of |dF/dz|; NoConvergence after _PAIR_TERMS terms.
+    of |F| and of |dF/dz|; NoConvergence after _PAIR_TERMS terms.  The
+    bounds need q_n = (a+n)(b+n)/(n(n+1)) < 1 from some n on, as for
+    a + b < 1.  At a = b = 1 (verify's F(1, 1; 3; z)) q_n = (n+1)/n, and
+    from z = 0.1 to 1 - 1e-12 the error measures 2.6e-15 of |F| and 1.6e-13
+    of 1 + |dF/dz|.
 
     The switch z = 0.6 was measured on case4_series's benchmark grid
     (mu*nu/omega^2 near 0.4, z up to 0.81): its time per sample is flat

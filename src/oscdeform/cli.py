@@ -35,6 +35,7 @@ from .errors import (
     CotangentPole,
     ExprSyntaxError,
     OscdeformError,
+    SingularCoefficient,
     UnboundNameError,
     UnknownFunctionError,
     ZeroDenominator,
@@ -320,6 +321,34 @@ def cmd_derive(args):
     return 0
 
 
+# With _DRIFT_K at 1, healthy second-order marches read at most 0.56 of
+# _check_drift's limit (rtol 1e-6 to 1e-14, spans up to 300) and marches
+# across x + g = 0 read 800 to 26,000; below rtol 1e-11 drift stops falling.
+_DRIFT_K = 30.0
+
+
+def _check_drift(osc, start, rows, rtol):
+    """SingularCoefficient at the first span of rows (t, x, v), from the
+    start (t0, x0, v0) on, where G = (v + f) sin(theta) - omega cos(theta)
+    (x + g), alpha refitted to the start, passes _DRIFT_K max(rtol, 1e-11)
+    (1 + periods of theta marched) of 1 + |v + f| + omega |x + g|."""
+    t0, w, alpha = start[0], osc.omega, fit_alpha(osc, start)
+    tol, prev = _DRIFT_K * max(rtol, 1e-11), t0
+    for t, x, v in sorted(rows, key=lambda row: abs(row[0] - t0)):
+        vf, xg = v + osc.f(t, x, v), x + osc.g(t, x, v)
+        th = w * t + alpha
+        drift = (abs(vf * math.sin(th) - w * math.cos(th) * xg)
+                 / (1.0 + abs(vf) + w * abs(xg)))
+        limit = tol * (1.0 + w * abs(t - t0) / (2.0 * math.pi))
+        if not drift <= limit:
+            raise SingularCoefficient(
+                "the second-order march left its first integral between "
+                "t = %r and t = %r (drift %.3g, limit %.3g), most likely "
+                "across x + g = 0, where its coefficient of xdd vanishes"
+                % (float(prev), float(t), float(drift), float(limit)))
+        prev = t
+
+
 def cmd_solve(args):
     grid = _grid(args, backward=args.method == "second-order")
     if args.alpha is None and args.v0 is not None:
@@ -339,6 +368,7 @@ def cmd_solve(args):
                                             args.t1, rtol=args.rtol,
                                             atol=args.atol)
             rows = [(t, x_of_t(t), v_of_t(t)) for t in grid]
+            _check_drift(osc, (args.t0, args.x0, v0), rows, args.rtol)
         else:
             traj = integrate_first_integral(osc, args.t0, args.x0, args.t1,
                                             t_eval=grid, v0=args.v0,

@@ -262,20 +262,22 @@ def suite_isochrony():
 
 
 def suite_hyp2f1():
-    """Closed-form identities of the series evaluator, and agreement of the
-    two case-4 solution paths (direct quadrature vs hypergeometric)."""
+    """_hyp2f1_m1 against F(1, 1; 3; z) = 2[(1 - z) ln(1 - z) + z]/z^2 and
+    its dF/dz, on both sides of its switch, and agreement of the two case-4
+    solution paths (direct quadrature vs hypergeometric)."""
     out = []
-    gaps1, gaps2 = [], []
-    for z in (0.1, 0.25, 0.5, 0.9):
-        a = 0.7
-        got = catalog.hyp2f1(a, 1.3, 1.3, z)
-        want = (1.0 - z) ** (-a)
-        gaps1.append((got - want) / abs(want))
-        got = catalog.hyp2f1(1.0, 1.0, 2.0, z)
-        want = -math.log1p(-z) / z
-        gaps2.append((got - want) / abs(want))
-    out.append(_check("hyp2f1/binomial-identity", max_abs(gaps1), 1e-12))
-    out.append(_check("hyp2f1/log-identity", max_abs(gaps2), 1e-12))
+    value = catalog._hyp2f1_m1(1.0, 1.0)
+    gaps_F, gaps_dF = [], []
+    for z in ([k / 50.0 for k in range(5, 50)] + [0.6 - 1e-9, 0.6 + 1e-9]
+              + [1.0 - 10.0 ** -k for k in range(2, 13)]):
+        F, dF, _ = value(z, 1.0 - z)
+        L = math.log1p(-z)
+        r = (1.0 - z) * L + z
+        want, dwant = 2.0 * r / z ** 2, 2.0 * (-L / z ** 2 - 2.0 * r / z ** 3)
+        gaps_F.append((F - want) / abs(want))
+        gaps_dF.append((dF - dwant) / (1.0 + abs(dwant)))
+    out.append(_check("hyp2f1/F113-value", max_abs(gaps_F), 1e-13))
+    out.append(_check("hyp2f1/F113-slope", max_abs(gaps_dF), 2e-12))
 
     mu, nu, w, al, t0, x0 = 0.8, 0.5, 1.0, 0.3, 0.5, 0.4
     direct = catalog.case4_riccati(mu, nu, w, al, t0=t0, x0=x0)

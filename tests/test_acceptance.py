@@ -68,8 +68,9 @@ def test_criterion_05_isochrony():
 
 
 def test_criterion_06_hypergeometric_identities():
-    # 2F1 special values to 1e-12 and agreement of the two evaluation
-    # paths of the hypergeometric solution to 1e-10
+    # _hyp2f1_m1 against F(1, 1; 3; z) in closed form, F to 1e-13 and
+    # dF/dz to 2e-12, and agreement of the two evaluation paths of the
+    # hypergeometric solution to 1e-10
     _run(6, "hypergeometric identities", ["hyp2f1"], [3])
 
 

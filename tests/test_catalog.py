@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oscdeform import apps, catalog, numerics
+from oscdeform import apps, catalog, numerics, verify
 from oscdeform.deform import integrate_first_integral
 from oscdeform.errors import (
     BracketZero,
@@ -457,125 +457,32 @@ def test_case7_branch_point():
         sol.v_evaluator(tb)
 
 
-def test_hyp2f1_identities():
-    """(1-z)^(-a) and -ln(1-z)/z at the canonical arguments."""
-    for z in (0.1, 0.25, 0.5, 0.9):
-        a = 0.7
-        assert catalog.hyp2f1(a, 1.0, 1.0, z) == pytest.approx(
-            (1.0 - z) ** (-a), rel=1e-12)
-        assert catalog.hyp2f1(1.0, 1.0, 2.0, z) == pytest.approx(
-            -math.log(1.0 - z) / z, rel=1e-12)
-    # the series stops at its fixed relative tolerance, 1e-12
-    assert catalog.hyp2f1(0.5, 1.0, 1.0, 0.25) == pytest.approx(
-        1.1547005383792515, rel=1e-12)
-    assert catalog.hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(
-        1.3862943611198906, rel=1e-12)
+def test_hyp2f1_identities(monkeypatch):
+    """The suite's two checks of _hyp2f1_m1 against F(1, 1; 3; z) pass at
+    least 10 times below their thresholds, and both fail when the sums'
+    tail tolerance _PAIR_TOL is loosened from 3e-13 to 3e-9."""
+    def identities():
+        return [c for c in verify.suite_hyp2f1()
+                if c.name.startswith("hyp2f1/F113-")]
 
-
-def test_hyp2f1_against_scipy():
-    rng = np.random.default_rng(20240822)
-    for _ in range(40):
-        a, b = rng.uniform(-2.0, 2.0, size=2)
-        c = rng.uniform(0.3, 3.0)
-        z = rng.uniform(-0.85, 0.85)
-        mine = catalog.hyp2f1(a, b, c, z)
-        ref = float(scipy.special.hyp2f1(a, b, c, z))
-        assert mine == pytest.approx(ref, rel=2e-11, abs=1e-12)
+    clean = identities()
+    assert len(clean) == 2
+    assert all(c.passed and 10.0 * c.value <= c.threshold for c in clean)
+    monkeypatch.setattr(catalog, "_PAIR_TOL", 3e-9)
+    assert not any(c.passed for c in identities())
 
 
 def test_hyp2f1_polynomial_termination():
-    # negative integer a truncates the series exactly
-    val = catalog.hyp2f1(-2.0, 1.5, 0.5, 0.3)
-    want = 1.0 + (-2.0) * 1.5 / 0.5 * 0.3 \
-        + ((-2.0) * (-1.0) / 2.0) * (1.5 * 2.5 / (0.5 * 1.5)) * 0.09
-    assert val == pytest.approx(want, rel=1e-14)
-
-
-def test_hyp2f1_input_validation():
-    with pytest.raises(ValueError):
-        catalog.hyp2f1(1.0, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        catalog.hyp2f1(1.0, 1.0, -1.0, 0.5)
-    with pytest.raises(NoConvergence):
-        catalog.hyp2f1(1.0, 1.0, 2.0, 0.9999)
-
-
-def test_hyp2f1_refuses_non_finite_z():
-    """A NaN or infinite z fails the |z| < 1 check at once, instead of
-    running every term and raising NoConvergence."""
-    for z in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"\|z\| < 1"):
-            catalog.hyp2f1(0.5, 0.75, 1.5, z)
-
-
-def _hyp2f1_loop(a, b, c, z):
-    """The reference for catalog.hyp2f1's loop: each term's sums and
-    0.3 of the relative tolerance 1e-12 written where they are used."""
-    term = 1.0
-    total = 1.0
-    for k in range(10000):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if term == 0.0:
-            return total
-        nxt = abs((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
-        if nxt < 1.0 and abs(term) * nxt / (1.0 - nxt) <= 0.3 * 1e-12 * abs(total):
-            return total
-    raise NoConvergence("2F1 series did not converge in %d terms" % (k + 1))
-
-
-def test_hyp2f1_is_the_reference_loop_bit_for_bit():
-    rng = random.Random(41)
-    for _ in range(3000):
-        a = rng.choice([float(rng.randint(-6, -1)), rng.uniform(-3.0, 3.0)])
-        b = rng.uniform(-3.0, 3.0)
-        c = rng.uniform(0.2, 3.5)
-        z = rng.uniform(-0.95, 0.95)
-        assert (catalog.hyp2f1(a, b, c, z).hex()
-                == _hyp2f1_loop(a, b, c, z).hex())
-
-
-def _case4_parameters(lam):
-    """The (a, b, c) of the Gauss series of phi1, phi2 and their
-    derivatives at mu*nu/omega^2 = lam."""
-    root = math.sqrt(1.0 + 4.0 * lam)
-    a, b = -0.25 - 0.25 * root, -0.25 + 0.25 * root
-    return [(a, b, 0.5), (a + 1.0, b + 1.0, 1.5),
-            (a + 0.5, b + 0.5, 1.5), (a + 1.5, b + 1.5, 2.5)]
-
-
-def test_hyp2f1_short_series_after_a_long_one_is_unchanged():
-    a, b, c = _case4_parameters(0.05)[0]
-    short = catalog.hyp2f1(a, b, c, 0.3)
-    long_ = catalog.hyp2f1(a, b, c, 0.995)
-    assert catalog.hyp2f1(a, b, c, 0.3).hex() == short.hex()
-    assert short.hex() == _hyp2f1_loop(a, b, c, 0.3).hex()
-    assert long_.hex() == _hyp2f1_loop(a, b, c, 0.995).hex()
-
-
-def test_hyp2f1_values_do_not_depend_on_call_order():
-    """A sequence over 20 (a, b, c) gives the same bits forward and
-    reversed, each the reference loop's."""
-    rng = random.Random(8)
-    keys = [abc for lam in (-0.2, 0.4, 3.0, 40.0, 0.7)
-            for abc in _case4_parameters(lam)]
-    calls = [rng.choice(keys) + (rng.uniform(-0.97, 0.97),)
-             for _ in range(120)]
-    forward = [catalog.hyp2f1(*args).hex() for args in calls]
-    backward = [catalog.hyp2f1(*args).hex() for args in reversed(calls)]
-    assert forward == backward[::-1]
-    assert forward == [_hyp2f1_loop(*args).hex() for args in calls]
-
-
-@pytest.mark.parametrize("which", range(3))
-def test_hyp2f1_refuses_non_finite_parameters(which):
-    """A NaN or infinite a, b or c is refused at once: a NaN would run all
-    10,000 terms into NoConvergence, and c = inf would return 1.0."""
-    for bad in (math.nan, math.inf, -math.inf):
-        args = [0.5, 0.75, 1.5]
-        args[which] = bad
-        with pytest.raises(ValueError, match="must be finite"):
-            catalog.hyp2f1(*args, 0.3)
+    """A non-positive integer a truncates the Gauss series: F(-2, 1.5;
+    0.5; z) = 1 - 6z + 5z^2 is summed as that polynomial at every z, above
+    the switch too."""
+    value = catalog._hyp2f1_m1(-2.0, 1.5)
+    for z in (0.3, 0.9, 1.0 - 1e-12):
+        F, dF, terms = value(z, 1.0 - z)
+        assert F == pytest.approx(1.0 - 6.0 * z + 5.0 * z * z,
+                                  rel=1e-14, abs=1e-14)
+        assert dF == pytest.approx(-6.0 + 10.0 * z, rel=1e-14)
+        assert terms == 3
 
 
 @pytest.mark.parametrize("name", ["mu", "nu", "omega", "alpha", "t0", "x0"])

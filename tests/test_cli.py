@@ -7,6 +7,7 @@ and agreement of each exporting subcommand with the library it fronts.
 
 import csv
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -560,6 +561,44 @@ def test_singular_coefficient_message_shows_plain_numbers(capsys):
     err = capsys.readouterr().err
     assert "SingularCoefficient" in err
     assert "np.float64" not in err
+
+
+def test_second_order_march_across_x_plus_g_zero_exits_two(capsys):
+    # the march crosses x + g = 0 near t = 2.84, where its coefficient of
+    # xdd vanishes, and comes out 4.5e-7 off in x; its first integral,
+    # read at every row, drifts past the limit in the span just after
+    for rtol in ("1e-10", "1e-13"):
+        code = cli.main(["solve", "--f", "0.25*sin(t+0.3)",
+                         "--g", "0.1*sin(t+0.3)^2", "--alpha", "0.3",
+                         "--t0", "0.5", "--t1", "5", "--method",
+                         "second-order", "--samples", "201", "--rtol", rtol])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        m = re.match(r"numerical failure: SingularCoefficient: the "
+                     r"second-order march left its first integral between "
+                     r"t = (\S+) and t = (\S+) \(", err)
+        assert m, err
+        ta, tb = map(float, m.groups())
+        assert 2.84 < tb < 3.0 and tb - ta == pytest.approx(4.5 / 200)
+
+
+def test_second_order_drift_reads_alpha_refitted_to_the_start(capsys):
+    # --alpha 1 disagrees with --v0 0.7 under the first integral (G reads
+    # 0.47 at the start with it); the march starts from (x0, v0), and its
+    # drift is read with alpha refitted to that start
+    assert cli.main(["solve", "--method", "second-order", "--alpha", "1",
+                     "--t0", "0.2", "--v0", "0.7", "--samples", "5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6
+
+
+def test_second_order_drift_stays_below_its_limit_over_many_periods():
+    # a healthy march over three periods at rtol 1e-13, where rounding
+    # keeps the drift from falling with rtol, and over twenty at 1e-10
+    for t1, rtol in (("20", "1e-13"), ("125", "1e-10")):
+        assert cli.main(["solve", "--method", "second-order",
+                         "--g", "0.2*x^2", "--t1", t1, "--rtol", rtol,
+                         "--samples", "401", "--out", os.devnull]) == 0
 
 
 def test_exit_three_on_verification_failure(monkeypatch, capsys):
