@@ -49,6 +49,7 @@ from .exprdsl import (
 )
 from .numerics import (
     _finite,
+    cheb_chops,
     cheb_interp,
     cheb_nodes_diff,
     integrate,
@@ -478,84 +479,96 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     stops when the residual or the step is negligible; an affine crossing
     (osc.affine_crossing) stops after its one solve, which is exact, and
     N at the solved amplitude is N - dN*step, with no confirming sweep.
+    The collocation keeps its solution on 24 nodes where the Chebyshev
+    series chops (numerics.cheb_chops), and runs on 48 where it does not
+    or fails; either takes a few more when a node lands on the pole.
     The smoothness test at the pole compares the numerator there with N
     at the solved amplitude.  The entry solve at the left edge, from
     x_start and v_start, and the smoothness test are one transit_node call
-    each.  Returns a polynomial interpolant for y on [a, b] through 48
-    nodes or, when a node lands on the pole, a few more.  Raises
-    NonSmoothPoint when no smooth crossing exists: the numerator does not
-    vanish at the pole, or an iterate's amplitude leaves the range of
-    x + g (or of v + f) at some node.
+    each.  Returns a polynomial interpolant for y on [a, b] through the
+    kept nodes.  Raises NonSmoothPoint when no smooth crossing exists: the
+    numerator does not vanish at the pole, or an iterate's amplitude
+    leaves the range of x + g (or of v + f) at some node.
     """
     w, al = osc.omega, osc.alpha
-    for bump in range(4):
-        ts, D = cheb_nodes_diff(47 + bump, a, b)
-        nodes = ts.tolist()
-        sines = [math.sin(w * t + al) for t in nodes]
-        # a node sitting on the pole would contribute a zero row; node 0 is
-        # exempt because its row is replaced by the boundary condition
-        # (which is what allows a window that starts exactly on the pole)
-        if min(map(abs, sines[1:])) > 1e-8:
-            break
-    m, svec = len(nodes), np.array(sines)
-    # the Jacobian less diag(dN/dy), its first row the boundary condition's
-    SD = svec[:, None] * D
-    SD[0], SD[0, 0] = 0.0, 1.0
-
-    # the entry solves start from the initial condition; later solves at
-    # a node start where that node's last iteration ended
-    x0, v0, num0 = osc.transit_node(x_start, v_start, nodes[0], y_in)[:3]
-    xs, vs = [x0] * m, [v0] * m
-    if abs(svec[0]) > 1e-8:
-        Y = y_in + (num0 / svec[0]) * (ts - ts[0])
-    else:
-        Y = np.full(m, float(y_in))
+    # the entry solve at node 0, which is a at either node count
+    x0, v0, num0 = osc.transit_node(x_start, v_start, a, y_in)[:3]
     scale = 1.0 + abs(y_in)
     fail = NonSmoothPoint(
         "no smooth continuation of the deformed amplitude y = (x+g)/sin "
         "through the pole t = %r; the deformation leaves the crossing "
         "velocity unbounded there" % pole)
 
-    for _ in range(30):
-        try:
-            xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
-                                     Y.tolist()))
-        except ImplicitNoRoot as exc:
-            raise NonSmoothPoint(
-                "no smooth continuation of the deformed amplitude y = "
-                "(x+g)/sin through the pole t = %r: at a collocation node "
-                "the amplitude left the range of x + g = y*sin(theta) or "
-                "of v + f = omega*y*cos(theta) (%s)" % (pole, exc)) from exc
-        F = svec * (D @ Y) - N
-        F[0] = Y[0] - y_in
-        if not (np.isfinite(F).all() and all(map(math.isfinite, dN))):
+    def collocate(base):
+        for bump in range(4):
+            ts, D = cheb_nodes_diff(base + bump, a, b)
+            nodes = ts.tolist()
+            sines = [math.sin(w * t + al) for t in nodes]
+            # a node sitting on the pole would contribute a zero row; node
+            # 0 is exempt because its row is replaced by the boundary
+            # condition (which allows a window that starts on the pole)
+            if min(map(abs, sines[1:])) > 1e-8:
+                break
+        m, svec = len(nodes), np.array(sines)
+        # the Jacobian less diag(dN/dy); row 0 is the boundary condition's
+        SD = svec[:, None] * D
+        SD[0], SD[0, 0] = 0.0, 1.0
+        # the first solves start from the entry solve's state; later
+        # solves at a node start where that node's last iteration ended
+        xs, vs = [x0] * m, [v0] * m
+        if abs(svec[0]) > 1e-8:
+            Y = y_in + (num0 / svec[0]) * (ts - ts[0])
+        else:
+            Y = np.full(m, float(y_in))
+        for _ in range(30):
+            try:
+                xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
+                                         Y.tolist()))
+            except ImplicitNoRoot as exc:
+                raise NonSmoothPoint(
+                    "no smooth continuation of the deformed amplitude y = "
+                    "(x+g)/sin through the pole t = %r: at a collocation "
+                    "node the amplitude left the range of x + g = "
+                    "y*sin(theta) or of v + f = omega*y*cos(theta) (%s)"
+                    % (pole, exc)) from exc
+            F = svec * (D @ Y) - N
+            F[0] = Y[0] - y_in
+            if not (np.isfinite(F).all() and all(map(math.isfinite, dN))):
+                raise fail
+            J = SD.copy()
+            J.ravel()[m + 1::m + 1] -= dN[1:]
+            # rows whose sine and dN both vanish (neutral crossings) make
+            # the raw system numerically singular; equilibrate before
+            # judging convergence or solving
+            r = np.abs(J).max(axis=1)
+            r[r == 0.0] = 1.0
+            F /= r
+            if np.abs(F).max() <= 1e-12 * scale:
+                break
+            try:
+                step = np.linalg.solve(J / r[:, None], F)
+            except np.linalg.LinAlgError:
+                raise fail
+            Y -= step
+            if not np.isfinite(Y).all():
+                raise fail
+            if osc.affine_crossing:
+                # N is affine in y: the solve is exact, and N - dN*step is
+                # N at the solved Y, which the smoothness test reads
+                N = np.subtract(N, np.multiply(dN, step))
+                break
+            if np.abs(step).max() <= 1e-14 * (1.0 + np.abs(Y).max()):
+                break
+        else:
             raise fail
-        J = SD.copy()
-        J.ravel()[m + 1::m + 1] -= dN[1:]
-        # rows whose sine and dN both vanish (neutral crossings) make the
-        # raw system numerically singular; equilibrate before judging
-        # convergence or solving
-        r = np.abs(J).max(axis=1)
-        r[r == 0.0] = 1.0
-        F /= r
-        if np.abs(F).max() <= 1e-12 * scale:
-            break
-        try:
-            step = np.linalg.solve(J / r[:, None], F)
-        except np.linalg.LinAlgError:
-            raise fail
-        Y -= step
-        if not np.isfinite(Y).all():
-            raise fail
-        if osc.affine_crossing:
-            # N is affine in y: the solve is exact, and N - dN*step is N
-            # at the solved Y, which the smoothness test reads
-            N = np.subtract(N, np.multiply(dN, step))
-            break
-        if np.abs(step).max() <= 1e-14 * (1.0 + np.abs(Y).max()):
-            break
-    else:
-        raise fail
+        return ts, Y, xs, vs, N
+
+    try:
+        ts, Y, xs, vs, N = collocate(23)
+    except NonSmoothPoint:
+        Y = None
+    if Y is None or not cheb_chops(Y):
+        ts, Y, xs, vs, N = collocate(47)
 
     interp = cheb_interp(ts, Y)
     # a smooth crossing requires the numerator to vanish with the sine

@@ -712,7 +712,8 @@ def solve_scalar(law, guess, tol, *params):
 @functools.cache
 def _cheb(n):
     """The n+1 Chebyshev extreme points cos(pi*j/n) on [-1, 1], their
-    differentiation matrix and barycentric weights, read-only, once per n."""
+    differentiation matrix, barycentric weights and the matrix that turns
+    values there into Chebyshev coefficients, read-only, once per n."""
     j = np.arange(n + 1)
     xc = np.cos(math.pi * j / n)          # 1 ... -1
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
@@ -720,9 +721,12 @@ def _cheb(n):
     D = np.outer(c, 1.0 / c) / dx
     D -= np.diag(D.sum(axis=1))
     wts = 1.0 / c                         # (-1)^j, halved at both ends
-    for a in (xc, D, wts):
+    # a_k = (2/n) * sum of y_j*T_k(x_j), halved at j = 0, n and k = 0, n
+    hw = np.abs(wts)
+    V = (2.0 / n) * np.outer(hw, hw) * np.cos(math.pi * np.outer(j, j) / n)
+    for a in (xc, D, wts, V):
         a.flags.writeable = False
-    return xc, D, wts
+    return xc, D, wts, V
 
 
 def cheb_nodes_diff(n, a, b):
@@ -730,7 +734,7 @@ def cheb_nodes_diff(n, a, b):
     spectral differentiation matrix acting on values at those points
     (Trefethen, Spectral Methods in MATLAB, ch. 6: cheb.m, with the
     diagonal from the negative row sums).  Both are new arrays."""
-    xc, D, _ = _cheb(n)
+    xc, D = _cheb(n)[:2]
     ts = a + (b - a) * (1.0 - xc) / 2.0   # ascending in t
     return ts, D * (-2.0 / (b - a))
 
@@ -755,6 +759,14 @@ def cheb_interp(ts, Y):
         return float((q @ Y) / q.sum())
 
     return ev
+
+
+def cheb_chops(Y):
+    """Whether the Chebyshev series through values Y at cheb_nodes_diff's
+    points chops: its last two coefficients sum to at most _CHOP of the
+    largest, as a CumulativeIntegral fit's must."""
+    a = np.abs(_cheb(len(Y) - 1)[3] @ Y)
+    return a[-2] + a[-1] <= _CHOP * a.max()
 
 
 # --- finite-difference residual scanning ------------------------------------------

@@ -616,8 +616,8 @@ def _case6_k3(d, t0, x0):
 
 
 @pytest.mark.parametrize("b, closed_form, bound", [
-    (-0.75, _case6_k3, 2e-9),    # k = 3: 1.39e-9 after the pole
-    (-0.5, _case6_k1, 1e-11),    # k = 1: 7.7e-12 after the pole
+    (-0.75, _case6_k3, 8e-10),   # k = 3: 7.9e-11 after the pole
+    (-0.5, _case6_k1, 6e-12),    # k = 1: 5.7e-13 after the pole
 ], ids=["k=3", "k=1"])
 def test_transit_with_a_re_expanding_mode_keeps_its_accuracy(b, closed_form,
                                                              bound):
@@ -634,6 +634,30 @@ def test_transit_with_a_re_expanding_mode_keeps_its_accuracy(b, closed_form,
     after = [abs(s.x - exact(s.t)) / (1.0 + abs(s.x))
              for s in traj.states if s.t > math.pi + 0.3]
     assert max(after) < bound
+
+
+def test_a_one_ulp_nudge_barely_moves_the_k3_transit(monkeypatch):
+    # the k = 3 transit of f = -0.75*v + 0.8 at pi, its input amplitude
+    # y_in and the entry solve's guesses x_start and v_start each moved
+    # by one ulp: the window's exit y moves by at most 1.6e-11 on 24
+    # nodes, and by up to 3.5e-10 on 48
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return transit(*args)
+
+    transit = deform._pole_transit
+    monkeypatch.setattr(deform, "_pole_transit", recorded)
+    osc = DeformedOscillator("-0.75*v + 0.8", "0", 1.0)
+    integrate_first_integral(osc, 0.3, 0.4, 6.0, rtol=1e-13, atol=1e-15)
+    args = calls[0]
+    exit_y = transit(*args)(args[2])
+    for i in (4, 5, 6):          # y_in, x_start, v_start
+        for toward in (math.inf, -math.inf):
+            nudged = list(args)
+            nudged[i] = math.nextafter(nudged[i], toward)
+            assert abs(transit(*nudged)(args[2]) - exit_y) <= 1.5e-10, i
 
 
 @pytest.mark.parametrize("g_src", ["0", "0.1*sin(t + 0.3)^2"])
@@ -655,8 +679,9 @@ def test_solve_position_is_closed_form_when_g_is_free_of_x(g_src,
 
 
 def test_pole_march_position_solves_per_pole():
-    # each transit_node call solves one state: 149 per pole, the 257
-    # samples included; a finite-difference transit Jacobian would cost
+    # each transit_node call solves one state: 74 per pole, the entry and
+    # pole solves and three Newton sweeps of 24 nodes (the samples read
+    # amplitude_state); a finite-difference transit Jacobian would cost
     # two more per node and Newton iteration
     calls = []
     osc = DeformedOscillator("0", "0.2*x^2", 5.0)
@@ -670,7 +695,7 @@ def test_pole_march_position_solves_per_pole():
     traj = integrate_first_integral(osc, 0.3, 0.4, 0.3 + 100 * math.pi / 5.0)
     poles = len(traj.meta["poles_crossed"])
     assert poles == 100
-    assert len(calls) <= 300 * poles
+    assert len(calls) <= 120 * poles
 
 
 # explicit pairs, (f, g, omega, alpha): g free of x and f free of v
@@ -1015,15 +1040,16 @@ def test_explicit_march_solves_states_only_in_the_transits():
     assert len(traj.meta["poles_crossed"]) == 3
     names = [(name, caller) for name, caller, _ in callers]
     assert set(names) == {("transit_node", "_pole_transit"),
+                          ("transit_node", "collocate"),
                           ("amplitude_state", "state_at")}
     assert names.count(("amplitude_state", "state_at")) == 50
-    # the nodes, 48 per Newton iteration, are one map on one line of
-    # _pole_transit; its left-edge and pole calls are on two others
+    # the nodes, 24 per Newton iteration, are one map in _pole_transit's
+    # collocate; its left-edge and pole calls are on two lines of its own
+    assert collections.Counter(names)[("transit_node", "_pole_transit")] == 6
     transit = collections.Counter(
-        line for name, _, line in callers if name == "transit_node")
-    (_, nodes), *edges = transit.most_common()
-    assert nodes % 48 == 0
-    assert sum(n for _, n in edges) == 6
+        line for name, caller, line in callers if caller == "collocate")
+    (_, nodes), = transit.most_common()
+    assert nodes % 24 == 0
 
 
 @pytest.mark.parametrize("f_src,g_src", _SLOPE_PAIRS)
@@ -1048,16 +1074,31 @@ def test_a_sampled_state_is_the_transit_nodes_bit_for_bit(f_src, g_src):
     assert len(seen) == len(traj.states) == 61
 
 
-def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
-    """The reference for deform._pole_transit: its Newton loop and its
-    smoothness test as they were written before the loop's invariants were
-    hoisted, every matrix rebuilt per iteration and a converged affine
-    crossing confirmed by one more sweep, whose N the smoothness test
-    reads, with cheb_interp's weights computed per call.  Returns the
-    interpolant of y, its nodes and the number of linear solves, or raises
-    NonSmoothPoint where the numerator does not vanish at the pole."""
+def _chebyshev_tail(Y):
+    """The last two Chebyshev coefficients' magnitudes, summed, over the
+    largest, of the series through Y at the extreme points cos(pi*j/n):
+    a_k = (2/n) * sum of Y_j*cos(pi*j*k/n), halved at j = 0, n and at
+    k = 0, n, each coefficient summed on its own."""
+    n = len(Y) - 1
+    half = [0.5 if j in (0, n) else 1.0 for j in range(n + 1)]
+    a = [abs(half[k] * 2.0 / n * sum(half[j] * Y[j]
+                                     * math.cos(math.pi * j * k / n)
+                                     for j in range(n + 1)))
+         for k in range(n + 1)]
+    return (a[-2] + a[-1]) / max(a)
+
+
+def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start, base):
+    """The reference for deform._pole_transit on base + bump nodes: its
+    Newton loop and its smoothness test as they were written before the
+    loop's invariants were hoisted, every matrix rebuilt per iteration and
+    a converged affine crossing confirmed by one more sweep, whose N the
+    smoothness test reads, with cheb_interp's weights computed per call.
+    Returns the interpolant of y, its nodes, the number of linear solves
+    and the Chebyshev tail of the solved y, or raises NonSmoothPoint where
+    the numerator does not vanish at the pole."""
     for bump in range(4):
-        ts, D = cheb_nodes_diff(47 + bump, a, b)
+        ts, D = cheb_nodes_diff(base + bump, a, b)
         nodes = ts.tolist()
         svec = np.array([math.sin(osc.theta(t)) for t in nodes])
         if np.min(np.abs(svec[1:])) > 1e-8:
@@ -1106,27 +1147,32 @@ def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
     num_p = osc.transit_node(xs[k], vs[k], pole, ev(pole))[2]
     if abs(num_p) > 1e-6 * (1.0 + float(np.max(np.abs(N)))):
         raise NonSmoothPoint("N = %r at the pole t = %r" % (num_p, pole))
-    return ev, ts, solves
+    return ev, ts, solves, _chebyshev_tail(Y.tolist())
 
 
+# (f, g, omega, alpha, x0, poles, node base of every transit)
 _TRANSIT_FRAMES = {
     # affine: N = g_t is free of y, and one solve is exact
     "affine sin(theta)^2": ("0", "0.15*sin(1.3*t + 0.3)^2", 1.3, 0.3,
-                            0.4, 3),
-    "f=-0.3x+0.5x^3": ("-0.3*x + 0.5*x^3", "0", 1.3, 0.3, 0.4, 3),
-    "g=0.2x^2": ("0", "0.2*x^2", 1.3, 0.3, 0.4, 3),
+                            0.4, 3, 23),
+    "f=-0.3x+0.5x^3": ("-0.3*x + 0.5*x^3", "0", 1.3, 0.3, 0.4, 3, 23),
+    "g=0.2x^2": ("0", "0.2*x^2", 1.3, 0.3, 0.4, 3, 23),
     # k = 3: the re-expanding mode (t - pi)^3, f reads v
-    "k=3": ("-0.75*v + 0.8", "0", 1.0, 0.0, 0.4, 1),
+    "k=3": ("-0.75*v + 0.8", "0", 1.0, 0.0, 0.4, 1, 23),
+    # a window of half width 0.3/omega = 1.5, whose 24-node series does
+    # not chop (its tail is 1.5e-11 of its largest coefficient): 48 nodes
+    "omega=0.2": ("-0.3*x + 0.5*x^3", "0", 0.2, 0.3, 0.4, 1, 47),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TRANSIT_FRAMES))
 def test_pole_transit_is_the_reference_loop_bit_for_bit(name, monkeypatch):
     # every transit of a march, called with the arguments the march gives
-    # it, against the reference loop: the same bits of y at every node, at
-    # the window's exit, at the pole and between the nodes (through the
-    # barycentric weights), and for an affine crossing one solve
-    f_src, g_src, w, al, x0, poles = _TRANSIT_FRAMES[name]
+    # it, against the reference loop on the frame's node base: the same
+    # bits of y at every node, at the window's exit, at the pole and
+    # between the nodes (through the barycentric weights), and for an
+    # affine crossing one solve
+    f_src, g_src, w, al, x0, poles, base = _TRANSIT_FRAMES[name]
     osc = DeformedOscillator(f_src, g_src, w, alpha=al)
     calls = []
 
@@ -1141,19 +1187,26 @@ def test_pole_transit_is_the_reference_loop_bit_for_bit(name, monkeypatch):
     assert len(calls) == poles
     assert osc.affine_crossing is name.startswith("affine")
     for args in calls:
-        _assert_reference_transit(transit, args)
+        _assert_reference_transit(transit, args, base)
 
 
-def _assert_reference_transit(transit, args):
-    """transit(*args) raises NonSmoothPoint where the reference loop does,
-    or has the same bits of y at every node, at the window's exit, at the
-    pole and between the nodes; an affine crossing takes one solve."""
+def _assert_reference_transit(transit, args, base):
+    """transit(*args) raises NonSmoothPoint where the reference loop on
+    base + bump nodes does, or has the same bits of y at every node, at
+    the window's exit, at the pole and between the nodes; an affine
+    crossing takes one solve.  The node rule picks that base: on 23 the
+    solved series chops (its tail is at most 1e-12), and on 47 the 23-node
+    series does not."""
     try:
-        want, ts, solves = _pole_transit_loop(*args)
+        want, ts, solves, tail = _pole_transit_loop(*args, base)
     except NonSmoothPoint:
         with pytest.raises(NonSmoothPoint):
             transit(*args)
         return
+    if base == 23:
+        assert tail <= 1e-12, (args, tail)
+    else:
+        assert _pole_transit_loop(*args, 23)[3] > 1e-12, args
     got = transit(*args)
     nodes = ts.tolist()
     between = [0.5 * (p + q) for p, q in zip(nodes, nodes[1:])]
@@ -1188,7 +1241,39 @@ def test_a_start_pole_transit_is_the_reference_loop(f_src, t0, smooth,
         with pytest.raises(NonSmoothPoint):
             integrate_first_integral(osc, t0, 0.0, 1.0, v0=1.0)
     assert len(calls) == 1
-    _assert_reference_transit(transit, calls[0])
+    _assert_reference_transit(transit, calls[0], 23)
+
+
+def test_a_failed_24_node_transit_is_the_48_node_reference(monkeypatch):
+    # where the 24-node collocation fails (here an interior 24-node point
+    # refuses its state solve), the transit runs on 48 nodes, whose
+    # points it shares only at the window's edges, and returns the
+    # 48-node reference's bits
+    osc = DeformedOscillator("0", "0.2*x^2", 1.3, alpha=0.3)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return transit(*args)
+
+    transit = deform._pole_transit
+    monkeypatch.setattr(deform, "_pole_transit", recorded)
+    t0 = (math.pi / 2.0 - 0.3) / 1.3
+    integrate_first_integral(osc, t0, 0.4, t0 + math.pi / 1.3 + 0.5)
+    args = calls[0]
+    inner = set(cheb_nodes_diff(23, args[1], args[2])[0].tolist()[1:-1])
+    want = _pole_transit_loop(*args, 47)[0]
+    node = osc.transit_node
+
+    def refusing(x, v, t, u):
+        if t in inner:
+            raise ImplicitNoRoot("refused at t = %r" % t)
+        return node(x, v, t, u)
+
+    osc.transit_node = refusing
+    got = transit(*args)
+    for t in cheb_nodes_diff(47, args[1], args[2])[0].tolist() + [args[3]]:
+        assert got(t).hex() == want(t).hex(), t
 
 
 def _tree_bits(tree):

@@ -30,6 +30,7 @@ from oscdeform.numerics import (
     CumulativeIntegral,
     PhaseState,
     Trajectory,
+    cheb_chops,
     cheb_interp,
     cheb_nodes_diff,
     fd_derivatives,
@@ -928,6 +929,19 @@ def test_cheb_interp_reproduces_polynomials_and_hits_nodes():
     p = cheb_interp(ts, Y)
     assert [p(t) for t in ts.tolist()] == Y.tolist()
     assert abs(p(1.234) - (1.234 ** 7 - 3.0 * 1.234)) < 1e-12
+
+
+def test_cheb_chops_reads_the_last_two_coefficients():
+    # on 24 points exp's series falls to rounding by degree 20, against a
+    # largest coefficient of about 4; a T_22 or T_23 part of 1e-11 does
+    # not chop (the rule is 1e-12 of the largest), one of 1e-12 does
+    ts, _ = cheb_nodes_diff(23, 0.5, 2.0)
+    x = np.arccos(np.clip(1.0 - (ts - 0.5) / 0.75, -1.0, 1.0))
+    assert cheb_chops(np.exp(ts))
+    for k in (22, 23):
+        assert cheb_chops(np.exp(ts) + 1e-12 * np.cos(k * x))
+        assert not cheb_chops(np.exp(ts) + 1e-11 * np.cos(k * x))
+    assert not cheb_chops(np.abs(ts - 1.1))
 
 
 def test_fd_derivatives_on_sine():
