@@ -20,7 +20,7 @@ from .deform import (
     pole_interval,
     pole_times,
 )
-from .exprdsl import Num, _substitute, bind, function, parse
+from .exprdsl import bind
 from .errors import (
     BracketZero,
     BranchViolation,
@@ -105,42 +105,31 @@ def harmonic(A, omega=1.0, alpha=0.0):
 # --- t-only deformations: general quadrature and the two analytic specials ---------
 
 def time_quadrature(f, g, A, omega=1.0, alpha=0.0):
-    """General t-only deformation solved by quadrature:
-    x = sin(theta)*[A + I(t)] with I the integral, from the time t_ref
-    where theta = pi/2 to t, of
-    (omega*cos(theta)*g - f*sin(theta))/sin^2(theta).  I is a
+    """General t-only deformation solved by quadrature in the pole
+    march's amplitude frame: y = (x + g)/sin(theta) is A + g(t_ref) at the
+    time t_ref where theta = pi/2, plus J(t), the integral from t_ref of
+    the march's slope osc.amplitude_slope, (g_t - f)/sin(theta); x and v
+    are osc.amplitude_position and osc.amplitude_state at y.  J is a
     CumulativeIntegral, whose rule alone decides where x exists: it
-    crosses a pole where the integrand is bounded, and across one where
-    it is unbounded no piece certifies, so it raises NoConvergence naming
-    t.  x and v read I(t) first, so a NaN or infinite t raises I's
-    ValueError, which names t."""
+    crosses a pole where g_t - f vanishes, and across one where it does
+    not no piece certifies, so it raises NoConvergence naming t.  x and v
+    read J(t) first, so a NaN or infinite t raises J's ValueError, which
+    names t."""
     A, omega, alpha = _finite(A=A, omega=omega, alpha=alpha)
     osc = DeformedOscillator(bind(f, ("t",)), bind(g, ("t",)), omega,
                              alpha=alpha)
-    w, al = osc.omega, osc.alpha
-
-    # (w*cos(th)*g - f*s)/(s*s) with th = w*t + al and s = sin(th), as one
-    # compiled function of t; unfolded (as parsed), so each operation runs
-    # as written, with the floats of calling osc.g and osc.f
-    integrand = function(_substitute(
-        parse("(w*cos(w*t + a)*g - f*sin(w*t + a))"
-              "/(sin(w*t + a)*sin(w*t + a))"),
-        {"w": Num(w), "a": Num(al), "g": osc.exprs["g"], "f": osc.exprs["f"]}),
-        ("t",))
-    I = CumulativeIntegral(integrand, (math.pi / 2.0 - al) / w)
+    # f and g read t alone: no view reads its x and v guesses, and the
+    # slope reads no u
+    t_ref = (math.pi / 2.0 - osc.alpha) / osc.omega
+    J = CumulativeIntegral(lambda t: osc.amplitude_slope(0.0, 0.0, t, 0.0),
+                           t_ref)
+    y_ref = A + osc.g(t_ref, 0.0, 0.0)
 
     def x_of_t(t):
-        return (A + I(t)) * math.sin(w * t + al)
+        return osc.amplitude_position(0.0, 0.0, t, y_ref + J(t))
 
     def v_of_t(t):
-        amp = A + I(t)
-        th = w * t + al
-        s = math.sin(th)
-        if abs(s) < POLE_GUARD:
-            raise CotangentPole("velocity requested at a pole t = %r" % (t,))
-        c = math.cos(th)
-        return (w * c * amp
-                + w * c / s * osc.g(t, 0.0, 0.0) - osc.f(t, 0.0, 0.0))
+        return osc.amplitude_state(0.0, 0.0, t, y_ref + J(t))[1]
 
     return CatalogSolution("time_quadrature", x_of_t, v_of_t, osc)
 

@@ -474,7 +474,9 @@ def _catalog_solution(args):
                      % (case, ", ".join(catalog.CASE_IDS)))
 
 
-# cases whose solution lives between two cotangent poles
+# cases whose default span is one pole interval: case4_riccati lives
+# between two cotangent poles, and time_quadrature crosses one only where
+# g_t - f vanishes there
 _ONE_POLE_INTERVAL = ("time_quadrature", "case4_riccati")
 
 

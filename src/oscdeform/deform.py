@@ -73,7 +73,8 @@ _DX, _SLOPE, _X, _V, _DYDT, _POSITION, _VELOCITY, _FIRST_INTEGRAL = map(
             "(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)"))
 
 # |sin(omega*t + alpha)| below which a time counts as sitting on a
-# cotangent pole: the explicit slope field and the closed forms refuse it
+# cotangent pole: the explicit slope field refuses it, and so do the
+# Riccati closed forms for their start t0
 POLE_GUARD = 1e-9
 
 
@@ -133,7 +134,8 @@ class DeformedOscillator(_CompiledOnRead):
     partials; each reads as its function of (t, x, v), as in osc.g_x.
     The amplitude frame (_frame) is compiled once, when read, into the
     march's views of (x guess, v guess, t, y): transit_node,
-    amplitude_slope, amplitude_position and amplitude_state;
+    amplitude_slope, amplitude_position and amplitude_state, which
+    catalog.time_quadrature also reads for a t-only deformation;
     first_integral_solve is the compiled velocity of the first integral.
     """
 

@@ -8,7 +8,11 @@ import pytest
 import scipy.special
 
 from oscdeform import apps, catalog, numerics, verify
-from oscdeform.deform import integrate_first_integral
+from oscdeform.deform import (
+    integrate_first_integral,
+    pole_interval,
+    pole_times,
+)
 from oscdeform.errors import (
     BracketZero,
     BranchViolation,
@@ -21,6 +25,7 @@ from oscdeform.errors import (
     NoRealRoot,
     UnboundNameError,
 )
+from oscdeform.exprdsl import depends_on, parse
 from oscdeform.numerics import fd_derivatives, residual_scan
 
 
@@ -142,8 +147,8 @@ def test_case2_closed_form_value():
 
 
 def test_quadrature_refuses_unbounded_pole(monkeypatch):
-    # constant f leaves (omega*cos*g - f*sin)/sin^2 ~ -f/sin unbounded, and
-    # no piece of the quadrature next to t = pi certifies
+    # constant f leaves the slope (g_t - f)/sin(t) = -1/sin(t) unbounded at
+    # t = pi, and no piece of the quadrature next to it certifies
     made = _recorded_quadratures(monkeypatch)
     sol = catalog.time_quadrature("1", "0", 1.0, 1.0, 0.0)
     (I,) = made
@@ -165,6 +170,47 @@ def test_quadrature_crosses_removable_poles():
     t = 4.0                               # beyond t = pi
     A0 = 2.0 + 0.4 * math.pi / 2.0        # amplitude is anchored at t_ref
     assert abs(sol(t) - (A0 - 0.4 * t) * math.sin(t)) < 1e-9
+
+
+def test_quadrature_crosses_poles_where_g_t_minus_f_vanishes():
+    """f = 0.1*sin(t), g = 0.2*cos(t): g is not 0 at the poles, but g_t - f
+    = -0.3*sin(t) is, so the slope -0.3 of y = (x + g)/sin(t) is bounded
+    and x = -0.2*cos(t) + sin(t)*(C - 0.3*t) is smooth across all four
+    poles of [0.5, 13]; v is its derivative, on the poles too."""
+    sol = catalog.time_quadrature("0.1*sin(t)", "0.2*cos(t)", 1.0)
+    t_ref = math.pi / 2.0
+    C = (sol(t_ref) + 0.2 * math.cos(t_ref)) / math.sin(t_ref) + 0.3 * t_ref
+    for t in np.linspace(0.5, 13.0, 251).tolist():
+        exact = -0.2 * math.cos(t) + math.sin(t) * (C - 0.3 * t)
+        assert abs(sol(t) - exact) <= 1e-14 * (1.0 + abs(exact)), t
+    for t in (math.pi, 2.0 * math.pi):
+        exact = -0.1 * math.sin(t) + math.cos(t) * (C - 0.3 * t)
+        assert abs(sol.v_evaluator(t) - exact) <= 1e-14 * (1.0 + abs(exact))
+
+
+_T_ONLY_PAIRS = [
+    (f, g) for f, g in verify.THEOREM_PAIRS
+    if not any(depends_on(parse(e), var) for e in (f, g) for var in "xv")
+] + [("0.1*sin(t + 0.3)", "0.2*cos(t + 0.3)")]
+
+
+@pytest.mark.parametrize("f, g", _T_ONLY_PAIRS)
+def test_march_through_five_poles_is_the_quadrature(f, g):
+    """The pole march of the first integral and time_quadrature integrate
+    one slope in one amplitude frame, so from (0.5, 0.4) through the five
+    poles of [0.5, 0.5 + 5*pi] they agree in x and v to 2e-12, the march
+    at rtol 1e-12, the quadrature's A fitted to x = 0.4 at t0."""
+    t0, x0, t1 = 0.5, 0.4, 0.5 + 5.0 * math.pi
+    sol = catalog.time_quadrature(f, g, 0.0, 1.0, 0.3)
+    A = (x0 - sol(t0)) / math.sin(t0 + 0.3)
+    sol = catalog.time_quadrature(f, g, A, 1.0, 0.3)
+    assert len(pole_times(1.0, 0.3, t0, t1)) == 5
+    ts = np.linspace(t0, t1, 181).tolist()
+    traj = integrate_first_integral(sol.osc, t0, x0, t1, t_eval=ts,
+                                    rtol=1e-12, atol=1e-14)
+    for s in traj.states:
+        assert abs(s.x - sol(s.t)) <= 2e-12, s.t
+        assert abs(s.v - sol.v_evaluator(s.t)) <= 2e-12, s.t
 
 
 def test_case3_corrected_bracket_n2():
@@ -794,34 +840,57 @@ def test_domain_checked_evaluators_refuse_a_non_finite_t_by_name(build, t):
             evaluate(t)
 
 
-def _closure_integrand(osc):
-    """The reference for time_quadrature's compiled integrand: the formula
-    as a closure calling osc.g and osc.f."""
+def _closure_slope(osc):
+    """The reference for time_quadrature's integrand, the march's slope
+    osc.amplitude_slope: (g_t - f)/sin(theta) as a closure calling osc.g_t
+    and osc.f."""
     w, al = osc.omega, osc.alpha
 
-    def integrand(t):
-        th = w * t + al
-        s = math.sin(th)
-        return (w * math.cos(th) * osc.g(t, 0.0, 0.0)
-                - osc.f(t, 0.0, 0.0) * s) / (s * s)
-    return integrand
+    def slope(t):
+        return (osc.g_t(t, 0.0, 0.0) - osc.f(t, 0.0, 0.0)) / math.sin(
+            w * t + al)
+    return slope
 
 
-@pytest.mark.parametrize("f, g, omega, alpha", [
+_QUADRATURE_PAIRS = [
     ("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2", 1.0, 0.3),
     ("0", "0.2*sin(t)^3 + 0.1*t", 1.3, 0.0),
     ("0.1*t - 0.4*cos(2*t)", "0", 0.7, -0.2),
     ("0.2*exp(-t)", "0.05*t^2 - 0.1", 2.0, 1.1),
     ("0", "0", 1.0, 0.0),
-])
+]
+
+
+@pytest.mark.parametrize("f, g, omega, alpha", _QUADRATURE_PAIRS)
 def test_time_quadrature_integrand_is_the_closure_bit_for_bit(
         f, g, omega, alpha, monkeypatch):
     made = _recorded_quadratures(monkeypatch)
     sol = catalog.time_quadrature(f, g, 1.0, omega, alpha)
-    compiled, closure = made[0].integrand, _closure_integrand(sol.osc)
+    compiled, closure = made[0].integrand, _closure_slope(sol.osc)
     rng = random.Random(5)
     for t in [rng.uniform(-6.0, 6.0) for _ in range(200)]:
         assert compiled(t).hex() == closure(t).hex()
+
+
+@pytest.mark.parametrize("f, g, omega, alpha", _QUADRATURE_PAIRS)
+def test_time_quadrature_state_is_the_closure_bit_for_bit(
+        f, g, omega, alpha, monkeypatch):
+    """x = (y_ref + J)*sin(theta) - g and v = omega*(y_ref + J)*cos(theta)
+    - f, with J the recorded quadrature and y_ref = A + g(t_ref), at times
+    between the poles around t_ref, where J exists for every pair."""
+    made = _recorded_quadratures(monkeypatch)
+    sol = catalog.time_quadrature(f, g, 0.7, omega, alpha)
+    (J,) = made
+    osc = sol.osc
+    y_ref = 0.7 + osc.g(J.origin, 0.0, 0.0)
+    lo, hi = pole_interval(omega, alpha, J.origin)
+    rng = random.Random(7)
+    for t in [rng.uniform(lo + 0.01, hi - 0.01) for _ in range(200)]:
+        y, th = y_ref + J(t), omega * t + alpha
+        x = y * math.sin(th) - osc.g(t, 0.0, 0.0)
+        v = omega * y * math.cos(th) - osc.f(t, 0.0, 0.0)
+        assert sol(t).hex() == x.hex()
+        assert sol.v_evaluator(t).hex() == v.hex()
 
 
 def test_time_quadrature_integrand_at_a_pole_is_typed(monkeypatch):

@@ -476,7 +476,7 @@ def test_csv_rows_increase_in_t(capsys, argv):
 
 
 def test_catalog_default_span_of_a_one_pole_interval_case(capsys):
-    # time_quadrature and case4_riccati live between two poles: with
+    # time_quadrature and case4_riccati default to one pole interval: with
     # neither --t0 nor --t1 they run on theta in [0.1, pi - 0.1]; a span
     # given in full, or in part, keeps the old defaults 0 and 2*pi
     argv = ["catalog", "--case", "case4_riccati", "--param", "mu=0.8",

@@ -627,7 +627,8 @@ def _quadrature_of(monkeypatch, build):
 
 
 def _time_quadrature():
-    # g = 0.2*sin(theta)^2 makes the pole at theta = pi removable
+    # g_t - f = sin(theta)*(0.4*cos(theta) - 0.3) vanishes at the poles,
+    # so the slope (g_t - f)/sin(theta) is bounded across theta = pi
     catalog.time_quadrature("0.3*sin(t + 0.3)", "0.2*sin(t + 0.3)^2",
                             0.9, 1.0, 0.3)
 
