@@ -49,9 +49,8 @@ from .exprdsl import (
 )
 from .numerics import (
     _finite,
-    cheb_chops,
-    cheb_interp,
     cheb_nodes_diff,
+    cheb_series,
     integrate,
     sample_trajectory,
     solve_scalar,
@@ -481,16 +480,16 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     stops when the residual or the step is negligible; an affine crossing
     (osc.affine_crossing) stops after its one solve, which is exact, and
     N at the solved amplitude is N - dN*step, with no confirming sweep.
-    The collocation keeps its solution on 24 nodes where the Chebyshev
-    series chops (numerics.cheb_chops), and runs on 48 where it does not
-    or fails; either takes a few more when a node lands on the pole.
-    The smoothness test at the pole compares the numerator there with N
-    at the solved amplitude.  The entry solve at the left edge, from
-    x_start and v_start, and the smoothness test are one transit_node call
-    each.  Returns a polynomial interpolant for y on [a, b] through the
-    kept nodes.  Raises NonSmoothPoint when no smooth crossing exists: the
-    numerator does not vanish at the pole, or an iterate's amplitude
-    leaves the range of x + g (or of v + f) at some node.
+    The solved values give one Chebyshev series (numerics.cheb_series),
+    kept on 24 nodes where it chops; the collocation runs on 48 where it
+    does not or fails, either taking a few more when a node lands on the
+    pole.  The smoothness test at the pole compares the numerator there
+    with N at the solved amplitude.  The entry solve at the left edge,
+    from x_start and v_start, and the smoothness test are one transit_node
+    call each.  Returns that series, y(t) on [a, b].  Raises
+    NonSmoothPoint when no smooth crossing exists: the numerator does not
+    vanish at the pole, or an iterate's amplitude leaves the range of
+    x + g (or of v + f) at some node.
     """
     w, al = osc.omega, osc.alpha
     # the entry solve at node 0, which is a at either node count
@@ -563,23 +562,22 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
                 break
         else:
             raise fail
-        return ts, Y, xs, vs, N
+        return (ts, xs, vs, N) + cheb_series(Y, a, b)
 
     try:
-        ts, Y, xs, vs, N = collocate(23)
+        ts, xs, vs, N, y, chops = collocate(23)
     except NonSmoothPoint:
-        Y = None
-    if Y is None or not cheb_chops(Y):
-        ts, Y, xs, vs, N = collocate(47)
+        chops = False
+    if not chops:
+        ts, xs, vs, N, y, _ = collocate(47)
 
-    interp = cheb_interp(ts, Y)
     # a smooth crossing requires the numerator to vanish with the sine
     k = int(np.argmin(np.abs(ts - pole)))
-    num_p = osc.transit_node(xs[k], vs[k], pole, interp(pole))[2]
+    num_p = osc.transit_node(xs[k], vs[k], pole, y(pole))[2]
     n_scale = 1.0 + float(np.max(np.abs(N)))
     if abs(num_p) > 1e-6 * n_scale:
         raise fail
-    return interp
+    return y
 
 
 def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,

@@ -14,12 +14,14 @@ in plain floats, scipy's brentq step for step, behind a sign check that
 raises the typed NoSignChange.  Quadrature has one rule: it fits each
 piece of a fixed dyadic grid once by a Chebyshev series, splits a piece
 whose fit does not certify into halves, and sums the antiderivatives
-(CumulativeIntegral).  Every implicit relation inverted pointwise (x and
-v of the amplitude frame, the implicit path's velocity at its start, the
-beam's F(u) = K sin(omega*t + phi)) goes through one safeguarded scalar
-solver, solve_scalar, from a law that returns the residual and its slope
-in one call; the oscillator's relations run its Newton loop inside their
-generated code (exprdsl.Solve) and call it only where Newton stalls.
+(CumulativeIntegral); its Clenshaw sum, the one Chebyshev evaluator, also
+sums the pole transit's series (cheb_series).  Every implicit relation
+inverted pointwise (x and v of the amplitude frame, the implicit path's
+velocity at its start, the beam's F(u) = K sin(omega*t + phi)) goes
+through one safeguarded scalar solver, solve_scalar, from a law that
+returns the residual and its slope in one call; the oscillator's
+relations run its Newton loop inside their generated code (exprdsl.Solve)
+and call it only where Newton stalls.
 Nothing here imports scipy; the tests use it as the oracle.
 """
 
@@ -712,21 +714,22 @@ def solve_scalar(law, guess, tol, *params):
 @functools.cache
 def _cheb(n):
     """The n+1 Chebyshev extreme points cos(pi*j/n) on [-1, 1], their
-    differentiation matrix, barycentric weights and the matrix that turns
-    values there into Chebyshev coefficients, read-only, once per n."""
+    differentiation matrix and the matrix that turns values there into
+    Chebyshev coefficients, read-only, once per n."""
     j = np.arange(n + 1)
     xc = np.cos(math.pi * j / n)          # 1 ... -1
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     dx = xc[:, None] - xc[None, :] + np.eye(n + 1)
     D = np.outer(c, 1.0 / c) / dx
     D -= np.diag(D.sum(axis=1))
-    wts = 1.0 / c                         # (-1)^j, halved at both ends
-    # a_k = (2/n) * sum of y_j*T_k(x_j), halved at j = 0, n and k = 0, n
-    hw = np.abs(wts)
-    V = (2.0 / n) * np.outer(hw, hw) * np.cos(math.pi * np.outer(j, j) / n)
-    for a in (xc, D, wts, V):
+    # a_k = (2/n) * sum of y_j*T_k(x_j), halved at j = 0, n and k = 0, n,
+    # with T_k(x_j) = cos(pi*j*k/n) taken at j*k reduced mod 2n, exactly
+    hw = 1.0 / np.abs(c)
+    V = (2.0 / n) * np.outer(hw, hw) * np.cos(
+        math.pi * (np.outer(j, j) % (2 * n)) / n)
+    for a in (xc, D, V):
         a.flags.writeable = False
-    return xc, D, wts, V
+    return xc, D, V
 
 
 def cheb_nodes_diff(n, a, b):
@@ -739,34 +742,18 @@ def cheb_nodes_diff(n, a, b):
     return ts, D * (-2.0 / (b - a))
 
 
-def cheb_interp(ts, Y):
-    """Barycentric interpolant through values Y at the Chebyshev extreme
-    points ts produced by cheb_nodes_diff.
+def cheb_series(Y, a, b):
+    """The Chebyshev series through values Y at cheb_nodes_diff's points
+    on [a, b], as a function of t summed by _clenshaw (t = a, b is x = 1,
+    -1 exactly), and whether it chops: its last two coefficients sum to at
+    most _CHOP of its largest, as a CumulativeIntegral fit's must."""
+    B = (_cheb(len(Y) - 1)[2] @ Y).tolist()
+    chops = abs(B[-2]) + abs(B[-1]) <= _CHOP * max(map(abs, B))
 
-    The weights for this node family are known in closed form, so the
-    evaluation is reproducible bit for bit; a generic weight computation
-    that reorders nodes for conditioning would make repeated runs differ
-    in the last ulp.
-    """
-    wts = _cheb(len(ts) - 1)[2]
+    def series(t):
+        return _clenshaw(B, 1.0 - 2.0 * (t - a) / (b - a))
 
-    def ev(tq):
-        d = tq - ts
-        hit = np.nonzero(d == 0.0)[0]
-        if hit.size:
-            return float(Y[hit[0]])
-        q = wts / d
-        return float((q @ Y) / q.sum())
-
-    return ev
-
-
-def cheb_chops(Y):
-    """Whether the Chebyshev series through values Y at cheb_nodes_diff's
-    points chops: its last two coefficients sum to at most _CHOP of the
-    largest, as a CumulativeIntegral fit's must."""
-    a = np.abs(_cheb(len(Y) - 1)[3] @ Y)
-    return a[-2] + a[-1] <= _CHOP * a.max()
+    return series, chops
 
 
 # --- finite-difference residual scanning ------------------------------------------

@@ -30,9 +30,8 @@ from oscdeform.numerics import (
     CumulativeIntegral,
     PhaseState,
     Trajectory,
-    cheb_chops,
-    cheb_interp,
     cheb_nodes_diff,
+    cheb_series,
     fd_derivatives,
     find_root,
     integrate,
@@ -924,25 +923,53 @@ def test_cheb_nodes_diff_differentiates_polynomials_exactly():
     assert np.max(np.abs(D @ ts ** 5 - 5.0 * ts ** 4)) < 1e-10
 
 
-def test_cheb_interp_reproduces_polynomials_and_hits_nodes():
+@pytest.mark.parametrize("n", [23, 24, 25, 26, 47, 48, 49, 50])
+def test_cheb_coefficient_matrix_is_exact_to_rounding(n):
+    # the values-to-coefficients matrix of every node count the transit
+    # uses, against the same matrix in long double with pi = arccos(-1):
+    # cos(pi*j*k/n) at the unreduced argument, up to pi*n, reads 4.6e-16
+    # to 7.2e-16 off; reduced mod 2n first, at most 7.2e-17
+    j = np.arange(n + 1)
+    pi = np.arccos(np.longdouble(-1.0))
+    hw = np.where((j == 0) | (j == n), np.longdouble(0.5), np.longdouble(1))
+    exact = (np.longdouble(2.0) / n * np.outer(hw, hw)
+             * np.cos(pi * np.outer(j, j).astype(np.longdouble) / n))
+    assert np.max(np.abs(numerics._cheb(n)[2] - exact)) <= 2e-16
+
+
+@pytest.mark.parametrize("f", [math.exp, math.sin])
+def test_cheb_series_reads_exp_and_sin_to_rounding(f):
+    # the 24-point series on [1, 1.6], summed by _clenshaw at 97 points
+    # between the nodes, within 1e-15 relative
+    ts, _ = cheb_nodes_diff(23, 1.0, 1.6)
+    series, chops = cheb_series(np.array([f(t) for t in ts.tolist()]),
+                                1.0, 1.6)
+    assert chops
+    for t in np.linspace(1.0, 1.6, 99)[1:-1].tolist():
+        assert abs(series(t) - f(t)) <= 1e-15 * abs(f(t)), t
+
+
+def test_cheb_series_reproduces_polynomials():
     ts, _ = cheb_nodes_diff(12, 0.5, 2.0)
-    Y = ts ** 7 - 3.0 * ts
-    p = cheb_interp(ts, Y)
-    assert [p(t) for t in ts.tolist()] == Y.tolist()
-    assert abs(p(1.234) - (1.234 ** 7 - 3.0 * 1.234)) < 1e-12
+    series = cheb_series(ts ** 7 - 3.0 * ts, 0.5, 2.0)[0]
+    assert abs(series(1.234) - (1.234 ** 7 - 3.0 * 1.234)) < 1e-12
 
 
-def test_cheb_chops_reads_the_last_two_coefficients():
+def test_cheb_series_chops_on_the_last_two_coefficients():
     # on 24 points exp's series falls to rounding by degree 20, against a
     # largest coefficient of about 4; a T_22 or T_23 part of 1e-11 does
     # not chop (the rule is 1e-12 of the largest), one of 1e-12 does
     ts, _ = cheb_nodes_diff(23, 0.5, 2.0)
     x = np.arccos(np.clip(1.0 - (ts - 0.5) / 0.75, -1.0, 1.0))
-    assert cheb_chops(np.exp(ts))
+
+    def chops(Y):
+        return cheb_series(Y, 0.5, 2.0)[1]
+
+    assert chops(np.exp(ts))
     for k in (22, 23):
-        assert cheb_chops(np.exp(ts) + 1e-12 * np.cos(k * x))
-        assert not cheb_chops(np.exp(ts) + 1e-11 * np.cos(k * x))
-    assert not cheb_chops(np.abs(ts - 1.1))
+        assert chops(np.exp(ts) + 1e-12 * np.cos(k * x))
+        assert not chops(np.exp(ts) + 1e-11 * np.cos(k * x))
+    assert not chops(np.abs(ts - 1.1))
 
 
 def test_fd_derivatives_on_sine():
