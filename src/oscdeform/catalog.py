@@ -108,7 +108,7 @@ def time_quadrature(f, g, A, omega=1.0, alpha=0.0):
     """General t-only deformation solved by quadrature in the pole
     march's amplitude frame: y = (x + g)/sin(theta) is A + g(t_ref) at the
     time t_ref where theta = pi/2, plus J(t), the integral from t_ref of
-    the march's slope osc.amplitude_slope, (g_t - f)/sin(theta); x and v
+    the amplitude's slope osc.amplitude_slope, (g_t - f)/sin(theta); x and v
     are osc.amplitude_position and osc.amplitude_state at y.  J is a
     CumulativeIntegral, whose rule alone decides where x exists: it
     crosses a pole where g_t - f vanishes, and across one where it does

@@ -168,6 +168,8 @@ _COMMANDS = {
 }
 
 _GRID = "solve rcd beam catalog"
+_TOL = ("DOP853 tolerance of solve where g reads v, of solve --method "
+        "second-order and of beam; the pole march resolves y to its chop")
 
 # (flag, the subcommands that read it, its argparse declaration)
 _FLAGS = [
@@ -199,8 +201,8 @@ _FLAGS = [
     ("--t1", "catalog", dict(type=_finite)),
     ("--samples", _GRID, dict(type=_samples, default=101)),
     ("--out", _GRID, dict(help="output path (default: stdout)")),
-    ("--rtol", "solve beam", dict(type=_positive, default=1e-10)),
-    ("--atol", "solve beam", dict(type=_positive, default=1e-12)),
+    ("--rtol", "solve beam", dict(type=_positive, default=1e-10, help=_TOL)),
+    ("--atol", "solve beam", dict(type=_positive, default=1e-12, help=_TOL)),
     ("--x0", "solve beam catalog", dict(type=_finite, default=0.5)),
     ("--v0", "solve", dict(type=_finite)),
     ("--v0", "beam", dict(type=_finite, default=0.0)),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -133,8 +134,9 @@ class DeformedOscillator(_CompiledOnRead):
     partials; each reads as its function of (t, x, v), as in osc.g_x.
     The amplitude frame (_frame) is compiled once, when read, into the
     march's views of (x guess, v guess, t, y): transit_node,
-    amplitude_slope, amplitude_position and amplitude_state, which
-    catalog.time_quadrature also reads for a t-only deformation;
+    amplitude_position and amplitude_state, which
+    catalog.time_quadrature also reads for a t-only deformation, with its
+    slope amplitude_slope;
     first_integral_solve is the compiled velocity of the first integral.
     """
 
@@ -229,7 +231,7 @@ class DeformedOscillator(_CompiledOnRead):
 
     @functools.cached_property
     def amplitude_slope(self):
-        """dy/dt = N/sin(theta), the march's slope, as one function of
+        """dy/dt = N/sin(theta), the amplitude's slope, as one function of
         (x, v, t, u), x and v the guesses."""
         return function(_substitute(_DYDT, {
             "n": self._frame[2], "w": Num(self.omega),
@@ -459,10 +461,11 @@ def fit_alpha(osc, state):
 # --- first-integral integration driver -------------------------------------------
 
 def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
-    """Continue the deformed amplitude y = (x+g)/sin(theta) through the
-    cotangent pole inside (a, b).
+    """Solve the deformed amplitude y = (x+g)/sin(theta) on the piece
+    [a, b] from y(a) = y_in, through the cotangent pole inside it, or on a
+    piece with no pole (pole None).
 
-    Marching through the pole is ill-conditioned: the linearized amplitude
+    Marching through a pole is ill-conditioned: the linearized amplitude
     equation has a mode ~ (t-pole)^k with k = (g_x - f_v)/(1 + f_v) at the
     crossing, which collapses below machine precision approaching the pole
     and re-expands afterwards, so any restart from local data loses the
@@ -470,113 +473,87 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
 
         sin(theta) * dy/dt = dg/dt - f      (regular at the pole)
 
-    is collocated on Chebyshev nodes spanning the whole window with the
-    left-edge value pinned, which recovers the re-expanding mode from the
-    region where it is numerically visible.  Each Newton iteration computes
-    every node by one call of osc.transit_node, its x and v solved inside
-    from that node's last x and v; the call gives the node's numerator N
-    and its exact slope dN/dy, from implicit differentiation at the solved
-    state, so the Jacobian sin(theta)*D - diag(dN/dy) is exact.  Newton
-    stops when the residual or the step is negligible; an affine crossing
-    (osc.affine_crossing) stops after its one solve, which is exact, and
-    N at the solved amplitude is N - dN*step, with no confirming sweep.
-    The solved values give one Chebyshev series (numerics.cheb_series),
-    kept on 24 nodes where it chops; the collocation runs on 48 where it
-    does not or fails, either taking a few more when a node lands on the
-    pole.  The smoothness test at the pole compares the numerator there
-    with N at the solved amplitude.  The entry solve at the left edge,
-    from x_start and v_start, and the smoothness test are one transit_node
-    call each.  Returns that series, y(t) on [a, b].  Raises
-    NonSmoothPoint when no smooth crossing exists: the numerator does not
-    vanish at the pole, or an iterate's amplitude leaves the range of
-    x + g (or of v + f) at some node.
+    is collocated on 24 Chebyshev nodes spanning the piece, a few more when
+    a node lands on the pole, with the left-edge value pinned.  Newton
+    starts from the constant y_in; each iteration computes every node by
+    one call of osc.transit_node, its x and v solved inside from that
+    node's last x and v (first from the entry solve's, at a from x_start
+    and v_start), which also gives the numerator N and its exact slope
+    dN/dy, so the Jacobian sin(theta)*D - diag(dN/dy) is exact.  Newton
+    stops after the step taken from a negligible residual, or at a
+    negligible step; an affine crossing (osc.affine_crossing) stops after
+    its one solve, which is exact, with N at the solved amplitude N -
+    dN*step.  Returns the solved values' Chebyshev series
+    (numerics.cheb_series), y(t) on [a, b] and y_in itself at a; or None
+    where the piece is unresolved: the series does not chop, or Newton
+    fails (a non-finite or singular system, or 30 iterations).  An iterate
+    that leaves the range of x + g (or of v + f) at a node raises the
+    solve's ImplicitNoRoot.  A chopping series through a pole passes the
+    smoothness test, N at the pole against N at the solved amplitude, or
+    raises NonSmoothPoint: the crossing velocity is unbounded.
     """
     w, al = osc.omega, osc.alpha
-    # the entry solve at node 0, which is a at either node count
-    x0, v0, num0 = osc.transit_node(x_start, v_start, a, y_in)[:3]
+    for bump in range(4):
+        ts, D = cheb_nodes_diff(23 + bump, a, b)
+        nodes = ts.tolist()
+        sines = [math.sin(w * t + al) for t in nodes]
+        # a node sitting on the pole would contribute a zero row; node 0 is
+        # exempt because its row is replaced by the boundary condition
+        # (which allows a piece that starts on the pole)
+        if min(map(abs, sines[1:])) > 1e-8:
+            break
+    m, svec = len(nodes), np.array(sines)
+    # the Jacobian less diag(dN/dy); row 0 is the boundary condition's
+    SD = svec[:, None] * D
+    SD[0], SD[0, 0] = 0.0, 1.0
+    xs, vs = osc.transit_node(x_start, v_start, a, y_in)[:2]
+    xs, vs = [xs] * m, [vs] * m
+    Y = np.full(m, float(y_in))
     scale = 1.0 + abs(y_in)
-    fail = NonSmoothPoint(
-        "no smooth continuation of the deformed amplitude y = (x+g)/sin "
-        "through the pole t = %r; the deformation leaves the crossing "
-        "velocity unbounded there" % pole)
-
-    def collocate(base):
-        for bump in range(4):
-            ts, D = cheb_nodes_diff(base + bump, a, b)
-            nodes = ts.tolist()
-            sines = [math.sin(w * t + al) for t in nodes]
-            # a node sitting on the pole would contribute a zero row; node
-            # 0 is exempt because its row is replaced by the boundary
-            # condition (which allows a window that starts on the pole)
-            if min(map(abs, sines[1:])) > 1e-8:
-                break
-        m, svec = len(nodes), np.array(sines)
-        # the Jacobian less diag(dN/dy); row 0 is the boundary condition's
-        SD = svec[:, None] * D
-        SD[0], SD[0, 0] = 0.0, 1.0
-        # the first solves start from the entry solve's state; later
-        # solves at a node start where that node's last iteration ended
-        xs, vs = [x0] * m, [v0] * m
-        if abs(svec[0]) > 1e-8:
-            Y = y_in + (num0 / svec[0]) * (ts - ts[0])
-        else:
-            Y = np.full(m, float(y_in))
-        for _ in range(30):
-            try:
-                xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
-                                         Y.tolist()))
-            except ImplicitNoRoot as exc:
-                raise NonSmoothPoint(
-                    "no smooth continuation of the deformed amplitude y = "
-                    "(x+g)/sin through the pole t = %r: at a collocation "
-                    "node the amplitude left the range of x + g = "
-                    "y*sin(theta) or of v + f = omega*y*cos(theta) (%s)"
-                    % (pole, exc)) from exc
-            F = svec * (D @ Y) - N
-            F[0] = Y[0] - y_in
-            if not (np.isfinite(F).all() and all(map(math.isfinite, dN))):
-                raise fail
-            J = SD.copy()
-            J.ravel()[m + 1::m + 1] -= dN[1:]
-            # rows whose sine and dN both vanish (neutral crossings) make
-            # the raw system numerically singular; equilibrate before
-            # judging convergence or solving
-            r = np.abs(J).max(axis=1)
-            r[r == 0.0] = 1.0
-            F /= r
-            if np.abs(F).max() <= 1e-12 * scale:
-                break
-            try:
-                step = np.linalg.solve(J / r[:, None], F)
-            except np.linalg.LinAlgError:
-                raise fail
-            Y -= step
-            if not np.isfinite(Y).all():
-                raise fail
-            if osc.affine_crossing:
-                # N is affine in y: the solve is exact, and N - dN*step is
-                # N at the solved Y, which the smoothness test reads
-                N = np.subtract(N, np.multiply(dN, step))
-                break
-            if np.abs(step).max() <= 1e-14 * (1.0 + np.abs(Y).max()):
-                break
-        else:
-            raise fail
-        return (ts, xs, vs, N) + cheb_series(Y, a, b)
-
-    try:
-        ts, xs, vs, N, y, chops = collocate(23)
-    except NonSmoothPoint:
-        chops = False
+    for _ in range(30):
+        xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
+                                 Y.tolist()))
+        F = svec * (D @ Y) - N
+        F[0] = Y[0] - y_in
+        if not (np.isfinite(F).all() and all(map(math.isfinite, dN))):
+            return None
+        J = SD.copy()
+        J.ravel()[m + 1::m + 1] -= dN[1:]
+        # rows whose sine and dN both vanish (neutral crossings) make the
+        # raw system numerically singular; equilibrate before judging
+        # convergence or solving
+        r = np.abs(J).max(axis=1)
+        r[r == 0.0] = 1.0
+        F /= r
+        try:
+            step = np.linalg.solve(J / r[:, None], F)
+        except np.linalg.LinAlgError:
+            return None
+        Y -= step
+        if not np.isfinite(Y).all():
+            return None
+        if osc.affine_crossing:
+            # N is affine in y: the solve is exact, and N - dN*step is N at
+            # the solved Y, which the smoothness test reads
+            N = np.subtract(N, np.multiply(dN, step))
+            break
+        if (np.abs(F).max() <= 1e-12 * scale
+                or np.abs(step).max() <= 1e-14 * (1.0 + np.abs(Y).max())):
+            break
+    else:
+        return None
+    y, chops = cheb_series(Y, a, b)
     if not chops:
-        ts, xs, vs, N, y, _ = collocate(47)
-
-    # a smooth crossing requires the numerator to vanish with the sine
-    k = int(np.argmin(np.abs(ts - pole)))
-    num_p = osc.transit_node(xs[k], vs[k], pole, y(pole))[2]
-    n_scale = 1.0 + float(np.max(np.abs(N)))
-    if abs(num_p) > 1e-6 * n_scale:
-        raise fail
+        return None
+    if pole is not None:
+        # a smooth crossing requires the numerator to vanish with the sine
+        k = int(np.argmin(np.abs(ts - pole)))
+        num_p = osc.transit_node(xs[k], vs[k], pole, y(pole))[2]
+        if abs(num_p) > 1e-6 * (1.0 + float(np.max(np.abs(N)))):
+            raise NonSmoothPoint(
+                "no smooth continuation of the deformed amplitude y = "
+                "(x+g)/sin through the pole t = %r; the deformation leaves "
+                "the crossing velocity unbounded there" % pole)
     return y
 
 
@@ -585,28 +562,32 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     """Integrate dx/dt given by the first integral from (t0, x0) to t1 > t0.
 
     The slope field has cotangent poles at t_n = (n*pi - alpha)/omega, where
-    solutions cross x+g = 0.  For v-independent g the driver works in the
-    deformed amplitude y = (x+g)/sin(theta): it marches dy/dt between
-    poles and crosses each pole by spectral collocation of the regular
-    sine-multiplied equation (see _pole_transit); x is recovered by solving
-    x + g(t,x) = y*sin(theta) and v from v + f = omega*y*cos(theta), so no
-    quantity is ever divided by a small sine.  Each step of the march
-    between poles is one call of osc.amplitude_slope with the guesses x0
-    and v0, and each sample one call of osc.amplitude_state: functions
-    compiled once per oscillator, closed forms where g is free of x and f
-    of v, and solve_scalar's Newton loop inside the code where g reads x
-    or f reads v, with solve_scalar itself called only where Newton
-    stalls.  Every Newton solve for x starts from x0 and every one for v
-    from v0 (by default the first integral's velocity at (t0, x0)), so a
-    law with several roots stays on the initial condition's branch.  When
-    t0 sits on a pole, v0 also pins the crossing amplitude.
+    solutions cross x+g = 0.  For v-independent g the driver solves the
+    deformed amplitude y = (x+g)/sin(theta) on pieces a quarter period
+    wide, cut at theta = n*pi +- pi/4, so each crossed pole lies inside a
+    piece of its own; each piece is Chebyshev collocation of the regular
+    sine-multiplied equation (see _pole_transit), pinned at its left edge
+    to the last piece's exit.  A piece left unresolved splits into halves,
+    or, where its pole would be the split, into a quarter and the rest, at
+    most 8 times; then the march raises NonSmoothPoint.  x is recovered by
+    solving x + g(t,x) = y*sin(theta) and v from v + f = omega*y*cos(theta),
+    so no quantity is ever divided by a small sine: each node and each
+    sample is one call of a function compiled once per oscillator
+    (osc.transit_node, osc.amplitude_state), with solve_scalar's Newton
+    loop inline where g reads x or f reads v.  Every Newton solve for x
+    starts from x0 and every one for v from v0 (by default the first
+    integral's velocity at (t0, x0)), so a law with several roots stays on
+    the initial condition's branch.  When t0 sits on a pole, v0 also pins
+    the crossing amplitude.  The collocation resolves y to its chop test,
+    so rtol and atol govern only the path below.
 
     When g depends on v the first integral G = 0 is regular at the poles:
     one solve at t0 from the guess v0 (0 by default) gives v, and
     integrate_form marches (x, v) on G_v*xdd + G_x*xd + G_t = 0, G = 0
-    differentiated (Hairer & Wanner, Solving ODEs II, ch. VII).  A fold of
-    the velocity law raises NonSmoothPoint naming its t: G_v leaves its
-    starting sign, or the march stalls with |G_v| below 1e-6 of it.
+    differentiated (Hairer & Wanner, Solving ODEs II, ch. VII), at rtol
+    and atol.  A fold of the velocity law raises NonSmoothPoint naming its
+    t: G_v leaves its starting sign, or the march stalls with |G_v| below
+    1e-6 of it.
 
     meta["x_of_t"] and meta["v_of_t"] are the dense solution; their values
     depend on t alone, and the states are their values at t_eval (see
@@ -671,43 +652,58 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
     if v0 is None:
         v0 = first_integral_velocity(osc, t0, x0)
 
-    # v-independent g: march the deformed amplitude between poles and hand
-    # each pole window to the collocation transit
+    # v-independent g: no cut within pi/8 of theta at t0 or t1
     poles = pole_times(w, osc.alpha, t0 + 2.0 * delta, t1 - 2.0 * delta)
-    half = 0.3 / w           # collocation half-width around each pole
-
-    slope = functools.partial(osc.amplitude_slope, x0, v0)
     if start_pole is None:
-        y0 = (x0 + osc.g(t0, x0, 0.0)) / math.sin(osc.theta(t0))
+        y = (x0 + osc.g(t0, x0, 0.0)) / math.sin(osc.theta(t0))
     else:
-        y0 = (v0 + osc.f(t0, x0, v0)) / (w * math.cos(osc.theta(t0)))
+        y = (v0 + osc.f(t0, x0, v0)) / (w * math.cos(osc.theta(t0)))
         if t1 > t0 + 1e-13:
-            # the start pole is the first transit window, which begins at t0
+            # the start pole belongs to the first piece, which begins at t0
             poles.insert(0, start_pole)
-    pieces = []              # (lo, hi, y callable)
-    poles_crossed = []
-
-    cur_t, cur_y = t0, y0
-    for p in poles:
-        wa, wb = max(p - half, t0), min(p + half, t1)
-        if cur_t < wa - 1e-13:
-            y_dense, = integrate(slope, cur_t, cur_y, wa,
-                                 rtol=rtol, atol=atol)
-            pieces.append((cur_t, wa, y_dense))
-            cur_t, cur_y = wa, y_dense(wa)
-        interp = _pole_transit(osc, cur_t, wb, p, cur_y, x0, v0)
-        pieces.append((cur_t, wb, interp))
-        cur_t, cur_y = wb, interp(wb)
-        poles_crossed.append(p)
-    if cur_t < t1 - 1e-13 or not pieces:
-        y_dense, = integrate(slope, cur_t, cur_y, t1, rtol=rtol, atol=atol)
-        pieces.append((cur_t, t1, y_dense))
+    quarter = 0.5 * math.pi
+    cuts = [((n + 0.5) * quarter - osc.alpha) / w for n in range(
+        math.ceil((w * t0 + osc.alpha) / quarter - 0.25),
+        math.floor((w * t1 + osc.alpha) / quarter - 0.75) + 1)]
+    edges = [t0] + cuts + [t1]
+    todo = [(a, b, 0) for a, b in zip(edges[-2::-1], edges[:0:-1])]
+    pieces = []              # (lo, hi, y callable), in increasing time
+    crossed = 0              # poles already in a kept piece
+    while todo:
+        a, b, depth = todo.pop()
+        pole = (poles[crossed] if crossed < len(poles)
+                and poles[crossed] <= b else None)
+        try:
+            interp, cause = _pole_transit(osc, a, b, pole, y, x0, v0), None
+        except ImplicitNoRoot as exc:
+            interp, cause = None, exc
+        if interp is None:
+            if depth == 8:
+                raise NonSmoothPoint(
+                    "no smooth continuation of the deformed amplitude y = "
+                    "(x+g)/sin %s: %s" % (
+                        "through the pole t = %r" % pole if pole is not None
+                        else "on [%r, %r]" % (a, b),
+                        "its collocation does not resolve y on a piece of "
+                        "width %.3g" % (b - a) if cause is None else
+                        "at a collocation node the amplitude left the range "
+                        "of x + g = y*sin(theta) or of v + f = "
+                        "omega*y*cos(theta) (%s)" % cause)) from cause
+            mid = 0.5 * (a + b)
+            if pole is not None and abs(pole - mid) < 0.125 * (b - a):
+                mid += (0.25 if pole < mid else -0.25) * (b - a)
+            todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+            continue
+        pieces.append((a, b, interp))
+        y = interp(b)
+        crossed += pole is not None
+    lows = [lo for lo, _, _ in pieces]
 
     def y_at(tq):
-        for lo, hi, fn in pieces:
-            if lo - 1e-12 <= tq <= hi + 1e-12:
-                return fn(min(max(tq, lo), hi))
-        raise ValueError("time %r outside the integrated span" % tq)
+        if not t0 - 1e-12 <= tq <= t1 + 1e-12:
+            raise ValueError("time %r outside the integrated span" % tq)
+        lo, hi, fn = pieces[max(bisect_right(lows, tq) - 1, 0)]
+        return fn(min(max(tq, lo), hi))
 
     def state_at(tq):
         tq = float(tq)
@@ -718,7 +714,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         return osc.amplitude_position(x0, v0, tq, y_at(tq))
 
     return sample_trajectory(state_at, t0, t1, t_eval,
-                             {"poles_crossed": poles_crossed,
+                             {"poles_crossed": poles,
                               "x_of_t": x_of_t})
 
 

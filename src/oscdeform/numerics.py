@@ -4,24 +4,23 @@ residual scanning.
 
 The solver is DOP853 (8th-order embedded Runge-Kutta), scipy's algorithm
 step for step in plain floats (see integrate), which returns the dense
-solution.  It marches a scalar (the deformed amplitude, case4's Riccati
-law) or a pair: every second-order form in (x, v) goes through
-deform.integrate_form, the first integral's implicit path (g reads v)
-included.  sample_trajectory samples a pure state_at(t) once per distinct
-time, in increasing order, into a Trajectory, the record of those states
-and of the solution's meta.  Root finding on a bracket is Brent's method
-in plain floats, scipy's brentq step for step, behind a sign check that
-raises the typed NoSignChange.  Quadrature has one rule: it fits each
-piece of a fixed dyadic grid once by a Chebyshev series, splits a piece
-whose fit does not certify into halves, and sums the antiderivatives
-(CumulativeIntegral); its Clenshaw sum, the one Chebyshev evaluator, also
-sums the pole transit's series (cheb_series).  Every implicit relation
-inverted pointwise (x and v of the amplitude frame, the implicit path's
-velocity at its start, the beam's F(u) = K sin(omega*t + phi)) goes
-through one safeguarded scalar solver, solve_scalar, from a law that
-returns the residual and its slope in one call; the oscillator's
-relations run its Newton loop inside their generated code (exprdsl.Solve)
-and call it only where Newton stalls.
+solution.  It marches a scalar (case4's Riccati law) or a pair: every
+second-order form in (x, v) goes through deform.integrate_form, the first
+integral's implicit path (g reads v) included.  sample_trajectory samples
+a pure state_at(t) once per distinct time, in increasing order, into a
+Trajectory, the record of those states and of the solution's meta.  Root
+finding on a bracket is Brent's method in plain floats, scipy's brentq
+step for step, behind a sign check that raises the typed NoSignChange.
+Quadrature has one rule: it fits each piece of a fixed dyadic grid once by
+a Chebyshev series, splits a piece whose fit does not certify into halves,
+and sums the antiderivatives (CumulativeIntegral); its Clenshaw sum, the
+one Chebyshev evaluator, also sums the pole transit's series
+(cheb_series).  Every implicit relation inverted pointwise (x and v of the
+amplitude frame, the implicit path's velocity at its start, the beam's
+F(u) = K sin(omega*t + phi)) goes through one safeguarded scalar solver,
+solve_scalar, from a law that returns the residual and its slope in one
+call; the oscillator's relations run its Newton loop inside their
+generated code (exprdsl.Solve) and call it only where Newton stalls.
 Nothing here imports scipy; the tests use it as the oracle.
 """
 
@@ -744,14 +743,17 @@ def cheb_nodes_diff(n, a, b):
 
 def cheb_series(Y, a, b):
     """The Chebyshev series through values Y at cheb_nodes_diff's points
-    on [a, b], as a function of t summed by _clenshaw (t = a, b is x = 1,
-    -1 exactly), and whether it chops: its last two coefficients sum to at
-    most _CHOP of its largest, as a CumulativeIntegral fit's must."""
+    on [a, b], as a function of t summed by _clenshaw (t = b is x = -1
+    exactly), which returns the node value Y[0] itself at t = a, where a
+    collocation pins it; and whether it chops: its last two coefficients
+    sum to at most _CHOP of its largest, as a CumulativeIntegral fit's
+    must."""
     B = (_cheb(len(Y) - 1)[2] @ Y).tolist()
     chops = abs(B[-2]) + abs(B[-1]) <= _CHOP * max(map(abs, B))
+    first = float(Y[0])
 
     def series(t):
-        return _clenshaw(B, 1.0 - 2.0 * (t - a) / (b - a))
+        return first if t == a else _clenshaw(B, 1.0 - 2.0 * (t - a) / (b - a))
 
     return series, chops
 

@@ -129,7 +129,7 @@ def suite_catalog():
         traj = integrate_first_integral(sol.osc, lo, sol(lo), hi,
                                         t_eval=grid)
         gap = max_abs(s.x - sol(s.t) for s in traj.states)
-        out.append(_check("catalog/%s/rk-match" % sol.case_id, gap, 1e-8))
+        out.append(_check("catalog/%s/rk-match" % sol.case_id, gap, 1e-9))
     return out
 
 

@@ -505,16 +505,21 @@ def test_solve_stops_at_a_fold_of_the_velocity_law(capsys):
 
 
 def test_transit_leaving_the_range_of_x_plus_g_is_non_smooth(capsys):
-    # x + 0.2*x^2 never goes below -1.25; a collocation iterate through the
-    # pole at 2*pi/5 asks for less from the branch x < -2.5
+    # x + 0.2*x^2 never goes below -1.25; approaching the pole at 2*pi/5,
+    # where the numerator does not vanish, the amplitude asks for less
+    # from the branch x < -2.5 at a collocation node of every piece the
+    # pole piece splits into, down to the last split
     code = cli.main(["solve", "--f", "1", "--g", "0.2*x^2", "--omega", "5",
                      "--t0", "0.6283185307179586", "--t1", "2",
                      "--x0", "-5", "--v0", "-0.5"])
     assert code == 2
     err = capsys.readouterr().err
     assert "NonSmoothPoint" in err and "range of x + g" in err
-    pole = float(re.search(r"pole t = ([-+.0-9e]+)", err).group(1))
-    assert abs(pole - 2 * math.pi / 5) < 1e-12
+    a, b = map(float, re.search(r"on \[([-+.0-9e]+), ([-+.0-9e]+)\]",
+                                err).groups())
+    # inside the pole piece, a quarter period around 2*pi/5, just before
+    # the pole
+    assert 2 * math.pi / 5 - math.pi / 20 < a < b < 2 * math.pi / 5
 
 
 def test_exit_two_on_numerical_failure(capsys):
@@ -687,3 +692,15 @@ def test_constant_power_beyond_the_double_range(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.strip() == "numerical failure: EvalDomainError: overflow in power"
+
+
+def test_a_start_on_a_pole_prints_its_pinned_velocity(capsys):
+    # the march starts on the pole t0 = 0 with x0 = 0: the first piece is
+    # pinned to the amplitude that v0 gives, and returns it at t0 itself,
+    # so the first row is the initial state bit for bit
+    code = cli.main(["solve", "--samples", "3", "--g", "0.2*x^2",
+                     "--f", "-0.3*x + 0.5*x^3", "--alpha", "0", "--t0", "0",
+                     "--x0", "0", "--v0", "0.5", "--t1", "7"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "0,0,0.5"

@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import gc
 import math
 import re
@@ -638,10 +639,9 @@ def test_transit_with_a_re_expanding_mode_keeps_its_accuracy(b, closed_form,
 
 
 def test_a_one_ulp_nudge_barely_moves_the_k3_transit(monkeypatch):
-    # the k = 3 transit of f = -0.75*v + 0.8 at pi, its input amplitude
-    # y_in and the entry solve's guesses x_start and v_start each moved
-    # by one ulp: the window's exit y moves by at most 1.6e-11 on 24
-    # nodes, and by up to 3.5e-10 on 48
+    # the k = 3 pole piece of f = -0.75*v + 0.8 at pi, its input
+    # amplitude y_in and the entry solve's guesses x_start and v_start
+    # each moved by one ulp: the piece's exit y moves by at most 1.5e-10
     calls = []
 
     def recorded(*args):
@@ -652,7 +652,8 @@ def test_a_one_ulp_nudge_barely_moves_the_k3_transit(monkeypatch):
     monkeypatch.setattr(deform, "_pole_transit", recorded)
     osc = DeformedOscillator("-0.75*v + 0.8", "0", 1.0)
     integrate_first_integral(osc, 0.3, 0.4, 6.0, rtol=1e-13, atol=1e-15)
-    args = calls[0]
+    args, = [args for args in calls if args[3] is not None]
+    assert args[3] == pytest.approx(math.pi)
     exit_y = transit(*args)(args[2])
     for i in (4, 5, 6):          # y_in, x_start, v_start
         for toward in (math.inf, -math.inf):
@@ -680,10 +681,11 @@ def test_solve_position_is_closed_form_when_g_is_free_of_x(g_src,
 
 
 def test_pole_march_position_solves_per_pole():
-    # each transit_node call solves one state: 74 per pole, the entry and
-    # pole solves and three Newton sweeps of 24 nodes (the samples read
-    # amplitude_state); a finite-difference transit Jacobian would cost
-    # two more per node and Newton iteration
+    # each transit_node call solves one state: about 172 per pole, two
+    # pieces of an entry solve and three or four Newton sweeps of 24 nodes
+    # each, and the pole solve (the samples read amplitude_state); a
+    # finite-difference transit Jacobian would cost two more per node and
+    # Newton iteration
     calls = []
     osc = DeformedOscillator("0", "0.2*x^2", 5.0)
     node = osc.transit_node
@@ -696,7 +698,7 @@ def test_pole_march_position_solves_per_pole():
     traj = integrate_first_integral(osc, 0.3, 0.4, 0.3 + 100 * math.pi / 5.0)
     poles = len(traj.meta["poles_crossed"])
     assert poles == 100
-    assert len(calls) <= 120 * poles
+    assert len(calls) <= 180 * poles
 
 
 # explicit pairs, (f, g, omega, alpha): g free of x and f free of v
@@ -774,13 +776,21 @@ def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
         checked += 1
 
 
+def _reference_node(osc, x0, v0, t, y):
+    """transit_node solved step by step: _reference_state, and the
+    transit's trees evaluated there."""
+    x, v = _reference_state(osc, x0, v0, t, y)
+    state = {"t": t, "x": x, "v": v}
+    return (x, v) + tuple(evaluate(tree, state) for tree in osc.transit_exprs)
+
+
 @pytest.mark.parametrize("f_src,g_src,omega,alpha", [
     _EXPLICIT_PAIRS[0], _EXPLICIT_PAIRS[3], _NEWTON_PAIRS[0],
     _NEWTON_PAIRS[2], _NEWTON_PAIRS[3]])
 def test_march_is_the_march_on_the_step_by_step_slope(f_src, g_src, omega,
                                                        alpha, monkeypatch):
-    # every state and the dense solution between them, with the slope
-    # compiled and with the slope solved step by step
+    # every state and the dense solution between them, with the node
+    # function compiled and with the node solved step by step
     def march():
         osc = DeformedOscillator(f_src, g_src, omega, alpha=alpha)
         t0 = (math.pi / 2.0 + 0.2 - alpha) / omega
@@ -792,8 +802,9 @@ def test_march_is_the_march_on_the_step_by_step_slope(f_src, g_src, omega,
                 [repr(traj.meta["x_of_t"](t)) for t in ts])
 
     compiled = march()
-    monkeypatch.setattr(DeformedOscillator, "amplitude_slope",
-                        _reference_slope)
+    # a property wins over the node function cached on the instance
+    monkeypatch.setattr(DeformedOscillator, "transit_node", property(
+        lambda osc: functools.partial(_reference_node, osc)))
     assert compiled == march()
     assert len(compiled[1]) == 3
 
@@ -1016,10 +1027,10 @@ def test_a_guess_within_the_tolerance_is_the_root():
 
 
 def test_explicit_march_solves_states_only_in_the_transits():
-    # between poles the march calls the compiled amplitude_slope; each
-    # transit solves one state at its left edge and one at its pole, and
-    # its nodes, through transit_node; each sample solves one state
-    # through the (x, v) view amplitude_state
+    # the march solves states only in its pieces' collocations: each
+    # piece solves one state at its left edge and one at its pole, if it
+    # holds one, and its nodes, through transit_node; each sample solves
+    # one state through the (x, v) view amplitude_state
     callers = []
     osc = DeformedOscillator("-0.3*x + 0.5*x^3", "0", 1.3, alpha=0.3)
 
@@ -1035,21 +1046,35 @@ def test_explicit_march_solves_states_only_in_the_transits():
 
     count("transit_node")
     count("amplitude_state")
-    t0 = (math.pi / 2.0 - 0.3) / 1.3
-    traj = integrate_first_integral(osc, t0, 0.4, t0 + 3.0 * math.pi / 1.3,
-                                    t_eval=np.linspace(t0, t0 + 7.0, 50))
+    pieces = []
+    transit = deform._pole_transit
+
+    def recorded(*args):
+        pieces.append(args)
+        return transit(*args)
+
+    deform._pole_transit = recorded
+    try:
+        t0 = (math.pi / 2.0 - 0.3) / 1.3
+        traj = integrate_first_integral(osc, t0, 0.4, t0 + 3.0 * math.pi / 1.3,
+                                        t_eval=np.linspace(t0, t0 + 7.0, 50))
+    finally:
+        deform._pole_transit = transit
     assert len(traj.meta["poles_crossed"]) == 3
+    # three pole pieces between four pole-free ones: no piece splits
+    assert len(pieces) == 7
+    assert [args[3] is not None for args in pieces] == [False, True] * 3 + [
+        False]
     names = [(name, caller) for name, caller, _ in callers]
     assert set(names) == {("transit_node", "_pole_transit"),
-                          ("transit_node", "collocate"),
                           ("amplitude_state", "state_at")}
     assert names.count(("amplitude_state", "state_at")) == 50
-    # the nodes, 24 per Newton iteration, are one map in _pole_transit's
-    # collocate; its left-edge and pole calls are on two lines of its own
-    assert collections.Counter(names)[("transit_node", "_pole_transit")] == 6
-    transit = collections.Counter(
-        line for name, caller, line in callers if caller == "collocate")
-    (_, nodes), = transit.most_common()
+    # one line of _pole_transit makes each piece's entry solve, one each
+    # pole solve, and one map makes the nodes, 24 per Newton iteration
+    lines = collections.Counter(
+        line for name, caller, line in callers if caller == "_pole_transit")
+    (_, nodes), (_, entries), (_, at_poles) = lines.most_common()
+    assert (entries, at_poles) == (7, 3)
     assert nodes % 24 == 0
 
 
@@ -1110,35 +1135,34 @@ def _barycentric(ts, Y):
     return ev
 
 
-def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start, base):
-    """The reference for deform._pole_transit on base + bump nodes: its
+def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
+    """The reference for deform._pole_transit on its node count: its
     Newton loop and its smoothness test as they were written before the
     loop's invariants were hoisted, every matrix rebuilt per iteration and
     a converged affine crossing confirmed by one more sweep, whose N the
     smoothness test reads, with y read from numerics.cheb_series through
     the solved values.  Returns that series, its nodes, the solved values,
     the number of linear solves and the Chebyshev tail of the solved y, or
-    raises NonSmoothPoint where the numerator does not vanish at the
-    pole."""
+    raises NonSmoothPoint where the series chops and the numerator does
+    not vanish at the pole."""
     for bump in range(4):
-        ts, D = cheb_nodes_diff(base + bump, a, b)
+        ts, D = cheb_nodes_diff(23 + bump, a, b)
         nodes = ts.tolist()
         svec = np.array([math.sin(osc.theta(t)) for t in nodes])
         if np.min(np.abs(svec[1:])) > 1e-8:
             break
     m = len(ts)
-    x0, v0, num0 = osc.transit_node(x_start, v_start, ts[0], y_in)[:3]
+    x0, v0 = osc.transit_node(x_start, v_start, ts[0], y_in)[:2]
     xs, vs = [x0] * m, [v0] * m
-    if abs(svec[0]) > 1e-8:
-        Y = y_in + (num0 / svec[0]) * (ts - ts[0])
-    else:
-        Y = np.full(m, float(y_in))
+    Y = np.full(m, float(y_in))
     scale = 1.0 + abs(y_in)
     solves = 0
     for _ in range(30):
         xs, vs, N, dN = zip(*map(osc.transit_node, xs, vs, nodes,
                                  Y.tolist()))
         N, dN = np.array(N), np.array(dN)
+        if osc.affine_crossing and solves:
+            break
         F = svec * (D @ Y) - N
         F[0] = Y[0] - y_in
         assert np.all(np.isfinite(F)) and np.all(np.isfinite(dN))
@@ -1147,44 +1171,43 @@ def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start, base):
         J[0, 0] = 1.0
         r = np.max(np.abs(J), axis=1)
         r[r == 0.0] = 1.0
-        if np.max(np.abs(F / r)) <= 1e-12 * scale:
-            break
         step = np.linalg.solve(J / r[:, None], F / r)
         solves += 1
         Y -= step
-        if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(Y))):
+        if (not osc.affine_crossing
+                and (np.max(np.abs(F / r)) <= 1e-12 * scale
+                     or np.max(np.abs(step))
+                     <= 1e-14 * (1.0 + np.max(np.abs(Y))))):
             break
     ev = cheb_series(Y, a, b)[0]
-    k = int(np.argmin(np.abs(ts - pole)))
-    num_p = osc.transit_node(xs[k], vs[k], pole, ev(pole))[2]
-    if abs(num_p) > 1e-6 * (1.0 + float(np.max(np.abs(N)))):
-        raise NonSmoothPoint("N = %r at the pole t = %r" % (num_p, pole))
-    return ev, ts, Y, solves, _chebyshev_tail(Y.tolist())
+    tail = _chebyshev_tail(Y.tolist())
+    if pole is not None and tail <= 1e-12:
+        k = int(np.argmin(np.abs(ts - pole)))
+        num_p = osc.transit_node(xs[k], vs[k], pole, ev(pole))[2]
+        if abs(num_p) > 1e-6 * (1.0 + float(np.max(np.abs(N)))):
+            raise NonSmoothPoint("N = %r at the pole t = %r" % (num_p, pole))
+    return ev, ts, Y, solves, tail
 
 
-# (f, g, omega, alpha, x0, poles, node base of every transit)
+# (f, g, omega, alpha, x0, poles)
 _TRANSIT_FRAMES = {
     # affine: N = g_t is free of y, and one solve is exact
     "affine sin(theta)^2": ("0", "0.15*sin(1.3*t + 0.3)^2", 1.3, 0.3,
-                            0.4, 3, 23),
-    "f=-0.3x+0.5x^3": ("-0.3*x + 0.5*x^3", "0", 1.3, 0.3, 0.4, 3, 23),
-    "g=0.2x^2": ("0", "0.2*x^2", 1.3, 0.3, 0.4, 3, 23),
+                            0.4, 3),
+    "f=-0.3x+0.5x^3": ("-0.3*x + 0.5*x^3", "0", 1.3, 0.3, 0.4, 3),
+    "g=0.2x^2": ("0", "0.2*x^2", 1.3, 0.3, 0.4, 3),
     # k = 3: the re-expanding mode (t - pi)^3, f reads v
-    "k=3": ("-0.75*v + 0.8", "0", 1.0, 0.0, 0.4, 1, 23),
-    # a window of half width 0.3/omega = 1.5, whose 24-node series does
-    # not chop (its tail is 1.5e-11 of its largest coefficient): 48 nodes
-    "omega=0.2": ("-0.3*x + 0.5*x^3", "0", 0.2, 0.3, 0.4, 1, 47),
+    "k=3": ("-0.75*v + 0.8", "0", 1.0, 0.0, 0.4, 1),
+    # pieces a quarter period, 7.85, wide, whose pole piece's 24-node
+    # series does not chop, so that it splits
+    "omega=0.2": ("-0.3*x + 0.5*x^3", "0", 0.2, 0.3, 0.4, 1),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TRANSIT_FRAMES))
-def test_pole_transit_is_the_reference_loop_bit_for_bit(name, monkeypatch):
-    # every transit of a march, called with the arguments the march gives
-    # it, against the reference loop on the frame's node base: the same
-    # bits of y at every node, at the window's exit, at the pole and
-    # between the nodes (so the same solved values), and for an affine
-    # crossing one solve
-    f_src, g_src, w, al, x0, poles, base = _TRANSIT_FRAMES[name]
+def _frame_calls(name, monkeypatch):
+    """The arguments of every _pole_transit call of the frame's march, and
+    _pole_transit itself."""
+    f_src, g_src, w, al, x0, poles = _TRANSIT_FRAMES[name]
     osc = DeformedOscillator(f_src, g_src, w, alpha=al)
     calls = []
 
@@ -1195,35 +1218,51 @@ def test_pole_transit_is_the_reference_loop_bit_for_bit(name, monkeypatch):
     transit = deform._pole_transit
     monkeypatch.setattr(deform, "_pole_transit", recorded)
     t0 = 0.3 if name == "k=3" else (math.pi / 2.0 - al) / w
-    integrate_first_integral(osc, t0, x0, t0 + poles * math.pi / w + 0.5)
-    assert len(calls) == poles
+    traj = integrate_first_integral(osc, t0, x0,
+                                    t0 + poles * math.pi / w + 0.5)
+    assert len(traj.meta["poles_crossed"]) == poles
     assert osc.affine_crossing is name.startswith("affine")
+    return calls, transit
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSIT_FRAMES))
+def test_pole_transit_is_the_reference_loop_bit_for_bit(name, monkeypatch):
+    # every piece of a march, called with the arguments the march gives
+    # it, against the reference loop: the same bits of y at every node, at
+    # the piece's exit, at its pole and between the nodes (so the same
+    # solved values), and for an affine crossing one solve; or None where
+    # the reference's series does not chop
+    calls, transit = _frame_calls(name, monkeypatch)
+    assert len(calls) >= 2 * _TRANSIT_FRAMES[name][5] + 1
+    assert (sum(transit(*args) is None for args in calls) > 0) is (
+        name == "omega=0.2")
     for args in calls:
-        _assert_reference_transit(transit, args, base)
+        _assert_reference_transit(transit, args)
 
 
-def _assert_reference_transit(transit, args, base):
-    """transit(*args) raises NonSmoothPoint where the reference loop on
-    base + bump nodes does, or has the same bits of y at every node, at
-    the window's exit, at the pole and between the nodes; an affine
-    crossing takes one solve.  The node rule picks that base: on 23 the
-    solved series chops (its tail is at most 1e-12), and on 47 the 23-node
-    series does not."""
+def _assert_reference_transit(transit, args):
+    """transit(*args) raises NonSmoothPoint where the reference loop does,
+    returns None where the reference's series does not chop (its tail is
+    above 1e-12), and otherwise has the same bits of y at every node, at
+    the piece's exit, at its pole and between the nodes; an affine
+    crossing takes one solve."""
     try:
-        want, ts, _, solves, tail = _pole_transit_loop(*args, base)
+        want, ts, _, solves, tail = _pole_transit_loop(*args)
     except NonSmoothPoint:
         with pytest.raises(NonSmoothPoint):
             transit(*args)
         return
-    if base == 23:
-        assert tail <= 1e-12, (args, tail)
-    else:
-        assert _pole_transit_loop(*args, 23)[4] > 1e-12, args
     got = transit(*args)
+    if tail > 1e-12:
+        assert got is None, (args, tail)
+        return
     nodes = ts.tolist()
     between = [0.5 * (p + q) for p, q in zip(nodes, nodes[1:])]
-    for t in nodes + [args[2], args[3]] + between:
+    pole = [] if args[3] is None else [args[3]]
+    for t in nodes + [args[2]] + pole + between:
         assert got(t).hex() == want(t).hex(), (args, t)
+    # the pinned left edge is y_in itself
+    assert got(args[1]) == args[4]
     if args[0].affine_crossing:
         assert solves == 1
 
@@ -1231,33 +1270,23 @@ def _assert_reference_transit(transit, args, base):
 @pytest.mark.parametrize("name", sorted(_TRANSIT_FRAMES))
 def test_pole_transit_series_is_the_barycentric_interpolant(name,
                                                            monkeypatch):
-    # the series every transit of a march returns, against the
+    # the series every kept piece of a march returns, against the
     # barycentric interpolant through the reference loop's solved values:
-    # at every node, at the window's exit, at the pole and between the
-    # nodes, within 6e-15*(1 + |y|) on 24 nodes (measured at most
-    # 5.6e-16) and 4e-14*(1 + |y|) on the 48 of omega = 0.2 (measured
-    # 3.2e-15)
-    f_src, g_src, w, al, x0, poles, base = _TRANSIT_FRAMES[name]
-    osc = DeformedOscillator(f_src, g_src, w, alpha=al)
-    calls = []
-
-    def recorded(*args):
-        calls.append(args)
-        return transit(*args)
-
-    transit = deform._pole_transit
-    monkeypatch.setattr(deform, "_pole_transit", recorded)
-    t0 = 0.3 if name == "k=3" else (math.pi / 2.0 - al) / w
-    integrate_first_integral(osc, t0, x0, t0 + poles * math.pi / w + 0.5)
-    bound = 6e-15 if base == 23 else 4e-14
+    # at every node, at the piece's exit, at its pole and between the
+    # nodes, within 6e-15*(1 + |y|)
+    calls, transit = _frame_calls(name, monkeypatch)
     for args in calls:
-        _, ts, Y, _, _ = _pole_transit_loop(*args, base)
-        got, want = transit(*args), _barycentric(ts, Y)
+        got = transit(*args)
+        if got is None:
+            continue
+        _, ts, Y, _, _ = _pole_transit_loop(*args)
+        want = _barycentric(ts, Y)
         nodes = ts.tolist()
         between = [0.5 * (p + q) for p, q in zip(nodes, nodes[1:])]
-        for t in nodes + [args[2], args[3]] + between:
+        pole = [] if args[3] is None else [args[3]]
+        for t in nodes + [args[2]] + pole + between:
             y = want(t)
-            assert abs(got(t) - y) <= bound * (1.0 + abs(y)), (args, t)
+            assert abs(got(t) - y) <= 6e-15 * (1.0 + abs(y)), (args, t)
 
 
 @pytest.mark.parametrize("f_src,t0,smooth", [
@@ -1265,10 +1294,10 @@ def test_pole_transit_series_is_the_barycentric_interpolant(name,
     ("0.3*x + 0.05", 0.0, False), ("0.3*x + 0.05", 2e-8, False)])
 def test_a_start_pole_transit_is_the_reference_loop(f_src, t0, smooth,
                                                     monkeypatch):
-    # affine crossings whose window starts on the pole t = 0 or 2e-8 past
-    # it, where the first guess's slope num0/sin(theta) is up to 1e8*num0:
-    # the smoothness test reads N at the solved amplitude, as the reference
-    # does, so N = 0.05 at the pole raises NonSmoothPoint in both
+    # affine crossings whose first piece starts on the pole t = 0 or 2e-8
+    # past it: the smoothness test reads N at the solved amplitude, as the
+    # reference does, so N = 0.05 at the pole raises NonSmoothPoint in
+    # both
     osc = DeformedOscillator(f_src, "0", 1.0)
     assert osc.affine_crossing
     calls = []
@@ -1284,40 +1313,124 @@ def test_a_start_pole_transit_is_the_reference_loop(f_src, t0, smooth,
     else:
         with pytest.raises(NonSmoothPoint):
             integrate_first_integral(osc, t0, 0.0, 1.0, v0=1.0)
-    assert len(calls) == 1
-    _assert_reference_transit(transit, calls[0], 23)
+    # the first piece holds the pole at its left edge; the march over
+    # [t0, 1] is that one piece where it is smooth, and where it is not,
+    # the pieces split until one chops and its smoothness test fails
+    assert calls[0][1:4] == (t0, 1.0, 0.0)
+    assert len(calls) == 1 if smooth else len(calls) > 1
+    for args in calls:
+        _assert_reference_transit(transit, args)
 
 
-def test_a_failed_24_node_transit_is_the_48_node_reference(monkeypatch):
-    # where the 24-node collocation fails (here an interior 24-node point
-    # refuses its state solve), the transit runs on 48 nodes, whose
-    # points it shares only at the window's edges, and returns the
-    # 48-node reference's bits
-    osc = DeformedOscillator("0", "0.2*x^2", 1.3, alpha=0.3)
-    calls = []
+def test_a_piece_that_does_not_chop_splits_into_halves_that_do(
+        monkeypatch):
+    # omega = 0.2: the pole piece's 24-node series does not chop; it
+    # splits into a quarter and the rest, its pole at the centre being no
+    # split point, and a pole-free piece that does not chop into halves;
+    # every piece the march keeps chops, and the pieces tile the span
+    calls, transit = _frame_calls("omega=0.2", monkeypatch)
+    kept, split = [], 0
+    for args in calls:
+        got = transit(*args)
+        a, b, pole = args[1:4]
+        if got is None:
+            split += 1
+            assert _pole_transit_loop(*args)[4] > 1e-12, args
+            # the next call is its left part, whose right edge is the
+            # split, at the midpoint or, where that is the pole, a quarter
+            left = calls[calls.index(args) + 1]
+            assert left[1] == a
+            mid = left[2]
+            if pole is not None and abs(pole - 0.5 * (a + b)) < 0.125 * (
+                    b - a):
+                assert mid in (0.5 * (a + b) - 0.25 * (b - a),
+                               0.5 * (a + b) + 0.25 * (b - a))
+                assert abs(mid - pole) >= 0.125 * (b - a)
+            else:
+                assert mid == 0.5 * (a + b)
+        else:
+            assert _pole_transit_loop(*args)[4] <= 1e-12, args
+            kept.append((a, b))
+    assert split >= 1
+    assert all(p[1] == q[0] for p, q in zip(kept, kept[1:]))
 
-    def recorded(*args):
-        calls.append(args)
-        return transit(*args)
 
-    transit = deform._pole_transit
-    monkeypatch.setattr(deform, "_pole_transit", recorded)
-    t0 = (math.pi / 2.0 - 0.3) / 1.3
-    integrate_first_integral(osc, t0, 0.4, t0 + math.pi / 1.3 + 0.5)
-    args = calls[0]
-    inner = set(cheb_nodes_diff(23, args[1], args[2])[0].tolist()[1:-1])
-    want = _pole_transit_loop(*args, 47)[0]
-    node = osc.transit_node
+def _bernoulli(a, c, w, al, t0, x0):
+    """The exact solution of f = a*x + c*x^3, g = 0 through (t0, x0):
+    x' = omega*cot(theta)*x - a*x - c*x^3 is linear in x^-2, so
+    x = sign*sin(theta)*exp(-a*t)/sqrt(K + 2c*I(t)) with I the integral of
+    sin(theta)^2*exp(-2as) from t0, taken by mpmath at 30 digits between
+    consecutive queries, which must increase."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
+    s0 = math.sin(w * t0 + al)
+    K = s0 * s0 * math.exp(-2.0 * a * t0) / (x0 * x0)
+    sign = math.copysign(1.0, x0 / s0)
+    last = [t0, ctx.mpf(0)]
 
-    def refusing(x, v, t, u):
-        if t in inner:
-            raise ImplicitNoRoot("refused at t = %r" % t)
-        return node(x, v, t, u)
+    def exact(t):
+        last[1] += ctx.quad(lambda s: ctx.sin(w * s + al) ** 2
+                            * ctx.exp(-2 * a * s), [last[0], t])
+        last[0] = t
+        return float(sign * ctx.sin(w * t + al) * ctx.exp(-a * t)
+                     / ctx.sqrt(K + 2 * c * last[1]))
 
-    osc.transit_node = refusing
-    got = transit(*args)
-    for t in cheb_nodes_diff(47, args[1], args[2])[0].tolist() + [args[3]]:
-        assert got(t).hex() == want(t).hex(), t
+    return exact
+
+
+def _exact_kinds():
+    """(f, g, omega, alpha, t0, x0, t1, exact x(t)) of every explicit
+    pole-march kind, over 3 poles, and of f = -0.3x + 0.5x^3 at omega =
+    0.2 over [0.5, 20]."""
+    w, al = 1.3, 0.3
+    t0 = (math.pi / 2.0 + 0.2 - al) / w
+    t1 = t0 + 3.3 * math.pi / w
+    th = "sin(1.3*t + 0.3)"
+    kinds = {}
+    for b, n in ((0.2, 2), (0.15, 3)):
+        sol = catalog.case5_power(b, n, 0.35, w, al)
+        kinds["g=b*x^%d" % n] = ("0", "%r*x^%d" % (b, n), w, al, t0,
+                                 sol(t0), t1, sol)
+    for name, f_src, g_src in (("f=f0*sin", "0.3*" + th, "0"),
+                               ("g=g0*sin^2", "0", "0.15*%s^2" % th),
+                               ("both", "0.3*" + th, "0.15*%s^2" % th)):
+        sol = catalog.time_quadrature(f_src, g_src, 0.9, w, al)
+        kinds["sin(theta)^k " + name] = (f_src, g_src, w, al, t0, sol(t0),
+                                         t1, sol)
+    a, phi, w2, al2, x0 = 0.1, 0.4, 1.7, 0.2, 0.4
+    s0 = (math.pi / 2.0 + 0.2 - al2) / w2
+    C = x0 / (math.sin(w2 * s0 + al2) * math.exp(a * math.cos(s0 + phi)))
+    kinds["f=a*x*sin(t+phi)"] = (
+        "%r*x*sin(t + %r)" % (a, phi), "0", w2, al2, s0, x0,
+        s0 + 3.3 * math.pi / w2,
+        lambda t: C * math.sin(w2 * t + al2) * math.exp(a * math.cos(t + phi)))
+    kinds["f=a*x+c*x^3"] = ("-0.3*x + 0.5*x^3", "0", w, al, t0, 0.4, t1,
+                            lambda t: None)
+    kinds["f=a*x+c*x^3, omega=0.2"] = ("-0.3*x + 0.5*x^3", "0", 0.2, 0.0,
+                                       0.5, 0.4, 20.0, lambda t: None)
+    return kinds
+
+
+_EXACT_KINDS = _exact_kinds()
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_KINDS))
+def test_every_explicit_pole_march_kind_is_its_exact_solution(name):
+    # at rtol 1e-12, over 3 poles (1 at omega = 0.2), x within
+    # 1e-12*(1 + |x|) of the kind's exact solution at 41 samples; the
+    # march between poles by DOP853 read 1.2e-11 on omega = 0.2
+    f_src, g_src, w, al, t0, x0, t1, exact = _EXACT_KINDS[name]
+    if f_src == "-0.3*x + 0.5*x^3":
+        exact = _bernoulli(-0.3, 0.5, w, al, t0, x0)
+    osc = DeformedOscillator(f_src, g_src, w, alpha=al)
+    traj = integrate_first_integral(osc, t0, x0, t1,
+                                    t_eval=np.linspace(t0, t1, 41),
+                                    rtol=1e-12, atol=1e-14)
+    assert len(traj.meta["poles_crossed"]) == (1 if w == 0.2 else 3)
+    worst = max(abs(s.x - exact(s.t)) / (1.0 + abs(s.x))
+                for s in traj.states)
+    assert worst <= 1e-12, worst
 
 
 def _tree_bits(tree):
