@@ -488,9 +488,9 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     where the piece is unresolved: the series does not chop, or Newton
     fails (a non-finite or singular system, or 30 iterations).  An iterate
     that leaves the range of x + g (or of v + f) at a node raises the
-    solve's ImplicitNoRoot.  A chopping series through a pole passes the
-    smoothness test, N at the pole against N at the solved amplitude, or
-    raises NonSmoothPoint: the crossing velocity is unbounded.
+    solve's ImplicitNoRoot.  A converged series through a pole, chopping or
+    not, passes the smoothness test, N at the pole against N at the solved
+    amplitude, or raises NonSmoothPoint: the crossing velocity is unbounded.
     """
     w, al = osc.omega, osc.alpha
     for bump in range(4):
@@ -543,10 +543,9 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     else:
         return None
     y, chops = cheb_series(Y, a, b)
-    if not chops:
-        return None
     if pole is not None:
-        # a smooth crossing requires the numerator to vanish with the sine
+        # a smooth crossing requires the numerator to vanish with the sine;
+        # tested before the chop, as y never chops where N does not vanish
         k = int(np.argmin(np.abs(ts - pole)))
         num_p = osc.transit_node(xs[k], vs[k], pole, y(pole))[2]
         if abs(num_p) > 1e-6 * (1.0 + float(np.max(np.abs(N)))):
@@ -554,7 +553,7 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
                 "no smooth continuation of the deformed amplitude y = "
                 "(x+g)/sin through the pole t = %r; the deformation leaves "
                 "the crossing velocity unbounded there" % pole)
-    return y
+    return y if chops else None
 
 
 def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,

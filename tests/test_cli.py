@@ -505,21 +505,33 @@ def test_solve_stops_at_a_fold_of_the_velocity_law(capsys):
 
 
 def test_transit_leaving_the_range_of_x_plus_g_is_non_smooth(capsys):
-    # x + 0.2*x^2 never goes below -1.25; approaching the pole at 2*pi/5,
-    # where the numerator does not vanish, the amplitude asks for less
-    # from the branch x < -2.5 at a collocation node of every piece the
-    # pole piece splits into, down to the last split
-    code = cli.main(["solve", "--f", "1", "--g", "0.2*x^2", "--omega", "5",
-                     "--t0", "0.6283185307179586", "--t1", "2",
-                     "--x0", "-5", "--v0", "-0.5"])
+    # f = 0, g = 0.2*x^2 is case5_power: x/(1 + 0.2x) = A*sin(t), here with
+    # A = -6.95, so x + g = T/(1 - 0.2T)^2 falls to its least value -1.25
+    # at T = -5 and x reaches the fold x = -2.5 of x + g at
+    # t_f = asin(5/|A|) = 0.8026; approaching it, a collocation iterate asks
+    # x + g for less than -1.25, and the piece that still fails at the last
+    # split lies before t_f
+    code = cli.main(["solve", "--f", "0", "--g", "0.2*x^2", "--omega", "1",
+                     "--alpha", "0", "--t0", "0.5", "--t1", "2",
+                     "--x0", "-2"])
     assert code == 2
     err = capsys.readouterr().err
     assert "NonSmoothPoint" in err and "range of x + g" in err
     a, b = map(float, re.search(r"on \[([-+.0-9e]+), ([-+.0-9e]+)\]",
                                 err).groups())
-    # inside the pole piece, a quarter period around 2*pi/5, just before
-    # the pole
-    assert 2 * math.pi / 5 - math.pi / 20 < a < b < 2 * math.pi / 5
+    t_f = math.asin(5.0 * 0.6 * math.sin(0.5) / 2.0)
+    assert 0.5 < a < b < t_f
+    # x + 0.2*x^2 never goes below -1.25 either from the start on the pole
+    # pi/5 with x0 = -5; at the next pole, 2*pi/5, the numerator does not
+    # vanish, and the smoothness test names that pole
+    code = cli.main(["solve", "--f", "1", "--g", "0.2*x^2", "--omega", "5",
+                     "--t0", "0.6283185307179586", "--t1", "2",
+                     "--x0", "-5", "--v0", "-0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NonSmoothPoint" in err and "unbounded" in err
+    pole = float(re.search(r"pole t = ([-+.0-9e]+)", err).group(1))
+    assert abs(pole - 2 * math.pi / 5) < 1e-12
 
 
 def test_exit_two_on_numerical_failure(capsys):

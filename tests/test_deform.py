@@ -534,10 +534,39 @@ def test_integrate_first_integral_rejects_pole_start():
 
 def test_integrate_first_integral_nonsmooth_crossing():
     # g = sin t, f = 0: xd diverges logarithmically at the crossing, so the
-    # pole restart must refuse rather than fabricate a continuation
+    # pole piece must refuse rather than fabricate a continuation; its y is
+    # unbounded and never chops, and the smoothness test names the pole
     osc = DeformedOscillator("0", "sin(t)", 1.0)
-    with pytest.raises(NonSmoothPoint):
+    with pytest.raises(NonSmoothPoint, match="unbounded") as info:
         integrate_first_integral(osc, 0.5, 0.4, 0.5 + 2 * math.pi)
+    pole = float(re.search(r"pole t = ([-+.0-9e]+)", str(info.value))[1])
+    assert abs(pole - math.pi) < 1e-12
+
+
+def test_an_affine_crossing_tests_smoothness_at_the_solved_amplitude(
+        monkeypatch):
+    # f = 3x + 1e-5 from 0.1 before the pole at pi: N = -3*y*sin(t) - 1e-5
+    # is 1e-5 at the pole, over the bound 1e-6*(1 + max|N|) = 4e-6 that N
+    # at the solved amplitude gives (y decays as exp(-3t) from y_in = 10 at
+    # |sin| = 0.1); N at the constant guess y_in would read 2.1e-5, as
+    # 3*y_in*|sin| at the piece's right edge, and let the pole through
+    osc = DeformedOscillator("3*x + 1e-5", "0", 1.0)
+    assert osc.affine_crossing
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return transit(*args)
+
+    transit = deform._pole_transit
+    monkeypatch.setattr(deform, "_pole_transit", recorded)
+    with pytest.raises(NonSmoothPoint, match="unbounded") as info:
+        integrate_first_integral(osc, math.pi - 0.1, 1.0, 5.0)
+    assert "pole t = %r" % math.pi in str(info.value)
+    # the first piece, [pi - 0.1, 5*pi/4], raises, as the reference does
+    assert len(calls) == 1
+    assert calls[0][1:4] == (math.pi - 0.1, 1.25 * math.pi, math.pi)
+    _assert_reference_transit(transit, calls[0])
 
 
 _SLOPE_PAIRS = [
@@ -1143,8 +1172,8 @@ def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
     smoothness test reads, with y read from numerics.cheb_series through
     the solved values.  Returns that series, its nodes, the solved values,
     the number of linear solves and the Chebyshev tail of the solved y, or
-    raises NonSmoothPoint where the series chops and the numerator does
-    not vanish at the pole."""
+    raises NonSmoothPoint where the numerator does not vanish at the pole,
+    whether or not the series chops."""
     for bump in range(4):
         ts, D = cheb_nodes_diff(23 + bump, a, b)
         nodes = ts.tolist()
@@ -1181,7 +1210,7 @@ def _pole_transit_loop(osc, a, b, pole, y_in, x_start, v_start):
             break
     ev = cheb_series(Y, a, b)[0]
     tail = _chebyshev_tail(Y.tolist())
-    if pole is not None and tail <= 1e-12:
+    if pole is not None:
         k = int(np.argmin(np.abs(ts - pole)))
         num_p = osc.transit_node(xs[k], vs[k], pole, ev(pole))[2]
         if abs(num_p) > 1e-6 * (1.0 + float(np.max(np.abs(N)))):
@@ -1313,11 +1342,11 @@ def test_a_start_pole_transit_is_the_reference_loop(f_src, t0, smooth,
     else:
         with pytest.raises(NonSmoothPoint):
             integrate_first_integral(osc, t0, 0.0, 1.0, v0=1.0)
-    # the first piece holds the pole at its left edge; the march over
-    # [t0, 1] is that one piece where it is smooth, and where it is not,
-    # the pieces split until one chops and its smoothness test fails
+    # the march over [t0, 1] is one piece, which holds the pole at its
+    # left edge, and where the crossing is not smooth its smoothness test
+    # fails
     assert calls[0][1:4] == (t0, 1.0, 0.0)
-    assert len(calls) == 1 if smooth else len(calls) > 1
+    assert len(calls) == 1
     for args in calls:
         _assert_reference_transit(transit, args)
 
