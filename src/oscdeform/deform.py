@@ -166,12 +166,19 @@ class DeformedOscillator(_CompiledOnRead):
         return depends_on(self.exprs["g"], "x")
 
     @functools.cached_property
+    def _numerator(self):
+        """The tree, in (t, x, v), of N = dg/dt - f = g_t + g_x*v - f, for
+        v-independent g: what the amplitude's slope and the pole transit
+        read."""
+        e = self.exprs
+        return sub(add(e["g_t"], mul(e["g_x"], Var("v"))), e["f"])
+
+    @functools.cached_property
     def transit_exprs(self):
         """The trees, in (t, x, v), of what the pole transit reads at a
-        node, for v-independent g: N = dg/dt - f = g_t + g_x*v - f and its
-        slope dN/dy in the amplitude y, from implicit differentiation of
-        x + g = y*s and v + f = omega*y*c (s and c the sine and cosine of
-        theta):
+        node, for v-independent g: _numerator N and its slope dN/dy in the
+        amplitude y, from implicit differentiation of x + g = y*s and
+        v + f = omega*y*c (s and c the sine and cosine of theta):
 
             dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
             dN/dy = N_x*dx/dy + (g_x - f_v)*dv/dy,
@@ -179,18 +186,16 @@ class DeformedOscillator(_CompiledOnRead):
         with N_x = g_tx + g_xx*v - f_x.  The slope is unfolded (as
         parsed), theta = w*t + a as in _frame."""
         e = self.exprs
-        v = Var("v")
         n_x = sub(add(differentiate(e["g_t"], "x"),
-                      mul(differentiate(e["g_x"], "x"), v)), e["f_x"])
+                      mul(differentiate(e["g_x"], "x"), Var("v"))), e["f_x"])
         holes = dict(e, w=Num(self.omega), a=Num(self.alpha), n_x=n_x)
         holes["dx"] = _substitute(_DX, holes)
-        return (sub(add(e["g_t"], mul(e["g_x"], v)), e["f"]),
-                _substitute(_SLOPE, holes))
+        return self._numerator, _substitute(_SLOPE, holes)
 
     @functools.cached_property
     def _frame(self):
         """The trees, in _FRAME, of the state (x, v) of deformed amplitude
-        u at time t and of transit_exprs at it: x solves x + g =
+        u at time t and of _numerator at it: x solves x + g =
         u*sin(w*t + a) and v solves v + f = w*u*cos(w*t + a).  Where g
         reads x, x is position_root from the guess x, and where f reads
         v, v is velocity_root from the guess v; otherwise each is its
@@ -207,16 +212,20 @@ class DeformedOscillator(_CompiledOnRead):
             v = _substitute(self.velocity_root, {"x": x, "u": v})
         else:
             v = Sub(v, _substitute(e["f"], {"x": x}))
-        state, done = {"x": x, "v": v}, {}
-        return (x, v) + tuple(_substitute(tree, state, done)
-                              for tree in self.transit_exprs)
+        return x, v, _substitute(self._numerator, {"x": x, "v": v})
+
+    @functools.cached_property
+    def _frame_slope(self):
+        """dN/dy of transit_exprs at _frame's state, in _FRAME: only the
+        pole transit reads it, so the other views never build it."""
+        x, v, _ = self._frame
+        return _substitute(self.transit_exprs[1], {"x": x, "v": v})
 
     @functools.cached_property
     def transit_node(self):
-        """The four values of _frame, (x, v, N, dN/dy), what the pole
-        transit reads at a node, as one function of (x, v, t, u), x and v
-        the guesses."""
-        return function(self._frame, _FRAME)
+        """(x, v, N) of _frame and its dN/dy, what the pole transit reads
+        at a node, as one function of (x, v, t, u), x and v the guesses."""
+        return function(self._frame + (self._frame_slope,), _FRAME)
 
     @functools.cached_property
     def amplitude_state(self):
@@ -227,7 +236,7 @@ class DeformedOscillator(_CompiledOnRead):
     def affine_crossing(self):
         """N is affine in u: one Newton solve of a pole transit is exact."""
         return not (self.g_depends_x or self.f_depends_v
-                    or depends_on(self._frame[3], "u"))
+                    or depends_on(self._frame_slope, "u"))
 
     @functools.cached_property
     def amplitude_slope(self):
@@ -300,6 +309,14 @@ class OdeForm(_CompiledOnRead):
         return (self.coeff_xdd(t, x, v) * a
                 + self.coeff_xd(t, x, v) * v
                 + self.remainder(t, x, v))
+
+
+def first_integral_form(pair):
+    """G = 0 differentiated along its solutions, G_v*xdd + G_x*xd + G_t =
+    0, as a fresh OdeForm, from pair = (G, G_v), Expr trees in (t, x, v)
+    (as in first_integral_root.pair)."""
+    G, G_v = pair
+    return OdeForm(G_v, differentiate(G, "x"), differentiate(G, "t"))
 
 
 def _lienard(e, omega):
@@ -622,8 +639,7 @@ def integrate_first_integral(osc, t0, x0, t1, t_eval=None, v0=None,
         # rule; a march that stalls as G_v falls to 0 has met a fold
         v_start = first_integral_velocity(osc, t0, x0,
                                           0.0 if v0 is None else v0)
-        G, G_v = osc.first_integral_root.pair
-        form = OdeForm(G_v, differentiate(G, "x"), differentiate(G, "t"))
+        form = first_integral_form(osc.first_integral_root.pair)
         g_v = form.coeff_xdd
         last = [t0, g_v(t0, x0, v_start)]  # the last stage's t and G_v
         slope0 = last[1]

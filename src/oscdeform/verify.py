@@ -19,6 +19,9 @@ from .deform import (
     DeformedOscillator,
     energy,
     energy_rate,
+    explicit_acceleration,
+    first_integral_form,
+    first_integral_velocity,
     generate_ode,
     generate_ode_time_varying,
     integrate_first_integral,
@@ -32,7 +35,7 @@ from .deform import (
     riccati_phase,
     riccati_phase_formula,
 )
-from .exprdsl import Var, _substitute, differentiate, function
+from .exprdsl import Var, _substitute, differentiate, function, parse
 from .numerics import (
     fd_derivatives,
     find_root,
@@ -69,30 +72,68 @@ THEOREM_PAIRS = [
 ]
 
 
-def _off_pole(osc, lo, hi, count):
+def _off_pole(theta, lo, hi, count):
     """count evenly spaced times on [lo, hi], less those where
-    |sin(theta)| <= 0.05."""
+    |sin(theta(t))| <= 0.05."""
     ts = np.linspace(lo, hi, count)
-    return np.array([t for t in ts
-                     if abs(math.sin(osc.theta(t))) > 0.05])
+    return np.array([t for t in ts if abs(math.sin(theta(t))) > 0.05])
+
+
+def _theorem_residual(form, ode, velocity, ts):
+    """The generated form `ode` at points of G = 0, pointwise: at each time
+    t of ts, x from a fixed sequence in [-0.4, 0.4], v = velocity(t, x) a
+    root of G and xdd from `form`, G = 0 differentiated.  The largest
+    |coeff_xdd*xdd + coeff_xd*v + remainder| over 1 + the sum of its
+    terms' moduli."""
+    worst = 0.0
+    for i, t in enumerate(ts.tolist()):
+        x = 0.4 * math.cos(1.7 * i)
+        v = velocity(t, x)
+        a = explicit_acceleration(form, (t, x, v))
+        terms = (ode.coeff_xdd(t, x, v) * a, ode.coeff_xd(t, x, v) * v,
+                 ode.remainder(t, x, v))
+        worst = max(worst, abs(sum(terms)) / (1.0 + sum(map(abs, terms))))
+    return worst
 
 
 def suite_theorem():
-    """Trajectories of the first integral satisfy the generated ODE."""
+    """The generated ODE holds at every point of the first integral G = 0,
+    with xdd from G = 0 differentiated: for each of THEOREM_PAIRS and for
+    one frequency omega(t)."""
     out = []
     for f_src, g_src in THEOREM_PAIRS:
         osc = DeformedOscillator(f_src, g_src, 1.0, alpha=0.3)
-        if osc.g_depends_v:
-            # stay between the branch points of the implicit velocity law
-            t0, t1, v0 = 0.0, 2.8, 0.5
-        else:
-            t0, t1, v0 = 0.5, 0.5 + 2.0 * math.pi, None
-        traj = integrate_first_integral(osc, t0, 0.4, t1, t_eval=(), v0=v0,
-                                        rtol=1e-12, atol=1e-14)
-        ts = _off_pole(osc, t0 + 0.02, t1 - 0.02, 150)
-        worst = residual_scan(generate_ode(osc), traj.meta["x_of_t"], ts)
+        # between the branch points of the implicit velocity law where g
+        # reads v
+        t0, t1 = (0.0, 2.8) if osc.g_depends_v else (0.5, 0.5 + 2.0 * math.pi)
+        worst = _theorem_residual(
+            first_integral_form(osc.first_integral_root.pair),
+            generate_ode(osc),
+            lambda t, x: first_integral_velocity(osc, t, x, 0.5),
+            _off_pole(osc.theta, t0 + 0.02, t1 - 0.02, 150))
         out.append(_check("theorem/f=%s,g=%s" % (f_src, g_src),
-                          worst, 1e-6))
+                          worst, 1e-13))
+
+    # omega(t) = 1 + t/10, Phi = t + t^2/20 its integral from 0, alpha = 0.2
+    f_src, g_src, w_src = "0.2*x + 0.1*sin(t)", "0.1*x^2", "1 + t/10"
+    theta = "t + t^2/20 + 0.2"
+    G = parse("(v + (%s))*sin(%s) - (%s)*cos(%s)*(x + (%s))"
+              % (f_src, theta, w_src, theta, g_src))
+    pair = (G, differentiate(G, "v"))
+    law = function(pair, ("t", "x", "v"))
+
+    def velocity(t, x):
+        # f and g do not read v, so G is affine in v: one Newton step
+        # from 0 is its root
+        g0, g_v = law(t, x, 0.0)
+        return -g0 / g_v
+
+    worst = _theorem_residual(
+        first_integral_form(pair),
+        generate_ode_time_varying(f_src, g_src, w_src), velocity,
+        _off_pole(function(parse(theta), ("t",)),
+                  0.5 + 0.02, 0.5 + 2.0 * math.pi - 0.02, 150))
+    out.append(_check("theorem/omega(t)=%s" % w_src, worst, 1e-13))
     return out
 
 
@@ -122,7 +163,7 @@ def suite_catalog():
     and matches an independent integration of the first integral."""
     out = []
     for sol, (lo, hi) in _catalog_cases():
-        ts = _off_pole(sol.osc, lo + 0.02, hi - 0.02, 200)
+        ts = _off_pole(sol.osc.theta, lo + 0.02, hi - 0.02, 200)
         worst = residual_scan(sol.form, sol.evaluator, ts)
         out.append(_check("catalog/%s/residual" % sol.case_id, worst, 1e-6))
         grid = np.linspace(lo, hi, 90)
@@ -206,8 +247,8 @@ def suite_energy():
         _, dh, _ = fd_derivatives(h_of_t, t, 1e-3)
         return dh - energy_rate(osc, (t, x_of_t(t), v_of_t(t)))
 
-    worst = max_abs(rate_gap(t)
-                    for t in _off_pole(osc, t0 + 0.05, t1 - 0.05, 60).tolist())
+    ts = _off_pole(osc.theta, t0 + 0.05, t1 - 0.05, 60)
+    worst = max_abs(rate_gap(t) for t in ts.tolist())
     out.append(_check("energy/rate/generic", worst, 1e-6))
     return out
 

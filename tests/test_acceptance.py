@@ -29,7 +29,9 @@ def _run(criterion, label, names, expect_counts):
 
 def test_criterion_01_generated_forms_satisfied():
     # ten deformation pairs spanning time-, position-, velocity-dependent
-    # and mixed cases; numerical trajectories satisfy the generated ODE
+    # and mixed cases, and one frequency omega(t): at points of the first
+    # integral G = 0, with xdd from G = 0 differentiated, the generated
+    # ODE holds to rounding, relative residual < 1e-13
     assert len(verify.THEOREM_PAIRS) == 10
     kinds = set()
     for f, g in verify.THEOREM_PAIRS:
@@ -40,7 +42,7 @@ def test_criterion_01_generated_forms_satisfied():
         if "t" in f or "t" in g:
             kinds.add("t")
     assert kinds == {"t", "x", "v"}
-    _run(1, "generated forms, residual < 1e-6", ["theorem"], [10])
+    _run(1, "generated forms, residual < 1e-13", ["theorem"], [11])
 
 
 def test_criterion_02_catalog_solutions_verified():

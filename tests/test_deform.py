@@ -1513,6 +1513,45 @@ def test_time_varying_residual_with_x_dependent_deformations():
     assert worst < 1e-7
 
 
+def test_theorem_suite_kills_a_wrong_generated_form(monkeypatch):
+    """The pointwise theorem suite reads every clean check ten times below
+    its threshold.  A generated form off by about 1e-7 fails exactly the
+    checks it touches, and the others keep their clean values: omega^2
+    off (every pair), the remainder's f_t off (the pairs whose f reads t)
+    and omega(t) off (its one check)."""
+    clean = {c.name: c.value for c in verify.suite_theorem()}
+    assert len(clean) == 11
+    assert all(10.0 * value <= 1e-13 for value in clean.values())
+
+    def failing():
+        checks = verify.suite_theorem()
+        for c in checks:
+            assert c.passed or c.value > 1e-9, c
+            if c.passed:
+                assert c.value == clean[c.name], c
+        return {c.name for c in checks if not c.passed}
+
+    def name(f, g):
+        return "theorem/f=%s,g=%s" % (f, g)
+
+    monkeypatch.setattr(verify, "generate_ode", lambda osc: deform._lienard(
+        osc.exprs, Num(osc.omega * math.sqrt(1.0 + 1e-7))))
+    assert failing() == {name(f, g) for f, g in verify.THEOREM_PAIRS}
+
+    monkeypatch.setattr(verify, "generate_ode", lambda osc: deform._lienard(
+        dict(osc.exprs, f_t=mul(Num(1.0 + 1e-7), osc.exprs["f_t"])),
+        Num(osc.omega)))
+    reads_t = {name(f, g) for f, g in verify.THEOREM_PAIRS if "t" in f}
+    assert len(reads_t) == 3
+    assert failing() == reads_t
+
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        verify, "generate_ode_time_varying",
+        lambda f, g, w: generate_ode_time_varying(f, g, "(%s)*(1 + 5e-8)" % w))
+    assert failing() == {"theorem/omega(t)=1 + t/10"}
+
+
 def test_time_varying_validation():
     # f and g may read t, x and v, omega only t
     with pytest.raises(UnboundNameError):
