@@ -65,10 +65,8 @@ _FRAME = ("x", "v", "t", "u")
 
 # the amplitude frame's constant texts, parsed once: Expr nodes are
 # immutable, so every oscillator substitutes into the same trees
-_DX, _SLOPE, _X, _V, _DYDT, _POSITION, _VELOCITY, _FIRST_INTEGRAL = map(
-    parse, ("sin(w*t + a)/(1 + g_x)",
-            "n_x*dx + (g_x - f_v)*((w*cos(w*t + a) - f_x*dx)/(1 + f_v))",
-            "u*sin(w*t + a)", "w*u*cos(w*t + a)", "n/sin(w*t + a)",
+_X, _V, _DYDT, _POSITION, _VELOCITY, _FIRST_INTEGRAL = map(
+    parse, ("u*sin(w*t + a)", "w*u*cos(w*t + a)", "n/sin(w*t + a)",
             "x + g - u", "v + f - u",
             "(v + f)*sin(w*t + a) - w*cos(w*t + a)*(x + g)"))
 
@@ -136,7 +134,9 @@ class DeformedOscillator(_CompiledOnRead):
     march's views of (x guess, v guess, t, y): transit_node,
     amplitude_position and amplitude_state, which
     catalog.time_quadrature also reads for a t-only deformation, with its
-    slope amplitude_slope;
+    slope amplitude_slope; transit_node also gives N's slope dN/dy, which
+    differentiate derives from the frame through its Solve nodes
+    (_frame_slope);
     first_integral_solve is the compiled velocity of the first integral.
     """
 
@@ -174,25 +174,6 @@ class DeformedOscillator(_CompiledOnRead):
         return sub(add(e["g_t"], mul(e["g_x"], Var("v"))), e["f"])
 
     @functools.cached_property
-    def transit_exprs(self):
-        """The trees, in (t, x, v), of what the pole transit reads at a
-        node, for v-independent g: _numerator N and its slope dN/dy in the
-        amplitude y, from implicit differentiation of x + g = y*s and
-        v + f = omega*y*c (s and c the sine and cosine of theta):
-
-            dx/dy = s/(1 + g_x),   dv/dy = (omega*c - f_x*dx/dy)/(1 + f_v),
-            dN/dy = N_x*dx/dy + (g_x - f_v)*dv/dy,
-
-        with N_x = g_tx + g_xx*v - f_x.  The slope is unfolded (as
-        parsed), theta = w*t + a as in _frame."""
-        e = self.exprs
-        n_x = sub(add(differentiate(e["g_t"], "x"),
-                      mul(differentiate(e["g_x"], "x"), Var("v"))), e["f_x"])
-        holes = dict(e, w=Num(self.omega), a=Num(self.alpha), n_x=n_x)
-        holes["dx"] = _substitute(_DX, holes)
-        return self._numerator, _substitute(_SLOPE, holes)
-
-    @functools.cached_property
     def _frame(self):
         """The trees, in _FRAME, of the state (x, v) of deformed amplitude
         u at time t and of _numerator at it: x solves x + g =
@@ -216,10 +197,10 @@ class DeformedOscillator(_CompiledOnRead):
 
     @functools.cached_property
     def _frame_slope(self):
-        """dN/dy of transit_exprs at _frame's state, in _FRAME: only the
-        pole transit reads it, so the other views never build it."""
-        x, v, _ = self._frame
-        return _substitute(self.transit_exprs[1], {"x": x, "v": v})
+        """dN/dy, _frame's N differentiated in u through its x and v, its
+        Solves by the implicit-function rule, in _FRAME: only the pole
+        transit reads it, so the other views never build it."""
+        return differentiate(self._frame[2], "u")
 
     @functools.cached_property
     def transit_node(self):
@@ -234,9 +215,9 @@ class DeformedOscillator(_CompiledOnRead):
 
     @functools.cached_property
     def affine_crossing(self):
-        """N is affine in u: one Newton solve of a pole transit is exact."""
-        return not (self.g_depends_x or self.f_depends_v
-                    or depends_on(self._frame_slope, "u"))
+        """N is affine in u, its slope free of u (every Solve of the frame
+        reads u): one Newton solve of a pole transit is exact."""
+        return not depends_on(self._frame_slope, "u")
 
     @functools.cached_property
     def amplitude_slope(self):
@@ -495,11 +476,12 @@ def _pole_transit(osc, a, b, pole, y_in, x_start, v_start):
     starts from the constant y_in; each iteration computes every node by
     one call of osc.transit_node, its x and v solved inside from that
     node's last x and v (first from the entry solve's, at a from x_start
-    and v_start), which also gives the numerator N and its exact slope
-    dN/dy, so the Jacobian sin(theta)*D - diag(dN/dy) is exact.  Newton
-    stops after the step taken from a negligible residual, or at a
-    negligible step; an affine crossing (osc.affine_crossing) stops after
-    its one solve, which is exact, with N at the solved amplitude N -
+    and v_start), which also gives the numerator N and its slope dN/dy,
+    differentiated exactly through the frame's solves (osc._frame_slope),
+    so the Jacobian sin(theta)*D - diag(dN/dy) is exact.  Newton stops
+    after the step taken from a negligible residual, or at a negligible
+    step; an affine crossing (osc.affine_crossing: dN/dy free of y) stops
+    after its one solve, which is exact, with N at the solved amplitude N -
     dN*step.  Returns the solved values' Chebyshev series
     (numerics.cheb_series), y(t) on [a, b] and y_in itself at a; or None
     where the piece is unresolved: the series does not chop, or Newton

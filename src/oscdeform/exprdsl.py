@@ -155,7 +155,8 @@ class Solve(Expr):
     unknown first.  args holds the trees of guess, tol and the params,
     which bind names[1:]; they are the node's only children.  function
     runs solve's Newton loop inline and calls solve only where Newton
-    stalls (_Codegen.newton)."""
+    stalls (_Codegen.newton).  differentiate reads it by the
+    implicit-function rule (_d_solve), through its params alone."""
 
     __slots__ = ("pair", "names", "args", "solve", "law")
 
@@ -536,8 +537,10 @@ def _diff(e, var, done):
     if r is None:
         rule = _DERIVATIVES.get(t)
         if rule is None:
-            raise TypeError(_no_rule(e, "symbolic derivative"))
-        if t is Neg or t is Call:
+            if t is not Solve:
+                raise TypeError(_no_rule(e, "symbolic derivative"))
+            r = _d_solve(e, var, done)
+        elif t is Neg or t is Call:
             r = rule(e, _diff(e.arg, var, done))
         else:
             r = rule(e, _diff(e.left, var, done), _diff(e.right, var, done))
@@ -552,6 +555,20 @@ def _d_pow(e, da, db):
     # d(a^b) = a^b * (db*ln a + b*da/a)
     return mul(e, add(mul(db, Call("ln", e.left)),
                       mul(e.right, div(da, e.left))))
+
+
+def _d_solve(e, var, done):
+    """Derivative of e, a Solve, by the implicit-function rule dr = -(sum
+    of h_p*dp over the params p)/h_r, the unknown bound to e itself, so
+    generated code runs e's Newton loop once; guess and tol move nothing."""
+    h, h_r = e.pair
+    at = dict(zip(e.names, (e,) + e.args[2:]))
+    total = Num(0.0)
+    for name, p in zip(e.names[1:], e.args[2:]):
+        dp = _diff(p, var, done)
+        if type(dp) is not Num or dp.value != 0.0:
+            total = add(total, mul(_substitute(_diff(h, name, {}), at), dp))
+    return div(neg(total), _substitute(h_r, at))
 
 
 # node type -> its derivative, from the node and the derivatives of its

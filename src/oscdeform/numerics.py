@@ -425,13 +425,14 @@ _PANEL_WIDTH = 0.25
 
 # A piece's fit reads f at the _FIT_NODES first-kind Chebyshev points
 # cos(pi*(j + 1/2)/n); the DCT-II rows (2/n)*T_k(x_j), in plain floats,
+# T_k(x_j) taken at k*(2j + 1) reduced mod 4n exactly, as _cheb does,
 # turn those values into Chebyshev coefficients (see CumulativeIntegral).
 _FIT_NODES = 17
 _FIT_X = tuple(math.cos(math.pi * (j + 0.5) / _FIT_NODES)
                for j in range(_FIT_NODES))
-_FIT_DCT = tuple(tuple(2.0 / _FIT_NODES
-                       * math.cos(math.pi * k * (j + 0.5) / _FIT_NODES)
-                       for j in range(_FIT_NODES)) for k in range(_FIT_NODES))
+_FIT_DCT = tuple(tuple(2.0 / _FIT_NODES * math.cos(
+    math.pi * (k * (2 * j + 1) % (4 * _FIT_NODES)) / (2 * _FIT_NODES))
+    for j in range(_FIT_NODES)) for k in range(_FIT_NODES))
 _CHOP = 1e-12
 # A fit also certifies when its half width times its tail is at most
 # _FLOOR, and a piece that does not splits at most _MAX_LEVEL times below

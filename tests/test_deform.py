@@ -594,7 +594,7 @@ def test_numerator_slope_matches_richardson_difference(f_src, g_src):
         for t in ts.tolist():
             x, v, N, dN = osc.transit_node(0.4, 0.0, t, y)
             assert (x, v) == _reference_state(osc, 0.4, 0.0, t, y), (t, y)
-            assert repr(N) == repr(evaluate(osc.transit_exprs[0], {
+            assert repr(N) == repr(evaluate(osc._numerator, {
                 "t": t, "x": x, "v": v})), (t, y)
 
             def central(h):
@@ -608,11 +608,14 @@ def test_numerator_slope_matches_richardson_difference(f_src, g_src):
 @pytest.mark.parametrize("f_src,g_src", _SLOPE_PAIRS)
 def test_numerator_slope_is_the_implicit_derivative_bit_for_bit(f_src,
                                                                  g_src):
-    # dN/dy of the transit node against implicit differentiation of
-    # x + g = y*s and v + f = omega*y*c in plain floats, in the order dx,
-    # dv, dN, from g_x, f_v, f_x and N_x = g_tx + g_xx*v - f_x evaluated at
-    # the node's solved state: the same bits, so no reordering of the
-    # slope's operations goes unseen
+    # dN/dy of the transit node is the slope tree evaluated in the frame,
+    # bit for bit: differentiate's implicit-function rule, compiled with
+    # evaluate's operations in evaluate's order.  It also matches implicit
+    # differentiation of x + g = y*s and v + f = omega*y*c by hand, in
+    # plain floats: dx = s/(1 + g_x), dv = (omega*c - f_x*dx)/(1 + f_v)
+    # and dN = N_x*dx + (g_x - f_v)*dv, N_x = g_tx + g_xx*v - f_x, at the
+    # node's solved state; within 2e-15 of 1 + the moduli of dN's two
+    # terms, where the two orders of operations read at most 1.5e-16
     osc = DeformedOscillator(f_src, g_src, 2.0, alpha=0.3)
     e = osc.exprs
     n_x = sub(add(differentiate(e["g_t"], "x"),
@@ -622,13 +625,17 @@ def test_numerator_slope_is_the_implicit_derivative_bit_for_bit(f_src,
     for y in (0.45, -0.7):
         for t in ts.tolist():
             x, v, _, dN = osc.transit_node(0.4, 0.0, t, y)
+            assert dN.hex() == evaluate(osc._frame_slope, {
+                "x": 0.4, "v": 0.0, "t": t, "u": y}).hex(), (t, y)
             state = {"t": t, "x": x, "v": v}
             g_x, f_v, f_x, N_x = (evaluate(tree, state) for tree in (
                 e["g_x"], e["f_v"], e["f_x"], n_x))
             s, c = math.sin(osc.theta(t)), math.cos(osc.theta(t))
             dx = s / (1.0 + g_x)
             dv = (osc.omega * c - f_x * dx) / (1.0 + f_v)
-            assert dN.hex() == (N_x * dx + (g_x - f_v) * dv).hex(), (t, y)
+            terms = N_x * dx, (g_x - f_v) * dv
+            assert abs(dN - sum(terms)) <= 2e-15 * (
+                1.0 + abs(terms[0]) + abs(terms[1])), (t, y)
 
 
 def _case6_k1(d, t0, x0):
@@ -784,7 +791,7 @@ def _reference_slope(osc, x0, v0, t, y):
     """The march's slope solved step by step: dg/dt - f, evaluated at
     _reference_state, over the sine."""
     x, v = _reference_state(osc, x0, v0, t, y)
-    return (evaluate(osc.transit_exprs[0], {"t": t, "x": x, "v": v})
+    return (evaluate(osc._numerator, {"t": t, "x": x, "v": v})
             / math.sin(osc.theta(t)))
 
 
@@ -806,11 +813,11 @@ def test_amplitude_slope_is_the_crossing_numerator_over_the_sine(
 
 
 def _reference_node(osc, x0, v0, t, y):
-    """transit_node solved step by step: _reference_state, and the
-    transit's trees evaluated there."""
+    """transit_node solved step by step: _reference_state, the numerator
+    evaluated there, and the slope tree evaluated in the frame."""
     x, v = _reference_state(osc, x0, v0, t, y)
-    state = {"t": t, "x": x, "v": v}
-    return (x, v) + tuple(evaluate(tree, state) for tree in osc.transit_exprs)
+    return (x, v, evaluate(osc._numerator, {"t": t, "x": x, "v": v}),
+            evaluate(osc._frame_slope, {"x": x0, "v": v0, "t": t, "u": y}))
 
 
 @pytest.mark.parametrize("f_src,g_src,omega,alpha", [
@@ -910,8 +917,9 @@ def test_oscillators_of_one_family_share_their_code_objects():
     # oscillators that differ in omega and alpha share each view's code
     # object, and x0 and v0 are arguments, so v0 = 0.1 beside g's 0.1
     # splits nothing.  The node function gives the state solved step by
-    # step and the transit's trees evaluated there; the slope is its
-    # numerator over the sine, and the position its x
+    # step, the numerator evaluated there and the slope tree evaluated in
+    # the frame; the slope is its numerator over the sine, and the
+    # position its x
     for f_src, g_src in (("a*x + c*x^3", "0"), ("c*x", "a*x^3"),
                          ("a*v + c*x", "0.1*sin(t)"),
                          ("a*v + c*x", "0.1*x^3")):
@@ -925,13 +933,10 @@ def test_oscillators_of_one_family_share_their_code_objects():
         for osc in (a, b):
             for x0, v0 in ((0.4, 0.1), (0.35, -0.2)):
                 for ti, yi in zip(t.tolist(), x.tolist()):
-                    xs, vs = _reference_state(osc, x0, v0, ti, yi)
-                    state = {"t": ti, "x": xs, "v": vs}
                     node = osc.transit_node(x0, v0, ti, yi)
-                    assert list(map(repr, node)) == [repr(xs), repr(vs)] + [
-                        repr(evaluate(tree, state))
-                        for tree in osc.transit_exprs]
-                    assert osc.amplitude_position(x0, v0, ti, yi) == xs
+                    assert list(map(repr, node)) == list(map(
+                        repr, _reference_node(osc, x0, v0, ti, yi)))
+                    assert osc.amplitude_position(x0, v0, ti, yi) == node[0]
                     if abs(math.sin(osc.theta(ti))) > 0.05:
                         assert repr(osc.amplitude_slope(x0, v0, ti, yi)) == (
                             repr(_reference_slope(osc, x0, v0, ti, yi)))
@@ -1225,8 +1230,9 @@ _TRANSIT_FRAMES = {
                             0.4, 3),
     "f=-0.3x+0.5x^3": ("-0.3*x + 0.5*x^3", "0", 1.3, 0.3, 0.4, 3),
     "g=0.2x^2": ("0", "0.2*x^2", 1.3, 0.3, 0.4, 3),
-    # k = 3: the re-expanding mode (t - pi)^3, f reads v
-    "k=3": ("-0.75*v + 0.8", "0", 1.0, 0.0, 0.4, 1),
+    # k = 3: the re-expanding mode (t - pi)^3; f reads v, affinely, so
+    # N is affine in y and one solve is exact
+    "affine k=3": ("-0.75*v + 0.8", "0", 1.0, 0.0, 0.4, 1),
     # pieces a quarter period, 7.85, wide, whose pole piece's 24-node
     # series does not chop, so that it splits
     "omega=0.2": ("-0.3*x + 0.5*x^3", "0", 0.2, 0.3, 0.4, 1),
@@ -1246,7 +1252,7 @@ def _frame_calls(name, monkeypatch):
 
     transit = deform._pole_transit
     monkeypatch.setattr(deform, "_pole_transit", recorded)
-    t0 = 0.3 if name == "k=3" else (math.pi / 2.0 - al) / w
+    t0 = 0.3 if name == "affine k=3" else (math.pi / 2.0 - al) / w
     traj = integrate_first_integral(osc, t0, x0,
                                     t0 + poles * math.pi / w + 0.5)
     assert len(traj.meta["poles_crossed"]) == poles
@@ -1434,6 +1440,12 @@ def _exact_kinds():
         "%r*x*sin(t + %r)" % (a, phi), "0", w2, al2, s0, x0,
         s0 + 3.3 * math.pi / w2,
         lambda t: C * math.sin(w2 * t + al2) * math.exp(a * math.cos(t + phi)))
+    # g = x with f = 0.3*x: x' = (2*omega*cot(theta) - 0.3)*x, one solve
+    # per piece, as x + g and N are affine in the amplitude
+    A = 0.4 / (math.sin(w * t0 + al) ** 2 * math.exp(-0.3 * t0))
+    kinds["f=0.3x, g=x"] = (
+        "0.3*x", "x", w, al, t0, 0.4, t1,
+        lambda t: A * math.sin(w * t + al) ** 2 * math.exp(-0.3 * t))
     kinds["f=a*x+c*x^3"] = ("-0.3*x + 0.5*x^3", "0", w, al, t0, 0.4, t1,
                             lambda t: None)
     kinds["f=a*x+c*x^3, omega=0.2"] = ("-0.3*x + 0.5*x^3", "0", 0.2, 0.0,

@@ -339,17 +339,57 @@ def test_nesting_past_the_limit_is_a_syntax_error(construct):
         parse(text)
 
 
-def test_a_solve_node_has_no_text_and_no_derivative():
+def test_a_solve_node_has_no_text_form():
     # the amplitude frame's x solves x + g(t, x) = y*sin(theta) for x
     x = deform.DeformedOscillator("0", "0.2*x^2", 1.0)._frame[0]
     assert type(x) is Solve
     with pytest.raises(TypeError, match="^a Solve node has no text form: "):
         str(x)
-    with pytest.raises(TypeError,
-                       match="^a Solve node has no symbolic derivative: "):
-        differentiate(x, "t")
-    with pytest.raises(TypeError, match="^not an Expr node: 'x'$"):
-        to_str("x")
+    for call in (lambda: to_str("x"),
+                 lambda: differentiate("x", "u")):
+        with pytest.raises(TypeError, match="^not an Expr node: 'x'$"):
+            call()
+
+
+def test_a_solve_differentiates_by_the_implicit_function_rule():
+    # x + b*x = u solved for x from the guess t to the tolerance v: the
+    # root is u/(1 + b), its derivative in u folds to the constant
+    # 1/(1 + b), bit for bit, and the guess and the tolerance move nothing
+    b = 0.3
+    h = parse("x + %r*x - u" % b)
+    pair = (h, differentiate(h, "x"))
+    root = Solve(pair, ("x", "u"), (Var("t"), Var("v"), Var("u")),
+                 solve_scalar, function(pair, ("x", "u")))
+    d = differentiate(root, "u")
+    assert type(d) is Num and d.value.hex() == (1.0 / (1.0 + b)).hex()
+    for var in ("t", "v"):
+        d = differentiate(root, var)
+        assert type(d) is Num and d.value == 0.0, var
+
+
+def test_the_frames_nested_solves_differentiate_to_their_differences():
+    # the amplitude frame's v solves v + f(t, x, v) = w*u*cos(theta) for v
+    # at x, which solves x + g(t, x) = u*sin(theta): the derivatives of v
+    # in u and in t, through both roots, against Richardson central
+    # differences, within 1e-9 relative
+    osc = deform.DeformedOscillator("-0.5*v + 0.2*x + 0.1*v^3",
+                                    "0.15*x^3", 2.0, alpha=0.3)
+    v = osc._frame[1]
+    assert type(v) is Solve and type(v.args[3]) is Solve
+    for var in ("u", "t"):
+        slope = function(differentiate(v, var), ("x", "v", "t", "u"))
+        for t, u in ((0.4, 0.8), (1.1, -1.3), (2.5, 0.35)):
+            point = {"x": 0.3, "v": -0.2, "t": t, "u": u}
+
+            def central(h):
+                up, down = dict(point), dict(point)
+                up[var] += h
+                down[var] -= h
+                return (evaluate(v, up) - evaluate(v, down)) / (2.0 * h)
+
+            want = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+            got = slope(*point.values())
+            assert abs(got - want) <= 1e-9 * abs(want), (var, t, u)
 
 
 def test_substitute_params():
