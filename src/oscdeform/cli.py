@@ -18,8 +18,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import apps, catalog
 from . import verify as verify_mod
 from .deform import (
@@ -50,6 +48,7 @@ from .exprdsl import (
     evaluate,
     to_str,
 )
+from .numerics import linspace
 
 
 class UsageError(Exception):
@@ -217,16 +216,22 @@ _FLAGS = [
 ]
 
 
-def build_parser():
+def build_parser(command=None):
+    """The oscdeform parser; given a command, with that subcommand alone,
+    so a run builds no other command's parser.  Its metavar then names all
+    six, so the usage line argparse prints on an error is the same."""
     parser = argparse.ArgumentParser(
         prog="oscdeform",
         description="Generalized Lienard equations from deformed oscillators")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
     for name, help in _COMMANDS.items():
-        p = sub.add_parser(name, help=help)
-        for flag, readers, declaration in _FLAGS:
-            if name in readers.split():
-                p.add_argument(flag, **declaration)
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            for flag, readers, declaration in _FLAGS:
+                if name in readers.split():
+                    p.add_argument(flag, **declaration)
     return parser
 
 
@@ -244,7 +249,8 @@ def parse_args(argv=None):
     with each flag's own type.  Keys for flags the subcommand does not
     declare are ignored, so one file can serve several commands.
     """
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.config:
         values = _load_config_file(args.config)
@@ -271,7 +277,7 @@ def _grid(args, backward=False):
         raise UsageError("--t1 %r must %s --t0 %r"
                          % (args.t1, "differ from" if backward
                             else "be greater than", args.t0))
-    return np.sort(np.linspace(args.t0, args.t1, args.samples)).tolist()
+    return sorted(linspace(args.t0, args.t1, args.samples))
 
 
 def _write_csv(out_path, header, rows):

@@ -76,21 +76,28 @@ def _finite(**values):
     return out
 
 
+def linspace(start, stop, num):
+    """numpy.linspace(start, stop, num) for num >= 2 as a list of floats,
+    bit for bit: i*step + start, and stop itself last (numpy differs only
+    where the step underflows to 0 but stop - start does not)."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [float(stop)]
+
+
 def sample_trajectory(state_at, t0, t1, t_eval=None, meta=None):
     """Trajectory of the pure state_at(t) -> (x, v) sampled at t_eval.
 
     t_eval defaults to 257 points on [t0, t1]; a time outside [t0, t1],
-    or NaN, raises ValueError, and the times are sorted and deduplicated;
-    an empty t_eval samples no state.  Where meta lacks "x_of_t" or
-    "v_of_t", it gains that projection of state_at.
+    or NaN, raises ValueError, and the times are sorted and deduplicated
+    (of equal times, 0.0 and -0.0 too, the first given is kept); an empty
+    t_eval samples no state.  Where meta lacks "x_of_t" or "v_of_t", it
+    gains that projection of state_at.
     """
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, 257)
-    t_eval = np.asarray(t_eval, dtype=float)
+    ts = linspace(t0, t1, 257) if t_eval is None else list(map(float, t_eval))
     # the negated test refuses NaN as well
-    if not np.all((t_eval >= t0) & (t_eval <= t1)):
+    if not all(t0 <= t <= t1 for t in ts):
         raise ValueError("t_eval must lie within [t0, t1]")
-    states = [PhaseState(t, *state_at(t)) for t in np.unique(t_eval).tolist()]
+    states = [PhaseState(t, *state_at(t)) for t in sorted(set(ts))]
     return Trajectory(states, {"x_of_t": lambda t: state_at(t)[0],
                                "v_of_t": lambda t: state_at(t)[1],
                                **(meta or {})})
@@ -797,8 +804,7 @@ def residual_scan(form, x_of_t, t_samples):
             warnings.warn("non-finite residual at t = %r" % (t,))
         return r
 
-    return max_abs(residual(t)
-                   for t in np.asarray(t_samples, dtype=float).tolist())
+    return max_abs(residual(float(t)) for t in t_samples)
 
 
 def trajectory_residual(form, x_of_t, v_of_t, t_samples):
@@ -812,5 +818,4 @@ def trajectory_residual(form, x_of_t, v_of_t, t_samples):
         v, a, _ = fd_derivatives(v_of_t, t, 5e-3)
         return form.residual(t, x_of_t(t), v, a)
 
-    return max_abs(residual(t)
-                   for t in np.asarray(t_samples, dtype=float).tolist())
+    return max_abs(residual(float(t)) for t in t_samples)

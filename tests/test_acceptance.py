@@ -47,8 +47,9 @@ def test_criterion_01_generated_forms_satisfied():
 
 def test_criterion_02_catalog_solutions_verified():
     # nine closed-form families: residual scan and independent
-    # reintegration from matched initial conditions, both < 1e-6
-    _run(2, "catalog closed forms < 1e-6", ["catalog"], [18])
+    # reintegration from matched initial conditions, both < 1e-6; and the
+    # march of f = a*x*sin(t + phi) against its closed form
+    _run(2, "catalog closed forms < 1e-6", ["catalog"], [19])
 
 
 def test_criterion_03_phase_function_properties():

@@ -694,6 +694,46 @@ def test_readme_cli_reference_matches_parser():
     assert set(flag.findall(ref)) <= set().union(*declared.values())
 
 
+def _declared(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.help)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_command_parser_declares_what_the_full_parser_does(capsys,
+                                                             command):
+    # a run builds its own command's parser alone, with the actions the
+    # full parser gives that command, and prints the same help and errors
+    parser = cli.build_parser()
+    full = cli.subcommands(parser)[command]
+    own = cli.subcommands(cli.build_parser(command))
+    assert list(own) == [command]
+    assert _declared(own[command]) == _declared(full)
+    assert cli.main([command, "--help"]) == 0
+    assert capsys.readouterr().out == full.format_help()
+    for argv in ([command, "--bogus"], [command, "--param"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        expected = capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == expected
+
+
+def test_the_top_level_parser_keeps_its_output(capsys):
+    # no command, --help and an unknown command read the full parser
+    parser = cli.build_parser()
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out == parser.format_help()
+    for argv, message in (([], "the following arguments are required: "
+                                "command"),
+                          (["bogus"], "invalid choice: 'bogus'")):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(parser.format_usage())
+        assert message in captured.err
+
+
 def test_constant_power_beyond_the_double_range(capsys):
     # derive prints f_x's 2^1100 unfolded; solve evaluates it and reports
     # the typed overflow, not a bare OverflowError

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import math
 import random
@@ -35,6 +36,7 @@ from oscdeform.numerics import (
     fd_derivatives,
     find_root,
     integrate,
+    linspace,
     max_abs,
     residual_scan,
     sample_trajectory,
@@ -66,6 +68,36 @@ def test_sample_trajectory_sorts_and_deduplicates_times():
     ts = [s.t for s in sample_trajectory(_circle, 0.0, 1.0).states]
     assert len(ts) == 257 and (ts[0], ts[-1]) == (0.0, 1.0)
     assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_sample_trajectory_is_numpys_grid_and_dedupe_bit_for_bit():
+    # the default grid is np.linspace(t0, t1, 257), and cli._grid's
+    # linspace is np.linspace at any count, bit for bit
+    rng = random.Random(7)
+    spans = [(0.0, 1.0), (0.5, 0.5 + 2.0 * math.pi), (-3.0, 1e-3),
+             (2.0, 2.0), (-0.0, 0.0)]
+    spans += [sorted((rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)))
+              for _ in range(200)]
+    for t0, t1 in spans:
+        ts = [s.t for s in sample_trajectory(lambda t: (t, t), t0, t1).states]
+        assert _bits(ts) == _bits(np.unique(np.linspace(t0, t1, 257)))
+        for n, (a, b) in itertools.product((2, 3, 101), ((t0, t1), (t1, t0))):
+            assert _bits(linspace(a, b, n)) == _bits(np.linspace(a, b, n))
+    # the dedupe is np.unique's on unsorted times with repeats
+    t_eval = [rng.choice((0.75, -1.5, 1e-300, 2.5, 0.1)) for _ in range(60)]
+    got = [s.t for s in sample_trajectory(_circle, -2.0, 3.0, t_eval).states]
+    assert _bits(got) == _bits(np.unique(t_eval))
+    # with both zeros, it keeps the first given; np.unique keeps either,
+    # by an order its sort leaves unspecified
+    for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+        got = sample_trajectory(_circle, -2.0, 3.0,
+                                [1.0, *zeros, 1.0, -1.5, *zeros]).states
+        assert _bits(s.t for s in got) == _bits([-1.5, zeros[0], 1.0])
+        assert [s.t for s in got] == np.unique([1.0, *zeros, -1.5]).tolist()
 
 
 def test_sample_trajectory_refuses_a_time_outside_the_span():
@@ -1148,3 +1180,24 @@ def test_importing_the_library_loads_no_scipy_solver(capsys):
         assert code == 0, argv
         assert cli.main(argv) == 0
         assert out == capsys.readouterr().out, argv
+
+
+def test_the_cli_loads_neither_numpy_random_nor_numpy_ma():
+    # the verify draws come from random.Random and sampling dedupes without
+    # np.unique, so no command pays for loading either
+    runs = [["verify", "--suite", "all"], ["solve", "--samples", "3"],
+            ["beam", "--alpha-coef", "3", "--beta-coef", "2",
+             "--samples", "3"],
+            ["catalog", "--case", "time_quadrature", "--f",
+             "0.3*sin(t + 0.3)", "--g", "0.2*sin(t + 0.3)^2",
+             "--param", "A=0.9", "--alpha", "0.3", "--samples", "3"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from oscdeform import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted({'numpy.random', 'numpy.ma'}"
+              " & set(sys.modules))]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]
